@@ -11,6 +11,11 @@ m_f |du/h|^{p-2} (du/h) keep the scheme monotone, which makes comparison and
 max principles directly testable.  Newton with a line search solves each
 step; the flux Jacobian is floored at sigma inside Newton only, the residual
 is always evaluated unregularized.
+
+Each Newton system (volume-weighted e'(u) plus dt times the two-point
+stiffness) is symmetric positive definite.  In 1D it is solved by banded LU;
+in 2D by matrix-free Jacobi-preconditioned conjugate gradients, with
+Dirichlet pins eliminated symmetrically so the system stays SPD.
 """
 from __future__ import annotations
 
@@ -22,8 +27,6 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .graphs import RegularizedGraph
 
@@ -252,6 +255,10 @@ class Scenario:
 
 @dataclass
 class StepDiag:
+    """Outcome of one implicit step.  `used_fallback` is set when some Newton
+    direction was not an exact linear solve: the 2D CG hit its iteration cap,
+    or the direction was replaced by the diagonal step."""
+
     iterations: int
     residual: float
     tolerance: float
@@ -503,12 +510,19 @@ class _StepProblem:
             coeffs.append(self.dt * c)
         return coeffs
 
-    def solve_newton_system(self, u: np.ndarray, r: np.ndarray, sigma: float) -> np.ndarray:
+    def solve_newton_system(
+        self, u: np.ndarray, r: np.ndarray, sigma: float
+    ) -> tuple[np.ndarray, bool]:
+        """Newton direction d and whether the linear solve met its tolerance.
+
+        An unconverged 2D direction is still a descent direction (see
+        `_pcg`); the flag lets the caller report it.
+        """
         g = self.sc.graph
         diag = self.vol * g.enthalpy_prime_of_temperature(u)
         coeffs = self.face_coefficients(u, sigma)
         if self.grid.dim == 1:
-            return self._solve_1d(diag, coeffs[0], r)
+            return self._solve_1d(diag, coeffs[0], r), True
         return self._solve_2d(diag, coeffs, r)
 
     def _solve_1d(self, diag, c, r):
@@ -535,35 +549,78 @@ class _StepProblem:
         return scipy.linalg.solve_banded((1, 1), ab, r, check_finite=False)
 
     def _solve_2d(self, diag, coeffs, r):
+        """Matrix-free Jacobi-PCG on the SPD 5-point Newton system.
+
+        The operator is diag*x plus, on every face, c*(x_lo - x_hi) at its
+        low node and the mirror at its high node.  It works on the flattened
+        field: a face normal to an axis joins nodes one axis stride apart,
+        and the pairs that wrap from one grid line to the next get c = 0.
+        Dirichlet pins are eliminated symmetrically: the right-hand side,
+        hence every CG residual, search direction and iterate, is zero at
+        the pins, and pinned rows act as the identity on those zeros.  The
+        system stays SPD and d = 0 at the pins.
+        """
         shape = self.grid.shape
-        n = diag.size
-        idx = np.arange(n).reshape(shape)
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        vals = [diag.ravel().copy()]
-        main = vals[0]
+        faces = []
         for ax, c in enumerate(coeffs):
-            lo = idx.take(range(0, shape[ax] - 1), axis=ax).ravel()
-            hi = idx.take(range(1, shape[ax]), axis=ax).ravel()
-            cr = c.ravel()
-            np.add.at(main, lo, cr)
-            np.add.at(main, hi, cr)
-            rows.extend([lo, hi])
-            cols.extend([hi, lo])
-            vals.extend([-cr, -cr])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        if self.pin_mask is not None:
-            pins = self.pin_mask.ravel()
-            keep = ~(pins[rows] | pins[cols]) | (rows == cols)
-            vals = np.where(pins[rows] & (rows == cols), 1.0, vals)
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            r = r.copy()
-            r.ravel()[pins] = 0.0
-        mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        sol = scipy.sparse.linalg.spsolve(mat, r.ravel(), use_umfpack=False)
-        return sol.reshape(shape)
+            stride = math.prod(shape[ax + 1:])
+            pad = [(0, 0)] * len(shape)
+            pad[ax] = (0, 1)
+            faces.append((stride, np.pad(c, pad).ravel()[:-stride]))
+        diag = diag.ravel()
+        jacobi = diag.copy()
+        for s, c in faces:
+            jacobi[:-s] += c
+            jacobi[s:] += c
+        b = r.ravel()
+        pins = None if self.pin_mask is None else np.flatnonzero(self.pin_mask)
+        if pins is not None:
+            b = b.copy()
+            b[pins] = 0.0
+
+        def apply(x):
+            y = diag * x
+            for s, c in faces:
+                f = c * (x[:-s] - x[s:])
+                y[:-s] += f
+                y[s:] -= f
+            if pins is not None:
+                y[pins] = 0.0
+            return y
+
+        d, converged = _pcg(apply, b, 1.0 / jacobi, max_iter=b.size)
+        return d.reshape(shape), converged
+
+
+_PCG_RTOL = 1e-14
+
+
+def _pcg(apply, b: np.ndarray, inv_diag: np.ndarray, max_iter: int) -> tuple[np.ndarray, bool]:
+    """Preconditioned conjugate gradients for SPD `apply`, started from 0.
+
+    Stops once ||b - A x|| <= _PCG_RTOL ||b|| (recursive residual) and
+    reports whether that happened within `max_iter` iterations.  Every
+    iterate is kept: from a zero start, each CG iterate x_k satisfies
+    b.x_k > 0 for b != 0, so it is a descent direction even when the cap is
+    hit.  Plain numpy reductions in a fixed order keep reruns bit-identical.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    stop = _PCG_RTOL**2 * np.vdot(b, b)
+    z = inv_diag * r
+    p = z
+    rz = np.vdot(r, z)
+    for _ in range(max_iter):
+        if np.vdot(r, r) <= stop:
+            return x, True
+        q = apply(p)
+        alpha = rz / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        z = inv_diag * r
+        rz, rz_old = np.vdot(r, z), rz
+        p = z + (rz / rz_old) * p
+    return x, bool(np.vdot(r, r) <= stop)
 
 
 def _dirichlet_arrays(scenario: Scenario):
@@ -623,14 +680,11 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
         it += 1
         prev_res = res
         try:
-            d = prob.solve_newton_system(u, r, tol.newton_sigma)
-        except Exception:
-            d = None
-        if d is None or not np.all(np.isfinite(d)):
-            d = r / (prob.vol * g.enthalpy_prime_of_temperature(u))
-            used_fallback = True
-        descent = float(np.sum(r * d))
-        if descent <= 0.0:
+            d, solved = prob.solve_newton_system(u, r, tol.newton_sigma)
+        except (np.linalg.LinAlgError, ValueError):
+            d, solved = None, False
+        used_fallback |= not solved
+        if d is None or not np.all(np.isfinite(d)) or float(np.sum(r * d)) <= 0.0:
             d = r / (prob.vol * g.enthalpy_prime_of_temperature(u))
             used_fallback = True
         # Try the full step on a residual-decrease criterion first; near the

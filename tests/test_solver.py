@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stefanlab import presets, solver
 from stefanlab.graphs import RegularizedGraph
@@ -225,6 +226,112 @@ class TestRunSimulation:
             assert float(u.max()) <= float(u0.max()) + 1e-9
             assert float(u.min()) >= float(u0.min()) - 1e-9
         assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
+
+    def test_2d_dirichlet_pinning(self):
+        sc = presets.twophase_2d(p=3.0, nodes=17, dt=1e-3, t_end=0.01)
+        sc.boundary = Boundary(kind="dirichlet", values=((0.4, -0.3), (0.2, -0.1)))
+        traj = run_simulation(sc)
+        assert len(traj.temps) == 11
+        for u in traj.temps:
+            # The axis-1 ends are pinned last, so they own the corners.
+            assert np.max(np.abs(u[0, 1:-1] - 0.4)) <= 1e-14
+            assert np.max(np.abs(u[-1, 1:-1] + 0.3)) <= 1e-14
+            assert np.max(np.abs(u[:, 0] - 0.2)) <= 1e-14
+            assert np.max(np.abs(u[:, -1] + 0.1)) <= 1e-14
+        assert all(d.residual <= d.tolerance for d in traj.diagnostics)
+        assert not any(d.used_fallback for d in traj.diagnostics)
+        assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
+
+    @given(p=st.floats(2.0, 4.0),
+           nodes=st.tuples(st.integers(9, 15), st.integers(9, 15)),
+           base=st.floats(-0.3, 0.3),
+           modes=st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 3)),
+                          min_size=1, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_random_2d_scenarios(self, p, nodes, base, modes):
+        h = 1.0 / 14
+        amps, freqs = zip(*modes)
+        sc = Scenario(
+            grid=Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes),
+            p=p,
+            graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1),
+            initial=InitialData.of("fourier", base=base, amps=amps, freqs=freqs),
+            t_end=3e-3,
+            dt=DtPolicy(value=1e-3),
+        )
+        traj = run_simulation(sc)
+        assert conservation_defect(traj) <= 1e-10
+        lo, hi = float(traj.temps[0].min()), float(traj.temps[0].max())
+        for u in traj.temps:
+            assert float(u.max()) <= hi + 1e-9
+            assert float(u.min()) >= lo - 1e-9
+        assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
+
+
+def newton_state_2d(p, boundary):
+    """A 21x21 two-phase state, its step problem and its Newton residual."""
+    sc = presets.twophase_2d(p=p, nodes=21)
+    sc.boundary = boundary
+    u = build_initial(sc.grid, sc.initial)
+    prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u), sc.dt.value)
+    u = prob.apply_pins(u)
+    return prob, u, prob.gradient(u)
+
+
+def dense_newton_matrix(prob, u, sigma):
+    """The Newton matrix assembled entry by entry, pins eliminated symmetrically."""
+    n = u.size
+    idx = np.arange(n).reshape(u.shape)
+    mat = np.diag((prob.vol * prob.sc.graph.enthalpy_prime_of_temperature(u)).ravel())
+    for ax, c in enumerate(prob.face_coefficients(u, sigma)):
+        lo = np.take(idx, range(u.shape[ax] - 1), axis=ax).ravel()
+        hi = np.take(idx, range(1, u.shape[ax]), axis=ax).ravel()
+        for i, j, cf in zip(lo, hi, c.ravel()):
+            mat[i, i] += cf
+            mat[j, j] += cf
+            mat[i, j] -= cf
+            mat[j, i] -= cf
+    if prob.pin_mask is not None:
+        pins = prob.pin_mask.ravel()
+        mat[pins, :] = 0.0
+        mat[:, pins] = 0.0
+        mat[pins, pins] = 1.0
+    return mat
+
+
+BOUNDARIES_2D = [Boundary(),
+                 Boundary(kind="dirichlet", values=((0.4, -0.3), (0.2, -0.1)))]
+
+
+class TestNewtonDirection2D:
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("boundary", BOUNDARIES_2D, ids=lambda b: b.kind)
+    def test_matches_dense_solve(self, p, boundary):
+        prob, u, r = newton_state_2d(p, boundary)
+        sigma = prob.sc.tolerances.newton_sigma
+        d, solved = prob.solve_newton_system(u, r, sigma)
+        rhs = r.ravel().copy()
+        if prob.pin_mask is not None:
+            rhs[prob.pin_mask.ravel()] = 0.0
+        ref = np.linalg.solve(dense_newton_matrix(prob, u, sigma), rhs).reshape(u.shape)
+        assert solved
+        assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if prob.pin_mask is not None:
+            assert np.all(d[prob.pin_mask] == 0.0)
+
+    def test_cg_cap_keeps_a_reported_descent_direction(self, monkeypatch):
+        pcg = solver._pcg
+        monkeypatch.setattr(solver, "_pcg",
+                            lambda apply, b, inv_diag, max_iter: pcg(apply, b, inv_diag, 1))
+        prob, u, r = newton_state_2d(3.0, Boundary())
+        d, solved = prob.solve_newton_system(u, r, prob.sc.tolerances.newton_sigma)
+        assert not solved
+        assert np.all(np.isfinite(d))
+        assert float(np.sum(r * d)) > 0.0
+        # The step still converges on these directions and records them.
+        _, diag = implicit_step(u, prob.dt, prob.sc)
+        assert diag.used_fallback
+        assert diag.residual <= diag.tolerance
 
 
 def neumann_front_factor(hot, jump, cold, latent):
