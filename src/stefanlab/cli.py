@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +147,13 @@ def parse_config(path: str | Path) -> RunConfig:
     except (KeyError, ValueError, TypeError) as err:
         raise ConfigError("scenario", str(err)) from err
 
-    if get("scenario", "store_every"):
-        scenario.store_every = int(get("scenario", "store_every"))
+    store_every = get("scenario", "store_every")
+    if store_every:
+        try:
+            # replace() reruns Scenario's validation (store_every >= 1)
+            scenario = replace(scenario, store_every=int(store_every))
+        except ValueError as err:
+            raise ConfigError("scenario.store_every", str(err)) from err
     if get("scenario", "label"):
         scenario.label = get("scenario", "label")
     if get("scenario", "step_rtol"):
@@ -343,13 +348,8 @@ def _resolved_config_text(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict]]:
+def _run_checks(cfg: RunConfig, traj: Trajectory, ledger) -> tuple[dict, list[dict]]:
     sc = cfg.scenario
-    ledger = fix_constants(n=sc.grid.dim, p=sc.p,
-                           Lambda=sc.certified_lambda(),
-                           alpha_choice_if_p_eq_n=cfg.alpha_if_p_eq_n
-                           if sc.p == sc.grid.dim else None,
-                           **cfg.constants_kwargs)
     params = studies.measurement_params(sc, r0=cfg.modulus_r0,
                                         alpha_choice_if_p_eq_n=cfg.alpha_if_p_eq_n)
     if cfg.modulus_L is not None:
@@ -511,7 +511,12 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         return 3
 
     files = _write_snapshots(outdir, traj, cfg.snapshot_stride)
-    summary, reports = _run_checks(cfg, traj)
+    sc = cfg.scenario
+    ledger = fix_constants(n=sc.grid.dim, p=sc.p, Lambda=sc.certified_lambda(),
+                           alpha_choice_if_p_eq_n=cfg.alpha_if_p_eq_n
+                           if sc.p == sc.grid.dim else None,
+                           **cfg.constants_kwargs)
+    summary, reports = _run_checks(cfg, traj, ledger)
 
     checks_path = outdir / "checks.jsonl"
     with checks_path.open("w") as fh:
@@ -526,11 +531,6 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         _json_dump(fit_path, summary["modulus"].pop("fit"))
         files.extend([osc_path, fit_path])
 
-    ledger = fix_constants(n=cfg.scenario.grid.dim, p=cfg.scenario.p,
-                           Lambda=cfg.scenario.certified_lambda(),
-                           alpha_choice_if_p_eq_n=cfg.alpha_if_p_eq_n
-                           if cfg.scenario.p == cfg.scenario.grid.dim else None,
-                           **cfg.constants_kwargs)
     ledger_path = outdir / "ledger.json"
     _json_dump(ledger_path, ledger.as_dict())
     files.append(ledger_path)

@@ -2,10 +2,14 @@
 
 Everything here is a pure function of one real variable: the smoothed step
 graph obtained by mollifying a unit jump, the bi-Lipschitz temperature map
-beta, and the enthalpy built from the two.  The smoothed step is evaluated
-from a precomputed high-resolution table with monotone cubic interpolation
-(the time stepper calls it millions of times); adaptive quadrature of the
-mollifier is kept for the test oracles only.
+beta, and the enthalpy built from the two.  The smoothed step is a monotone
+cubic (PCHIP) interpolant of a precomputed uniform table, and the convex
+enthalpy energy uses the antiderivatives of such interpolants.  The time
+stepper calls them millions of times, so scipy only builds their
+coefficients and `_HermiteTable` evaluates them with one binary search and
+one fixed-order polynomial sum, bit for bit what scipy's piecewise-polynomial
+evaluation returns.  Adaptive quadrature of the mollifier is kept for the
+test oracles only.
 """
 from __future__ import annotations
 
@@ -53,41 +57,67 @@ def _build_step_tables():
     return ts, cdf, float(mass)
 
 
+class _HermiteTable:
+    """Piecewise polynomial on sorted knots, continued past the right end.
+
+    Holds the coefficients of a scipy piecewise polynomial (a cubic PCHIP
+    interpolant or its quartic antiderivative) plus one extra row at the
+    last knot x1 that continues it as `right_value + right_slope * (t - x1)`;
+    inputs below the first knot x0 take the value there.  A lookup finds the
+    interval i by binary search, sets s = t - x[i] and sums the terms
+    c_j * s^j from j = 0 up, with the powers built as s, s*s, (s*s)*s, ...:
+    the order of scipy's `PPoly` evaluation, so inside [x0, x1] a lookup is
+    bit-identical to calling the scipy object.  NaN maps to NaN.  The zero
+    high-order terms of the extra row overflow to NaN once t - x1 exceeds
+    about 1e77, far beyond any temperature a run produces.
+    """
+
+    def __init__(self, pp, right_value: float, right_slope: float):
+        x = pp.x
+        # c[j] holds the coefficients of s^j, one per knot; 0.0 + c[0] is
+        # scipy's first addition, which turns a -0.0 constant into +0.0
+        c = np.zeros((pp.c.shape[0], x.size))
+        c[:, :-1] = pp.c[::-1]
+        c[0, :-1] += 0.0
+        c[:2, -1] = right_value, right_slope
+        self._x0 = x[0]
+        self._x = x
+        # One contiguous array per power: a lookup gathers each with take(),
+        # so its temporaries are all the size of the input.
+        self._c = tuple(c)
+
+    def __call__(self, t):
+        t = np.maximum(t, self._x0)
+        i = self._x.searchsorted(t, "right") - 1
+        s = t - self._x.take(i)
+        c0, c1, *higher = self._c
+        out = c0.take(i) + c1.take(i) * s
+        z = s
+        for cj in higher:
+            z = z * s
+            out = out + cj.take(i) * z
+        return out if out.ndim else float(out)
+
+
+def _primitive_table(spline) -> _HermiteTable:
+    """Antiderivative of `spline` from its first knot, continued with unit
+    slope past the last knot, where the interpolated step equals 1."""
+    primitive = spline.antiderivative()
+    return _HermiteTable(primitive, float(primitive(spline.x[-1])), 1.0)
+
+
 _TS, _CDF, _BUMP_MASS = _build_step_tables()
 _CDF_SPLINE = PchipInterpolator(_TS, _CDF, extrapolate=False)
-# Antiderivative of the CDF interpolant, anchored to 0 at t = -1.
-_CDF_PRIMITIVE = _CDF_SPLINE.antiderivative()
-_CDF_PRIMITIVE_AT_ONE = float(_CDF_PRIMITIVE(1.0))
+# The smoothed unit step at normalized coordinate t = (s - jump)/eps, 0 for
+# t <= -1 and 1 for t >= 1, and its antiderivative, 0 for t <= -1.
+_step_cdf = _HermiteTable(_CDF_SPLINE, 1.0, 0.0)
+_step_cdf_primitive = _primitive_table(_CDF_SPLINE)
+del _CDF_SPLINE
 
 
 def mollifier_density(t):
     """Normalized mollifier value at t (unit width, unit mass)."""
     return bump_shape(t) / _BUMP_MASS
-
-
-def _step_cdf(t):
-    """Smoothed unit step at normalized coordinate t = (s - jump)/eps."""
-    t = np.asarray(t, dtype=float)
-    out = np.where(t >= 1.0, 1.0, 0.0)
-    inside = (t > -1.0) & (t < 1.0)
-    if np.any(inside):
-        out = np.array(out, dtype=float)
-        out[inside] = _CDF_SPLINE(t[inside])
-    return out if out.ndim else float(out)
-
-
-def _step_cdf_primitive(t):
-    """Antiderivative of the smoothed step in normalized coordinates.
-
-    Equals 0 for t <= -1 and grows with unit slope for t >= 1.
-    """
-    t = np.asarray(t, dtype=float)
-    tc = np.clip(t, -1.0, 1.0)
-    out = np.asarray(_CDF_PRIMITIVE(tc), dtype=float)
-    above = t > 1.0
-    if np.any(above):
-        out[above] = _CDF_PRIMITIVE_AT_ONE + (t[above] - 1.0)
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +284,10 @@ class RegularizedGraph:
         s_hi = float(self.beta.inverse(self.a + self.eps))
         ss = np.linspace(s_lo, s_hi, 2049)
         data = _step_cdf((self.beta.apply(ss) - self.a) / self.eps)
-        spline = PchipInterpolator(ss, data, extrapolate=False)
-        self._band = (s_lo, s_hi)
-        self._band_spline = spline
-        self._band_primitive = spline.antiderivative()
-        self._band_primitive_hi = float(self._band_primitive(s_hi))
+        # Integral of step(beta(s)) ds from the lower band edge s_lo.
+        self._step_of_temperature_primitive = _primitive_table(
+            PchipInterpolator(ss, data, extrapolate=False))
+        self._k0 = self._step_of_temperature_primitive(0.0)
 
     # -- smoothed step in the transformed variable --------------------------
 
@@ -280,23 +309,11 @@ class RegularizedGraph:
         w = self.beta.apply(u)
         return self.beta.prime(u) * (1.0 + self.latent_heat * self.step_prime(w))
 
-    def _step_of_temperature_primitive(self, u):
-        """Integral of step(beta(s)) ds from the lower band edge to u."""
-        u = np.asarray(u, dtype=float)
-        s_lo, s_hi = self._band
-        uc = np.clip(u, s_lo, s_hi)
-        out = np.asarray(self._band_primitive(uc), dtype=float)
-        above = u > s_hi
-        if np.any(above):
-            out[above] = self._band_primitive_hi + (u[above] - s_hi)
-        return out if out.ndim else float(out)
-
     def enthalpy_primitive_of_temperature(self, u):
         """Strictly convex primitive E with E' = enthalpy_of_temperature, E(0) = 0."""
-        k0 = self._step_of_temperature_primitive(0.0)
         return (
             self.beta.primitive(u)
-            + self.latent_heat * (self._step_of_temperature_primitive(u) - k0)
+            + self.latent_heat * (self._step_of_temperature_primitive(u) - self._k0)
         )
 
     def rescaled(self, lam: float) -> "RegularizedGraph":
@@ -327,23 +344,6 @@ class RegularizedGraph:
 # Free-function operations
 # ---------------------------------------------------------------------------
 
-def mollified_heaviside(g: RegularizedGraph, s):
-    """Smoothed step of the graph at s; lies in [0, 1], equals 1/2 at the jump."""
-    return g.step(s)
-
-
-def mollified_heaviside_prime(g: RegularizedGraph, s):
-    return g.step_prime(s)
-
-
-def enthalpy(g: RegularizedGraph, lh_eff: float, b: float, s):
-    """s + lh_eff * (smoothed step at jump b, width g.eps); strictly increasing."""
-    if not (0.0 <= lh_eff <= 1.0):
-        raise ValueError("effective latent heat must lie in [0, 1]")
-    s = np.asarray(s, dtype=float)
-    return s + lh_eff * _step_cdf((s - b) / g.eps)
-
-
 def enthalpy_jump_primitive(g: RegularizedGraph, b: float, k, v, lh_eff: float = 1.0):
     """Integral over (k, v) of step'(xi) * (xi - k)_+, nonnegative.
 
@@ -361,11 +361,3 @@ def enthalpy_jump_primitive(g: RegularizedGraph, b: float, k, v, lh_eff: float =
     out = np.maximum(out, 0.0)
     out = lh_eff * out
     return out if out.ndim else float(out)
-
-
-def beta_apply(g: RegularizedGraph, u):
-    return g.beta.apply(u)
-
-
-def beta_inverse(g: RegularizedGraph, w):
-    return g.beta.inverse(w)

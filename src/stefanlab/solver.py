@@ -13,9 +13,10 @@ step; the flux Jacobian is floored at sigma inside Newton only, the residual
 is always evaluated unregularized.
 
 Each Newton system (volume-weighted e'(u) plus dt times the two-point
-stiffness) is symmetric positive definite.  In 1D it is solved by banded LU;
-in 2D by matrix-free Jacobi-preconditioned conjugate gradients, with
-Dirichlet pins eliminated symmetrically so the system stays SPD.
+stiffness) is symmetric positive definite.  In 1D it is solved directly by
+LAPACK's tridiagonal `gtsv`; in 2D by matrix-free Jacobi-preconditioned
+conjugate gradients, with Dirichlet pins eliminated symmetrically so the
+system stays SPD.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
 from .graphs import RegularizedGraph
 
@@ -393,7 +394,24 @@ def build_initial(grid: Grid, spec: InitialData) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _face_diffs(u: np.ndarray, axis: int) -> np.ndarray:
-    return np.diff(u, axis=axis)
+    """u[j+1] - u[j] along `axis` (np.diff without its call overhead)."""
+    lead = (slice(None),) * axis
+    return u[lead + (slice(1, None),)] - u[lead + (slice(None, -1),)]
+
+
+def _face_divergence(f: np.ndarray, axis: int) -> np.ndarray:
+    """Net flux per node from face values f along `axis`: f[0], then
+    f[j] - f[j-1], then 0 - f[-1]; no flux crosses the boundary.  The same
+    arithmetic as np.diff of f zero-padded on both ends, without the pad."""
+    shape = list(f.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = f[lead + (0,)]
+    np.subtract(f[lead + (slice(1, None),)], f[lead + (slice(None, -1),)],
+                out=out[lead + (slice(1, -1),)])
+    out[lead + (-1,)] = 0.0 - f[lead + (-1,)]
+    return out
 
 
 def _face_areas(grid: Grid, axis: int) -> np.ndarray:
@@ -431,10 +449,7 @@ def p_laplacian_apply(
         g = _face_diffs(field_values, ax) / h
         q = weights[ax] * np.abs(g) ** (p - 2.0) * g
         flux = q * _face_areas(grid, ax) if grid.dim == 2 else q
-        pad = [(0, 0)] * grid.dim
-        pad[ax] = (1, 1)
-        flux_p = np.pad(flux, pad)
-        out += np.diff(flux_p, axis=ax)
+        out += _face_divergence(flux, ax)
     return out / grid.volume_weights()
 
 
@@ -468,7 +483,7 @@ class _StepProblem:
 
     def energy(self, u: np.ndarray) -> float:
         g = self.sc.graph
-        bulk = np.sum(self.vol * (g.enthalpy_primitive_of_temperature(u) - self.e_old * u))
+        bulk = (self.vol * (g.enthalpy_primitive_of_temperature(u) - self.e_old * u)).sum()
         h = self.grid.h
         flux = 0.0
         for ax in range(self.grid.dim):
@@ -478,7 +493,7 @@ class _StepProblem:
                 cell = cell * self.areas[ax] * h
             else:
                 cell = cell * h
-            flux += np.sum(cell)
+            flux += cell.sum()
         return float(bulk + self.dt * flux)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
@@ -489,9 +504,7 @@ class _StepProblem:
             d = _face_diffs(u, ax) / h
             q = self.weights[ax] * np.abs(d) ** (self.p - 2.0) * d
             fa = self.areas[ax] * q if self.grid.dim == 2 else q
-            pad = [(0, 0)] * self.grid.dim
-            pad[ax] = (1, 1)
-            r -= self.dt * np.diff(np.pad(fa, pad), axis=ax)
+            r -= self.dt * _face_divergence(fa, ax)
         if self.pin_mask is not None:
             r[self.pin_mask] = 0.0
         return r
@@ -526,27 +539,25 @@ class _StepProblem:
         return self._solve_2d(diag, coeffs, r)
 
     def _solve_1d(self, diag, c, r):
-        n = diag.size
-        main = diag.copy()
+        """Tridiagonal solve by LAPACK gtsv (LU with partial pivoting), the
+        routine scipy.linalg.solve_banded((1, 1), ...) calls; `diag` is
+        overwritten.  A zero pivot (info > 0) raises LinAlgError."""
+        main = diag
         main[:-1] += c
         main[1:] += c
         lower = -c
         upper = -c
         if self.pin_mask is not None:
             pins = self.pin_mask
-            main = main.copy()
             main[pins] = 1.0
-            lower = lower.copy()
-            upper = upper.copy()
             upper[pins[:-1]] = 0.0   # row of pinned node i: coupling to i+1
             lower[pins[1:]] = 0.0    # row of pinned node i: coupling to i-1
             r = r.copy()
             r[pins] = 0.0
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper
-        ab[1, :] = main
-        ab[2, :-1] = lower
-        return scipy.linalg.solve_banded((1, 1), ab, r, check_finite=False)
+        *_, d, info = dgtsv(lower, main, upper, r, True, True, True, False)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal Newton solve failed (gtsv info={info})")
+        return d
 
     def _solve_2d(self, diag, coeffs, r):
         """Matrix-free Jacobi-PCG on the SPD 5-point Newton system.

@@ -150,6 +150,17 @@ directory = {out}
         assert record["code"] == 2
         assert "scenario" in record["field"]
 
+    @pytest.mark.parametrize("value", ["0", "x"])
+    def test_bad_store_every_exit_two(self, tmp_path, value):
+        text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+            "t_end = 0.02\n", f"t_end = 0.02\nstore_every = {value}\n")
+        path = _write(tmp_path, text)
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["code"] == 2
+        assert record["field"] == "scenario.store_every"
+
     def test_solver_failure_exit_three(self, tmp_path):
         text = """\
 [scenario]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from stefanlab import graphs
 from stefanlab.graphs import BetaMap, RegularizedGraph
@@ -23,19 +24,19 @@ def _density(g, s):
 
 class TestMollifiedStep:
     def test_below_support(self, unit_graph):
-        assert graphs.mollified_heaviside(unit_graph, -0.2) == 0.0
-        assert graphs.mollified_heaviside(unit_graph, -0.1) == 0.0
+        assert unit_graph.step(-0.2) == 0.0
+        assert unit_graph.step(-0.1) == 0.0
 
     def test_above_support(self, unit_graph):
-        assert graphs.mollified_heaviside(unit_graph, 0.1) == 1.0
-        assert graphs.mollified_heaviside(unit_graph, 5.0) == 1.0
+        assert unit_graph.step(0.1) == 1.0
+        assert unit_graph.step(5.0) == 1.0
 
     def test_midpoint_is_half(self, unit_graph):
-        assert graphs.mollified_heaviside(unit_graph, 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert unit_graph.step(0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_interior_value_against_quadrature(self, unit_graph):
         g = unit_graph
-        v = graphs.mollified_heaviside(g, 0.05)
+        v = g.step(0.05)
         assert 0.5 < v < 1.0
         oracle, err = quad(lambda s: _density(g, s), -g.eps, 0.05, limit=200)
         assert abs(v - oracle) < 1e-9
@@ -43,54 +44,50 @@ class TestMollifiedStep:
     def test_symmetry_identity(self, unit_graph):
         g = unit_graph
         for delta in np.linspace(0.0, 0.12, 25):
-            s = graphs.mollified_heaviside(g, delta) + graphs.mollified_heaviside(g, -delta)
+            s = g.step(delta) + g.step(-delta)
             assert s == pytest.approx(1.0, abs=1e-12)
 
     def test_derivative_normalization(self, unit_graph):
         g = unit_graph
-        total, _ = quad(lambda s: graphs.mollified_heaviside_prime(g, s),
-                        -g.eps, g.eps, limit=200)
+        total, _ = quad(g.step_prime, -g.eps, g.eps, limit=200)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_derivative_support(self, unit_graph):
         g = unit_graph
-        assert graphs.mollified_heaviside_prime(g, -0.11) == 0.0
-        assert graphs.mollified_heaviside_prime(g, 0.11) == 0.0
-        assert graphs.mollified_heaviside_prime(g, 0.0) > 0.0
+        assert g.step_prime(-0.11) == 0.0
+        assert g.step_prime(0.11) == 0.0
+        assert g.step_prime(0.0) > 0.0
 
     def test_nondecreasing(self, unit_graph):
         s = np.linspace(-0.15, 0.15, 401)
-        vals = graphs.mollified_heaviside(unit_graph, s)
+        vals = unit_graph.step(s)
         assert np.all(np.diff(vals) >= 0.0)
 
     def test_eps_to_zero_pointwise_limit(self):
         for eps in (0.1, 0.01, 0.001):
             g = RegularizedGraph(a=0.0, latent_heat=1.0, eps=eps)
-            assert graphs.mollified_heaviside(g, -0.2) == 0.0
-            assert graphs.mollified_heaviside(g, 0.2) == 1.0
-            assert graphs.mollified_heaviside(g, 0.0) == pytest.approx(0.5, abs=1e-12)
+            assert g.step(-0.2) == 0.0
+            assert g.step(0.2) == 1.0
+            assert g.step(0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestEnthalpy:
     def test_below_jump(self, unit_graph):
-        assert graphs.enthalpy(unit_graph, 1.0, 0.0, -1.0) == -1.0
+        assert unit_graph.enthalpy_of_temperature(-1.0) == -1.0
 
     def test_at_jump(self, unit_graph):
-        assert graphs.enthalpy(unit_graph, 1.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert unit_graph.enthalpy_of_temperature(0.0) == pytest.approx(0.5, abs=1e-14)
 
-    def test_above_jump(self, unit_graph):
-        assert graphs.enthalpy(unit_graph, 0.5, 0.0, 2.0) == pytest.approx(2.5, abs=1e-14)
-
-    def test_latent_heat_range_rejected(self, unit_graph):
-        with pytest.raises(ValueError):
-            graphs.enthalpy(unit_graph, 1.5, 0.0, 0.0)
+    def test_above_jump(self):
+        g = RegularizedGraph(a=0.0, latent_heat=0.5, eps=0.1)
+        assert g.enthalpy_of_temperature(2.0) == pytest.approx(2.5, abs=1e-14)
 
     @given(st.floats(-3.0, 3.0), st.floats(1e-4, 3.0))
     @settings(max_examples=150, deadline=None)
     def test_strictly_increasing(self, s, gap):
         g = RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1)
-        lo = graphs.enthalpy(g, 1.0, 0.0, s)
-        hi = graphs.enthalpy(g, 1.0, 0.0, s + gap)
+        lo = g.enthalpy_of_temperature(s)
+        hi = g.enthalpy_of_temperature(s + gap)
         assert (hi - lo) / gap >= 1.0 - 1e-9
 
 
@@ -241,10 +238,140 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             g.rescaled(0.5)
 
-    def test_beta_free_functions(self):
+    def test_beta_methods_through_graph(self):
         g = RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1,
                              beta=BetaMap(kind="piecewise",
                                           knots=(-1.0, 0.0, 1.0),
                                           values=(-0.5, 0.0, 2.0)))
-        assert graphs.beta_apply(g, 0.0) == 0.0
-        assert graphs.beta_inverse(g, graphs.beta_apply(g, 0.7)) == pytest.approx(0.7, abs=1e-13)
+        assert g.beta.apply(0.0) == 0.0
+        assert g.beta.inverse(g.beta.apply(0.7)) == pytest.approx(0.7, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Table lookups against scipy's own PCHIP evaluation
+# ---------------------------------------------------------------------------
+
+_UNIT_CDF = PchipInterpolator(graphs._TS, graphs._CDF, extrapolate=False)
+_UNIT_PRIMITIVE = _UNIT_CDF.antiderivative()
+
+
+def oracle_cdf(t):
+    """The smoothed unit step: 0 below -1, scipy's interpolant inside, 1 from 1 on."""
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    inside = (t > -1.0) & (t < 1.0)
+    out[inside] = _UNIT_CDF(t[inside])
+    return out
+
+
+def oracle_primitive(pp, t):
+    """Antiderivative `pp` evaluated by scipy on its knot range, constant
+    below it and continued with unit slope above it."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = pp.x[0], pp.x[-1]
+    out = np.asarray(pp(np.clip(t, lo, hi)), dtype=float)
+    above = t > hi
+    out[above] = float(pp(hi)) + (t[above] - hi)
+    return out
+
+
+def oracle_band_primitive(g):
+    """scipy's antiderivative of the step of temperature across the band,
+    built from the same 2049 samples the graph uses."""
+    s_lo = float(g.beta.inverse(g.a - g.eps))
+    s_hi = float(g.beta.inverse(g.a + g.eps))
+    ss = np.linspace(s_lo, s_hi, 2049)
+    data = oracle_cdf((g.beta.apply(ss) - g.a) / g.eps)
+    return PchipInterpolator(ss, data, extrapolate=False).antiderivative()
+
+
+def assert_same_bits(got, want):
+    got_a = np.asarray(got, dtype=float)
+    want_a = np.asarray(want, dtype=float)
+    assert got_a.shape == want_a.shape
+    bad = got_a.view(np.uint64) != want_a.view(np.uint64)
+    assert not np.any(bad), (got_a[bad][:5], want_a[bad][:5])
+
+
+def probe_points(knots, rng_values, far):
+    """Every knot and its neighbours one ulp away, the given values, and far points."""
+    knots = np.asarray(knots, dtype=float)
+    return np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                           np.asarray(rng_values, dtype=float), far, -far])
+
+
+@st.composite
+def beta_maps(draw):
+    kind = draw(st.sampled_from(["identity", "tanh", "piecewise"]))
+    if kind == "identity":
+        return BetaMap()
+    if kind == "tanh":
+        return BetaMap(kind="tanh", mu=draw(st.floats(-0.5, 2.0)), tau=draw(st.floats(0.2, 2.0)))
+    knots, values = draw(piecewise_tables())
+    return BetaMap(kind="piecewise", knots=knots, values=values)
+
+
+class TestTableLookups:
+    """The lookups return exactly what evaluating scipy's PCHIP objects built
+    from the same samples returns, bit for bit, in every input shape."""
+
+    @given(a=st.floats(-0.5, 0.5), eps=st.floats(0.005, 0.2),
+           latent_heat=st.floats(0.05, 1.0), beta=beta_maps(),
+           us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_enthalpy_and_primitive_match_scipy(self, a, eps, latent_heat, beta, us):
+        g = RegularizedGraph(a=a, latent_heat=latent_heat, eps=eps, beta=beta)
+        band = oracle_band_primitive(g)
+        k0 = float(oracle_primitive(band, 0.0))
+
+        def e_ref(u):
+            w = g.beta.apply(u)
+            return w + g.latent_heat * oracle_cdf((w - g.a) / g.eps)
+
+        def E_ref(u):
+            return (g.beta.primitive(u)
+                    + g.latent_heat * (oracle_primitive(band, u) - k0))
+
+        # Far points stay where log(cosh(u / tau)) of the tanh map is finite.
+        u = probe_points(band.x, us, np.array([5.0, 20.0, 100.0]))
+        w_edges = g.beta.inverse(g.a + g.eps * np.array([-1.0, 1.0]))
+        u = np.concatenate([u, w_edges, np.nextafter(w_edges, -np.inf),
+                            np.nextafter(w_edges, np.inf)])
+        assert_same_bits(g.enthalpy_of_temperature(u), e_ref(u))
+        assert_same_bits(g.enthalpy_primitive_of_temperature(u), E_ref(u))
+        grid = u[: (u.size // 6) * 6].reshape(6, -1)
+        assert_same_bits(g.enthalpy_of_temperature(grid), e_ref(grid))
+        assert_same_bits(g.enthalpy_primitive_of_temperature(grid), E_ref(grid))
+        for x in (u[0], u[-1], float(us[0]), 0.0):
+            got_e = g.enthalpy_of_temperature(float(x))
+            got_E = g.enthalpy_primitive_of_temperature(float(x))
+            assert type(got_e) is float and type(got_E) is float
+            assert_same_bits(got_e, e_ref(x))
+            assert_same_bits(got_E, E_ref(x))
+
+    @given(ts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=60))
+    @settings(max_examples=30, deadline=None)
+    def test_unit_step_and_primitive_match_scipy(self, ts):
+        t = probe_points(graphs._TS, ts, np.array([1.5, 1e3, 1e6, 1e30]))
+        t = np.concatenate([t, [-1.0, 1.0, 0.0, -0.0]])
+        assert_same_bits(graphs._step_cdf(t), oracle_cdf(t))
+        assert_same_bits(graphs._step_cdf_primitive(t), oracle_primitive(_UNIT_PRIMITIVE, t))
+        grid = t[: (t.size // 3) * 3].reshape(3, -1)
+        assert_same_bits(graphs._step_cdf_primitive(grid),
+                         oracle_primitive(_UNIT_PRIMITIVE, grid))
+        for x in (ts[0], -1.0, 1.0, 3.0):
+            assert type(graphs._step_cdf_primitive(x)) is float
+            assert_same_bits(graphs._step_cdf_primitive(x), oracle_primitive(_UNIT_PRIMITIVE, x))
+            assert_same_bits(graphs._step_cdf(x), oracle_cdf(x))
+
+    def test_nan_propagates(self):
+        # A NaN temperature must not read as a frozen (step = 0) state.
+        g = RegularizedGraph(a=0.1, latent_heat=0.6, eps=0.05,
+                             beta=BetaMap(kind="tanh", mu=0.5, tau=0.4))
+        u = np.array([-0.2, np.nan, 0.1, 0.4])
+        for fn in (g.step, g.enthalpy_of_temperature, g.enthalpy_primitive_of_temperature):
+            out = fn(u)
+            assert np.isnan(out[1])
+            assert np.all(np.isfinite(out[[0, 2, 3]]))
+            assert math.isnan(fn(math.nan))
+        assert math.isnan(graphs._step_cdf_primitive(math.nan))

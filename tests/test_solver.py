@@ -267,6 +267,76 @@ class TestRunSimulation:
             assert float(u.min()) >= lo - 1e-9
         assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
 
+    @given(p=st.floats(2.0, 4.0), nodes=st.integers(11, 41),
+           latent_heat=st.floats(0.1, 1.0), eps=st.floats(0.02, 0.2),
+           data=st.one_of(
+               st.builds(lambda level, amplitude, periods, tilt: InitialData.of(
+                   "two-phase-sine", level=level, amplitude=amplitude,
+                   periods=periods, tilt=tilt),
+                   st.floats(-0.3, 0.3), st.floats(0.05, 0.8), st.floats(0.5, 4.0),
+                   st.floats(-0.5, 0.5)),
+               st.builds(lambda base, modes: InitialData.of(
+                   "fourier", base=base, amps=tuple(m[0] for m in modes),
+                   freqs=tuple(m[1] for m in modes)),
+                   st.floats(-0.3, 0.3),
+                   st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 4)),
+                            min_size=1, max_size=3))))
+    @settings(max_examples=50, deadline=None)
+    def test_random_1d_scenarios(self, p, nodes, latent_heat, eps, data):
+        sc = Scenario(
+            grid=Grid(extents=(1.0,), nodes=(nodes,)),
+            p=p,
+            graph=RegularizedGraph(a=0.0, latent_heat=latent_heat, eps=eps),
+            initial=data,
+            t_end=4e-3,
+            dt=DtPolicy(value=1e-3),
+        )
+        traj = run_simulation(sc)
+        assert conservation_defect(traj) <= 1e-10
+        lo, hi = float(traj.temps[0].min()), float(traj.temps[0].max())
+        for u in traj.temps:
+            assert float(u.max()) <= hi + 1e-9
+            assert float(u.min()) >= lo - 1e-9
+        assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
+
+
+class TestNewtonSolve1D:
+    def test_singular_system_raises(self):
+        sc = presets.twophase_1d(nodes=21)
+        u = build_initial(sc.grid, sc.initial)
+        prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u), 1e-3)
+        with pytest.raises(np.linalg.LinAlgError):
+            prob._solve_1d(np.zeros(21), np.zeros(20), prob.gradient(u))
+
+    def test_singular_system_takes_reported_fallback(self, monkeypatch):
+        sc = presets.twophase_1d(nodes=41)
+        u = build_initial(sc.grid, sc.initial)
+        infos = []
+        gtsv = solver.dgtsv
+
+        def recording_gtsv(*args):
+            out = gtsv(*args)
+            infos.append(out[-1])
+            return out
+
+        solve_1d = solver._StepProblem._solve_1d
+
+        def zero_first_matrix(prob, diag, c, r):
+            if not infos:
+                diag, c = np.zeros_like(diag), np.zeros_like(c)
+            return solve_1d(prob, diag, c, r)
+
+        monkeypatch.setattr(solver, "dgtsv", recording_gtsv)
+        monkeypatch.setattr(solver._StepProblem, "_solve_1d", zero_first_matrix)
+        u1, diag = implicit_step(u, 5e-4, sc)
+        assert infos[0] > 0 and all(info == 0 for info in infos[1:])
+        assert diag.used_fallback
+        assert diag.residual <= diag.tolerance
+        monkeypatch.undo()
+        ref, ref_diag = implicit_step(u, 5e-4, sc)
+        assert not ref_diag.used_fallback
+        assert np.max(np.abs(u1 - ref)) <= 1e-12
+
 
 def newton_state_2d(p, boundary):
     """A 21x21 two-phase state, its step problem and its Newton residual."""
