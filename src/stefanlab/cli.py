@@ -27,8 +27,8 @@ from .graphs import BetaMap, RegularizedGraph
 from .constants import fix_constants
 from .geometry import ModulusParams, cylinder
 from .solver import (Boundary, DtPolicy, Grid, InitialData, Scenario,
-                     SolverError, Trajectory, VectorField, conservation_defect,
-                     run_simulation)
+                     SolverError, Tolerances, Trajectory, VectorField,
+                     conservation_defect, run_simulation)
 from .verify import CutoffSpec
 
 ENV_OUTPUT_ROOT = "STEFANLAB_OUTPUT_ROOT"
@@ -156,10 +156,12 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError("scenario.store_every", str(err)) from err
     if get("scenario", "label"):
         scenario.label = get("scenario", "label")
-    if get("scenario", "step_rtol"):
-        from .solver import Tolerances
-
-        scenario.tolerances = Tolerances(step_rtol=float(get("scenario", "step_rtol")))
+    step_rtol = get("scenario", "step_rtol")
+    if step_rtol:
+        try:
+            scenario.tolerances = Tolerances(step_rtol=float(step_rtol))
+        except ValueError as err:
+            raise ConfigError("scenario.step_rtol", str(err)) from err
 
     r0 = float(get("modulus", "r0", "0.25"))
     center_txt = get("modulus", "center")
@@ -241,15 +243,6 @@ def _scenario_from_keys(sec) -> Scenario:
         beta=beta,
     )
 
-    field_txt = sec.get("field", "p-laplacian")
-    if field_txt == "p-laplacian":
-        vfield = VectorField()
-    elif field_txt.startswith("anisotropic:"):
-        vfield = VectorField(kind="anisotropic",
-                             weights=_parse_floats(field_txt.split(":", 1)[1]))
-    else:
-        raise ConfigError("scenario.field", f"unknown field spec {field_txt!r}")
-
     initial = InitialData.of(sec.get("initial", "constant"),
                              **_parse_kv(sec.get("initial_params", "")))
 
@@ -272,12 +265,19 @@ def _scenario_from_keys(sec) -> Scenario:
     else:
         dt = DtPolicy(value=float(dt_txt))
 
-    sc = Scenario(grid=grid, p=float(sec["p"]), graph=graph, field=vfield,
+    sc = Scenario(grid=grid, p=float(sec["p"]), graph=graph,
                   initial=initial, boundary=boundary,
                   t_end=float(sec["t_end"]), dt=dt)
-    if "step_rtol" in sec:
-        from .solver import Tolerances
-        sc.tolerances = Tolerances(step_rtol=float(sec["step_rtol"]))
+
+    field_txt = sec.get("field", "p-laplacian")
+    if field_txt.startswith("anisotropic:"):
+        try:
+            # replace() reruns Scenario's validation (one weight per axis)
+            sc = replace(sc, field=VectorField(_parse_floats(field_txt.split(":", 1)[1])))
+        except ValueError as err:
+            raise ConfigError("scenario.field", str(err)) from err
+    elif field_txt != "p-laplacian":
+        raise ConfigError("scenario.field", f"unknown field spec {field_txt!r}")
     return sc
 
 

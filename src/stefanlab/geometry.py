@@ -193,8 +193,6 @@ def rescale_solution(trajectory: Trajectory, lam: float,
     return Trajectory(
         scenario=trajectory.scenario,
         grid=trajectory.grid,
-        p=p,
-        field=trajectory.field,
         graph=graph,
         times=new_times,
         temps=new_temps,

@@ -13,6 +13,7 @@ test oracles only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -219,7 +220,10 @@ class BetaMap:
         if self.kind == "identity":
             out = 0.5 * u * u
         elif self.kind == "tanh":
-            out = 0.5 * u * u + self.mu * self.tau**2 * np.log(np.cosh(u / self.tau))
+            # log cosh x = |x| + log(1 + e^{-2|x|}) - log 2, finite for every x
+            x = np.abs(u / self.tau)
+            out = 0.5 * u * u + self.mu * self.tau**2 * (
+                x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0))
         else:
             xs, ys, slopes = self._segments()
             knot_int = np.concatenate(

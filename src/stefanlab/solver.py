@@ -1,5 +1,14 @@
 """Finite-volume discretization and implicit time stepping.
 
+The PDE solved is
+
+    d_t e(u) = sum_i d_i (w_i |d_i u|^{p-2} d_i u)
+
+with one positive weight w_i per axis.  It is the p-Laplace equation only
+for p = 2 or in 1D; in 2D with p > 2 it is the orthotropic p-Laplacian,
+which has the same p-growth and p-coercivity (see
+`VectorField.certified_lambda`).
+
 The conserved variable is the enthalpy e(u); each backward-Euler step is the
 minimizer of the strictly convex functional
 
@@ -7,10 +16,10 @@ minimizer of the strictly convex functional
 
 whose gradient is exactly the conservative residual
 V_x (e(u) - e(u_old)) - dt * (flux divergence).  Two-point face fluxes
-m_f |du/h|^{p-2} (du/h) keep the scheme monotone, which makes comparison and
-max principles directly testable.  Newton with a line search solves each
-step; the flux Jacobian is floored at sigma inside Newton only, the residual
-is always evaluated unregularized.
+m_f |du/h|^{p-2} (du/h), all evaluated by `_Faces`, keep the scheme
+monotone, which makes comparison and max principles directly testable.
+Newton with a line search solves each step; the flux Jacobian is floored at
+sigma inside Newton only, the residual is always evaluated unregularized.
 
 Each Newton system (volume-weighted e'(u) plus dt times the two-point
 stiffness) is symmetric positive definite.  In 1D it is solved directly by
@@ -105,43 +114,23 @@ class Grid:
             w = np.multiply.outer(w, wa) if np.ndim(w) else wa
         return np.asarray(w) * self.h**self.dim
 
-    def ball_mask(self, center: Sequence[float], radius: float) -> np.ndarray:
-        """Closed-ball membership of grid nodes (Euclidean)."""
-        xs = self.meshgrid()
-        d2 = sum((x - c) ** 2 for x, c in zip(xs, center))
-        return d2 <= radius**2 * (1.0 + 1e-12)
-
 
 @dataclass(frozen=True)
 class VectorField:
-    """Flux law on faces: m_axis |du/h|^{p-2} (du/h) with per-axis weights.
+    """The flux law A(xi)_i = w_i |xi_i|^{p-2} xi_i: one positive weight per
+    axis.  Unit weights give the plain degenerate flux."""
 
-    Weights of 1 give the plain p-degenerate flux; an anisotropic variant is
-    allowed with the growth/ellipticity constant certified at query time.
-    """
-
-    kind: Literal["p-laplacian", "anisotropic"] = "p-laplacian"
-    weights: tuple[float, ...] = ()
+    weights: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind == "anisotropic":
-            if not self.weights or any(w <= 0 for w in self.weights):
-                raise ValueError("anisotropic field needs positive per-axis weights")
-        elif self.kind != "p-laplacian":
-            raise ValueError(f"unknown vector field kind {self.kind!r}")
+        if not self.weights or not all(w > 0 for w in self.weights):
+            raise ValueError("vector field needs positive per-axis weights")
 
-    def axis_weights(self, dim: int) -> tuple[float, ...]:
-        if self.kind == "p-laplacian":
-            return (1.0,) * dim
-        if len(self.weights) != dim:
-            raise ValueError("weights length must match grid dimension")
-        return self.weights
-
-    def certified_lambda(self, dim: int, p: float) -> float:
+    def certified_lambda(self, p: float) -> float:
         """Constant L with |A(xi)| <= L|xi|^{p-1} and <A(xi),xi> >= |xi|^p / L."""
-        w = self.axis_weights(dim)
+        w = self.weights
         growth = max(w)
-        ellipticity = dim ** (p / 2.0 - 1.0) / min(w)
+        ellipticity = len(w) ** (p / 2.0 - 1.0) / min(w)
         return max(1.0, growth, ellipticity)
 
 
@@ -212,7 +201,7 @@ class Scenario:
     grid: Grid
     p: float
     graph: RegularizedGraph
-    field: VectorField = dc_field(default_factory=VectorField)
+    field: VectorField | None = None   # None: unit weights on every axis
     initial: InitialData = dc_field(default_factory=lambda: InitialData.of("constant", value=0.0))
     boundary: Boundary = dc_field(default_factory=Boundary)
     t_end: float = 0.1
@@ -228,11 +217,16 @@ class Scenario:
             raise ValueError("t_end must be nonnegative")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
+        if self.field is None:
+            self.field = VectorField((1.0,) * self.grid.dim)
+        elif len(self.field.weights) != self.grid.dim:
+            raise ValueError(f"field has {len(self.field.weights)} weights for a "
+                             f"{self.grid.dim}D grid; need one per axis")
 
     def certified_lambda(self) -> float:
         """Structure constant covering both the flux law and the beta map."""
         return max(
-            self.field.certified_lambda(self.grid.dim, self.p),
+            self.field.certified_lambda(self.p),
             self.graph.beta.lipschitz,
         )
 
@@ -241,7 +235,7 @@ class Scenario:
             "grid": {"extents": list(self.grid.extents), "nodes": list(self.grid.nodes)},
             "p": self.p,
             "graph": self.graph.params_dict(),
-            "field": {"kind": self.field.kind, "weights": list(self.field.weights)},
+            "field": {"weights": list(self.field.weights)},
             "initial": {"name": self.initial.name, "params": self.initial.as_dict()},
             "boundary": {"kind": self.boundary.kind, "values": [list(v) for v in self.boundary.values]},
             "t_end": self.t_end,
@@ -273,8 +267,6 @@ class Trajectory:
 
     scenario: Scenario
     grid: Grid
-    p: float
-    field: VectorField
     graph: RegularizedGraph
     times: list[float]
     temps: list[np.ndarray]
@@ -290,6 +282,14 @@ class Trajectory:
                 raise ShapeMismatchError("field shape does not match grid")
 
     @property
+    def p(self) -> float:
+        return self.scenario.p
+
+    @property
+    def field(self) -> VectorField:
+        return self.scenario.field
+
+    @property
     def lh_effective(self) -> float:
         return self.graph.latent_heat
 
@@ -301,6 +301,7 @@ class Trajectory:
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
     def ball_mask(self, center: Sequence[float], radius: float) -> np.ndarray:
+        """Closed-ball membership of grid nodes (Euclidean, offset coordinates)."""
         xs = self.meshgrid()
         d2 = sum((x - c) ** 2 for x, c in zip(xs, center))
         return d2 <= radius**2 * (1.0 + 1e-12)
@@ -399,58 +400,72 @@ def _face_diffs(u: np.ndarray, axis: int) -> np.ndarray:
     return u[lead + (slice(1, None),)] - u[lead + (slice(None, -1),)]
 
 
-def _face_divergence(f: np.ndarray, axis: int) -> np.ndarray:
-    """Net flux per node from face values f along `axis`: f[0], then
-    f[j] - f[j-1], then 0 - f[-1]; no flux crosses the boundary.  The same
-    arithmetic as np.diff of f zero-padded on both ends, without the pad."""
-    shape = list(f.shape)
-    shape[axis] += 1
-    out = np.empty(shape)
-    lead = (slice(None),) * axis
-    out[lead + (0,)] = f[lead + (0,)]
-    np.subtract(f[lead + (slice(1, None),)], f[lead + (slice(None, -1),)],
-                out=out[lead + (slice(1, -1),)])
-    out[lead + (-1,)] = 0.0 - f[lead + (-1,)]
-    return out
+class _Faces:
+    """The two-point p-flux on the faces of one grid.
 
-
-def _face_areas(grid: Grid, axis: int) -> np.ndarray:
-    """Dual areas of faces normal to `axis` (transverse boundary rows count half)."""
-    if grid.dim == 1:
-        return np.ones(grid.nodes[0] - 1)
-    n_t = grid.nodes[1 - axis]
-    wt = np.ones(n_t)
-    wt[0] = wt[-1] = 0.5
-    shape = [1, 1]
-    shape[1 - axis] = n_t
-    n_f = grid.nodes[axis] - 1
-    shape[axis] = n_f
-    return np.broadcast_to(wt.reshape([1, n_t] if axis == 0 else [n_t, 1]), shape) * grid.h
-
-
-def p_laplacian_apply(
-    field_values: np.ndarray,
-    p: float,
-    grid: Grid,
-    vector_field: VectorField | None = None,
-) -> np.ndarray:
-    """Discrete divergence of the two-point face fluxes, per unit volume.
-
-    Faces outside the domain carry no flux, so the volume-weighted sum over
-    any node set equals the net flux through its dual boundary exactly.
+    The face between nodes j and j+1 along an axis carries the gradient
+    g = (u[j+1] - u[j]) / h and the flux coef * |g|^{p-2} g, where coef is
+    the axis weight times the face's dual area (transverse boundary rows
+    count half in 2D; 1 in 1D).  Step residual, step energy, Newton matrix
+    and the weak-form checks all evaluate the flux law here.
     """
-    if field_values.shape != grid.shape:
-        raise ShapeMismatchError("field shape does not match grid")
-    vector_field = vector_field or VectorField()
-    weights = vector_field.axis_weights(grid.dim)
-    h = grid.h
-    out = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        g = _face_diffs(field_values, ax) / h
-        q = weights[ax] * np.abs(g) ** (p - 2.0) * g
-        flux = q * _face_areas(grid, ax) if grid.dim == 2 else q
-        out += _face_divergence(flux, ax)
-    return out / grid.volume_weights()
+
+    def __init__(self, grid: Grid, p: float, weights: Sequence[float]):
+        self.shape = grid.shape
+        self.h = grid.h
+        self.p = p
+        self.coef = []
+        for ax, w in enumerate(weights):
+            area = 1.0
+            if grid.dim == 2:
+                area = np.full(grid.nodes[1 - ax], grid.h)
+                area[0] = area[-1] = 0.5 * grid.h
+                area = area.reshape((1, -1) if ax == 0 else (-1, 1))
+            self.coef.append(w * area)
+
+    def gradients(self, u: np.ndarray) -> list[np.ndarray]:
+        """Per-axis face gradients du/h."""
+        if u.shape != self.shape:
+            raise ShapeMismatchError("field shape does not match grid")
+        return [_face_diffs(u, ax) / self.h for ax in range(len(self.shape))]
+
+    def law(self, g):
+        """|g|^{p-2} g, the unweighted flux of a gradient component."""
+        return np.abs(g) ** (self.p - 2.0) * g
+
+    def fluxes(self, u: np.ndarray) -> list[np.ndarray]:
+        """Per-axis face fluxes coef * |du/h|^{p-2} du/h."""
+        return [c * self.law(g) for c, g in zip(self.coef, self.gradients(u))]
+
+    @staticmethod
+    def divergence(f: np.ndarray, axis: int) -> np.ndarray:
+        """Net flux per node from face values f along `axis`: f[0], then
+        f[j] - f[j-1], then 0 - f[-1]; no flux crosses the boundary, so the
+        values sum to zero up to rounding.  The same arithmetic as np.diff of
+        f zero-padded on both ends, without the pad."""
+        shape = list(f.shape)
+        shape[axis] += 1
+        out = np.empty(shape)
+        lead = (slice(None),) * axis
+        out[lead + (0,)] = f[lead + (0,)]
+        np.subtract(f[lead + (slice(1, None),)], f[lead + (slice(None, -1),)],
+                    out=out[lead + (slice(1, -1),)])
+        out[lead + (-1,)] = 0.0 - f[lead + (-1,)]
+        return out
+
+    def energy(self, u: np.ndarray) -> float:
+        """sum over faces of coef |du/h|^p / p * h; its gradient in u is
+        minus the summed divergence of the fluxes."""
+        total = 0.0
+        for c, g in zip(self.coef, self.gradients(u)):
+            total += ((np.abs(g) ** self.p / self.p * c) * self.h).sum()
+        return total
+
+    def newton_weights(self, u: np.ndarray, sigma: float) -> list[np.ndarray]:
+        """Face weights (p-1) max(|du/h|^{p-2}, sigma) coef / h of the flux
+        Jacobian, floored at sigma so the Newton matrix stays definite."""
+        return [np.maximum(np.abs(g) ** (self.p - 2.0), sigma) * (self.p - 1.0) * c / self.h
+                for c, g in zip(self.coef, self.gradients(u))]
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +482,7 @@ class _StepProblem:
         self.dt = dt
         self.e_old = e_old
         self.vol = self.grid.volume_weights()
-        self.weights = scenario.field.axis_weights(self.grid.dim)
-        self.areas = [
-            _face_areas(self.grid, ax) if self.grid.dim == 2 else None
-            for ax in range(self.grid.dim)
-        ]
+        self.faces = _Faces(self.grid, self.p, scenario.field.weights)
         self.pin_mask, self.pin_values = _dirichlet_arrays(scenario)
 
     def apply_pins(self, u: np.ndarray) -> np.ndarray:
@@ -484,44 +495,16 @@ class _StepProblem:
     def energy(self, u: np.ndarray) -> float:
         g = self.sc.graph
         bulk = (self.vol * (g.enthalpy_primitive_of_temperature(u) - self.e_old * u)).sum()
-        h = self.grid.h
-        flux = 0.0
-        for ax in range(self.grid.dim):
-            d = _face_diffs(u, ax) / h
-            cell = np.abs(d) ** self.p / self.p * self.weights[ax]
-            if self.grid.dim == 2:
-                cell = cell * self.areas[ax] * h
-            else:
-                cell = cell * h
-            flux += cell.sum()
-        return float(bulk + self.dt * flux)
+        return float(bulk + self.dt * self.faces.energy(u))
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         g = self.sc.graph
         r = self.vol * (g.enthalpy_of_temperature(u) - self.e_old)
-        h = self.grid.h
-        for ax in range(self.grid.dim):
-            d = _face_diffs(u, ax) / h
-            q = self.weights[ax] * np.abs(d) ** (self.p - 2.0) * d
-            fa = self.areas[ax] * q if self.grid.dim == 2 else q
-            r -= self.dt * _face_divergence(fa, ax)
+        for ax, f in enumerate(self.faces.fluxes(u)):
+            r -= self.dt * self.faces.divergence(f, ax)
         if self.pin_mask is not None:
             r[self.pin_mask] = 0.0
         return r
-
-    def face_coefficients(self, u: np.ndarray, sigma: float) -> list[np.ndarray]:
-        """Jacobian face weights dt*(p-1)*max(|du/h|^{p-2}, sigma)*A/h."""
-        h = self.grid.h
-        coeffs = []
-        for ax in range(self.grid.dim):
-            d = np.abs(_face_diffs(u, ax)) / h
-            c = np.maximum(d ** (self.p - 2.0), sigma) * (self.p - 1.0) * self.weights[ax]
-            if self.grid.dim == 2:
-                c = c * self.areas[ax] / h
-            else:
-                c = c / h
-            coeffs.append(self.dt * c)
-        return coeffs
 
     def solve_newton_system(
         self, u: np.ndarray, r: np.ndarray, sigma: float
@@ -533,7 +516,7 @@ class _StepProblem:
         """
         g = self.sc.graph
         diag = self.vol * g.enthalpy_prime_of_temperature(u)
-        coeffs = self.face_coefficients(u, sigma)
+        coeffs = [self.dt * c for c in self.faces.newton_weights(u, sigma)]
         if self.grid.dim == 1:
             return self._solve_1d(diag, coeffs[0], r), True
         return self._solve_2d(diag, coeffs, r)
@@ -767,8 +750,6 @@ def run_simulation(scenario: Scenario) -> Trajectory:
     return Trajectory(
         scenario=scenario,
         grid=grid,
-        p=scenario.p,
-        field=scenario.field,
         graph=g,
         times=times,
         temps=temps,
@@ -866,9 +847,10 @@ def weak_form_residual(
     The enthalpy/time part telescopes exactly (differences of the test
     function between stored times), so for a space-constant test function on
     a zero-flux run the value collapses to the accumulated conservation
-    defect.  The flux part re-evaluates the flux law from centred node
-    gradients against the analytic test-function gradient, so for generic
-    test functions the residual measures the O(h + dt) discretization defect.
+    defect.  The flux part re-evaluates the scheme's flux law, axis by axis
+    w_i |d_i u|^{p-2} d_i u, from centred node gradients against the
+    analytic test-function gradient, so for generic test functions the
+    residual measures the O(h + dt) discretization defect.
     """
     grid = trajectory.grid
     xs = trajectory.meshgrid()
@@ -906,8 +888,8 @@ def weak_form_residual(
         if worst > 1e-12:
             raise ValueError("test function must vanish on the lateral boundary of the region")
 
-    weights = trajectory.field.axis_weights(grid.dim)
-    p = trajectory.p
+    weights = trajectory.field.weights
+    faces = _Faces(grid, trajectory.p, weights)
 
     def masked_sum(a):
         return float(np.sum((a * vol)[mask]))
@@ -922,14 +904,9 @@ def weak_form_residual(
     for m in range(m1 + 1, m2 + 1):
         dt_m = times[m] - times[m - 1]
         grads = _centered_gradient(trajectory.temps[m], grid)
-        gnorm = np.sqrt(sum(gr**2 for gr in grads))
         gphi = test_function.gradient(xs, times[m])
-        dot = sum(
-            weights[ax] * np.abs(grads[ax]) ** (p - 2.0) * grads[ax] * np.asarray(gphi[ax])
-            for ax in range(grid.dim)
-        ) if trajectory.field.kind == "anisotropic" else (
-            gnorm ** (p - 2.0) * sum(grads[ax] * np.asarray(gphi[ax]) for ax in range(grid.dim))
-        )
+        dot = sum(w * faces.law(g) * np.asarray(gp)
+                  for w, g, gp in zip(weights, grads, gphi))
         flux_term += dt_m * masked_sum(dot)
     r_val += flux_term
 
@@ -973,22 +950,6 @@ def conservation_defect(trajectory: Trajectory) -> float:
     return float(np.max(np.abs(totals - totals[0])) / (1.0 + abs(totals[0])))
 
 
-def flux_energy(u: np.ndarray, scenario: Scenario) -> float:
-    grid = scenario.grid
-    h = grid.h
-    weights = scenario.field.axis_weights(grid.dim)
-    total = 0.0
-    for ax in range(grid.dim):
-        d = _face_diffs(u, ax) / h
-        cell = weights[ax] * np.abs(d) ** scenario.p / scenario.p
-        if grid.dim == 2:
-            cell = cell * _face_areas(grid, ax) * h
-        else:
-            cell = cell * h
-        total += float(np.sum(cell))
-    return total
-
-
 def dissipation_profile(trajectory: Trajectory) -> np.ndarray:
     """Monotone Lyapunov sequence: conjugate enthalpy energy plus the
     accumulated p-flux dissipation.  Non-increasing (to tolerance) for
@@ -996,6 +957,7 @@ def dissipation_profile(trajectory: Trajectory) -> np.ndarray:
     sc = trajectory.scenario
     g = trajectory.graph
     vol = trajectory.grid.volume_weights()
+    faces = _Faces(trajectory.grid, sc.p, sc.field.weights)
 
     def conjugate(u):
         e = g.enthalpy_of_temperature(u)
@@ -1008,7 +970,7 @@ def dissipation_profile(trajectory: Trajectory) -> np.ndarray:
     for m, u in enumerate(trajectory.temps):
         if m > 0:
             dt = trajectory.times[m] - prev_t
-            acc += dt * sc.p * flux_energy(u, sc)
+            acc += dt * sc.p * faces.energy(u)
             prev_t = trajectory.times[m]
         vals.append(conjugate(u) + acc)
     return np.asarray(vals)

@@ -161,6 +161,30 @@ directory = {out}
         assert record["code"] == 2
         assert record["field"] == "scenario.store_every"
 
+    def test_bad_step_rtol_on_preset_exit_two(self, tmp_path):
+        text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+            "t_end = 0.02\n", "t_end = 0.02\nstep_rtol = x\n")
+        path = _write(tmp_path, text)
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["code"] == 2
+        assert record["field"] == "scenario.step_rtol"
+
+    @pytest.mark.parametrize("spec", ["anisotropic:1.0,2.0", "anisotropic:-1.0",
+                                      "anisotropic:x", "isotropic"])
+    def test_bad_field_exit_two(self, tmp_path, capsys, spec):
+        text = (f"[scenario]\ndim = 1\nnodes = 21\np = 3.0\nfield = {spec}\n"
+                "t_end = 0.004\ndt = 1e-3\n")
+        path = _write(tmp_path, text)
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == "scenario.field"
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["code"] == 2
+        assert record["field"] == "scenario.field"
+
     def test_solver_failure_exit_three(self, tmp_path):
         text = """\
 [scenario]

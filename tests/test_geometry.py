@@ -155,9 +155,8 @@ def _frozen_linear_trajectory(nodes=41, times=(0.0, 0.05, 0.1)):
     x = grid.axes()[0]
     temps = [x.copy() for _ in times]
     enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
-    return Trajectory(scenario=sc, grid=grid, p=sc.p, field=sc.field,
-                      graph=sc.graph, times=list(times), temps=temps,
-                      enthalpies=enths)
+    return Trajectory(scenario=sc, grid=grid, graph=sc.graph, times=list(times),
+                      temps=temps, enthalpies=enths)
 
 
 class TestOscillation:

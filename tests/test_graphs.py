@@ -199,6 +199,22 @@ class TestBetaMaps:
             assert np.max(np.abs(diff - b.apply(u))) < 5e-9
             assert b.primitive(0.0) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("mu, tau", [(0.6, 0.4), (-0.5, 0.2), (2.0, 2.0)])
+    def test_tanh_primitive_finite_far_out(self, mu, tau):
+        b = BetaMap(kind="tanh", mu=mu, tau=tau)
+        g = RegularizedGraph(a=0.1, latent_heat=0.6, eps=0.05, beta=b)
+        far = np.array([-1e6, -300.0, 300.0, 1e6])
+        energy = g.enthalpy_primitive_of_temperature(far)
+        assert np.all(np.isfinite(energy))
+        # log cosh x = |x| - log 2 + O(e^{-2|x|}) far out
+        x = np.abs(far) / tau
+        assert b.primitive(far) == pytest.approx(0.5 * far**2 + mu * tau**2 * (x - math.log(2.0)),
+                                                 rel=1e-15)
+        # Where log(cosh) does not overflow, the two forms agree to rounding.
+        u = np.concatenate([np.linspace(-250.0 * tau, 250.0 * tau, 2001), [0.0, 1e-9, -1e-9]])
+        old = 0.5 * u * u + mu * tau**2 * np.log(np.cosh(u / tau))
+        assert np.all(np.abs(b.primitive(u) - old) <= 1e-14 * (1.0 + np.abs(old)))
+
 
 class TestGraphConstruction:
     def test_latent_heat_bounds(self):
@@ -332,7 +348,6 @@ class TestTableLookups:
             return (g.beta.primitive(u)
                     + g.latent_heat * (oracle_primitive(band, u) - k0))
 
-        # Far points stay where log(cosh(u / tau)) of the tanh map is finite.
         u = probe_points(band.x, us, np.array([5.0, 20.0, 100.0]))
         w_edges = g.beta.inverse(g.a + g.eps * np.array([-1.0, 1.0]))
         u = np.concatenate([u, w_edges, np.nextafter(w_edges, -np.inf),

@@ -11,10 +11,10 @@ from stefanlab import presets, solver
 from stefanlab.graphs import RegularizedGraph
 from stefanlab.solver import (Boundary, ConstantInSpace, DtPolicy, Grid,
                               InitialData, Scenario, ShapeMismatchError,
-                              SpaceTimeBump, VectorField, build_initial,
-                              conservation_defect, dissipation_profile,
-                              enthalpy_totals, implicit_step,
-                              p_laplacian_apply, run_simulation,
+                              SpaceTimeBump, Trajectory, VectorField,
+                              build_initial, conservation_defect,
+                              dissipation_profile, enthalpy_totals,
+                              implicit_step, run_simulation,
                               weak_form_residual)
 
 
@@ -34,36 +34,70 @@ class TestGrid:
         assert np.sum(g2.volume_weights()) == pytest.approx(1.0, rel=1e-13)
 
     def test_ball_mask_counts(self):
+        # Trajectory.ball_mask measures in the trajectory's offset coordinates.
         g = Grid(extents=(1.0,), nodes=(11,))
-        assert int(g.ball_mask((0.5,), 0.25).sum()) == 5  # nodes at 0.3 ... 0.7
-        assert int(g.ball_mask((0.5,), 0.3).sum()) == 7   # boundary nodes included
+        sc = Scenario(grid=g, p=2.0, graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1))
+
+        def traj(offset):
+            u = np.zeros(11)
+            return Trajectory(scenario=sc, grid=g, graph=sc.graph, times=[0.0],
+                              temps=[u], enthalpies=[u], meta={"space_offset": offset})
+
+        plain, shifted = traj((0.0,)), traj((0.2,))
+        assert int(plain.ball_mask((0.5,), 0.25).sum()) == 5  # nodes at 0.3 ... 0.7
+        assert int(plain.ball_mask((0.5,), 0.3).sum()) == 7   # boundary nodes included
+        # x - 0.2 in [0.25, 0.75]: the nodes at 0.5 ... 0.9
+        assert list(np.flatnonzero(shifted.ball_mask((0.5,), 0.25))) == [5, 6, 7, 8, 9]
+        # x - 0.2 in [0.5, 1.1]: the nodes at 0.7 ... 1.0, boundary included
+        assert list(np.flatnonzero(shifted.ball_mask((0.8,), 0.3))) == [7, 8, 9, 10]
 
 
 class TestVectorField:
     def test_certified_bounds_by_sampling(self):
-        vf = VectorField(kind="anisotropic", weights=(0.5, 2.0))
+        vf = VectorField((0.5, 2.0))
         p = 3.0
-        lam = vf.certified_lambda(2, p)
+        lam = vf.certified_lambda(p)
         rng = np.random.default_rng(11)
         xi = rng.normal(size=(500, 2))
-        w = np.array(vf.axis_weights(2))
+        w = np.array(vf.weights)
         a_val = w * np.abs(xi) ** (p - 2.0) * xi
         norm_xi = np.linalg.norm(xi, axis=1)
         assert np.all(np.linalg.norm(a_val, axis=1) <= lam * norm_xi ** (p - 1) * (1 + 1e-12))
         assert np.all(np.sum(a_val * xi, axis=1) >= norm_xi**p / lam * (1 - 1e-12))
 
+    def test_scenario_fills_and_checks_weights(self):
+        g1 = Grid(extents=(1.0,), nodes=(11,))
+        g2 = Grid(extents=(1.0, 1.0), nodes=(11, 11))
+        graph = RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1)
+        assert Scenario(grid=g1, p=3.0, graph=graph).field.weights == (1.0,)
+        assert Scenario(grid=g2, p=3.0, graph=graph).field.weights == (1.0, 1.0)
+        with pytest.raises(ValueError, match="weights"):
+            Scenario(grid=g1, p=3.0, graph=graph, field=VectorField((1.0, 2.0)))
+        for bad in ((), (1.0, 0.0), (-1.0,), (math.nan,)):
+            with pytest.raises(ValueError):
+                VectorField(bad)
+
+
+def divergence_per_volume(u, p, grid):
+    """Net face flux per unit volume, the operator the step residual uses."""
+    faces = solver._Faces(grid, p, (1.0,) * grid.dim)
+    div = sum(faces.divergence(f, ax) for ax, f in enumerate(faces.fluxes(u)))
+    return div / grid.volume_weights()
+
 
 class TestPLaplacianApply:
+    """The face operator of the scheme: fluxes and their divergence."""
+
     def test_linear_gives_zero(self):
         g = Grid(extents=(1.0,), nodes=(11,))
         x = g.axes()[0]
-        div = p_laplacian_apply(x, 3.0, g)
+        div = divergence_per_volume(x, 3.0, g)
         assert np.max(np.abs(div[1:-1])) < 1e-13
 
     def test_p2_quadratic_exact(self):
         g = Grid(extents=(1.0,), nodes=(11,))
         x = g.axes()[0]
-        div = p_laplacian_apply(x**2, 2.0, g)
+        div = divergence_per_volume(x**2, 2.0, g)
         assert div[1:-1] == pytest.approx(np.full(9, 2.0), abs=1e-12)
 
     def test_p4_refinement_order(self):
@@ -71,7 +105,7 @@ class TestPLaplacianApply:
         for n in (21, 41, 81):
             g = Grid(extents=(1.0,), nodes=(n,))
             x = g.axes()[0]
-            div = p_laplacian_apply(x**2, 4.0, g)
+            div = divergence_per_volume(x**2, 4.0, g)
             errs.append(np.max(np.abs(div[1:-1] - 24.0 * x[1:-1] ** 2)))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.0
@@ -81,26 +115,52 @@ class TestPLaplacianApply:
         g = Grid(extents=(1.0,), nodes=(13,))
         rng = np.random.default_rng(0)
         u = rng.normal(size=13)
-        div = p_laplacian_apply(u, 3.0, g)
+        div = divergence_per_volume(u, 3.0, g)
         assert abs(np.sum(div * g.volume_weights())) < 1e-12
 
     def test_conservation_identity_2d(self):
         g = Grid(extents=(1.0, 1.0), nodes=(9, 9))
         rng = np.random.default_rng(1)
         u = rng.normal(size=(9, 9))
-        div = p_laplacian_apply(u, 2.5, g)
+        div = divergence_per_volume(u, 2.5, g)
         assert abs(np.sum(div * g.volume_weights())) < 1e-12
 
     def test_2d_p2_quadratic(self):
         g = Grid(extents=(1.0, 1.0), nodes=(9, 9))
         X, Y = g.meshgrid()
-        div = p_laplacian_apply(X**2 + Y**2, 2.0, g)
+        div = divergence_per_volume(X**2 + Y**2, 2.0, g)
         assert div[2:-2, 2:-2] == pytest.approx(np.full((5, 5), 4.0), abs=1e-12)
 
     def test_shape_mismatch(self):
         g = Grid(extents=(1.0,), nodes=(11,))
         with pytest.raises(ShapeMismatchError):
-            p_laplacian_apply(np.zeros(7), 2.0, g)
+            divergence_per_volume(np.zeros(7), 2.0, g)
+
+    @given(p=st.floats(2.0, 4.0),
+           nodes=st.one_of(st.tuples(st.integers(3, 30)),
+                           st.tuples(st.integers(3, 12), st.integers(3, 12))),
+           weights=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_faces_conserve_and_energy_gradient(self, p, nodes, weights, seed):
+        h = 1.0 / 8
+        grid = Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes)
+        faces = solver._Faces(grid, p, weights[:grid.dim])
+        u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=grid.shape)
+        fluxes = faces.fluxes(u)
+        div = sum(faces.divergence(f, ax) for ax, f in enumerate(fluxes))
+        # No flux leaves the domain: the volume sum of the divergence is 0.
+        scale = max(1.0, sum(float(np.sum(np.abs(f))) for f in fluxes))
+        assert abs(float(np.sum(div))) <= 1e-12 * scale
+        # The fluxes are minus the gradient of the p-energy.
+        delta = 1e-6
+        numeric = np.empty(grid.shape)
+        for i in np.ndindex(grid.shape):
+            up, down = u.copy(), u.copy()
+            up[i] += delta
+            down[i] -= delta
+            numeric[i] = (faces.energy(up) - faces.energy(down)) / (2.0 * delta)
+        assert np.max(np.abs(numeric + div)) <= 1e-6 * max(1.0, float(np.max(np.abs(div))))
 
 
 class TestImplicitStep:
@@ -353,7 +413,8 @@ def dense_newton_matrix(prob, u, sigma):
     n = u.size
     idx = np.arange(n).reshape(u.shape)
     mat = np.diag((prob.vol * prob.sc.graph.enthalpy_prime_of_temperature(u)).ravel())
-    for ax, c in enumerate(prob.face_coefficients(u, sigma)):
+    for ax, c in enumerate(prob.faces.newton_weights(u, sigma)):
+        c = prob.dt * c
         lo = np.take(idx, range(u.shape[ax] - 1), axis=ax).ravel()
         hi = np.take(idx, range(1, u.shape[ax]), axis=ax).ravel()
         for i, j, cf in zip(lo, hi, c.ravel()):
@@ -459,6 +520,17 @@ class TestWeakFormResidual:
         res = weak_form_residual(traj, ConstantInSpace(lambda t: 1.0 + 3.0 * t),
                                  (0.0, traj.times[-1]))
         assert abs(res["residual"]) <= 1e-10
+
+    def test_2d_p3_residual_converges_under_refinement(self):
+        # In 2D with p > 2 the scheme solves the orthotropic equation
+        # d_t e = sum_i d_i(|d_i u|^{p-2} d_i u); checked against it, the
+        # residual falls as O(h^2).
+        def residual(nodes):
+            tr = run_simulation(presets.twophase_2d(p=3.0, nodes=nodes, t_end=0.02))
+            bump = SpaceTimeBump(center=(0.4, 0.55), width=0.3, t_center=0.01, t_width=0.012)
+            return abs(weak_form_residual(tr, bump, (0.0, tr.times[-1]))["residual"])
+
+        assert residual(41) <= 0.35 * residual(21)
 
     def test_bump_residual_halves_under_refinement(self):
         def residual(nodes, dt):

@@ -12,7 +12,7 @@ from stefanlab.constants import fix_constants
 from stefanlab.graphs import RegularizedGraph
 from stefanlab.geometry import (IntrinsicCylinder, cylinder, omega,
                                 rescale_solution)
-from stefanlab.solver import InitialData, Trajectory, run_simulation
+from stefanlab.solver import InitialData, SpaceTimeBump, Trajectory, run_simulation
 from stefanlab.verify import CutoffSpec
 
 
@@ -119,6 +119,66 @@ class TestTruncation:
         assert a.margin == b.margin
         assert a.passed and c.passed
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shared_pass_matches_per_pair_loop(self, dim):
+        # One pass over the stored times must give what evaluating each
+        # (fields, test function) pair on its own gives: bit for bit in 1D,
+        # where the arithmetic is the same, and to rounding in 2D, where the
+        # dual area multiplies in another order.
+        if dim == 1:
+            sc = presets.twophase_1d(p=3.0, nodes=41, t_end=0.01, dt=1e-3)
+        else:
+            sc = presets.twophase_2d(p=3.0, nodes=13, t_end=0.005, dt=1e-3)
+        traj = run_simulation(sc)
+        k = sc.graph.a - 1.5 * sc.graph.eps
+        field_sets = [[np.minimum(u, k) for u in traj.temps],
+                      [np.maximum(k - u, 0.0) for u in traj.temps]]
+        lo, hi = (0.15,) * dim, (0.85,) * dim
+        t_end = traj.times[-1]
+        # Time-dependent bumps, so the time terms do not vanish.
+        phis = [SpaceTimeBump(b.center, b.width, t_center=0.5 * t_end, t_width=0.6 * t_end).value
+                for b in verify._test_function_family(traj.grid, lo, hi, dim, rng_seed=3)]
+        got = verify._discrete_weak_residuals(traj, field_sets, phis)
+        for fields, row in zip(field_sets, got):
+            for phi_fn, pair in zip(phis, row):
+                ref = per_pair_weak_residual(traj, fields, phi_fn)
+                if dim == 1:
+                    assert pair == ref
+                else:
+                    assert pair == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def per_pair_weak_residual(traj, fields, phi_fn):
+    """Telescoping time term plus face fluxes against face differences of
+    phi, for one field sequence and one test function, written out loop by
+    loop; returns (residual, scale)."""
+    grid, p, h = traj.grid, traj.p, traj.grid.h
+    vol = grid.volume_weights()
+    times = np.asarray(traj.times)
+    phis = [np.asarray(phi_fn(traj.meshgrid(), t)) for t in times]
+    last = len(times) - 1
+    r_val = (float(np.sum(vol * fields[last] * phis[last]))
+             - float(np.sum(vol * fields[0] * phis[0])))
+    scale = abs(r_val)
+    for j in range(last):
+        term = -float(np.sum(vol * fields[j] * (phis[j + 1] - phis[j])))
+        r_val += term
+        scale += abs(term)
+    for j in range(1, last + 1):
+        term = 0.0
+        for ax in range(grid.dim):
+            d = np.diff(fields[j], axis=ax) / h
+            cell = np.abs(d) ** (p - 2.0) * d * (np.diff(phis[j], axis=ax) / h) * h
+            if grid.dim == 2:
+                area = np.full(grid.nodes[1 - ax], h)
+                area[0] = area[-1] = 0.5 * h
+                cell = cell * (area[None, :] if ax == 0 else area[:, None])
+            term += float(np.sum(cell))
+        term *= float(times[j] - times[j - 1])
+        r_val += term
+        scale += abs(term)
+    return r_val, 1.0 + scale
+
 
 class TestWeakHarnack:
     def test_constant_one(self, constant_run_p3):
@@ -212,9 +272,8 @@ def _two_level_trajectory(low_nodes, high_value=2.0, low_value=0.0, nodes=41):
     times = [0.0, 0.1, 0.2, 0.3, 0.4]
     temps = [field.copy() for _ in times]
     enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
-    return Trajectory(scenario=sc, grid=grid, p=sc.p, field=sc.field,
-                      graph=sc.graph, times=times, temps=temps,
-                      enthalpies=enths)
+    return Trajectory(scenario=sc, grid=grid, graph=sc.graph, times=times,
+                      temps=temps, enthalpies=enths)
 
 
 class TestAlternativeClassifier:
@@ -398,9 +457,8 @@ class TestModulusAcceptance:
         times = list(np.linspace(0.0, 0.1, 2601))
         temps = [0.4 * x.copy() for _ in times]
         enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
-        traj = Trajectory(scenario=sc, grid=grid, p=sc.p, field=sc.field,
-                          graph=sc.graph, times=times, temps=temps,
-                          enthalpies=enths)
+        traj = Trajectory(scenario=sc, grid=grid, graph=sc.graph, times=times,
+                          temps=temps, enthalpies=enths)
         params = studies.measurement_params(sc, r0=0.2)
         ledger = studies.default_ledger(sc)
         profile, verdict = verify.modulus_acceptance(
