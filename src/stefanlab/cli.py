@@ -105,40 +105,57 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
+# Scenario keys a preset takes as overrides: INI key -> (preset argument,
+# parser).  store_every, label and step_rtol apply to presets and explicit
+# scenarios alike.  Any other scenario key is rejected next to a preset.
+PRESET_OVERRIDES = {
+    "nodes": ("nodes", lambda t: int(float(t.split(",")[0]))),
+    "mollify_eps": ("eps", float),
+    "latent_heat": ("latent_heat", float),
+    "t_end": ("t_end", float),
+    "dt": ("dt", float),
+}
+PRESET_APPLIED = {"preset", "store_every", "label", "step_rtol", *PRESET_OVERRIDES}
+
+
 def parse_config(path: str | Path) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        raw = {s: dict(cp[s]) for s in cp.sections()}
+    except configparser.Error as err:
+        where = [getattr(err, a) for a in ("section", "option") if getattr(err, a, None)]
+        raise ConfigError(".".join(where) or "config", str(err)) from err
     if not read:
         raise ConfigError("config", f"cannot read {path}")
-    for section in cp.sections():
+    for section, keys in raw.items():
         if section not in KNOWN_KEYS:
             raise ConfigError(section, "unknown section")
-        for key in cp[section]:
+        for key in keys:
             if key not in KNOWN_KEYS[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
 
-    sc_sec = cp["scenario"] if cp.has_section("scenario") else {}
-    raw = {s: dict(cp[s]) for s in cp.sections()}
+    sc_sec = raw.get("scenario", {})
 
-    def get(section, key, default=None):
-        if cp.has_section(section) and key in cp[section]:
-            return cp[section][key]
-        return default
+    def get(section, key, default=None, parse=None):
+        """The key's text, or `parse` of it with a failure named after the key."""
+        text = raw.get(section, {}).get(key, default)
+        if parse is None or text is None:
+            return text
+        try:
+            return parse(text)
+        except (ValueError, TypeError) as err:
+            raise ConfigError(f"{section}.{key}", str(err)) from err
 
     preset_name = get("scenario", "preset")
+    if preset_name is not None:
+        for key in sc_sec:
+            if key not in PRESET_APPLIED:
+                raise ConfigError(f"scenario.{key}", "not applied with a preset")
+        overrides = {arg: get("scenario", key, parse=parse)
+                     for key, (arg, parse) in PRESET_OVERRIDES.items() if get("scenario", key)}
     try:
         if preset_name is not None:
-            overrides = {}
-            if get("scenario", "nodes"):
-                overrides["nodes"] = int(float(get("scenario", "nodes").split(",")[0]))
-            if get("scenario", "mollify_eps"):
-                overrides["eps"] = float(get("scenario", "mollify_eps"))
-            if get("scenario", "latent_heat"):
-                overrides["latent_heat"] = float(get("scenario", "latent_heat"))
-            if get("scenario", "t_end"):
-                overrides["t_end"] = float(get("scenario", "t_end"))
-            if get("scenario", "dt"):
-                overrides["dt"] = float(get("scenario", "dt"))
             scenario = presets.make_preset(preset_name, **overrides)
         else:
             scenario = _scenario_from_keys(sc_sec)
@@ -147,50 +164,41 @@ def parse_config(path: str | Path) -> RunConfig:
     except (KeyError, ValueError, TypeError) as err:
         raise ConfigError("scenario", str(err)) from err
 
-    store_every = get("scenario", "store_every")
-    if store_every:
-        try:
-            # replace() reruns Scenario's validation (store_every >= 1)
-            scenario = replace(scenario, store_every=int(store_every))
-        except ValueError as err:
-            raise ConfigError("scenario.store_every", str(err)) from err
+    if get("scenario", "store_every"):
+        # replace() reruns Scenario's validation (store_every >= 1)
+        scenario = get("scenario", "store_every",
+                       parse=lambda t: replace(scenario, store_every=int(t)))
     if get("scenario", "label"):
         scenario.label = get("scenario", "label")
-    step_rtol = get("scenario", "step_rtol")
-    if step_rtol:
-        try:
-            scenario.tolerances = Tolerances(step_rtol=float(step_rtol))
-        except ValueError as err:
-            raise ConfigError("scenario.step_rtol", str(err)) from err
+    if get("scenario", "step_rtol"):
+        scenario.tolerances = Tolerances(step_rtol=get("scenario", "step_rtol", parse=float))
 
-    r0 = float(get("modulus", "r0", "0.25"))
-    center_txt = get("modulus", "center")
-    center = (_parse_floats(center_txt) if center_txt
-              else tuple(e / 2 for e in scenario.grid.extents))
-    l_txt = get("modulus", "l_prefactor", "auto")
-    modulus_L = None if l_txt == "auto" else float(l_txt)
-    alpha_choice = float(get("modulus", "alpha_if_p_eq_n", "0.45"))
+    r0 = get("modulus", "r0", "0.25", float)
+    center = (get("modulus", "center", parse=_parse_floats)
+              or tuple(e / 2 for e in scenario.grid.extents))
+    modulus_L = get("modulus", "l_prefactor", "auto",
+                    lambda t: None if t == "auto" else float(t))
+    alpha_choice = get("modulus", "alpha_if_p_eq_n", "0.45", float)
     ladder = get("modulus", "ladder", "dyadic2")
-    depth_txt = get("modulus", "ladder_depth")
-    ladder_depth = int(depth_txt) if depth_txt else None
+    ladder_depth = get("modulus", "ladder_depth", "", lambda t: int(t) if t else None)
 
     const_kwargs = {}
     for key in ("c0", "c1", "c2", "c3", "theta1", "theta2", "varsigma", "nu_star"):
-        val = get("constants", key)
+        val = get("constants", key, parse=float)
         if val is not None:
-            const_kwargs[key] = float(val)
+            const_kwargs[key] = val
 
     checks_txt = get("checks", "run", "conservation")
     checks = [c.strip() for c in checks_txt.split(",") if c.strip()]
     for c in checks:
         if c not in CHECK_LABELS:
             raise ConfigError("checks.run", f"unknown check {c!r}")
-    seed = int(get("checks", "seed", "1234"))
+    seed = get("checks", "seed", "1234", int)
 
     out_dir = get("output", "directory", "out/run")
     root = os.environ.get(ENV_OUTPUT_ROOT)
     out_path = Path(root) / out_dir if root else Path(out_dir)
-    stride = int(get("output", "snapshot_stride", "0"))
+    stride = get("output", "snapshot_stride", "0", int)
 
     return RunConfig(
         scenario=scenario,
@@ -545,8 +553,26 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         "trajectory_hash": traj.trajectory_hash(),
         "artifact_hashes": hashes,
         "all_pass": all_pass,
+        "solver": _solver_summary(traj),
     })
     return 0 if all_pass else 1
+
+
+def _solver_summary(traj: Trajectory) -> dict:
+    """Deterministic totals of the per-step solver diagnostics."""
+    diags = traj.diagnostics
+    return {
+        "steps": len(diags),
+        "newton_iterations": sum(d.iterations for d in diags),
+        "newton_iterations_max": max((d.iterations for d in diags), default=0),
+        "linear_iterations": sum(d.linear_iterations for d in diags),
+        "fallbacks": sum(d.used_fallback for d in diags),
+        "energy_increases": sum(not d.energy_decreased for d in diags),
+        # A returned step has residual <= tolerance, so residual > 0 implies
+        # tolerance > 0.
+        "worst_residual_ratio": max((d.residual / d.tolerance if d.residual > 0 else 0.0
+                                     for d in diags), default=0.0),
+    }
 
 
 def _emit_config_error(config_path, err: ConfigError, out_override) -> None:

@@ -25,7 +25,11 @@ Each Newton system (volume-weighted e'(u) plus dt times the two-point
 stiffness) is symmetric positive definite.  In 1D it is solved directly by
 LAPACK's tridiagonal `gtsv`; in 2D by matrix-free Jacobi-preconditioned
 conjugate gradients, with Dirichlet pins eliminated symmetrically so the
-system stays SPD.
+system stays SPD.  The 2D solves are inexact Newton-Krylov: each CG stops
+at the forcing tolerance of `_forcing_term`, loose while the step residual
+is large and tight only where the final polish needs it (Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996).  The step's own acceptance test is
+always made on the exact nonlinear residual.
 """
 from __future__ import annotations
 
@@ -251,14 +255,17 @@ class Scenario:
 @dataclass
 class StepDiag:
     """Outcome of one implicit step.  `used_fallback` is set when some Newton
-    direction was not an exact linear solve: the 2D CG hit its iteration cap,
-    or the direction was replaced by the diagonal step."""
+    direction missed its linear-solve target: a 2D CG stopped at its
+    iteration cap before its forcing tolerance, or the direction was
+    replaced by the diagonal step.  `linear_iterations` sums the CG
+    iterations over the step's Newton solves (0 in 1D)."""
 
     iterations: int
     residual: float
     tolerance: float
     energy_decreased: bool
     used_fallback: bool = False
+    linear_iterations: int = 0
 
 
 @dataclass
@@ -484,6 +491,7 @@ class _StepProblem:
         self.vol = self.grid.volume_weights()
         self.faces = _Faces(self.grid, self.p, scenario.field.weights)
         self.pin_mask, self.pin_values = _dirichlet_arrays(scenario)
+        self.linear_iterations = 0
 
     def apply_pins(self, u: np.ndarray) -> np.ndarray:
         if self.pin_mask is None:
@@ -506,20 +514,28 @@ class _StepProblem:
             r[self.pin_mask] = 0.0
         return r
 
+    def residual(self, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """The gradient r at u and its max-norm per volume, the quantity
+        every step tolerance is stated in."""
+        r = self.gradient(u)
+        return r, float(np.max(np.abs(r / self.vol)))
+
     def solve_newton_system(
-        self, u: np.ndarray, r: np.ndarray, sigma: float
+        self, u: np.ndarray, r: np.ndarray, sigma: float, rtol: float
     ) -> tuple[np.ndarray, bool]:
         """Newton direction d and whether the linear solve met its tolerance.
 
-        An unconverged 2D direction is still a descent direction (see
-        `_pcg`); the flag lets the caller report it.
+        The 2D CG stops at relative residual `rtol`; the direct 1D solve
+        ignores it.  An unconverged 2D direction is still a descent
+        direction (see `_pcg`); the flag lets the caller report it.  CG
+        iterations accumulate in `self.linear_iterations`.
         """
         g = self.sc.graph
         diag = self.vol * g.enthalpy_prime_of_temperature(u)
         coeffs = [self.dt * c for c in self.faces.newton_weights(u, sigma)]
         if self.grid.dim == 1:
             return self._solve_1d(diag, coeffs[0], r), True
-        return self._solve_2d(diag, coeffs, r)
+        return self._solve_2d(diag, coeffs, r, rtol)
 
     def _solve_1d(self, diag, c, r):
         """Tridiagonal solve by LAPACK gtsv (LU with partial pivoting), the
@@ -542,7 +558,7 @@ class _StepProblem:
             raise np.linalg.LinAlgError(f"tridiagonal Newton solve failed (gtsv info={info})")
         return d
 
-    def _solve_2d(self, diag, coeffs, r):
+    def _solve_2d(self, diag, coeffs, r, rtol):
         """Matrix-free Jacobi-PCG on the SPD 5-point Newton system.
 
         The operator is diag*x plus, on every face, c*(x_lo - x_hi) at its
@@ -558,9 +574,9 @@ class _StepProblem:
         faces = []
         for ax, c in enumerate(coeffs):
             stride = math.prod(shape[ax + 1:])
-            pad = [(0, 0)] * len(shape)
-            pad[ax] = (0, 1)
-            faces.append((stride, np.pad(c, pad).ravel()[:-stride]))
+            flat = np.zeros(math.prod(shape))   # the wrap pairs stay 0
+            flat.reshape(shape)[(slice(None),) * ax + (slice(None, -1),)] = c
+            faces.append((stride, flat[:-stride]))
         diag = diag.ravel()
         jacobi = diag.copy()
         for s, c in faces:
@@ -582,31 +598,47 @@ class _StepProblem:
                 y[pins] = 0.0
             return y
 
-        d, converged = _pcg(apply, b, 1.0 / jacobi, max_iter=b.size)
+        d, converged, iterations = _pcg(apply, b, 1.0 / jacobi, rtol, max_iter=b.size)
+        self.linear_iterations += iterations
         return d.reshape(shape), converged
 
 
+# The tightest CG tolerance: the relative residual a Newton system is ever
+# solved to.
 _PCG_RTOL = 1e-14
 
 
-def _pcg(apply, b: np.ndarray, inv_diag: np.ndarray, max_iter: int) -> tuple[np.ndarray, bool]:
+def _forcing_term(res: float, scale: float, polish_tol: float) -> float:
+    """Relative CG tolerance for a Newton system at step residual `res`.
+
+    min(0.1, res / scale) shrinks with the residual, which keeps Newton
+    quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982);
+    0.1 * polish_tol / res stops the last solve from going below what the
+    polish can use; _PCG_RTOL is the floor.
+    """
+    return max(_PCG_RTOL, min(0.1, res / scale), 0.1 * polish_tol / res)
+
+
+def _pcg(apply, b: np.ndarray, inv_diag: np.ndarray, rtol: float,
+         max_iter: int) -> tuple[np.ndarray, bool, int]:
     """Preconditioned conjugate gradients for SPD `apply`, started from 0.
 
-    Stops once ||b - A x|| <= _PCG_RTOL ||b|| (recursive residual) and
-    reports whether that happened within `max_iter` iterations.  Every
-    iterate is kept: from a zero start, each CG iterate x_k satisfies
-    b.x_k > 0 for b != 0, so it is a descent direction even when the cap is
-    hit.  Plain numpy reductions in a fixed order keep reruns bit-identical.
+    Stops once ||b - A x|| <= rtol ||b|| (recursive residual) and returns
+    the iterate, whether that happened within `max_iter` iterations, and
+    the iterations taken.  Every iterate is kept: from a zero start, each
+    CG iterate x_k satisfies b.x_k > 0 for b != 0, so it is a descent
+    direction even when the cap is hit.  Plain numpy reductions in a fixed
+    order keep reruns bit-identical.
     """
     x = np.zeros_like(b)
     r = b.copy()
-    stop = _PCG_RTOL**2 * np.vdot(b, b)
+    stop = rtol**2 * np.vdot(b, b)
     z = inv_diag * r
     p = z
     rz = np.vdot(r, z)
-    for _ in range(max_iter):
+    for k in range(max_iter):
         if np.vdot(r, r) <= stop:
-            return x, True
+            return x, True, k
         q = apply(p)
         alpha = rz / np.vdot(p, q)
         x += alpha * p
@@ -614,7 +646,7 @@ def _pcg(apply, b: np.ndarray, inv_diag: np.ndarray, max_iter: int) -> tuple[np.
         z = inv_diag * r
         rz, rz_old = np.vdot(r, z), rz
         p = z + (rz / rz_old) * p
-    return x, bool(np.vdot(r, r) <= stop)
+    return x, bool(np.vdot(r, r) <= stop), max_iter
 
 
 def _dirichlet_arrays(scenario: Scenario):
@@ -658,10 +690,11 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
     accept_tol = tol.step_rtol * scale
     polish_tol = tol.polish_rtol * scale
 
-    f_val = prob.energy(u)
-    f_initial = f_val
-    r = prob.gradient(u)
-    res = float(np.max(np.abs(r / prob.vol)))
+    u_start = u
+    r, res = prob.residual(u)
+    # Step energies are evaluated only where a decision needs them: the
+    # start, the end, and trials the residual did not accept.
+    f_start = f_val = None
     used_fallback = False
     prev_res = math.inf
 
@@ -674,7 +707,8 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
         it += 1
         prev_res = res
         try:
-            d, solved = prob.solve_newton_system(u, r, tol.newton_sigma)
+            d, solved = prob.solve_newton_system(
+                u, r, tol.newton_sigma, _forcing_term(res, scale, polish_tol))
         except (np.linalg.LinAlgError, ValueError):
             d, solved = None, False
         used_fallback |= not solved
@@ -689,10 +723,17 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
         for _ in range(tol.max_backtracks):
             u_try = u - t * d
             if np.all(np.isfinite(u_try)):
-                r_try = prob.gradient(u_try)
-                res_try = float(np.max(np.abs(r_try / prob.vol)))
+                r_try, res_try = prob.residual(u_try)
+                if res_try < res:
+                    u, r, res, f_val = u_try, r_try, res_try, None
+                    accepted = True
+                    break
+                if f_val is None:
+                    f_val = prob.energy(u)
+                    if u is u_start:
+                        f_start = f_val
                 f_try = prob.energy(u_try)
-                if res_try < res or f_try < f_val:
+                if f_try < f_val:
                     u, r, res, f_val = u_try, r_try, res_try, f_try
                     accepted = True
                     break
@@ -706,12 +747,17 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
         raise MaxIterationsError(
             f"implicit step failed to reach tolerance ({res:.3e} > {accept_tol:.3e})"
         )
+    if f_start is None:
+        f_start = prob.energy(u_start)
+    if f_val is None:
+        f_val = prob.energy(u)
     diag = StepDiag(
         iterations=it,
         residual=res,
         tolerance=accept_tol,
-        energy_decreased=f_val <= f_initial + 1e-12 * (1.0 + abs(f_initial)),
+        energy_decreased=f_val <= f_start + 1e-12 * (1.0 + abs(f_start)),
         used_fallback=used_fallback,
+        linear_iterations=prob.linear_iterations,
     )
     return u, diag
 

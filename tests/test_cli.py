@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from stefanlab import cli
+from stefanlab.solver import run_simulation
 
 
 BASE_CONFIG = """\
@@ -185,6 +186,81 @@ directory = {out}
         assert record["code"] == 2
         assert record["field"] == "scenario.field"
 
+    @pytest.mark.parametrize("text, field", [
+        ("p = 3.0\n", "config"),
+        ("[scenario]\npreset = constant\n[scenario]\nnodes = 21\n", "scenario"),
+        ("[scenario]\npreset = constant\nnodes = 21\nnodes = 31\n", "scenario.nodes"),
+        ("[scenario]\npreset = constant\nlabel = 50%\n", "scenario.label"),
+        ("[scenario]\npreset = constant\nnodes = x\n", "scenario.nodes"),
+        ("[scenario]\npreset = constant\n[modulus]\nr0 = abc\n", "modulus.r0"),
+        ("[scenario]\npreset = constant\n[modulus]\ncenter = a\n", "modulus.center"),
+        ("[scenario]\npreset = constant\n[modulus]\nl_prefactor = x\n",
+         "modulus.l_prefactor"),
+        ("[scenario]\npreset = constant\n[modulus]\nalpha_if_p_eq_n = x\n",
+         "modulus.alpha_if_p_eq_n"),
+        ("[scenario]\npreset = constant\n[modulus]\nladder_depth = 2.5\n",
+         "modulus.ladder_depth"),
+        ("[scenario]\npreset = constant\n[constants]\nc0 = x\n", "constants.c0"),
+        ("[scenario]\npreset = constant\n[checks]\nseed = x\n", "checks.seed"),
+        ("[scenario]\npreset = constant\n[output]\nsnapshot_stride = x\n",
+         "output.snapshot_stride"),
+    ], ids=["no-section", "duplicate-section", "duplicate-key", "interpolation",
+            "nodes", "r0", "center", "l_prefactor", "alpha", "ladder_depth", "c0",
+            "seed", "snapshot_stride"])
+    def test_malformed_config_exit_two(self, tmp_path, capsys, text, field):
+        path = _write(tmp_path, text)
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == field
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["code"] == 2
+        assert record["field"] == field
+
+    @pytest.mark.parametrize("line", [
+        "p = 3.0", "field = anisotropic:5.0", "beta = tanh:0.4,0.5",
+        "boundary = dirichlet:left=1,right=0", "initial = bump",
+        "initial_params = base=0.2", "dim = 2", "extent = 2.0", "jump_location = 0.3"])
+    def test_preset_rejects_keys_it_does_not_apply(self, tmp_path, capsys, line):
+        text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
+            "t_end = 0.02\n", f"t_end = 0.02\n{line}\n")
+        path = _write(tmp_path, text)
+        assert cli.main(["validate", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["field"] == "scenario." + line.split(" = ")[0]
+        assert "not applied with a preset" in record["message"]
+
+    def test_solver_summary_matches_diagnostics(self, tmp_path):
+        text = """\
+[scenario]
+dim = 2
+nodes = 13
+p = 3.0
+initial = two-phase-sine
+initial_params = amplitude=0.5, periods=1.0, tilt=0.1
+t_end = 0.004
+dt = 1e-3
+
+[checks]
+run = conservation
+"""
+        path = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        block = json.loads((out / "summary.json").read_text())["solver"]
+        diags = run_simulation(cli.parse_config(path).scenario).diagnostics
+        assert block == {
+            "steps": 4,
+            "newton_iterations": sum(d.iterations for d in diags),
+            "newton_iterations_max": max(d.iterations for d in diags),
+            "linear_iterations": sum(d.linear_iterations for d in diags),
+            "fallbacks": 0,
+            "energy_increases": 0,
+            "worst_residual_ratio": max(d.residual / d.tolerance for d in diags),
+        }
+        assert block["linear_iterations"] > 0
+        assert 0.0 < block["worst_residual_ratio"] <= 1.0
+
     def test_solver_failure_exit_three(self, tmp_path):
         text = """\
 [scenario]
@@ -256,6 +332,15 @@ directory = {out}
         assert (out / "run_000_single" / "summary.json").exists()
         agg = (out / "aggregated.csv").read_text().strip().split("\n")
         assert len(agg) == 2
+
+    def test_p_sweep_over_preset_exits_two(self, tmp_path):
+        text = BASE_CONFIG.format(outdir=tmp_path / "out") + "\n[sweep]\naxis = p\nvalues = 2, 3\n"
+        path = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--output", str(out)]) == 2
+        for sub in ("run_000_p-2", "run_001_p-3"):
+            record = json.loads((out / sub / "error.json").read_text())
+            assert record["field"] == "scenario.p"
 
 
 class TestPresetsVerb:
