@@ -171,7 +171,9 @@ def parse_config(path: str | Path) -> RunConfig:
     if get("scenario", "label"):
         scenario.label = get("scenario", "label")
     if get("scenario", "step_rtol"):
-        scenario.tolerances = Tolerances(step_rtol=get("scenario", "step_rtol", parse=float))
+        # Tolerances rejects a step_rtol that is not positive and finite
+        scenario.tolerances = get("scenario", "step_rtol",
+                                  parse=lambda t: Tolerances(step_rtol=float(t)))
 
     r0 = get("modulus", "r0", "0.25", float)
     center = (get("modulus", "center", parse=_parse_floats)
@@ -180,6 +182,9 @@ def parse_config(path: str | Path) -> RunConfig:
                     lambda t: None if t == "auto" else float(t))
     alpha_choice = get("modulus", "alpha_if_p_eq_n", "0.45", float)
     ladder = get("modulus", "ladder", "dyadic2")
+    if ladder not in verify.LADDER_BASES:
+        raise ConfigError("modulus.ladder",
+                          f"unknown ladder {ladder!r}; use {' or '.join(verify.LADDER_BASES)}")
     ladder_depth = get("modulus", "ladder_depth", "", lambda t: int(t) if t else None)
 
     const_kwargs = {}
@@ -566,6 +571,7 @@ def _solver_summary(traj: Trajectory) -> dict:
         "newton_iterations": sum(d.iterations for d in diags),
         "newton_iterations_max": max((d.iterations for d in diags), default=0),
         "linear_iterations": sum(d.linear_iterations for d in diags),
+        "backtracks": sum(d.backtracks for d in diags),
         "fallbacks": sum(d.used_fallback for d in diags),
         "energy_increases": sum(not d.energy_decreased for d in diags),
         # A returned step has residual <= tolerance, so residual > 0 implies

@@ -30,13 +30,19 @@ at the forcing tolerance of `_forcing_term`, loose while the step residual
 is large and tight only where the final polish needs it (Eisenstat &
 Walker, SIAM J. Sci. Comput. 17, 1996).  The step's own acceptance test is
 always made on the exact nonlinear residual.
+
+Newton starts each step from `_extrapolate`: the polynomial through the
+current state and up to two earlier accepted states, evaluated at the new
+time (linear on the second step, quadratic after that).  Its error is
+O(dt^3) instead of the O(dt) of the previous state, so a step needs about
+half the Newton iterations; the minimizer it converges to is the same.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -197,6 +203,12 @@ class Tolerances:
     newton_sigma: float = 1e-12
     max_backtracks: int = 45
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
+
 
 @dataclass
 class Scenario:
@@ -258,7 +270,8 @@ class StepDiag:
     direction missed its linear-solve target: a 2D CG stopped at its
     iteration cap before its forcing tolerance, or the direction was
     replaced by the diagonal step.  `linear_iterations` sums the CG
-    iterations over the step's Newton solves (0 in 1D)."""
+    iterations over the step's Newton solves (0 in 1D), `backtracks` the
+    line-search halvings."""
 
     iterations: int
     residual: float
@@ -266,6 +279,7 @@ class StepDiag:
     energy_decreased: bool
     used_fallback: bool = False
     linear_iterations: int = 0
+    backtracks: int = 0
 
 
 @dataclass
@@ -668,10 +682,13 @@ def _dirichlet_arrays(scenario: Scenario):
     return mask, values
 
 
-def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.ndarray, StepDiag]:
+def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
+                  start: np.ndarray | None = None) -> tuple[np.ndarray, StepDiag]:
     """One backward-Euler step solved to near machine precision.
 
-    The iteration first meets the scale-free tolerance
+    Newton starts from `start` (pins applied) or, when it is None or not
+    finite, from `u_old`; the step is the same minimizer either way.  The
+    iteration first meets the scale-free tolerance
     step_rtol * (1 + max|e_old|) on the per-volume residual, then keeps
     polishing while progress continues; the tiny extra cost buys exact-level
     enthalpy conservation over whole runs.
@@ -680,11 +697,15 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
         raise ValueError("dt must be positive")
     if not np.all(np.isfinite(u_old)):
         raise NonfiniteValueError("non-finite state entering implicit step")
+    if start is not None and np.shape(start) != u_old.shape:
+        raise ShapeMismatchError("start iterate shape does not match the state")
     tol = scenario.tolerances
     g = scenario.graph
     e_old = g.enthalpy_of_temperature(u_old)
     prob = _StepProblem(scenario, e_old, dt)
-    u = prob.apply_pins(u_old.copy())
+    if start is None or not np.all(np.isfinite(start)):
+        start = u_old
+    u = prob.apply_pins(np.array(start, dtype=float))
 
     scale = 1.0 + float(np.max(np.abs(e_old)))
     accept_tol = tol.step_rtol * scale
@@ -697,6 +718,12 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
     f_start = f_val = None
     used_fallback = False
     prev_res = math.inf
+    # A trial is taken on its residual only below the lowest residual taken
+    # so far: a trial taken on its energy may raise the residual, and
+    # measuring the next one against that raised value lets the iteration
+    # cycle between the two criteria.
+    best_res = res
+    backtracks = 0
 
     it = 0
     while it < tol.max_newton:
@@ -724,8 +751,9 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
             u_try = u - t * d
             if np.all(np.isfinite(u_try)):
                 r_try, res_try = prob.residual(u_try)
-                if res_try < res:
+                if res_try < best_res:
                     u, r, res, f_val = u_try, r_try, res_try, None
+                    best_res = res
                     accepted = True
                     break
                 if f_val is None:
@@ -738,6 +766,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
                     accepted = True
                     break
             t *= 0.5
+            backtracks += 1
         if not accepted:
             break
 
@@ -758,8 +787,29 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario) -> tuple[np.
         energy_decreased=f_val <= f_start + 1e-12 * (1.0 + abs(f_start)),
         used_fallback=used_fallback,
         linear_iterations=prob.linear_iterations,
+        backtracks=backtracks,
     )
     return u, diag
+
+
+def _extrapolate(u: np.ndarray, dt: float, past: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
+    """Newton start for the step of length dt from the current state u.
+
+    `past` holds up to two earlier accepted states, most recent first, each
+    with the step length that led from it to its successor.  The polynomial
+    through them and u (divided differences d1, d2) is evaluated dt ahead:
+    linear with one earlier state, quadratic with two.  This form returns a
+    constant state bit for bit.
+    """
+    if not past:
+        return u
+    u1, dt1 = past[0]
+    d1 = (u - u1) / dt1
+    if len(past) == 1:
+        return u + dt * d1
+    u2, dt2 = past[1]
+    d2 = (d1 - (u1 - u2) / dt2) / (dt1 + dt2)
+    return u + dt * (d1 + (dt + dt1) * d2)
 
 
 def run_simulation(scenario: Scenario) -> Trajectory:
@@ -775,6 +825,7 @@ def run_simulation(scenario: Scenario) -> Trajectory:
     temps = [u.copy()]
     enths = [np.asarray(g.enthalpy_of_temperature(u))]
     diags: list[StepDiag] = []
+    past: list[tuple[np.ndarray, float]] = []   # earlier states for the Newton start
     t = 0.0
     step_index = 0
     t_final = scenario.t_end
@@ -783,9 +834,11 @@ def run_simulation(scenario: Scenario) -> Trajectory:
         if dt <= 0.0:
             raise SolverError("time step collapsed to zero", time=t)
         try:
-            u, diag = implicit_step(u, dt, scenario)
+            u_new, diag = implicit_step(u, dt, scenario, _extrapolate(u, dt, past))
         except SolverError as err:
             raise type(err)(str(err), time=t + dt) from err
+        past = [(u, dt)] + past[:1]
+        u = u_new
         t += dt
         step_index += 1
         diags.append(diag)

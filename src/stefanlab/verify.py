@@ -632,6 +632,10 @@ def forwarded_level_fraction(
 # Headline modulus measurement
 # ---------------------------------------------------------------------------
 
+# Radius ratio between consecutive rungs of each named cylinder ladder.
+LADDER_BASES = {"dyadic2": 2.0, "dyadic32": 32.0}
+
+
 def modulus_acceptance(
     trajectory: Trajectory,
     params: ModulusParams,
@@ -652,9 +656,9 @@ def modulus_acceptance(
     widths that term exceeds every measured oscillation, so the bare constant
     is the one whose refinement stability is meaningful.
     """
-    if ladder not in ("dyadic2", "dyadic32"):
+    if ladder not in LADDER_BASES:
         raise ValueError("ladder must be dyadic2 or dyadic32")
-    base = 2.0 if ladder == "dyadic2" else 32.0
+    base = LADDER_BASES[ladder]
     space, t0 = center
 
     osc_global = max(float(u.max()) for u in trajectory.temps) - min(

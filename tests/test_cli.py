@@ -65,6 +65,12 @@ class TestValidate:
         path = _write(tmp_path, "[scenario]\npreset = constant\n\n[bogus]\nx = 1\n")
         assert cli.main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("ladder", ["dyadic2", "dyadic32"])
+    def test_known_ladders_accepted(self, tmp_path, ladder):
+        path = _write(tmp_path, f"[scenario]\npreset = constant\n\n[modulus]\nladder = {ladder}\n")
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.parse_config(path).ladder == ladder
+
     def test_unknown_check_rejected(self, tmp_path):
         path = _write(tmp_path,
                       "[scenario]\npreset = constant\n\n[checks]\nrun = sorcery\n")
@@ -204,9 +210,10 @@ directory = {out}
         ("[scenario]\npreset = constant\n[checks]\nseed = x\n", "checks.seed"),
         ("[scenario]\npreset = constant\n[output]\nsnapshot_stride = x\n",
          "output.snapshot_stride"),
+        ("[scenario]\npreset = constant\n[modulus]\nladder = dyadic7\n", "modulus.ladder"),
     ], ids=["no-section", "duplicate-section", "duplicate-key", "interpolation",
             "nodes", "r0", "center", "l_prefactor", "alpha", "ladder_depth", "c0",
-            "seed", "snapshot_stride"])
+            "seed", "snapshot_stride", "ladder"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, text, field):
         path = _write(tmp_path, text)
         assert cli.main(["validate", str(path)]) == 2
@@ -216,6 +223,22 @@ directory = {out}
         record = json.loads((out / "error.json").read_text())
         assert record["code"] == 2
         assert record["field"] == field
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("scenario", [
+        "preset = constant\n",
+        "dim = 1\nnodes = 21\np = 3.0\nt_end = 0.004\ndt = 1e-3\n",
+    ], ids=["preset", "explicit"])
+    def test_step_rtol_not_positive_finite_exit_two(self, tmp_path, capsys, value, scenario):
+        path = _write(tmp_path, f"[scenario]\n{scenario}step_rtol = {value}\n")
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == "scenario.step_rtol"
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["code"] == 2
+        assert record["field"] == "scenario.step_rtol"
+        assert "positive and finite" in record["message"]
 
     @pytest.mark.parametrize("line", [
         "p = 3.0", "field = anisotropic:5.0", "beta = tanh:0.4,0.5",
@@ -254,6 +277,7 @@ run = conservation
             "newton_iterations": sum(d.iterations for d in diags),
             "newton_iterations_max": max(d.iterations for d in diags),
             "linear_iterations": sum(d.linear_iterations for d in diags),
+            "backtracks": sum(d.backtracks for d in diags),
             "fallbacks": 0,
             "energy_increases": 0,
             "worst_residual_ratio": max(d.residual / d.tolerance for d in diags),

@@ -2,17 +2,18 @@
 and the discrete weak-form residual semantics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stefanlab import presets, solver
 from stefanlab.graphs import RegularizedGraph
 from stefanlab.solver import (Boundary, ConstantInSpace, DtPolicy, Grid,
                               InitialData, Scenario, ShapeMismatchError,
-                              SpaceTimeBump, Trajectory, VectorField,
-                              build_initial, conservation_defect,
+                              SpaceTimeBump, Tolerances, Trajectory,
+                              VectorField, build_initial, conservation_defect,
                               dissipation_profile, enthalpy_totals,
                               implicit_step, run_simulation,
                               weak_form_residual)
@@ -200,6 +201,13 @@ class TestImplicitStep:
         with pytest.raises(solver.NonfiniteValueError):
             implicit_step(u0, 1e-3, sc)
 
+    @pytest.mark.parametrize("name", ["step_rtol", "polish_rtol", "max_newton",
+                                      "newton_sigma", "max_backtracks"])
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf])
+    def test_tolerances_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: value})
+
     def test_energy_decrease_recorded(self):
         sc = presets.twophase_1d(nodes=41, t_end=0.005, dt=5e-4)
         traj = run_simulation(sc)
@@ -342,6 +350,12 @@ class TestRunSimulation:
                    st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 4)),
                             min_size=1, max_size=3))))
     @settings(max_examples=50, deadline=None)
+    # A trial taken on its energy raised the residual, the next one taken on
+    # a residual decrease against that raised value raised the energy, and
+    # the line search cycled between the two until max_newton.
+    @example(p=3.5, nodes=12, latent_heat=0.5, eps=0.021484375,
+             data=InitialData.of("two-phase-sine", level=0.25, amplitude=0.28125,
+                                 periods=4.0, tilt=0.0))
     def test_random_1d_scenarios(self, p, nodes, latent_heat, eps, data):
         sc = Scenario(
             grid=Grid(extents=(1.0,), nodes=(nodes,)),
@@ -530,7 +544,141 @@ class TestInexactNewton:
         # the trial energy, then the final one; no step is halved.
         assert seen["energy"] == 3
         assert seen["residual"] == 1 + diag.iterations
+        assert diag.backtracks == 0
         assert diag.energy_decreased and diag.residual <= diag.tolerance
+        assert np.max(np.abs(u1 - ref)) <= 1e-12
+
+
+def identity_start(u, dt, past):
+    """The reference Newton start: the previous state."""
+    return u
+
+
+class TestStartIterate:
+    # (scenario, bound on the Newton iterations relative to the reference)
+    @pytest.mark.parametrize("make, newton_ratio", [
+        # the coarse 1d-p2 headline grid and step over its first 200 steps
+        (lambda: presets.twophase_1d(p=2.0, nodes=81, t_end=0.05, dt=2.5e-4), 0.6),
+        (lambda: presets.twophase_1d(p=3.0, nodes=41, t_end=0.02, dt=5e-4), None),
+        (lambda: presets.melting_front_1d(nodes=51, t_end=0.01, dt=1e-3, eps=0.05), None),
+        (lambda: replace(presets.twophase_1d(nodes=31, t_end=0.004),
+                         dt=DtPolicy(kind="intrinsic", safety=0.5)), None),
+        (lambda: presets.twophase_2d(p=3.0, nodes=17, t_end=0.01), None),
+        (lambda: replace(presets.twophase_2d(p=3.0, nodes=17, t_end=0.01),
+                         boundary=BOUNDARIES_2D[1]), None),
+    ], ids=["1d-p2", "1d-p3", "1d-dirichlet", "1d-intrinsic", "2d-p3", "2d-dirichlet"])
+    def test_extrapolated_start_matches_previous_state_start(
+            self, monkeypatch, make, newton_ratio):
+        sc = make()
+        traj = run_simulation(sc)
+        monkeypatch.setattr(solver, "_extrapolate", identity_start)
+        ref = run_simulation(sc)
+        assert traj.times == ref.times
+        for u, u_ref in zip(traj.temps, ref.temps):
+            assert np.max(np.abs(u - u_ref)) <= 1e-12
+        if sc.boundary.kind == "zero-flux":
+            assert conservation_defect(traj) <= 1e-10
+        assert all(d.residual <= d.tolerance and d.energy_decreased and not d.used_fallback
+                   for d in traj.diagnostics)
+        if newton_ratio is not None:
+            newton = sum(d.iterations for d in traj.diagnostics)
+            assert newton <= newton_ratio * sum(d.iterations for d in ref.diagnostics)
+
+    def test_identity_start_is_the_step_from_the_previous_state(self, monkeypatch):
+        # With the identity start, run_simulation takes exactly the steps
+        # implicit_step takes from the previous state.
+        sc = presets.twophase_1d(nodes=31, t_end=0.003, dt=1e-3)
+        monkeypatch.setattr(solver, "_extrapolate", identity_start)
+        traj = run_simulation(sc)
+        u = traj.temps[0]
+        for u_next in traj.temps[1:]:
+            u, _ = implicit_step(u, 1e-3, sc)
+            assert np.array_equal(u, u_next)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_start_falls_back_to_previous_state(self, bad):
+        sc = presets.twophase_1d(nodes=41)
+        u0 = build_initial(sc.grid, sc.initial)
+        ref, ref_diag = implicit_step(u0, 5e-4, sc)
+        start = u0 + 0.01
+        start[7] = bad
+        u1, diag = implicit_step(u0, 5e-4, sc, start)
+        assert np.array_equal(u1, ref)
+        assert diag == ref_diag
+
+    def test_start_shape_checked(self):
+        sc = presets.twophase_1d(nodes=41)
+        u0 = build_initial(sc.grid, sc.initial)
+        with pytest.raises(ShapeMismatchError):
+            implicit_step(u0, 5e-4, sc, np.zeros(40))
+
+    def test_pins_applied_to_start(self):
+        sc = presets.melting_front_1d(nodes=51, dt=1e-3, eps=0.05)
+        u0 = build_initial(sc.grid, sc.initial)
+        ref, _ = implicit_step(u0, 1e-3, sc)
+        u1, diag = implicit_step(u0, 1e-3, sc, ref + 0.05)
+        assert u1[0] == 1.0 and u1[-1] == 0.0
+        assert diag.residual <= diag.tolerance
+        assert np.max(np.abs(u1 - ref)) <= 1e-12
+
+    def test_converged_start_takes_no_newton_step(self):
+        sc = presets.twophase_1d(nodes=41)
+        u0 = build_initial(sc.grid, sc.initial)
+        ref, ref_diag = implicit_step(u0, 5e-4, sc)
+        u1, diag = implicit_step(u0, 5e-4, sc, ref)
+        assert ref_diag.iterations > 0 and diag.iterations == 0
+        assert np.array_equal(u1, ref)
+
+    def test_extrapolation_exact_for_quadratics(self):
+        # Variable steps: the quadratic through three states is reproduced
+        # at the next time, and a constant state is returned bit for bit.
+        times = [0.0, 0.3, 0.45, 0.5]
+        coef = np.array([[0.7, -1.3, 2.1], [-0.2, 0.9, 0.0]])
+
+        def state(t):
+            return coef[:, 0] + coef[:, 1] * t + coef[:, 2] * t * t
+
+        past = [(state(times[1]), times[2] - times[1]), (state(times[0]), times[1] - times[0])]
+        dt = times[3] - times[2]
+        start = solver._extrapolate(state(times[2]), dt, past)
+        assert np.max(np.abs(start - state(times[3]))) <= 1e-14
+        # one earlier state: the line through the two
+        linear = solver._extrapolate(state(times[2]), dt, past[:1])
+        slope = (state(times[2]) - state(times[1])) / past[0][1]
+        assert np.max(np.abs(linear - (state(times[2]) + dt * slope))) <= 1e-15
+        flat = np.full(5, 0.1)
+        for depth in (0, 1, 2):
+            assert np.array_equal(
+                solver._extrapolate(flat, 0.7, [(flat.copy(), 0.2), (flat.copy(), 0.3)][:depth]),
+                flat)
+
+
+class TestLineSearch:
+    def test_halvings_counted(self, monkeypatch):
+        # The first two trials read a non-decreasing residual and an infinite
+        # energy, so the step is halved twice before the third is taken.
+        sc = presets.twophase_1d(nodes=41)
+        u0 = build_initial(sc.grid, sc.initial)
+        residual, energy = solver._StepProblem.residual, solver._StepProblem.energy
+        calls = {"residual": 0, "energy": 0}
+
+        def rejected_residual(prob, u):
+            calls["residual"] += 1
+            r, res = residual(prob, u)
+            return r, (math.inf if calls["residual"] in (2, 3) else res)
+
+        def rejected_energy(prob, u):
+            calls["energy"] += 1
+            return math.inf if calls["energy"] in (2, 3) else energy(prob, u)
+
+        monkeypatch.setattr(solver._StepProblem, "residual", rejected_residual)
+        monkeypatch.setattr(solver._StepProblem, "energy", rejected_energy)
+        u1, diag = implicit_step(u0, 5e-4, sc)
+        assert diag.backtracks == 2
+        assert diag.residual <= diag.tolerance
+        monkeypatch.undo()
+        ref, ref_diag = implicit_step(u0, 5e-4, sc)
+        assert ref_diag.backtracks == 0
         assert np.max(np.abs(u1 - ref)) <= 1e-12
 
 
