@@ -91,6 +91,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _parse_named(field_name: str, parse, text):
+    """`parse(text)`, with a failure reported as a ConfigError naming the field."""
+    try:
+        return parse(text)
+    except (LookupError, ValueError, TypeError, OverflowError) as err:
+        raise ConfigError(field_name, str(err)) from err
+
+
 def _parse_kv(text: str) -> dict:
     out = {}
     for item in text.split(","):
@@ -123,7 +131,7 @@ def parse_config(path: str | Path) -> RunConfig:
     try:
         read = cp.read(path)
         raw = {s: dict(cp[s]) for s in cp.sections()}
-    except configparser.Error as err:
+    except (configparser.Error, UnicodeDecodeError) as err:
         where = [getattr(err, a) for a in ("section", "option") if getattr(err, a, None)]
         raise ConfigError(".".join(where) or "config", str(err)) from err
     if not read:
@@ -142,10 +150,7 @@ def parse_config(path: str | Path) -> RunConfig:
         text = raw.get(section, {}).get(key, default)
         if parse is None or text is None:
             return text
-        try:
-            return parse(text)
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"{section}.{key}", str(err)) from err
+        return _parse_named(f"{section}.{key}", parse, text)
 
     preset_name = get("scenario", "preset")
     if preset_name is not None:
@@ -161,7 +166,7 @@ def parse_config(path: str | Path) -> RunConfig:
             scenario = _scenario_from_keys(sc_sec)
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as err:
+    except (LookupError, ValueError, TypeError, OverflowError) as err:
         raise ConfigError("scenario", str(err)) from err
 
     if get("scenario", "store_every"):
@@ -178,6 +183,9 @@ def parse_config(path: str | Path) -> RunConfig:
     r0 = get("modulus", "r0", "0.25", float)
     center = (get("modulus", "center", parse=_parse_floats)
               or tuple(e / 2 for e in scenario.grid.extents))
+    if len(center) != scenario.grid.dim:
+        raise ConfigError("modulus.center", f"{len(center)} coordinates for a "
+                                            f"{scenario.grid.dim}D grid")
     modulus_L = get("modulus", "l_prefactor", "auto",
                     lambda t: None if t == "auto" else float(t))
     alpha_choice = get("modulus", "alpha_if_p_eq_n", "0.45", float)
@@ -227,27 +235,17 @@ def _scenario_from_keys(sec) -> Scenario:
     for key in required:
         if key not in sec:
             raise ConfigError(f"scenario.{key}", "required key missing")
-    dim = int(sec.get("dim", "1"))
-    nodes = tuple(int(float(v)) for v in sec["nodes"].split(","))
+    dim = _parse_named("scenario.dim", int, sec.get("dim", "1"))
+    if dim not in (1, 2):
+        raise ConfigError("scenario.dim", f"dim must be 1 or 2, got {dim}")
+    nodes = _parse_named("scenario.nodes",
+                         lambda t: tuple(int(float(v)) for v in t.split(",")), sec["nodes"])
     if len(nodes) == 1 and dim == 2:
         nodes = nodes * 2
     extent = float(sec.get("extent", "1.0"))
     grid = Grid(extents=(extent,) * dim, nodes=nodes)
 
-    beta_txt = sec.get("beta", "identity")
-    if beta_txt == "identity":
-        beta = BetaMap()
-    elif beta_txt.startswith("tanh:"):
-        mu, tau = _parse_floats(beta_txt.split(":", 1)[1])
-        beta = BetaMap(kind="tanh", mu=mu, tau=tau)
-    elif beta_txt.startswith("piecewise:"):
-        # format: piecewise:-1/-0.5,0/0,1/2 - knot/value pairs
-        pairs = [q for q in beta_txt.split(":", 1)[1].split(",") if q.strip()]
-        knots = tuple(float(q.split("/")[0]) for q in pairs)
-        values = tuple(float(q.split("/")[1]) for q in pairs)
-        beta = BetaMap(kind="piecewise", knots=knots, values=values)
-    else:
-        raise ConfigError("scenario.beta", f"unknown beta spec {beta_txt!r}")
+    beta = _parse_named("scenario.beta", _parse_beta, sec.get("beta", "identity"))
 
     graph = RegularizedGraph(
         a=float(sec.get("jump_location", "0.0")),
@@ -292,6 +290,21 @@ def _scenario_from_keys(sec) -> Scenario:
     elif field_txt != "p-laplacian":
         raise ConfigError("scenario.field", f"unknown field spec {field_txt!r}")
     return sc
+
+
+def _parse_beta(text: str) -> BetaMap:
+    if text == "identity":
+        return BetaMap()
+    if text.startswith("tanh:"):
+        mu, tau = _parse_floats(text.split(":", 1)[1])
+        return BetaMap(kind="tanh", mu=mu, tau=tau)
+    if text.startswith("piecewise:"):
+        # format: piecewise:-1/-0.5,0/0,1/2 - knot/value pairs
+        pairs = [q for q in text.split(":", 1)[1].split(",") if q.strip()]
+        knots = tuple(float(q.split("/")[0]) for q in pairs)
+        values = tuple(float(q.split("/")[1]) for q in pairs)
+        return BetaMap(kind="piecewise", knots=knots, values=values)
+    raise ValueError(f"unknown beta spec {text!r}")
 
 
 # ---------------------------------------------------------------------------

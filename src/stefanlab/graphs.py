@@ -5,11 +5,12 @@ graph obtained by mollifying a unit jump, the bi-Lipschitz temperature map
 beta, and the enthalpy built from the two.  The smoothed step is a monotone
 cubic (PCHIP) interpolant of a precomputed uniform table, and the convex
 enthalpy energy uses the antiderivatives of such interpolants.  The time
-stepper calls them millions of times, so scipy only builds their
-coefficients and `_HermiteTable` evaluates them with one binary search and
-one fixed-order polynomial sum, bit for bit what scipy's piecewise-polynomial
-evaluation returns.  Adaptive quadrature of the mollifier is kept for the
-test oracles only.
+stepper calls them millions of times, so the tables are built here in numpy
+(`_pchip`, `_antiderivative`) and `_HermiteTable` evaluates them with an
+arithmetic interval index on the uniform knots and one fixed-order
+polynomial sum, bit for bit what scipy's `PchipInterpolator` and its
+antiderivative return.  Adaptive quadrature of the mollifier is kept for
+the test oracles only.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 # Resolution of the precomputed step/primitive tables on [-1, 1].
 _TABLE_POINTS = 4097
@@ -58,38 +58,116 @@ def _build_step_tables():
     return ts, cdf, float(mass)
 
 
-class _HermiteTable:
-    """Piecewise polynomial on sorted knots, continued past the right end.
+def _pchip(x, y) -> np.ndarray:
+    """Monotone cubic Hermite interpolant of samples y on knots x (n >= 3).
 
-    Holds the coefficients of a scipy piecewise polynomial (a cubic PCHIP
-    interpolant or its quartic antiderivative) plus one extra row at the
-    last knot x1 that continues it as `right_value + right_slope * (t - x1)`;
-    inputs below the first knot x0 take the value there.  A lookup finds the
-    interval i by binary search, sets s = t - x[i] and sums the terms
+    Returns c with c[j] the coefficient of (t - x[i])^j on interval i.  The
+    knot slopes are Fritsch and Carlson's weighted harmonic means of the
+    neighbouring secants, 0 where the data is flat or turns (SIAM J. Numer.
+    Anal. 17, 1980), with the one-sided three-point rule at both ends;
+    every operation is the one scipy's `PchipInterpolator` and
+    `CubicHermiteSpline` perform, in the same order, so the coefficients
+    are theirs bit for bit.
+    """
+    h = np.diff(x)
+    if not np.all(h > 0):
+        raise ValueError("knots must be finite and strictly increasing")
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                (-1, h[-1], h[-2], m[-1], m[-2])):
+        slope = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(slope) != np.sign(m0):
+            slope = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(slope) > 3.0 * abs(m0):
+            slope = 3.0 * m0
+        d[end] = slope
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h])
+
+
+def _antiderivative(x, c) -> tuple[np.ndarray, float]:
+    """Antiderivative of the piecewise polynomial (x, c) that is 0 at x[0].
+
+    Returns its coefficients, in the layout of `_pchip`, and its value at
+    x[-1].  Each interval's constant is the previous interval's value at
+    its right end, summed constant first as scipy's `PPoly` evaluates it:
+    ((v + a1 h) + a2 h^2) + ...  Laid out interval after interval, these
+    sums are one sequential running sum, so a cumulative sum yields every
+    constant exactly as the sequential pass of `PPoly.antiderivative` does.
+    """
+    h = np.diff(x)
+    k = c.shape[0]
+    a = np.empty((k + 1, c.shape[1]))
+    # terms[1:] holds a_j h^j interval after interval, after the first
+    # interval's constant 0.0, so the running sum passes through every
+    # interval's constant and ends at the value at x[-1]
+    terms = np.zeros(1 + c.size)
+    z = h
+    for j in range(k):
+        a[j + 1] = c[j] / (j + 1)
+        terms[1 + j::k] = a[j + 1] * z
+        z = z * h
+    ends = np.cumsum(terms)[::k]
+    a[0] = ends[:-1]
+    return a, float(ends[-1])
+
+
+class _HermiteTable:
+    """Piecewise polynomial on uniform knots, continued past the right end.
+
+    Holds coefficients in the layout of `_pchip` (a cubic PCHIP interpolant
+    or its quartic antiderivative) plus one extra row at the last knot x1
+    that continues it as `right_value + right_slope * (t - x1)`; inputs
+    below the first knot x0 take the value there.  A lookup finds its row i
+    without a search: the knots are uniform, so the integer part of
+    (t - x0)/h - 1/2, capped at the last row, is the row or the one before
+    it, and one comparison with the next knot (NaN after the last row)
+    settles which.  That is `searchsorted(x, t, "right") - 1` exactly, NaN
+    and infinities included, as long as no knot lies more than h/4 from its
+    uniform position, which the constructor checks.  It then sets
+    s = t - x[i] and sums the terms
     c_j * s^j from j = 0 up, with the powers built as s, s*s, (s*s)*s, ...:
     the order of scipy's `PPoly` evaluation, so inside [x0, x1] a lookup is
-    bit-identical to calling the scipy object.  NaN maps to NaN.  The zero
-    high-order terms of the extra row overflow to NaN once t - x1 exceeds
-    about 1e77, far beyond any temperature a run produces.
+    bit-identical to scipy's.  NaN maps to NaN.  The zero high-order terms
+    of the extra row overflow to NaN once t - x1 exceeds about 1e77, far
+    beyond any temperature a run produces.
     """
 
-    def __init__(self, pp, right_value: float, right_slope: float):
-        x = pp.x
+    def __init__(self, x, coeffs, right_value: float, right_slope: float):
+        n = x.size
         # c[j] holds the coefficients of s^j, one per knot; 0.0 + c[0] is
         # scipy's first addition, which turns a -0.0 constant into +0.0
-        c = np.zeros((pp.c.shape[0], x.size))
-        c[:, :-1] = pp.c[::-1]
+        c = np.zeros((coeffs.shape[0], n))
+        c[:, :-1] = coeffs
         c[0, :-1] += 0.0
         c[:2, -1] = right_value, right_slope
         self._x0 = x[0]
         self._x = x
+        self._inv_h = (n - 1) / (x[-1] - x[0])
+        if not np.abs((x - x[0]) * self._inv_h - np.arange(n)).max() <= 0.25:
+            raise ValueError("table knots must be uniform")
+        self._offset = x[0] * self._inv_h + 0.5
+        self._last = float(n - 1)
+        self._next = np.append(x[1:], np.nan)
         # One contiguous array per power: a lookup gathers each with take(),
         # so its temporaries are all the size of the input.
         self._c = tuple(c)
 
+    def _interval(self, t):
+        """Row of each t >= x0: `searchsorted(x, t, "right") - 1`."""
+        i = np.fmin(t * self._inv_h - self._offset, self._last).astype(np.intp)
+        i += self._next.take(i) <= t
+        return i
+
     def __call__(self, t):
         t = np.maximum(t, self._x0)
-        i = self._x.searchsorted(t, "right") - 1
+        i = self._interval(t)
         s = t - self._x.take(i)
         c0, c1, *higher = self._c
         out = c0.take(i) + c1.take(i) * s
@@ -100,20 +178,19 @@ class _HermiteTable:
         return out if out.ndim else float(out)
 
 
-def _primitive_table(spline) -> _HermiteTable:
-    """Antiderivative of `spline` from its first knot, continued with unit
-    slope past the last knot, where the interpolated step equals 1."""
-    primitive = spline.antiderivative()
-    return _HermiteTable(primitive, float(primitive(spline.x[-1])), 1.0)
+def _primitive_table(x, y) -> _HermiteTable:
+    """Antiderivative of the PCHIP interpolant of samples y on knots x from
+    x[0], continued with unit slope past the last knot, where the
+    interpolated step equals 1."""
+    coeffs, right_value = _antiderivative(x, _pchip(x, y))
+    return _HermiteTable(x, coeffs, right_value, 1.0)
 
 
 _TS, _CDF, _BUMP_MASS = _build_step_tables()
-_CDF_SPLINE = PchipInterpolator(_TS, _CDF, extrapolate=False)
 # The smoothed unit step at normalized coordinate t = (s - jump)/eps, 0 for
 # t <= -1 and 1 for t >= 1, and its antiderivative, 0 for t <= -1.
-_step_cdf = _HermiteTable(_CDF_SPLINE, 1.0, 0.0)
-_step_cdf_primitive = _primitive_table(_CDF_SPLINE)
-del _CDF_SPLINE
+_step_cdf = _HermiteTable(_TS, _pchip(_TS, _CDF), 1.0, 0.0)
+_step_cdf_primitive = _primitive_table(_TS, _CDF)
 
 
 def mollifier_density(t):
@@ -289,8 +366,7 @@ class RegularizedGraph:
         ss = np.linspace(s_lo, s_hi, 2049)
         data = _step_cdf((self.beta.apply(ss) - self.a) / self.eps)
         # Integral of step(beta(s)) ds from the lower band edge s_lo.
-        self._step_of_temperature_primitive = _primitive_table(
-            PchipInterpolator(ss, data, extrapolate=False))
+        self._step_of_temperature_primitive = _primitive_table(ss, data)
         self._k0 = self._step_of_temperature_primitive(0.0)
 
     # -- smoothed step in the transformed variable --------------------------

@@ -324,7 +324,7 @@ class Trajectory:
     def ball_mask(self, center: Sequence[float], radius: float) -> np.ndarray:
         """Closed-ball membership of grid nodes (Euclidean, offset coordinates)."""
         xs = self.meshgrid()
-        d2 = sum((x - c) ** 2 for x, c in zip(xs, center))
+        d2 = sum((x - c) ** 2 for x, c in zip(xs, center, strict=True))
         return d2 <= radius**2 * (1.0 + 1e-12)
 
     def w_fields(self) -> list[np.ndarray]:

@@ -6,8 +6,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stefanlab import cli
+from stefanlab import cli, presets
 from stefanlab.solver import run_simulation
 
 
@@ -211,11 +212,22 @@ directory = {out}
         ("[scenario]\npreset = constant\n[output]\nsnapshot_stride = x\n",
          "output.snapshot_stride"),
         ("[scenario]\npreset = constant\n[modulus]\nladder = dyadic7\n", "modulus.ladder"),
+        ("[scenario]\npreset = constant\nnodes = inf\n", "scenario.nodes"),
+        ("[scenario]\ndim = 100000000000\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n",
+         "scenario.dim"),
+        ("[scenario]\nbeta = piecewise:1\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n",
+         "scenario.beta"),
+        (b"[scenario]\npreset = constant\nlabel = \xe9\n", "config"),
     ], ids=["no-section", "duplicate-section", "duplicate-key", "interpolation",
             "nodes", "r0", "center", "l_prefactor", "alpha", "ladder_depth", "c0",
-            "seed", "snapshot_stride", "ladder"])
+            "seed", "snapshot_stride", "ladder", "nodes-inf", "dim", "beta-pair",
+            "not-utf8"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, text, field):
-        path = _write(tmp_path, text)
+        if isinstance(text, bytes):
+            path = tmp_path / "config.ini"
+            path.write_bytes(text)
+        else:
+            path = _write(tmp_path, text)
         assert cli.main(["validate", str(path)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["field"] == field
         out = tmp_path / "err"
@@ -223,6 +235,24 @@ directory = {out}
         record = json.loads((out / "error.json").read_text())
         assert record["code"] == 2
         assert record["field"] == field
+
+    @pytest.mark.parametrize("preset, center", [
+        ("stefan-1d-p3-twophase", "0.5, 0.5"),
+        ("stefan-1d-p3-twophase", "0.5, 0.5, 0.5"),
+        ("stefan-2d-p2-twophase", "0.5"),
+    ], ids=["1d-two", "1d-three", "2d-one"])
+    def test_center_coordinate_count_exit_two(self, tmp_path, capsys, preset, center):
+        # A centre with the wrong number of coordinates was silently
+        # truncated to the grid's axes; it is a config error.
+        path = _write(tmp_path, f"[scenario]\npreset = {preset}\n\n[modulus]\n"
+                                f"center = {center}\n\n[checks]\nrun = conservation, caccioppoli\n")
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == "modulus.center"
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["code"] == 2
+        assert record["field"] == "modulus.center"
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("scenario", [
@@ -310,6 +340,59 @@ directory = {out}
         monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / "root"))
         cfg = cli.parse_config(_write(tmp_path, BASE_CONFIG.format(outdir="rel/out")))
         assert str(cfg.output_dir).startswith(str(tmp_path / "root"))
+
+
+# Values for the INI fuzz test: numbers, words, empty and comma lists, and
+# for the keys that have a syntax of their own, near-miss spellings of it.
+_NUMBERS = st.one_of(st.integers(-1000, 1000).map(str),
+                     st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                     st.sampled_from(["1e400", "-0", "0x10", "1_000", "2.", ".5"]))
+_WORDS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_LISTS = st.lists(st.one_of(_NUMBERS, _WORDS), max_size=4).map(", ".join)
+_SPECS = {
+    "preset": st.sampled_from(sorted(presets.PRESETS)),
+    "beta": st.one_of(st.just("identity"),
+                      st.builds("tanh:{}".format, _LISTS),
+                      st.builds("piecewise:{}".format, _LISTS),
+                      st.builds("piecewise:{}/{},{}/{}".format, _NUMBERS, _NUMBERS,
+                                _NUMBERS, _NUMBERS)),
+    "field": st.one_of(st.just("p-laplacian"), st.builds("anisotropic:{}".format, _LISTS)),
+    "boundary": st.one_of(st.just("zero-flux"),
+                          st.builds("dirichlet:left={},right={}".format, _NUMBERS, _NUMBERS),
+                          st.builds("dirichlet:{}".format, _LISTS)),
+    "dt": st.one_of(st.just("intrinsic"), st.builds("intrinsic:safety={}".format, _NUMBERS)),
+    "initial": st.sampled_from(["constant", "bump", "two-phase-sine", "ramp", "fourier"]),
+    "initial_params": st.builds("{}={}, {}={}".format, _WORDS, _NUMBERS, _WORDS, _LISTS),
+    "run": st.lists(st.sampled_from(sorted(cli.CHECK_LABELS)), max_size=3).map(", ".join),
+    "ladder": st.sampled_from(["dyadic2", "dyadic32", "dyadic3"]),
+}
+_KEYS = sorted((section, key) for section, keys in cli.KNOWN_KEYS.items() for key in keys)
+
+
+@st.composite
+def ini_configs(draw):
+    chosen = draw(st.lists(st.sampled_from(_KEYS), unique=True, max_size=10))
+    sections: dict[str, list[str]] = {}
+    for section, key in chosen:
+        kinds = [_NUMBERS, _WORDS, st.just(""), _LISTS]
+        if key in _SPECS:
+            kinds.append(_SPECS[key])
+        value = draw(st.one_of(*kinds))
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{section}]\n" + "".join(line + "\n" for line in lines) + "\n"
+                   for section, lines in sections.items())
+
+
+class TestConfigFuzz:
+    @given(text=ini_configs())
+    @example(text="[scenario]\ndim = 100000000000\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n")
+    @example(text="[scenario]\npreset = constant\nnodes = inf\n")
+    @example(text="[scenario]\nbeta = piecewise:1\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n")
+    @settings(max_examples=100, deadline=None)
+    def test_validate_exits_zero_or_two(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "config.ini"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) in (0, 2)
 
 
 class TestSweep:

@@ -2,10 +2,14 @@
 adaptive quadrature of the mollifier, primitives, and the beta maps."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
@@ -390,3 +394,98 @@ class TestTableLookups:
             assert np.all(np.isfinite(out[[0, 2, 3]]))
             assert math.isnan(fn(math.nan))
         assert math.isnan(graphs._step_cdf_primitive(math.nan))
+
+
+# ---------------------------------------------------------------------------
+# Table construction and interval index against scipy
+# ---------------------------------------------------------------------------
+
+@st.composite
+def uniform_samples(draw):
+    """Linspace knots over a random range, with data that is monotone with
+    flat runs or that turns, changes sign and repeats values, so every
+    interior and end rule of the PCHIP slopes runs."""
+    n = draw(st.integers(3, 60))
+    lo = draw(st.floats(-50.0, 50.0))
+    x = np.linspace(lo, lo + draw(st.floats(1e-3, 50.0)), n)
+    if draw(st.booleans()):
+        rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                              min_size=n - 1, max_size=n - 1))
+        y = np.concatenate([[draw(st.floats(-5.0, 5.0))], rises]).cumsum()
+        y = y if draw(st.booleans()) else -y
+    else:
+        y = np.asarray(draw(st.lists(st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0]),
+                                               st.floats(-5.0, 5.0)),
+                                     min_size=n, max_size=n)))
+    return x, y
+
+
+class TestTableBuild:
+    """The numpy build gives scipy's coefficients, antiderivative and
+    end value bit for bit, and the arithmetic index is scipy's search."""
+
+    # Both end rules: a one-sided slope of the wrong sign is zeroed (y[:3]),
+    # one past three secants at a turn is capped (y[-3:]).
+    @given(samples=uniform_samples())
+    @example(samples=(np.linspace(0.0, 4.0, 5), np.array([0.0, 1.0, 5.0, 13.0, 12.0])))
+    @example(samples=(np.linspace(-1.0, 1.0, 3), np.array([0.0, 0.0, 0.0])))
+    @settings(max_examples=150, deadline=None)
+    def test_pchip_and_antiderivative_match_scipy(self, samples):
+        x, y = samples
+        with np.errstate(all="ignore"):  # subnormal secants overflow 1/m
+            ref = PchipInterpolator(x, y)
+            coeffs = graphs._pchip(x, y)
+        ref_primitive = ref.antiderivative()
+        assert_same_bits(coeffs, ref.c[::-1])
+        primitive, right_value = graphs._antiderivative(x, coeffs)
+        assert_same_bits(primitive, ref_primitive.c[::-1])
+        assert_same_bits(right_value, ref_primitive(x[-1]))
+
+    @given(lo=st.floats(-100.0, 100.0), width=st.floats(1e-3, 100.0),
+           n=st.integers(3, 5000), ts=st.lists(st.floats(-200.0, 200.0), max_size=40),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_interval_is_searchsorted(self, lo, width, n, ts, data):
+        x = np.linspace(lo, lo + width, n)
+        table = graphs._HermiteTable(x, graphs._pchip(x, np.sin(x)), 0.0, 0.0)
+        inside = data.draw(st.lists(st.floats(x[0], x[-1]), max_size=40))
+        t = probe_points(x, ts + inside, np.array([1e300, np.inf]))
+        t = np.concatenate([t, [np.nan, x[0], x[-1]]])
+        t = np.maximum(t, x[0])
+        want = np.searchsorted(x, t, "right") - 1
+        assert np.array_equal(table._interval(t), want)
+        grid = t[: (t.size // 2) * 2].reshape(2, -1)
+        assert np.array_equal(table._interval(grid), want[: grid.size].reshape(grid.shape))
+        for s in (t[0], np.nan, np.inf, x[-1]):
+            assert table._interval(np.float64(s)) == np.searchsorted(x, s, "right") - 1
+
+    def test_shipped_tables_index_every_probe(self):
+        g = RegularizedGraph(a=0.1, latent_heat=0.6, eps=0.05,
+                             beta=BetaMap(kind="tanh", mu=0.5, tau=0.4))
+        for table in (graphs._step_cdf, graphs._step_cdf_primitive,
+                      g._step_of_temperature_primitive):
+            x = table._x
+            t = probe_points(x, np.linspace(x[0], x[-1], 1001), np.array([1e300, np.inf]))
+            t = np.maximum(np.concatenate([t, [np.nan]]), x[0])
+            assert np.array_equal(table._interval(t), np.searchsorted(x, t, "right") - 1)
+
+    def test_knots_must_be_uniform_and_increasing(self):
+        x = np.array([0.0, 0.1, 0.5, 1.0])
+        with pytest.raises(ValueError, match="uniform"):
+            graphs._HermiteTable(x, graphs._pchip(x, x), 1.0, 1.0)
+        with pytest.raises(ValueError, match="increasing"):
+            graphs._pchip(np.array([0.0, 1.0, 1.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="increasing"):
+            graphs._pchip(np.array([0.0, np.nan, 1.0]), np.zeros(3))
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # The tables are built in numpy; importing scipy.interpolate would
+    # bring back about half of the package's start-up time.
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    code = ("import sys; import stefanlab, stefanlab.cli, stefanlab.studies; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -51,6 +51,10 @@ class TestGrid:
         assert list(np.flatnonzero(shifted.ball_mask((0.5,), 0.25))) == [5, 6, 7, 8, 9]
         # x - 0.2 in [0.5, 1.1]: the nodes at 0.7 ... 1.0, boundary included
         assert list(np.flatnonzero(shifted.ball_mask((0.8,), 0.3))) == [7, 8, 9, 10]
+        # A centre needs one coordinate per axis; extra ones are not dropped.
+        for center in ((0.5, 0.5), ()):
+            with pytest.raises(ValueError):
+                plain.ball_mask(center, 0.25)
 
 
 class TestVectorField:
