@@ -26,9 +26,9 @@ from . import presets, studies, verify
 from .graphs import BetaMap, RegularizedGraph
 from .constants import fix_constants
 from .geometry import ModulusParams, cylinder
-from .solver import (Boundary, DtPolicy, Grid, InitialData, Scenario,
-                     SolverError, Tolerances, Trajectory, VectorField,
-                     conservation_defect, run_simulation)
+from .solver import (INITIAL_DATA, Boundary, DtPolicy, Grid, InitialData, Scenario,
+                     ScenarioValueError, SolverError, Tolerances, Trajectory,
+                     VectorField, conservation_defect, run_simulation)
 from .verify import CutoffSpec
 
 ENV_OUTPUT_ROOT = "STEFANLAB_OUTPUT_ROOT"
@@ -166,6 +166,8 @@ def parse_config(path: str | Path) -> RunConfig:
             scenario = _scenario_from_keys(sc_sec)
     except ConfigError:
         raise
+    except ScenarioValueError as err:
+        raise ConfigError(f"scenario.{err.key}", str(err)) from err
     except (LookupError, ValueError, TypeError, OverflowError) as err:
         raise ConfigError("scenario", str(err)) from err
 
@@ -254,8 +256,11 @@ def _scenario_from_keys(sec) -> Scenario:
         beta=beta,
     )
 
-    initial = InitialData.of(sec.get("initial", "constant"),
-                             **_parse_kv(sec.get("initial_params", "")))
+    initial_name = sec.get("initial", "constant")
+    if initial_name not in INITIAL_DATA:
+        raise ConfigError("scenario.initial", f"unknown initial data {initial_name!r}; "
+                                              f"known: {', '.join(INITIAL_DATA)}")
+    initial = InitialData.of(initial_name, **_parse_kv(sec.get("initial_params", "")))
 
     bdry_txt = sec.get("boundary", "zero-flux")
     if bdry_txt == "zero-flux":

@@ -36,6 +36,15 @@ current state and up to two earlier accepted states, evaluated at the new
 time (linear on the second step, quadratic after that).  Its error is
 O(dt^3) instead of the O(dt) of the previous state, so a step needs about
 half the Newton iterations; the minimizer it converges to is the same.
+
+A step evaluates nothing twice: `run_simulation` looks up e(u) once per
+accepted state and hands it to the next step as `e_old`, and each Newton
+system reuses the face gradients and |g|^{p-2} of the residual at the same
+iterate.  Step energies F are evaluated only on line-search trials the
+residual did not accept.  `StepDiag.energy_decreased` certifies
+F(u) <= F(u_start) + 1e-12 (1 + |F(u_start)|); by convexity it holds
+without evaluating F whenever r(u).(u_start - u) >= -1e-12 (see
+`_energy_decreased`).
 """
 from __future__ import annotations
 
@@ -178,6 +187,15 @@ def _freeze(v):
     return float(v) if isinstance(v, (int, float, np.floating)) else v
 
 
+class ScenarioValueError(ValueError):
+    """A scenario value outside its domain; `key` names the `Scenario`
+    field (and config key) it belongs to."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key} {message}")
+        self.key = key
+
+
 @dataclass(frozen=True)
 class DtPolicy:
     """Fixed steps, or intrinsic steps safety * h^p * osc(u)^{2-p}."""
@@ -185,6 +203,12 @@ class DtPolicy:
     kind: Literal["fixed", "intrinsic"] = "fixed"
     value: float = 1e-3
     safety: float = 0.5
+
+    def __post_init__(self):
+        for name in ("value", "safety"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ScenarioValueError("dt", f"{name} must be positive and finite, got {value!r}")
 
     def step(self, grid: Grid, p: float, u: np.ndarray, remaining: float) -> float:
         if self.kind == "fixed":
@@ -227,12 +251,12 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
-        if self.p < 2.0:
-            raise ValueError("exponent p must be >= 2")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not 2.0 <= self.p < math.inf:
+            raise ScenarioValueError("p", f"must be finite and >= 2, got {self.p!r}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ScenarioValueError("t_end", f"must be finite and nonnegative, got {self.t_end!r}")
         if self.store_every < 1:
-            raise ValueError("store_every must be >= 1")
+            raise ScenarioValueError("store_every", "must be >= 1")
         if self.field is None:
             self.field = VectorField((1.0,) * self.grid.dim)
         elif len(self.field.weights) != self.grid.dim:
@@ -271,7 +295,13 @@ class StepDiag:
     iteration cap before its forcing tolerance, or the direction was
     replaced by the diagonal step.  `linear_iterations` sums the CG
     iterations over the step's Newton solves (0 in 1D), `backtracks` the
-    line-search halvings."""
+    line-search halvings.
+
+    `energy_decreased` certifies that the step functional did not rise from
+    the Newton start to the accepted state, to within 1e-12 (1 + |F|).
+    Convexity settles it from the final residual alone when
+    r.(u_start - u) >= -1e-12; only otherwise are the two energies
+    evaluated (see `_energy_decreased`)."""
 
     iterations: int
     residual: float
@@ -361,54 +391,79 @@ class Trajectory:
 # Initial data builders
 # ---------------------------------------------------------------------------
 
+def _constant(grid: Grid, params: dict) -> np.ndarray:
+    return np.full(grid.shape, float(params.get("value", 0.0)))
+
+
+def _ramp(grid: Grid, params: dict) -> np.ndarray:
+    xs = grid.meshgrid()
+    lo = float(params.get("lo", 0.0))
+    hi = float(params.get("hi", 1.0))
+    axis = int(params.get("axis", 0))
+    return lo + (hi - lo) * xs[axis] / grid.extents[axis]
+
+
+def _bump(grid: Grid, params: dict) -> np.ndarray:
+    xs = grid.meshgrid()
+    base = float(params.get("base", 0.0))
+    amp = float(params.get("amplitude", 1.0))
+    width = float(params.get("width", 0.2))
+    center = params.get("center", tuple(e / 2 for e in grid.extents))
+    if np.ndim(center) == 0:
+        center = (float(center),) * grid.dim
+    d2 = sum((x - c) ** 2 for x, c in zip(xs, center))
+    prof = np.maximum(1.0 - d2 / width**2, 0.0)
+    return base + amp * prof**2
+
+
+def _fourier(grid: Grid, params: dict) -> np.ndarray:
+    xs = grid.meshgrid()
+    base = float(params.get("base", 0.0))
+    amps = params.get("amps", (1.0,))
+    freqs = params.get("freqs", (1.0,))
+    if np.ndim(amps) == 0:
+        amps = (float(amps),)
+    if np.ndim(freqs) == 0:
+        freqs = (float(freqs),)
+    out = np.full(grid.shape, base)
+    for amp, freq in zip(amps, freqs):
+        term = amp
+        for x, e in zip(xs, grid.extents):
+            term = term * np.cos(np.pi * freq * x / e)
+        out = out + term
+    return out
+
+
+def _two_phase_sine(grid: Grid, params: dict) -> np.ndarray:
+    xs = grid.meshgrid()
+    level = float(params.get("level", 0.0))
+    amp = float(params.get("amplitude", 0.5))
+    periods = float(params.get("periods", 2.0))
+    tilt = float(params.get("tilt", 0.0))
+    out = np.full(grid.shape, level)
+    wave = amp
+    for x, e in zip(xs, grid.extents):
+        wave = wave * np.cos(np.pi * periods * x / e)
+    out = out + wave + tilt * (xs[0] / grid.extents[0] - 0.5)
+    return out
+
+
+# Initial-data name -> builder(grid, params); `build_initial` and the config
+# parser both read the names from here.
+INITIAL_DATA: dict[str, Callable[[Grid, dict], np.ndarray]] = {
+    "constant": _constant,
+    "ramp": _ramp,
+    "bump": _bump,
+    "fourier": _fourier,
+    "two-phase-sine": _two_phase_sine,
+}
+
+
 def build_initial(grid: Grid, spec: InitialData) -> np.ndarray:
     """Evaluate a named initial-data preset on the grid."""
-    params = spec.as_dict()
-    xs = grid.meshgrid()
-    if spec.name == "constant":
-        return np.full(grid.shape, float(params.get("value", 0.0)))
-    if spec.name == "ramp":
-        lo = float(params.get("lo", 0.0))
-        hi = float(params.get("hi", 1.0))
-        axis = int(params.get("axis", 0))
-        return lo + (hi - lo) * xs[axis] / grid.extents[axis]
-    if spec.name == "bump":
-        base = float(params.get("base", 0.0))
-        amp = float(params.get("amplitude", 1.0))
-        width = float(params.get("width", 0.2))
-        center = params.get("center", tuple(e / 2 for e in grid.extents))
-        if np.ndim(center) == 0:
-            center = (float(center),) * grid.dim
-        d2 = sum((x - c) ** 2 for x, c in zip(xs, center))
-        prof = np.maximum(1.0 - d2 / width**2, 0.0)
-        return base + amp * prof**2
-    if spec.name == "fourier":
-        base = float(params.get("base", 0.0))
-        amps = params.get("amps", (1.0,))
-        freqs = params.get("freqs", (1.0,))
-        if np.ndim(amps) == 0:
-            amps = (float(amps),)
-        if np.ndim(freqs) == 0:
-            freqs = (float(freqs),)
-        out = np.full(grid.shape, base)
-        for amp, freq in zip(amps, freqs):
-            term = amp
-            for x, e in zip(xs, grid.extents):
-                term = term * np.cos(np.pi * freq * x / e)
-            out = out + term
-        return out
-    if spec.name == "two-phase-sine":
-        level = float(params.get("level", 0.0))
-        amp = float(params.get("amplitude", 0.5))
-        periods = float(params.get("periods", 2.0))
-        tilt = float(params.get("tilt", 0.0))
-        out = np.full(grid.shape, level)
-        wave = amp
-        for x, e in zip(xs, grid.extents):
-            wave = wave * np.cos(np.pi * periods * x / e)
-        out = out + wave + tilt * (xs[0] / grid.extents[0] - 0.5)
-        return out
-    raise ValueError(f"unknown initial data preset {spec.name!r}")
+    if spec.name not in INITIAL_DATA:
+        raise ValueError(f"unknown initial data preset {spec.name!r}")
+    return INITIAL_DATA[spec.name](grid, spec.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +509,14 @@ class _Faces:
         """|g|^{p-2} g, the unweighted flux of a gradient component."""
         return np.abs(g) ** (self.p - 2.0) * g
 
-    def fluxes(self, u: np.ndarray) -> list[np.ndarray]:
-        """Per-axis face fluxes coef * |du/h|^{p-2} du/h."""
-        return [c * self.law(g) for c, g in zip(self.coef, self.gradients(u))]
+    def powers(self, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per axis, the face gradients g = du/h and |g|^{p-2}: all that
+        `fluxes` and `newton_weights` need of u."""
+        return [(g, np.abs(g) ** (self.p - 2.0)) for g in self.gradients(u)]
+
+    def fluxes(self, powers) -> list[np.ndarray]:
+        """Per-axis face fluxes coef * |g|^{p-2} g from `powers(u)`."""
+        return [c * (a * g) for c, (g, a) in zip(self.coef, powers)]
 
     @staticmethod
     def divergence(f: np.ndarray, axis: int) -> np.ndarray:
@@ -482,11 +542,12 @@ class _Faces:
             total += ((np.abs(g) ** self.p / self.p * c) * self.h).sum()
         return total
 
-    def newton_weights(self, u: np.ndarray, sigma: float) -> list[np.ndarray]:
-        """Face weights (p-1) max(|du/h|^{p-2}, sigma) coef / h of the flux
-        Jacobian, floored at sigma so the Newton matrix stays definite."""
-        return [np.maximum(np.abs(g) ** (self.p - 2.0), sigma) * (self.p - 1.0) * c / self.h
-                for c, g in zip(self.coef, self.gradients(u))]
+    def newton_weights(self, powers, sigma: float) -> list[np.ndarray]:
+        """Face weights (p-1) max(|g|^{p-2}, sigma) coef / h of the flux
+        Jacobian from `powers(u)`, floored at sigma so the Newton matrix
+        stays definite."""
+        return [np.maximum(a, sigma) * (self.p - 1.0) * c / self.h
+                for c, (_, a) in zip(self.coef, powers)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,34 +580,39 @@ class _StepProblem:
         bulk = (self.vol * (g.enthalpy_primitive_of_temperature(u) - self.e_old * u)).sum()
         return float(bulk + self.dt * self.faces.energy(u))
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
+    def gradient(self, u: np.ndarray) -> tuple[np.ndarray, list]:
+        """The gradient r at u (zero at the pins) and the face powers
+        `_Faces.powers(u)` it was built from, which the Newton system at
+        the same u reuses."""
         g = self.sc.graph
+        powers = self.faces.powers(u)
         r = self.vol * (g.enthalpy_of_temperature(u) - self.e_old)
-        for ax, f in enumerate(self.faces.fluxes(u)):
+        for ax, f in enumerate(self.faces.fluxes(powers)):
             r -= self.dt * self.faces.divergence(f, ax)
         if self.pin_mask is not None:
             r[self.pin_mask] = 0.0
-        return r
+        return r, powers
 
-    def residual(self, u: np.ndarray) -> tuple[np.ndarray, float]:
-        """The gradient r at u and its max-norm per volume, the quantity
-        every step tolerance is stated in."""
-        r = self.gradient(u)
-        return r, float(np.max(np.abs(r / self.vol)))
+    def residual(self, u: np.ndarray) -> tuple[np.ndarray, float, list]:
+        """The gradient r at u, its max-norm per volume (the quantity every
+        step tolerance is stated in) and the face powers at u."""
+        r, powers = self.gradient(u)
+        return r, float(np.max(np.abs(r / self.vol))), powers
 
     def solve_newton_system(
-        self, u: np.ndarray, r: np.ndarray, sigma: float, rtol: float
+        self, u: np.ndarray, r: np.ndarray, powers, sigma: float, rtol: float
     ) -> tuple[np.ndarray, bool]:
         """Newton direction d and whether the linear solve met its tolerance.
 
-        The 2D CG stops at relative residual `rtol`; the direct 1D solve
+        `powers` are the face powers at u that `gradient(u)` returned.  The
+        2D CG stops at relative residual `rtol`; the direct 1D solve
         ignores it.  An unconverged 2D direction is still a descent
         direction (see `_pcg`); the flag lets the caller report it.  CG
         iterations accumulate in `self.linear_iterations`.
         """
         g = self.sc.graph
         diag = self.vol * g.enthalpy_prime_of_temperature(u)
-        coeffs = [self.dt * c for c in self.faces.newton_weights(u, sigma)]
+        coeffs = [self.dt * c for c in self.faces.newton_weights(powers, sigma)]
         if self.grid.dim == 1:
             return self._solve_1d(diag, coeffs[0], r), True
         return self._solve_2d(diag, coeffs, r, rtol)
@@ -683,7 +749,8 @@ def _dirichlet_arrays(scenario: Scenario):
 
 
 def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
-                  start: np.ndarray | None = None) -> tuple[np.ndarray, StepDiag]:
+                  start: np.ndarray | None = None, *,
+                  e_old: np.ndarray | None = None) -> tuple[np.ndarray, StepDiag]:
     """One backward-Euler step solved to near machine precision.
 
     Newton starts from `start` (pins applied) or, when it is None or not
@@ -691,17 +758,21 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     iteration first meets the scale-free tolerance
     step_rtol * (1 + max|e_old|) on the per-volume residual, then keeps
     polishing while progress continues; the tiny extra cost buys exact-level
-    enthalpy conservation over whole runs.
+    enthalpy conservation over whole runs.  `e_old` is e(u_old) when the
+    caller already holds it; it is looked up when None.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if not np.all(np.isfinite(u_old)):
         raise NonfiniteValueError("non-finite state entering implicit step")
     if start is not None and np.shape(start) != u_old.shape:
         raise ShapeMismatchError("start iterate shape does not match the state")
+    if e_old is not None and np.shape(e_old) != u_old.shape:
+        raise ShapeMismatchError("e_old shape does not match the state")
     tol = scenario.tolerances
     g = scenario.graph
-    e_old = g.enthalpy_of_temperature(u_old)
+    if e_old is None:
+        e_old = g.enthalpy_of_temperature(u_old)
     prob = _StepProblem(scenario, e_old, dt)
     if start is None or not np.all(np.isfinite(start)):
         start = u_old
@@ -712,9 +783,10 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     polish_tol = tol.polish_rtol * scale
 
     u_start = u
-    r, res = prob.residual(u)
-    # Step energies are evaluated only where a decision needs them: the
-    # start, the end, and trials the residual did not accept.
+    r, res, powers = prob.residual(u)
+    # Step energies are evaluated only where a decision needs them: trials
+    # the residual did not accept, and `_energy_decreased` when convexity
+    # alone does not settle the flag.
     f_start = f_val = None
     used_fallback = False
     prev_res = math.inf
@@ -735,7 +807,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         prev_res = res
         try:
             d, solved = prob.solve_newton_system(
-                u, r, tol.newton_sigma, _forcing_term(res, scale, polish_tol))
+                u, r, powers, tol.newton_sigma, _forcing_term(res, scale, polish_tol))
         except (np.linalg.LinAlgError, ValueError):
             d, solved = None, False
         used_fallback |= not solved
@@ -750,9 +822,9 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         for _ in range(tol.max_backtracks):
             u_try = u - t * d
             if np.all(np.isfinite(u_try)):
-                r_try, res_try = prob.residual(u_try)
+                r_try, res_try, powers_try = prob.residual(u_try)
                 if res_try < best_res:
-                    u, r, res, f_val = u_try, r_try, res_try, None
+                    u, r, res, powers, f_val = u_try, r_try, res_try, powers_try, None
                     best_res = res
                     accepted = True
                     break
@@ -762,7 +834,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
                         f_start = f_val
                 f_try = prob.energy(u_try)
                 if f_try < f_val:
-                    u, r, res, f_val = u_try, r_try, res_try, f_try
+                    u, r, res, powers, f_val = u_try, r_try, res_try, powers_try, f_try
                     accepted = True
                     break
             t *= 0.5
@@ -776,20 +848,45 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         raise MaxIterationsError(
             f"implicit step failed to reach tolerance ({res:.3e} > {accept_tol:.3e})"
         )
-    if f_start is None:
-        f_start = prob.energy(u_start)
-    if f_val is None:
-        f_val = prob.energy(u)
     diag = StepDiag(
         iterations=it,
         residual=res,
         tolerance=accept_tol,
-        energy_decreased=f_val <= f_start + 1e-12 * (1.0 + abs(f_start)),
+        energy_decreased=_energy_decreased(prob, u_start, u, r, f_start, f_val),
         used_fallback=used_fallback,
         linear_iterations=prob.linear_iterations,
         backtracks=backtracks,
     )
     return u, diag
+
+
+# Slack of the energy-decrease flag: F(u) may exceed F(u_start) by this much
+# times 1 + |F(u_start)| and still count as a decrease.
+_ENERGY_SLACK = 1e-12
+
+
+def _energy_decreased(prob: _StepProblem, u_start: np.ndarray, u: np.ndarray,
+                      r: np.ndarray, f_start: float | None, f_val: float | None) -> bool:
+    """Whether F(u) <= F(u_start) + 1e-12 (1 + |F(u_start)|) for the step
+    functional F of `prob`, with r its gradient at u.
+
+    F is convex and r is its exact gradient (`r` is zero at the pins, where
+    u_start and u agree), so F(u_start) >= F(u) + r.(u_start - u): when
+    that product is at least -1e-12 the flag holds and no energy is
+    evaluated.  Otherwise, or when the line search already evaluated both
+    F(u_start) and F(u) (`f_start`, `f_val`, None where it did not), the
+    flag is computed from the two energies.  The bound is exact for the
+    primitive of e; `prob.energy` evaluates the E table, whose slope
+    agrees with e to better than 1e-9 on the headline graphs.
+    """
+    if f_start is None or f_val is None:
+        if float(np.sum(r * (u_start - u))) >= -_ENERGY_SLACK:
+            return True
+        if f_start is None:
+            f_start = prob.energy(u_start)
+        if f_val is None:
+            f_val = prob.energy(u)
+    return f_val <= f_start + _ENERGY_SLACK * (1.0 + abs(f_start))
 
 
 def _extrapolate(u: np.ndarray, dt: float, past: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -823,7 +920,10 @@ def run_simulation(scenario: Scenario) -> Trajectory:
     g = scenario.graph
     times = [0.0]
     temps = [u.copy()]
-    enths = [np.asarray(g.enthalpy_of_temperature(u))]
+    # e(u) is looked up once per accepted state: stored when the state is,
+    # and passed to the next step as its e_old.
+    e = np.asarray(g.enthalpy_of_temperature(u))
+    enths = [e]
     diags: list[StepDiag] = []
     past: list[tuple[np.ndarray, float]] = []   # earlier states for the Newton start
     t = 0.0
@@ -834,7 +934,7 @@ def run_simulation(scenario: Scenario) -> Trajectory:
         if dt <= 0.0:
             raise SolverError("time step collapsed to zero", time=t)
         try:
-            u_new, diag = implicit_step(u, dt, scenario, _extrapolate(u, dt, past))
+            u_new, diag = implicit_step(u, dt, scenario, _extrapolate(u, dt, past), e_old=e)
         except SolverError as err:
             raise type(err)(str(err), time=t + dt) from err
         past = [(u, dt)] + past[:1]
@@ -842,10 +942,11 @@ def run_simulation(scenario: Scenario) -> Trajectory:
         t += dt
         step_index += 1
         diags.append(diag)
+        e = np.asarray(g.enthalpy_of_temperature(u))
         if step_index % scenario.store_every == 0 or t >= t_final * (1.0 - 1e-12):
             times.append(t)
             temps.append(u.copy())
-            enths.append(np.asarray(g.enthalpy_of_temperature(u)))
+            enths.append(e)
     return Trajectory(
         scenario=scenario,
         grid=grid,

@@ -263,7 +263,7 @@ def _discrete_weak_residuals(
             dt_m = float(times[m] - times[m - 1])
             steps = [phi - prev for phi, prev in zip(phis, prev_phis)]
             dphis = [faces.gradients(phi) for phi in phis]
-            fluxes = [faces.fluxes(fields[m]) for fields in field_sets]
+            fluxes = [faces.fluxes(faces.powers(fields[m])) for fields in field_sets]
             for s, k in pairs:
                 time_terms[s, k].append(-float(np.sum(prev_weighted[s] * steps[k])))
                 term = 0.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stefanlab import cli, presets
+from stefanlab import cli, presets, solver
 from stefanlab.solver import run_simulation
 
 
@@ -269,6 +269,45 @@ directory = {out}
         assert record["code"] == 2
         assert record["field"] == "scenario.step_rtol"
         assert "positive and finite" in record["message"]
+
+    @pytest.mark.parametrize("line", [
+        "p = nan", "p = inf", "t_end = nan", "t_end = inf", "dt = nan", "dt = inf",
+        "dt = 0", "dt = -1", "dt = intrinsic:safety=nan", "dt = intrinsic:safety=0",
+        "preset = constant\nt_end = nan", "preset = constant\ndt = 0"])
+    def test_scenario_value_out_of_domain_exit_two(self, tmp_path, capsys, line):
+        # Without the check, NaN values ran to exit 0 with every check
+        # passing, t_end = inf never ended, and dt <= 0 failed as a solver
+        # error (exit 3).
+        key = line.split("\n")[-1].split(" = ")[0]
+        if line.startswith("preset"):
+            text = f"[scenario]\n{line}\n"
+        else:
+            keys = {"dim": "1", "nodes": "11", "p": "3.0", "t_end": "0.004", "dt": "1e-3",
+                    key: line.split(" = ", 1)[1]}
+            text = "[scenario]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        path = _write(tmp_path, text + "[checks]\nrun = conservation\n")
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == f"scenario.{key}"
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["code"] == 2
+        assert record["field"] == f"scenario.{key}"
+
+    @pytest.mark.parametrize("name", [*sorted(solver.INITIAL_DATA), "foo"])
+    def test_initial_data_names_from_the_solver_table(self, tmp_path, capsys, name):
+        path = _write(tmp_path, "[scenario]\ndim = 1\nnodes = 11\np = 3.0\nt_end = 0.002\n"
+                                f"dt = 1e-3\ninitial = {name}\n[checks]\nrun = conservation\n")
+        out = tmp_path / "out"
+        if name in solver.INITIAL_DATA:
+            assert cli.main(["run", str(path), "--output", str(out)]) == 0
+            return
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == "scenario.initial"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["code"] == 2
+        assert record["field"] == "scenario.initial"
 
     @pytest.mark.parametrize("line", [
         "p = 3.0", "field = anisotropic:5.0", "beta = tanh:0.4,0.5",

@@ -86,7 +86,7 @@ class TestVectorField:
 def divergence_per_volume(u, p, grid):
     """Net face flux per unit volume, the operator the step residual uses."""
     faces = solver._Faces(grid, p, (1.0,) * grid.dim)
-    div = sum(faces.divergence(f, ax) for ax, f in enumerate(faces.fluxes(u)))
+    div = sum(faces.divergence(f, ax) for ax, f in enumerate(faces.fluxes(faces.powers(u))))
     return div / grid.volume_weights()
 
 
@@ -152,7 +152,7 @@ class TestPLaplacianApply:
         grid = Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes)
         faces = solver._Faces(grid, p, weights[:grid.dim])
         u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=grid.shape)
-        fluxes = faces.fluxes(u)
+        fluxes = faces.fluxes(faces.powers(u))
         div = sum(faces.divergence(f, ax) for ax, f in enumerate(fluxes))
         # No flux leaves the domain: the volume sum of the divergence is 0.
         scale = max(1.0, sum(float(np.sum(np.abs(f))) for f in fluxes))
@@ -384,7 +384,7 @@ class TestNewtonSolve1D:
         u = build_initial(sc.grid, sc.initial)
         prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u), 1e-3)
         with pytest.raises(np.linalg.LinAlgError):
-            prob._solve_1d(np.zeros(21), np.zeros(20), prob.gradient(u))
+            prob._solve_1d(np.zeros(21), np.zeros(20), prob.gradient(u)[0])
 
     def test_singular_system_takes_reported_fallback(self, monkeypatch):
         sc = presets.twophase_1d(nodes=41)
@@ -417,13 +417,14 @@ class TestNewtonSolve1D:
 
 
 def newton_state_2d(p, boundary):
-    """A 21x21 two-phase state, its step problem and its Newton residual."""
+    """A 21x21 two-phase state, its step problem, its Newton residual and
+    the face powers the residual was built from."""
     sc = presets.twophase_2d(p=p, nodes=21)
     sc.boundary = boundary
     u = build_initial(sc.grid, sc.initial)
     prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u), sc.dt.value)
     u = prob.apply_pins(u)
-    return prob, u, prob.gradient(u)
+    return (prob, u, *prob.gradient(u))
 
 
 def dense_newton_matrix(prob, u, sigma):
@@ -431,7 +432,7 @@ def dense_newton_matrix(prob, u, sigma):
     n = u.size
     idx = np.arange(n).reshape(u.shape)
     mat = np.diag((prob.vol * prob.sc.graph.enthalpy_prime_of_temperature(u)).ravel())
-    for ax, c in enumerate(prob.faces.newton_weights(u, sigma)):
+    for ax, c in enumerate(prob.faces.newton_weights(prob.faces.powers(u), sigma)):
         c = prob.dt * c
         lo = np.take(idx, range(u.shape[ax] - 1), axis=ax).ravel()
         hi = np.take(idx, range(1, u.shape[ax]), axis=ax).ravel()
@@ -456,9 +457,9 @@ class TestNewtonDirection2D:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("boundary", BOUNDARIES_2D, ids=lambda b: b.kind)
     def test_matches_dense_solve(self, p, boundary):
-        prob, u, r = newton_state_2d(p, boundary)
+        prob, u, r, powers = newton_state_2d(p, boundary)
         sigma = prob.sc.tolerances.newton_sigma
-        d, solved = prob.solve_newton_system(u, r, sigma, solver._PCG_RTOL)
+        d, solved = prob.solve_newton_system(u, r, powers, sigma, solver._PCG_RTOL)
         rhs = r.ravel().copy()
         if prob.pin_mask is not None:
             rhs[prob.pin_mask.ravel()] = 0.0
@@ -472,8 +473,8 @@ class TestNewtonDirection2D:
         pcg = solver._pcg
         monkeypatch.setattr(solver, "_pcg", lambda apply, b, inv_diag, rtol, max_iter:
                             pcg(apply, b, inv_diag, rtol, 1))
-        prob, u, r = newton_state_2d(3.0, Boundary())
-        d, solved = prob.solve_newton_system(u, r, prob.sc.tolerances.newton_sigma,
+        prob, u, r, powers = newton_state_2d(3.0, Boundary())
+        d, solved = prob.solve_newton_system(u, r, powers, prob.sc.tolerances.newton_sigma,
                                              solver._PCG_RTOL)
         assert not solved
         assert np.all(np.isfinite(d))
@@ -520,9 +521,10 @@ class TestInexactNewton:
         for _ in range(3):
             calls.update(energy=0, gradient=0)
             u, diag = implicit_step(u, 1e-3, sc)
-            # One residual at the start plus one accepted trial per iteration.
+            # One residual at the start plus one accepted trial per iteration;
+            # convexity settles the energy-decrease flag without an energy.
             assert diag.iterations > 0 and calls["gradient"] == 1 + diag.iterations
-            assert calls["energy"] == 2
+            assert calls["energy"] == 0
             assert diag.energy_decreased
 
     def test_non_decreasing_residual_still_accepts_on_energy(self, monkeypatch):
@@ -534,8 +536,8 @@ class TestInexactNewton:
 
         def first_trial_not_lower(prob, u):
             seen["residual"] += 1
-            r, res = residual(prob, u)
-            return r, (math.inf if seen["residual"] == 2 else res)
+            r, res, powers = residual(prob, u)
+            return r, (math.inf if seen["residual"] == 2 else res), powers
 
         def counted_energy(prob, u):
             seen["energy"] += 1
@@ -545,8 +547,8 @@ class TestInexactNewton:
         monkeypatch.setattr(solver._StepProblem, "energy", counted_energy)
         u1, diag = implicit_step(u0, 5e-4, sc)
         # The first full step is taken on its energy decrease: the start and
-        # the trial energy, then the final one; no step is halved.
-        assert seen["energy"] == 3
+        # the trial energy; convexity settles the final flag; no step is halved.
+        assert seen["energy"] == 2
         assert seen["residual"] == 1 + diag.iterations
         assert diag.backtracks == 0
         assert diag.energy_decreased and diag.residual <= diag.tolerance
@@ -668,8 +670,8 @@ class TestLineSearch:
 
         def rejected_residual(prob, u):
             calls["residual"] += 1
-            r, res = residual(prob, u)
-            return r, (math.inf if calls["residual"] in (2, 3) else res)
+            r, res, powers = residual(prob, u)
+            return r, (math.inf if calls["residual"] in (2, 3) else res), powers
 
         def rejected_energy(prob, u):
             calls["energy"] += 1
@@ -684,6 +686,123 @@ class TestLineSearch:
         ref, ref_diag = implicit_step(u0, 5e-4, sc)
         assert ref_diag.backtracks == 0
         assert np.max(np.abs(u1 - ref)) <= 1e-12
+
+
+@st.composite
+def step_cases(draw):
+    """A small random 1D or 2D scenario, zero-flux or Dirichlet, and a step."""
+    dim = draw(st.sampled_from([1, 2]))
+    nodes = tuple(draw(st.integers(5, 31 if dim == 1 else 11)) for _ in range(dim))
+    h = 1.0 / 10
+    boundary = Boundary()
+    if draw(st.booleans()):
+        ends = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+        boundary = Boundary(kind="dirichlet", values=tuple(draw(ends) for _ in range(dim)))
+    modes = draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 3)),
+                          min_size=1, max_size=3))
+    sc = Scenario(
+        grid=Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes),
+        p=draw(st.floats(2.0, 4.0)),
+        graph=RegularizedGraph(a=0.0, latent_heat=draw(st.floats(0.1, 1.0)),
+                               eps=draw(st.floats(0.02, 0.2))),
+        initial=InitialData.of("fourier", base=draw(st.floats(-0.3, 0.3)),
+                               amps=tuple(m[0] for m in modes),
+                               freqs=tuple(m[1] for m in modes)),
+        boundary=boundary,
+    )
+    return sc, draw(st.floats(1e-4, 5e-3))
+
+
+def two_energy_flag(prob, u_start, u):
+    """The energy-decrease flag from both step energies, the reference."""
+    f_start, f_end = prob.energy(u_start), prob.energy(u)
+    return f_end <= f_start + 1e-12 * (1.0 + abs(f_start))
+
+
+class TestEnergyFlag:
+    @given(case=step_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_flag_matches_two_energies_and_e_old_is_reused(self, case):
+        sc, dt = case
+        u0 = build_initial(sc.grid, sc.initial)
+        u1, _ = implicit_step(u0, dt, sc)
+        # From the previous state, then from a start close to the minimizer.
+        for u_old, start in ((u0, None), (u1, solver._extrapolate(u1, dt, [(u0, dt)]))):
+            e_old = sc.graph.enthalpy_of_temperature(u_old)
+            u, diag = implicit_step(u_old, dt, sc, start, e_old=e_old)
+            u_ref, diag_ref = implicit_step(u_old, dt, sc, start)
+            assert np.array_equal(u, u_ref) and diag == diag_ref
+            prob = solver._StepProblem(sc, e_old, dt)
+            u_start = prob.apply_pins(np.array(u_old if start is None else start))
+            expected = two_energy_flag(prob, u_start, u)
+            assert diag.energy_decreased == expected
+            r, _ = prob.gradient(u)
+            assert solver._energy_decreased(prob, u_start, u, r, None, None) == expected
+
+    def test_end_pushed_off_the_minimizer_evaluates_both_energies(self, monkeypatch):
+        sc = presets.twophase_1d(nodes=41)
+        dt = 5e-4
+        u0 = build_initial(sc.grid, sc.initial)
+        u_min, _ = implicit_step(u0, dt, sc)
+        prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u0), dt)
+        u_off = u_min + 0.05 * np.cos(3.0 * np.pi * sc.grid.axes()[0])
+        r_off, _ = prob.gradient(u_off)
+        r_min, _ = prob.gradient(u_min)
+        # Started at the minimizer and ended off it: the convexity bound is
+        # inconclusive, and F went up.
+        assert float(np.sum(r_off * (u_min - u_off))) < -1e-12
+        assert not two_energy_flag(prob, u_min, u_off)
+        energy = solver._StepProblem.energy
+        calls = []
+
+        def counted_energy(prob, u):
+            calls.append(u)
+            return energy(prob, u)
+
+        monkeypatch.setattr(solver._StepProblem, "energy", counted_energy)
+        assert not solver._energy_decreased(prob, u_min, u_off, r_off, None, None)
+        assert len(calls) == 2
+        # Energies the line search already has are not evaluated again.
+        f_min, f_off = energy(prob, u_min), energy(prob, u_off)
+        assert not solver._energy_decreased(prob, u_min, u_off, r_off, f_min, None)
+        assert len(calls) == 3
+        assert not solver._energy_decreased(prob, u_min, u_off, r_off, f_min, f_off)
+        assert len(calls) == 3
+        # Ended at the minimizer: the bound settles the flag with no energy.
+        assert solver._energy_decreased(prob, u_off, u_min, r_min, None, None)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("store_every", [1, 3])
+    def test_one_enthalpy_lookup_per_state(self, monkeypatch, store_every):
+        sc = replace(presets.twophase_1d(nodes=21, t_end=5e-3, dt=5e-4),
+                     store_every=store_every)
+        lookup, gradient = RegularizedGraph.enthalpy_of_temperature, solver._StepProblem.gradient
+        in_gradient, outside = [], []
+
+        def counted_lookup(graph, u):
+            if not in_gradient:
+                outside.append(u)
+            return lookup(graph, u)
+
+        def marked_gradient(prob, u):
+            in_gradient.append(u)
+            try:
+                return gradient(prob, u)
+            finally:
+                in_gradient.pop()
+
+        monkeypatch.setattr(RegularizedGraph, "enthalpy_of_temperature", counted_lookup)
+        monkeypatch.setattr(solver._StepProblem, "gradient", marked_gradient)
+        traj = run_simulation(sc)
+        assert len(outside) == len(traj.diagnostics) + 1
+        for u, e in zip(traj.temps, traj.enthalpies):
+            assert np.array_equal(e, lookup(sc.graph, u))
+
+    def test_e_old_shape_checked(self):
+        sc = presets.twophase_1d(nodes=21)
+        u0 = build_initial(sc.grid, sc.initial)
+        with pytest.raises(ShapeMismatchError):
+            implicit_step(u0, 1e-3, sc, e_old=np.zeros(20))
 
 
 def neumann_front_factor(hot, jump, cold, latent):
