@@ -14,22 +14,25 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import presets, studies, verify
 from .graphs import BetaMap, RegularizedGraph
-from .constants import fix_constants
+from .constants import ConstantsLedger, fix_constants
 from .geometry import ModulusParams, cylinder
 from .solver import (INITIAL_DATA, Boundary, DtPolicy, Grid, InitialData, Scenario,
-                     ScenarioValueError, SolverError, Tolerances, Trajectory,
-                     VectorField, conservation_defect, run_simulation)
-from .verify import CutoffSpec
+                     ScenarioValueError, SolverError, SpaceTimeBump, Tolerances, Trajectory,
+                     VectorField, build_initial, conservation_defect, run_simulation,
+                     weak_form_residual)
 
 ENV_OUTPUT_ROOT = "STEFANLAB_OUTPUT_ROOT"
 
@@ -44,21 +47,6 @@ CHECK_LABELS = {
     "modulus": "oscillation ladder against the log-power modulus",
 }
 
-KNOWN_KEYS = {
-    "scenario": {
-        "preset", "dim", "nodes", "extent", "p", "latent_heat", "jump_location",
-        "mollify_eps", "beta", "field", "initial", "initial_params", "boundary",
-        "t_end", "dt", "store_every", "step_rtol", "label",
-    },
-    "modulus": {"r0", "center", "l_prefactor", "alpha_if_p_eq_n", "ladder",
-                "ladder_depth"},
-    "constants": {"c0", "c1", "c2", "c3", "theta1", "theta2", "varsigma",
-                  "nu_star"},
-    "checks": {"run", "seed"},
-    "output": {"directory", "snapshot_stride"},
-    "sweep": {"axis", "values"},
-}
-
 
 class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
@@ -66,37 +54,49 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
-@dataclass
-class RunConfig:
-    scenario: Scenario
-    modulus_r0: float
-    modulus_center: tuple[float, ...]
-    modulus_L: float | None
-    alpha_if_p_eq_n: float
-    ladder: str
-    ladder_depth: int | None
-    constants_kwargs: dict
-    checks: list[str]
-    seed: int
-    output_dir: Path
-    snapshot_stride: int
-    raw: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _parse_named(field_name: str, parse, text):
-    """`parse(text)`, with a failure reported as a ConfigError naming the field."""
+def _named(field_name: str, fn, *args):
+    """`fn(*args)`, with a failure reported as a ConfigError naming the field."""
     try:
-        return parse(text)
+        return fn(*args)
     except (LookupError, ValueError, TypeError, OverflowError) as err:
         raise ConfigError(field_name, str(err)) from err
+
+
+# ---------------------------------------------------------------------------
+# Parsing.  Each value parser returns the parsed value or raises ValueError
+# for text outside its key's domain.
+# ---------------------------------------------------------------------------
+
+def _number(convert, ok, domain: str):
+    def parse(text: str):
+        x = convert(text)
+        if not ok(x):
+            raise ValueError(f"must be {domain}, got {text!r}")
+        return x
+    return parse
+
+
+def _one_of(choices, what: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"unknown {what} {text!r}; known: {', '.join(map(str, choices))}")
+        return text
+    return parse
+
+
+def _list_of(choices, what: str):
+    def parse(text: str) -> list[str]:
+        return [_one_of(choices, what)(t.strip()) for t in text.split(",") if t.strip()]
+    return parse
+
+
+_finite = _number(float, math.isfinite, "finite")
+_positive = _number(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+_count = _number(int, lambda n: n >= 0, "a nonnegative integer")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_finite(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_kv(text: str) -> dict:
@@ -109,24 +109,142 @@ def _parse_kv(text: str) -> dict:
             raise ValueError(f"expected key=value, got {item!r}")
         k, v = item.split("=", 1)
         toks = v.strip().split()
-        out[k.strip()] = float(toks[0]) if len(toks) == 1 else tuple(map(float, toks))
+        out[k.strip()] = _finite(toks[0]) if len(toks) == 1 else tuple(map(_finite, toks))
     return out
 
 
-# Scenario keys a preset takes as overrides: INI key -> (preset argument,
-# parser).  store_every, label and step_rtol apply to presets and explicit
-# scenarios alike.  Any other scenario key is rejected next to a preset.
-PRESET_OVERRIDES = {
-    "nodes": ("nodes", lambda t: int(float(t.split(",")[0]))),
-    "mollify_eps": ("eps", float),
-    "latent_heat": ("latent_heat", float),
-    "t_end": ("t_end", float),
-    "dt": ("dt", float),
+def _beta(text: str) -> BetaMap:
+    if text == "identity":
+        return BetaMap()
+    if text.startswith("tanh:"):
+        mu, tau = _floats(text.split(":", 1)[1])
+        return BetaMap(kind="tanh", mu=mu, tau=tau)
+    if text.startswith("piecewise:"):
+        # format: piecewise:-1/-0.5,0/0,1/2 - knot/value pairs
+        pairs = [q.split("/") for q in text.split(":", 1)[1].split(",") if q.strip()]
+        return BetaMap(kind="piecewise", knots=tuple(_finite(q[0]) for q in pairs),
+                       values=tuple(_finite(q[1]) for q in pairs))
+    raise ValueError(f"unknown beta spec {text!r}")
+
+
+def _field(text: str) -> VectorField | None:
+    if text == "p-laplacian":
+        return None
+    if text.startswith("anisotropic:"):
+        return VectorField(_floats(text.split(":", 1)[1]))
+    raise ValueError(f"unknown field spec {text!r}")
+
+
+def _boundary(text: str) -> tuple[tuple[float, float], ...] | None:
+    """None for zero-flux, else Dirichlet (low, high) values for axes 0 and 1."""
+    if text == "zero-flux":
+        return None
+    if not text.startswith("dirichlet:"):
+        raise ValueError(f"unknown boundary spec {text!r}")
+    kv = _parse_kv(text.split(":", 1)[1])
+    for end in kv:
+        _one_of(("left", "right", "lo0", "hi0", "lo1", "hi1"), "boundary end")(end)
+    return tuple((float(kv.get(f"lo{ax}", kv.get("left", 0.0))),
+                  float(kv.get(f"hi{ax}", kv.get("right", 0.0)))) for ax in (0, 1))
+
+
+def _dt(text: str) -> DtPolicy:
+    if not text.startswith("intrinsic"):
+        return DtPolicy(value=float(text))
+    kv = _parse_kv(text.split(":", 1)[1]) if ":" in text else {}
+    for name in kv:
+        _one_of(("safety",), "intrinsic dt parameter")(name)
+    return DtPolicy(kind="intrinsic", safety=float(kv.get("safety", 0.5)))
+
+
+class Key(NamedTuple):
+    default: str | None             # text used when the key is absent; None: no default
+    parse: Callable[[str], object]
+    preset: bool = False            # also applies next to a preset
+    axis: str | None = None         # the [sweep] axis that varies the key
+
+
+# Every config key, by section.  Next to a preset, each given key replaces
+# the preset's value; a scenario key without a default is required when
+# there is no preset.
+KEYS: dict[str, dict[str, Key]] = {
+    "scenario": {
+        "preset": Key(None, presets.make_preset, preset=True, axis="preset"),
+        "dim": Key("1", lambda t: _one_of((1, 2), "dim")(int(t))),
+        "nodes": Key(None, lambda t: tuple(int(float(v)) for v in t.split(",")),
+                     preset=True, axis="resolution"),
+        "extent": Key("1.0", _positive),
+        "p": Key(None, float, axis="p"),
+        "latent_heat": Key("1.0", _number(float, lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+                           preset=True, axis="latent_heat"),
+        "jump_location": Key("0.0", _finite),
+        "mollify_eps": Key("0.05", _positive, preset=True, axis="eps"),
+        "beta": Key("identity", _beta),
+        "field": Key("p-laplacian", _field),
+        "initial": Key("constant", _one_of(tuple(INITIAL_DATA), "initial data")),
+        "initial_params": Key("", _parse_kv),
+        "boundary": Key("zero-flux", _boundary),
+        "t_end": Key(None, float, preset=True),
+        "dt": Key(None, _dt, preset=True),
+        "store_every": Key("1", int, preset=True),
+        "step_rtol": Key(repr(Tolerances().step_rtol),
+                         lambda t: Tolerances(step_rtol=float(t)), preset=True),
+        "label": Key("", str, preset=True),
+    },
+    "modulus": {
+        "r0": Key("0.25", _positive),
+        "center": Key(None, _floats),
+        "l_prefactor": Key("auto", lambda t: None if t == "auto" else _number(
+            float, lambda x: 1.0 <= x < math.inf, "finite and >= 1")(t)),
+        "alpha_if_p_eq_n": Key("0.45", _number(float, lambda x: 0.0 < x < 0.5, "in (0, 1/2)")),
+        "ladder": Key("dyadic2", _one_of(tuple(verify.LADDER_BASES), "ladder")),
+        # a fit needs two rungs
+        "ladder_depth": Key("", lambda t: _number(int, lambda n: n >= 2, "an integer >= 2")(t)
+                            if t else None),
+    },
+    # fix_constants checks the ranges beyond positivity
+    "constants": {key: Key(None, _positive) for key in
+                  ("c0", "c1", "c2", "c3", "nu_star", "theta1", "theta2", "varsigma")},
+    "checks": {
+        "run": Key("conservation", _list_of(tuple(CHECK_LABELS), "check")),
+        "seed": Key("1234", _count),
+    },
+    "output": {
+        "directory": Key("out/run", lambda t: Path(os.environ.get(ENV_OUTPUT_ROOT) or "") / t),
+        "snapshot_stride": Key("0", _count),
+    },
+    "sweep": {
+        "axis": Key("", lambda t: _list_of(tuple(SWEEP_AXES), "axis")(t)),
+        "values": Key("", lambda t: [[v.strip() for v in vals.split(",") if v.strip()]
+                                     for vals in t.split(";") if vals.strip()]),
+    },
 }
-PRESET_APPLIED = {"preset", "store_every", "label", "step_rtol", *PRESET_OVERRIDES}
+KNOWN_KEYS = {section: set(keys) for section, keys in KEYS.items()}
+# Sweep axis -> the [scenario] key it varies.
+SWEEP_AXES = {k.axis: key for key, k in KEYS["scenario"].items() if k.axis}
+# Grids are evaluated when the config is parsed; this bounds their size.
+MAX_NODES = 10**6
+
+
+@dataclass
+class RunConfig:
+    scenario: Scenario
+    ledger: ConstantsLedger
+    params: ModulusParams      # measurement parameters of the [modulus] keys
+    values: dict               # section -> key -> parsed value; modulus.center filled in
+    sweep: list[tuple[str, list[str]]]
+
+    @property
+    def output_dir(self) -> Path:
+        return self.values["output"]["directory"]
 
 
 def parse_config(path: str | Path) -> RunConfig:
+    return _config_of(_read_ini(path)[1])
+
+
+def _read_ini(path) -> tuple[configparser.ConfigParser, dict[str, dict[str, str]]]:
+    """The INI file and its sections as dicts of value text."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = cp.read(path)
@@ -136,180 +254,98 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(".".join(where) or "config", str(err)) from err
     if not read:
         raise ConfigError("config", f"cannot read {path}")
+    return cp, raw
+
+
+def _config_of(raw: dict[str, dict[str, str]]) -> RunConfig:
     for section, keys in raw.items():
-        if section not in KNOWN_KEYS:
+        if section not in KEYS:
             raise ConfigError(section, "unknown section")
         for key in keys:
-            if key not in KNOWN_KEYS[section]:
+            if key not in KEYS[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
-
-    sc_sec = raw.get("scenario", {})
-
-    def get(section, key, default=None, parse=None):
-        """The key's text, or `parse` of it with a failure named after the key."""
-        text = raw.get(section, {}).get(key, default)
-        if parse is None or text is None:
-            return text
-        return _parse_named(f"{section}.{key}", parse, text)
-
-    preset_name = get("scenario", "preset")
-    if preset_name is not None:
-        for key in sc_sec:
-            if key not in PRESET_APPLIED:
+            if section == "scenario" and "preset" in keys and not KEYS[section][key].preset:
                 raise ConfigError(f"scenario.{key}", "not applied with a preset")
-        overrides = {arg: get("scenario", key, parse=parse)
-                     for key, (arg, parse) in PRESET_OVERRIDES.items() if get("scenario", key)}
+    given = raw.get("scenario", {})
+    val = {section: {key: _named(f"{section}.{key}", k.parse, text)
+                     for key, k in keys.items()
+                     if (text := raw.get(section, {}).get(key, k.default)) is not None}
+           for section, keys in KEYS.items()}
+
+    sc = val["scenario"]
+    if "preset" in sc:
+        sc = {**sc, **_keys_of(sc["preset"]), **{key: sc[key] for key in given}}
+    scenario = _scenario(sc)
+
+    mod = val["modulus"] = {key: val["modulus"].get(key) for key in KEYS["modulus"]}
+    mod["center"] = mod["center"] or tuple(e / 2 for e in scenario.grid.extents)
+    if len(mod["center"]) != scenario.grid.dim:
+        raise ConfigError("modulus.center", f"{len(mod['center'])} coordinates for a "
+                                            f"{scenario.grid.dim}D grid")
+    n, p = scenario.grid.dim, scenario.p
+    ledger = _named("constants", lambda: fix_constants(
+        n=n, p=p, Lambda=scenario.certified_lambda(),
+        alpha_choice_if_p_eq_n=mod["alpha_if_p_eq_n"] if p == n else None,
+        **val["constants"]))
+    params = _named("modulus", studies.measurement_params, scenario, mod["r0"],
+                    mod["alpha_if_p_eq_n"])
+    if mod["l_prefactor"] is not None:
+        params = replace(params, L=mod["l_prefactor"])
+
+    axes, values = val["sweep"]["axis"], val["sweep"]["values"]
+    if axes and len(values) != len(axes):
+        raise ConfigError("sweep.values", "need one ;-separated value list per axis")
+    return RunConfig(scenario, ledger, params, val, list(zip(axes, values)))
+
+
+def _keys_of(sc: Scenario) -> dict:
+    """The parsed [scenario] values that rebuild `sc`."""
+    g, b = sc.graph, sc.boundary
+    return {"dim": sc.grid.dim, "nodes": sc.grid.nodes, "extent": sc.grid.extents[0],
+            "p": sc.p, "latent_heat": g.latent_heat, "jump_location": g.a,
+            "mollify_eps": g.eps, "beta": g.beta, "field": sc.field,
+            "initial": sc.initial.name, "initial_params": sc.initial.as_dict(),
+            "boundary": None if b.kind == "zero-flux" else b.values,
+            "t_end": sc.t_end, "dt": sc.dt, "step_rtol": sc.tolerances,
+            "store_every": sc.store_every, "label": sc.label}
+
+
+def _scenario(v: dict) -> Scenario:
+    """The one Scenario of the parsed [scenario] values `v`."""
+    for key in KEYS["scenario"]:
+        if key not in v and key != "preset":
+            raise ConfigError(f"scenario.{key}", "required key missing")
+    dim = v["dim"]
+    grid = _named("scenario.nodes", _grid, v["extent"], dim, v["nodes"])
+    graph = RegularizedGraph(a=v["jump_location"], latent_heat=v["latent_heat"],
+                             eps=v["mollify_eps"], beta=v["beta"])
+    initial = _named("scenario.initial_params", _initial, grid, v["initial"],
+                     v["initial_params"])
+    b = v["boundary"]
+    boundary = Boundary() if b is None else Boundary(kind="dirichlet", values=b[:dim])
     try:
-        if preset_name is not None:
-            scenario = presets.make_preset(preset_name, **overrides)
-        else:
-            scenario = _scenario_from_keys(sc_sec)
-    except ConfigError:
-        raise
+        return Scenario(grid=grid, p=v["p"], graph=graph, field=v["field"],
+                        initial=initial, boundary=boundary, t_end=v["t_end"],
+                        dt=v["dt"], tolerances=v["step_rtol"],
+                        store_every=v["store_every"], label=v["label"])
     except ScenarioValueError as err:
         raise ConfigError(f"scenario.{err.key}", str(err)) from err
-    except (LookupError, ValueError, TypeError, OverflowError) as err:
-        raise ConfigError("scenario", str(err)) from err
-
-    if get("scenario", "store_every"):
-        # replace() reruns Scenario's validation (store_every >= 1)
-        scenario = get("scenario", "store_every",
-                       parse=lambda t: replace(scenario, store_every=int(t)))
-    if get("scenario", "label"):
-        scenario.label = get("scenario", "label")
-    if get("scenario", "step_rtol"):
-        # Tolerances rejects a step_rtol that is not positive and finite
-        scenario.tolerances = get("scenario", "step_rtol",
-                                  parse=lambda t: Tolerances(step_rtol=float(t)))
-
-    r0 = get("modulus", "r0", "0.25", float)
-    center = (get("modulus", "center", parse=_parse_floats)
-              or tuple(e / 2 for e in scenario.grid.extents))
-    if len(center) != scenario.grid.dim:
-        raise ConfigError("modulus.center", f"{len(center)} coordinates for a "
-                                            f"{scenario.grid.dim}D grid")
-    modulus_L = get("modulus", "l_prefactor", "auto",
-                    lambda t: None if t == "auto" else float(t))
-    alpha_choice = get("modulus", "alpha_if_p_eq_n", "0.45", float)
-    ladder = get("modulus", "ladder", "dyadic2")
-    if ladder not in verify.LADDER_BASES:
-        raise ConfigError("modulus.ladder",
-                          f"unknown ladder {ladder!r}; use {' or '.join(verify.LADDER_BASES)}")
-    ladder_depth = get("modulus", "ladder_depth", "", lambda t: int(t) if t else None)
-
-    const_kwargs = {}
-    for key in ("c0", "c1", "c2", "c3", "theta1", "theta2", "varsigma", "nu_star"):
-        val = get("constants", key, parse=float)
-        if val is not None:
-            const_kwargs[key] = val
-
-    checks_txt = get("checks", "run", "conservation")
-    checks = [c.strip() for c in checks_txt.split(",") if c.strip()]
-    for c in checks:
-        if c not in CHECK_LABELS:
-            raise ConfigError("checks.run", f"unknown check {c!r}")
-    seed = get("checks", "seed", "1234", int)
-
-    out_dir = get("output", "directory", "out/run")
-    root = os.environ.get(ENV_OUTPUT_ROOT)
-    out_path = Path(root) / out_dir if root else Path(out_dir)
-    stride = get("output", "snapshot_stride", "0", int)
-
-    return RunConfig(
-        scenario=scenario,
-        modulus_r0=r0,
-        modulus_center=center,
-        modulus_L=modulus_L,
-        alpha_if_p_eq_n=alpha_choice,
-        ladder=ladder,
-        ladder_depth=ladder_depth,
-        constants_kwargs=const_kwargs,
-        checks=checks,
-        seed=seed,
-        output_dir=out_path,
-        snapshot_stride=stride,
-        raw=raw,
-    )
 
 
-def _scenario_from_keys(sec) -> Scenario:
-    required = ("p", "nodes", "t_end", "dt")
-    for key in required:
-        if key not in sec:
-            raise ConfigError(f"scenario.{key}", "required key missing")
-    dim = _parse_named("scenario.dim", int, sec.get("dim", "1"))
-    if dim not in (1, 2):
-        raise ConfigError("scenario.dim", f"dim must be 1 or 2, got {dim}")
-    nodes = _parse_named("scenario.nodes",
-                         lambda t: tuple(int(float(v)) for v in t.split(",")), sec["nodes"])
-    if len(nodes) == 1 and dim == 2:
-        nodes = nodes * 2
-    extent = float(sec.get("extent", "1.0"))
-    grid = Grid(extents=(extent,) * dim, nodes=nodes)
-
-    beta = _parse_named("scenario.beta", _parse_beta, sec.get("beta", "identity"))
-
-    graph = RegularizedGraph(
-        a=float(sec.get("jump_location", "0.0")),
-        latent_heat=float(sec.get("latent_heat", "1.0")),
-        eps=float(sec.get("mollify_eps", "0.05")),
-        beta=beta,
-    )
-
-    initial_name = sec.get("initial", "constant")
-    if initial_name not in INITIAL_DATA:
-        raise ConfigError("scenario.initial", f"unknown initial data {initial_name!r}; "
-                                              f"known: {', '.join(INITIAL_DATA)}")
-    initial = InitialData.of(initial_name, **_parse_kv(sec.get("initial_params", "")))
-
-    bdry_txt = sec.get("boundary", "zero-flux")
-    if bdry_txt == "zero-flux":
-        boundary = Boundary()
-    elif bdry_txt.startswith("dirichlet:"):
-        kv = _parse_kv(bdry_txt.split(":", 1)[1])
-        vals = tuple((float(kv.get(f"lo{ax}", kv.get("left", 0.0))),
-                      float(kv.get(f"hi{ax}", kv.get("right", 0.0))))
-                     for ax in range(dim))
-        boundary = Boundary(kind="dirichlet", values=vals)
-    else:
-        raise ConfigError("scenario.boundary", f"unknown boundary spec {bdry_txt!r}")
-
-    dt_txt = sec["dt"]
-    if dt_txt.startswith("intrinsic"):
-        kv = _parse_kv(dt_txt.split(":", 1)[1]) if ":" in dt_txt else {}
-        dt = DtPolicy(kind="intrinsic", safety=float(kv.get("safety", 0.5)))
-    else:
-        dt = DtPolicy(value=float(dt_txt))
-
-    sc = Scenario(grid=grid, p=float(sec["p"]), graph=graph,
-                  initial=initial, boundary=boundary,
-                  t_end=float(sec["t_end"]), dt=dt)
-
-    field_txt = sec.get("field", "p-laplacian")
-    if field_txt.startswith("anisotropic:"):
-        try:
-            # replace() reruns Scenario's validation (one weight per axis)
-            sc = replace(sc, field=VectorField(_parse_floats(field_txt.split(":", 1)[1])))
-        except ValueError as err:
-            raise ConfigError("scenario.field", str(err)) from err
-    elif field_txt != "p-laplacian":
-        raise ConfigError("scenario.field", f"unknown field spec {field_txt!r}")
-    return sc
+def _grid(extent: float, dim: int, nodes: tuple[int, ...]) -> Grid:
+    nodes = nodes * dim if len(nodes) == 1 else nodes
+    if math.prod(nodes) > MAX_NODES:
+        raise ValueError(f"more than {MAX_NODES} nodes")
+    return Grid(extents=(extent,) * dim, nodes=nodes)
 
 
-def _parse_beta(text: str) -> BetaMap:
-    if text == "identity":
-        return BetaMap()
-    if text.startswith("tanh:"):
-        mu, tau = _parse_floats(text.split(":", 1)[1])
-        return BetaMap(kind="tanh", mu=mu, tau=tau)
-    if text.startswith("piecewise:"):
-        # format: piecewise:-1/-0.5,0/0,1/2 - knot/value pairs
-        pairs = [q for q in text.split(":", 1)[1].split(",") if q.strip()]
-        knots = tuple(float(q.split("/")[0]) for q in pairs)
-        values = tuple(float(q.split("/")[1]) for q in pairs)
-        return BetaMap(kind="piecewise", knots=knots, values=values)
-    raise ValueError(f"unknown beta spec {text!r}")
+def _initial(grid: Grid, name: str, params: dict) -> InitialData:
+    initial = InitialData.of(name, **params)
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(build_initial(grid, initial)).all()
+    if not finite:
+        raise ValueError(f"{name} data is not finite on the grid")
+    return initial
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +370,8 @@ def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> list[Path]:
     snap_dir = outdir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    indices = range(len(traj.times)) if stride <= 1 else (
-        list(range(0, len(traj.times), stride)) + [len(traj.times) - 1])
-    seen = set()
-    for m in indices:
-        if m in seen:
-            continue
-        seen.add(m)
+    last = len(traj.times) - 1
+    for m in sorted({*range(0, last + 1, max(stride, 1)), last}):
         stem = snap_dir / f"step_{m:06d}"
         data = np.ascontiguousarray(traj.temps[m], dtype="<f8")
         (stem.with_suffix(".bin")).write_bytes(data.tobytes())
@@ -360,89 +391,65 @@ def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> list[Path]:
 
 def _resolved_config_text(cfg: RunConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["scenario"] = {k: repr(v) for k, v in cfg.scenario.canonical_dict().items()}
-    cp["modulus"] = {
-        "r0": repr(cfg.modulus_r0),
-        "center": ",".join(repr(c) for c in cfg.modulus_center),
-        "l_prefactor": "auto" if cfg.modulus_L is None else repr(cfg.modulus_L),
-        "alpha_if_p_eq_n": repr(cfg.alpha_if_p_eq_n),
-        "ladder": cfg.ladder,
-    }
-    cp["constants"] = {k: repr(v) for k, v in sorted(cfg.constants_kwargs.items())}
-    cp["checks"] = {"run": ",".join(cfg.checks), "seed": str(cfg.seed)}
-    cp["output"] = {"directory": str(cfg.output_dir),
-                    "snapshot_stride": str(cfg.snapshot_stride)}
-    import io
-
+    cp["scenario"] = {**{k: repr(v) for k, v in cfg.scenario.canonical_dict().items()},
+                      "step_rtol": repr(cfg.scenario.tolerances.step_rtol)}
+    # every other key as text its parser reads back; None as the key's default
+    for section in ("modulus", "constants", "checks", "output"):
+        cp[section] = {k: (KEYS[section][k].default if v is None else
+                           ",".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v))
+                       for k, v in cfg.values[section].items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
-def _run_checks(cfg: RunConfig, traj: Trajectory, ledger) -> tuple[dict, list[dict]]:
-    sc = cfg.scenario
-    params = studies.measurement_params(sc, r0=cfg.modulus_r0,
-                                        alpha_choice_if_p_eq_n=cfg.alpha_if_p_eq_n)
-    if cfg.modulus_L is not None:
-        params = ModulusParams(n=params.n, p=params.p, alpha=params.alpha,
-                               kappa=params.kappa, L=cfg.modulus_L, M=params.M,
-                               r0=params.r0)
-    center = (cfg.modulus_center, traj.times[-1])
+def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict]]:
+    sc, params, ledger, mod = cfg.scenario, cfg.params, cfg.ledger, cfg.values["modulus"]
+    center = (mod["center"], traj.times[-1])
     g = traj.graph
     reports = []
     summary = {}
-    for name in cfg.checks:
+    for name in cfg.values["checks"]["run"]:
         try:
             if name == "conservation":
                 defect = conservation_defect(traj)
                 ok = (sc.boundary.kind != "zero-flux") or defect <= 1e-10
                 summary[name] = {"pass": bool(ok), "defect": defect}
             elif name == "weakform":
-                from .solver import SpaceTimeBump, weak_form_residual
-                bump = SpaceTimeBump(center=cfg.modulus_center,
-                                     width=0.8 * cfg.modulus_r0,
+                bump = SpaceTimeBump(center=mod["center"], width=0.8 * mod["r0"],
                                      t_center=0.5 * traj.times[-1],
                                      t_width=0.6 * traj.times[-1])
-                res = weak_form_residual(traj, bump,
-                                         (traj.times[0], traj.times[-1]))
+                res = weak_form_residual(traj, bump, (traj.times[0], traj.times[-1]))
                 summary[name] = {"pass": True, **{k: res[k] for k in
                                                   ("residual", "normalized_constant")}}
             elif name == "caccioppoli":
-                cyl = _default_cylinder(cfg, params, traj)
-                ws = np.concatenate([
-                    traj.w_fields()[m][traj.ball_mask(cyl.center_space, cyl.ball_radius)]
-                    for m in traj.time_indices(*cyl.time_window)])
-                k_level = float(np.quantile(ws, 0.3))
-                rep = verify.caccioppoli_check(traj, g, k_level, CutoffSpec(), cyl)
+                rep = studies.caccioppoli_at(traj, params, mod["center"])
                 reports.append(rep.to_json_dict())
-                summary[name] = {"pass": bool(rep.passed),
-                                 "implied_constant": rep.implied_constant,
-                                 "degenerate": rep.degenerate}
+                summary[name] = {"pass": bool(rep.passed), "degenerate": rep.degenerate,
+                                 "implied_constant": rep.implied_constant}
             elif name == "truncation":
                 k_trunc = g.a - 1.5 * g.eps
                 margin = 0.15 * min(sc.grid.extents)
                 region = (tuple(margin for _ in sc.grid.extents),
                           tuple(e - margin for e in sc.grid.extents))
-                rep = verify.truncation_supersolution_check(traj, g, k_trunc,
-                                                            g.a, g.eps, region,
-                                                            rng_seed=cfg.seed)
+                rep = verify.truncation_supersolution_check(
+                    traj, g, k_trunc, g.a, g.eps, region, rng_seed=cfg.values["checks"]["seed"])
                 reports.append(rep.to_json_dict())
                 summary[name] = {"pass": bool(rep.passed), "margin": rep.margin}
             elif name == "weak-harnack":
                 R0 = min(sc.grid.extents) / 8.0 * 0.9
                 rep = verify.weak_harnack_check(
-                    traj, g.a - 1.5 * g.eps, cfg.modulus_center, R0,
+                    traj, g.a - 1.5 * g.eps, mod["center"], R0,
                     t1=traj.times[max(1, len(traj.times) // 10)],
                     T=traj.times[-1], c1=ledger.c1)
                 reports.append(rep.to_json_dict())
-                summary[name] = {"pass": bool(rep.passed),
-                                 "implied_constant": rep.implied_constant,
-                                 "degenerate": rep.degenerate}
+                summary[name] = {"pass": bool(rep.passed), "degenerate": rep.degenerate,
+                                 "implied_constant": rep.implied_constant}
             elif name == "decay":
                 R0 = min(sc.grid.extents) / 8.0 * 0.9
                 k_trunc = g.a - 1.5 * g.eps
                 m0 = max(1, len(traj.times) // 10)
-                mask = traj.ball_mask(cfg.modulus_center, 2 * R0)
+                mask = traj.ball_mask(mod["center"], 2 * R0)
                 v0 = np.minimum(traj.w_fields()[m0], k_trunc)
                 k_start = float(v0[mask].min()) * (1 - 1e-12)
                 if k_start <= 0:
@@ -450,37 +457,32 @@ def _run_checks(cfg: RunConfig, traj: Trajectory, ledger) -> tuple[dict, list[di
                                      "note": "no positive starting level"}
                 else:
                     rep = verify.decay_of_positivity_check(
-                        traj, k_start, cfg.modulus_center, R0,
+                        traj, k_start, mod["center"], R0,
                         t0=traj.times[m0], T=traj.times[-1] - traj.times[m0],
                         ledger=ledger, k_truncation=k_trunc)
                     reports.append(rep.to_json_dict())
                     summary[name] = {"pass": bool(rep.passed),
                                      "implied_constant": rep.implied_constant}
             elif name == "classifier":
-                r_c = cfg.modulus_r0
-                center_c = (cfg.modulus_center, traj.times[-1])
-                tilde = cylinder(params, center_c, r_c, "tilde")
-                enclosing = cylinder(params, center_c, r_c, "full")
+                r_c = mod["r0"]
+                tilde = cylinder(params, center, r_c, "tilde")
+                enclosing = cylinder(params, center, r_c, "full")
                 res = verify.alternative_classifier(
                     traj, tilde, enclosing, float(verify.omega(params, r_c)),
                     ledger.eps1, params.kappa)
                 summary[name] = {"pass": True, **{k: res[k] for k in
-                                                  ("classification", "oscillation")
+                                                  ("classification", "oscillation", "fraction")
                                                   if k in res}}
-                if "fraction" in res:
-                    summary[name]["fraction"] = res["fraction"]
             elif name == "modulus":
                 fit_params, shrunk = _fit_params_to_horizon(params, traj)
                 profile, verdict = verify.modulus_acceptance(
-                    traj, fit_params, ledger, center, ladder=cfg.ladder,
-                    max_rungs=cfg.ladder_depth)
+                    traj, fit_params, ledger, center, ladder=mod["ladder"],
+                    max_rungs=mod["ladder_depth"])
                 if shrunk:
                     verdict["r0_shrunk_to_horizon"] = fit_params.r0
-                summary[name] = {"pass": bool(verdict["pass"]),
-                                 "c_star": verdict["c_star"],
-                                 "alpha_hat": verdict["alpha_hat"]}
-                summary[name]["profile_csv"] = profile.to_csv()
-                summary[name]["fit"] = profile.fit_dict()
+                summary[name] = {"pass": bool(verdict["pass"]), "c_star": verdict["c_star"],
+                                 "alpha_hat": verdict["alpha_hat"],
+                                 "profile_csv": profile.to_csv(), "fit": profile.fit_dict()}
         except Exception as err:  # a failed check is a verdict, not a crash
             summary[name] = {"pass": False, "error": f"{type(err).__name__}: {err}"}
     for name in summary:
@@ -503,22 +505,7 @@ def _fit_params_to_horizon(params: ModulusParams, traj: Trajectory):
               * w_r0 ** ((2.0 - p) * (1.0 + 1.0 / alpha)) * params.r0**p)
     if depth0 <= horizon:
         return params, False
-    r0 = params.r0 * (0.999 * horizon / depth0) ** (1.0 / p)
-    return ModulusParams(n=params.n, p=params.p, alpha=params.alpha,
-                         kappa=params.kappa, L=params.L, M=params.M, r0=r0), True
-
-
-def _default_cylinder(cfg, params, traj):
-    from .geometry import IntrinsicCylinder
-
-    center = (cfg.modulus_center, traj.times[-1])
-    cyl = cylinder(params, center, cfg.modulus_r0, "full")
-    budget = 0.8 * (traj.times[-1] - traj.times[0])
-    if cyl.depth > budget:
-        cyl = IntrinsicCylinder(center_space=cyl.center_space,
-                                center_time=cyl.center_time, radius=cyl.radius,
-                                depth=budget, flavor="full")
-    return cyl
+    return replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / p)), True
 
 
 def run(config_path: str | Path, out_override: str | None = None) -> int:
@@ -535,37 +522,25 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
     try:
         traj = run_simulation(cfg.scenario)
     except SolverError as err:
-        _json_dump(outdir / "error.json", {
-            "code": 3, "kind": type(err).__name__, "message": str(err),
-            "time": err.time,
-        })
+        _json_dump(outdir / "error.json", {"code": 3, "kind": type(err).__name__,
+                                           "message": str(err), "time": err.time})
         return 3
 
-    files = _write_snapshots(outdir, traj, cfg.snapshot_stride)
-    sc = cfg.scenario
-    ledger = fix_constants(n=sc.grid.dim, p=sc.p, Lambda=sc.certified_lambda(),
-                           alpha_choice_if_p_eq_n=cfg.alpha_if_p_eq_n
-                           if sc.p == sc.grid.dim else None,
-                           **cfg.constants_kwargs)
-    summary, reports = _run_checks(cfg, traj, ledger)
+    files = _write_snapshots(outdir, traj, cfg.values["output"]["snapshot_stride"])
+    summary, reports = _run_checks(cfg, traj)
 
     checks_path = outdir / "checks.jsonl"
-    with checks_path.open("w") as fh:
-        for rep in reports:
-            fh.write(json.dumps(rep, sort_keys=True, default=_json_default) + "\n")
+    checks_path.write_text("".join(json.dumps(rep, sort_keys=True, default=_json_default)
+                                   + "\n" for rep in reports))
     files.append(checks_path)
 
-    if "modulus" in summary and "profile_csv" in summary["modulus"]:
-        osc_path = outdir / "oscillation.csv"
-        osc_path.write_text(summary["modulus"].pop("profile_csv"))
-        fit_path = outdir / "fit.json"
-        _json_dump(fit_path, summary["modulus"].pop("fit"))
-        files.extend([osc_path, fit_path])
+    if "profile_csv" in summary.get("modulus", {}):
+        (outdir / "oscillation.csv").write_text(summary["modulus"].pop("profile_csv"))
+        _json_dump(outdir / "fit.json", summary["modulus"].pop("fit"))
+        files += [outdir / "oscillation.csv", outdir / "fit.json"]
 
-    ledger_path = outdir / "ledger.json"
-    _json_dump(ledger_path, ledger.as_dict())
-    files.append(ledger_path)
-    files.append(outdir / "resolved_config.ini")
+    _json_dump(outdir / "ledger.json", cfg.ledger.as_dict())
+    files += [outdir / "ledger.json", outdir / "resolved_config.ini"]
 
     hashes = {str(f.relative_to(outdir)): hashlib.sha256(f.read_bytes()).hexdigest()
               for f in sorted(set(files))}
@@ -615,27 +590,11 @@ def _emit_config_error(config_path, err: ConfigError, out_override) -> None:
 # Sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = {"p", "eps", "resolution", "latent_heat", "preset"}
-
-
 def sweep(config_path: str | Path, out_override: str | None = None) -> int:
     """Cross product over the [sweep] axes; aggregates one CSV of constants."""
     try:
-        cfg = parse_config(config_path)
-        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        cp.read(config_path)
-        axes: list[tuple[str, list[str]]] = []
-        if cp.has_section("sweep"):
-            names = [a.strip() for a in cp["sweep"].get("axis", "").split(",") if a.strip()]
-            value_lists = [v.strip() for v in cp["sweep"].get("values", "").split(";")
-                           if v.strip()]
-            if names and len(value_lists) != len(names):
-                raise ConfigError("sweep.values",
-                                  "need one ;-separated value list per axis")
-            for name, vals in zip(names, value_lists):
-                if name not in SWEEP_AXES:
-                    raise ConfigError("sweep.axis", f"unknown axis {name!r}")
-                axes.append((name, [v.strip() for v in vals.split(",") if v.strip()]))
+        cp, raw = _read_ini(config_path)
+        cfg = _config_of(raw)
     except ConfigError as err:
         _emit_config_error(config_path, err, out_override)
         return 2
@@ -643,16 +602,25 @@ def sweep(config_path: str | Path, out_override: str | None = None) -> int:
     outdir = Path(out_override) if out_override else cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     combos: list[list[tuple[str, str]]] = [[]]
-    for name, vals in axes:
+    for name, vals in cfg.sweep:
         combos = [c + [(name, v)] for c in combos for v in vals]
+    # Each run's config is the swept one without [sweep]; every combination
+    # sets every axis, so one parser serves them all.
+    cp.remove_section("sweep")
+    if not cp.has_section("scenario"):
+        cp.add_section("scenario")
 
     rows = []
     worst = 0
     for i, combo in enumerate(combos):
         label = "_".join(f"{k}-{v}" for k, v in combo) or "single"
         sub = outdir / f"run_{i:03d}_{label}"
-        sub_cfg = _apply_axes(config_path, combo, sub)
-        code = run(sub_cfg, out_override=str(sub))
+        sub.mkdir(parents=True, exist_ok=True)
+        for name, value in combo:
+            cp["scenario"][SWEEP_AXES[name]] = value
+        with (sub / "config.ini").open("w") as fh:
+            cp.write(fh)
+        code = run(sub / "config.ini", out_override=str(sub))
         worst = max(worst, code)
         summary_path = sub / "summary.json"
         row = {"run": label, "exit": code}
@@ -667,35 +635,10 @@ def sweep(config_path: str | Path, out_override: str | None = None) -> int:
         rows.append(row)
 
     cols = sorted({k for row in rows for k in row})
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(row[k]) if k in row else "" for k in cols))
+    lines = [",".join(cols)] + [",".join(repr(row[k]) if k in row else "" for k in cols)
+                                for row in rows]
     (outdir / "aggregated.csv").write_text("\n".join(lines) + "\n")
     return worst
-
-
-def _apply_axes(config_path, combo, sub_dir) -> Path:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    cp.read(config_path)
-    cp.remove_section("sweep")
-    if not cp.has_section("scenario"):
-        cp.add_section("scenario")
-    for name, value in combo:
-        if name == "p":
-            cp["scenario"]["p"] = value
-        elif name == "eps":
-            cp["scenario"]["mollify_eps"] = value
-        elif name == "resolution":
-            cp["scenario"]["nodes"] = value
-        elif name == "latent_heat":
-            cp["scenario"]["latent_heat"] = value
-        elif name == "preset":
-            cp["scenario"]["preset"] = value
-    sub_dir.mkdir(parents=True, exist_ok=True)
-    target = sub_dir / "config.ini"
-    with target.open("w") as fh:
-        cp.write(fh)
-    return target
 
 
 # ---------------------------------------------------------------------------
@@ -710,13 +653,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one config end to end")
-    p_run.add_argument("config")
-    p_run.add_argument("--output", help="override the output directory")
-
-    p_sweep = sub.add_parser("sweep", help="run the cross product of the [sweep] axes")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--output", help="override the output directory")
+    for verb, text in (("run", "execute one config end to end"),
+                       ("sweep", "run the cross product of the [sweep] axes")):
+        p_verb = sub.add_parser(verb, help=text)
+        p_verb.add_argument("config")
+        p_verb.add_argument("--output", help="override the output directory")
 
     sub.add_parser("presets", help="list built-in scenarios")
 
@@ -736,9 +677,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             parse_config(args.config)
         except ConfigError as err:
-            print(json.dumps({"code": 2, "field": err.field_name,
-                              "message": str(err)}, sort_keys=True),
-                  file=sys.stderr)
+            print(json.dumps({"code": 2, "field": err.field_name, "message": str(err)},
+                             sort_keys=True), file=sys.stderr)
             return 2
         print("ok")
         return 0

@@ -1,8 +1,9 @@
 """Built-in scenarios for the laboratory runs.
 
 Each preset returns a fully specified Scenario; keyword overrides let the
-CLI and the studies dial resolution, mollification width and latent heat
-without touching the physics of the preset.
+studies dial resolution, mollification width and latent heat without
+touching the physics of the preset.  The CLI takes a preset's defaults and
+substitutes the config keys given next to it.
 """
 from __future__ import annotations
 
@@ -144,10 +145,10 @@ PRESET_SUMMARIES = {
 }
 
 
-def make_preset(name: str, **overrides) -> Scenario:
+def make_preset(name: str) -> Scenario:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return PRESETS[name](**overrides)
+    return PRESETS[name]()
 
 
 def list_presets() -> list[tuple[str, str]]:

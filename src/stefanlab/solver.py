@@ -260,8 +260,8 @@ class Scenario:
         if self.field is None:
             self.field = VectorField((1.0,) * self.grid.dim)
         elif len(self.field.weights) != self.grid.dim:
-            raise ValueError(f"field has {len(self.field.weights)} weights for a "
-                             f"{self.grid.dim}D grid; need one per axis")
+            raise ScenarioValueError("field", f"has {len(self.field.weights)} weights for a "
+                                              f"{self.grid.dim}D grid; need one per axis")
 
     def certified_lambda(self) -> float:
         """Structure constant covering both the flux law and the beta map."""
@@ -448,14 +448,14 @@ def _two_phase_sine(grid: Grid, params: dict) -> np.ndarray:
     return out
 
 
-# Initial-data name -> builder(grid, params); `build_initial` and the config
-# parser both read the names from here.
-INITIAL_DATA: dict[str, Callable[[Grid, dict], np.ndarray]] = {
-    "constant": _constant,
-    "ramp": _ramp,
-    "bump": _bump,
-    "fourier": _fourier,
-    "two-phase-sine": _two_phase_sine,
+# Initial-data name -> (builder(grid, params), the parameter names it reads);
+# `build_initial` and the config parser both read the names from here.
+INITIAL_DATA: dict[str, tuple[Callable[[Grid, dict], np.ndarray], tuple[str, ...]]] = {
+    "constant": (_constant, ("value",)),
+    "ramp": (_ramp, ("lo", "hi", "axis")),
+    "bump": (_bump, ("base", "amplitude", "width", "center")),
+    "fourier": (_fourier, ("base", "amps", "freqs")),
+    "two-phase-sine": (_two_phase_sine, ("level", "amplitude", "periods", "tilt")),
 }
 
 
@@ -463,7 +463,12 @@ def build_initial(grid: Grid, spec: InitialData) -> np.ndarray:
     """Evaluate a named initial-data preset on the grid."""
     if spec.name not in INITIAL_DATA:
         raise ValueError(f"unknown initial data preset {spec.name!r}")
-    return INITIAL_DATA[spec.name](grid, spec.as_dict())
+    builder, names = INITIAL_DATA[spec.name]
+    unknown = sorted(set(spec.as_dict()) - set(names))
+    if unknown:
+        raise ValueError(f"{spec.name} reads no parameter {', '.join(unknown)}; "
+                         f"known: {', '.join(names)}")
+    return builder(grid, spec.as_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,15 @@ the same experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import presets, verify
 from .constants import ConstantsLedger, fix_constants
-from .geometry import (IntrinsicCylinder, ModulusParams, alpha_kappa_of,
-                       cylinder)
+from .geometry import ModulusParams, alpha_kappa_of, cylinder
 from .graphs import RegularizedGraph
-from .solver import DtPolicy, Grid, InitialData, Scenario, run_simulation
+from .solver import DtPolicy, Grid, InitialData, Scenario, Trajectory, run_simulation
 from .verify import CutoffSpec
 
 
@@ -43,6 +42,23 @@ def default_ledger(scenario: Scenario) -> ConstantsLedger:
         p=scenario.p,
         Lambda=scenario.certified_lambda(),
     )
+
+
+def caccioppoli_at(traj: Trajectory, params: ModulusParams,
+                   center_space: tuple[float, ...]) -> verify.InequalityReport:
+    """The energy estimate on the full intrinsic cylinder of radius params.r0
+    ending at the last computed time, at the 30% quantile of w inside it.
+
+    The estimate holds on any space-time cylinder, so a cylinder deeper than
+    0.8 of the computed horizon is clamped to that depth rather than given a
+    re-derived radius.
+    """
+    cyl = cylinder(params, (center_space, traj.times[-1]), params.r0, "full")
+    cyl = replace(cyl, depth=min(cyl.depth, 0.8 * (traj.times[-1] - traj.times[0])))
+    ws = np.concatenate([traj.w_fields()[m][traj.ball_mask(cyl.center_space, cyl.ball_radius)]
+                         for m in traj.time_indices(*cyl.time_window)])
+    return verify.caccioppoli_check(traj, traj.graph, float(np.quantile(ws, 0.3)),
+                                    CutoffSpec(), cyl)
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +132,8 @@ def run_family_checks(case: FamilyCase, ledger: ConstantsLedger | None = None) -
     ledger = ledger or default_ledger(sc)
     traj = run_simulation(sc)
     params = measurement_params(sc, r0=0.25)
-    t0 = traj.times[-1]
-    center = ((0.5,) * sc.grid.dim, t0)
-    depth_budget = 0.8 * t0
-    cyl = cylinder(params, center, 0.25, "full")
-    if cyl.depth > depth_budget:
-        # the energy estimate holds on any space-time cylinder, so clamp the
-        # slab to the computed horizon rather than re-deriving a radius
-        cyl = IntrinsicCylinder(center_space=cyl.center_space,
-                                center_time=cyl.center_time, radius=cyl.radius,
-                                depth=depth_budget, flavor="full")
-
-    w_vals = np.concatenate([traj.w_fields()[m][traj.ball_mask(cyl.center_space, cyl.ball_radius)]
-                             for m in traj.time_indices(*cyl.time_window)])
-    k_level = float(np.quantile(w_vals, 0.3))
-
     out: dict = {"label": case.label, "resolution": traj.resolution_label()}
-    rep = verify.caccioppoli_check(traj, traj.graph, k_level, CutoffSpec(), cyl)
-    out["caccioppoli"] = rep
+    out["caccioppoli"] = caccioppoli_at(traj, params, (0.5,) * sc.grid.dim)
 
     g = traj.graph
     k_trunc = g.a - 1.5 * g.eps

@@ -1,14 +1,16 @@
 """CLI tests: config parsing and validation, end-to-end runs with
 byte-identical re-execution, error exit codes, sweeps and preset listing."""
 
+import configparser
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stefanlab import cli, presets, solver
+from stefanlab import cli, presets, solver, studies
 from stefanlab.solver import run_simulation
 
 
@@ -28,6 +30,10 @@ run = conservation, weakform, caccioppoli, truncation, modulus
 [output]
 directory = {outdir}
 """
+
+
+# A small explicit 1D scenario; cases append keys to it.
+_EXPLICIT = "[scenario]\ndim = 1\nnodes = 11\np = 3.0\nt_end = 0.002\ndt = 1e-3\n"
 
 
 def _write(tmp_path, text, name="config.ini"):
@@ -66,11 +72,36 @@ class TestValidate:
         path = _write(tmp_path, "[scenario]\npreset = constant\n\n[bogus]\nx = 1\n")
         assert cli.main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_preset_alone_is_the_preset(self, tmp_path, name):
+        sc = cli.parse_config(_write(tmp_path, f"[scenario]\npreset = {name}\n")).scenario
+        base = presets.make_preset(name)
+        assert sc.canonical_dict() == base.canonical_dict()
+        assert (sc.label, sc.tolerances) == (base.label, base.tolerances)
+
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_preset_keys_replace_the_preset_values(self, tmp_path, name):
+        # A key means the same with or without a preset: every preset takes
+        # mollify_eps and an intrinsic dt, and a single node count per axis.
+        path = _write(tmp_path, f"[scenario]\npreset = {name}\nnodes = 21\nmollify_eps = 0.07\n"
+                                "latent_heat = 0.6\nt_end = 0.01\ndt = intrinsic:safety=0.3\n"
+                                "store_every = 2\nstep_rtol = 1e-11\nlabel = mine\n")
+        assert cli.main(["validate", str(path)]) == 0
+        sc, base = cli.parse_config(path).scenario, presets.make_preset(name)
+        assert sc.grid == solver.Grid(extents=base.grid.extents, nodes=(21,) * base.grid.dim)
+        assert (sc.graph.a, sc.graph.beta) == (base.graph.a, base.graph.beta)
+        assert (sc.graph.eps, sc.graph.latent_heat) == (0.07, 0.6)
+        assert sc.dt == solver.DtPolicy(kind="intrinsic", safety=0.3)
+        assert (sc.t_end, sc.store_every, sc.tolerances.step_rtol, sc.label) == (
+            0.01, 2, 1e-11, "mine")
+        assert (sc.p, sc.field, sc.initial, sc.boundary) == (
+            base.p, base.field, base.initial, base.boundary)
+
     @pytest.mark.parametrize("ladder", ["dyadic2", "dyadic32"])
     def test_known_ladders_accepted(self, tmp_path, ladder):
         path = _write(tmp_path, f"[scenario]\npreset = constant\n\n[modulus]\nladder = {ladder}\n")
         assert cli.main(["validate", str(path)]) == 0
-        assert cli.parse_config(path).ladder == ladder
+        assert cli.parse_config(path).values["modulus"]["ladder"] == ladder
 
     def test_unknown_check_rejected(self, tmp_path):
         path = _write(tmp_path,
@@ -218,10 +249,41 @@ directory = {out}
         ("[scenario]\nbeta = piecewise:1\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n",
          "scenario.beta"),
         (b"[scenario]\npreset = constant\nlabel = \xe9\n", "config"),
+        # Values outside a key's domain used to crash `run` or compute NaN.
+        ("[scenario]\npreset = constant\n[modulus]\nr0 = -1\n", "modulus.r0"),
+        ("[scenario]\npreset = constant\n[constants]\nc0 = -1\n", "constants.c0"),
+        ("[scenario]\npreset = constant\n[constants]\nc0 = nan\n", "constants.c0"),
+        ("[scenario]\npreset = constant\n[constants]\ntheta1 = 2\n", "constants"),
+        ("[scenario]\npreset = constant\n[checks]\nseed = -1\n", "checks.seed"),
+        (_EXPLICIT + "extent = nan\n", "scenario.extent"),
+        (_EXPLICIT + "extent = inf\n", "scenario.extent"),
+        (_EXPLICIT + "boundary = dirichlet:left=nan,right=0\n", "scenario.boundary"),
+        # Explicit-scenario errors used to be reported as `scenario`.
+        (_EXPLICIT + "extent = 0\n", "scenario.extent"),
+        (_EXPLICIT + "latent_heat = 2\n", "scenario.latent_heat"),
+        (_EXPLICIT + "jump_location = nan\n", "scenario.jump_location"),
+        (_EXPLICIT + "mollify_eps = 0\n", "scenario.mollify_eps"),
+        (_EXPLICIT.replace("nodes = 11", "nodes = 2"), "scenario.nodes"),
+        (_EXPLICIT.replace("nodes = 11", "nodes = 11, 11, 11"), "scenario.nodes"),
+        (_EXPLICIT + "beta = tanh:0.4,0\n", "scenario.beta"),
+        (_EXPLICIT + "boundary = dirichlet:left=1 2,right=0\n", "scenario.boundary"),
+        (_EXPLICIT + "boundary = dirichlet:top=1\n", "scenario.boundary"),
+        # initial_params are checked against the builder and the grid.
+        (_EXPLICIT + "initial = ramp\ninitial_params = axis=5\n", "scenario.initial_params"),
+        (_EXPLICIT + "initial = ramp\ninitial_params = lo=nan\n", "scenario.initial_params"),
+        (_EXPLICIT + "initial = bump\ninitial_params = width=0\n", "scenario.initial_params"),
+        (_EXPLICIT + "initial = ramp\ninitial_params = foo=1\n", "scenario.initial_params"),
+        # A preset's nodes list is checked like an explicit one.
+        ("[scenario]\npreset = constant\nnodes = 41, 31\n", "scenario.nodes"),
+        ("[scenario]\npreset = constant\n[sweep]\naxis = bogus\nvalues = 1\n", "sweep.axis"),
     ], ids=["no-section", "duplicate-section", "duplicate-key", "interpolation",
             "nodes", "r0", "center", "l_prefactor", "alpha", "ladder_depth", "c0",
             "seed", "snapshot_stride", "ladder", "nodes-inf", "dim", "beta-pair",
-            "not-utf8"])
+            "not-utf8", "r0-negative", "c0-negative", "c0-nan", "theta1-range",
+            "seed-negative", "extent-nan", "extent-inf", "dirichlet-nan", "extent-zero",
+            "latent-heat", "jump-nan", "eps-zero", "nodes-too-few", "nodes-count",
+            "beta-tau", "dirichlet-list", "dirichlet-end", "ramp-axis", "ramp-lo-nan",
+            "bump-width-zero", "ramp-unknown-param", "preset-nodes-list", "sweep-axis"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, text, field):
         if isinstance(text, bytes):
             path = tmp_path / "config.ini"
@@ -380,6 +442,21 @@ directory = {out}
         cfg = cli.parse_config(_write(tmp_path, BASE_CONFIG.format(outdir="rel/out")))
         assert str(cfg.output_dir).startswith(str(tmp_path / "root"))
 
+    def test_resolved_config_records_ladder_depth_and_step_rtol(self, tmp_path):
+        path = _write(tmp_path, "[scenario]\npreset = constant\nstep_rtol = 1e-11\n"
+                                "[modulus]\nladder_depth = 3\n[checks]\nrun = conservation\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        resolved = configparser.ConfigParser()
+        resolved.read(out / "resolved_config.ini")
+        assert resolved["scenario"]["step_rtol"] == "1e-11"
+        assert resolved["modulus"]["ladder_depth"] == "3"
+        for key, text in resolved["modulus"].items():
+            cli.KEYS["modulus"][key].parse(text)
+        # The tolerance is not part of the scenario hash.
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["scenario_hash"] == presets.make_preset("constant").scenario_hash()
+
 
 # Values for the INI fuzz test: numbers, words, empty and comma lists, and
 # for the keys that have a syntax of their own, near-miss spellings of it.
@@ -431,7 +508,25 @@ class TestConfigFuzz:
     def test_validate_exits_zero_or_two(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("fuzz") / "config.ini"
         path.write_text(text, encoding="utf-8")
-        assert cli.main(["validate", str(path)]) in (0, 2)
+        code = cli.main(["validate", str(path)])
+        assert code in (0, 2)
+        if code == 0:
+            # On an accepted config, the work `run` does before the solve
+            # raises nothing: the initial field, the measurement parameters,
+            # the ledger and the resolved config.
+            cfg = cli.parse_config(path)
+            sc, mod = cfg.scenario, cfg.values["modulus"]
+            assert np.isfinite(solver.build_initial(sc.grid, sc.initial)).all()
+            studies.measurement_params(sc, mod["r0"], mod["alpha_if_p_eq_n"])
+            assert cfg.ledger.Lambda == sc.certified_lambda()
+            cli._resolved_config_text(cfg)
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [f"{section}.{key}" for section, keys in cli.KNOWN_KEYS.items()
+               for key in sorted(keys) if f"`{section}.{key}`" not in readme]
+    assert not missing
 
 
 class TestSweep:
