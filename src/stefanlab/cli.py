@@ -3,8 +3,9 @@
 Configs are INI files (sections of key = value pairs; values are scalars,
 strings, or comma-separated flat lists).  Every run writes its fully
 resolved configuration next to the outputs, and re-running a config
-reproduces every output file byte for byte; the summary records the hash of
-each artifact.
+reproduces every output file byte for byte except `timings.json`, the wall
+times of the solve, the snapshot write and each check; the summary records
+the hash of each other artifact.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 configuration
 error, 3 solver failure.
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -93,6 +95,14 @@ def _list_of(choices, what: str):
 _finite = _number(float, math.isfinite, "finite")
 _positive = _number(float, lambda x: 0.0 < x < math.inf, "positive and finite")
 _count = _number(int, lambda n: n >= 0, "a nonnegative integer")
+
+
+def _integer(text: str) -> int:
+    """An integer, also written as an integral float such as 41.0 or 1e3."""
+    x = float(text)
+    if not x.is_integer():
+        raise ValueError(f"must be an integer, got {text!r}")
+    return int(x)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -171,7 +181,7 @@ KEYS: dict[str, dict[str, Key]] = {
     "scenario": {
         "preset": Key(None, presets.make_preset, preset=True, axis="preset"),
         "dim": Key("1", lambda t: _one_of((1, 2), "dim")(int(t))),
-        "nodes": Key(None, lambda t: tuple(int(float(v)) for v in t.split(",")),
+        "nodes": Key(None, lambda t: tuple(map(_integer, t.split(","))),
                      preset=True, axis="resolution"),
         "extent": Key("1.0", _positive),
         "p": Key(None, float, axis="p"),
@@ -352,8 +362,15 @@ def _initial(grid: Grid, name: str, params: dict) -> InitialData:
 # Artifact emission
 # ---------------------------------------------------------------------------
 
-def _json_dump(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
+def _write(path: Path, text: str | bytes) -> str:
+    """Write an artifact; return the sha256 of the bytes written."""
+    data = text.encode() if isinstance(text, str) else text
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_dump(path: Path, obj) -> str:
+    return _write(path, json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
 
 
 def _json_default(v):
@@ -366,16 +383,17 @@ def _json_default(v):
     return repr(v)
 
 
-def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> list[Path]:
-    snap_dir = outdir / "snapshots"
-    snap_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> dict[str, str]:
+    """Write every `stride`-th stored field and the last one; return the
+    sha256 of each file written, by its path relative to `outdir`."""
+    (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
+    hashes = {}
     last = len(traj.times) - 1
     for m in sorted({*range(0, last + 1, max(stride, 1)), last}):
-        stem = snap_dir / f"step_{m:06d}"
+        stem = f"snapshots/step_{m:06d}"
         data = np.ascontiguousarray(traj.temps[m], dtype="<f8")
-        (stem.with_suffix(".bin")).write_bytes(data.tobytes())
-        _json_dump(stem.with_suffix(".json"), {
+        hashes[stem + ".bin"] = _write(outdir / (stem + ".bin"), data.tobytes())
+        hashes[stem + ".json"] = _json_dump(outdir / (stem + ".json"), {
             "shape": list(data.shape),
             "dtype": "<f8",
             "order": "row-major",
@@ -385,8 +403,7 @@ def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> list[Path]:
             "index": m,
             "scenario_hash": traj.meta.get("scenario_hash"),
         })
-        written.extend([stem.with_suffix(".bin"), stem.with_suffix(".json")])
-    return written
+    return hashes
 
 
 def _resolved_config_text(cfg: RunConfig) -> str:
@@ -403,13 +420,17 @@ def _resolved_config_text(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict]]:
+def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict], dict]:
+    """Each requested check's summary entry, the reports of the checks that
+    make one, and each check's wall time in seconds."""
     sc, params, ledger, mod = cfg.scenario, cfg.params, cfg.ledger, cfg.values["modulus"]
     center = (mod["center"], traj.times[-1])
     g = traj.graph
     reports = []
     summary = {}
+    seconds = {}
     for name in cfg.values["checks"]["run"]:
+        start = time.perf_counter()
         try:
             if name == "conservation":
                 defect = conservation_defect(traj)
@@ -485,9 +506,10 @@ def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict]]:
                                  "profile_csv": profile.to_csv(), "fit": profile.fit_dict()}
         except Exception as err:  # a failed check is a verdict, not a crash
             summary[name] = {"pass": False, "error": f"{type(err).__name__}: {err}"}
+        seconds[name] = time.perf_counter() - start
     for name in summary:
         summary[name]["label"] = CHECK_LABELS[name]
-    return summary, reports
+    return summary, reports, seconds
 
 
 def _fit_params_to_horizon(params: ModulusParams, traj: Trajectory):
@@ -510,6 +532,7 @@ def _fit_params_to_horizon(params: ModulusParams, traj: Trajectory):
 
 def run(config_path: str | Path, out_override: str | None = None) -> int:
     """Execute the solve -> geometry -> verify pipeline for one config."""
+    start = time.perf_counter()
     try:
         cfg = parse_config(config_path)
     except ConfigError as err:
@@ -517,33 +540,30 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         return 2
     outdir = Path(out_override) if out_override else cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "resolved_config.ini").write_text(_resolved_config_text(cfg))
+    # artifact path relative to outdir -> sha256 of the bytes written
+    hashes = {"resolved_config.ini": _write(outdir / "resolved_config.ini",
+                                            _resolved_config_text(cfg))}
 
+    solve_start = time.perf_counter()
     try:
         traj = run_simulation(cfg.scenario)
     except SolverError as err:
         _json_dump(outdir / "error.json", {"code": 3, "kind": type(err).__name__,
                                            "message": str(err), "time": err.time})
         return 3
+    snapshots_start = time.perf_counter()
+    hashes.update(_write_snapshots(outdir, traj, cfg.values["output"]["snapshot_stride"]))
+    snapshots_end = time.perf_counter()
+    summary, reports, check_seconds = _run_checks(cfg, traj)
 
-    files = _write_snapshots(outdir, traj, cfg.values["output"]["snapshot_stride"])
-    summary, reports = _run_checks(cfg, traj)
-
-    checks_path = outdir / "checks.jsonl"
-    checks_path.write_text("".join(json.dumps(rep, sort_keys=True, default=_json_default)
-                                   + "\n" for rep in reports))
-    files.append(checks_path)
-
+    hashes["checks.jsonl"] = _write(outdir / "checks.jsonl", "".join(
+        json.dumps(rep, sort_keys=True, default=_json_default) + "\n" for rep in reports))
     if "profile_csv" in summary.get("modulus", {}):
-        (outdir / "oscillation.csv").write_text(summary["modulus"].pop("profile_csv"))
-        _json_dump(outdir / "fit.json", summary["modulus"].pop("fit"))
-        files += [outdir / "oscillation.csv", outdir / "fit.json"]
+        hashes["oscillation.csv"] = _write(outdir / "oscillation.csv",
+                                           summary["modulus"].pop("profile_csv"))
+        hashes["fit.json"] = _json_dump(outdir / "fit.json", summary["modulus"].pop("fit"))
+    hashes["ledger.json"] = _json_dump(outdir / "ledger.json", cfg.ledger.as_dict())
 
-    _json_dump(outdir / "ledger.json", cfg.ledger.as_dict())
-    files += [outdir / "ledger.json", outdir / "resolved_config.ini"]
-
-    hashes = {str(f.relative_to(outdir)): hashlib.sha256(f.read_bytes()).hexdigest()
-              for f in sorted(set(files))}
     all_pass = all(entry.get("pass", False) for entry in summary.values())
     _json_dump(outdir / "summary.json", {
         "checks": summary,
@@ -552,6 +572,13 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         "artifact_hashes": hashes,
         "all_pass": all_pass,
         "solver": _solver_summary(traj),
+    })
+    # Wall times differ between reruns, so they stay out of artifact_hashes.
+    _json_dump(outdir / "timings.json", {
+        "solve_s": snapshots_start - solve_start,
+        "snapshots_s": snapshots_end - snapshots_start,
+        "checks_s": check_seconds,
+        "total_s": time.perf_counter() - start,
     })
     return 0 if all_pass else 1
 

@@ -399,7 +399,10 @@ def _ramp(grid: Grid, params: dict) -> np.ndarray:
     xs = grid.meshgrid()
     lo = float(params.get("lo", 0.0))
     hi = float(params.get("hi", 1.0))
-    axis = int(params.get("axis", 0))
+    axis = params.get("axis", 0)
+    if axis not in range(grid.dim):
+        raise ValueError(f"ramp axis must be an integer in [0, {grid.dim}), got {axis!r}")
+    axis = int(axis)
     return lo + (hi - lo) * xs[axis] / grid.extents[axis]
 
 
@@ -411,6 +414,8 @@ def _bump(grid: Grid, params: dict) -> np.ndarray:
     center = params.get("center", tuple(e / 2 for e in grid.extents))
     if np.ndim(center) == 0:
         center = (float(center),) * grid.dim
+    if len(center) != grid.dim:
+        raise ValueError(f"bump center has {len(center)} coordinates for a {grid.dim}D grid")
     d2 = sum((x - c) ** 2 for x, c in zip(xs, center))
     prof = np.maximum(1.0 - d2 / width**2, 0.0)
     return base + amp * prof**2
@@ -425,6 +430,8 @@ def _fourier(grid: Grid, params: dict) -> np.ndarray:
         amps = (float(amps),)
     if np.ndim(freqs) == 0:
         freqs = (float(freqs),)
+    if len(amps) != len(freqs):
+        raise ValueError(f"fourier has {len(amps)} amps but {len(freqs)} freqs")
     out = np.full(grid.shape, base)
     for amp, freq in zip(amps, freqs):
         term = amp
@@ -509,6 +516,16 @@ class _Faces:
         if u.shape != self.shape:
             raise ShapeMismatchError("field shape does not match grid")
         return [_face_diffs(u, ax) / self.h for ax in range(len(self.shape))]
+
+    def row_gradients(self, u: np.ndarray) -> list[np.ndarray]:
+        """`gradients` of each row of a stack u of fields (leading axis)."""
+        if u.shape[1:] != self.shape:
+            raise ShapeMismatchError("field shape does not match grid")
+        return [_face_diffs(u, ax + 1) / self.h for ax in range(len(self.shape))]
+
+    def row_fluxes(self, u: np.ndarray) -> list[np.ndarray]:
+        """Per-axis face fluxes coef * |g|^{p-2} g of each row of a stack u."""
+        return [c * self.law(g) for c, g in zip(self.coef, self.row_gradients(u))]
 
     def law(self, g):
         """|g|^{p-2} g, the unweighted flux of a gradient component."""
@@ -968,6 +985,48 @@ def run_simulation(scenario: Scenario) -> Trajectory:
 # Discrete weak-form residual
 # ---------------------------------------------------------------------------
 
+# The trajectory checks work on blocks of stored times, with at most this
+# many float64 values (64 KB) in each block temporary, so their memory does
+# not grow with the number of stored times.  On a 1D run with 1,441 stored
+# times larger blocks were no faster and raised the peak memory (by 15 MB
+# at 2**17).
+BLOCK_ELEMENTS = 2**13
+
+
+def _time_blocks(first: int, last: int, grid: Grid):
+    """Index ranges (lo, hi) of stored times covering first..last.
+
+    Consecutive blocks share their end index, so each pair (m - 1, m) with
+    first < m <= last lies in exactly one block, and a block holds at most
+    max(1, BLOCK_ELEMENTS // grid size) pairs.  The running sums of the
+    checks add the per-time values of each block in time order, as one
+    pass over the times would."""
+    pairs = max(1, BLOCK_ELEMENTS // math.prod(grid.shape))
+    for lo in range(first, last, pairs):
+        yield lo, min(lo + pairs, last)
+
+
+def _time_column(times, dim: int) -> np.ndarray:
+    """Times as an array that broadcasts along a leading axis of fields."""
+    return np.asarray(times, dtype=float).reshape((-1,) + (1,) * dim)
+
+
+def _row_sums(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """The sum of each row (leading axis) of a, over the nodes in `mask` if
+    given: per row, the same pairwise sum as np.sum of that row's values.
+    (a[:, mask] is laid out column-major, so its row sums would not be.)"""
+    rows = a.reshape(len(a), -1)
+    if mask is not None:
+        rows = np.compress(mask.ravel(), rows, axis=1)
+    return rows.sum(axis=1)
+
+
+def _on_rows(values, rows: int, grid: Grid) -> np.ndarray:
+    """Field values of a test function at `rows` times, one row per time
+    (a time-independent function returns a single field)."""
+    return np.broadcast_to(values, (rows,) + grid.shape)
+
+
 class SpaceTimeBump:
     """Smooth compactly supported test function: product of quartic bumps in
     space times a smooth ramp in time.  Gradient available in closed form."""
@@ -992,7 +1051,10 @@ class SpaceTimeBump:
         if self.t_center is None:
             return 1.0
         z = np.clip((t - self.t_center) / self.t_width, -1.0, 1.0)
-        return (1.0 - z * z) ** 2
+        # float_power: the same libm pow whether t is one time or an array
+        # of them (an array ** 2 takes a vectorized path that can differ in
+        # the last bit).
+        return np.float_power(1.0 - z * z, 2)
 
     def value(self, xs, t):
         out = self.amplitude * self._time_part(t)
@@ -1016,7 +1078,8 @@ class SpaceTimeBump:
 
 
 class ConstantInSpace:
-    """Test function phi(t) uniform over the domain (zero-flux runs only)."""
+    """Test function phi(t) uniform over the domain (zero-flux runs only);
+    `profile` must map an array of times elementwise."""
 
     def __init__(self, profile: Callable[[float], float]):
         self.profile = profile
@@ -1029,15 +1092,15 @@ class ConstantInSpace:
 
 
 def _centered_gradient(u: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Node gradients by central differences, mirrored at the boundary."""
+    """Node gradients of each row of a stack u of fields (leading axis) by
+    central differences; mirroring at the boundary makes them zero there."""
     grads = []
-    for ax in range(grid.dim):
-        padded = np.concatenate(
-            [np.take(u, [1], axis=ax), u, np.take(u, [-2], axis=ax)], axis=ax
-        )
-        hi = np.take(padded, range(2, u.shape[ax] + 2), axis=ax)
-        lo = np.take(padded, range(0, u.shape[ax]), axis=ax)
-        grads.append((hi - lo) / (2.0 * grid.h))
+    for ax in range(1, grid.dim + 1):
+        lead = (slice(None),) * ax
+        g = np.zeros(u.shape)
+        g[lead + (slice(1, -1),)] = ((u[lead + (slice(2, None),)] - u[lead + (slice(None, -2),)])
+                                     / (2.0 * grid.h))
+        grads.append(g)
     return grads
 
 
@@ -1056,6 +1119,10 @@ def weak_form_residual(
     w_i |d_i u|^{p-2} d_i u, from centred node gradients against the
     analytic test-function gradient, so for generic test functions the
     residual measures the O(h + dt) discretization defect.
+
+    The test function is evaluated on blocks of stored times at once: its
+    `value(xs, t)` and `gradient(xs, t)` must broadcast a time array of
+    shape (rows, 1, ...) against the node coordinates.
     """
     grid = trajectory.grid
     xs = trajectory.meshgrid()
@@ -1096,23 +1163,30 @@ def weak_form_residual(
     weights = trajectory.field.weights
     faces = _Faces(grid, trajectory.p, weights)
 
-    def masked_sum(a):
-        return float(np.sum((a * vol)[mask]))
+    def masked_sums(a):
+        """Per row of a, the volume-weighted sum over the region."""
+        return _row_sums(a * vol, mask).tolist()
 
     e_fields = trajectory.enthalpies
-    phi = [np.asarray(test_function.value(xs, times[m])) for m in range(m1, m2 + 1)]
-    r_val = masked_sum(e_fields[m2] * phi[-1]) - masked_sum(e_fields[m1] * phi[0])
-    for j, m in enumerate(range(m1, m2)):
-        r_val -= masked_sum(e_fields[m] * (phi[j + 1] - phi[j]))
-
-    flux_term = 0.0
-    for m in range(m1 + 1, m2 + 1):
-        dt_m = times[m] - times[m - 1]
-        grads = _centered_gradient(trajectory.temps[m], grid)
-        gphi = test_function.gradient(xs, times[m])
+    time_terms, flux_terms = [], []
+    for lo, hi in _time_blocks(m1, m2, grid):
+        ts = times[lo:hi + 1]
+        phi = _on_rows(test_function.value(xs, _time_column(ts, grid.dim)), ts.size, grid)
+        e = np.stack(e_fields[lo:hi])
+        if lo == m1:
+            first = masked_sums(e[:1] * phi[:1])[0]
+        time_terms += masked_sums(e * (phi[1:] - phi[:-1]))
+        grads = _centered_gradient(np.stack(trajectory.temps[lo + 1:hi + 1]), grid)
+        gphi = test_function.gradient(xs, _time_column(ts[1:], grid.dim))
         dot = sum(w * faces.law(g) * np.asarray(gp)
                   for w, g, gp in zip(weights, grads, gphi))
-        flux_term += dt_m * masked_sum(dot)
+        flux_terms += [dt_m * v for dt_m, v in zip(np.diff(ts).tolist(), masked_sums(dot))]
+    r_val = masked_sums(e_fields[m2] * phi[-1:])[0] - first
+    for term in time_terms:
+        r_val -= term
+    flux_term = 0.0
+    for term in flux_terms:
+        flux_term += term
     r_val += flux_term
 
     h_plus_dt = grid.h + float(np.mean(np.diff(times[m1:m2 + 1])))

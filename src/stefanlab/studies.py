@@ -55,8 +55,8 @@ def caccioppoli_at(traj: Trajectory, params: ModulusParams,
     """
     cyl = cylinder(params, (center_space, traj.times[-1]), params.r0, "full")
     cyl = replace(cyl, depth=min(cyl.depth, 0.8 * (traj.times[-1] - traj.times[0])))
-    ws = np.concatenate([traj.w_fields()[m][traj.ball_mask(cyl.center_space, cyl.ball_radius)]
-                         for m in traj.time_indices(*cyl.time_window)])
+    mask = traj.ball_mask(cyl.center_space, cyl.ball_radius)
+    ws = np.concatenate([traj.w_fields()[m][mask] for m in traj.time_indices(*cyl.time_window)])
     return verify.caccioppoli_check(traj, traj.graph, float(np.quantile(ws, 0.3)),
                                     CutoffSpec(), cyl)
 

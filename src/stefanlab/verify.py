@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
                        OscillationProfile, cylinder, fit_modulus, kappa_ratio,
                        omega, oscillation)
 from .graphs import RegularizedGraph, enthalpy_jump_primitive
-from .solver import Scenario, SpaceTimeBump, Trajectory, _Faces, run_simulation
+from .solver import (Scenario, SpaceTimeBump, Trajectory, _Faces, _on_rows, _row_sums,
+                     _time_blocks, _time_column, run_simulation)
 
 
 @dataclass
@@ -110,16 +111,20 @@ class CutoffSpec:
         return p / (self.ramp_fraction * cyl.depth)
 
 
-def _cell_average_of_faces(face_vals: list[np.ndarray], dim: int) -> np.ndarray:
-    """Average per-axis face quantities back onto nodes (zero at the ends)."""
+def _cell_average_of_faces(face_vals: list[np.ndarray]) -> np.ndarray:
+    """Average per-axis face quantities of each row of a stack (leading
+    axis) back onto nodes, a missing face beyond either end counting as 0."""
     out = None
-    for ax, f in enumerate(face_vals):
-        pad = [(0, 0)] * dim
-        pad[ax] = (1, 1)
-        fp = np.pad(f, pad)
-        lo = np.take(fp, range(0, fp.shape[ax] - 1), axis=ax)
-        hi = np.take(fp, range(1, fp.shape[ax]), axis=ax)
-        term = 0.5 * (lo + hi)
+    for ax, f in enumerate(face_vals, start=1):
+        lead = (slice(None),) * ax
+        shape = list(f.shape)
+        shape[ax] += 1
+        pair_sum = np.empty(shape)
+        pair_sum[lead + (0,)] = f[lead + (0,)]
+        np.add(f[lead + (slice(None, -1),)], f[lead + (slice(1, None),)],
+               out=pair_sum[lead + (slice(1, -1),)])
+        pair_sum[lead + (-1,)] = f[lead + (-1,)]
+        term = 0.5 * pair_sum
         out = term if out is None else out + term
     return out
 
@@ -157,8 +162,9 @@ def caccioppoli_check(
     phi_time = cutoff.time_profile(times, cyl)
     w_all = trajectory.w_fields()
 
-    def ball_mean(a):
-        return float(np.sum((a * vol)[mask])) / ball_vol
+    def ball_means(a):
+        """Per row of a, the volume-weighted mean over the ball."""
+        return (_row_sums(a * vol, mask) / ball_vol).tolist()
 
     sup_jump = 0.0
     sup_sq = 0.0
@@ -168,30 +174,35 @@ def caccioppoli_check(
     rhs_jump_num = 0.0
     weight_total = 0.0
 
-    phi_p_prev = None
-    t_prev = None
-    for j, m in enumerate(t_idx):
-        w = w_all[m]
-        phi = phi_space * phi_time[j]
+    for lo, hi in _time_blocks(0, t_idx.size - 1, grid):
+        w = np.stack([w_all[m] for m in t_idx[lo:hi + 1]])
+        phi = phi_space * _time_column(phi_time[lo:hi + 1], grid.dim)
+        phi_p = phi**p
         vk = np.maximum(w - k, 0.0)
         jump = enthalpy_jump_primitive(graph, graph.a, k, w)
-        sup_jump = max(sup_jump, lh * ball_mean(jump * phi**p))
-        sup_sq = max(sup_sq, ball_mean(vk**2 * phi**p))
+        new = slice(0 if lo == 0 else 1, None)  # row 0 ends the previous block
+        for jump_mean, sq_mean in zip(ball_means(jump[new] * phi_p[new]),
+                                      ball_means(vk[new]**2 * phi_p[new])):
+            sup_jump = max(sup_jump, lh * jump_mean)
+            sup_sq = max(sup_sq, sq_mean)
 
-        if j > 0:
-            dt_m = float(times[j] - t_prev)
+        # Each later row m against row m - 1.
+        dts = np.diff(times[lo:hi + 1])
+        phi, vk, jump = phi[1:], vk[1:], jump[1:]
+        # gradient of the truncation times cutoff, via face differences
+        gsq = _cell_average_of_faces([f**2 for f in faces.row_gradients(vk * phi)])
+        # cutoff gradient on faces
+        dphi_sq = _cell_average_of_faces([f**2 for f in faces.row_gradients(phi)])
+        dphip = np.maximum((phi_p[1:] - phi_p[:-1]) / _time_column(dts, grid.dim), 0.0)
+        for dt_m, grad, rhs_grad, rhs_time, rhs_jump in zip(
+                dts.tolist(), ball_means(gsq ** (p / 2.0)),
+                ball_means(vk**p * dphi_sq ** (p / 2.0)),
+                ball_means(vk**2 * dphip), ball_means(jump * dphip)):
             weight_total += dt_m
-            # gradient of the truncation times cutoff, via face differences
-            gsq = _cell_average_of_faces([f**2 for f in faces.gradients(vk * phi)], grid.dim)
-            grad_term_num += dt_m * ball_mean(gsq ** (p / 2.0))
-            # cutoff gradient on faces
-            dphi_sq = _cell_average_of_faces([f**2 for f in faces.gradients(phi)], grid.dim)
-            rhs_grad_num += dt_m * ball_mean(vk**p * dphi_sq ** (p / 2.0))
-            dphip = np.maximum((phi**p - phi_p_prev) / dt_m, 0.0)
-            rhs_time_num += dt_m * ball_mean(vk**2 * dphip)
-            rhs_jump_num += dt_m * lh * ball_mean(jump * dphip)
-        phi_p_prev = phi**p
-        t_prev = times[j]
+            grad_term_num += dt_m * grad
+            rhs_grad_num += dt_m * rhs_grad
+            rhs_time_num += dt_m * rhs_time
+            rhs_jump_num += dt_m * lh * rhs_jump
 
     span = max(weight_total, 1e-300)
     lhs = sup_jump / slab + sup_sq / slab + grad_term_num / span
@@ -231,17 +242,19 @@ def caccioppoli_check(
 
 def _discrete_weak_residuals(
     trajectory: Trajectory,
-    field_sets: Sequence[list[np.ndarray]],
+    field_maps: Sequence[Callable[[np.ndarray], np.ndarray]],
     phi_fns: Sequence,
 ) -> list[list[tuple[float, float]]]:
-    """Scheme-compatible weak residuals of each stored field sequence in
-    `field_sets` against each test function phi >= 0 in `phi_fns`.
+    """Scheme-compatible weak residuals of the fields map(w) of each map in
+    `field_maps` against each test function phi >= 0 in `phi_fns`.
 
     Telescoping time term plus face fluxes against face differences of phi.
-    One pass over the stored times: each field's fluxes and each test
-    function's values and face gradients are computed once per time and
-    shared by every pairing.  Returns (residual, scale) per field set and
-    test function.
+    One pass over blocks of stored times: each field's fluxes and each test
+    function's values and face gradients are computed once per block and
+    shared by every pairing.  Each map takes a stack of w fields (leading
+    axis) elementwise to the fields tested; each phi(xs, t) must broadcast
+    a time array of shape (rows, 1, ...).  Returns (residual, scale) per
+    field map and test function.
     """
     grid = trajectory.grid
     h = grid.h
@@ -249,32 +262,45 @@ def _discrete_weak_residuals(
     vol = grid.volume_weights()
     xs = trajectory.meshgrid()
     times = np.asarray(trajectory.times)
-    pairs = [(s, k) for s in range(len(field_sets)) for k in range(len(phi_fns))]
+    w_all = trajectory.w_fields()
+    last = len(times) - 1
+    pairs = [(s, k) for s in range(len(field_maps)) for k in range(len(phi_fns))]
+
+    def block(lo, hi):
+        """Each test function, each field and each volume-weighted field on
+        times lo..hi."""
+        ts = _time_column(times[lo:hi + 1], grid.dim)
+        phis = [_on_rows(fn(xs, ts), hi - lo + 1, grid) for fn in phi_fns]
+        w = np.stack(w_all[lo:hi + 1])
+        fields = [field_map(w) for field_map in field_maps]
+        return phis, fields, [vol * f for f in fields]
+
+    # The time terms telescope to the pairings at the two ends minus the
+    # pairings of each field against the next step of phi.
+    ends = []
+    for m in (0, last):
+        phis, _, weighted = block(m, m)
+        ends.append({(s, k): float(_row_sums(weighted[s] * phis[k])[0]) for s, k in pairs})
     # Per pairing, the time terms and then the flux terms, in the order the
     # residual adds them.
     time_terms = {sk: [] for sk in pairs}
     flux_terms = {sk: [] for sk in pairs}
-    for m in range(len(times)):
-        phis = [np.asarray(fn(xs, times[m])) for fn in phi_fns]
-        weighted = [vol * fields[m] for fields in field_sets]
-        if m == 0:
-            starts = {(s, k): float(np.sum(weighted[s] * phis[k])) for s, k in pairs}
-        else:
-            dt_m = float(times[m] - times[m - 1])
-            steps = [phi - prev for phi, prev in zip(phis, prev_phis)]
-            dphis = [faces.gradients(phi) for phi in phis]
-            fluxes = [faces.fluxes(faces.powers(fields[m])) for fields in field_sets]
-            for s, k in pairs:
-                time_terms[s, k].append(-float(np.sum(prev_weighted[s] * steps[k])))
-                term = 0.0
-                for f, dphi in zip(fluxes[s], dphis[k]):
-                    term += float(np.sum(f * dphi * h))
-                flux_terms[s, k].append(dt_m * term)
-        prev_phis, prev_weighted = phis, weighted
+    for lo, hi in _time_blocks(0, last, grid):
+        phis, fields, weighted = block(lo, hi)
+        dts = np.diff(times[lo:hi + 1])
+        steps = [phi[1:] - phi[:-1] for phi in phis]
+        dphis = [faces.row_gradients(phi[1:]) for phi in phis]
+        fluxes = [faces.row_fluxes(f[1:]) for f in fields]
+        for s, k in pairs:
+            time_terms[s, k] += (-_row_sums(weighted[s][:-1] * steps[k])).tolist()
+            term = 0.0
+            for f, dphi in zip(fluxes[s], dphis[k]):
+                term = term + _row_sums(f * dphi * h)
+            flux_terms[s, k] += (dts * term).tolist()
 
-    out = [[] for _ in field_sets]
+    out = [[] for _ in field_maps]
     for s, k in pairs:
-        r_val = float(np.sum(prev_weighted[s] * prev_phis[k])) - starts[s, k]
+        r_val = ends[1][s, k] - ends[0][s, k]
         scale = abs(r_val)
         for term in time_terms[s, k] + flux_terms[s, k]:
             r_val += term
@@ -327,14 +353,12 @@ def truncation_supersolution_check(
     """
     if not k < b - eps:
         raise ValueError("truncation level must satisfy k < b - eps")
-    w_all = trajectory.w_fields()
-    sup_fields = [np.minimum(w, k) for w in w_all]
-    sub_fields = [np.maximum(k - w, 0.0) for w in w_all]
     fams = _test_function_family(trajectory.grid, region[0], region[1],
                                  trajectory.grid.dim, rng_seed=rng_seed)
 
-    sup, sub = _discrete_weak_residuals(trajectory, [sup_fields, sub_fields],
-                                        [phi.value for phi in fams])
+    sup, sub = _discrete_weak_residuals(
+        trajectory, [lambda w: np.minimum(w, k), lambda w: np.maximum(k - w, 0.0)],
+        [phi.value for phi in fams])
     worst_super = min(r / scale for r, scale in sup)
     worst_sub = max(r / scale for r, scale in sub)
 

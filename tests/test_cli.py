@@ -43,9 +43,11 @@ def _write(tmp_path, text, name="config.ini"):
 
 
 def _tree_hash(root: Path) -> str:
+    """Hash of every output file except timings.json, whose wall times
+    differ between reruns."""
     h = hashlib.sha256()
     for p in sorted(root.rglob("*")):
-        if p.is_file():
+        if p.is_file() and p.name != "timings.json":
             h.update(p.relative_to(root).as_posix().encode())
             h.update(p.read_bytes())
     return h.hexdigest()
@@ -162,10 +164,27 @@ directory = {out}
         assert (out1 / "ledger.json").exists()
         assert (out1 / "oscillation.csv").exists()
         assert summary["artifact_hashes"]
-        # recorded hashes match the files on disk
+        # recorded hashes match the files on disk, and every file but the
+        # summary and the timings is recorded
+        files = {p.relative_to(out1).as_posix() for p in out1.rglob("*") if p.is_file()}
+        assert set(summary["artifact_hashes"]) == files - {"summary.json", "timings.json"}
         for rel, digest in summary["artifact_hashes"].items():
             data = (out1 / rel).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_timings_are_written_but_not_hashed(self, tmp_path):
+        out = tmp_path / "out"
+        path = _write(tmp_path, BASE_CONFIG.format(outdir=out))
+        summaries = []
+        for _ in range(2):
+            assert cli.main(["run", str(path), "--output", str(out)]) == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"solve_s", "snapshots_s", "checks_s", "total_s"}
+        assert set(timings["checks_s"]) == set(json.loads(summaries[0])["checks"])
+        assert all(t >= 0.0 for t in [*timings["checks_s"].values(), timings["solve_s"]])
+        assert "timings.json" not in json.loads(summaries[0])["artifact_hashes"]
 
     def test_snapshot_sidecars(self, tmp_path):
         out = tmp_path / "out"
@@ -273,6 +292,14 @@ directory = {out}
         (_EXPLICIT + "initial = ramp\ninitial_params = lo=nan\n", "scenario.initial_params"),
         (_EXPLICIT + "initial = bump\ninitial_params = width=0\n", "scenario.initial_params"),
         (_EXPLICIT + "initial = ramp\ninitial_params = foo=1\n", "scenario.initial_params"),
+        # Values the builders used to truncate, wrap around or zip away.
+        (_EXPLICIT.replace("nodes = 11", "nodes = 21.9"), "scenario.nodes"),
+        (_EXPLICIT + "initial = ramp\ninitial_params = axis=0.5\n", "scenario.initial_params"),
+        (_EXPLICIT + "initial = ramp\ninitial_params = axis=-1\n", "scenario.initial_params"),
+        (_EXPLICIT + "initial = bump\ninitial_params = center=0.2 0.9 0.5\n",
+         "scenario.initial_params"),
+        (_EXPLICIT + "initial = fourier\ninitial_params = amps=0.1 0.2 0.3, freqs=1\n",
+         "scenario.initial_params"),
         # A preset's nodes list is checked like an explicit one.
         ("[scenario]\npreset = constant\nnodes = 41, 31\n", "scenario.nodes"),
         ("[scenario]\npreset = constant\n[sweep]\naxis = bogus\nvalues = 1\n", "sweep.axis"),
@@ -283,7 +310,9 @@ directory = {out}
             "seed-negative", "extent-nan", "extent-inf", "dirichlet-nan", "extent-zero",
             "latent-heat", "jump-nan", "eps-zero", "nodes-too-few", "nodes-count",
             "beta-tau", "dirichlet-list", "dirichlet-end", "ramp-axis", "ramp-lo-nan",
-            "bump-width-zero", "ramp-unknown-param", "preset-nodes-list", "sweep-axis"])
+            "bump-width-zero", "ramp-unknown-param", "nodes-fraction", "ramp-axis-fraction",
+            "ramp-axis-negative", "bump-center-count", "fourier-lengths", "preset-nodes-list",
+            "sweep-axis"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, text, field):
         if isinstance(text, bytes):
             path = tmp_path / "config.ini"

@@ -849,6 +849,19 @@ class TestMeltingFront:
 
 
 class TestWeakFormResidual:
+    def test_bump_on_a_time_column_matches_each_time(self):
+        # The checks evaluate test functions on blocks of stored times; each
+        # row must be what evaluating at that one time gives, bit for bit.
+        # (With ** 2 in the time part, 9 of these rows differed in the
+        # last bit.)
+        bump = SpaceTimeBump(center=(0.5,), width=0.3, t_center=0.5, t_width=0.6)
+        ts = np.linspace(0.0, 1.0, 20001)
+        xs = (np.array([0.6]),)
+        values = bump.value(xs, ts[:, None])[:, 0]
+        grads = bump.gradient(xs, ts[:, None])[0][:, 0]
+        assert np.array_equal(values, [bump.value(xs, t)[0] for t in ts])
+        assert np.array_equal(grads, [bump.gradient(xs, t)[0][0] for t in ts])
+
     def test_zero_test_function(self):
         traj = run_simulation(presets.twophase_1d(nodes=31, t_end=0.01, dt=1e-3))
         res = weak_form_residual(traj, ConstantInSpace(lambda t: 0.0),

@@ -3,16 +3,18 @@ constants on solved scenarios, the measure dichotomy with a recount oracle,
 scale covariance of every report, and the modulus measurement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stefanlab import presets, studies, verify
+from stefanlab import presets, solver, studies, verify
 from stefanlab.constants import fix_constants
 from stefanlab.graphs import RegularizedGraph
 from stefanlab.geometry import (IntrinsicCylinder, cylinder, omega,
                                 rescale_solution)
-from stefanlab.solver import InitialData, SpaceTimeBump, Trajectory, run_simulation
+from stefanlab.solver import (InitialData, SpaceTimeBump, Trajectory, run_simulation,
+                              weak_form_residual)
 from stefanlab.verify import CutoffSpec
 
 
@@ -131,14 +133,13 @@ class TestTruncation:
             sc = presets.twophase_2d(p=3.0, nodes=13, t_end=0.005, dt=1e-3)
         traj = run_simulation(sc)
         k = sc.graph.a - 1.5 * sc.graph.eps
-        field_sets = [[np.minimum(u, k) for u in traj.temps],
-                      [np.maximum(k - u, 0.0) for u in traj.temps]]
+        field_maps, field_sets = _truncations(traj, k)
         lo, hi = (0.15,) * dim, (0.85,) * dim
         t_end = traj.times[-1]
         # Time-dependent bumps, so the time terms do not vanish.
         phis = [SpaceTimeBump(b.center, b.width, t_center=0.5 * t_end, t_width=0.6 * t_end).value
                 for b in verify._test_function_family(traj.grid, lo, hi, dim, rng_seed=3)]
-        got = verify._discrete_weak_residuals(traj, field_sets, phis)
+        got = verify._discrete_weak_residuals(traj, field_maps, phis)
         for fields, row in zip(field_sets, got):
             for phi_fn, pair in zip(phis, row):
                 ref = per_pair_weak_residual(traj, fields, phi_fn)
@@ -146,6 +147,13 @@ class TestTruncation:
                     assert pair == ref
                 else:
                     assert pair == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def _truncations(traj, k):
+    """The truncation check's two field maps min(w, k) and (k - w)_+, and
+    the field sequences they give, one stored time at a time."""
+    field_maps = [lambda w: np.minimum(w, k), lambda w: np.maximum(k - w, 0.0)]
+    return field_maps, [[f(w) for w in traj.w_fields()] for f in field_maps]
 
 
 def per_pair_weak_residual(traj, fields, phi_fn):
@@ -178,6 +186,164 @@ def per_pair_weak_residual(traj, fields, phi_fn):
         r_val += term
         scale += abs(term)
     return r_val, 1.0 + scale
+
+
+# ---------------------------------------------------------------------------
+# Blocks of stored times against one-time-at-a-time reference loops
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[(1, 13), (1, 2), (2, 10), (2, 2)],
+                ids=["1d-13-times", "1d-2-times", "2d-10-times", "2d-2-times"])
+def blocked_run(request):
+    # 13 and 10 stored times: neither the times nor the steps between them
+    # fill whole blocks of 7.
+    dim, count = request.param
+    dt = 1e-3
+    make = presets.twophase_1d if dim == 1 else presets.twophase_2d
+    sc = make(p=3.0, nodes=41 if dim == 1 else 13, t_end=(count - 1) * dt, dt=dt)
+    traj = run_simulation(sc)
+    assert len(traj.times) == count
+    return traj
+
+
+@pytest.fixture(params=[1, 7, None], ids=["rows-1", "rows-7", "rows-default"])
+def block_rows(request, monkeypatch):
+    """Sets the block size to this many stored-time pairs per block on a
+    grid of `size` nodes (None keeps the default)."""
+    def apply(size):
+        if request.param is not None:
+            monkeypatch.setattr(solver, "BLOCK_ELEMENTS", request.param * size)
+    return apply
+
+
+def _whole_run_cylinder(traj, r=0.3):
+    params = studies.measurement_params(traj.scenario, r0=r)
+    cyl = cylinder(params, ((0.5,) * traj.grid.dim, traj.times[-1]), r, "full")
+    return replace(cyl, depth=traj.times[-1] - traj.times[0])
+
+
+def per_time_caccioppoli(traj, k, cutoff, cyl):
+    """The terms of `caccioppoli_check`, one stored time at a time."""
+    grid, p, graph = traj.grid, traj.p, traj.graph
+    faces = solver._Faces(grid, p, traj.field.weights)
+    lh = graph.latent_heat
+    mask = traj.ball_mask(cyl.center_space, cyl.ball_radius)
+    t_idx = traj.time_indices(*cyl.time_window)
+    vol = grid.volume_weights()
+    ball_vol = float(np.sum(vol[mask]))
+    phi_space = cutoff.space_profile(traj, cyl)
+    times = np.asarray(traj.times)[t_idx]
+    phi_time = cutoff.time_profile(times, cyl)
+
+    def ball_mean(a):
+        return float(np.sum((a * vol)[mask])) / ball_vol
+
+    def node_average(face_vals):
+        out = None
+        for ax, f in enumerate(face_vals):
+            pad = [(0, 0)] * grid.dim
+            pad[ax] = (1, 1)
+            fp = np.pad(f, pad)
+            term = 0.5 * (np.take(fp, range(fp.shape[ax] - 1), axis=ax)
+                          + np.take(fp, range(1, fp.shape[ax]), axis=ax))
+            out = term if out is None else out + term
+        return out
+
+    sup_jump = sup_sq = grad = rhs_grad = rhs_time = rhs_jump = total = 0.0
+    for j, m in enumerate(t_idx):
+        w = traj.w_fields()[m]
+        phi = phi_space * phi_time[j]
+        vk = np.maximum(w - k, 0.0)
+        jump = verify.enthalpy_jump_primitive(graph, graph.a, k, w)
+        sup_jump = max(sup_jump, lh * ball_mean(jump * phi**p))
+        sup_sq = max(sup_sq, ball_mean(vk**2 * phi**p))
+        if j > 0:
+            dt_m = float(times[j] - times[j - 1])
+            total += dt_m
+            gsq = node_average([f**2 for f in faces.gradients(vk * phi)])
+            grad += dt_m * ball_mean(gsq ** (p / 2.0))
+            dphi_sq = node_average([f**2 for f in faces.gradients(phi)])
+            rhs_grad += dt_m * ball_mean(vk**p * dphi_sq ** (p / 2.0))
+            dphip = np.maximum((phi**p - phi_p_prev) / dt_m, 0.0)
+            rhs_time += dt_m * ball_mean(vk**2 * dphip)
+            rhs_jump += dt_m * lh * ball_mean(jump * dphip)
+        phi_p_prev = phi**p
+    return {"sup_jump_term": sup_jump / cyl.depth, "sup_square_term": sup_sq / cyl.depth,
+            "gradient_term": grad / total, "rhs_gradient": rhs_grad / total,
+            "rhs_time": rhs_time / total, "rhs_jump": rhs_jump / total}
+
+
+def per_time_weak_form(traj, bump):
+    """`weak_form_residual` over the whole run, full domain, one stored time
+    at a time, with node gradients from a mirror-padded copy."""
+    grid, xs = traj.grid, traj.meshgrid()
+    times = np.asarray(traj.times)
+    vol = grid.volume_weights()
+    faces = solver._Faces(grid, traj.p, traj.field.weights)
+    phis = [np.asarray(bump.value(xs, t)) for t in times]
+    e = traj.enthalpies
+    r_val = float(np.sum(e[-1] * phis[-1] * vol)) - float(np.sum(e[0] * phis[0] * vol))
+    for m in range(len(times) - 1):
+        r_val -= float(np.sum(e[m] * (phis[m + 1] - phis[m]) * vol))
+    flux = 0.0
+    for m in range(1, len(times)):
+        u = traj.temps[m]
+        dot = 0
+        for ax, (w, gp) in enumerate(zip(traj.field.weights, bump.gradient(xs, times[m]))):
+            padded = np.concatenate([np.take(u, [1], axis=ax), u, np.take(u, [-2], axis=ax)],
+                                    axis=ax)
+            g = (np.take(padded, range(2, u.shape[ax] + 2), axis=ax)
+                 - np.take(padded, range(u.shape[ax]), axis=ax)) / (2.0 * grid.h)
+            dot = dot + w * faces.law(g) * np.asarray(gp)
+        flux += (times[m] - times[m - 1]) * float(np.sum(dot * vol))
+    return r_val + flux
+
+
+class TestTimeBlocks:
+    """Blocked checks give what one stored time at a time gives, bit for
+    bit, whatever the block size."""
+
+    def test_caccioppoli(self, blocked_run, block_rows):
+        traj = blocked_run
+        block_rows(math.prod(traj.grid.shape))
+        cyl = _whole_run_cylinder(traj)
+        ws = np.concatenate(traj.w_fields())
+        k = float(np.quantile(ws, 0.3))
+        rep = verify.caccioppoli_check(traj, traj.graph, k, CutoffSpec(), cyl)
+        ref = per_time_caccioppoli(traj, k, CutoffSpec(), cyl)
+        assert not rep.degenerate
+        assert {key: rep.details[key] for key in ref} == ref
+
+    def test_weak_form(self, blocked_run, block_rows):
+        traj = blocked_run
+        block_rows(math.prod(traj.grid.shape))
+        t_end = traj.times[-1]
+        bump = SpaceTimeBump((0.5,) * traj.grid.dim, 0.3, t_center=0.5 * t_end,
+                             t_width=0.6 * t_end)
+        res = weak_form_residual(traj, bump, (traj.times[0], t_end))
+        assert res["residual"] == per_time_weak_form(traj, bump)
+        assert res["residual"] != 0.0
+
+    def test_truncation(self, blocked_run, block_rows):
+        traj = blocked_run
+        dim = traj.grid.dim
+        k = traj.graph.a - 1.5 * traj.graph.eps
+        field_maps, field_sets = _truncations(traj, k)
+        t_end = traj.times[-1]
+        phis = [SpaceTimeBump(b.center, b.width, t_center=0.5 * t_end, t_width=0.6 * t_end).value
+                for b in verify._test_function_family(traj.grid, (0.15,) * dim, (0.85,) * dim,
+                                                      dim, rng_seed=3)]
+        default = verify._discrete_weak_residuals(traj, field_maps, phis)
+        block_rows(math.prod(traj.grid.shape))
+        got = verify._discrete_weak_residuals(traj, field_maps, phis)
+        assert got == default
+        for fields, row in zip(field_sets, got):
+            for phi_fn, pair in zip(phis, row):
+                ref = per_pair_weak_residual(traj, fields, phi_fn)
+                if dim == 1:
+                    assert pair == ref
+                else:
+                    assert pair == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 class TestWeakHarnack:
