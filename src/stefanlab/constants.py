@@ -11,7 +11,7 @@ ladder leaves floating-point range almost immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class ConstantsLedger:
             "values": {k: getattr(self, k) for k in keys},
             "provenance": dict(self.provenance),
         }
-
-    def with_measured(self, **measured) -> "ConstantsLedger":
-        prov = dict(self.provenance)
-        for k in measured:
-            prov[k] = "measured"
-        return replace(self, provenance=prov, **measured)
 
     def modulus_params(self, r0: float) -> ModulusParams:
         return ModulusParams(n=self.n, p=self.p, alpha=self.alpha,

@@ -87,13 +87,6 @@ def omega_from_depth(params: ModulusParams, y):
     return out if out.ndim else float(out)
 
 
-def omega_log_slope(params: ModulusParams, r):
-    """omega'(r) * r / omega(r) = alpha / (p + ln(r0/r)), at most alpha/p."""
-    r = np.asarray(r, dtype=float)
-    out = params.alpha / (params.p + np.log(params.r0 / r))
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class IntrinsicCylinder:
     """Backward space-time cylinder B x (t0 - depth, t0].

@@ -29,7 +29,9 @@ system stays SPD.  The 2D solves are inexact Newton-Krylov: each CG stops
 at the forcing tolerance of `_forcing_term`, loose while the step residual
 is large and tight only where the final polish needs it (Eisenstat &
 Walker, SIAM J. Sci. Comput. 17, 1996).  The step's own acceptance test is
-always made on the exact nonlinear residual.
+always made on the exact nonlinear residual.  `gtsv` is imported from
+`scipy.linalg.lapack` on the first 1D solve (`_gtsv`), so importing
+stefanlab, a 2D run and the commands that solve nothing load no scipy.
 
 Newton starts each step from `_extrapolate`: the polynomial through the
 current state and up to two earlier accepted states, evaluated at the new
@@ -48,6 +50,7 @@ without evaluating F whenever r(u).(u_start - u) >= -1e-12 (see
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -55,7 +58,6 @@ from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .graphs import RegularizedGraph
 
@@ -576,6 +578,15 @@ class _Faces:
 # Implicit step: Newton on the convex step functional
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gtsv():
+    """LAPACK's dgtsv, imported once per process on the first 1D solve:
+    scipy.linalg is the largest cost of starting stefanlab and nothing
+    else in the package needs it."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
 class _StepProblem:
     """Gradient/Hessian/energy of the step functional on one scenario."""
 
@@ -642,7 +653,8 @@ class _StepProblem:
     def _solve_1d(self, diag, c, r):
         """Tridiagonal solve by LAPACK gtsv (LU with partial pivoting), the
         routine scipy.linalg.solve_banded((1, 1), ...) calls; `diag` is
-        overwritten.  A zero pivot (info > 0) raises LinAlgError."""
+        overwritten.  A zero pivot (info > 0) raises LinAlgError.  The first
+        call in a process imports scipy.linalg.lapack (about 0.3 s)."""
         main = diag
         main[:-1] += c
         main[1:] += c
@@ -655,7 +667,7 @@ class _StepProblem:
             lower[pins[1:]] = 0.0    # row of pinned node i: coupling to i-1
             r = r.copy()
             r[pins] = 0.0
-        *_, d, info = dgtsv(lower, main, upper, r, True, True, True, False)
+        *_, d, info = _gtsv()(lower, main, upper, r, True, True, True, False)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal Newton solve failed (gtsv info={info})")
         return d
@@ -1077,20 +1089,6 @@ class SpaceTimeBump:
         return grads
 
 
-class ConstantInSpace:
-    """Test function phi(t) uniform over the domain (zero-flux runs only);
-    `profile` must map an array of times elementwise."""
-
-    def __init__(self, profile: Callable[[float], float]):
-        self.profile = profile
-
-    def value(self, xs, t):
-        return self.profile(t) * np.ones_like(xs[0])
-
-    def gradient(self, xs, t):
-        return [np.zeros_like(x) for x in xs]
-
-
 def _centered_gradient(u: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Node gradients of each row of a stack u of fields (leading axis) by
     central differences; mirroring at the boundary makes them zero there."""
@@ -1219,8 +1217,13 @@ def _region_ring(mask: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def enthalpy_totals(trajectory: Trajectory) -> np.ndarray:
-    vol = trajectory.grid.volume_weights()
-    return np.array([float(np.sum(e * vol)) for e in trajectory.enthalpies])
+    """The enthalpy integral at each stored time, summed over bounded blocks
+    of times: per time, bit for bit np.sum(e * vol)."""
+    grid = trajectory.grid
+    vol = grid.volume_weights()
+    e_fields = trajectory.enthalpies
+    return np.concatenate([_row_sums(np.stack(e_fields[lo:hi]) * vol)
+                           for lo, hi in _time_blocks(0, len(e_fields), grid)])
 
 
 def conservation_defect(trajectory: Trajectory) -> float:
@@ -1228,28 +1231,3 @@ def conservation_defect(trajectory: Trajectory) -> float:
     totals = enthalpy_totals(trajectory)
     return float(np.max(np.abs(totals - totals[0])) / (1.0 + abs(totals[0])))
 
-
-def dissipation_profile(trajectory: Trajectory) -> np.ndarray:
-    """Monotone Lyapunov sequence: conjugate enthalpy energy plus the
-    accumulated p-flux dissipation.  Non-increasing (to tolerance) for
-    zero-flux runs."""
-    sc = trajectory.scenario
-    g = trajectory.graph
-    vol = trajectory.grid.volume_weights()
-    faces = _Faces(trajectory.grid, sc.p, sc.field.weights)
-
-    def conjugate(u):
-        e = g.enthalpy_of_temperature(u)
-        ee = g.enthalpy_primitive_of_temperature(u)
-        return float(np.sum(vol * (u * e - ee)))
-
-    vals = []
-    acc = 0.0
-    prev_t = trajectory.times[0]
-    for m, u in enumerate(trajectory.temps):
-        if m > 0:
-            dt = trajectory.times[m] - prev_t
-            acc += dt * sc.p * faces.energy(u)
-            prev_t = trajectory.times[m]
-        vals.append(conjugate(u) + acc)
-    return np.asarray(vals)

@@ -11,6 +11,8 @@ from stefanlab.constants import (LN32, certify_all_pairs, certify_induction,
                                  decay_profile, fix_constants, r_tilde_0)
 from stefanlab.geometry import ModulusParams, omega
 
+from helpers import with_measured
+
 
 class TestFixConstants:
     def test_level_fraction_and_depth_example(self):
@@ -82,7 +84,7 @@ class TestFixConstants:
         assert led.provenance["M"] == "formula"
         assert led.provenance["L"] == "formula"
         assert led.provenance["c0"] == "configured"
-        led2 = led.with_measured(c_star=1.7)
+        led2 = with_measured(led, c_star=1.7)
         assert led2.c_star == 1.7
         assert led2.provenance["c_star"] == "measured"
 

@@ -13,9 +13,10 @@ from stefanlab.geometry import (EmptyCylinderError, IntrinsicCylinder,
                                 ModulusParams, OscillationProfile,
                                 alpha_kappa_of, cylinder, cylinder_depth,
                                 fit_modulus, kappa_ratio, omega,
-                                omega_log_slope, oscillation,
-                                rescale_solution)
+                                oscillation, rescale_solution)
 from stefanlab.solver import Trajectory, run_simulation
+
+from helpers import omega_log_slope
 
 
 class TestAlphaKappa:

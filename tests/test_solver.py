@@ -1,8 +1,13 @@
 """Solver tests: operator exactness, step contracts, conservation, ordering,
 and the discrete weak-form residual semantics."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from stefanlab import presets, solver
 from stefanlab.graphs import RegularizedGraph
-from stefanlab.solver import (Boundary, ConstantInSpace, DtPolicy, Grid,
-                              InitialData, Scenario, ShapeMismatchError,
-                              SpaceTimeBump, Tolerances, Trajectory,
-                              VectorField, build_initial, conservation_defect,
-                              dissipation_profile, enthalpy_totals,
-                              implicit_step, run_simulation,
+from stefanlab.solver import (Boundary, DtPolicy, Grid, InitialData,
+                              Scenario, ShapeMismatchError, SpaceTimeBump,
+                              Tolerances, Trajectory, VectorField,
+                              build_initial, conservation_defect,
+                              enthalpy_totals, implicit_step, run_simulation,
                               weak_form_residual)
+
+from helpers import ConstantInSpace, dissipation_profile
 
 
 class TestGrid:
@@ -229,6 +235,23 @@ class TestRunSimulation:
         traj = run_simulation(sc)
         assert conservation_defect(traj) <= 1e-10
 
+    @pytest.mark.parametrize("block_elements", [solver.BLOCK_ELEMENTS, 64])
+    @pytest.mark.parametrize("sc", [
+        replace(presets.twophase_1d(nodes=21, t_end=0.05, dt=2.5e-4), store_every=1),
+        replace(presets.twophase_1d(nodes=21, t_end=0.05, dt=2.5e-4), store_every=3),
+        presets.twophase_2d(p=3.0, nodes=17, t_end=0.01),
+    ], ids=["1d-every-1", "1d-every-3", "2d"])
+    def test_enthalpy_totals_equal_per_time_sums(self, monkeypatch, sc, block_elements):
+        # Blocked row sums must give each stored time's np.sum bit for bit,
+        # whether the times fill one block or many.
+        traj = run_simulation(sc)
+        vol = traj.grid.volume_weights()
+        per_time = np.array([float(np.sum(e * vol)) for e in traj.enthalpies])
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", block_elements)
+        totals = enthalpy_totals(traj)
+        assert totals.dtype == np.float64 and totals.shape == per_time.shape
+        assert np.array_equal(totals, per_time)
+
     def test_step_residuals_recorded(self):
         sc = presets.twophase_1d(nodes=31, t_end=0.005, dt=5e-4)
         traj = run_simulation(sc)
@@ -390,7 +413,7 @@ class TestNewtonSolve1D:
         sc = presets.twophase_1d(nodes=41)
         u = build_initial(sc.grid, sc.initial)
         infos = []
-        gtsv = solver.dgtsv
+        gtsv = solver._gtsv()
 
         def recording_gtsv(*args):
             out = gtsv(*args)
@@ -404,7 +427,7 @@ class TestNewtonSolve1D:
                 diag, c = np.zeros_like(diag), np.zeros_like(c)
             return solve_1d(prob, diag, c, r)
 
-        monkeypatch.setattr(solver, "dgtsv", recording_gtsv)
+        monkeypatch.setattr(solver, "_gtsv", lambda: recording_gtsv)
         monkeypatch.setattr(solver._StepProblem, "_solve_1d", zero_first_matrix)
         u1, diag = implicit_step(u, 5e-4, sc)
         assert infos[0] > 0 and all(info == 0 for info in infos[1:])
@@ -414,6 +437,48 @@ class TestNewtonSolve1D:
         ref, ref_diag = implicit_step(u, 5e-4, sc)
         assert not ref_diag.used_fallback
         assert np.max(np.abs(u1 - ref)) <= 1e-12
+
+
+_IMPORT_PROBE = """
+import json, sys
+{first}
+import stefanlab, stefanlab.cli, stefanlab.studies, stefanlab.presets
+from stefanlab import cli, presets, solver
+
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+before = loaded()
+codes = [cli.main(["validate", sys.argv[1]]), cli.main(["presets"])]
+solver.run_simulation(presets.twophase_2d(p=3.0, nodes=9, t_end=0.003))
+after_2d = loaded()
+traj = solver.run_simulation(presets.twophase_1d(nodes=11, t_end=0.003, dt=1e-3))
+print(json.dumps({{"before": before, "codes": codes, "after_2d": after_2d,
+                  "lapack": "scipy.linalg.lapack" in sys.modules,
+                  "hash": traj.trajectory_hash()}}))
+"""
+
+
+def _import_probe(tmp_path, first=""):
+    ini = tmp_path / "config.ini"
+    ini.write_text("[scenario]\npreset = stefan-1d-p2-twophase\nnodes = 11\n")
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(first=first), str(ini)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_scipy_is_imported_only_by_the_first_1d_solve(tmp_path):
+    # scipy.linalg is the largest cost of starting stefanlab and serves only
+    # the 1D gtsv: importing the package, validate, presets and a 2D run
+    # must load no scipy module, and the 1D solve that loads it must give
+    # the trajectory a process with scipy imported up front gives.
+    lazy = _import_probe(tmp_path)
+    assert lazy["codes"] == [0, 0]
+    assert lazy["before"] == [] and lazy["after_2d"] == []
+    assert lazy["lapack"]
+    eager = _import_probe(tmp_path, first="import scipy.linalg.lapack")
+    assert eager["before"] != [] and eager["lapack"]
+    assert lazy["hash"] == eager["hash"]
 
 
 def newton_state_2d(p, boundary):
