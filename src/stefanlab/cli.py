@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -363,9 +364,17 @@ def _initial(grid: Grid, name: str, params: dict) -> InitialData:
 # ---------------------------------------------------------------------------
 
 def _write(path: Path, text: str | bytes) -> str:
-    """Write an artifact; return the sha256 of the bytes written."""
+    """Write an artifact; return the sha256 of the bytes written.
+
+    A file left by an earlier run is overwritten in place and then cut to
+    the new length.  Truncating it to zero first would free its blocks only
+    to allocate them again, which on a filesystem mounted with `discard`
+    costs more than the write itself.
+    """
     data = text.encode() if isinstance(text, str) else text
-    path.write_bytes(data)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        f.truncate()
     return hashlib.sha256(data).hexdigest()
 
 
@@ -383,27 +392,42 @@ def _json_default(v):
     return repr(v)
 
 
+# A snapshot file name, of this layout (.bin) or of the older per-step sidecars.
+_STEP_FILE = re.compile(r"step_\d{6}\.(bin|json)")
+
+
 def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> dict[str, str]:
-    """Write every `stride`-th stored field and the last one; return the
-    sha256 of each file written, by its path relative to `outdir`."""
-    (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
-    hashes = {}
+    """Write every `stride`-th stored field and the last one, and one
+    `index.json` describing them; remove the step files of an earlier run
+    that this one does not write.  Return the sha256 of each file written,
+    by its path relative to `outdir`."""
+    snapdir = outdir / "snapshots"
+    snapdir.mkdir(parents=True, exist_ok=True)
     last = len(traj.times) - 1
-    for m in sorted({*range(0, last + 1, max(stride, 1)), last}):
-        stem = f"snapshots/step_{m:06d}"
-        data = np.ascontiguousarray(traj.temps[m], dtype="<f8")
-        hashes[stem + ".bin"] = _write(outdir / (stem + ".bin"), data.tobytes())
-        hashes[stem + ".json"] = _json_dump(outdir / (stem + ".json"), {
-            "shape": list(data.shape),
-            "dtype": "<f8",
-            "order": "row-major",
-            "grid": {"extents": list(traj.grid.extents),
-                     "nodes": list(traj.grid.nodes)},
-            "time": traj.times[m],
-            "index": m,
-            "scenario_hash": traj.meta.get("scenario_hash"),
-        })
+    kept = sorted({*range(0, last + 1, max(stride, 1)), last})
+    hashes = {}
+    for m in kept:
+        rel = f"snapshots/step_{m:06d}.bin"
+        hashes[rel] = _write(outdir / rel, np.ascontiguousarray(traj.temps[m], "<f8").tobytes())
+    hashes["snapshots/index.json"] = _json_dump(snapdir / "index.json", {
+        "shape": list(traj.grid.shape),
+        "dtype": "<f8",
+        "order": "row-major",
+        "grid": {"extents": list(traj.grid.extents), "nodes": list(traj.grid.nodes)},
+        "scenario_hash": traj.meta.get("scenario_hash"),
+        "times": [traj.times[m] for m in kept],
+        "indices": kept,
+    })
+    for path in snapdir.iterdir():
+        if _STEP_FILE.fullmatch(path.name) and f"snapshots/{path.name}" not in hashes:
+            path.unlink()
     return hashes
+
+
+def _ini_text(cp: configparser.ConfigParser) -> str:
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def _resolved_config_text(cfg: RunConfig) -> str:
@@ -415,9 +439,7 @@ def _resolved_config_text(cfg: RunConfig) -> str:
         cp[section] = {k: (KEYS[section][k].default if v is None else
                            ",".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v))
                        for k, v in cfg.values[section].items()}
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
+    return _ini_text(cp)
 
 
 def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict], dict]:
@@ -548,8 +570,8 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
     try:
         traj = run_simulation(cfg.scenario)
     except SolverError as err:
-        _json_dump(outdir / "error.json", {"code": 3, "kind": type(err).__name__,
-                                           "message": str(err), "time": err.time})
+        _write_outcome(outdir, "error.json", {"code": 3, "kind": type(err).__name__,
+                                              "message": str(err), "time": err.time})
         return 3
     snapshots_start = time.perf_counter()
     hashes.update(_write_snapshots(outdir, traj, cfg.values["output"]["snapshot_stride"]))
@@ -565,7 +587,7 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
     hashes["ledger.json"] = _json_dump(outdir / "ledger.json", cfg.ledger.as_dict())
 
     all_pass = all(entry.get("pass", False) for entry in summary.values())
-    _json_dump(outdir / "summary.json", {
+    _write_outcome(outdir, "summary.json", {
         "checks": summary,
         "scenario_hash": traj.meta.get("scenario_hash"),
         "trajectory_hash": traj.trajectory_hash(),
@@ -581,6 +603,14 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         "total_s": time.perf_counter() - start,
     })
     return 0 if all_pass else 1
+
+
+def _write_outcome(outdir: Path, name: str, record: dict) -> None:
+    """Write `name`, one of the two outcome records, and remove the other,
+    so that a rerun never leaves an earlier run's outcome beside its own."""
+    _json_dump(outdir / name, record)
+    other = "error.json" if name == "summary.json" else "summary.json"
+    (outdir / other).unlink(missing_ok=True)
 
 
 def _solver_summary(traj: Trajectory) -> dict:
@@ -607,7 +637,7 @@ def _emit_config_error(config_path, err: ConfigError, out_override) -> None:
     target = Path(out_override) if out_override else Path("out")
     try:
         target.mkdir(parents=True, exist_ok=True)
-        _json_dump(target / "error.json", record)
+        _write_outcome(target, "error.json", record)
     except OSError:
         pass
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
@@ -645,14 +675,12 @@ def sweep(config_path: str | Path, out_override: str | None = None) -> int:
         sub.mkdir(parents=True, exist_ok=True)
         for name, value in combo:
             cp["scenario"][SWEEP_AXES[name]] = value
-        with (sub / "config.ini").open("w") as fh:
-            cp.write(fh)
+        _write(sub / "config.ini", _ini_text(cp))
         code = run(sub / "config.ini", out_override=str(sub))
         worst = max(worst, code)
-        summary_path = sub / "summary.json"
         row = {"run": label, "exit": code}
-        if summary_path.exists():
-            summary = json.loads(summary_path.read_text())
+        if code in (0, 1):  # only a run that checked has verdicts to report
+            summary = json.loads((sub / "summary.json").read_text())
             for check, entry in summary["checks"].items():
                 for key in ("implied_constant", "c_star", "alpha_hat", "defect",
                             "margin"):
@@ -664,7 +692,7 @@ def sweep(config_path: str | Path, out_override: str | None = None) -> int:
     cols = sorted({k for row in rows for k in row})
     lines = [",".join(cols)] + [",".join(repr(row[k]) if k in row else "" for k in cols)
                                 for row in rows]
-    (outdir / "aggregated.csv").write_text("\n".join(lines) + "\n")
+    _write(outdir / "aggregated.csv", "\n".join(lines) + "\n")
     return worst
 
 

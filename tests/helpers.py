@@ -1,15 +1,16 @@
 """Test-only helpers: a uniform test function, a Lyapunov sequence, the
-modulus log-slope and a ledger with measured values.  Nothing in the
-package calls them, so they live beside the tests that do."""
+modulus log-slope, a ledger with measured values and the forwarded level
+fraction.  Nothing in the package calls them, so they live beside the tests
+that do."""
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from stefanlab.constants import ConstantsLedger
-from stefanlab.geometry import ModulusParams
+from stefanlab.geometry import EmptyCylinderError, ModulusParams, cylinder, omega
 from stefanlab.solver import Trajectory, _Faces
 
 
@@ -66,3 +67,36 @@ def with_measured(ledger: ConstantsLedger, **measured) -> ConstantsLedger:
     for k in measured:
         prov[k] = "measured"
     return replace(ledger, provenance=prov, **measured)
+
+
+def forwarded_level_fraction(
+    trajectory: Trajectory,
+    params: ModulusParams,
+    center: tuple[Sequence[float], float],
+    r: float,
+    t_bar: float,
+    varsigma: float,
+) -> dict:
+    """Measured set-fraction forwarded in time by the logarithmic estimate:
+    share of B_{r/16} x (t_bar, top] where v exceeds osc - varsigma *
+    omega(r)^{1 + 1/alpha}.  Diagnostic only; nothing is asserted."""
+    space, t0 = center
+    full = cylinder(params, center, r, "full")
+    w_all = trajectory.w_fields()
+    mask_full = trajectory.ball_mask(full.center_space, full.ball_radius)
+    t_full = trajectory.time_indices(*full.time_window)
+    if int(mask_full.sum()) < 2 or t_full.size < 2:
+        raise EmptyCylinderError("cylinder too small")
+    w_lo = min(float(w_all[m][mask_full].min()) for m in t_full)
+    osc = max(float(w_all[m][mask_full].max()) for m in t_full) - w_lo
+
+    w_r = omega(params, r)
+    level = osc - varsigma * w_r ** (1.0 + 1.0 / params.alpha)
+    mask = trajectory.ball_mask(space, r / 16.0)
+    t_idx = trajectory.time_indices(t_bar, full.time_window[1])
+    if int(mask.sum()) < 1 or t_idx.size < 1:
+        raise EmptyCylinderError("forwarded slab too small")
+    total = int(mask.sum()) * t_idx.size
+    above = sum(int(np.count_nonzero(w_all[m][mask] - w_lo >= level)) for m in t_idx)
+    return {"fraction": above / total, "level": level, "oscillation": osc,
+            "omega_r": w_r, "samples": total}

@@ -186,19 +186,85 @@ directory = {out}
         assert all(t >= 0.0 for t in [*timings["checks_s"].values(), timings["solve_s"]])
         assert "timings.json" not in json.loads(summaries[0])["artifact_hashes"]
 
-    def test_snapshot_sidecars(self, tmp_path):
-        out = tmp_path / "out"
-        path = _write(tmp_path, BASE_CONFIG.format(outdir=out))
-        cli.main(["run", str(path), "--output", str(out)])
-        bins = sorted((out / "snapshots").glob("*.bin"))
-        sides = sorted((out / "snapshots").glob("*.json"))
-        assert bins and len(bins) == len(sides)
-        side = json.loads(sides[0].read_text())
-        assert side["dtype"] == "<f8" and side["order"] == "row-major"
-        import numpy as np
+    def test_snapshot_index(self, tmp_path):
+        path = _write(tmp_path, BASE_CONFIG.format(outdir=tmp_path / "out"))
+        traj = run_simulation(cli.parse_config(path).scenario)
+        last = len(traj.times) - 1
+        assert last % 3, "stride 3 must miss the last step for it to be added"
+        for stride in (0, 3):
+            out = tmp_path / f"stride{stride}"
+            text = BASE_CONFIG.format(outdir=out) + f"snapshot_stride = {stride}\n"
+            assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+            index = json.loads((out / "snapshots" / "index.json").read_text())
+            kept = sorted({*range(0, last + 1, max(stride, 1)), last})
+            assert index["indices"] == kept
+            bins = sorted((out / "snapshots").glob("*.bin"))
+            assert [p.name for p in bins] == [f"step_{m:06d}.bin" for m in kept]
+            assert index["dtype"] == "<f8" and index["order"] == "row-major"
+            assert index["shape"] == [41]
+            assert index["scenario_hash"] == traj.meta["scenario_hash"]
+            assert index["times"] == [traj.times[m] for m in kept]
+            for p, m in zip(bins, index["indices"]):
+                data = np.fromfile(p, dtype="<f8").reshape(index["shape"])
+                assert data.tobytes() == np.ascontiguousarray(traj.temps[m]).tobytes()
+            hashes = json.loads((out / "summary.json").read_text())["artifact_hashes"]
+            assert "snapshots/index.json" in hashes
+            assert not any(rel.endswith(".json") and "/step_" in rel for rel in hashes)
 
-        data = np.frombuffer(bins[0].read_bytes()).reshape(side["shape"])
-        assert data.shape == (41,)
+    def test_rerun_over_longer_files_rewrites_them_exactly(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        path = _write(tmp_path, BASE_CONFIG.format(outdir=out))
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        for p in out.rglob("*"):
+            if p.is_file():
+                p.write_bytes(b"junk" * (p.stat().st_size + 16))
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        assert cli.main(["run", str(path), "--output", str(fresh)]) == 0
+        assert _tree_hash(out) == _tree_hash(fresh)
+        for p in out.rglob("*"):
+            if p.is_file():
+                assert b"junk" not in p.read_bytes(), p
+                if p.name != "timings.json":
+                    assert p.stat().st_size == (fresh / p.relative_to(out)).stat().st_size
+        json.loads((out / "timings.json").read_text())
+        hashes = json.loads((out / "summary.json").read_text())["artifact_hashes"]
+        for rel, digest in hashes.items():
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+
+    def test_rerun_removes_stale_snapshot_files(self, tmp_path):
+        out = tmp_path / "out"
+        snapdir = out / "snapshots"
+        unrelated = {"notes.txt", "step_1.bin", "step_000001.bin.bak"}
+        for stride in (1, 4):
+            text = BASE_CONFIG.format(outdir=out) + f"snapshot_stride = {stride}\n"
+            path = _write(tmp_path, text)
+            if stride == 4:
+                # a sidecar of the older layout, and files that are not snapshots
+                (snapdir / "step_000001.json").write_text("{}")
+                for name in unrelated:
+                    (snapdir / name).write_text("keep")
+            assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        index = json.loads((snapdir / "index.json").read_text())
+        assert index["indices"] == list(range(0, index["indices"][-1] + 1, 4))
+        expected = {f"step_{m:06d}.bin" for m in index["indices"]} | {"index.json"}
+        assert {p.name for p in snapdir.iterdir()} == expected | unrelated
+        hashes = json.loads((out / "summary.json").read_text())["artifact_hashes"]
+        assert {rel for rel in hashes if rel.startswith("snapshots/")} == {
+            f"snapshots/{name}" for name in expected}
+
+    def test_rerun_leaves_only_its_own_outcome_record(self, tmp_path):
+        out = tmp_path / "out"
+        text = BASE_CONFIG.format(outdir=out)
+        good = _write(tmp_path, text, "good.ini")
+        # no step meets this tolerance: a solver failure
+        bad = _write(tmp_path, text.replace("t_end", "step_rtol = 1e-300\nt_end"), "bad.ini")
+        broken = _write(tmp_path, text.replace("t_end", "step_rtol = x\nt_end"), "broken.ini")
+        for path, code, record in ((good, 0, "summary.json"), (bad, 3, "error.json"),
+                                   (good, 0, "summary.json"), (broken, 2, "error.json")):
+            assert cli.main(["run", str(path), "--output", str(out)]) == code
+            assert {"summary.json", "error.json"} & {p.name for p in out.iterdir()} == {record}
+            if record == "error.json":
+                assert json.loads((out / record).read_text())["code"] == code
 
     def test_config_error_exit_and_record(self, tmp_path):
         path = _write(tmp_path, "[scenario]\nnodes = 41\n")
@@ -611,6 +677,33 @@ directory = {out}
         for sub in ("run_000_p-2", "run_001_p-3"):
             record = json.loads((out / sub / "error.json").read_text())
             assert record["field"] == "scenario.p"
+
+
+    def test_failed_run_contributes_no_verdicts(self, tmp_path):
+        text = BASE_CONFIG.format(outdir=tmp_path / "out") + "\n[sweep]\naxis = p\nvalues = 2\n"
+        path = _write(tmp_path, text)
+        out = tmp_path / "out"
+        # an earlier run's outcome, left where the failing run writes
+        (out / "run_000_p-2").mkdir(parents=True)
+        (out / "run_000_p-2" / "summary.json").write_text(
+            json.dumps({"checks": {"modulus": {"pass": True, "c_star": 1.0}}}))
+        assert cli.main(["sweep", str(path), "--output", str(out)]) == 2
+        header, row = (out / "aggregated.csv").read_text().strip().split("\n")
+        assert header == "exit,run"
+        assert row == "2,'p-2'"
+        assert not (out / "run_000_p-2" / "summary.json").exists()
+
+    def test_verdicts_only_from_runs_that_checked(self, tmp_path, monkeypatch):
+        # a failing run that leaves the directory as it found it
+        monkeypatch.setattr(cli, "run", lambda config, out_override: 3)
+        text = BASE_CONFIG.format(outdir=tmp_path / "out") + "\n[sweep]\naxis = eps\nvalues = 0.1\n"
+        path = _write(tmp_path, text)
+        out = tmp_path / "out"
+        (out / "run_000_eps-0.1").mkdir(parents=True)
+        (out / "run_000_eps-0.1" / "summary.json").write_text(
+            json.dumps({"checks": {"modulus": {"pass": True, "c_star": 1.0}}}))
+        assert cli.main(["sweep", str(path), "--output", str(out)]) == 3
+        assert (out / "aggregated.csv").read_text() == "exit,run\n3,'eps-0.1'\n"
 
 
 class TestPresetsVerb:

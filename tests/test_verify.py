@@ -17,6 +17,8 @@ from stefanlab.solver import (InitialData, SpaceTimeBump, Trajectory, run_simula
                               weak_form_residual)
 from stefanlab.verify import CutoffSpec
 
+from helpers import forwarded_level_fraction
+
 
 @pytest.fixture(scope="module")
 def bump_run():
@@ -538,7 +540,7 @@ class TestForwardedLevelFraction:
         sc, traj = bump_run
         params = studies.measurement_params(sc, r0=0.25)
         cyl = _fitting_cylinder(traj, params, 0.25)
-        res = verify.forwarded_level_fraction(
+        res = forwarded_level_fraction(
             traj, params, ((0.5,), traj.times[-1]), 0.25,
             t_bar=traj.times[-1] - 0.5 * cyl.depth, varsigma=0.25)
         assert 0.0 <= res["fraction"] <= 1.0
