@@ -16,7 +16,7 @@ def main():
           f"{'decay':>18s} {'trunc margins':>20s}")
     for row in rows:
         cells = [f"{row['label']:24s}"]
-        for name in ("caccioppoli", "weak_harnack", "decay"):
+        for name in ("caccioppoli", "weak-harnack", "decay"):
             if name in row:
                 a, b = row[name]
                 cells.append(f"{a:8.3f}/{b:8.3f}" if a is not None and b is not None

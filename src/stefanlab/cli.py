@@ -7,8 +7,8 @@ reproduces every output file byte for byte except `timings.json`, the wall
 times of the solve, the snapshot write and each check; the summary records
 the hash of each other artifact.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 configuration
-error, 3 solver failure.
+Exit codes: 0 every requested check that gates passes, 1 a check failed, 2
+configuration error, 3 solver failure.
 """
 from __future__ import annotations
 
@@ -31,25 +31,12 @@ import numpy as np
 from . import presets, studies, verify
 from .graphs import BetaMap, RegularizedGraph
 from .constants import ConstantsLedger, fix_constants
-from .geometry import ModulusParams, cylinder
+from .geometry import ModulusParams
 from .solver import (INITIAL_DATA, Boundary, DtPolicy, Grid, InitialData, Scenario,
-                     ScenarioValueError, SolverError, SpaceTimeBump, Tolerances, Trajectory,
-                     VectorField, build_initial, conservation_defect, run_simulation,
-                     weak_form_residual)
+                     ScenarioValueError, SolverError, Tolerances, Trajectory, VectorField,
+                     build_initial, run_simulation)
 
 ENV_OUTPUT_ROOT = "STEFANLAB_OUTPUT_ROOT"
-
-CHECK_LABELS = {
-    "conservation": "enthalpy integral drift under zero-flux boundaries",
-    "weakform": "integral identity of the conservation law against a test bump",
-    "caccioppoli": "energy estimate for truncations against cutoff terms",
-    "truncation": "truncations below the jump act as super/subsolutions",
-    "weak-harnack": "average at one time vs waiting-time infimum (p > 2)",
-    "decay": "positivity floor along the decay profile",
-    "classifier": "measure dichotomy for the level set above a quarter oscillation",
-    "modulus": "oscillation ladder against the log-power modulus",
-}
-
 
 class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
@@ -217,7 +204,7 @@ KEYS: dict[str, dict[str, Key]] = {
     "constants": {key: Key(None, _positive) for key in
                   ("c0", "c1", "c2", "c3", "nu_star", "theta1", "theta2", "varsigma")},
     "checks": {
-        "run": Key("conservation", _list_of(tuple(CHECK_LABELS), "check")),
+        "run": Key("conservation", _list_of(tuple(studies.CHECKS), "check")),
         "seed": Key("1234", _count),
     },
     "output": {
@@ -445,111 +432,22 @@ def _resolved_config_text(cfg: RunConfig) -> str:
 def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict], dict]:
     """Each requested check's summary entry, the reports of the checks that
     make one, and each check's wall time in seconds."""
-    sc, params, ledger, mod = cfg.scenario, cfg.params, cfg.ledger, cfg.values["modulus"]
-    center = (mod["center"], traj.times[-1])
-    g = traj.graph
-    reports = []
-    summary = {}
-    seconds = {}
-    for name in cfg.values["checks"]["run"]:
+    mod, checks = cfg.values["modulus"], cfg.values["checks"]
+    site = studies.check_site(traj, cfg.params, cfg.ledger, mod["center"], seed=checks["seed"],
+                              ladder=mod["ladder"], ladder_depth=mod["ladder_depth"])
+    reports, summary, seconds = [], {}, {}
+    for name in checks["run"]:
         start = time.perf_counter()
+        check = studies.CHECKS[name]
         try:
-            if name == "conservation":
-                defect = conservation_defect(traj)
-                ok = (sc.boundary.kind != "zero-flux") or defect <= 1e-10
-                summary[name] = {"pass": bool(ok), "defect": defect}
-            elif name == "weakform":
-                bump = SpaceTimeBump(center=mod["center"], width=0.8 * mod["r0"],
-                                     t_center=0.5 * traj.times[-1],
-                                     t_width=0.6 * traj.times[-1])
-                res = weak_form_residual(traj, bump, (traj.times[0], traj.times[-1]))
-                summary[name] = {"pass": True, **{k: res[k] for k in
-                                                  ("residual", "normalized_constant")}}
-            elif name == "caccioppoli":
-                rep = studies.caccioppoli_at(traj, params, mod["center"])
-                reports.append(rep.to_json_dict())
-                summary[name] = {"pass": bool(rep.passed), "degenerate": rep.degenerate,
-                                 "implied_constant": rep.implied_constant}
-            elif name == "truncation":
-                k_trunc = g.a - 1.5 * g.eps
-                margin = 0.15 * min(sc.grid.extents)
-                region = (tuple(margin for _ in sc.grid.extents),
-                          tuple(e - margin for e in sc.grid.extents))
-                rep = verify.truncation_supersolution_check(
-                    traj, g, k_trunc, g.a, g.eps, region, rng_seed=cfg.values["checks"]["seed"])
-                reports.append(rep.to_json_dict())
-                summary[name] = {"pass": bool(rep.passed), "margin": rep.margin}
-            elif name == "weak-harnack":
-                R0 = min(sc.grid.extents) / 8.0 * 0.9
-                rep = verify.weak_harnack_check(
-                    traj, g.a - 1.5 * g.eps, mod["center"], R0,
-                    t1=traj.times[max(1, len(traj.times) // 10)],
-                    T=traj.times[-1], c1=ledger.c1)
-                reports.append(rep.to_json_dict())
-                summary[name] = {"pass": bool(rep.passed), "degenerate": rep.degenerate,
-                                 "implied_constant": rep.implied_constant}
-            elif name == "decay":
-                R0 = min(sc.grid.extents) / 8.0 * 0.9
-                k_trunc = g.a - 1.5 * g.eps
-                m0 = max(1, len(traj.times) // 10)
-                mask = traj.ball_mask(mod["center"], 2 * R0)
-                v0 = np.minimum(traj.w_fields()[m0], k_trunc)
-                k_start = float(v0[mask].min()) * (1 - 1e-12)
-                if k_start <= 0:
-                    summary[name] = {"pass": True, "degenerate": True,
-                                     "note": "no positive starting level"}
-                else:
-                    rep = verify.decay_of_positivity_check(
-                        traj, k_start, mod["center"], R0,
-                        t0=traj.times[m0], T=traj.times[-1] - traj.times[m0],
-                        ledger=ledger, k_truncation=k_trunc)
-                    reports.append(rep.to_json_dict())
-                    summary[name] = {"pass": bool(rep.passed),
-                                     "implied_constant": rep.implied_constant}
-            elif name == "classifier":
-                r_c = mod["r0"]
-                tilde = cylinder(params, center, r_c, "tilde")
-                enclosing = cylinder(params, center, r_c, "full")
-                res = verify.alternative_classifier(
-                    traj, tilde, enclosing, float(verify.omega(params, r_c)),
-                    ledger.eps1, params.kappa)
-                summary[name] = {"pass": True, **{k: res[k] for k in
-                                                  ("classification", "oscillation", "fraction")
-                                                  if k in res}}
-            elif name == "modulus":
-                fit_params, shrunk = _fit_params_to_horizon(params, traj)
-                profile, verdict = verify.modulus_acceptance(
-                    traj, fit_params, ledger, center, ladder=mod["ladder"],
-                    max_rungs=mod["ladder_depth"])
-                if shrunk:
-                    verdict["r0_shrunk_to_horizon"] = fit_params.r0
-                summary[name] = {"pass": bool(verdict["pass"]), "c_star": verdict["c_star"],
-                                 "alpha_hat": verdict["alpha_hat"],
-                                 "profile_csv": profile.to_csv(), "fit": profile.fit_dict()}
-        except Exception as err:  # a failed check is a verdict, not a crash
-            summary[name] = {"pass": False, "error": f"{type(err).__name__}: {err}"}
+            entry, rep = check.run(traj, site)
+        except ValueError as err:  # a check that cannot be made here is a failed verdict
+            entry, rep = {"pass": False, "error": f"{type(err).__name__}: {err}"}, None
+        if rep is not None:
+            reports.append(rep.to_json_dict())
+        summary[name] = {**entry, "label": check.label}
         seconds[name] = time.perf_counter() - start
-    for name in summary:
-        summary[name]["label"] = CHECK_LABELS[name]
     return summary, reports, seconds
-
-
-def _fit_params_to_horizon(params: ModulusParams, traj: Trajectory):
-    """Shrink r0 until the outermost cylinder fits the computed horizon.
-
-    omega(r0) = L p^{-alpha} does not depend on r0, so the outermost depth
-    scales exactly like r0^p and the fit is closed-form.
-    """
-    horizon = traj.times[-1] - traj.times[0]
-    lam = max(max(float(u.max()) for u in traj.temps)
-              - min(float(u.min()) for u in traj.temps), 1.0)
-    p, alpha = params.p, params.alpha
-    w_r0 = params.L * p ** (-alpha)
-    depth0 = (lam ** (2.0 - p) * params.M
-              * w_r0 ** ((2.0 - p) * (1.0 + 1.0 / alpha)) * params.r0**p)
-    if depth0 <= horizon:
-        return params, False
-    return replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / p)), True
 
 
 def run(config_path: str | Path, out_override: str | None = None) -> int:
@@ -584,9 +482,13 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         hashes["oscillation.csv"] = _write(outdir / "oscillation.csv",
                                            summary["modulus"].pop("profile_csv"))
         hashes["fit.json"] = _json_dump(outdir / "fit.json", summary["modulus"].pop("fit"))
+    else:  # an earlier run's modulus files do not describe this run
+        for name in ("oscillation.csv", "fit.json"):
+            (outdir / name).unlink(missing_ok=True)
     hashes["ledger.json"] = _json_dump(outdir / "ledger.json", cfg.ledger.as_dict())
 
-    all_pass = all(entry.get("pass", False) for entry in summary.values())
+    all_pass = all(entry.get("pass", False) for entry in summary.values()
+                   if entry.get("gate", True))
     _write_outcome(outdir, "summary.json", {
         "checks": summary,
         "scenario_hash": traj.meta.get("scenario_hash"),
@@ -686,7 +588,8 @@ def sweep(config_path: str | Path, out_override: str | None = None) -> int:
                             "margin"):
                     if key in entry and entry[key] is not None:
                         row[f"{check}.{key}"] = entry[key]
-                row[f"{check}.pass"] = entry.get("pass")
+                if "pass" in entry:
+                    row[f"{check}.pass"] = entry["pass"]
         rows.append(row)
 
     cols = sorted({k for row in rows for k in row})

@@ -342,10 +342,6 @@ class Trajectory:
     def field(self) -> VectorField:
         return self.scenario.field
 
-    @property
-    def lh_effective(self) -> float:
-        return self.graph.latent_heat
-
     def axes(self) -> tuple[np.ndarray, ...]:
         offset = self.meta.get("space_offset", (0.0,) * self.grid.dim)
         return tuple(ax - off for ax, off in zip(self.grid.axes(), offset))

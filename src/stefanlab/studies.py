@@ -1,21 +1,23 @@
-"""Reusable experiment drivers: the fixed scenario family for the inequality
-harness, the headline modulus measurements, and the mollification-width
-study.  Shared by the acceptance tests and the scripts so both run exactly
-the same experiments.
+"""Reusable experiment drivers: the check table `stefanlab run` reads, the
+fixed scenario family for the inequality harness, the headline modulus
+measurements, and the mollification-width study.  Shared by the CLI, the
+acceptance tests and the scripts so all run exactly the same experiments.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import presets, verify
 from .constants import ConstantsLedger, fix_constants
-from .geometry import ModulusParams, alpha_kappa_of, cylinder
+from .geometry import ModulusParams, alpha_kappa_of, cylinder, omega
 from .graphs import RegularizedGraph
-from .solver import DtPolicy, Grid, InitialData, Scenario, Trajectory, run_simulation
-from .verify import CutoffSpec
+from .solver import (DtPolicy, Grid, InitialData, Scenario, SpaceTimeBump, Trajectory,
+                     conservation_defect, run_simulation, weak_form_residual)
+from .verify import CutoffSpec, InequalityReport
 
 
 def measurement_params(scenario: Scenario, r0: float,
@@ -57,8 +59,155 @@ def caccioppoli_at(traj: Trajectory, params: ModulusParams,
     cyl = replace(cyl, depth=min(cyl.depth, 0.8 * (traj.times[-1] - traj.times[0])))
     mask = traj.ball_mask(cyl.center_space, cyl.ball_radius)
     ws = np.concatenate([traj.w_fields()[m][mask] for m in traj.time_indices(*cyl.time_window)])
-    return verify.caccioppoli_check(traj, traj.graph, float(np.quantile(ws, 0.3)),
-                                    CutoffSpec(), cyl)
+    return verify.caccioppoli_check(traj, float(np.quantile(ws, 0.3)), CutoffSpec(), cyl)
+
+
+# ---------------------------------------------------------------------------
+# The check table: `stefanlab run` and the inequality family run these
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckSite:
+    """Where the checks look on one trajectory."""
+
+    params: ModulusParams   # r0: the energy, weak-form, classifier and top ladder radius
+    ledger: ConstantsLedger
+    center: tuple[float, ...]
+    R0: float               # the weak Harnack and decay ball radius
+    t_start: float          # and their start time
+    region: tuple[tuple[float, ...], tuple[float, ...]]  # holds the truncation test functions
+    seed: int | None = None  # draws them; None: a fixed evenly spaced family
+    ladder: str = "dyadic2"
+    ladder_depth: int | None = None
+
+
+def check_site(traj: Trajectory, params: ModulusParams, ledger: ConstantsLedger, center, *,
+               R0: float | None = None, t_start: float | None = None, region=None,
+               **rest) -> CheckSite:
+    """The site of the checks on `traj`.  By default R0 is 0.9/8 of the
+    smallest extent, so that the weak Harnack check's ball of radius 4 R0 fits
+    around the domain centre; `t_start` is the stored time a tenth of the
+    way in, not the first unless it is the only one; `region` keeps 0.15 of
+    the smallest extent from every side."""
+    extents, n = traj.grid.extents, len(traj.times)
+    margin = 0.15 * min(extents)
+    return CheckSite(
+        params, ledger, tuple(center),
+        R0=min(extents) / 8.0 * 0.9 if R0 is None else R0,
+        t_start=traj.times[min(max(1, n // 10), n - 1)] if t_start is None else t_start,
+        region=(tuple(margin for _ in extents), tuple(e - margin for e in extents))
+        if region is None else region, **rest)
+
+
+def _truncation_level(traj: Trajectory) -> float:
+    """a - 1.5 eps, below the jump band (a - eps, a + eps)."""
+    return traj.graph.a - 1.5 * traj.graph.eps
+
+
+def _entry(rep: InequalityReport, *fields: str) -> tuple[dict, InequalityReport]:
+    return {"pass": bool(rep.passed), **{f: getattr(rep, f) for f in fields}}, rep
+
+
+def _conservation(traj: Trajectory, site: CheckSite):
+    defect = conservation_defect(traj)
+    if traj.scenario.boundary.kind != "zero-flux":  # boundary flux moves the total
+        return {"gate": False, "defect": defect}, None
+    return {"pass": bool(defect <= 1e-10), "defect": defect}, None
+
+
+def _weakform(traj: Trajectory, site: CheckSite):
+    # The scheme's weak-form residual vanishes only under refinement: no gate.
+    t_end = traj.times[-1]
+    bump = SpaceTimeBump(center=site.center, width=0.8 * site.params.r0,
+                         t_center=0.5 * t_end, t_width=0.6 * t_end)
+    res = weak_form_residual(traj, bump, (traj.times[0], t_end))
+    return {"gate": False, **{k: res[k] for k in ("residual", "normalized_constant")}}, None
+
+
+def _caccioppoli(traj: Trajectory, site: CheckSite):
+    return _entry(caccioppoli_at(traj, site.params, site.center),
+                  "degenerate", "implied_constant")
+
+
+def _truncation(traj: Trajectory, site: CheckSite):
+    return _entry(verify.truncation_supersolution_check(
+        traj, _truncation_level(traj), site.region, rng_seed=site.seed), "margin")
+
+
+def _weak_harnack(traj: Trajectory, site: CheckSite):
+    return _entry(verify.weak_harnack_check(
+        traj, _truncation_level(traj), site.center, site.R0, t1=site.t_start,
+        T=traj.times[-1], c1=site.ledger.c1), "degenerate", "implied_constant")
+
+
+def _decay(traj: Trajectory, site: CheckSite):
+    # From the infimum of the truncated w over the 2 R0 ball at t_start.
+    k_trunc = _truncation_level(traj)
+    v0 = np.minimum(traj.w_fields()[traj.nearest_time_index(site.t_start)], k_trunc)
+    k_start = float(v0[traj.ball_mask(site.center, 2 * site.R0)].min()) * (1 - 1e-12)
+    if k_start <= 0:
+        return {"pass": True, "degenerate": True, "note": "no positive starting level"}, None
+    return _entry(verify.decay_of_positivity_check(
+        traj, k_start, site.center, site.R0, t0=site.t_start,
+        T=traj.times[-1] - site.t_start, ledger=site.ledger, k_truncation=k_trunc),
+        "implied_constant")
+
+
+def _classifier(traj: Trajectory, site: CheckSite):
+    # Which measure alternative holds is a finding, not a verdict.
+    params, r, center = site.params, site.params.r0, (site.center, traj.times[-1])
+    res = verify.alternative_classifier(
+        traj, cylinder(params, center, r, "tilde"), cylinder(params, center, r, "full"),
+        float(omega(params, r)), site.ledger.eps1, params.kappa)
+    return {"gate": False, **{k: res[k] for k in ("classification", "oscillation", "fraction")
+                              if k in res}}, None
+
+
+def _modulus(traj: Trajectory, site: CheckSite):
+    profile, verdict = verify.modulus_acceptance(
+        traj, _fit_params_to_horizon(site.params, traj), site.ledger,
+        (site.center, traj.times[-1]), ladder=site.ladder, max_rungs=site.ladder_depth)
+    return {"pass": bool(verdict["pass"]), **{k: verdict[k] for k in ("c_star", "alpha_hat")},
+            "profile_csv": profile.to_csv(), "fit": profile.fit_dict()}, None
+
+
+def _fit_params_to_horizon(params: ModulusParams, traj: Trajectory) -> ModulusParams:
+    """Shrink r0 until the outermost cylinder fits the computed horizon.
+
+    omega(r0) = L p^{-alpha} does not depend on r0, so the outermost depth
+    scales exactly like r0^p and the fit is closed-form.
+    """
+    horizon = traj.times[-1] - traj.times[0]
+    lam = max(max(float(u.max()) for u in traj.temps)
+              - min(float(u.min()) for u in traj.temps), 1.0)
+    p, alpha = params.p, params.alpha
+    w_r0 = params.L * p ** (-alpha)
+    depth0 = (lam ** (2.0 - p) * params.M
+              * w_r0 ** ((2.0 - p) * (1.0 + 1.0 / alpha)) * params.r0**p)
+    if depth0 <= horizon:
+        return params
+    return replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / p))
+
+
+class Check(NamedTuple):
+    label: str
+    # (trajectory, site) -> (summary entry, report or None); an entry with
+    # "gate": False has no "pass" and is no verdict
+    run: Callable[[Trajectory, CheckSite], tuple[dict, InequalityReport | None]]
+
+
+CHECKS: dict[str, Check] = {
+    "conservation": Check("enthalpy integral drift under zero-flux boundaries", _conservation),
+    "weakform": Check("integral identity of the conservation law against a test bump",
+                      _weakform),
+    "caccioppoli": Check("energy estimate for truncations against cutoff terms", _caccioppoli),
+    "truncation": Check("truncations below the jump act as super/subsolutions", _truncation),
+    "weak-harnack": Check("average at one time vs waiting-time infimum (p > 2)", _weak_harnack),
+    "decay": Check("positivity floor along the decay profile", _decay),
+    "classifier": Check("measure dichotomy for the level set above a quarter oscillation",
+                        _classifier),
+    "modulus": Check("oscillation ladder against the log-power modulus", _modulus),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -84,95 +233,49 @@ def inequality_family(refine: bool = False) -> list[FamilyCase]:
     cases: list[FamilyCase] = []
     for p in (2.0, 3.0):
         for lh in (0.4, 1.0):
-            cases.append(FamilyCase(
-                presets.positive_bump_1d(p=p, nodes=nodes, dt=dt, latent_heat=lh,
-                                         t_end=0.05),
-                run_harnack=(p > 2.0),
-                label=f"bump-a-p{p:g}-lh{lh:g}",
-            ))
-            cases.append(FamilyCase(
-                presets.positive_bump_1d(p=p, nodes=nodes, dt=dt, latent_heat=lh,
-                                         t_end=0.05, base=0.3, amplitude=0.55,
-                                         width=0.3, jump=0.7),
-                run_harnack=(p > 2.0),
-                label=f"bump-b-p{p:g}-lh{lh:g}",
-            ))
-            cases.append(FamilyCase(
-                presets.twophase_1d(p=p, nodes=nodes, dt=dt, latent_heat=lh,
-                                    t_end=0.05, eps=0.04),
-                run_harnack=False,
-                label=f"sine-a-p{p:g}-lh{lh:g}",
-            ))
-            cases.append(FamilyCase(
-                presets.twophase_1d(p=p, nodes=nodes, dt=dt, latent_heat=lh,
-                                    t_end=0.05, eps=0.06, periods=3.0, tilt=0.0,
-                                    amplitude=0.4),
-                run_harnack=False,
-                label=f"sine-b-p{p:g}-lh{lh:g}",
-            ))
-            cases.append(FamilyCase(
-                Scenario(
-                    grid=Grid(extents=(1.0,), nodes=(nodes,)),
-                    p=p,
-                    graph=RegularizedGraph(a=0.5, latent_heat=lh, eps=0.05),
-                    initial=InitialData.of("ramp", lo=0.05, hi=0.95),
-                    t_end=0.05,
-                    dt=DtPolicy(value=dt),
-                    label=f"ramp-p{p:g}",
-                ),
-                run_harnack=False,
-                label=f"ramp-p{p:g}-lh{lh:g}",
-            ))
+            common = dict(p=p, nodes=nodes, dt=dt, latent_heat=lh, t_end=0.05)
+            ramp = Scenario(grid=Grid(extents=(1.0,), nodes=(nodes,)), p=p,
+                            graph=RegularizedGraph(a=0.5, latent_heat=lh, eps=0.05),
+                            initial=InitialData.of("ramp", lo=0.05, hi=0.95), t_end=0.05,
+                            dt=DtPolicy(value=dt), label=f"ramp-p{p:g}")
+            for name, scenario, run_harnack in (
+                    ("bump-a", presets.positive_bump_1d(**common), p > 2.0),
+                    ("bump-b", presets.positive_bump_1d(**common, base=0.3, amplitude=0.55,
+                                                        width=0.3, jump=0.7), p > 2.0),
+                    ("sine-a", presets.twophase_1d(**common, eps=0.04), False),
+                    ("sine-b", presets.twophase_1d(**common, eps=0.06, periods=3.0, tilt=0.0,
+                                                   amplitude=0.4), False),
+                    ("ramp", ramp, False)):
+                cases.append(FamilyCase(scenario, run_harnack, f"{name}-p{p:g}-lh{lh:g}"))
     return cases
 
 
-def run_family_checks(case: FamilyCase, ledger: ConstantsLedger | None = None) -> dict:
-    """Solve one family case and run every applicable inequality check."""
+def run_family_checks(case: FamilyCase) -> dict:
+    """Solve one family case and run the energy and truncation checks, and
+    the weak Harnack and decay checks where `case.run_harnack` is set."""
     sc = case.scenario
-    ledger = ledger or default_ledger(sc)
     traj = run_simulation(sc)
-    params = measurement_params(sc, r0=0.25)
+    site = check_site(traj, measurement_params(sc, r0=0.25), default_ledger(sc), (0.5,),
+                      R0=0.1, t_start=0.004, region=((0.15,), (0.85,)))
     out: dict = {"label": case.label, "resolution": traj.resolution_label()}
-    out["caccioppoli"] = caccioppoli_at(traj, params, (0.5,) * sc.grid.dim)
-
-    g = traj.graph
-    k_trunc = g.a - 1.5 * g.eps
-    region = (tuple(0.15 for _ in range(sc.grid.dim)),
-              tuple(0.85 for _ in range(sc.grid.dim)))
-    out["truncation"] = verify.truncation_supersolution_check(
-        traj, g, k_trunc, g.a, g.eps, region)
-
-    if case.run_harnack:
-        out["weak_harnack"] = verify.weak_harnack_check(
-            traj, k_trunc, (0.5,), R0=0.1, t1=0.004, T=traj.times[-1],
-            c1=ledger.c1)
-        mask = traj.ball_mask((0.5,), 0.2)
-        m0 = traj.nearest_time_index(0.004)
-        v0 = np.minimum(traj.w_fields()[m0], k_trunc)
-        k_start = float(v0[mask].min()) * (1.0 - 1e-12)
-        if k_start > 0:
-            out["decay"] = verify.decay_of_positivity_check(
-                traj, k_start, (0.5,), R0=0.1, t0=0.004,
-                T=traj.times[-1] - 0.004, ledger=ledger, k_truncation=k_trunc)
+    harnack = ("weak-harnack", "decay") if case.run_harnack else ()
+    for name in ("caccioppoli", "truncation", *harnack):
+        rep = CHECKS[name].run(traj, site)[1]
+        if rep is not None:
+            out[name] = rep
     return out
 
 
 def family_stability_table() -> list[dict]:
     """Run the family at two resolutions and tabulate implied constants."""
     rows = []
-    coarse = inequality_family(refine=False)
-    fine = inequality_family(refine=True)
-    for case_c, case_f in zip(coarse, fine):
-        res_c = run_family_checks(case_c)
-        res_f = run_family_checks(case_f)
+    for case_c, case_f in zip(inequality_family(refine=False), inequality_family(refine=True)):
+        res_c, res_f = run_family_checks(case_c), run_family_checks(case_f)
         row = {"label": case_c.label}
-        for name in ("caccioppoli", "weak_harnack", "decay"):
+        for name in ("caccioppoli", "weak-harnack", "decay"):
             if name in res_c and name in res_f:
-                a = res_c[name].implied_constant
-                b = res_f[name].implied_constant
-                row[name] = (a, b)
-        row["truncation_margins"] = (res_c["truncation"].margin,
-                                     res_f["truncation"].margin)
+                row[name] = (res_c[name].implied_constant, res_f[name].implied_constant)
+        row["truncation_margins"] = (res_c["truncation"].margin, res_f["truncation"].margin)
         rows.append(row)
     return rows
 

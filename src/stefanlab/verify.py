@@ -20,7 +20,7 @@ from .constants import ConstantsLedger, decay_profile
 from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
                        OscillationProfile, cylinder, fit_modulus, kappa_ratio,
                        omega, oscillation)
-from .graphs import RegularizedGraph, enthalpy_jump_primitive
+from .graphs import enthalpy_jump_primitive
 from .solver import (Scenario, SpaceTimeBump, Trajectory, _Faces, _on_rows, _row_sums,
                      _time_blocks, _time_column, run_simulation)
 
@@ -131,7 +131,6 @@ def _cell_average_of_faces(face_vals: list[np.ndarray]) -> np.ndarray:
 
 def caccioppoli_check(
     trajectory: Trajectory,
-    graph: RegularizedGraph,
     k: float,
     cutoff: CutoffSpec,
     cyl: IntrinsicCylinder,
@@ -144,7 +143,7 @@ def caccioppoli_check(
     (w-k)_+^p |Dphi|^p, (w-k)_+^2 (d_t phi^p)_+ and the jump-primitive term
     against (d_t phi^p)_+.  The implied constant is lhs / rhs.
     """
-    grid = trajectory.grid
+    grid, graph = trajectory.grid, trajectory.graph
     p = trajectory.p
     faces = _Faces(grid, p, trajectory.field.weights)
     lh = graph.latent_heat
@@ -336,10 +335,7 @@ def _test_function_family(grid, region_lo, region_hi, dim, count=5,
 
 def truncation_supersolution_check(
     trajectory: Trajectory,
-    graph: RegularizedGraph,
     k: float,
-    b: float,
-    eps: float,
     region: tuple[Sequence[float], Sequence[float]],
     tol: float = 1e-8,
     rng_seed: int | None = None,
@@ -351,6 +347,7 @@ def truncation_supersolution_check(
     test functions; supersolution residuals must be >= -tol * scale and
     subsolution residuals <= tol * scale.
     """
+    b, eps = trajectory.graph.a, trajectory.graph.eps
     if not k < b - eps:
         raise ValueError("truncation level must satisfy k < b - eps")
     fams = _test_function_family(trajectory.grid, region[0], region[1],
@@ -634,8 +631,6 @@ def modulus_acceptance(
     center: tuple[Sequence[float], float],
     ladder: str = "dyadic2",
     max_rungs: int | None = None,
-    min_nodes: int = 2,
-    min_times: int = 2,
     reference_c_star: float | None = None,
 ) -> tuple[OscillationProfile, dict]:
     """Measure oscillation over the shrinking outer cylinders and report the
@@ -677,7 +672,7 @@ def modulus_acceptance(
             cyl_i = cylinder(params, center, r_i, "outer", lambda_scale=lam)
             mask = trajectory.ball_mask(cyl_i.center_space, cyl_i.ball_radius)
             t_idx = trajectory.time_indices(*cyl_i.time_window)
-            if int(mask.sum()) < min_nodes or t_idx.size < min_times:
+            if int(mask.sum()) < 2 or t_idx.size < 2:
                 break
             osc_i = oscillation(trajectory, cyl_i)
         except (EmptyCylinderError, ValueError):

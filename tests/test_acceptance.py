@@ -218,9 +218,9 @@ def test_criterion_5_inequality_harness():
     rows = studies.family_stability_table()
     assert len(rows) == 20
     problems = []
-    seen = {"caccioppoli": 0, "weak_harnack": 0, "decay": 0}
+    seen = {"caccioppoli": 0, "weak-harnack": 0, "decay": 0}
     for row in rows:
-        for name in ("caccioppoli", "weak_harnack", "decay"):
+        for name in ("caccioppoli", "weak-harnack", "decay"):
             if name not in row:
                 continue
             a, b = row[name]
@@ -232,7 +232,7 @@ def test_criterion_5_inequality_harness():
         ma, mb = row["truncation_margins"]
         if ma < 0.0 or mb < 0.0:
             problems.append(f"{row['label']}:truncation residual below -1e-8")
-    coverage_ok = seen["caccioppoli"] == 20 and seen["weak_harnack"] >= 4 and seen["decay"] >= 4
+    coverage_ok = seen["caccioppoli"] == 20 and seen["weak-harnack"] >= 4 and seen["decay"] >= 4
     _report("criterion 5 (inequality harness, 20 scenarios x 2 resolutions)",
             not problems and coverage_ok,
             f"checks: {seen}; problems: {problems[:4]}")

@@ -4,6 +4,7 @@ byte-identical re-execution, error exit codes, sweeps and preset listing."""
 import configparser
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,49 @@ directory = {out}
             assert {"summary.json", "error.json"} & {p.name for p in out.iterdir()} == {record}
             if record == "error.json":
                 assert json.loads((out / record).read_text())["code"] == code
+
+    def test_rerun_without_modulus_removes_its_files(self, tmp_path):
+        out = tmp_path / "out"
+        for checks in ("conservation, modulus", "conservation"):
+            text = BASE_CONFIG.format(outdir=out).replace(
+                "conservation, weakform, caccioppoli, truncation, modulus", checks)
+            assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            for name in ("oscillation.csv", "fit.json"):
+                assert (out / name).exists() == ("modulus" in summary["checks"])
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert set(summary["artifact_hashes"]) == files - {"summary.json", "timings.json"}
+
+    def test_diagnostics_carry_no_verdict(self, tmp_path):
+        # Dirichlet data move the enthalpy total, so conservation is no gate
+        # here; weakform and classifier never are.
+        text = ("[scenario]\npreset = stefan-1d-p2-onephase\nnodes = 41\nt_end = 0.01\n"
+                "[checks]\nrun = conservation, weakform, classifier\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for entry in summary["checks"].values():
+            assert entry["gate"] is False and "pass" not in entry
+        assert summary["checks"]["conservation"]["defect"] > 1e-10
+        assert summary["all_pass"] is True
+
+    def test_check_outside_its_hypotheses_is_a_failed_verdict(self, tmp_path):
+        text = "[scenario]\npreset = constant\n[checks]\nrun = weak-harnack, conservation\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        entry = summary["checks"]["weak-harnack"]
+        assert entry == {"pass": False, "label": studies.CHECKS["weak-harnack"].label,
+                         "error": "ValueError: waiting-time estimate needs p > 2"}
+        assert summary["checks"]["conservation"]["pass"] and not summary["all_pass"]
+
+    def test_programming_error_in_a_check_propagates(self, tmp_path, monkeypatch):
+        def broken(traj, site):
+            raise TypeError("not a verdict")
+        monkeypatch.setitem(studies.CHECKS, "conservation", studies.Check("broken", broken))
+        path = _write(tmp_path, "[scenario]\npreset = constant\n")
+        with pytest.raises(TypeError, match="not a verdict"):
+            cli.run(path, str(tmp_path / "out"))
 
     def test_config_error_exit_and_record(self, tmp_path):
         path = _write(tmp_path, "[scenario]\nnodes = 41\n")
@@ -574,7 +618,7 @@ _SPECS = {
     "dt": st.one_of(st.just("intrinsic"), st.builds("intrinsic:safety={}".format, _NUMBERS)),
     "initial": st.sampled_from(["constant", "bump", "two-phase-sine", "ramp", "fourier"]),
     "initial_params": st.builds("{}={}, {}={}".format, _WORDS, _NUMBERS, _WORDS, _LISTS),
-    "run": st.lists(st.sampled_from(sorted(cli.CHECK_LABELS)), max_size=3).map(", ".join),
+    "run": st.lists(st.sampled_from(sorted(studies.CHECKS)), max_size=3).map(", ".join),
     "ladder": st.sampled_from(["dyadic2", "dyadic32", "dyadic3"]),
 }
 _KEYS = sorted((section, key) for section, keys in cli.KNOWN_KEYS.items() for key in keys)
@@ -624,6 +668,12 @@ def test_readme_documents_every_key():
     assert not missing
 
 
+def test_readme_documents_every_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Available checks:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == list(studies.CHECKS)
+
+
 class TestSweep:
     def test_eps_sweep_aggregates(self, tmp_path):
         text = """\
@@ -668,6 +718,14 @@ directory = {out}
         assert (out / "run_000_single" / "summary.json").exists()
         agg = (out / "aggregated.csv").read_text().strip().split("\n")
         assert len(agg) == 2
+
+    def test_pass_columns_only_for_gated_checks(self, tmp_path):
+        text = ("[scenario]\npreset = constant\n[checks]\nrun = conservation, weakform\n"
+                "[sweep]\naxis = eps\nvalues = 0.1\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+        header = (out / "aggregated.csv").read_text().split("\n")[0].split(",")
+        assert "conservation.pass" in header and "weakform.pass" not in header
 
     def test_p_sweep_over_preset_exits_two(self, tmp_path):
         text = BASE_CONFIG.format(outdir=tmp_path / "out") + "\n[sweep]\naxis = p\nvalues = 2, 3\n"

@@ -48,7 +48,7 @@ class TestCaccioppoli:
         sc, traj = constant_run_p3
         params = studies.measurement_params(sc, r0=0.3)
         cyl = _fitting_cylinder(traj, params, 0.3)
-        rep = verify.caccioppoli_check(traj, traj.graph, 1.0, CutoffSpec(), cyl)
+        rep = verify.caccioppoli_check(traj, 1.0, CutoffSpec(), cyl)
         assert rep.degenerate and rep.passed
         assert rep.lhs == 0.0 and rep.rhs_core == 0.0
 
@@ -56,7 +56,7 @@ class TestCaccioppoli:
         sc, traj = bump_run
         params = studies.measurement_params(sc, r0=0.25)
         cyl = _fitting_cylinder(traj, params, 0.25)
-        rep = verify.caccioppoli_check(traj, traj.graph, 10.0, CutoffSpec(), cyl)
+        rep = verify.caccioppoli_check(traj, 10.0, CutoffSpec(), cyl)
         assert rep.degenerate
         assert rep.lhs == 0.0
 
@@ -64,7 +64,7 @@ class TestCaccioppoli:
         sc, traj = bump_run
         params = studies.measurement_params(sc, r0=0.25)
         cyl = _fitting_cylinder(traj, params, 0.25)
-        rep = verify.caccioppoli_check(traj, traj.graph, 0.5, CutoffSpec(), cyl)
+        rep = verify.caccioppoli_check(traj, 0.5, CutoffSpec(), cyl)
         assert not rep.degenerate
         assert rep.implied_constant is not None and rep.implied_constant > 0.0
         assert math.isfinite(rep.implied_constant)
@@ -80,7 +80,7 @@ class TestCaccioppoli:
             traj = run_simulation(sc)
             params = studies.measurement_params(sc, r0=0.25)
             cyl = _fitting_cylinder(traj, params, 0.25)
-            reps.append(verify.caccioppoli_check(traj, traj.graph, 0.55,
+            reps.append(verify.caccioppoli_check(traj, 0.55,
                                                  CutoffSpec(), cyl))
         assert reps[0].implied_constant == reps[1].implied_constant
         assert reps[0].details["sup_jump_term"] == 0.0
@@ -92,7 +92,7 @@ class TestTruncation:
         sc, traj = constant_run_p3
         g = traj.graph
         rep = verify.truncation_supersolution_check(
-            traj, g, g.a - 2 * g.eps, g.a, g.eps, ((0.2,), (0.8,)))
+            traj, g.a - 2 * g.eps, ((0.2,), (0.8,)))
         # w == 1 everywhere, min(k, w) == k: the weak form telescopes to zero
         assert abs(rep.details["worst_supersolution_residual"]) < 1e-14
         assert rep.passed
@@ -101,14 +101,13 @@ class TestTruncation:
         sc, traj = bump_run
         g = traj.graph
         with pytest.raises(ValueError):
-            verify.truncation_supersolution_check(traj, g, g.a, g.a, g.eps,
-                                                  ((0.2,), (0.8,)))
+            verify.truncation_supersolution_check(traj, g.a, ((0.2,), (0.8,)))
 
     def test_active_truncation_residuals(self, bump_run):
         sc, traj = bump_run
         g = traj.graph
         rep = verify.truncation_supersolution_check(
-            traj, g, g.a - 1.5 * g.eps, g.a, g.eps, ((0.15,), (0.85,)))
+            traj, g.a - 1.5 * g.eps, ((0.15,), (0.85,)))
         assert rep.passed
         assert rep.details["worst_supersolution_residual"] >= -1e-8
         assert rep.details["worst_subsolution_residual"] <= 1e-8
@@ -116,7 +115,7 @@ class TestTruncation:
     def test_seeded_family_reproducible(self, bump_run):
         sc, traj = bump_run
         g = traj.graph
-        args = (traj, g, g.a - 1.5 * g.eps, g.a, g.eps, ((0.15,), (0.85,)))
+        args = (traj, g.a - 1.5 * g.eps, ((0.15,), (0.85,)))
         a = verify.truncation_supersolution_check(*args, rng_seed=7)
         b = verify.truncation_supersolution_check(*args, rng_seed=7)
         c = verify.truncation_supersolution_check(*args, rng_seed=8)
@@ -311,7 +310,7 @@ class TestTimeBlocks:
         cyl = _whole_run_cylinder(traj)
         ws = np.concatenate(traj.w_fields())
         k = float(np.quantile(ws, 0.3))
-        rep = verify.caccioppoli_check(traj, traj.graph, k, CutoffSpec(), cyl)
+        rep = verify.caccioppoli_check(traj, k, CutoffSpec(), cyl)
         ref = per_time_caccioppoli(traj, k, CutoffSpec(), cyl)
         assert not rep.degenerate
         assert {key: rep.details[key] for key in ref} == ref
@@ -560,8 +559,8 @@ class TestScaleCovariance:
         cyl2 = IntrinsicCylinder(center_space=cyl.center_space,
                                  center_time=scaled.times[-1], radius=cyl.radius,
                                  depth=cyl.depth * lam ** (p - 2.0), flavor="full")
-        r1 = verify.caccioppoli_check(traj, traj.graph, 0.5, CutoffSpec(), cyl)
-        r2 = verify.caccioppoli_check(scaled, scaled.graph, 0.5 / lam,
+        r1 = verify.caccioppoli_check(traj, 0.5, CutoffSpec(), cyl)
+        r2 = verify.caccioppoli_check(scaled, 0.5 / lam,
                                       CutoffSpec(), cyl2)
         assert r2.implied_constant == pytest.approx(r1.implied_constant, rel=1e-8)
 
