@@ -280,6 +280,9 @@ def _config_of(raw: dict[str, dict[str, str]]) -> RunConfig:
     if len(mod["center"]) != scenario.grid.dim:
         raise ConfigError("modulus.center", f"{len(mod['center'])} coordinates for a "
                                             f"{scenario.grid.dim}D grid")
+    if not all(0.0 <= c <= e for c, e in zip(mod["center"], scenario.grid.extents)):
+        raise ConfigError("modulus.center", f"{mod['center']} lies outside the domain, "
+                                            f"[0, {scenario.grid.extents[0]:g}] on each axis")
     n, p = scenario.grid.dim, scenario.p
     ledger = _named("constants", lambda: fix_constants(
         n=n, p=p, Lambda=scenario.certified_lambda(),

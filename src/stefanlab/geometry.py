@@ -149,53 +149,6 @@ def cylinder(params: ModulusParams, center: tuple[Sequence[float], float], r: fl
 
 
 # ---------------------------------------------------------------------------
-# Solution rescaling
-# ---------------------------------------------------------------------------
-
-def rescale_solution(trajectory: Trajectory, lam: float,
-                     space_shift: Sequence[float] | None = None,
-                     time_shift: float = 0.0) -> Trajectory:
-    """Divide the solution by lam >= 1 and stretch time by lam^{p-2}.
-
-    The rescaled fields solve a structurally identical problem whose graph
-    has jump a/lam, width eps/lam and effective latent heat lh/lam; that
-    effective value is recorded in the metadata.  lam = 1 with zero shifts is
-    the identity.
-    """
-    if lam < 1.0:
-        raise ValueError("lam must be >= 1")
-    p = trajectory.p
-    graph = trajectory.graph.rescaled(lam) if lam != 1.0 else trajectory.graph
-    factor = lam ** (p - 2.0)
-    new_times = [time_shift + factor * t for t in trajectory.times]
-    new_temps = [u / lam for u in trajectory.temps]
-    new_enths = [np.asarray(graph.enthalpy_of_temperature(u)) for u in new_temps]
-    dim = trajectory.grid.dim
-    shift = tuple(space_shift) if space_shift is not None else (0.0,) * dim
-    old_offset = trajectory.meta.get("space_offset", (0.0,) * dim)
-    meta = dict(trajectory.meta)
-    meta.pop("w_fields", None)
-    meta["space_offset"] = tuple(o + s for o, s in zip(old_offset, shift))
-    meta["lh_effective"] = graph.latent_heat
-    if lam != 1.0 or time_shift != 0.0 or any(s != 0.0 for s in shift):
-        rescales = list(meta.get("rescale", {}).get("history", []))
-        rescales.append({"lambda": lam, "time_shift": time_shift,
-                         "space_shift": list(shift)})
-        meta["rescale"] = {"history": rescales, "lambda_total": math.prod(
-            h["lambda"] for h in rescales)}
-    return Trajectory(
-        scenario=trajectory.scenario,
-        grid=trajectory.grid,
-        graph=graph,
-        times=new_times,
-        temps=new_temps,
-        enthalpies=new_enths,
-        diagnostics=trajectory.diagnostics,
-        meta=meta,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Oscillation measurement and modulus fitting
 # ---------------------------------------------------------------------------
 

@@ -380,12 +380,16 @@ class RegularizedGraph:
         return mollifier_density((np.asarray(s, dtype=float) - self.a) / self.eps) / self.eps
 
     # -- enthalpy as a function of temperature -------------------------------
+    # The identity beta is applied as u itself (no copy) and its unit slope
+    # is not multiplied in: the same values, bit for bit.
 
     def enthalpy_of_temperature(self, u):
-        w = self.beta.apply(u)
+        w = u if self.beta.kind == "identity" else self.beta.apply(u)
         return w + self.latent_heat * self.step(w)
 
     def enthalpy_prime_of_temperature(self, u):
+        if self.beta.kind == "identity":
+            return 1.0 + self.latent_heat * self.step_prime(u)
         w = self.beta.apply(u)
         return self.beta.prime(u) * (1.0 + self.latent_heat * self.step_prime(w))
 

@@ -39,14 +39,15 @@ time (linear on the second step, quadratic after that).  Its error is
 O(dt^3) instead of the O(dt) of the previous state, so a step needs about
 half the Newton iterations; the minimizer it converges to is the same.
 
-A step evaluates nothing twice: `run_simulation` looks up e(u) once per
-accepted state and hands it to the next step as `e_old`, and each Newton
-system reuses the face gradients and |g|^{p-2} of the residual at the same
-iterate.  Step energies F are evaluated only on line-search trials the
-residual did not accept.  `StepDiag.energy_decreased` certifies
-F(u) <= F(u_start) + 1e-12 (1 + |F(u_start)|); by convexity it holds
-without evaluating F whenever r(u).(u_start - u) >= -1e-12 (see
-`_energy_decreased`).
+A step evaluates nothing twice.  A run builds one `_StepProblem` (cell
+volumes, faces, pins) and each step sets only e_old and dt.  e(u) of an
+accepted state is the lookup the step's last residual made there, handed
+to the next step as `e_old`; each Newton system reuses the face gradients
+and |g|^{p-2} of the residual at the same iterate.  Step energies F are
+evaluated only on line-search trials the residual did not accept.
+`StepDiag.energy_decreased` certifies F(u) <= F(u_start) + 1e-12
+(1 + |F(u_start)|); by convexity it holds without evaluating F whenever
+r(u).(u_start - u) >= -1e-12 (see `_energy_decreased`).
 """
 from __future__ import annotations
 
@@ -54,6 +55,7 @@ import functools
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Literal, Sequence
 
@@ -216,7 +218,7 @@ class DtPolicy:
         if self.kind == "fixed":
             dt = self.value
         else:
-            osc = float(np.max(u) - np.min(u))
+            osc = float(u.max() - u.min())
             dt = self.safety * grid.h**p * max(osc, 1e-12) ** (2.0 - p)
         return min(dt, remaining)
 
@@ -584,18 +586,33 @@ def _gtsv():
 
 
 class _StepProblem:
-    """Gradient/Hessian/energy of the step functional on one scenario."""
+    """Gradient/Hessian/energy of the step functional on one scenario.  Of
+    its data only `e_old` and `dt` change from step to step (`start_step`),
+    so a run builds one problem (`_step_problem`)."""
 
-    def __init__(self, scenario: Scenario, e_old: np.ndarray, dt: float):
+    def __init__(self, scenario: Scenario, e_old: np.ndarray | None = None,
+                 dt: float | None = None):
         self.sc = scenario
         self.grid = scenario.grid
         self.p = scenario.p
-        self.dt = dt
-        self.e_old = e_old
+        self.key = _problem_key(scenario)
         self.vol = self.grid.volume_weights()
         self.faces = _Faces(self.grid, self.p, scenario.field.weights)
         self.pin_mask, self.pin_values = _dirichlet_arrays(scenario)
+        self._last_e = (None, None)   # (u, e(u)) of the last `gradient` call
+        self.start_step(e_old, dt)
+
+    def start_step(self, e_old: np.ndarray | None, dt: float | None) -> None:
+        self.e_old = e_old
+        self.dt = dt
         self.linear_iterations = 0
+
+    def enthalpy(self, u: np.ndarray) -> np.ndarray:
+        """e(u): the array the last `gradient` call looked up when u is the
+        array it was called with (which must not have changed since), else
+        a new lookup."""
+        last_u, last_e = self._last_e
+        return last_e if u is last_u else self.sc.graph.enthalpy_of_temperature(u)
 
     def apply_pins(self, u: np.ndarray) -> np.ndarray:
         if self.pin_mask is None:
@@ -613,9 +630,10 @@ class _StepProblem:
         """The gradient r at u (zero at the pins) and the face powers
         `_Faces.powers(u)` it was built from, which the Newton system at
         the same u reuses."""
-        g = self.sc.graph
         powers = self.faces.powers(u)
-        r = self.vol * (g.enthalpy_of_temperature(u) - self.e_old)
+        e = self.sc.graph.enthalpy_of_temperature(u)
+        self._last_e = (u, e)
+        r = self.vol * (e - self.e_old)
         for ax, f in enumerate(self.faces.fluxes(powers)):
             r -= self.dt * self.faces.divergence(f, ax)
         if self.pin_mask is not None:
@@ -626,7 +644,7 @@ class _StepProblem:
         """The gradient r at u, its max-norm per volume (the quantity every
         step tolerance is stated in) and the face powers at u."""
         r, powers = self.gradient(u)
-        return r, float(np.max(np.abs(r / self.vol))), powers
+        return r, float(np.abs(r / self.vol).max()), powers
 
     def solve_newton_system(
         self, u: np.ndarray, r: np.ndarray, powers, sigma: float, rtol: float
@@ -778,6 +796,24 @@ def _dirichlet_arrays(scenario: Scenario):
     return mask, values
 
 
+def _problem_key(scenario: Scenario) -> tuple:
+    """What a `_StepProblem` builds its volumes, faces and pins from."""
+    return scenario.grid, scenario.p, scenario.field, scenario.boundary
+
+
+_recent = threading.local()   # .problem: the thread's last step problem
+
+
+def _step_problem(scenario: Scenario) -> _StepProblem:
+    """The problem this thread's last step used if that step was on the
+    same `scenario` with the same `_problem_key`, else a new one: how the
+    steps of a run, each a public `implicit_step` call, share one problem."""
+    prob = getattr(_recent, "problem", None)
+    if prob is None or prob.sc is not scenario or prob.key != _problem_key(scenario):
+        prob = _recent.problem = _StepProblem(scenario)
+    return prob
+
+
 def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
                   start: np.ndarray | None = None, *,
                   e_old: np.ndarray | None = None) -> tuple[np.ndarray, StepDiag]:
@@ -793,7 +829,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
-    if not np.all(np.isfinite(u_old)):
+    if not np.isfinite(u_old).all():
         raise NonfiniteValueError("non-finite state entering implicit step")
     if start is not None and np.shape(start) != u_old.shape:
         raise ShapeMismatchError("start iterate shape does not match the state")
@@ -803,12 +839,13 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     g = scenario.graph
     if e_old is None:
         e_old = g.enthalpy_of_temperature(u_old)
-    prob = _StepProblem(scenario, e_old, dt)
-    if start is None or not np.all(np.isfinite(start)):
+    prob = _step_problem(scenario)
+    prob.start_step(e_old, dt)
+    if start is None or not np.isfinite(start).all():
         start = u_old
     u = prob.apply_pins(np.array(start, dtype=float))
 
-    scale = 1.0 + float(np.max(np.abs(e_old)))
+    scale = 1.0 + float(np.abs(e_old).max())
     accept_tol = tol.step_rtol * scale
     polish_tol = tol.polish_rtol * scale
 
@@ -841,7 +878,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         except (np.linalg.LinAlgError, ValueError):
             d, solved = None, False
         used_fallback |= not solved
-        if d is None or not np.all(np.isfinite(d)) or float(np.sum(r * d)) <= 0.0:
+        if d is None or not np.isfinite(d).all() or float((r * d).sum()) <= 0.0:
             d = r / (prob.vol * g.enthalpy_prime_of_temperature(u))
             used_fallback = True
         # Try the full step on a residual-decrease criterion first; near the
@@ -851,7 +888,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         t = 1.0
         for _ in range(tol.max_backtracks):
             u_try = u - t * d
-            if np.all(np.isfinite(u_try)):
+            if np.isfinite(u_try).all():
                 r_try, res_try, powers_try = prob.residual(u_try)
                 if res_try < best_res:
                     u, r, res, powers, f_val = u_try, r_try, res_try, powers_try, None
@@ -872,7 +909,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         if not accepted:
             break
 
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NonfiniteValueError("non-finite state produced by implicit step")
     if res > accept_tol:
         raise MaxIterationsError(
@@ -910,7 +947,7 @@ def _energy_decreased(prob: _StepProblem, u_start: np.ndarray, u: np.ndarray,
     agrees with e to better than 1e-9 on the headline graphs.
     """
     if f_start is None or f_val is None:
-        if float(np.sum(r * (u_start - u))) >= -_ENERGY_SLACK:
+        if float((r * (u_start - u)).sum()) >= -_ENERGY_SLACK:
             return True
         if f_start is None:
             f_start = prob.energy(u_start)
@@ -942,16 +979,14 @@ def _extrapolate(u: np.ndarray, dt: float, past: Sequence[tuple[np.ndarray, floa
 def run_simulation(scenario: Scenario) -> Trajectory:
     """Drive implicit steps to t_end; deterministic for a fixed scenario."""
     grid = scenario.grid
-    u = build_initial(grid, scenario.initial)
-    pin_mask, pin_values = _dirichlet_arrays(scenario)
-    if pin_mask is not None:
-        u = u.copy()
-        u[pin_mask] = pin_values[pin_mask]
+    prob = _step_problem(scenario)
+    u = prob.apply_pins(build_initial(grid, scenario.initial))
     g = scenario.graph
     times = [0.0]
     temps = [u.copy()]
-    # e(u) is looked up once per accepted state: stored when the state is,
-    # and passed to the next step as its e_old.
+    # e(u) is looked up for the initial state only; at each accepted state
+    # the step's last residual has looked it up (`_StepProblem.enthalpy`).
+    # Each e is stored when its state is and is the next step's e_old.
     e = np.asarray(g.enthalpy_of_temperature(u))
     enths = [e]
     diags: list[StepDiag] = []
@@ -972,7 +1007,7 @@ def run_simulation(scenario: Scenario) -> Trajectory:
         t += dt
         step_index += 1
         diags.append(diag)
-        e = np.asarray(g.enthalpy_of_temperature(u))
+        e = np.asarray(prob.enthalpy(u))
         if step_index % scenario.store_every == 0 or t >= t_final * (1.0 - 1e-12):
             times.append(t)
             temps.append(u.copy())

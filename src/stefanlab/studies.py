@@ -105,7 +105,10 @@ def _truncation_level(traj: Trajectory) -> float:
 
 
 def _entry(rep: InequalityReport, *fields: str) -> tuple[dict, InequalityReport]:
-    return {"pass": bool(rep.passed), **{f: getattr(rep, f) for f in fields}}, rep
+    """The summary entry of a report: a verdict, or a diagnostic when the
+    report has none (`passed` is None: the estimate bounds nothing)."""
+    verdict = {"pass": bool(rep.passed)} if rep.passed is not None else {"gate": False}
+    return {**verdict, **{f: getattr(rep, f) for f in fields}}, rep
 
 
 def _conservation(traj: Trajectory, site: CheckSite):
@@ -145,8 +148,8 @@ def _decay(traj: Trajectory, site: CheckSite):
     k_trunc = _truncation_level(traj)
     v0 = np.minimum(traj.w_fields()[traj.nearest_time_index(site.t_start)], k_trunc)
     k_start = float(v0[traj.ball_mask(site.center, 2 * site.R0)].min()) * (1 - 1e-12)
-    if k_start <= 0:
-        return {"pass": True, "degenerate": True, "note": "no positive starting level"}, None
+    if k_start <= 0:  # nothing positive to decay: no verdict
+        return {"gate": False, "degenerate": True, "note": "no positive starting level"}, None
     return _entry(verify.decay_of_positivity_check(
         traj, k_start, site.center, site.R0, t0=site.t_start,
         T=traj.times[-1] - site.t_start, ledger=site.ledger, k_truncation=k_trunc),

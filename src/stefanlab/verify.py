@@ -27,7 +27,8 @@ from .solver import (Scenario, SpaceTimeBump, Trajectory, _Faces, _on_rows, _row
 
 @dataclass
 class InequalityReport:
-    """One measured estimate: both sides, the implied constant, and margin."""
+    """One measured estimate: both sides, the implied constant, and margin;
+    `passed` is None when the estimate bounds nothing (no verdict)."""
 
     name: str
     lhs: float
@@ -436,9 +437,9 @@ def weak_harnack_check(
     if avg <= 0.0:
         return InequalityReport(
             name="weak-harnack", lhs=avg, rhs_core=0.0, implied_constant=None,
-            margin=None, degenerate=True, passed=True,
+            margin=None, degenerate=True, passed=None,
             scenario_hash=scen_hash, resolution=res,
-            details={"note": "zero average: estimate holds vacuously"},
+            details={"note": "zero average: the estimate bounds nothing"},
         )
 
     tau = min(T - t1, c1 * R0**p * avg ** (2.0 - p))

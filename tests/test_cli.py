@@ -292,6 +292,23 @@ directory = {out}
         assert summary["checks"]["conservation"]["defect"] > 1e-10
         assert summary["all_pass"] is True
 
+    @pytest.mark.parametrize("scenario, check", [
+        ("preset = stefan-1d-p3-twophase\nt_end = 0.02\n", "decay"),
+        ("dim = 1\nnodes = 11\np = 3.0\nt_end = 0.02\ndt = 1e-3\njump_location = 1.5\n"
+         "initial_params = value=0.0\n", "weak-harnack"),
+    ], ids=["decay-twophase", "weak-harnack-zero"])
+    def test_vacuous_checks_carry_no_verdict(self, tmp_path, scenario, check):
+        # On the two-phase preset the truncated w has no positive infimum on
+        # the decay ball; on the zero state the weak Harnack average is zero.
+        # Neither estimate then bounds anything, so neither is a verdict.
+        text = f"[scenario]\n{scenario}[checks]\nrun = {check}, conservation\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        entry = summary["checks"][check]
+        assert entry["gate"] is False and "pass" not in entry and entry["degenerate"] is True
+        assert summary["checks"]["conservation"]["pass"] and summary["all_pass"]
+
     def test_check_outside_its_hypotheses_is_a_failed_verdict(self, tmp_path):
         text = "[scenario]\npreset = constant\n[checks]\nrun = weak-harnack, conservation\n"
         out = tmp_path / "out"
@@ -454,6 +471,22 @@ directory = {out}
         record = json.loads((out / "error.json").read_text())
         assert record["code"] == 2
         assert record["field"] == "modulus.center"
+
+    @pytest.mark.parametrize("preset, center", [
+        ("stefan-1d-p3-twophase", "5"),
+        ("stefan-2d-p2-twophase", "0.5, 1.5"),
+        ("stefan-1d-p3-twophase", "-0.1"),
+    ], ids=["1d-beyond", "2d-beyond", "negative"])
+    def test_center_outside_the_domain_exit_two(self, tmp_path, capsys, preset, center):
+        # A centre outside the grid left the checks with empty balls; it is
+        # a config error.
+        path = _write(tmp_path, f"[scenario]\npreset = {preset}\n\n[modulus]\n"
+                                f"center = {center}\n\n[checks]\nrun = decay\n")
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["field"] == "modulus.center"
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["field"] == "modulus.center"
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("scenario", [

@@ -13,10 +13,10 @@ from stefanlab.geometry import (EmptyCylinderError, IntrinsicCylinder,
                                 ModulusParams, OscillationProfile,
                                 alpha_kappa_of, cylinder, cylinder_depth,
                                 fit_modulus, kappa_ratio, omega,
-                                oscillation, rescale_solution)
+                                oscillation)
 from stefanlab.solver import Trajectory, run_simulation
 
-from helpers import omega_log_slope
+from helpers import omega_log_slope, rescale_solution
 
 
 class TestAlphaKappa:

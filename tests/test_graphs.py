@@ -368,6 +368,20 @@ class TestTableLookups:
             assert_same_bits(got_e, e_ref(x))
             assert_same_bits(got_E, E_ref(x))
 
+    @given(beta=beta_maps(), us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_enthalpy_and_slope_through_beta(self, beta, us):
+        # The identity beta skips apply's copy and prime's unit factor; every
+        # kind gives the bits of e = w + L step(w) and
+        # e' = beta'(u) (1 + L step'(w)) with w = beta(u).
+        g = RegularizedGraph(a=0.1, latent_heat=0.7, eps=0.05, beta=beta)
+        for u in (np.asarray(us), float(us[0])):
+            w = beta.apply(u)
+            assert_same_bits(g.enthalpy_of_temperature(u), w + g.latent_heat * g.step(w))
+            assert_same_bits(g.enthalpy_prime_of_temperature(u),
+                             beta.prime(u) * (1.0 + g.latent_heat * g.step_prime(w)))
+            assert type(g.enthalpy_prime_of_temperature(u)) is type(w)
+
     @given(ts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=60))
     @settings(max_examples=30, deadline=None)
     def test_unit_step_and_primitive_match_scipy(self, ts):

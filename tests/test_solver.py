@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stefanlab import presets, solver
-from stefanlab.graphs import RegularizedGraph
+from stefanlab.graphs import BetaMap, RegularizedGraph
 from stefanlab.solver import (Boundary, DtPolicy, Grid, InitialData,
                               Scenario, ShapeMismatchError, SpaceTimeBump,
                               Tolerances, Trajectory, VectorField,
@@ -22,7 +22,7 @@ from stefanlab.solver import (Boundary, DtPolicy, Grid, InitialData,
                               enthalpy_totals, implicit_step, run_simulation,
                               weak_form_residual)
 
-from helpers import ConstantInSpace, dissipation_profile
+from helpers import ConstantInSpace, dissipation_profile, rescale_solution
 
 
 class TestGrid:
@@ -859,7 +859,9 @@ class TestEnergyFlag:
         monkeypatch.setattr(RegularizedGraph, "enthalpy_of_temperature", counted_lookup)
         monkeypatch.setattr(solver._StepProblem, "gradient", marked_gradient)
         traj = run_simulation(sc)
-        assert len(outside) == len(traj.diagnostics) + 1
+        # Only the initial state is looked up outside the residual: e at each
+        # accepted state is the one the step's last residual looked up.
+        assert len(outside) == 1
         for u, e in zip(traj.temps, traj.enthalpies):
             assert np.array_equal(e, lookup(sc.graph, u))
 
@@ -868,6 +870,94 @@ class TestEnergyFlag:
         u0 = build_initial(sc.grid, sc.initial)
         with pytest.raises(ShapeMismatchError):
             implicit_step(u0, 1e-3, sc, e_old=np.zeros(20))
+
+
+def _small_scenario(dim, boundary, beta, p, store_every=1, t_end=4.5e-3):
+    """A few steps of two-phase data on a small grid; t_end is not a
+    multiple of dt, so the last step is cut short."""
+    betas = {"identity": BetaMap(),
+             "piecewise": BetaMap(kind="piecewise", knots=(-2.0, 0.0, 2.0),
+                                  values=(-1.5, 0.0, 2.5)),
+             "tanh": BetaMap(kind="tanh", mu=0.5, tau=0.2)}
+    nodes = 21 if dim == 1 else 9
+    values = ((0.3, -0.2), (0.1, -0.1))[:dim]
+    return Scenario(grid=Grid(extents=(1.0,) * dim, nodes=(nodes,) * dim), p=p,
+                    graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1, beta=betas[beta]),
+                    initial=InitialData.of("two-phase-sine", amplitude=0.5, tilt=0.1),
+                    boundary=Boundary("dirichlet", values) if boundary == "dirichlet"
+                    else Boundary(), t_end=t_end, dt=DtPolicy(value=1e-3),
+                    store_every=store_every)
+
+
+def _bits(values) -> list[bytes]:
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+class TestOneProblemPerRun:
+    @given(dim=st.sampled_from([1, 2]), boundary=st.sampled_from(["zero-flux", "dirichlet"]),
+           beta=st.sampled_from(["identity", "piecewise", "tanh"]),
+           p=st.sampled_from([2.0, 3.0]), store_every=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_run_is_a_loop_of_public_steps(self, dim, boundary, beta, p, store_every):
+        # run_simulation keeps one step problem and takes each e from the
+        # last residual.  Public steps with public lookups, each on its own
+        # copy of the scenario and so on a problem of its own, give the
+        # same bits.
+        sc = _small_scenario(dim, boundary, beta, p, store_every)
+        traj = run_simulation(sc)
+        u = build_initial(sc.grid, sc.initial)
+        if boundary == "dirichlet":
+            mask, values = solver._dirichlet_arrays(sc)
+            u[mask] = values[mask]
+        e = sc.graph.enthalpy_of_temperature(u)
+        times, temps, enths, diags, past, t = [0.0], [u], [e], [], [], 0.0
+        while t < sc.t_end * (1.0 - 1e-12):
+            dt = sc.dt.step(sc.grid, p, u, sc.t_end - t)
+            u_new, diag = implicit_step(u, dt, replace(sc), solver._extrapolate(u, dt, past),
+                                        e_old=e)
+            past = [(u, dt)] + past[:1]
+            u, t = u_new, t + dt
+            e = sc.graph.enthalpy_of_temperature(u)
+            diags.append(diag)
+            if len(diags) % store_every == 0 or t >= sc.t_end * (1.0 - 1e-12):
+                times.append(t)
+                temps.append(u)
+                enths.append(e)
+        assert _bits(traj.times) == _bits(times)
+        assert _bits(traj.temps) == _bits(temps)
+        assert _bits(traj.enthalpies) == _bits(enths)
+        assert [repr(d) for d in traj.diagnostics] == [repr(d) for d in diags]
+
+    def test_problem_follows_the_scenario(self):
+        a = _small_scenario(1, "zero-flux", "identity", 2.0)
+        b = replace(a, graph=RegularizedGraph(a=0.1, latent_heat=0.5, eps=0.05))
+        other_grid = replace(b, grid=Grid(extents=(1.0,), nodes=(31,)))
+        prob = solver._step_problem(a)
+        assert solver._step_problem(a) is prob
+        assert solver._step_problem(b).sc is b
+        # A step problem built for a solves nothing of b: b after a runs as
+        # b after a scenario on another grid.
+        run_simulation(other_grid)
+        ref = run_simulation(b).trajectory_hash()
+        run_simulation(a)
+        assert run_simulation(b).trajectory_hash() == ref
+        prob = solver._step_problem(a)
+        a.boundary = Boundary("dirichlet", ((0.3, -0.2),))
+        assert solver._step_problem(a) is not prob and solver._step_problem(a).pin_mask is not None
+
+    def test_enthalpy_of_the_last_residual_iterate(self, monkeypatch):
+        sc = _small_scenario(1, "zero-flux", "tanh", 3.0)
+        u = build_initial(sc.grid, sc.initial)
+        prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u), 1e-3)
+        lookups = []
+        lookup = RegularizedGraph.enthalpy_of_temperature
+        monkeypatch.setattr(RegularizedGraph, "enthalpy_of_temperature",
+                            lambda g, v: lookups.append(v) or lookup(g, v))
+        prob.gradient(u)
+        e = prob.enthalpy(u)
+        assert lookups == [u] and np.array_equal(e, lookup(sc.graph, u))
+        # An equal array that is not the iterate is looked up again.
+        assert np.array_equal(prob.enthalpy(u.copy()), e) and len(lookups) == 2
 
 
 def neumann_front_factor(hot, jump, cold, latent):
@@ -982,8 +1072,6 @@ class TestWeakFormResidual:
 
 class TestRescaledWeakForm:
     def test_rescaled_trajectory_satisfies_identity(self):
-        from stefanlab.geometry import rescale_solution
-
         traj = run_simulation(presets.twophase_1d(nodes=61, t_end=0.02, dt=5e-4))
         res_base = weak_form_residual(traj, ConstantInSpace(lambda t: 1.0),
                                       (0.0, traj.times[-1]))
