@@ -498,7 +498,7 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         "trajectory_hash": traj.trajectory_hash(),
         "artifact_hashes": hashes,
         "all_pass": all_pass,
-        "solver": _solver_summary(traj),
+        "solver": studies.solver_summary(traj),
     })
     # Wall times differ between reruns, so they stay out of artifact_hashes.
     _json_dump(outdir / "timings.json", {
@@ -516,24 +516,6 @@ def _write_outcome(outdir: Path, name: str, record: dict) -> None:
     _json_dump(outdir / name, record)
     other = "error.json" if name == "summary.json" else "summary.json"
     (outdir / other).unlink(missing_ok=True)
-
-
-def _solver_summary(traj: Trajectory) -> dict:
-    """Deterministic totals of the per-step solver diagnostics."""
-    diags = traj.diagnostics
-    return {
-        "steps": len(diags),
-        "newton_iterations": sum(d.iterations for d in diags),
-        "newton_iterations_max": max((d.iterations for d in diags), default=0),
-        "linear_iterations": sum(d.linear_iterations for d in diags),
-        "backtracks": sum(d.backtracks for d in diags),
-        "fallbacks": sum(d.used_fallback for d in diags),
-        "energy_increases": sum(not d.energy_decreased for d in diags),
-        # A returned step has residual <= tolerance, so residual > 0 implies
-        # tolerance > 0.
-        "worst_residual_ratio": max((d.residual / d.tolerance if d.residual > 0 else 0.0
-                                     for d in diags), default=0.0),
-    }
 
 
 def _emit_config_error(config_path, err: ConfigError, out_override) -> None:

@@ -26,12 +26,13 @@ _GAUSS_ORDER = 12
 
 
 def bump_shape(t):
-    """Unnormalized mollifier profile exp(-1/(1-t^2)) on (-1, 1), 0 outside."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
+    """Unnormalized mollifier profile exp(-1/(1-t^2)) on (-1, 1), 0 outside.
+
+    |t| is clamped to 1 before squaring (no overflow for huge t) and
+    1 - t^2 floored at 1e-300, so t = +-1, |t| > 1, inf and NaN give
+    exp(-1e300) = 0 exactly; inside, the values are those of the formula."""
+    a = np.minimum(np.abs(np.asarray(t, dtype=float)), 1.0)
+    out = np.exp(-1.0 / np.fmax(1.0 - a * a, 1e-300))
     return out if out.ndim else float(out)
 
 
@@ -325,18 +326,6 @@ class BetaMap:
         _, _, slopes = self._segments()
         return float(max(np.max(slopes), 1.0 / np.min(slopes)))
 
-    def rescaled(self, lam: float) -> "BetaMap":
-        """The map z -> beta(lam * z) / lam, same Lipschitz constant."""
-        if self.kind == "identity":
-            return self
-        if self.kind == "tanh":
-            return BetaMap(kind="tanh", mu=self.mu, tau=self.tau / lam)
-        return BetaMap(
-            kind="piecewise",
-            knots=tuple(x / lam for x in self.knots),
-            values=tuple(y / lam for y in self.values),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Regularized graph and enthalpy
@@ -398,18 +387,6 @@ class RegularizedGraph:
         return (
             self.beta.primitive(u)
             + self.latent_heat * (self._step_of_temperature_primitive(u) - self._k0)
-        )
-
-    def rescaled(self, lam: float) -> "RegularizedGraph":
-        """Graph of the solution scaled down by lam >= 1: jump, width and
-        latent heat all divide by lam."""
-        if lam < 1.0:
-            raise ValueError("rescaling factor must be >= 1")
-        return RegularizedGraph(
-            a=self.a / lam,
-            latent_heat=self.latent_heat / lam,
-            eps=self.eps / lam,
-            beta=self.beta.rescaled(lam),
         )
 
     def params_dict(self) -> dict:

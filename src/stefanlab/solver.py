@@ -29,9 +29,10 @@ system stays SPD.  The 2D solves are inexact Newton-Krylov: each CG stops
 at the forcing tolerance of `_forcing_term`, loose while the step residual
 is large and tight only where the final polish needs it (Eisenstat &
 Walker, SIAM J. Sci. Comput. 17, 1996).  The step's own acceptance test is
-always made on the exact nonlinear residual.  `gtsv` is imported from
-`scipy.linalg.lapack` on the first 1D solve (`_gtsv`), so importing
-stefanlab, a 2D run and the commands that solve nothing load no scipy.
+always made on the exact nonlinear residual.  `gtsv` is loaded on the
+first 1D solve (`_gtsv`) from scipy's LAPACK extension alone, without the
+`scipy.linalg` package; importing stefanlab, a 2D run and the commands
+that solve nothing load no scipy at all.
 
 Newton starts each step from `_extrapolate`: the polynomial through the
 current state and up to two earlier accepted states, evaluated at the new
@@ -53,8 +54,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Literal, Sequence
@@ -578,11 +583,22 @@ class _Faces:
 
 @functools.cache
 def _gtsv():
-    """LAPACK's dgtsv, imported once per process on the first 1D solve:
-    scipy.linalg is the largest cost of starting stefanlab and nothing
-    else in the package needs it."""
-    from scipy.linalg.lapack import dgtsv
-    return dgtsv
+    """LAPACK's dgtsv, loaded on the first 1D solve from scipy's extension
+    `scipy.linalg._flapack` alone: the `scipy.linalg` package around it
+    costs more memory and start-up than the rest of a run.  The extension
+    is registered in `sys.modules` under its own name, so a later
+    `import scipy.linalg` reuses it and `scipy.linalg.lapack.dgtsv` is this
+    same function."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy  # the top-level package only; it sets the DLL path on Windows
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "linalg") for d in scipy.__path__])
+        if spec is None:
+            raise ImportError(f"no module named {name!r}", name=name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].dgtsv
 
 
 class _StepProblem:
@@ -668,7 +684,7 @@ class _StepProblem:
         """Tridiagonal solve by LAPACK gtsv (LU with partial pivoting), the
         routine scipy.linalg.solve_banded((1, 1), ...) calls; `diag` is
         overwritten.  A zero pivot (info > 0) raises LinAlgError.  The first
-        call in a process imports scipy.linalg.lapack (about 0.3 s)."""
+        call in a process loads LAPACK's extension (`_gtsv`)."""
         main = diag
         main[:-1] += c
         main[1:] += c

@@ -192,6 +192,34 @@ def _fit_params_to_horizon(params: ModulusParams, traj: Trajectory) -> ModulusPa
     return replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / p))
 
 
+def solver_summary(traj: Trajectory) -> dict:
+    """Deterministic totals of the per-step solver diagnostics: the
+    `solver` block of `summary.json` and the numbers of the `solver` check."""
+    diags = traj.diagnostics
+    return {
+        "steps": len(diags),
+        "newton_iterations": sum(d.iterations for d in diags),
+        "newton_iterations_max": max((d.iterations for d in diags), default=0),
+        "linear_iterations": sum(d.linear_iterations for d in diags),
+        "backtracks": sum(d.backtracks for d in diags),
+        "fallbacks": sum(d.used_fallback for d in diags),
+        "energy_increases": sum(not d.energy_decreased for d in diags),
+        # A returned step has residual <= tolerance, so residual > 0 implies
+        # tolerance > 0.
+        "worst_residual_ratio": max((d.residual / d.tolerance if d.residual > 0 else 0.0
+                                     for d in diags), default=0.0),
+    }
+
+
+def _solver(traj: Trajectory, site: CheckSite):
+    # The solver must not degrade silently: a missed linear-solve target, a
+    # rising step energy or a residual over its tolerance fails the run.
+    s = solver_summary(traj)
+    health = {k: s[k] for k in ("fallbacks", "energy_increases", "worst_residual_ratio")}
+    return {"pass": not (s["fallbacks"] or s["energy_increases"])
+            and s["worst_residual_ratio"] <= 1.0, **health}, None
+
+
 class Check(NamedTuple):
     label: str
     # (trajectory, site) -> (summary entry, report or None); an entry with
@@ -210,6 +238,8 @@ CHECKS: dict[str, Check] = {
     "classifier": Check("measure dichotomy for the level set above a quarter oscillation",
                         _classifier),
     "modulus": Check("oscillation ladder against the log-power modulus", _modulus),
+    "solver": Check("no linear-solve fallback, step energy increase or residual over tolerance",
+                    _solver),
 }
 
 

@@ -1,7 +1,7 @@
 """Test-only helpers: a uniform test function, a Lyapunov sequence, the
 modulus log-slope, a ledger with measured values, the forwarded level
-fraction and the rescaled solution.  Nothing in the package calls them, so
-they live beside the tests that do."""
+fraction and the rescaled graph and solution.  Nothing in the package calls
+them, so they live beside the tests that do."""
 from __future__ import annotations
 
 import math
@@ -12,6 +12,7 @@ import numpy as np
 
 from stefanlab.constants import ConstantsLedger
 from stefanlab.geometry import EmptyCylinderError, ModulusParams, cylinder, omega
+from stefanlab.graphs import BetaMap, RegularizedGraph
 from stefanlab.solver import Trajectory, _Faces
 
 
@@ -103,6 +104,32 @@ def forwarded_level_fraction(
             "omega_r": w_r, "samples": total}
 
 
+def rescaled_beta(beta: BetaMap, lam: float) -> BetaMap:
+    """The map z -> beta(lam * z) / lam, same Lipschitz constant."""
+    if beta.kind == "identity":
+        return beta
+    if beta.kind == "tanh":
+        return BetaMap(kind="tanh", mu=beta.mu, tau=beta.tau / lam)
+    return BetaMap(
+        kind="piecewise",
+        knots=tuple(x / lam for x in beta.knots),
+        values=tuple(y / lam for y in beta.values),
+    )
+
+
+def rescaled_graph(graph: RegularizedGraph, lam: float) -> RegularizedGraph:
+    """Graph of the solution scaled down by lam >= 1: jump, width and
+    latent heat all divide by lam."""
+    if lam < 1.0:
+        raise ValueError("rescaling factor must be >= 1")
+    return RegularizedGraph(
+        a=graph.a / lam,
+        latent_heat=graph.latent_heat / lam,
+        eps=graph.eps / lam,
+        beta=rescaled_beta(graph.beta, lam),
+    )
+
+
 def rescale_solution(trajectory: Trajectory, lam: float,
                      space_shift: Sequence[float] | None = None,
                      time_shift: float = 0.0) -> Trajectory:
@@ -116,7 +143,7 @@ def rescale_solution(trajectory: Trajectory, lam: float,
     if lam < 1.0:
         raise ValueError("lam must be >= 1")
     p = trajectory.p
-    graph = trajectory.graph.rescaled(lam) if lam != 1.0 else trajectory.graph
+    graph = rescaled_graph(trajectory.graph, lam) if lam != 1.0 else trajectory.graph
     factor = lam ** (p - 2.0)
     new_times = [time_shift + factor * t for t in trajectory.times]
     new_temps = [u / lam for u in trajectory.temps]

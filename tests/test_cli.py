@@ -5,6 +5,7 @@ import configparser
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,39 @@ directory = {out}
         entry = summary["checks"]["weak-harnack"]
         assert entry == {"pass": False, "label": studies.CHECKS["weak-harnack"].label,
                          "error": "ValueError: waiting-time estimate needs p > 2"}
+        assert summary["checks"]["conservation"]["pass"] and not summary["all_pass"]
+
+    @pytest.mark.parametrize("preset", ["stefan-1d-p3-twophase", "stefan-2d-p2-twophase"])
+    def test_solver_check_passes_on_a_headline_preset(self, tmp_path, preset):
+        text = f"[scenario]\npreset = {preset}\nnodes = 21\nt_end = 0.01\n[checks]\nrun = solver\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        block = summary["solver"]
+        assert block["steps"] > 0
+        assert summary["checks"]["solver"] == {
+            "pass": True, "label": studies.CHECKS["solver"].label,
+            **{k: block[k] for k in ("fallbacks", "energy_increases", "worst_residual_ratio")}}
+
+    @pytest.mark.parametrize("fault, field, value", [
+        ({"used_fallback": True}, "fallbacks", 1),
+        ({"energy_decreased": False}, "energy_increases", 1),
+        ({"residual": 2.0, "tolerance": 1.0}, "worst_residual_ratio", 2.0),
+    ], ids=["fallback", "energy-increase", "residual"])
+    def test_degraded_step_fails_the_solver_check(self, tmp_path, monkeypatch, fault, field,
+                                                  value):
+        def degraded(scenario):
+            traj = run_simulation(scenario)
+            traj.diagnostics[1] = replace(traj.diagnostics[1], **fault)
+            return traj
+        monkeypatch.setattr(cli, "run_simulation", degraded)
+        text = ("[scenario]\npreset = stefan-1d-p2-twophase\nnodes = 21\nt_end = 0.01\n"
+                "[checks]\nrun = conservation, solver\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        entry = summary["checks"]["solver"]
+        assert entry["pass"] is False and entry[field] == value == summary["solver"][field]
         assert summary["checks"]["conservation"]["pass"] and not summary["all_pass"]
 
     def test_programming_error_in_a_check_propagates(self, tmp_path, monkeypatch):

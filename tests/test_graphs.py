@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from scipy.interpolate import PchipInterpolator
 
 from stefanlab import graphs
 from stefanlab.graphs import BetaMap, RegularizedGraph
+
+from helpers import rescaled_graph
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,22 @@ class TestMollifiedStep:
         s = np.linspace(-0.15, 0.15, 401)
         vals = unit_graph.step(s)
         assert np.all(np.diff(vals) >= 0.0)
+
+    @given(ts=st.lists(st.one_of(st.floats(-1.2, 1.2), st.floats()), min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_bump_shape_matches_masked_formula(self, ts):
+        # The clamped formula against the masked one, bit for bit, on the
+        # support's edges, outside it and at non-finite points, with no
+        # warning from either.
+        one_below, one_above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        edges = [1.0, one_below, one_above, 0.0, 1e154, 1e200, np.inf, np.nan]
+        t = np.concatenate([ts, edges, np.negative(edges)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_bits(graphs.bump_shape(t), masked_bump(t))
+            for x in (ts[0], -1.0, one_below, 1e200):
+                assert type(graphs.bump_shape(x)) is float
+                assert_same_bits(graphs.bump_shape(x), masked_bump(x))
 
     def test_eps_to_zero_pointwise_limit(self):
         for eps in (0.1, 0.01, 0.001):
@@ -247,7 +266,7 @@ class TestGraphConstruction:
         g = RegularizedGraph(a=0.3, latent_heat=1.0, eps=0.08,
                              beta=BetaMap(kind="tanh", mu=0.4, tau=0.5))
         lam = 2.0
-        gr = g.rescaled(lam)
+        gr = rescaled_graph(g, lam)
         assert gr.latent_heat == pytest.approx(g.latent_heat / lam)
         u = np.linspace(-1.0, 1.5, 41)
         scaled = gr.enthalpy_of_temperature(u / lam)
@@ -256,7 +275,7 @@ class TestGraphConstruction:
     def test_rescale_below_one_rejected(self):
         g = RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1)
         with pytest.raises(ValueError):
-            g.rescaled(0.5)
+            rescaled_graph(g, 0.5)
 
     def test_beta_methods_through_graph(self):
         g = RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1,
@@ -303,6 +322,16 @@ def oracle_band_primitive(g):
     ss = np.linspace(s_lo, s_hi, 2049)
     data = oracle_cdf((g.beta.apply(ss) - g.a) / g.eps)
     return PchipInterpolator(ss, data, extrapolate=False).antiderivative()
+
+
+def masked_bump(t):
+    """The mollifier profile with a mask: 0 outside (-1, 1), the formula inside."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    ti = t[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
+    return out if out.ndim else float(out)
 
 
 def assert_same_bits(got, want):

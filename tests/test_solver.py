@@ -1,6 +1,7 @@
 """Solver tests: operator exactness, step contracts, conservation, ordering,
 and the discrete weak-form residual semantics."""
 
+import importlib.machinery
 import json
 import math
 import os
@@ -451,8 +452,12 @@ codes = [cli.main(["validate", sys.argv[1]]), cli.main(["presets"])]
 solver.run_simulation(presets.twophase_2d(p=3.0, nodes=9, t_end=0.003))
 after_2d = loaded()
 traj = solver.run_simulation(presets.twophase_1d(nodes=11, t_end=0.003, dt=1e-3))
+after_1d = loaded()
+import scipy.linalg.lapack
 print(json.dumps({{"before": before, "codes": codes, "after_2d": after_2d,
-                  "lapack": "scipy.linalg.lapack" in sys.modules,
+                  "flapack": "scipy.linalg._flapack" in after_1d,
+                  "linalg": "scipy.linalg" in after_1d,
+                  "same_dgtsv": solver._gtsv() is scipy.linalg.lapack.dgtsv,
                   "hash": traj.trajectory_hash()}}))
 """
 
@@ -468,17 +473,31 @@ def _import_probe(tmp_path, first=""):
 
 
 def test_scipy_is_imported_only_by_the_first_1d_solve(tmp_path):
-    # scipy.linalg is the largest cost of starting stefanlab and serves only
-    # the 1D gtsv: importing the package, validate, presets and a 2D run
-    # must load no scipy module, and the 1D solve that loads it must give
-    # the trajectory a process with scipy imported up front gives.
+    # scipy serves only the 1D gtsv: importing the package, validate,
+    # presets and a 2D run must load no scipy module, and the 1D solve must
+    # load only LAPACK's extension, not the scipy.linalg package.  Whichever
+    # loads it first, stefanlab and scipy.linalg share one dgtsv, and the
+    # trajectory is the one a process with scipy imported up front gives.
     lazy = _import_probe(tmp_path)
     assert lazy["codes"] == [0, 0]
     assert lazy["before"] == [] and lazy["after_2d"] == []
-    assert lazy["lapack"]
+    assert lazy["flapack"] and not lazy["linalg"]
+    assert lazy["same_dgtsv"]
     eager = _import_probe(tmp_path, first="import scipy.linalg.lapack")
-    assert eager["before"] != [] and eager["lapack"]
+    assert eager["before"] != [] and eager["flapack"] and eager["linalg"]
+    assert eager["same_dgtsv"]
     assert lazy["hash"] == eager["hash"]
+
+
+def test_missing_lapack_extension_raises_import_error(monkeypatch):
+    real = importlib.machinery.PathFinder.find_spec
+
+    def find_spec(name, path=None, target=None):
+        return None if name == "scipy.linalg._flapack" else real(name, path, target)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", find_spec)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        solver._gtsv.__wrapped__()
 
 
 def newton_state_2d(p, boundary):
