@@ -384,12 +384,30 @@ def _json_default(v):
 
 # A snapshot file name, of this layout (.bin) or of the older per-step sidecars.
 _STEP_FILE = re.compile(r"step_\d{6}\.(bin|json)")
+# Every other file a run writes, besides its outcome record.
+_ARTIFACTS = ("resolved_config.ini", "checks.jsonl", "oscillation.csv", "fit.json",
+              "ledger.json", "timings.json", "snapshots/index.json")
+
+
+def _remove_stale(outdir: Path, written) -> None:
+    """Remove the files of `_ARTIFACTS` and the snapshot step files that an
+    earlier run left in `outdir` and this one did not write (`written`, by
+    path relative to `outdir`), and `snapshots/` if that empties it."""
+    for name in _ARTIFACTS:
+        if name not in written:
+            (outdir / name).unlink(missing_ok=True)
+    snapdir = outdir / "snapshots"
+    if snapdir.is_dir():
+        for path in snapdir.iterdir():
+            if _STEP_FILE.fullmatch(path.name) and f"snapshots/{path.name}" not in written:
+                path.unlink()
+        if not any(snapdir.iterdir()):
+            snapdir.rmdir()
 
 
 def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> dict[str, str]:
     """Write every `stride`-th stored field and the last one, and one
-    `index.json` describing them; remove the step files of an earlier run
-    that this one does not write.  Return the sha256 of each file written,
+    `index.json` describing them.  Return the sha256 of each file written,
     by its path relative to `outdir`."""
     snapdir = outdir / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
@@ -408,9 +426,6 @@ def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> dict[str, s
         "times": [traj.times[m] for m in kept],
         "indices": kept,
     })
-    for path in snapdir.iterdir():
-        if _STEP_FILE.fullmatch(path.name) and f"snapshots/{path.name}" not in hashes:
-            path.unlink()
     return hashes
 
 
@@ -471,6 +486,7 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
     try:
         traj = run_simulation(cfg.scenario)
     except SolverError as err:
+        _remove_stale(outdir, hashes)
         _write_outcome(outdir, "error.json", {"code": 3, "kind": type(err).__name__,
                                               "message": str(err), "time": err.time})
         return 3
@@ -485,9 +501,6 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         hashes["oscillation.csv"] = _write(outdir / "oscillation.csv",
                                            summary["modulus"].pop("profile_csv"))
         hashes["fit.json"] = _json_dump(outdir / "fit.json", summary["modulus"].pop("fit"))
-    else:  # an earlier run's modulus files do not describe this run
-        for name in ("oscillation.csv", "fit.json"):
-            (outdir / name).unlink(missing_ok=True)
     hashes["ledger.json"] = _json_dump(outdir / "ledger.json", cfg.ledger.as_dict())
 
     all_pass = all(entry.get("pass", False) for entry in summary.values()
@@ -500,6 +513,7 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         "all_pass": all_pass,
         "solver": studies.solver_summary(traj),
     })
+    _remove_stale(outdir, {*hashes, "timings.json"})
     # Wall times differ between reruns, so they stay out of artifact_hashes.
     _json_dump(outdir / "timings.json", {
         "solve_s": snapshots_start - solve_start,
@@ -524,6 +538,8 @@ def _emit_config_error(config_path, err: ConfigError, out_override) -> None:
     target = Path(out_override) if out_override else Path("out")
     try:
         target.mkdir(parents=True, exist_ok=True)
+        if out_override:   # named by the caller: an earlier run's files there are stale
+            _remove_stale(target, ())
         _write_outcome(target, "error.json", record)
     except OSError:
         pass

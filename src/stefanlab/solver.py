@@ -1088,23 +1088,14 @@ def _on_rows(values, rows: int, grid: Grid) -> np.ndarray:
 
 class SpaceTimeBump:
     """Smooth compactly supported test function: product of quartic bumps in
-    space times a smooth ramp in time.  Gradient available in closed form."""
+    space times a smooth ramp in time."""
 
     def __init__(self, center: Sequence[float], width: float,
-                 t_center: float | None = None, t_width: float | None = None,
-                 amplitude: float = 1.0):
+                 t_center: float | None = None, t_width: float | None = None):
         self.center = tuple(center)
         self.width = width
         self.t_center = t_center
         self.t_width = t_width
-        self.amplitude = amplitude
-
-    def _space_parts(self, xs):
-        parts = []
-        for x, c in zip(xs, self.center):
-            z = np.clip((x - c) / self.width, -1.0, 1.0)
-            parts.append((1.0 - z * z) ** 2)
-        return parts
 
     def _time_part(self, t):
         if self.t_center is None:
@@ -1116,147 +1107,90 @@ class SpaceTimeBump:
         return np.float_power(1.0 - z * z, 2)
 
     def value(self, xs, t):
-        out = self.amplitude * self._time_part(t)
-        for part in self._space_parts(xs):
-            out = out * part
+        out = self._time_part(t)
+        for x, c in zip(xs, self.center):
+            z = np.clip((x - c) / self.width, -1.0, 1.0)
+            out = out * (1.0 - z * z) ** 2
         return out
-
-    def gradient(self, xs, t):
-        parts = self._space_parts(xs)
-        grads = []
-        for ax, (x, c) in enumerate(zip(xs, self.center)):
-            z = (x - c) / self.width
-            inside = np.abs(z) < 1.0
-            dpart = np.where(inside, -4.0 * z * (1.0 - z * z) / self.width, 0.0)
-            g = self.amplitude * self._time_part(t) * dpart
-            for other_ax, part in enumerate(parts):
-                if other_ax != ax:
-                    g = g * part
-            grads.append(g)
-        return grads
-
-
-def _centered_gradient(u: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Node gradients of each row of a stack u of fields (leading axis) by
-    central differences; mirroring at the boundary makes them zero there."""
-    grads = []
-    for ax in range(1, grid.dim + 1):
-        lead = (slice(None),) * ax
-        g = np.zeros(u.shape)
-        g[lead + (slice(1, -1),)] = ((u[lead + (slice(2, None),)] - u[lead + (slice(None, -2),)])
-                                     / (2.0 * grid.h))
-        grads.append(g)
-    return grads
 
 
 def weak_form_residual(
     trajectory: Trajectory,
-    test_function,
-    time_window: tuple[float, float],
-    region: tuple[Sequence[float], Sequence[float]] | None = None,
-) -> dict:
-    """Discrete value of the conservation-law identity against a test function.
+    time_fields: Sequence[np.ndarray],
+    flux_fields: Sequence[np.ndarray],
+    field_maps: Sequence[Callable[[np.ndarray], np.ndarray]],
+    phi_fns: Sequence,
+) -> list[list[tuple[float, float]]]:
+    """The scheme's weak form over the whole run, for each map in
+    `field_maps` and each test function phi in `phi_fns`:
 
-    The enthalpy/time part telescopes exactly (differences of the test
-    function between stored times), so for a space-constant test function on
-    a zero-flux run the value collapses to the accumulated conservation
-    defect.  The flux part re-evaluates the scheme's flux law, axis by axis
-    w_i |d_i u|^{p-2} d_i u, from centred node gradients against the
-    analytic test-function gradient, so for generic test functions the
-    residual measures the O(h + dt) discretization defect.
+        R = sum_m [ sum_x V (a_m - a_{m-1}) phi_m
+                    + dt_m sum_faces F(b_m) (phi_m[j+1] - phi_m[j]) ]
 
-    The test function is evaluated on blocks of stored times at once: its
-    `value(xs, t)` and `gradient(xs, t)` must broadcast a time array of
-    shape (rows, 1, ...) against the node coordinates.
+    over the steps t_{m-1} -> t_m between stored times, with a_m and b_m the
+    map of `time_fields[m]` and of `flux_fields[m]`, V the cell volumes and
+    F the face fluxes of `_Faces`; the time term is evaluated telescoped.
+    With a = e, b = u and every step stored, step m adds phi_m paired with
+    its residual (`_StepProblem.gradient`) where phi_m is 0 at the pins.
+
+    One pass over blocks of stored times: each field's fluxes and each test
+    function's values and face gradients are computed once per block and
+    shared by every pairing.  Each map takes a stack of fields (leading
+    axis) elementwise to the fields tested; each phi(xs, t) must broadcast a
+    time array of shape (rows, 1, ...).  Returns (R, scale) per field map
+    and test function, scale being 1 plus the magnitudes of the terms R sums.
     """
     grid = trajectory.grid
+    h = grid.h
+    faces = _Faces(grid, trajectory.p, trajectory.field.weights)
+    vol = grid.volume_weights()
     xs = trajectory.meshgrid()
     times = np.asarray(trajectory.times)
-    slack = 1e-9 * (1.0 + abs(times[-1]))
-    if time_window[0] < times[0] - slack or time_window[1] > times[-1] + slack:
-        raise ValueError("time window outside the stored horizon")
-    m1 = trajectory.nearest_time_index(time_window[0])
-    m2 = trajectory.nearest_time_index(time_window[1])
-    if m2 <= m1:
-        raise ValueError("time window must span at least one step")
+    last = len(times) - 1
+    pairs = [(s, k) for s in range(len(field_maps)) for k in range(len(phi_fns))]
 
-    vol = grid.volume_weights()
-    if region is None:
-        mask = np.ones(grid.shape, dtype=bool)
-        full_domain = True
-    else:
-        lo, hi = region
-        mask = np.ones(grid.shape, dtype=bool)
-        for ax, (l, h_) in enumerate(zip(lo, hi)):
-            mask &= (xs[ax] >= l - 1e-12) & (xs[ax] <= h_ + 1e-12)
-        if not np.any(mask):
-            raise ValueError("region contains no grid nodes")
-        full_domain = bool(np.all(mask))
+    def block(lo, hi):
+        """Each test function and each volume-weighted mapped time field on
+        times lo..hi."""
+        ts = _time_column(times[lo:hi + 1], grid.dim)
+        phis = [_on_rows(fn(xs, ts), hi - lo + 1, grid) for fn in phi_fns]
+        a = np.stack(time_fields[lo:hi + 1])
+        return phis, [vol * field_map(a) for field_map in field_maps]
 
-    natural = full_domain and trajectory.scenario.boundary.kind == "zero-flux"
-    if not natural:
-        ring = mask & _region_ring(mask)
-        tvals = [times[m1], times[(m1 + m2) // 2], times[m2]]
-        worst = max(
-            float(np.max(np.abs(np.asarray(test_function.value(xs, t))[ring])))
-            if np.any(ring) else 0.0
-            for t in tvals
-        )
-        if worst > 1e-12:
-            raise ValueError("test function must vanish on the lateral boundary of the region")
+    # The time terms telescope to the pairings at the two ends minus the
+    # pairings of each field against the next step of phi.
+    ends = []
+    for m in (0, last):
+        phis, weighted = block(m, m)
+        ends.append({(s, k): float(_row_sums(weighted[s] * phis[k])[0]) for s, k in pairs})
+    # Per pairing, the time terms and then the flux terms, in the order the
+    # residual adds them.
+    time_terms = {sk: [] for sk in pairs}
+    flux_terms = {sk: [] for sk in pairs}
+    for lo, hi in _time_blocks(0, last, grid):
+        phis, weighted = block(lo, hi)
+        b = np.stack(flux_fields[lo + 1:hi + 1])
+        flux_stacks = [field_map(b) for field_map in field_maps]
+        dts = np.diff(times[lo:hi + 1])
+        steps = [phi[1:] - phi[:-1] for phi in phis]
+        dphis = [faces.row_gradients(phi[1:]) for phi in phis]
+        fluxes = [faces.row_fluxes(f) for f in flux_stacks]
+        for s, k in pairs:
+            time_terms[s, k] += (-_row_sums(weighted[s][:-1] * steps[k])).tolist()
+            term = 0.0
+            for f, dphi in zip(fluxes[s], dphis[k]):
+                term = term + _row_sums(f * dphi * h)
+            flux_terms[s, k] += (dts * term).tolist()
 
-    weights = trajectory.field.weights
-    faces = _Faces(grid, trajectory.p, weights)
-
-    def masked_sums(a):
-        """Per row of a, the volume-weighted sum over the region."""
-        return _row_sums(a * vol, mask).tolist()
-
-    e_fields = trajectory.enthalpies
-    time_terms, flux_terms = [], []
-    for lo, hi in _time_blocks(m1, m2, grid):
-        ts = times[lo:hi + 1]
-        phi = _on_rows(test_function.value(xs, _time_column(ts, grid.dim)), ts.size, grid)
-        e = np.stack(e_fields[lo:hi])
-        if lo == m1:
-            first = masked_sums(e[:1] * phi[:1])[0]
-        time_terms += masked_sums(e * (phi[1:] - phi[:-1]))
-        grads = _centered_gradient(np.stack(trajectory.temps[lo + 1:hi + 1]), grid)
-        gphi = test_function.gradient(xs, _time_column(ts[1:], grid.dim))
-        dot = sum(w * faces.law(g) * np.asarray(gp)
-                  for w, g, gp in zip(weights, grads, gphi))
-        flux_terms += [dt_m * v for dt_m, v in zip(np.diff(ts).tolist(), masked_sums(dot))]
-    r_val = masked_sums(e_fields[m2] * phi[-1:])[0] - first
-    for term in time_terms:
-        r_val -= term
-    flux_term = 0.0
-    for term in flux_terms:
-        flux_term += term
-    r_val += flux_term
-
-    h_plus_dt = grid.h + float(np.mean(np.diff(times[m1:m2 + 1])))
-    return {
-        "residual": r_val,
-        "normalized_constant": abs(r_val) / h_plus_dt,
-        "window": (float(times[m1]), float(times[m2])),
-        "steps": m2 - m1,
-    }
-
-
-def _region_ring(mask: np.ndarray) -> np.ndarray:
-    """Nodes of the masked region adjacent to its complement (or the grid edge)."""
-    ring = np.zeros_like(mask)
-    dim = mask.ndim
-    for ax in range(dim):
-        lo_ok = np.zeros_like(mask)
-        hi_ok = np.zeros_like(mask)
-        sl = [slice(None)] * dim
-        sl[ax] = slice(1, None)
-        lo_ok[tuple(sl)] = mask.take(range(0, mask.shape[ax] - 1), axis=ax)
-        sl[ax] = slice(None, -1)
-        hi_ok[tuple(sl)] = mask.take(range(1, mask.shape[ax]), axis=ax)
-        ring |= mask & (~lo_ok | ~hi_ok)
-    return ring
+    out = [[] for _ in field_maps]
+    for s, k in pairs:
+        r_val = ends[1][s, k] - ends[0][s, k]
+        scale = abs(r_val)
+        for term in time_terms[s, k] + flux_terms[s, k]:
+            r_val += term
+            scale += abs(term)
+        out[s].append((r_val, 1.0 + scale))
+    return out
 
 
 # ---------------------------------------------------------------------------

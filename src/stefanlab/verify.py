@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
                        OscillationProfile, cylinder, fit_modulus, kappa_ratio,
                        omega, oscillation)
 from .graphs import enthalpy_jump_primitive
-from .solver import (Scenario, SpaceTimeBump, Trajectory, _Faces, _on_rows, _row_sums,
-                     _time_blocks, _time_column, run_simulation)
+from .solver import (Scenario, SpaceTimeBump, Trajectory, _Faces, _row_sums, _time_blocks,
+                     _time_column, run_simulation, weak_form_residual)
 
 
 @dataclass
@@ -240,75 +240,6 @@ def caccioppoli_check(
 # Truncation super/subsolution residuals
 # ---------------------------------------------------------------------------
 
-def _discrete_weak_residuals(
-    trajectory: Trajectory,
-    field_maps: Sequence[Callable[[np.ndarray], np.ndarray]],
-    phi_fns: Sequence,
-) -> list[list[tuple[float, float]]]:
-    """Scheme-compatible weak residuals of the fields map(w) of each map in
-    `field_maps` against each test function phi >= 0 in `phi_fns`.
-
-    Telescoping time term plus face fluxes against face differences of phi.
-    One pass over blocks of stored times: each field's fluxes and each test
-    function's values and face gradients are computed once per block and
-    shared by every pairing.  Each map takes a stack of w fields (leading
-    axis) elementwise to the fields tested; each phi(xs, t) must broadcast
-    a time array of shape (rows, 1, ...).  Returns (residual, scale) per
-    field map and test function.
-    """
-    grid = trajectory.grid
-    h = grid.h
-    faces = _Faces(grid, trajectory.p, trajectory.field.weights)
-    vol = grid.volume_weights()
-    xs = trajectory.meshgrid()
-    times = np.asarray(trajectory.times)
-    w_all = trajectory.w_fields()
-    last = len(times) - 1
-    pairs = [(s, k) for s in range(len(field_maps)) for k in range(len(phi_fns))]
-
-    def block(lo, hi):
-        """Each test function, each field and each volume-weighted field on
-        times lo..hi."""
-        ts = _time_column(times[lo:hi + 1], grid.dim)
-        phis = [_on_rows(fn(xs, ts), hi - lo + 1, grid) for fn in phi_fns]
-        w = np.stack(w_all[lo:hi + 1])
-        fields = [field_map(w) for field_map in field_maps]
-        return phis, fields, [vol * f for f in fields]
-
-    # The time terms telescope to the pairings at the two ends minus the
-    # pairings of each field against the next step of phi.
-    ends = []
-    for m in (0, last):
-        phis, _, weighted = block(m, m)
-        ends.append({(s, k): float(_row_sums(weighted[s] * phis[k])[0]) for s, k in pairs})
-    # Per pairing, the time terms and then the flux terms, in the order the
-    # residual adds them.
-    time_terms = {sk: [] for sk in pairs}
-    flux_terms = {sk: [] for sk in pairs}
-    for lo, hi in _time_blocks(0, last, grid):
-        phis, fields, weighted = block(lo, hi)
-        dts = np.diff(times[lo:hi + 1])
-        steps = [phi[1:] - phi[:-1] for phi in phis]
-        dphis = [faces.row_gradients(phi[1:]) for phi in phis]
-        fluxes = [faces.row_fluxes(f[1:]) for f in fields]
-        for s, k in pairs:
-            time_terms[s, k] += (-_row_sums(weighted[s][:-1] * steps[k])).tolist()
-            term = 0.0
-            for f, dphi in zip(fluxes[s], dphis[k]):
-                term = term + _row_sums(f * dphi * h)
-            flux_terms[s, k] += (dts * term).tolist()
-
-    out = [[] for _ in field_maps]
-    for s, k in pairs:
-        r_val = ends[1][s, k] - ends[0][s, k]
-        scale = abs(r_val)
-        for term in time_terms[s, k] + flux_terms[s, k]:
-            r_val += term
-            scale += abs(term)
-        out[s].append((r_val, 1.0 + scale))
-    return out
-
-
 def _test_function_family(grid, region_lo, region_hi, dim, count=5,
                           rng_seed=None):
     """Deterministic nonnegative bumps compactly inside the region.
@@ -354,8 +285,9 @@ def truncation_supersolution_check(
     fams = _test_function_family(trajectory.grid, region[0], region[1],
                                  trajectory.grid.dim, rng_seed=rng_seed)
 
-    sup, sub = _discrete_weak_residuals(
-        trajectory, [lambda w: np.minimum(w, k), lambda w: np.maximum(k - w, 0.0)],
+    w_all = trajectory.w_fields()
+    sup, sub = weak_form_residual(
+        trajectory, w_all, w_all, [lambda w: np.minimum(w, k), lambda w: np.maximum(k - w, 0.0)],
         [phi.value for phi in fams])
     worst_super = min(r / scale for r, scale in sup)
     worst_sub = max(r / scale for r, scale in sub)

@@ -1,4 +1,5 @@
-"""Test-only helpers: a uniform test function, a Lyapunov sequence, the
+"""Test-only helpers: a uniform test function, the test bump with its
+gradient, the O(h^2) weak-form residual they feed, a Lyapunov sequence, the
 modulus log-slope, a ledger with measured values, the forwarded level
 fraction and the rescaled graph and solution.  Nothing in the package calls
 them, so they live beside the tests that do."""
@@ -13,7 +14,9 @@ import numpy as np
 from stefanlab.constants import ConstantsLedger
 from stefanlab.geometry import EmptyCylinderError, ModulusParams, cylinder, omega
 from stefanlab.graphs import BetaMap, RegularizedGraph
-from stefanlab.solver import Trajectory, _Faces
+from stefanlab import solver
+from stefanlab.solver import (Grid, Trajectory, _Faces, _on_rows, _row_sums, _time_blocks,
+                              _time_column)
 
 
 class ConstantInSpace:
@@ -28,6 +31,146 @@ class ConstantInSpace:
 
     def gradient(self, xs, t):
         return [np.zeros_like(x) for x in xs]
+
+
+class SpaceTimeBump(solver.SpaceTimeBump):
+    """The package's test bump with its gradient in closed form, which only
+    `centered_weak_form_residual` needs."""
+
+    def gradient(self, xs, t):
+        parts = []
+        for x, c in zip(xs, self.center):
+            z = np.clip((x - c) / self.width, -1.0, 1.0)
+            parts.append((1.0 - z * z) ** 2)
+        grads = []
+        for ax, (x, c) in enumerate(zip(xs, self.center)):
+            z = (x - c) / self.width
+            inside = np.abs(z) < 1.0
+            dpart = np.where(inside, -4.0 * z * (1.0 - z * z) / self.width, 0.0)
+            g = self._time_part(t) * dpart
+            for other_ax, part in enumerate(parts):
+                if other_ax != ax:
+                    g = g * part
+            grads.append(g)
+        return grads
+
+
+def _centered_gradient(u: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """Node gradients of each row of a stack u of fields (leading axis) by
+    central differences; mirroring at the boundary makes them zero there."""
+    grads = []
+    for ax in range(1, grid.dim + 1):
+        lead = (slice(None),) * ax
+        g = np.zeros(u.shape)
+        g[lead + (slice(1, -1),)] = ((u[lead + (slice(2, None),)] - u[lead + (slice(None, -2),)])
+                                     / (2.0 * grid.h))
+        grads.append(g)
+    return grads
+
+
+def _region_ring(mask: np.ndarray) -> np.ndarray:
+    """Nodes of the masked region adjacent to its complement (or the grid edge)."""
+    ring = np.zeros_like(mask)
+    dim = mask.ndim
+    for ax in range(dim):
+        lo_ok = np.zeros_like(mask)
+        hi_ok = np.zeros_like(mask)
+        sl = [slice(None)] * dim
+        sl[ax] = slice(1, None)
+        lo_ok[tuple(sl)] = mask.take(range(0, mask.shape[ax] - 1), axis=ax)
+        sl[ax] = slice(None, -1)
+        hi_ok[tuple(sl)] = mask.take(range(1, mask.shape[ax]), axis=ax)
+        ring |= mask & (~lo_ok | ~hi_ok)
+    return ring
+
+
+def centered_weak_form_residual(
+    trajectory: Trajectory,
+    test_function,
+    time_window: tuple[float, float],
+    region: tuple[Sequence[float], Sequence[float]] | None = None,
+) -> dict:
+    """Discrete value of the conservation-law identity against a test
+    function, with the flux evaluated off the scheme's faces: the O(h^2)
+    consistency oracle of the PDE the scheme solves.
+
+    The enthalpy/time part telescopes exactly (differences of the test
+    function between stored times), so for a space-constant test function on
+    a zero-flux run the value collapses to the accumulated conservation
+    defect.  The flux part re-evaluates the flux law, axis by axis
+    w_i |d_i u|^{p-2} d_i u, from centred node gradients against the
+    analytic test-function gradient, so for generic test functions the
+    residual measures the O(h + dt) discretization defect.
+
+    The test function is evaluated on blocks of stored times at once: its
+    `value(xs, t)` and `gradient(xs, t)` must broadcast a time array of
+    shape (rows, 1, ...) against the node coordinates.
+    """
+    grid = trajectory.grid
+    xs = trajectory.meshgrid()
+    times = np.asarray(trajectory.times)
+    slack = 1e-9 * (1.0 + abs(times[-1]))
+    if time_window[0] < times[0] - slack or time_window[1] > times[-1] + slack:
+        raise ValueError("time window outside the stored horizon")
+    m1 = trajectory.nearest_time_index(time_window[0])
+    m2 = trajectory.nearest_time_index(time_window[1])
+    if m2 <= m1:
+        raise ValueError("time window must span at least one step")
+
+    vol = grid.volume_weights()
+    if region is None:
+        mask = np.ones(grid.shape, dtype=bool)
+        full_domain = True
+    else:
+        lo, hi = region
+        mask = np.ones(grid.shape, dtype=bool)
+        for ax, (l, h_) in enumerate(zip(lo, hi)):
+            mask &= (xs[ax] >= l - 1e-12) & (xs[ax] <= h_ + 1e-12)
+        if not np.any(mask):
+            raise ValueError("region contains no grid nodes")
+        full_domain = bool(np.all(mask))
+
+    natural = full_domain and trajectory.scenario.boundary.kind == "zero-flux"
+    if not natural:
+        ring = mask & _region_ring(mask)
+        tvals = [times[m1], times[(m1 + m2) // 2], times[m2]]
+        worst = max(
+            float(np.max(np.abs(np.asarray(test_function.value(xs, t))[ring])))
+            if np.any(ring) else 0.0
+            for t in tvals
+        )
+        if worst > 1e-12:
+            raise ValueError("test function must vanish on the lateral boundary of the region")
+
+    weights = trajectory.field.weights
+    faces = _Faces(grid, trajectory.p, weights)
+
+    def masked_sums(a):
+        """Per row of a, the volume-weighted sum over the region."""
+        return _row_sums(a * vol, mask).tolist()
+
+    e_fields = trajectory.enthalpies
+    time_terms, flux_terms = [], []
+    for lo, hi in _time_blocks(m1, m2, grid):
+        ts = times[lo:hi + 1]
+        phi = _on_rows(test_function.value(xs, _time_column(ts, grid.dim)), ts.size, grid)
+        e = np.stack(e_fields[lo:hi])
+        if lo == m1:
+            first = masked_sums(e[:1] * phi[:1])[0]
+        time_terms += masked_sums(e * (phi[1:] - phi[:-1]))
+        grads = _centered_gradient(np.stack(trajectory.temps[lo + 1:hi + 1]), grid)
+        gphi = test_function.gradient(xs, _time_column(ts[1:], grid.dim))
+        dot = sum(w * faces.law(g) * np.asarray(gp)
+                  for w, g, gp in zip(weights, grads, gphi))
+        flux_terms += [dt_m * v for dt_m, v in zip(np.diff(ts).tolist(), masked_sums(dot))]
+    r_val = masked_sums(e_fields[m2] * phi[-1:])[0] - first
+    for term in time_terms:
+        r_val -= term
+    flux_term = 0.0
+    for term in flux_terms:
+        flux_term += term
+    r_val += flux_term
+    return {"residual": r_val}
 
 
 def dissipation_profile(trajectory: Trajectory) -> np.ndarray:

@@ -261,12 +261,50 @@ directory = {out}
         # no step meets this tolerance: a solver failure
         bad = _write(tmp_path, text.replace("t_end", "step_rtol = 1e-300\nt_end"), "bad.ini")
         broken = _write(tmp_path, text.replace("t_end", "step_rtol = x\nt_end"), "broken.ini")
-        for path, code, record in ((good, 0, "summary.json"), (bad, 3, "error.json"),
-                                   (good, 0, "summary.json"), (broken, 2, "error.json")):
+        # files stefanlab does not name, which no run removes
+        unrelated = {"notes.txt", "snapshots/notes.txt"}
+        # a failed run leaves its outcome record and what it wrote itself
+        # (exit 3: the resolved config) and removes the earlier run's files
+        for path, code, record, own in ((good, 0, "summary.json", None),
+                                        (bad, 3, "error.json", {"resolved_config.ini"}),
+                                        (good, 0, "summary.json", None),
+                                        (broken, 2, "error.json", set())):
             assert cli.main(["run", str(path), "--output", str(out)]) == code
             assert {"summary.json", "error.json"} & {p.name for p in out.iterdir()} == {record}
             if record == "error.json":
                 assert json.loads((out / record).read_text())["code"] == code
+                files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+                assert files == {"error.json"} | own | unrelated
+            else:
+                # the one name list covers every file a full run writes
+                # besides its outcome record and snapshot steps
+                hashes = json.loads((out / "summary.json").read_text())["artifact_hashes"]
+                assert ({n for n in hashes if not cli._STEP_FILE.fullmatch(Path(n).name)}
+                        | {"timings.json"}) == set(cli._ARTIFACTS)
+                for name in unrelated:
+                    (out / name).write_text("keep")
+        (out / "snapshots" / "notes.txt").unlink()
+        assert cli.main(["run", str(bad), "--output", str(out)]) == 3
+        assert {p.name for p in out.iterdir()} == {"error.json", "resolved_config.ini",
+                                                   "notes.txt"}
+
+    def test_config_error_without_output_keeps_the_files_in_out(self, tmp_path, monkeypatch):
+        # With no --output a config error writes its record into ./out,
+        # which need not be the failing config's run directory: an earlier
+        # run's artifacts there stay, only its outcome record is replaced.
+        monkeypatch.chdir(tmp_path)
+        good = _write(tmp_path, BASE_CONFIG.format(outdir="out"), "good.ini")
+        broken = _write(tmp_path, BASE_CONFIG.format(outdir="elsewhere").replace(
+            "t_end", "step_rtol = x\nt_end"), "broken.ini")
+        assert cli.main(["run", str(good)]) == 0
+        out = tmp_path / "out"
+
+        def files():
+            return {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+
+        before = files()
+        assert cli.main(["run", str(broken)]) == 2
+        assert files() == before - {"summary.json"} | {"error.json"}
 
     def test_rerun_without_modulus_removes_its_files(self, tmp_path):
         out = tmp_path / "out"
@@ -282,9 +320,10 @@ directory = {out}
 
     def test_diagnostics_carry_no_verdict(self, tmp_path):
         # Dirichlet data move the enthalpy total, so conservation is no gate
-        # here; weakform and classifier never are.
+        # here; with steps left unstored neither is weakform; classifier
+        # never is.
         text = ("[scenario]\npreset = stefan-1d-p2-onephase\nnodes = 41\nt_end = 0.01\n"
-                "[checks]\nrun = conservation, weakform, classifier\n")
+                "store_every = 2\n[checks]\nrun = conservation, weakform, classifier\n")
         out = tmp_path / "out"
         assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -319,6 +358,18 @@ directory = {out}
         assert entry == {"pass": False, "label": studies.CHECKS["weak-harnack"].label,
                          "error": "ValueError: waiting-time estimate needs p > 2"}
         assert summary["checks"]["conservation"]["pass"] and not summary["all_pass"]
+
+    def test_weakform_bump_on_the_dirichlet_nodes_is_a_failed_verdict(self, tmp_path):
+        # A bump of width 0.8 r0 = 0.56 about 0.5 reaches both pinned ends.
+        text = ("[scenario]\npreset = stefan-1d-p2-onephase\nnodes = 41\nt_end = 0.01\n"
+                "[modulus]\nr0 = 0.7\n[checks]\nrun = weakform\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["checks"]["weakform"] == {
+            "pass": False, "label": studies.CHECKS["weakform"].label,
+            "error": "ValueError: test function must vanish at the Dirichlet nodes"}
+        assert summary["all_pass"] is False
 
     @pytest.mark.parametrize("preset", ["stefan-1d-p3-twophase", "stefan-2d-p2-twophase"])
     def test_solver_check_passes_on_a_headline_preset(self, tmp_path, preset):
@@ -750,7 +801,7 @@ nodes = 41
 t_end = 0.01
 
 [checks]
-run = conservation
+run = conservation, weakform
 
 [output]
 directory = {out}
@@ -764,7 +815,11 @@ values = 0.1, 0.05
         assert cli.main(["sweep", str(path), "--output", str(out)]) == 0
         agg = (out / "aggregated.csv").read_text().strip().split("\n")
         assert len(agg) == 3  # header + two runs
-        assert "conservation.pass" in agg[0]
+        header = agg[0].split(",")
+        assert {"conservation.pass", "weakform.pass", "weakform.margin"} <= set(header)
+        for row in agg[1:]:
+            cells = dict(zip(header, row.split(",")))
+            assert cells["weakform.pass"] == "True" and float(cells["weakform.margin"]) > 0
         assert (out / "run_000_eps-0.1" / "summary.json").exists()
         assert (out / "run_001_eps-0.05" / "summary.json").exists()
 
@@ -787,8 +842,8 @@ directory = {out}
         assert len(agg) == 2
 
     def test_pass_columns_only_for_gated_checks(self, tmp_path):
-        text = ("[scenario]\npreset = constant\n[checks]\nrun = conservation, weakform\n"
-                "[sweep]\naxis = eps\nvalues = 0.1\n")
+        text = ("[scenario]\npreset = constant\nstore_every = 2\n"
+                "[checks]\nrun = conservation, weakform\n[sweep]\naxis = eps\nvalues = 0.1\n")
         out = tmp_path / "out"
         assert cli.main(["sweep", str(_write(tmp_path, text)), "--output", str(out)]) == 0
         header = (out / "aggregated.csv").read_text().split("\n")[0].split(",")

@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stefanlab import presets, solver
+from stefanlab import presets, solver, studies
 from stefanlab.graphs import BetaMap, RegularizedGraph
 from stefanlab.solver import (Boundary, DtPolicy, Grid, InitialData,
-                              Scenario, ShapeMismatchError, SpaceTimeBump,
-                              Tolerances, Trajectory, VectorField,
-                              build_initial, conservation_defect,
-                              enthalpy_totals, implicit_step, run_simulation,
-                              weak_form_residual)
+                              Scenario, ShapeMismatchError, Tolerances,
+                              Trajectory, VectorField, build_initial,
+                              conservation_defect, enthalpy_totals,
+                              implicit_step, run_simulation)
 
-from helpers import ConstantInSpace, dissipation_profile, rescale_solution
+from helpers import (ConstantInSpace, SpaceTimeBump, centered_weak_form_residual,
+                     dissipation_profile, rescale_solution)
 
 
 class TestGrid:
@@ -979,6 +979,36 @@ class TestOneProblemPerRun:
         assert np.array_equal(prob.enthalpy(u.copy()), e) and len(lookups) == 2
 
 
+class TestWeakFormGate:
+    @given(dim=st.sampled_from([1, 2]), boundary=st.sampled_from(["zero-flux", "dirichlet"]),
+           beta=st.sampled_from(["identity", "piecewise", "tanh"]),
+           p=st.sampled_from([2.0, 3.0]), store_every=st.integers(1, 3),
+           weights=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)), loose=st.booleans())
+    # Steps stopped at residuals near 1e-6: the residual would exceed the
+    # rounding allowance alone; the step residuals bound it.
+    @example(dim=1, boundary="zero-flux", beta="tanh", p=3.0, store_every=1,
+             weights=(1.0, 1.0), loose=True)
+    @settings(max_examples=40, deadline=None)
+    def test_scheme_identity_gates_every_stored_run(self, dim, boundary, beta, p,
+                                                   store_every, weights, loose):
+        # With every step stored, the scheme's weak form is the steps'
+        # residuals paired with the bump: it meets the bound they give.
+        # With steps left unstored it is a consistency defect: no verdict.
+        sc = replace(_small_scenario(dim, boundary, beta, p, store_every),
+                     field=VectorField(weights[:dim]),
+                     tolerances=Tolerances(step_rtol=1e-6, polish_rtol=1e-6) if loose
+                     else Tolerances())
+        traj = run_simulation(sc)
+        site = studies.check_site(traj, studies.measurement_params(sc, r0=0.25),
+                                  studies.default_ledger(sc), (0.5,) * dim)
+        entry, report = studies.CHECKS["weakform"].run(traj, site)
+        assert report is None
+        if store_every == 1:
+            assert entry["pass"] is True and entry["margin"] >= 0.0
+        else:
+            assert entry == {"gate": False, "residual": entry["residual"]}
+
+
 def neumann_front_factor(hot, jump, cold, latent):
     """Similarity growth rate: bisection on the classical transcendental
     equation balancing the heat fluxes against the latent heat at the front."""
@@ -1038,14 +1068,14 @@ class TestWeakFormResidual:
 
     def test_zero_test_function(self):
         traj = run_simulation(presets.twophase_1d(nodes=31, t_end=0.01, dt=1e-3))
-        res = weak_form_residual(traj, ConstantInSpace(lambda t: 0.0),
-                                 (0.0, traj.times[-1]))
+        res = centered_weak_form_residual(traj, ConstantInSpace(lambda t: 0.0),
+                                          (0.0, traj.times[-1]))
         assert res["residual"] == 0.0
 
     def test_constant_in_space_reduces_to_conservation(self):
         traj = run_simulation(presets.twophase_1d(nodes=61, t_end=0.02, dt=5e-4))
-        res = weak_form_residual(traj, ConstantInSpace(lambda t: 1.0 + 3.0 * t),
-                                 (0.0, traj.times[-1]))
+        res = centered_weak_form_residual(traj, ConstantInSpace(lambda t: 1.0 + 3.0 * t),
+                                          (0.0, traj.times[-1]))
         assert abs(res["residual"]) <= 1e-10
 
     def test_2d_p3_residual_converges_under_refinement(self):
@@ -1055,7 +1085,7 @@ class TestWeakFormResidual:
         def residual(nodes):
             tr = run_simulation(presets.twophase_2d(p=3.0, nodes=nodes, t_end=0.02))
             bump = SpaceTimeBump(center=(0.4, 0.55), width=0.3, t_center=0.01, t_width=0.012)
-            return abs(weak_form_residual(tr, bump, (0.0, tr.times[-1]))["residual"])
+            return abs(centered_weak_form_residual(tr, bump, (0.0, tr.times[-1]))["residual"])
 
         assert residual(41) <= 0.35 * residual(21)
 
@@ -1063,7 +1093,7 @@ class TestWeakFormResidual:
         def residual(nodes, dt):
             tr = run_simulation(presets.twophase_1d(nodes=nodes, t_end=0.02, dt=dt))
             bump = SpaceTimeBump(center=(0.5,), width=0.3, t_center=0.01, t_width=0.012)
-            return abs(weak_form_residual(tr, bump, (0.0, tr.times[-1]))["residual"])
+            return abs(centered_weak_form_residual(tr, bump, (0.0, tr.times[-1]))["residual"])
 
         r_base = residual(61, 5e-4)
         r_fine = residual(121, 2.5e-4)
@@ -1073,29 +1103,29 @@ class TestWeakFormResidual:
         traj = run_simulation(presets.twophase_1d(nodes=31, t_end=0.01, dt=1e-3))
         wide = SpaceTimeBump(center=(0.5,), width=2.0)  # does not vanish on the ring
         with pytest.raises(ValueError):
-            weak_form_residual(traj, wide, (0.0, traj.times[-1]),
-                               region=((0.2,), (0.8,)))
+            centered_weak_form_residual(traj, wide, (0.0, traj.times[-1]),
+                                        region=((0.2,), (0.8,)))
 
     def test_interior_region_accepted(self):
         traj = run_simulation(presets.twophase_1d(nodes=61, t_end=0.01, dt=1e-3))
         bump = SpaceTimeBump(center=(0.5,), width=0.2)
-        res = weak_form_residual(traj, bump, (0.0, traj.times[-1]),
-                                 region=((0.2,), (0.8,)))
+        res = centered_weak_form_residual(traj, bump, (0.0, traj.times[-1]),
+                                          region=((0.2,), (0.8,)))
         assert math.isfinite(res["residual"])
 
     def test_window_out_of_bounds(self):
         traj = run_simulation(presets.twophase_1d(nodes=31, t_end=0.01, dt=1e-3))
         with pytest.raises(ValueError):
-            weak_form_residual(traj, ConstantInSpace(lambda t: 1.0), (0.0, 1.0))
+            centered_weak_form_residual(traj, ConstantInSpace(lambda t: 1.0), (0.0, 1.0))
 
 
 class TestRescaledWeakForm:
     def test_rescaled_trajectory_satisfies_identity(self):
         traj = run_simulation(presets.twophase_1d(nodes=61, t_end=0.02, dt=5e-4))
-        res_base = weak_form_residual(traj, ConstantInSpace(lambda t: 1.0),
-                                      (0.0, traj.times[-1]))
+        res_base = centered_weak_form_residual(traj, ConstantInSpace(lambda t: 1.0),
+                                               (0.0, traj.times[-1]))
         doubled = rescale_solution(traj, 2.0)
-        res_scaled = weak_form_residual(doubled, ConstantInSpace(lambda t: 1.0),
-                                        (doubled.times[0], doubled.times[-1]))
+        res_scaled = centered_weak_form_residual(doubled, ConstantInSpace(lambda t: 1.0),
+                                                 (doubled.times[0], doubled.times[-1]))
         assert abs(res_base["residual"]) <= 1e-10
         assert abs(res_scaled["residual"]) <= 1e-10

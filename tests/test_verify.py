@@ -12,11 +12,11 @@ from stefanlab import presets, solver, studies, verify
 from stefanlab.constants import fix_constants
 from stefanlab.graphs import RegularizedGraph
 from stefanlab.geometry import IntrinsicCylinder, cylinder, omega
-from stefanlab.solver import (InitialData, SpaceTimeBump, Trajectory, run_simulation,
-                              weak_form_residual)
+from stefanlab.solver import InitialData, Trajectory, run_simulation
 from stefanlab.verify import CutoffSpec
 
-from helpers import forwarded_level_fraction, rescale_solution
+from helpers import (SpaceTimeBump, centered_weak_form_residual, forwarded_level_fraction,
+                     rescale_solution)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,8 @@ class TestTruncation:
         # Time-dependent bumps, so the time terms do not vanish.
         phis = [SpaceTimeBump(b.center, b.width, t_center=0.5 * t_end, t_width=0.6 * t_end).value
                 for b in verify._test_function_family(traj.grid, lo, hi, dim, rng_seed=3)]
-        got = verify._discrete_weak_residuals(traj, field_maps, phis)
+        w = traj.w_fields()
+        got = solver.weak_form_residual(traj, w, w, field_maps, phis)
         for fields, row in zip(field_sets, got):
             for phi_fn, pair in zip(phis, row):
                 ref = per_pair_weak_residual(traj, fields, phi_fn)
@@ -274,7 +275,7 @@ def per_time_caccioppoli(traj, k, cutoff, cyl):
 
 
 def per_time_weak_form(traj, bump):
-    """`weak_form_residual` over the whole run, full domain, one stored time
+    """`centered_weak_form_residual` over the whole run, full domain, one stored time
     at a time, with node gradients from a mirror-padded copy."""
     grid, xs = traj.grid, traj.meshgrid()
     times = np.asarray(traj.times)
@@ -320,7 +321,7 @@ class TestTimeBlocks:
         t_end = traj.times[-1]
         bump = SpaceTimeBump((0.5,) * traj.grid.dim, 0.3, t_center=0.5 * t_end,
                              t_width=0.6 * t_end)
-        res = weak_form_residual(traj, bump, (traj.times[0], t_end))
+        res = centered_weak_form_residual(traj, bump, (traj.times[0], t_end))
         assert res["residual"] == per_time_weak_form(traj, bump)
         assert res["residual"] != 0.0
 
@@ -333,9 +334,10 @@ class TestTimeBlocks:
         phis = [SpaceTimeBump(b.center, b.width, t_center=0.5 * t_end, t_width=0.6 * t_end).value
                 for b in verify._test_function_family(traj.grid, (0.15,) * dim, (0.85,) * dim,
                                                       dim, rng_seed=3)]
-        default = verify._discrete_weak_residuals(traj, field_maps, phis)
+        w = traj.w_fields()
+        default = solver.weak_form_residual(traj, w, w, field_maps, phis)
         block_rows(math.prod(traj.grid.shape))
-        got = verify._discrete_weak_residuals(traj, field_maps, phis)
+        got = solver.weak_form_residual(traj, w, w, field_maps, phis)
         assert got == default
         for fields, row in zip(field_sets, got):
             for phi_fn, pair in zip(phis, row):
