@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Dump every output a speed-only change must leave bit for bit unchanged.
 
-For the four headline cases at both resolutions: the trajectory hash, c*,
-a hash of every StepDiag field with their totals, and a hash of the stored
-enthalpies; the trajectory hash of the solve-2d benchmark scenario; and the
-`artifact_hashes` of `stefanlab run` on the benchmark's cli-run INI.  Floats
-are written with repr and keys sorted, so equal files mean equal bits.
-Run it in two checkouts and compare the files:
+For the four headline cases at both resolutions: the trajectory and
+scenario hashes, c*, a hash of every StepDiag field with their totals, and
+a hash of the stored enthalpies; the same hashes of the solve-2d benchmark
+scenario; and the `artifact_hashes` of `stefanlab run` on the benchmark's
+cli-run INI.  Floats are written with repr and keys sorted, so equal
+files mean equal bits.  Run it in two checkouts and compare the files:
 
     python scripts/bitcheck.py /tmp/before.json   # in the first checkout
     python scripts/bitcheck.py /tmp/after.json    # in the second one
@@ -49,6 +49,7 @@ def trajectory_record(traj) -> dict:
     totals = {name: sum(getattr(d, name) for d in traj.diagnostics) for name in COUNTS}
     return {
         "trajectory_hash": traj.trajectory_hash(),
+        "scenario_hash": traj.meta["scenario_hash"],
         "enthalpy_hash": _sha(e.tobytes() for e in traj.enthalpies),
         "diag_hash": _sha([json.dumps([repr(v) for v in row]).encode() for row in diags]),
         "diag_totals": {"steps": len(diags), **totals,

@@ -33,7 +33,7 @@ from .graphs import BetaMap, RegularizedGraph
 from .constants import ConstantsLedger, fix_constants
 from .geometry import ModulusParams
 from .solver import (INITIAL_DATA, Boundary, DtPolicy, Grid, InitialData, Scenario,
-                     ScenarioValueError, SolverError, Tolerances, Trajectory, VectorField,
+                     ScenarioValueError, SolverError, Trajectory, VectorField,
                      build_initial, run_simulation)
 
 ENV_OUTPUT_ROOT = "STEFANLAB_OUTPUT_ROOT"
@@ -185,8 +185,7 @@ KEYS: dict[str, dict[str, Key]] = {
         "t_end": Key(None, float, preset=True),
         "dt": Key(None, _dt, preset=True),
         "store_every": Key("1", int, preset=True),
-        "step_rtol": Key(repr(Tolerances().step_rtol),
-                         lambda t: Tolerances(step_rtol=float(t)), preset=True),
+        "step_rtol": Key(repr(Scenario.step_rtol), float, preset=True),
         "label": Key("", str, preset=True),
     },
     "modulus": {
@@ -307,7 +306,7 @@ def _keys_of(sc: Scenario) -> dict:
             "mollify_eps": g.eps, "beta": g.beta, "field": sc.field,
             "initial": sc.initial.name, "initial_params": sc.initial.as_dict(),
             "boundary": None if b.kind == "zero-flux" else b.values,
-            "t_end": sc.t_end, "dt": sc.dt, "step_rtol": sc.tolerances,
+            "t_end": sc.t_end, "dt": sc.dt, "step_rtol": sc.step_rtol,
             "store_every": sc.store_every, "label": sc.label}
 
 
@@ -327,7 +326,7 @@ def _scenario(v: dict) -> Scenario:
     try:
         return Scenario(grid=grid, p=v["p"], graph=graph, field=v["field"],
                         initial=initial, boundary=boundary, t_end=v["t_end"],
-                        dt=v["dt"], tolerances=v["step_rtol"],
+                        dt=v["dt"], step_rtol=v["step_rtol"],
                         store_every=v["store_every"], label=v["label"])
     except ScenarioValueError as err:
         raise ConfigError(f"scenario.{err.key}", str(err)) from err
@@ -438,7 +437,7 @@ def _ini_text(cp: configparser.ConfigParser) -> str:
 def _resolved_config_text(cfg: RunConfig) -> str:
     cp = configparser.ConfigParser()
     cp["scenario"] = {**{k: repr(v) for k, v in cfg.scenario.canonical_dict().items()},
-                      "step_rtol": repr(cfg.scenario.tolerances.step_rtol)}
+                      "step_rtol": repr(cfg.scenario.step_rtol)}
     # every other key as text its parser reads back; None as the key's default
     for section in ("modulus", "constants", "checks", "output"):
         cp[section] = {k: (KEYS[section][k].default if v is None else
@@ -532,14 +531,26 @@ def _write_outcome(outdir: Path, name: str, record: dict) -> None:
     (outdir / other).unlink(missing_ok=True)
 
 
+def _config_error_dir(config_path) -> Path:
+    """The directory a config that does not parse would have run into: its
+    `[output] directory` when the INI can be read, else the default."""
+    key = KEYS["output"]["directory"]
+    try:
+        text = _read_ini(config_path)[1].get("output", {}).get("directory", key.default)
+    except ConfigError:
+        text = key.default
+    return key.parse(text)
+
+
 def _emit_config_error(config_path, err: ConfigError, out_override) -> None:
+    """Write the error record of a config that does not parse into its run
+    directory, removing an earlier run's files there."""
     record = {"code": 2, "field": err.field_name, "message": str(err),
               "config": str(config_path)}
-    target = Path(out_override) if out_override else Path("out")
+    target = Path(out_override) if out_override else _config_error_dir(config_path)
     try:
         target.mkdir(parents=True, exist_ok=True)
-        if out_override:   # named by the caller: an earlier run's files there are stale
-            _remove_stale(target, ())
+        _remove_stale(target, ())
         _write_outcome(target, "error.json", record)
     except OSError:
         pass
@@ -591,6 +602,7 @@ def sweep(config_path: str | Path, out_override: str | None = None) -> int:
                         row[f"{check}.{key}"] = entry[key]
                 if "pass" in entry:
                     row[f"{check}.pass"] = entry["pass"]
+            row.update({f"solver.{key}": value for key, value in summary["solver"].items()})
         rows.append(row)
 
     cols = sorted({k for row in rows for k in row})

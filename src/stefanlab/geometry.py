@@ -101,7 +101,6 @@ class IntrinsicCylinder:
     radius: float
     depth: float
     flavor: str
-    lambda_scale: float = 1.0
 
     def __post_init__(self):
         if self.depth <= 0.0 or self.radius <= 0.0:
@@ -144,7 +143,6 @@ def cylinder(params: ModulusParams, center: tuple[Sequence[float], float], r: fl
         radius=float(r),
         depth=cylinder_depth(params, r, flavor, lambda_scale),
         flavor=flavor,
-        lambda_scale=lambda_scale,
     )
 
 

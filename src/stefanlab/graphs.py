@@ -405,12 +405,12 @@ class RegularizedGraph:
 # Free-function operations
 # ---------------------------------------------------------------------------
 
-def enthalpy_jump_primitive(g: RegularizedGraph, b: float, k, v, lh_eff: float = 1.0):
+def enthalpy_jump_primitive(g: RegularizedGraph, b: float, k, v):
     """Integral over (k, v) of step'(xi) * (xi - k)_+, nonnegative.
 
     Computed in closed form from the step and its primitive (integration by
     parts); zero whenever v <= k or the band (b-eps, b+eps) misses (k, v).
-    The bare primitive is returned scaled by lh_eff (default 1).
+    It does not depend on the latent heat: callers scale it by theirs.
     """
     k = np.asarray(k, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -420,5 +420,4 @@ def enthalpy_jump_primitive(g: RegularizedGraph, b: float, k, v, lh_eff: float =
     integral = g.eps * (_step_cdf_primitive(tv) - _step_cdf_primitive(tk))
     out = np.where(v > k, step_v * (v - k) - integral, 0.0)
     out = np.maximum(out, 0.0)
-    out = lh_eff * out
     return out if out.ndim else float(out)

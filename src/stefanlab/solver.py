@@ -61,7 +61,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -228,21 +228,6 @@ class DtPolicy:
         return min(dt, remaining)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    step_rtol: float = 1e-12
-    polish_rtol: float = 2e-15
-    max_newton: int = 120
-    newton_sigma: float = 1e-12
-    max_backtracks: int = 45
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
-
-
 @dataclass
 class Scenario:
     """Full problem statement for one run."""
@@ -255,7 +240,7 @@ class Scenario:
     boundary: Boundary = dc_field(default_factory=Boundary)
     t_end: float = 0.1
     dt: DtPolicy = dc_field(default_factory=DtPolicy)
-    tolerances: Tolerances = dc_field(default_factory=Tolerances)
+    step_rtol: float = 1e-12   # the step's residual target, relative to 1 + max|e_old|
     store_every: int = 1
     label: str = ""
 
@@ -264,6 +249,9 @@ class Scenario:
             raise ScenarioValueError("p", f"must be finite and >= 2, got {self.p!r}")
         if not 0.0 <= self.t_end < math.inf:
             raise ScenarioValueError("t_end", f"must be finite and nonnegative, got {self.t_end!r}")
+        if not 0.0 < self.step_rtol < math.inf:
+            raise ScenarioValueError("step_rtol", f"must be positive and finite, "
+                                                  f"got {self.step_rtol!r}")
         if self.store_every < 1:
             raise ScenarioValueError("store_every", "must be >= 1")
         if self.field is None:
@@ -517,24 +505,12 @@ class _Faces:
             self.coef.append(w * area)
 
     def gradients(self, u: np.ndarray) -> list[np.ndarray]:
-        """Per-axis face gradients du/h."""
-        if u.shape != self.shape:
+        """Per-axis face gradients du/h of a field u, or of each field of a
+        stack u (the grid axes trailing)."""
+        dim = len(self.shape)
+        if u.shape[u.ndim - dim:] != self.shape:
             raise ShapeMismatchError("field shape does not match grid")
-        return [_face_diffs(u, ax) / self.h for ax in range(len(self.shape))]
-
-    def row_gradients(self, u: np.ndarray) -> list[np.ndarray]:
-        """`gradients` of each row of a stack u of fields (leading axis)."""
-        if u.shape[1:] != self.shape:
-            raise ShapeMismatchError("field shape does not match grid")
-        return [_face_diffs(u, ax + 1) / self.h for ax in range(len(self.shape))]
-
-    def row_fluxes(self, u: np.ndarray) -> list[np.ndarray]:
-        """Per-axis face fluxes coef * |g|^{p-2} g of each row of a stack u."""
-        return [c * self.law(g) for c, g in zip(self.coef, self.row_gradients(u))]
-
-    def law(self, g):
-        """|g|^{p-2} g, the unweighted flux of a gradient component."""
-        return np.abs(g) ** (self.p - 2.0) * g
+        return [_face_diffs(u, u.ndim - dim + ax) / self.h for ax in range(dim)]
 
     def powers(self, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per axis, the face gradients g = du/h and |g|^{p-2}: all that
@@ -569,11 +545,11 @@ class _Faces:
             total += ((np.abs(g) ** self.p / self.p * c) * self.h).sum()
         return total
 
-    def newton_weights(self, powers, sigma: float) -> list[np.ndarray]:
+    def newton_weights(self, powers) -> list[np.ndarray]:
         """Face weights (p-1) max(|g|^{p-2}, sigma) coef / h of the flux
-        Jacobian from `powers(u)`, floored at sigma so the Newton matrix
-        stays definite."""
-        return [np.maximum(a, sigma) * (self.p - 1.0) * c / self.h
+        Jacobian from `powers(u)`, floored at sigma = `_NEWTON_SIGMA` so
+        the Newton matrix stays definite."""
+        return [np.maximum(a, _NEWTON_SIGMA) * (self.p - 1.0) * c / self.h
                 for c, (_, a) in zip(self.coef, powers)]
 
 
@@ -663,7 +639,7 @@ class _StepProblem:
         return r, float(np.abs(r / self.vol).max()), powers
 
     def solve_newton_system(
-        self, u: np.ndarray, r: np.ndarray, powers, sigma: float, rtol: float
+        self, u: np.ndarray, r: np.ndarray, powers, rtol: float
     ) -> tuple[np.ndarray, bool]:
         """Newton direction d and whether the linear solve met its tolerance.
 
@@ -675,7 +651,7 @@ class _StepProblem:
         """
         g = self.sc.graph
         diag = self.vol * g.enthalpy_prime_of_temperature(u)
-        coeffs = [self.dt * c for c in self.faces.newton_weights(powers, sigma)]
+        coeffs = [self.dt * c for c in self.faces.newton_weights(powers)]
         if self.grid.dim == 1:
             return self._solve_1d(diag, coeffs[0], r), True
         return self._solve_2d(diag, coeffs, r, rtol)
@@ -750,6 +726,14 @@ class _StepProblem:
 # The tightest CG tolerance: the relative residual a Newton system is ever
 # solved to.
 _PCG_RTOL = 1e-14
+# A step keeps polishing until its per-volume residual is at most
+# _POLISH_RTOL * (1 + max|e_old|) or stops improving; it takes at most
+# _MAX_NEWTON Newton iterations of at most _MAX_BACKTRACKS line-search
+# halvings each.  _NEWTON_SIGMA floors |g|^{p-2} in the Newton matrix only.
+_POLISH_RTOL = 2e-15
+_MAX_NEWTON = 120
+_MAX_BACKTRACKS = 45
+_NEWTON_SIGMA = 1e-12
 
 
 def _forcing_term(res: float, scale: float, polish_tol: float) -> float:
@@ -851,7 +835,6 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         raise ShapeMismatchError("start iterate shape does not match the state")
     if e_old is not None and np.shape(e_old) != u_old.shape:
         raise ShapeMismatchError("e_old shape does not match the state")
-    tol = scenario.tolerances
     g = scenario.graph
     if e_old is None:
         e_old = g.enthalpy_of_temperature(u_old)
@@ -862,8 +845,8 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     u = prob.apply_pins(np.array(start, dtype=float))
 
     scale = 1.0 + float(np.abs(e_old).max())
-    accept_tol = tol.step_rtol * scale
-    polish_tol = tol.polish_rtol * scale
+    accept_tol = scenario.step_rtol * scale
+    polish_tol = _POLISH_RTOL * scale
 
     u_start = u
     r, res, powers = prob.residual(u)
@@ -881,7 +864,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     backtracks = 0
 
     it = 0
-    while it < tol.max_newton:
+    while it < _MAX_NEWTON:
         if res <= polish_tol:
             break
         if res <= accept_tol and res >= prev_res * 0.75:
@@ -889,8 +872,8 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         it += 1
         prev_res = res
         try:
-            d, solved = prob.solve_newton_system(
-                u, r, powers, tol.newton_sigma, _forcing_term(res, scale, polish_tol))
+            d, solved = prob.solve_newton_system(u, r, powers,
+                                                 _forcing_term(res, scale, polish_tol))
         except (np.linalg.LinAlgError, ValueError):
             d, solved = None, False
         used_fallback |= not solved
@@ -902,7 +885,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         # still informative.
         accepted = False
         t = 1.0
-        for _ in range(tol.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             u_try = u - t * d
             if np.isfinite(u_try).all():
                 r_try, res_try, powers_try = prob.residual(u_try)
@@ -1173,8 +1156,8 @@ def weak_form_residual(
         flux_stacks = [field_map(b) for field_map in field_maps]
         dts = np.diff(times[lo:hi + 1])
         steps = [phi[1:] - phi[:-1] for phi in phis]
-        dphis = [faces.row_gradients(phi[1:]) for phi in phis]
-        fluxes = [faces.row_fluxes(f) for f in flux_stacks]
+        dphis = [faces.gradients(phi[1:]) for phi in phis]
+        fluxes = [faces.fluxes(faces.powers(f)) for f in flux_stacks]
         for s, k in pairs:
             time_terms[s, k] += (-_row_sums(weighted[s][:-1] * steps[k])).tolist()
             term = 0.0

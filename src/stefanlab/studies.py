@@ -18,7 +18,7 @@ from .graphs import RegularizedGraph
 from .solver import (DtPolicy, Grid, InitialData, Scenario, SpaceTimeBump, Trajectory,
                      _dirichlet_arrays, conservation_defect, run_simulation,
                      weak_form_residual)
-from .verify import CutoffSpec, InequalityReport
+from .verify import InequalityReport
 
 
 def measurement_params(scenario: Scenario, r0: float,
@@ -60,7 +60,7 @@ def caccioppoli_at(traj: Trajectory, params: ModulusParams,
     cyl = replace(cyl, depth=min(cyl.depth, 0.8 * (traj.times[-1] - traj.times[0])))
     mask = traj.ball_mask(cyl.center_space, cyl.ball_radius)
     ws = np.concatenate([traj.w_fields()[m][mask] for m in traj.time_indices(*cyl.time_window)])
-    return verify.caccioppoli_check(traj, float(np.quantile(ws, 0.3)), CutoffSpec(), cyl)
+    return verify.caccioppoli_check(traj, float(np.quantile(ws, 0.3)), cyl)
 
 
 # ---------------------------------------------------------------------------

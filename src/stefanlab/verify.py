@@ -15,11 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry
 from .constants import ConstantsLedger, decay_profile
 from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
-                       OscillationProfile, cylinder, fit_modulus, kappa_ratio,
-                       omega, oscillation)
+                       OscillationProfile, cylinder, cylinder_depth, fit_modulus,
+                       kappa_ratio, omega, oscillation)
 from .graphs import enthalpy_jump_primitive
 from .solver import (Scenario, SpaceTimeBump, Trajectory, _Faces, _row_sums, _time_blocks,
                      _time_column, run_simulation, weak_form_residual)
@@ -74,42 +73,30 @@ def _report_meta(trajectory: Trajectory) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-linear cutoffs
+# Piecewise-linear cutoff
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Tensor pyramid cutoff on a cylinder: 1 on an inner ball and the upper
-    time slab, falling linearly to 0 at the lateral boundary and the initial
-    slice.  Fractions keep the construction covariant under time rescaling.
-    """
+# The energy check's cutoff on a cylinder is a tensor pyramid: 1 on the inner
+# ball of _PLATEAU_FRACTION times its radius and on the upper time slab,
+# falling linearly to 0 at the lateral boundary and, over the first
+# _RAMP_FRACTION of the depth, from the initial slice.  Fractions keep the
+# construction covariant under time rescaling.
+_PLATEAU_FRACTION = 0.5
+_RAMP_FRACTION = 0.5
 
-    plateau_fraction: float = 0.5
-    ramp_fraction: float = 0.5
 
-    def __post_init__(self):
-        if not (0.0 < self.plateau_fraction < 1.0):
-            raise ValueError("plateau_fraction must lie in (0, 1)")
-        if not (0.0 < self.ramp_fraction <= 1.0):
-            raise ValueError("ramp_fraction must lie in (0, 1]")
+def _cutoff_space(trajectory: Trajectory, cyl: IntrinsicCylinder) -> np.ndarray:
+    xs = trajectory.meshgrid()
+    d = np.sqrt(sum((x - c) ** 2 for x, c in zip(xs, cyl.center_space)))
+    r_in = _PLATEAU_FRACTION * cyl.ball_radius
+    r_out = cyl.ball_radius
+    return np.clip((r_out - d) / (r_out - r_in), 0.0, 1.0)
 
-    def space_profile(self, trajectory: Trajectory, cyl: IntrinsicCylinder) -> np.ndarray:
-        xs = trajectory.meshgrid()
-        d = np.sqrt(sum((x - c) ** 2 for x, c in zip(xs, cyl.center_space)))
-        r_in = self.plateau_fraction * cyl.ball_radius
-        r_out = cyl.ball_radius
-        return np.clip((r_out - d) / (r_out - r_in), 0.0, 1.0)
 
-    def time_profile(self, times: np.ndarray, cyl: IntrinsicCylinder) -> np.ndarray:
-        t_lo, t_hi = cyl.time_window
-        ramp = self.ramp_fraction * (t_hi - t_lo)
-        return np.clip((np.asarray(times) - t_lo) / ramp, 0.0, 1.0)
-
-    def gradient_bound(self, cyl: IntrinsicCylinder) -> float:
-        return 1.0 / ((1.0 - self.plateau_fraction) * cyl.ball_radius)
-
-    def time_derivative_bound(self, cyl: IntrinsicCylinder, p: float) -> float:
-        return p / (self.ramp_fraction * cyl.depth)
+def _cutoff_time(times: np.ndarray, cyl: IntrinsicCylinder) -> np.ndarray:
+    t_lo, t_hi = cyl.time_window
+    ramp = _RAMP_FRACTION * (t_hi - t_lo)
+    return np.clip((np.asarray(times) - t_lo) / ramp, 0.0, 1.0)
 
 
 def _cell_average_of_faces(face_vals: list[np.ndarray]) -> np.ndarray:
@@ -133,10 +120,10 @@ def _cell_average_of_faces(face_vals: list[np.ndarray]) -> np.ndarray:
 def caccioppoli_check(
     trajectory: Trajectory,
     k: float,
-    cutoff: CutoffSpec,
     cyl: IntrinsicCylinder,
 ) -> InequalityReport:
-    """Energy estimate for the truncation (w - k)_+ against cutoff terms.
+    """Energy estimate for the truncation (w - k)_+ against the terms of the
+    pyramid cutoff phi on `cyl`.
 
     Left side: the two sup-in-time terms (jump primitive and square of the
     truncation, both averaged over the ball and divided by the slab length)
@@ -157,9 +144,9 @@ def caccioppoli_check(
     ball_vol = float(np.sum(vol[mask]))
     slab = cyl.depth
 
-    phi_space = cutoff.space_profile(trajectory, cyl)
+    phi_space = _cutoff_space(trajectory, cyl)
     times = np.asarray(trajectory.times)[t_idx]
-    phi_time = cutoff.time_profile(times, cyl)
+    phi_time = _cutoff_time(times, cyl)
     w_all = trajectory.w_fields()
 
     def ball_means(a):
@@ -190,9 +177,9 @@ def caccioppoli_check(
         dts = np.diff(times[lo:hi + 1])
         phi, vk, jump = phi[1:], vk[1:], jump[1:]
         # gradient of the truncation times cutoff, via face differences
-        gsq = _cell_average_of_faces([f**2 for f in faces.row_gradients(vk * phi)])
+        gsq = _cell_average_of_faces([f**2 for f in faces.gradients(vk * phi)])
         # cutoff gradient on faces
-        dphi_sq = _cell_average_of_faces([f**2 for f in faces.row_gradients(phi)])
+        dphi_sq = _cell_average_of_faces([f**2 for f in faces.gradients(phi)])
         dphip = np.maximum((phi_p[1:] - phi_p[:-1]) / _time_column(dts, grid.dim), 0.0)
         for dt_m, grad, rhs_grad, rhs_time, rhs_jump in zip(
                 dts.tolist(), ball_means(gsq ** (p / 2.0)),
@@ -230,8 +217,8 @@ def caccioppoli_check(
             "rhs_gradient": rhs_grad_num / span,
             "rhs_time": rhs_time_num / span,
             "rhs_jump": rhs_jump_num / span,
-            "cutoff_dphi_bound": cutoff.gradient_bound(cyl),
-            "cutoff_dtphi_bound": cutoff.time_derivative_bound(cyl, p),
+            "cutoff_dphi_bound": 1.0 / ((1.0 - _PLATEAU_FRACTION) * cyl.ball_radius),
+            "cutoff_dtphi_bound": p / (_RAMP_FRACTION * cyl.depth),
         },
     )
 
@@ -240,9 +227,15 @@ def caccioppoli_check(
 # Truncation super/subsolution residuals
 # ---------------------------------------------------------------------------
 
-def _test_function_family(grid, region_lo, region_hi, dim, count=5,
-                          rng_seed=None):
-    """Deterministic nonnegative bumps compactly inside the region.
+# The truncation check's test functions, and the relative residual
+# allowance of its weak super/subsolution inequalities.
+_TEST_FUNCTIONS = 5
+_TRUNCATION_TOL = 1e-8
+
+
+def _test_function_family(region_lo, region_hi, rng_seed=None):
+    """_TEST_FUNCTIONS deterministic nonnegative bumps compactly inside the
+    region.
 
     A seed draws a reproducible family of centres/widths; without one a
     fixed evenly spaced family is used.
@@ -252,13 +245,13 @@ def _test_function_family(grid, region_lo, region_hi, dim, count=5,
     span = hi - lo
     fams = []
     if rng_seed is None:
-        offsets = np.linspace(0.35, 0.65, count)
+        offsets = np.linspace(0.35, 0.65, _TEST_FUNCTIONS)
         widths = [0.3 * float(np.min(span)) * (1.0 + 0.3 * (j % 2))
-                  for j in range(count)]
+                  for j in range(_TEST_FUNCTIONS)]
     else:
         rng = np.random.default_rng(rng_seed)
-        offsets = rng.uniform(0.3, 0.7, count)
-        widths = list(rng.uniform(0.2, 0.45, count) * float(np.min(span)))
+        offsets = rng.uniform(0.3, 0.7, _TEST_FUNCTIONS)
+        widths = list(rng.uniform(0.2, 0.45, _TEST_FUNCTIONS) * float(np.min(span)))
     for frac, width in zip(offsets, widths):
         center = lo + frac * span
         fams.append(SpaceTimeBump(center=tuple(center), width=float(width)))
@@ -269,21 +262,19 @@ def truncation_supersolution_check(
     trajectory: Trajectory,
     k: float,
     region: tuple[Sequence[float], Sequence[float]],
-    tol: float = 1e-8,
     rng_seed: int | None = None,
 ) -> InequalityReport:
     """min(k, w) must act as a weak supersolution (and (k - w)_+ as a weak
     subsolution) of the degenerate flow once k sits below the jump band.
 
     Evaluates the discrete weak form against a sampled family of nonnegative
-    test functions; supersolution residuals must be >= -tol * scale and
-    subsolution residuals <= tol * scale.
+    test functions; supersolution residuals must be >= -_TRUNCATION_TOL *
+    scale and subsolution residuals <= _TRUNCATION_TOL * scale.
     """
     b, eps = trajectory.graph.a, trajectory.graph.eps
     if not k < b - eps:
         raise ValueError("truncation level must satisfy k < b - eps")
-    fams = _test_function_family(trajectory.grid, region[0], region[1],
-                                 trajectory.grid.dim, rng_seed=rng_seed)
+    fams = _test_function_family(region[0], region[1], rng_seed=rng_seed)
 
     w_all = trajectory.w_fields()
     sup, sub = weak_form_residual(
@@ -293,13 +284,13 @@ def truncation_supersolution_check(
     worst_sub = max(r / scale for r, scale in sub)
 
     scen_hash, res = _report_meta(trajectory)
-    passed = worst_super >= -tol and worst_sub <= tol
+    passed = worst_super >= -_TRUNCATION_TOL and worst_sub <= _TRUNCATION_TOL
     return InequalityReport(
         name="truncation-supersolution",
         lhs=worst_super,
-        rhs_core=-tol,
+        rhs_core=-_TRUNCATION_TOL,
         implied_constant=None,
-        margin=worst_super + tol,
+        margin=worst_super + _TRUNCATION_TOL,
         degenerate=False,
         passed=passed,
         scenario_hash=scen_hash,
@@ -564,7 +555,6 @@ def modulus_acceptance(
     center: tuple[Sequence[float], float],
     ladder: str = "dyadic2",
     max_rungs: int | None = None,
-    reference_c_star: float | None = None,
 ) -> tuple[OscillationProfile, dict]:
     """Measure oscillation over the shrinking outer cylinders and report the
     smallest multiplicative constant against the modulus.
@@ -573,7 +563,10 @@ def modulus_acceptance(
     (lam = max{global osc, 1}); the variant with the additive mollification
     allowance 256 * Lambda * eps subtracted is also reported, but at desk
     widths that term exceeds every measured oscillation, so the bare constant
-    is the one whose refinement stability is meaningful.
+    is the one whose refinement stability is meaningful.  That stability
+    is judged across runs (`studies.run_headline_case`); a single run passes
+    whenever c_star is finite.  The ladder stops at `max_rungs` rungs or at
+    the first cylinder too small to measure.
     """
     if ladder not in LADDER_BASES:
         raise ValueError("ladder must be dyadic2 or dyadic32")
@@ -603,10 +596,6 @@ def modulus_acceptance(
             break
         try:
             cyl_i = cylinder(params, center, r_i, "outer", lambda_scale=lam)
-            mask = trajectory.ball_mask(cyl_i.center_space, cyl_i.ball_radius)
-            t_idx = trajectory.time_indices(*cyl_i.time_window)
-            if int(mask.sum()) < 2 or t_idx.size < 2:
-                break
             osc_i = oscillation(trajectory, cyl_i)
         except (EmptyCylinderError, ValueError):
             break
@@ -640,12 +629,6 @@ def modulus_acceptance(
         ratios=ratios, alpha_hat=alpha_hat, c_hat=c_hat,
         fit_residual=residual, flags=flags,
     )
-    stable = None
-    if reference_c_star is not None and reference_c_star > 0 and c_star > 0:
-        ratio = c_star / reference_c_star
-        stable = 0.5 <= ratio <= 2.0
-    elif reference_c_star is not None:
-        stable = c_star == reference_c_star
     verdict = {
         "c_star": c_star,
         "c_star_with_eps_term": c_star_with_eps,
@@ -656,8 +639,7 @@ def modulus_acceptance(
         "alpha_target": params.alpha,
         "rungs": len(radii),
         "induction_bound_ok": induction_ok,
-        "stable_vs_reference": stable,
-        "pass": bool(math.isfinite(c_star) and (stable is not False)),
+        "pass": math.isfinite(c_star),
     }
     return profile, verdict
 
@@ -667,14 +649,13 @@ def epsilon_convergence_study(
     params: ModulusParams,
     ledger: ConstantsLedger,
     center: tuple[Sequence[float], float],
-    cauchy_radius: float | None = None,
-    max_rungs: int | None = None,
 ) -> dict:
     """Run the modulus measurement along a decreasing mollification ladder.
 
     Checks the ladder is admissible (eps >= 2 h Lambda), measures max-norm
-    Cauchy gaps between consecutive solutions on a fixed interior cylinder,
-    and fits the per-rung oscillation linearly in eps.
+    Cauchy gaps between consecutive solutions on a fixed interior cylinder
+    (radius r0/2, the full-flavor depth clipped to half the horizon), and
+    fits the per-rung oscillation linearly in eps.
     """
     if len(scenarios) == 0:
         raise ValueError("need at least one scenario")
@@ -693,7 +674,7 @@ def epsilon_convergence_study(
     profiles = []
     verdicts = []
     for tr in runs:
-        prof, verd = modulus_acceptance(tr, params, ledger, center, max_rungs=max_rungs)
+        prof, verd = modulus_acceptance(tr, params, ledger, center)
         profiles.append(prof)
         verdicts.append(verd)
 
@@ -707,9 +688,10 @@ def epsilon_convergence_study(
         return out
     out["degenerate"] = False
 
-    r_c = cauchy_radius if cauchy_radius is not None else params.r0 / 2.0
+    r_c = params.r0 / 2.0
     mask = runs[0].ball_mask(center[0], r_c)
-    t_lo = center[1] - cylinder_depth_safe(params, r_c, runs[0])
+    span = runs[0].times[-1] - runs[0].times[0]
+    t_lo = center[1] - min(cylinder_depth(params, r_c, "full"), 0.5 * span)
     gaps = []
     for a, b in zip(runs, runs[1:]):
         t_idx = a.time_indices(t_lo, center[1])
@@ -742,10 +724,3 @@ def epsilon_convergence_study(
         for b, om in zip(intercepts, profiles[0].omegas[:n_rungs])
     )
     return out
-
-
-def cylinder_depth_safe(params: ModulusParams, r: float, trajectory: Trajectory) -> float:
-    """Depth of the interior comparison cylinder, clipped to the horizon."""
-    d = geometry.cylinder_depth(params, r, "full")
-    span = trajectory.times[-1] - trajectory.times[0]
-    return min(d, 0.5 * span)

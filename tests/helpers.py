@@ -143,7 +143,6 @@ def centered_weak_form_residual(
             raise ValueError("test function must vanish on the lateral boundary of the region")
 
     weights = trajectory.field.weights
-    faces = _Faces(grid, trajectory.p, weights)
 
     def masked_sums(a):
         """Per row of a, the volume-weighted sum over the region."""
@@ -160,7 +159,7 @@ def centered_weak_form_residual(
         time_terms += masked_sums(e * (phi[1:] - phi[:-1]))
         grads = _centered_gradient(np.stack(trajectory.temps[lo + 1:hi + 1]), grid)
         gphi = test_function.gradient(xs, _time_column(ts[1:], grid.dim))
-        dot = sum(w * faces.law(g) * np.asarray(gp)
+        dot = sum(w * (np.abs(g) ** (trajectory.p - 2.0) * g) * np.asarray(gp)
                   for w, g, gp in zip(weights, grads, gphi))
         flux_terms += [dt_m * v for dt_m, v in zip(np.diff(ts).tolist(), masked_sums(dot))]
     r_val = masked_sums(e_fields[m2] * phi[-1:])[0] - first

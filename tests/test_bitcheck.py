@@ -1,6 +1,7 @@
 """scripts/bitcheck.py: the dump of every output that a speed-only change
 must leave bit for bit unchanged."""
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,11 @@ def test_tiny_dump(tmp_path):
     assert run.returncode == 0, run.stderr
     record = json.loads(out.read_text())
     assert set(record["headline"]) == {"1d-p2", "1d-p3", "2d-p2", "2d-p3"}
+    runs = [record["solve-2d"]]
     for case in record["headline"].values():
         assert set(case) == {"coarse", "fine"}
-        assert all(res["diag_totals"]["steps"] > 0 for res in case.values())
-    assert record["solve-2d"]["diag_totals"]["steps"] > 0
+        runs += case.values()
+    for res in runs:
+        assert res["diag_totals"]["steps"] > 0
+        assert re.fullmatch(r"[0-9a-f]{16}", res["scenario_hash"])
     assert record["cli-run"]["exit_code"] == 0 and record["cli-run"]["artifact_hashes"]

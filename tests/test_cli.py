@@ -81,7 +81,7 @@ class TestValidate:
         sc = cli.parse_config(_write(tmp_path, f"[scenario]\npreset = {name}\n")).scenario
         base = presets.make_preset(name)
         assert sc.canonical_dict() == base.canonical_dict()
-        assert (sc.label, sc.tolerances) == (base.label, base.tolerances)
+        assert (sc.label, sc.step_rtol) == (base.label, base.step_rtol)
 
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_preset_keys_replace_the_preset_values(self, tmp_path, name):
@@ -96,7 +96,7 @@ class TestValidate:
         assert (sc.graph.a, sc.graph.beta) == (base.graph.a, base.graph.beta)
         assert (sc.graph.eps, sc.graph.latent_heat) == (0.07, 0.6)
         assert sc.dt == solver.DtPolicy(kind="intrinsic", safety=0.3)
-        assert (sc.t_end, sc.store_every, sc.tolerances.step_rtol, sc.label) == (
+        assert (sc.t_end, sc.store_every, sc.step_rtol, sc.label) == (
             0.01, 2, 1e-11, "mine")
         assert (sc.p, sc.field, sc.initial, sc.boundary) == (
             base.p, base.field, base.initial, base.boundary)
@@ -289,9 +289,8 @@ directory = {out}
                                                    "notes.txt"}
 
     def test_config_error_without_output_keeps_the_files_in_out(self, tmp_path, monkeypatch):
-        # With no --output a config error writes its record into ./out,
-        # which need not be the failing config's run directory: an earlier
-        # run's artifacts there stay, only its outcome record is replaced.
+        # With no --output a config error writes its record into the
+        # directory the config names: another run's directory is untouched.
         monkeypatch.chdir(tmp_path)
         good = _write(tmp_path, BASE_CONFIG.format(outdir="out"), "good.ini")
         broken = _write(tmp_path, BASE_CONFIG.format(outdir="elsewhere").replace(
@@ -299,12 +298,28 @@ directory = {out}
         assert cli.main(["run", str(good)]) == 0
         out = tmp_path / "out"
 
-        def files():
-            return {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        def contents():
+            return {p.relative_to(out).as_posix(): p.read_bytes()
+                    for p in out.rglob("*") if p.is_file()}
 
-        before = files()
+        before = contents()
         assert cli.main(["run", str(broken)]) == 2
-        assert files() == before - {"summary.json"} | {"error.json"}
+        assert contents() == before
+        assert [p.name for p in (tmp_path / "elsewhere").iterdir()] == ["error.json"]
+        record = json.loads((tmp_path / "elsewhere" / "error.json").read_text())
+        assert (record["code"], record["field"]) == (2, "scenario.step_rtol")
+
+    def test_unreadable_config_error_goes_to_the_default_run_directory(self, tmp_path,
+                                                                       monkeypatch):
+        # An INI that cannot be read names no directory: the record goes to
+        # the default one, under the output root.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / "root"))
+        broken = _write(tmp_path, "[scenario\n", "broken.ini")
+        assert cli.main(["run", str(broken)]) == 2
+        assert json.loads((tmp_path / "root" / "out" / "run" / "error.json").read_text())[
+            "code"] == 2
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_without_modulus_removes_its_files(self, tmp_path):
         out = tmp_path / "out"
@@ -817,11 +832,14 @@ values = 0.1, 0.05
         assert len(agg) == 3  # header + two runs
         header = agg[0].split(",")
         assert {"conservation.pass", "weakform.pass", "weakform.margin"} <= set(header)
-        for row in agg[1:]:
+        for row, sub in zip(agg[1:], ("run_000_eps-0.1", "run_001_eps-0.05")):
             cells = dict(zip(header, row.split(",")))
             assert cells["weakform.pass"] == "True" and float(cells["weakform.margin"]) > 0
-        assert (out / "run_000_eps-0.1" / "summary.json").exists()
-        assert (out / "run_001_eps-0.05" / "summary.json").exists()
+            # each run's solver health, as its summary.json records it
+            solver_block = json.loads((out / sub / "summary.json").read_text())["solver"]
+            assert {f"solver.{key}": repr(value) for key, value in solver_block.items()} == {
+                key: cell for key, cell in cells.items() if key.startswith("solver.")}
+            assert int(cells["solver.steps"]) > 0 and cells["solver.fallbacks"] == "0"
 
     def test_empty_axis_behaves_like_run(self, tmp_path):
         text = """\

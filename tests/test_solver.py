@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from stefanlab import presets, solver, studies
 from stefanlab.graphs import BetaMap, RegularizedGraph
 from stefanlab.solver import (Boundary, DtPolicy, Grid, InitialData,
-                              Scenario, ShapeMismatchError, Tolerances,
+                              Scenario, ShapeMismatchError,
                               Trajectory, VectorField, build_initial,
                               conservation_defect, enthalpy_totals,
                               implicit_step, run_simulation)
@@ -212,17 +212,49 @@ class TestImplicitStep:
         with pytest.raises(solver.NonfiniteValueError):
             implicit_step(u0, 1e-3, sc)
 
-    @pytest.mark.parametrize("name", ["step_rtol", "polish_rtol", "max_newton",
-                                      "newton_sigma", "max_backtracks"])
+    # step_rtol is the one settable step tolerance; the polish target and
+    # the iteration caps are module constants.
+    @pytest.mark.parametrize("name", ["step_rtol"])
     @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf])
     def test_tolerances_positive_and_finite(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            Tolerances(**{name: value})
+        with pytest.raises(solver.ScenarioValueError, match=name) as err:
+            replace(presets.constant_preset(), **{name: value})
+        assert err.value.key == name
 
     def test_energy_decrease_recorded(self):
         sc = presets.twophase_1d(nodes=41, t_end=0.005, dt=5e-4)
         traj = run_simulation(sc)
         assert all(d.energy_decreased for d in traj.diagnostics)
+
+
+# The scenario axes the random runs draw besides the grid and the data: the
+# temperature map, per-axis weights (2D) and the boundary.
+BETAS = st.one_of(
+    st.just(BetaMap()),
+    st.builds(lambda lo, hi: BetaMap(kind="piecewise", knots=(-2.0, 0.0, 2.0),
+                                     values=(-2.0 * lo, 0.0, 2.0 * hi)),
+              st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    st.builds(lambda mu, tau: BetaMap(kind="tanh", mu=mu, tau=tau),
+              st.floats(-0.5, 1.0), st.floats(0.1, 1.0)))
+WEIGHTS_2D = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+
+
+def boundaries(dim):
+    """Zero flux, or Dirichlet values at both ends of each axis."""
+    ends = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+    return st.one_of(st.just(Boundary()),
+                     st.builds(lambda v: Boundary("dirichlet", v), st.tuples(*[ends] * dim)))
+
+
+def assert_conserves_and_orders(traj):
+    """The enthalpy total is conserved under zero flux, and every stored
+    state stays within the range of the (pinned) initial state."""
+    if traj.scenario.boundary.kind == "zero-flux":
+        assert conservation_defect(traj) <= 1e-10
+    lo, hi = float(traj.temps[0].min()), float(traj.temps[0].max())
+    for u in traj.temps:
+        assert float(u.max()) <= hi + 1e-9
+        assert float(u.min()) >= lo - 1e-9
 
 
 class TestRunSimulation:
@@ -342,25 +374,24 @@ class TestRunSimulation:
            nodes=st.tuples(st.integers(9, 15), st.integers(9, 15)),
            base=st.floats(-0.3, 0.3),
            modes=st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 3)),
-                          min_size=1, max_size=3))
+                          min_size=1, max_size=3),
+           beta=BETAS, weights=WEIGHTS_2D, boundary=boundaries(2))
     @settings(max_examples=50, deadline=None)
-    def test_random_2d_scenarios(self, p, nodes, base, modes):
+    def test_random_2d_scenarios(self, p, nodes, base, modes, beta, weights, boundary):
         h = 1.0 / 14
         amps, freqs = zip(*modes)
         sc = Scenario(
             grid=Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes),
             p=p,
-            graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1),
+            graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1, beta=beta),
+            field=VectorField(weights),
             initial=InitialData.of("fourier", base=base, amps=amps, freqs=freqs),
+            boundary=boundary,
             t_end=3e-3,
             dt=DtPolicy(value=1e-3),
         )
         traj = run_simulation(sc)
-        assert conservation_defect(traj) <= 1e-10
-        lo, hi = float(traj.temps[0].min()), float(traj.temps[0].max())
-        for u in traj.temps:
-            assert float(u.max()) <= hi + 1e-9
-            assert float(u.min()) >= lo - 1e-9
+        assert_conserves_and_orders(traj)
         assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
 
     @given(p=st.floats(2.0, 4.0), nodes=st.integers(11, 41),
@@ -376,30 +407,53 @@ class TestRunSimulation:
                    freqs=tuple(m[1] for m in modes)),
                    st.floats(-0.3, 0.3),
                    st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 4)),
-                            min_size=1, max_size=3))))
+                            min_size=1, max_size=3))),
+           beta=BETAS, boundary=boundaries(1))
     @settings(max_examples=50, deadline=None)
     # A trial taken on its energy raised the residual, the next one taken on
     # a residual decrease against that raised value raised the energy, and
-    # the line search cycled between the two until max_newton.
+    # the line search cycled between the two until the Newton iteration cap.
     @example(p=3.5, nodes=12, latent_heat=0.5, eps=0.021484375,
              data=InitialData.of("two-phase-sine", level=0.25, amplitude=0.28125,
-                                 periods=4.0, tilt=0.0))
-    def test_random_1d_scenarios(self, p, nodes, latent_heat, eps, data):
+                                 periods=4.0, tilt=0.0), beta=BetaMap(), boundary=Boundary())
+    def test_random_1d_scenarios(self, p, nodes, latent_heat, eps, data, beta, boundary):
         sc = Scenario(
             grid=Grid(extents=(1.0,), nodes=(nodes,)),
             p=p,
-            graph=RegularizedGraph(a=0.0, latent_heat=latent_heat, eps=eps),
+            graph=RegularizedGraph(a=0.0, latent_heat=latent_heat, eps=eps, beta=beta),
             initial=data,
+            boundary=boundary,
             t_end=4e-3,
             dt=DtPolicy(value=1e-3),
         )
         traj = run_simulation(sc)
-        assert conservation_defect(traj) <= 1e-10
-        lo, hi = float(traj.temps[0].min()), float(traj.temps[0].max())
-        for u in traj.temps:
-            assert float(u.max()) <= hi + 1e-9
-            assert float(u.min()) >= lo - 1e-9
+        assert_conserves_and_orders(traj)
         assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
+
+    @given(dim=st.sampled_from([1, 2]), p=st.floats(2.0, 4.0), base=st.floats(-0.3, 0.3),
+           modes=st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 3)),
+                          min_size=1, max_size=3),
+           beta=BETAS, weights=WEIGHTS_2D, boundary=boundaries(2), gap=st.floats(0.01, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_random_comparison(self, dim, p, base, modes, beta, weights, boundary, gap):
+        # Initial and Dirichlet data raised by a gap keep the solution above.
+        amps, freqs = zip(*modes)
+        nodes = (21,) if dim == 1 else (11, 11)
+
+        def solve(shift):
+            dirichlet = tuple((lo + shift, hi + shift) for lo, hi in boundary.values[:dim])
+            return run_simulation(Scenario(
+                grid=Grid(extents=(1.0,) * dim, nodes=nodes), p=p,
+                graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1, beta=beta),
+                field=VectorField(weights[:dim]),
+                initial=InitialData.of("fourier", base=base + shift, amps=amps, freqs=freqs),
+                boundary=Boundary("dirichlet", dirichlet) if dirichlet else Boundary(),
+                t_end=3e-3, dt=DtPolicy(value=1e-3)))
+
+        low, high = solve(0.0), solve(gap)
+        assert np.all(low.temps[0] <= high.temps[0])
+        for u_lo, u_hi in zip(low.temps, high.temps):
+            assert float(np.max(u_lo - u_hi)) <= 1e-9
 
 
 class TestNewtonSolve1D:
@@ -511,12 +565,12 @@ def newton_state_2d(p, boundary):
     return (prob, u, *prob.gradient(u))
 
 
-def dense_newton_matrix(prob, u, sigma):
+def dense_newton_matrix(prob, u):
     """The Newton matrix assembled entry by entry, pins eliminated symmetrically."""
     n = u.size
     idx = np.arange(n).reshape(u.shape)
     mat = np.diag((prob.vol * prob.sc.graph.enthalpy_prime_of_temperature(u)).ravel())
-    for ax, c in enumerate(prob.faces.newton_weights(prob.faces.powers(u), sigma)):
+    for ax, c in enumerate(prob.faces.newton_weights(prob.faces.powers(u))):
         c = prob.dt * c
         lo = np.take(idx, range(u.shape[ax] - 1), axis=ax).ravel()
         hi = np.take(idx, range(1, u.shape[ax]), axis=ax).ravel()
@@ -542,12 +596,11 @@ class TestNewtonDirection2D:
     @pytest.mark.parametrize("boundary", BOUNDARIES_2D, ids=lambda b: b.kind)
     def test_matches_dense_solve(self, p, boundary):
         prob, u, r, powers = newton_state_2d(p, boundary)
-        sigma = prob.sc.tolerances.newton_sigma
-        d, solved = prob.solve_newton_system(u, r, powers, sigma, solver._PCG_RTOL)
+        d, solved = prob.solve_newton_system(u, r, powers, solver._PCG_RTOL)
         rhs = r.ravel().copy()
         if prob.pin_mask is not None:
             rhs[prob.pin_mask.ravel()] = 0.0
-        ref = np.linalg.solve(dense_newton_matrix(prob, u, sigma), rhs).reshape(u.shape)
+        ref = np.linalg.solve(dense_newton_matrix(prob, u), rhs).reshape(u.shape)
         assert solved
         assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
         if prob.pin_mask is not None:
@@ -558,8 +611,7 @@ class TestNewtonDirection2D:
         monkeypatch.setattr(solver, "_pcg", lambda apply, b, inv_diag, rtol, max_iter:
                             pcg(apply, b, inv_diag, rtol, 1))
         prob, u, r, powers = newton_state_2d(3.0, Boundary())
-        d, solved = prob.solve_newton_system(u, r, powers, prob.sc.tolerances.newton_sigma,
-                                             solver._PCG_RTOL)
+        d, solved = prob.solve_newton_system(u, r, powers, solver._PCG_RTOL)
         assert not solved
         assert np.all(np.isfinite(d))
         assert float(np.sum(r * d)) > 0.0
@@ -995,10 +1047,11 @@ class TestWeakFormGate:
         # residuals paired with the bump: it meets the bound they give.
         # With steps left unstored it is a consistency defect: no verdict.
         sc = replace(_small_scenario(dim, boundary, beta, p, store_every),
-                     field=VectorField(weights[:dim]),
-                     tolerances=Tolerances(step_rtol=1e-6, polish_rtol=1e-6) if loose
-                     else Tolerances())
-        traj = run_simulation(sc)
+                     field=VectorField(weights[:dim]), step_rtol=1e-6 if loose else 1e-12)
+        with pytest.MonkeyPatch.context() as mp:
+            if loose:
+                mp.setattr(solver, "_POLISH_RTOL", 1e-6)
+            traj = run_simulation(sc)
         site = studies.check_site(traj, studies.measurement_params(sc, r0=0.25),
                                   studies.default_ledger(sc), (0.5,) * dim)
         entry, report = studies.CHECKS["weakform"].run(traj, site)
