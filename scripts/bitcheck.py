@@ -49,7 +49,7 @@ def trajectory_record(traj) -> dict:
     totals = {name: sum(getattr(d, name) for d in traj.diagnostics) for name in COUNTS}
     return {
         "trajectory_hash": traj.trajectory_hash(),
-        "scenario_hash": traj.meta["scenario_hash"],
+        "scenario_hash": traj.scenario.scenario_hash(),
         "enthalpy_hash": _sha(e.tobytes() for e in traj.enthalpies),
         "diag_hash": _sha([json.dumps([repr(v) for v in row]).encode() for row in diags]),
         "diag_totals": {"steps": len(diags), **totals,

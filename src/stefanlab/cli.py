@@ -421,7 +421,7 @@ def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> dict[str, s
         "dtype": "<f8",
         "order": "row-major",
         "grid": {"extents": list(traj.grid.extents), "nodes": list(traj.grid.nodes)},
-        "scenario_hash": traj.meta.get("scenario_hash"),
+        "scenario_hash": traj.scenario.scenario_hash(),
         "times": [traj.times[m] for m in kept],
         "indices": kept,
     })
@@ -434,22 +434,52 @@ def _ini_text(cp: configparser.ConfigParser) -> str:
     return buf.getvalue()
 
 
+def _text(value) -> str:
+    """A parsed scalar or flat list as text its key's parser reads back."""
+    return ",".join(map(str, value)) if isinstance(value, (tuple, list)) else str(value)
+
+
+def _scenario_text(sc: Scenario) -> dict[str, str]:
+    """The [scenario] keys that rebuild `sc`, as text their parsers read back."""
+    def floats(xs):
+        return " ".join(map(repr, xs))
+
+    beta, b, dt = sc.graph.beta, sc.boundary, sc.dt
+    specs = {
+        "beta": "identity" if beta.kind == "identity" else
+                f"tanh:{beta.mu!r} {beta.tau!r}" if beta.kind == "tanh" else
+                "piecewise:" + ",".join(f"{x!r}/{y!r}" for x, y in zip(beta.knots, beta.values)),
+        "field": "anisotropic:" + floats(sc.field.weights),
+        "initial_params": ", ".join(f"{k}={floats(v) if isinstance(v, tuple) else repr(v)}"
+                                    for k, v in sc.initial.params),
+        "boundary": "zero-flux" if b.kind == "zero-flux" else "dirichlet:" + ",".join(
+            f"lo{ax}={lo!r},hi{ax}={hi!r}" for ax, (lo, hi) in enumerate(b.values)),
+        "dt": repr(dt.value) if dt.kind == "fixed" else f"intrinsic:safety={dt.safety!r}",
+    }
+    return {k: specs[k] if k in specs else _text(v) for k, v in _keys_of(sc).items()}
+
+
 def _resolved_config_text(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp["scenario"] = {**{k: repr(v) for k, v in cfg.scenario.canonical_dict().items()},
-                      "step_rtol": repr(cfg.scenario.step_rtol)}
-    # every other key as text its parser reads back; None as the key's default
+    """Every key of the run, a preset expanded, as a config that re-runs it."""
+    sections = {"scenario": _scenario_text(cfg.scenario)}
+    # None as the key's default
     for section in ("modulus", "constants", "checks", "output"):
-        cp[section] = {k: (KEYS[section][k].default if v is None else
-                           ",".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v))
-                       for k, v in cfg.values[section].items()}
+        sections[section] = {k: KEYS[section][k].default if v is None else _text(v)
+                             for k, v in cfg.values[section].items()}
+    cp = configparser.ConfigParser()
+    # "%" starts an interpolation when the config is read
+    cp.read_dict({section: {k: v.replace("%", "%%") for k, v in keys.items()}
+                  for section, keys in sections.items()})
     return _ini_text(cp)
 
 
 def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict], dict]:
-    """Each requested check's summary entry, the reports of the checks that
-    make one, and each check's wall time in seconds."""
+    """Each requested check's summary entry, the records of the checks that
+    make a report (stamped with the run's scenario hash and resolution), and
+    each check's wall time in seconds."""
     mod, checks = cfg.values["modulus"], cfg.values["checks"]
+    run_id = {"scenario_hash": traj.scenario.scenario_hash(),
+              "resolution": traj.resolution_label()}
     site = studies.check_site(traj, cfg.params, cfg.ledger, mod["center"], seed=checks["seed"],
                               ladder=mod["ladder"], ladder_depth=mod["ladder_depth"])
     reports, summary, seconds = [], {}, {}
@@ -461,7 +491,7 @@ def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict], dic
         except ValueError as err:  # a check that cannot be made here is a failed verdict
             entry, rep = {"pass": False, "error": f"{type(err).__name__}: {err}"}, None
         if rep is not None:
-            reports.append(rep.to_json_dict())
+            reports.append({**rep.to_json_dict(), **run_id})
         summary[name] = {**entry, "label": check.label}
         seconds[name] = time.perf_counter() - start
     return summary, reports, seconds
@@ -506,7 +536,7 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
                    if entry.get("gate", True))
     _write_outcome(outdir, "summary.json", {
         "checks": summary,
-        "scenario_hash": traj.meta.get("scenario_hash"),
+        "scenario_hash": traj.scenario.scenario_hash(),
         "trajectory_hash": traj.trajectory_hash(),
         "artifact_hashes": hashes,
         "all_pass": all_pass,

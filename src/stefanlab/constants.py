@@ -1,12 +1,11 @@
 """Explicit constant chains of the oscillation-reduction argument.
 
 The ledger records every constant with its provenance: "formula" entries are
-derived here from the structural inputs, "configured" entries are user
-choices standing in for constants the analysis only names, and "measured"
-entries come back from the inequality harness.  The induction certifier
-checks the arithmetic that turns per-scale oscillation reduction into the
-log-power modulus, working in log-radius coordinates since the dyadic-32
-ladder leaves floating-point range almost immediately.
+derived here from the structural inputs, and "configured" entries are user
+choices standing in for constants the analysis only names.  The induction
+certifier checks the arithmetic that turns per-scale oscillation reduction
+into the log-power modulus, working in log-radius coordinates since the
+dyadic-32 ladder leaves floating-point range almost immediately.
 """
 from __future__ import annotations
 
@@ -41,13 +40,12 @@ class ConstantsLedger:
     varsigma: float
     nu_star: float
     L: float
-    c_star: float | None = None
     provenance: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         keys = ["n", "p", "Lambda", "alpha", "kappa", "c0", "c1", "c2", "c3",
                 "eps1", "M", "theta1", "theta2", "theta", "varsigma",
-                "nu_star", "L", "c_star"]
+                "nu_star", "L"]
         return {
             "values": {k: getattr(self, k) for k in keys},
             "provenance": dict(self.provenance),

@@ -150,23 +150,36 @@ def cylinder(params: ModulusParams, center: tuple[Sequence[float], float], r: fl
 # Oscillation measurement and modulus fitting
 # ---------------------------------------------------------------------------
 
-def oscillation(trajectory: Trajectory, cyl: IntrinsicCylinder) -> float:
-    """max - min of the temperature over grid nodes and stored times in the
-    cylinder (closed ball, inclusive time slab)."""
+def cylinder_samples(trajectory: Trajectory,
+                     cyl: IntrinsicCylinder) -> tuple[np.ndarray, np.ndarray]:
+    """The grid nodes (a mask) and stored times (indices) in the cylinder:
+    closed ball, inclusive time slab.  Raises EmptyCylinderError unless it
+    holds at least 2 of each."""
     mask = trajectory.ball_mask(cyl.center_space, cyl.ball_radius)
+    t_idx = trajectory.time_indices(*cyl.time_window)
     n_nodes = int(np.count_nonzero(mask))
-    t_lo, t_hi = cyl.time_window
-    t_idx = trajectory.time_indices(t_lo, t_hi)
     if n_nodes < 2 or t_idx.size < 2:
         raise EmptyCylinderError(
             f"cylinder holds {n_nodes} nodes x {t_idx.size} times; need >= 2 of each"
         )
+    return mask, t_idx
+
+
+def extrema(fields: Sequence[np.ndarray], mask: np.ndarray,
+            t_idx: np.ndarray) -> tuple[float, float]:
+    """min and max of `fields` over the masked nodes and the stored times t_idx."""
     lo = math.inf
     hi = -math.inf
     for m in t_idx:
-        vals = trajectory.temps[m][mask]
+        vals = fields[m][mask]
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
+    return lo, hi
+
+
+def oscillation(trajectory: Trajectory, cyl: IntrinsicCylinder) -> float:
+    """max - min of the temperature over the cylinder's samples."""
+    lo, hi = extrema(trajectory.temps, *cylinder_samples(trajectory, cyl))
     return hi - lo
 
 

@@ -42,7 +42,8 @@ def heat_smooth_1d(*, nodes: int = 41, dt: float = 1e-3, t_end: float = 0.05,
         grid=_grid_1d(nodes),
         p=2.0,
         graph=RegularizedGraph(a=5.0, latent_heat=latent_heat, eps=0.05),
-        initial=InitialData.of("fourier", base=0.5, amps=(0.2,), freqs=(1.0,)),
+        # scalars: a config's initial_params reads a one-element list back as one
+        initial=InitialData.of("fourier", base=0.5, amps=0.2, freqs=1.0),
         t_end=t_end,
         dt=DtPolicy(value=dt),
         label="heat-smooth-1d",

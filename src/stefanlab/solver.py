@@ -311,16 +311,14 @@ class StepDiag:
 
 @dataclass
 class Trajectory:
-    """Time-indexed temperature and enthalpy fields plus solve diagnostics."""
+    """Time-indexed temperature and enthalpy fields of one run of `scenario`,
+    plus solve diagnostics."""
 
     scenario: Scenario
-    grid: Grid
-    graph: RegularizedGraph
     times: list[float]
     temps: list[np.ndarray]
     enthalpies: list[np.ndarray]
     diagnostics: list[StepDiag] = dc_field(default_factory=list)
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if any(t1 >= t2 for t1, t2 in zip(self.times, self.times[1:])):
@@ -330,6 +328,14 @@ class Trajectory:
                 raise ShapeMismatchError("field shape does not match grid")
 
     @property
+    def grid(self) -> Grid:
+        return self.scenario.grid
+
+    @property
+    def graph(self) -> RegularizedGraph:
+        return self.scenario.graph
+
+    @property
     def p(self) -> float:
         return self.scenario.p
 
@@ -337,26 +343,18 @@ class Trajectory:
     def field(self) -> VectorField:
         return self.scenario.field
 
-    def axes(self) -> tuple[np.ndarray, ...]:
-        offset = self.meta.get("space_offset", (0.0,) * self.grid.dim)
-        return tuple(ax - off for ax, off in zip(self.grid.axes(), offset))
-
-    def meshgrid(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*self.axes(), indexing="ij"))
-
     def ball_mask(self, center: Sequence[float], radius: float) -> np.ndarray:
-        """Closed-ball membership of grid nodes (Euclidean, offset coordinates)."""
-        xs = self.meshgrid()
+        """Closed-ball membership of grid nodes (Euclidean)."""
+        xs = self.grid.meshgrid()
         d2 = sum((x - c) ** 2 for x, c in zip(xs, center, strict=True))
         return d2 <= radius**2 * (1.0 + 1e-12)
 
+    @functools.cached_property
     def w_fields(self) -> list[np.ndarray]:
         """Transformed fields beta(u); shares storage when beta is the identity."""
         if self.graph.beta.kind == "identity":
             return self.temps
-        if "w_fields" not in self.meta:
-            self.meta["w_fields"] = [self.graph.beta.apply(u) for u in self.temps]
-        return self.meta["w_fields"]
+        return [self.graph.beta.apply(u) for u in self.temps]
 
     def time_indices(self, lo: float, hi: float) -> np.ndarray:
         ts = np.asarray(self.times)
@@ -371,7 +369,8 @@ class Trajectory:
         hsh.update(np.asarray(self.times).tobytes())
         for u in self.temps:
             hsh.update(u.tobytes())
-        hsh.update(json.dumps(self.meta.get("rescale", {}), sort_keys=True).encode())
+        # What an empty rescaling record hashed to, so that every stored hash stays valid.
+        hsh.update(b"{}")
         return hsh.hexdigest()
 
     def resolution_label(self) -> str:
@@ -1011,16 +1010,8 @@ def run_simulation(scenario: Scenario) -> Trajectory:
             times.append(t)
             temps.append(u.copy())
             enths.append(e)
-    return Trajectory(
-        scenario=scenario,
-        grid=grid,
-        graph=g,
-        times=times,
-        temps=temps,
-        enthalpies=enths,
-        diagnostics=diags,
-        meta={"scenario_hash": scenario.scenario_hash()},
-    )
+    return Trajectory(scenario=scenario, times=times, temps=temps, enthalpies=enths,
+                      diagnostics=diags)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,7 +1118,7 @@ def weak_form_residual(
     h = grid.h
     faces = _Faces(grid, trajectory.p, trajectory.field.weights)
     vol = grid.volume_weights()
-    xs = trajectory.meshgrid()
+    xs = trajectory.grid.meshgrid()
     times = np.asarray(trajectory.times)
     last = len(times) - 1
     pairs = [(s, k) for s in range(len(field_maps)) for k in range(len(phi_fns))]

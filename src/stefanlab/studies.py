@@ -13,7 +13,7 @@ import numpy as np
 
 from . import presets, verify
 from .constants import ConstantsLedger, fix_constants
-from .geometry import ModulusParams, alpha_kappa_of, cylinder, omega
+from .geometry import ModulusParams, alpha_kappa_of, cylinder, cylinder_samples, omega
 from .graphs import RegularizedGraph
 from .solver import (DtPolicy, Grid, InitialData, Scenario, SpaceTimeBump, Trajectory,
                      _dirichlet_arrays, conservation_defect, run_simulation,
@@ -58,8 +58,8 @@ def caccioppoli_at(traj: Trajectory, params: ModulusParams,
     """
     cyl = cylinder(params, (center_space, traj.times[-1]), params.r0, "full")
     cyl = replace(cyl, depth=min(cyl.depth, 0.8 * (traj.times[-1] - traj.times[0])))
-    mask = traj.ball_mask(cyl.center_space, cyl.ball_radius)
-    ws = np.concatenate([traj.w_fields()[m][mask] for m in traj.time_indices(*cyl.time_window)])
+    mask, t_idx = cylinder_samples(traj, cyl)
+    ws = np.concatenate([traj.w_fields[m][mask] for m in t_idx])
     return verify.caccioppoli_check(traj, float(np.quantile(ws, 0.3)), cyl)
 
 
@@ -137,7 +137,7 @@ def _weakform(traj: Trajectory, site: CheckSite):
     times, diags = traj.times, traj.diagnostics
     bump = SpaceTimeBump(center=site.center, width=0.8 * site.params.r0,
                          t_center=0.5 * times[-1], t_width=0.6 * times[-1])
-    space = bump.value(traj.meshgrid(), bump.t_center)   # S: T(t_center) = 1
+    space = bump.value(traj.grid.meshgrid(), bump.t_center)   # S: T(t_center) = 1
     ramp = np.abs(bump._time_part(np.asarray(times[1:])))   # |T(t_m)|, m >= 1
     pins = _dirichlet_arrays(traj.scenario)[0]
     if pins is not None and np.any(space[pins]) and np.any(ramp):
@@ -171,7 +171,7 @@ def _weak_harnack(traj: Trajectory, site: CheckSite):
 def _decay(traj: Trajectory, site: CheckSite):
     # From the infimum of the truncated w over the 2 R0 ball at t_start.
     k_trunc = _truncation_level(traj)
-    v0 = np.minimum(traj.w_fields()[traj.nearest_time_index(site.t_start)], k_trunc)
+    v0 = np.minimum(traj.w_fields[traj.nearest_time_index(site.t_start)], k_trunc)
     k_start = float(v0[traj.ball_mask(site.center, 2 * site.R0)].min()) * (1 - 1e-12)
     if k_start <= 0:  # nothing positive to decay: no verdict
         return {"gate": False, "degenerate": True, "note": "no positive starting level"}, None

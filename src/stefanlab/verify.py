@@ -10,15 +10,15 @@ reads of a trajectory and reproduce bit-for-bit for a fixed scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .constants import ConstantsLedger, decay_profile
 from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
-                       OscillationProfile, cylinder, cylinder_depth, fit_modulus,
-                       kappa_ratio, omega, oscillation)
+                       OscillationProfile, cylinder, cylinder_depth, cylinder_samples, extrema,
+                       fit_modulus, kappa_ratio, omega, oscillation)
 from .graphs import enthalpy_jump_primitive
 from .solver import (Scenario, SpaceTimeBump, Trajectory, _Faces, _row_sums, _time_blocks,
                      _time_column, run_simulation, weak_form_residual)
@@ -36,23 +36,10 @@ class InequalityReport:
     margin: float | None
     degenerate: bool
     passed: bool | None
-    scenario_hash: str
-    resolution: str
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs_core": self.rhs_core,
-            "implied_constant": self.implied_constant,
-            "margin": self.margin,
-            "degenerate": self.degenerate,
-            "passed": self.passed,
-            "scenario_hash": self.scenario_hash,
-            "resolution": self.resolution,
-            "details": {k: _jsonable(v) for k, v in self.details.items()},
-        }
+        return {**asdict(self), "details": {k: _jsonable(v) for k, v in self.details.items()}}
 
 
 def _jsonable(v):
@@ -63,13 +50,6 @@ def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return v
-
-
-def _report_meta(trajectory: Trajectory) -> tuple[str, str]:
-    return (
-        trajectory.meta.get("scenario_hash", trajectory.scenario.scenario_hash()),
-        trajectory.resolution_label(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +66,7 @@ _RAMP_FRACTION = 0.5
 
 
 def _cutoff_space(trajectory: Trajectory, cyl: IntrinsicCylinder) -> np.ndarray:
-    xs = trajectory.meshgrid()
+    xs = trajectory.grid.meshgrid()
     d = np.sqrt(sum((x - c) ** 2 for x, c in zip(xs, cyl.center_space)))
     r_in = _PLATEAU_FRACTION * cyl.ball_radius
     r_out = cyl.ball_radius
@@ -135,10 +115,7 @@ def caccioppoli_check(
     p = trajectory.p
     faces = _Faces(grid, p, trajectory.field.weights)
     lh = graph.latent_heat
-    mask = trajectory.ball_mask(cyl.center_space, cyl.ball_radius)
-    t_idx = trajectory.time_indices(*cyl.time_window)
-    if int(mask.sum()) < 2 or t_idx.size < 2:
-        raise EmptyCylinderError("cylinder too small for the energy check")
+    mask, t_idx = cylinder_samples(trajectory, cyl)
 
     vol = grid.volume_weights()
     ball_vol = float(np.sum(vol[mask]))
@@ -147,7 +124,7 @@ def caccioppoli_check(
     phi_space = _cutoff_space(trajectory, cyl)
     times = np.asarray(trajectory.times)[t_idx]
     phi_time = _cutoff_time(times, cyl)
-    w_all = trajectory.w_fields()
+    w_all = trajectory.w_fields
 
     def ball_means(a):
         """Per row of a, the volume-weighted mean over the ball."""
@@ -195,20 +172,17 @@ def caccioppoli_check(
     lhs = sup_jump / slab + sup_sq / slab + grad_term_num / span
     rhs = (rhs_grad_num + rhs_time_num + rhs_jump_num) / span
 
-    scen_hash, res = _report_meta(trajectory)
     if rhs <= 0.0:
         degenerate = lhs <= 1e-30
         return InequalityReport(
             name="caccioppoli", lhs=lhs, rhs_core=rhs, implied_constant=None,
             margin=None, degenerate=True, passed=degenerate,
-            scenario_hash=scen_hash, resolution=res,
             details={"note": "0/0: truncation inactive", "level": k},
         )
     implied = lhs / rhs
     return InequalityReport(
         name="caccioppoli", lhs=lhs, rhs_core=rhs, implied_constant=implied,
         margin=None, degenerate=False, passed=math.isfinite(implied) and implied >= 0,
-        scenario_hash=scen_hash, resolution=res,
         details={
             "level": k,
             "sup_jump_term": sup_jump / slab,
@@ -276,14 +250,13 @@ def truncation_supersolution_check(
         raise ValueError("truncation level must satisfy k < b - eps")
     fams = _test_function_family(region[0], region[1], rng_seed=rng_seed)
 
-    w_all = trajectory.w_fields()
+    w_all = trajectory.w_fields
     sup, sub = weak_form_residual(
         trajectory, w_all, w_all, [lambda w: np.minimum(w, k), lambda w: np.maximum(k - w, 0.0)],
         [phi.value for phi in fams])
     worst_super = min(r / scale for r, scale in sup)
     worst_sub = max(r / scale for r, scale in sub)
 
-    scen_hash, res = _report_meta(trajectory)
     passed = worst_super >= -_TRUNCATION_TOL and worst_sub <= _TRUNCATION_TOL
     return InequalityReport(
         name="truncation-supersolution",
@@ -293,8 +266,6 @@ def truncation_supersolution_check(
         margin=worst_super + _TRUNCATION_TOL,
         degenerate=False,
         passed=passed,
-        scenario_hash=scen_hash,
-        resolution=res,
         details={
             "level": k,
             "jump": b,
@@ -311,7 +282,7 @@ def truncation_supersolution_check(
 # ---------------------------------------------------------------------------
 
 def _truncated_supersolution(trajectory: Trajectory, k_truncation: float | None):
-    w_all = trajectory.w_fields()
+    w_all = trajectory.w_fields
     if k_truncation is None:
         return w_all
     g = trajectory.graph
@@ -340,7 +311,7 @@ def weak_harnack_check(
     if p <= 2.0:
         raise ValueError("waiting-time estimate needs p > 2")
     grid = trajectory.grid
-    axes = trajectory.axes()
+    axes = trajectory.grid.axes()
     for c, ax in zip(x0, axes):
         if c - 4.0 * R0 < ax[0] - 1e-12 or c + 4.0 * R0 > ax[-1] + 1e-12:
             raise ValueError("ball of radius 4*R0 must fit inside the grid")
@@ -356,12 +327,10 @@ def weak_harnack_check(
     mask_avg = trajectory.ball_mask(x0, R0)
     avg = float(np.sum((v_all[m1] * vol)[mask_avg]) / np.sum(vol[mask_avg]))
 
-    scen_hash, res = _report_meta(trajectory)
     if avg <= 0.0:
         return InequalityReport(
             name="weak-harnack", lhs=avg, rhs_core=0.0, implied_constant=None,
             margin=None, degenerate=True, passed=None,
-            scenario_hash=scen_hash, resolution=res,
             details={"note": "zero average: the estimate bounds nothing"},
         )
 
@@ -380,7 +349,7 @@ def weak_harnack_check(
         return InequalityReport(
             name="weak-harnack", lhs=avg, rhs_core=first_term,
             implied_constant=None, margin=first_term - avg, degenerate=True,
-            passed=degenerate, scenario_hash=scen_hash, resolution=res,
+            passed=degenerate,
             details={"note": "zero infimum", "tau": tau, "avg": avg,
                      "first_term": first_term},
         )
@@ -388,7 +357,6 @@ def weak_harnack_check(
     return InequalityReport(
         name="weak-harnack", lhs=avg, rhs_core=inf_q, implied_constant=c2,
         margin=None, degenerate=False, passed=math.isfinite(c2),
-        scenario_hash=scen_hash, resolution=res,
         details={
             "tau": tau, "avg": avg, "inf": inf_q, "first_term": first_term,
             "window": [float(t_lo), float(t_hi)], "window_samples": int(window.size),
@@ -423,12 +391,10 @@ def decay_of_positivity_check(
 
     t_list = trajectory.time_indices(trajectory.times[m0], t0 + T)
     t_list = t_list[t_list > m0]
-    scen_hash, res = _report_meta(trajectory)
     if t_list.size == 0:
         return InequalityReport(
             name="decay-of-positivity", lhs=inf0, rhs_core=k,
             implied_constant=None, margin=None, degenerate=True, passed=True,
-            scenario_hash=scen_hash, resolution=res,
             details={"note": "window holds no later samples"},
         )
     infs = np.array([float(v_all[m][mask].min()) for m in t_list])
@@ -445,7 +411,7 @@ def decay_of_positivity_check(
             return InequalityReport(
                 name="decay-of-positivity", lhs=float(infs.min()), rhs_core=k,
                 implied_constant=math.inf, margin=None, degenerate=False,
-                passed=False, scenario_hash=scen_hash, resolution=res,
+                passed=False,
                 details={"note": "no finite c3 validates the window"},
             )
     if validates(lo):
@@ -464,7 +430,6 @@ def decay_of_positivity_check(
         name="decay-of-positivity", lhs=float(infs.min()), rhs_core=k,
         implied_constant=c3_star, margin=ledger.c3 - c3_star, degenerate=False,
         passed=math.isfinite(c3_star),
-        scenario_hash=scen_hash, resolution=res,
         details={
             "smallest_c3": c3_star,
             "ledger_c3": ledger.c3,
@@ -494,13 +459,8 @@ def alternative_classifier(
     compares with eps1 * omega(r)^{1 + kappa/(kappa-1)}.  Oscillation below
     omega(r) short-circuits to the trivial verdict.
     """
-    w_all = trajectory.w_fields()
-    mask_enc = trajectory.ball_mask(enclosing.center_space, enclosing.ball_radius)
-    t_enc = trajectory.time_indices(*enclosing.time_window)
-    if int(mask_enc.sum()) < 2 or t_enc.size < 2:
-        raise EmptyCylinderError("enclosing cylinder too small")
-    w_lo = min(float(w_all[m][mask_enc].min()) for m in t_enc)
-    w_hi = max(float(w_all[m][mask_enc].max()) for m in t_enc)
+    w_all = trajectory.w_fields
+    w_lo, w_hi = extrema(w_all, *cylinder_samples(trajectory, enclosing))
     osc = w_hi - w_lo
 
     out = {
@@ -514,10 +474,7 @@ def alternative_classifier(
         out["classification"] = "trivial"
         return out
 
-    mask_t = trajectory.ball_mask(cylinder_tilde.center_space, cylinder_tilde.ball_radius)
-    t_idx = trajectory.time_indices(*cylinder_tilde.time_window)
-    if int(mask_t.sum()) < 2 or t_idx.size < 2:
-        raise EmptyCylinderError("short cylinder too small")
+    mask_t, t_idx = cylinder_samples(trajectory, cylinder_tilde)
     level = osc / 4.0
     total = 0
     above = 0
@@ -578,7 +535,7 @@ def modulus_acceptance(
     lam = max(osc_global, 1.0)
 
     outer0 = cylinder(params, center, params.r0, "outer", lambda_scale=lam)
-    axes = trajectory.axes()
+    axes = trajectory.grid.axes()
     for c, ax in zip(outer0.center_space, axes):
         if c - params.r0 < ax[0] - 1e-9 or c + params.r0 > ax[-1] + 1e-9:
             raise ValueError("outermost cylinder must fit inside the domain")
@@ -597,7 +554,7 @@ def modulus_acceptance(
         try:
             cyl_i = cylinder(params, center, r_i, "outer", lambda_scale=lam)
             osc_i = oscillation(trajectory, cyl_i)
-        except (EmptyCylinderError, ValueError):
+        except ValueError:
             break
         radii.append(r_i)
         depths.append(cyl_i.depth)

@@ -1,18 +1,17 @@
 """Test-only helpers: a uniform test function, the test bump with its
 gradient, the O(h^2) weak-form residual they feed, a Lyapunov sequence, the
-modulus log-slope, a ledger with measured values, the forwarded level
-fraction and the rescaled graph and solution.  Nothing in the package calls
+modulus log-slope, the forwarded level fraction and the rescaled graph and
+solution.  Nothing in the package calls
 them, so they live beside the tests that do."""
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from stefanlab.constants import ConstantsLedger
-from stefanlab.geometry import EmptyCylinderError, ModulusParams, cylinder, omega
+from stefanlab.geometry import (EmptyCylinderError, ModulusParams, cylinder, cylinder_samples,
+                               extrema, omega)
 from stefanlab.graphs import BetaMap, RegularizedGraph
 from stefanlab import solver
 from stefanlab.solver import (Grid, Trajectory, _Faces, _on_rows, _row_sums, _time_blocks,
@@ -107,7 +106,7 @@ def centered_weak_form_residual(
     shape (rows, 1, ...) against the node coordinates.
     """
     grid = trajectory.grid
-    xs = trajectory.meshgrid()
+    xs = trajectory.grid.meshgrid()
     times = np.asarray(trajectory.times)
     slack = 1e-9 * (1.0 + abs(times[-1]))
     if time_window[0] < times[0] - slack or time_window[1] > times[-1] + slack:
@@ -205,14 +204,6 @@ def omega_log_slope(params: ModulusParams, r):
     return out if out.ndim else float(out)
 
 
-def with_measured(ledger: ConstantsLedger, **measured) -> ConstantsLedger:
-    """The ledger with the given values replaced and tagged "measured"."""
-    prov = dict(ledger.provenance)
-    for k in measured:
-        prov[k] = "measured"
-    return replace(ledger, provenance=prov, **measured)
-
-
 def forwarded_level_fraction(
     trajectory: Trajectory,
     params: ModulusParams,
@@ -226,13 +217,9 @@ def forwarded_level_fraction(
     omega(r)^{1 + 1/alpha}.  Diagnostic only; nothing is asserted."""
     space, t0 = center
     full = cylinder(params, center, r, "full")
-    w_all = trajectory.w_fields()
-    mask_full = trajectory.ball_mask(full.center_space, full.ball_radius)
-    t_full = trajectory.time_indices(*full.time_window)
-    if int(mask_full.sum()) < 2 or t_full.size < 2:
-        raise EmptyCylinderError("cylinder too small")
-    w_lo = min(float(w_all[m][mask_full].min()) for m in t_full)
-    osc = max(float(w_all[m][mask_full].max()) for m in t_full) - w_lo
+    w_all = trajectory.w_fields
+    w_lo, w_hi = extrema(w_all, *cylinder_samples(trajectory, full))
+    osc = w_hi - w_lo
 
     w_r = omega(params, r)
     level = osc - varsigma * w_r ** (1.0 + 1.0 / params.alpha)
@@ -272,44 +259,23 @@ def rescaled_graph(graph: RegularizedGraph, lam: float) -> RegularizedGraph:
     )
 
 
-def rescale_solution(trajectory: Trajectory, lam: float,
-                     space_shift: Sequence[float] | None = None,
-                     time_shift: float = 0.0) -> Trajectory:
+def rescale_solution(trajectory: Trajectory, lam: float) -> Trajectory:
     """Divide the solution by lam >= 1 and stretch time by lam^{p-2}.
 
     The rescaled fields solve a structurally identical problem whose graph
-    has jump a/lam, width eps/lam and effective latent heat lh/lam; that
-    effective value is recorded in the metadata.  lam = 1 with zero shifts is
-    the identity.
+    has jump a/lam, width eps/lam and effective latent heat lh/lam; the
+    rescaled trajectory's scenario carries that graph.  lam = 1 is the
+    identity.
     """
     if lam < 1.0:
         raise ValueError("lam must be >= 1")
-    p = trajectory.p
     graph = rescaled_graph(trajectory.graph, lam) if lam != 1.0 else trajectory.graph
-    factor = lam ** (p - 2.0)
-    new_times = [time_shift + factor * t for t in trajectory.times]
+    factor = lam ** (trajectory.p - 2.0)
     new_temps = [u / lam for u in trajectory.temps]
-    new_enths = [np.asarray(graph.enthalpy_of_temperature(u)) for u in new_temps]
-    dim = trajectory.grid.dim
-    shift = tuple(space_shift) if space_shift is not None else (0.0,) * dim
-    old_offset = trajectory.meta.get("space_offset", (0.0,) * dim)
-    meta = dict(trajectory.meta)
-    meta.pop("w_fields", None)
-    meta["space_offset"] = tuple(o + s for o, s in zip(old_offset, shift))
-    meta["lh_effective"] = graph.latent_heat
-    if lam != 1.0 or time_shift != 0.0 or any(s != 0.0 for s in shift):
-        rescales = list(meta.get("rescale", {}).get("history", []))
-        rescales.append({"lambda": lam, "time_shift": time_shift,
-                         "space_shift": list(shift)})
-        meta["rescale"] = {"history": rescales, "lambda_total": math.prod(
-            h["lambda"] for h in rescales)}
     return Trajectory(
-        scenario=trajectory.scenario,
-        grid=trajectory.grid,
-        graph=graph,
-        times=new_times,
+        scenario=replace(trajectory.scenario, graph=graph),
+        times=[factor * t for t in trajectory.times],
         temps=new_temps,
-        enthalpies=new_enths,
+        enthalpies=[np.asarray(graph.enthalpy_of_temperature(u)) for u in new_temps],
         diagnostics=trajectory.diagnostics,
-        meta=meta,
     )

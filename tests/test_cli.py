@@ -158,11 +158,19 @@ directory = {out}
         out1, out2 = tmp_path / "a", tmp_path / "b"
         path = _write(tmp_path, BASE_CONFIG.format(outdir=out1))
         assert cli.main(["run", str(path), "--output", str(out1)]) == 0
-        assert cli.main(["run", str(path), "--output", str(out2)]) == 0
+        # The resolved config, its preset expanded, reruns the run file for file.
+        resolved = out1 / "resolved_config.ini"
+        assert "\npreset = " not in resolved.read_text()
+        assert cli.main(["run", str(resolved), "--output", str(out2)]) == 0
         assert _tree_hash(out1) == _tree_hash(out2)
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["all_pass"]
-        assert (out1 / "resolved_config.ini").exists()
+        # Each check record carries the run's identity.
+        records = [json.loads(line) for line in (out1 / "checks.jsonl").read_text().splitlines()]
+        assert [r["name"] for r in records] == ["caccioppoli", "truncation-supersolution"]
+        for record in records:
+            assert record["scenario_hash"] == summary["scenario_hash"]
+            assert record["resolution"] == f"nodes=41,steps={summary['solver']['steps']}"
         assert (out1 / "ledger.json").exists()
         assert (out1 / "oscillation.csv").exists()
         assert summary["artifact_hashes"]
@@ -204,7 +212,7 @@ directory = {out}
             assert [p.name for p in bins] == [f"step_{m:06d}.bin" for m in kept]
             assert index["dtype"] == "<f8" and index["order"] == "row-major"
             assert index["shape"] == [41]
-            assert index["scenario_hash"] == traj.meta["scenario_hash"]
+            assert index["scenario_hash"] == traj.scenario.scenario_hash()
             assert index["times"] == [traj.times[m] for m in kept]
             for p, m in zip(bins, index["indices"]):
                 data = np.fromfile(p, dtype="<f8").reshape(index["shape"])
@@ -776,6 +784,7 @@ class TestConfigFuzz:
     @example(text="[scenario]\ndim = 100000000000\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n")
     @example(text="[scenario]\npreset = constant\nnodes = inf\n")
     @example(text="[scenario]\nbeta = piecewise:1\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n")
+    @example(text="[scenario]\npreset = constant\nlabel = 5%% off\n")
     @settings(max_examples=100, deadline=None)
     def test_validate_exits_zero_or_two(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("fuzz") / "config.ini"
@@ -785,13 +794,17 @@ class TestConfigFuzz:
         if code == 0:
             # On an accepted config, the work `run` does before the solve
             # raises nothing: the initial field, the measurement parameters,
-            # the ledger and the resolved config.
+            # the ledger and the resolved config, which reads back as the
+            # same scenario.
             cfg = cli.parse_config(path)
             sc, mod = cfg.scenario, cfg.values["modulus"]
             assert np.isfinite(solver.build_initial(sc.grid, sc.initial)).all()
             studies.measurement_params(sc, mod["r0"], mod["alpha_if_p_eq_n"])
             assert cfg.ledger.Lambda == sc.certified_lambda()
-            cli._resolved_config_text(cfg)
+            path.write_text(cli._resolved_config_text(cfg), encoding="utf-8")
+            again = cli.parse_config(path).scenario
+            assert again.scenario_hash() == sc.scenario_hash()
+            assert (again.step_rtol, again.label) == (sc.step_rtol, sc.label)
 
 
 def test_readme_documents_every_key():

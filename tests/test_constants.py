@@ -11,8 +11,6 @@ from stefanlab.constants import (LN32, certify_all_pairs, certify_induction,
                                  decay_profile, fix_constants, r_tilde_0)
 from stefanlab.geometry import ModulusParams, omega
 
-from helpers import with_measured
-
 
 class TestFixConstants:
     def test_level_fraction_and_depth_example(self):
@@ -84,9 +82,6 @@ class TestFixConstants:
         assert led.provenance["M"] == "formula"
         assert led.provenance["L"] == "formula"
         assert led.provenance["c0"] == "configured"
-        led2 = with_measured(led, c_star=1.7)
-        assert led2.c_star == 1.7
-        assert led2.provenance["c_star"] == "measured"
 
 
 class TestDecayProfile:

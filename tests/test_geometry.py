@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stefanlab import presets
+from stefanlab import presets, verify
 from stefanlab.geometry import (EmptyCylinderError, IntrinsicCylinder,
                                 ModulusParams, OscillationProfile,
                                 alpha_kappa_of, cylinder, cylinder_depth,
@@ -156,8 +156,7 @@ def _frozen_linear_trajectory(nodes=41, times=(0.0, 0.05, 0.1)):
     x = grid.axes()[0]
     temps = [x.copy() for _ in times]
     enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
-    return Trajectory(scenario=sc, grid=grid, graph=sc.graph, times=list(times),
-                      temps=temps, enthalpies=enths)
+    return Trajectory(scenario=sc, times=list(times), temps=temps, enthalpies=enths)
 
 
 class TestOscillation:
@@ -185,11 +184,20 @@ class TestOscillation:
         assert oscs[0] >= oscs[1] >= oscs[2]
 
     def test_empty_cylinder(self):
+        # Every check that samples a cylinder needs >= 2 nodes and >= 2 times.
         traj = _frozen_linear_trajectory(nodes=11)
-        with pytest.raises(EmptyCylinderError):
-            oscillation(traj, IntrinsicCylinder((0.5,), 0.1, 0.01, 0.1, "full"))
-        with pytest.raises(EmptyCylinderError):
-            oscillation(traj, IntrinsicCylinder((0.5,), 0.1, 0.3, 1e-4, "full"))
+        ok = IntrinsicCylinder((0.5,), 0.1, 0.3, 0.1, "full")
+        for empty in (IntrinsicCylinder((0.5,), 0.1, 0.01, 0.1, "full"),   # one node
+                      IntrinsicCylinder((0.5,), 0.1, 0.3, 1e-4, "full")):  # one time
+            for sample in (lambda: oscillation(traj, empty),
+                           lambda: verify.caccioppoli_check(traj, 0.5, empty),
+                           # the enclosing cylinder, then the short one
+                           lambda: verify.alternative_classifier(traj, ok, empty, 0.0, 0.1,
+                                                                 math.inf),
+                           lambda: verify.alternative_classifier(traj, empty, ok, 0.0, 0.1,
+                                                                 math.inf)):
+                with pytest.raises(EmptyCylinderError, match="need >= 2 of each"):
+                    sample()
 
 
 class TestRescale:
@@ -205,7 +213,6 @@ class TestRescale:
         for a, b in zip(doubled.temps, traj.temps):
             assert np.array_equal(a, b / 2.0)
         assert doubled.graph.latent_heat == pytest.approx(0.5)
-        assert doubled.meta["lh_effective"] == pytest.approx(0.5)
 
     def test_p3_time_stretch(self):
         traj = run_simulation(presets.twophase_1d(p=3.0, nodes=31, t_end=0.005, dt=5e-4))

@@ -42,26 +42,18 @@ class TestGrid:
         assert np.sum(g2.volume_weights()) == pytest.approx(1.0, rel=1e-13)
 
     def test_ball_mask_counts(self):
-        # Trajectory.ball_mask measures in the trajectory's offset coordinates.
         g = Grid(extents=(1.0,), nodes=(11,))
         sc = Scenario(grid=g, p=2.0, graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1))
-
-        def traj(offset):
-            u = np.zeros(11)
-            return Trajectory(scenario=sc, grid=g, graph=sc.graph, times=[0.0],
-                              temps=[u], enthalpies=[u], meta={"space_offset": offset})
-
-        plain, shifted = traj((0.0,)), traj((0.2,))
-        assert int(plain.ball_mask((0.5,), 0.25).sum()) == 5  # nodes at 0.3 ... 0.7
-        assert int(plain.ball_mask((0.5,), 0.3).sum()) == 7   # boundary nodes included
-        # x - 0.2 in [0.25, 0.75]: the nodes at 0.5 ... 0.9
-        assert list(np.flatnonzero(shifted.ball_mask((0.5,), 0.25))) == [5, 6, 7, 8, 9]
-        # x - 0.2 in [0.5, 1.1]: the nodes at 0.7 ... 1.0, boundary included
-        assert list(np.flatnonzero(shifted.ball_mask((0.8,), 0.3))) == [7, 8, 9, 10]
+        u = np.zeros(11)
+        traj = Trajectory(scenario=sc, times=[0.0], temps=[u], enthalpies=[u])
+        assert int(traj.ball_mask((0.5,), 0.25).sum()) == 5  # nodes at 0.3 ... 0.7
+        assert int(traj.ball_mask((0.5,), 0.3).sum()) == 7   # boundary nodes included
+        # [0.5, 1.1]: the nodes at 0.5 ... 1.0, boundary included
+        assert list(np.flatnonzero(traj.ball_mask((0.8,), 0.3))) == [5, 6, 7, 8, 9, 10]
         # A centre needs one coordinate per axis; extra ones are not dropped.
         for center in ((0.5, 0.5), ()):
             with pytest.raises(ValueError):
-                plain.ball_mask(center, 0.25)
+                traj.ball_mask(center, 0.25)
 
 
 class TestVectorField:

@@ -137,7 +137,7 @@ class TestTruncation:
         # Time-dependent bumps, so the time terms do not vanish.
         phis = [SpaceTimeBump(b.center, b.width, t_center=0.5 * t_end, t_width=0.6 * t_end).value
                 for b in verify._test_function_family(lo, hi, rng_seed=3)]
-        w = traj.w_fields()
+        w = traj.w_fields
         got = solver.weak_form_residual(traj, w, w, field_maps, phis)
         for fields, row in zip(field_sets, got):
             for phi_fn, pair in zip(phis, row):
@@ -152,7 +152,7 @@ def _truncations(traj, k):
     """The truncation check's two field maps min(w, k) and (k - w)_+, and
     the field sequences they give, one stored time at a time."""
     field_maps = [lambda w: np.minimum(w, k), lambda w: np.maximum(k - w, 0.0)]
-    return field_maps, [[f(w) for w in traj.w_fields()] for f in field_maps]
+    return field_maps, [[f(w) for w in traj.w_fields] for f in field_maps]
 
 
 def per_pair_weak_residual(traj, fields, phi_fn):
@@ -162,7 +162,7 @@ def per_pair_weak_residual(traj, fields, phi_fn):
     grid, p, h = traj.grid, traj.p, traj.grid.h
     vol = grid.volume_weights()
     times = np.asarray(traj.times)
-    phis = [np.asarray(phi_fn(traj.meshgrid(), t)) for t in times]
+    phis = [np.asarray(phi_fn(traj.grid.meshgrid(), t)) for t in times]
     last = len(times) - 1
     r_val = (float(np.sum(vol * fields[last] * phis[last]))
              - float(np.sum(vol * fields[0] * phis[0])))
@@ -250,7 +250,7 @@ def per_time_caccioppoli(traj, k, cyl):
 
     sup_jump = sup_sq = grad = rhs_grad = rhs_time = rhs_jump = total = 0.0
     for j, m in enumerate(t_idx):
-        w = traj.w_fields()[m]
+        w = traj.w_fields[m]
         phi = phi_space * phi_time[j]
         vk = np.maximum(w - k, 0.0)
         jump = verify.enthalpy_jump_primitive(graph, graph.a, k, w)
@@ -275,7 +275,7 @@ def per_time_caccioppoli(traj, k, cyl):
 def per_time_weak_form(traj, bump):
     """`centered_weak_form_residual` over the whole run, full domain, one stored time
     at a time, with node gradients from a mirror-padded copy."""
-    grid, xs = traj.grid, traj.meshgrid()
+    grid, xs = traj.grid, traj.grid.meshgrid()
     times = np.asarray(traj.times)
     vol = grid.volume_weights()
     phis = [np.asarray(bump.value(xs, t)) for t in times]
@@ -305,7 +305,7 @@ class TestTimeBlocks:
         traj = blocked_run
         block_rows(math.prod(traj.grid.shape))
         cyl = _whole_run_cylinder(traj)
-        ws = np.concatenate(traj.w_fields())
+        ws = np.concatenate(traj.w_fields)
         k = float(np.quantile(ws, 0.3))
         rep = verify.caccioppoli_check(traj, k, cyl)
         ref = per_time_caccioppoli(traj, k, cyl)
@@ -331,7 +331,7 @@ class TestTimeBlocks:
         phis = [SpaceTimeBump(b.center, b.width, t_center=0.5 * t_end, t_width=0.6 * t_end).value
                 for b in verify._test_function_family((0.15,) * dim, (0.85,) * dim,
                                                       rng_seed=3)]
-        w = traj.w_fields()
+        w = traj.w_fields
         default = solver.weak_form_residual(traj, w, w, field_maps, phis)
         block_rows(math.prod(traj.grid.shape))
         got = solver.weak_form_residual(traj, w, w, field_maps, phis)
@@ -420,7 +420,7 @@ class TestDecayOfPositivity:
             ktr = g.a - 1.5 * g.eps
             mask = traj.ball_mask((0.5,), 0.2)
             m0 = traj.nearest_time_index(0.004)
-            k = float(np.minimum(traj.w_fields()[m0], ktr)[mask].min()) * (1 - 1e-12)
+            k = float(np.minimum(traj.w_fields[m0], ktr)[mask].min()) * (1 - 1e-12)
             rep = verify.decay_of_positivity_check(
                 traj, k, (0.5,), 0.1, traj.times[m0],
                 traj.times[-1] - traj.times[m0], ledger, k_truncation=ktr)
@@ -438,8 +438,7 @@ def _two_level_trajectory(low_nodes, high_value=2.0, low_value=0.0, nodes=41):
     times = [0.0, 0.1, 0.2, 0.3, 0.4]
     temps = [field.copy() for _ in times]
     enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
-    return Trajectory(scenario=sc, grid=grid, graph=sc.graph, times=times,
-                      temps=temps, enthalpies=enths)
+    return Trajectory(scenario=sc, times=times, temps=temps, enthalpies=enths)
 
 
 class TestAlternativeClassifier:
@@ -573,7 +572,7 @@ class TestScaleCovariance:
 
         mask = traj.ball_mask((0.5,), 0.2)
         m0 = traj.nearest_time_index(0.004)
-        k = float(np.minimum(traj.w_fields()[m0], ktr)[mask].min()) * (1 - 1e-12)
+        k = float(np.minimum(traj.w_fields[m0], ktr)[mask].min()) * (1 - 1e-12)
         d1 = verify.decay_of_positivity_check(
             traj, k, (0.5,), 0.1, traj.times[m0], traj.times[-1] - traj.times[m0],
             led, k_truncation=ktr)
@@ -622,8 +621,7 @@ class TestModulusAcceptance:
         times = list(np.linspace(0.0, 0.1, 2601))
         temps = [0.4 * x.copy() for _ in times]
         enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
-        traj = Trajectory(scenario=sc, grid=grid, graph=sc.graph, times=times,
-                          temps=temps, enthalpies=enths)
+        traj = Trajectory(scenario=sc, times=times, temps=temps, enthalpies=enths)
         params = studies.measurement_params(sc, r0=0.2)
         ledger = studies.default_ledger(sc)
         profile, verdict = verify.modulus_acceptance(
