@@ -369,7 +369,7 @@ class Trajectory:
         hsh.update(np.asarray(self.times).tobytes())
         for u in self.temps:
             hsh.update(u.tobytes())
-        # What an empty rescaling record hashed to, so that every stored hash stays valid.
+        # The bytes every hash has ended with so far: stored hashes stay valid.
         hsh.update(b"{}")
         return hsh.hexdigest()
 
@@ -1118,7 +1118,7 @@ def weak_form_residual(
     h = grid.h
     faces = _Faces(grid, trajectory.p, trajectory.field.weights)
     vol = grid.volume_weights()
-    xs = trajectory.grid.meshgrid()
+    xs = grid.meshgrid()
     times = np.asarray(trajectory.times)
     last = len(times) - 1
     pairs = [(s, k) for s in range(len(field_maps)) for k in range(len(phi_fns))]

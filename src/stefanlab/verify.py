@@ -311,7 +311,7 @@ def weak_harnack_check(
     if p <= 2.0:
         raise ValueError("waiting-time estimate needs p > 2")
     grid = trajectory.grid
-    axes = trajectory.grid.axes()
+    axes = grid.axes()
     for c, ax in zip(x0, axes):
         if c - 4.0 * R0 < ax[0] - 1e-12 or c + 4.0 * R0 > ax[-1] + 1e-12:
             raise ValueError("ball of radius 4*R0 must fit inside the grid")

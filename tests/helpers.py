@@ -1,8 +1,8 @@
 """Test-only helpers: a uniform test function, the test bump with its
 gradient, the O(h^2) weak-form residual they feed, a Lyapunov sequence, the
 modulus log-slope, the forwarded level fraction and the rescaled graph and
-solution.  Nothing in the package calls
-them, so they live beside the tests that do."""
+solution.  Nothing in the package calls them, so they live beside the tests
+that do."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -106,7 +106,7 @@ def centered_weak_form_residual(
     shape (rows, 1, ...) against the node coordinates.
     """
     grid = trajectory.grid
-    xs = trajectory.grid.meshgrid()
+    xs = grid.meshgrid()
     times = np.asarray(trajectory.times)
     slack = 1e-9 * (1.0 + abs(times[-1]))
     if time_window[0] < times[0] - slack or time_window[1] > times[-1] + slack:
