@@ -207,7 +207,8 @@ KEYS: dict[str, dict[str, Key]] = {
         "seed": Key("1234", _count),
     },
     "output": {
-        "directory": Key("out/run", lambda t: Path(os.environ.get(ENV_OUTPUT_ROOT) or "") / t),
+        # joined to the output root where it is used (`_under_output_root`)
+        "directory": Key("out/run", Path),
         "snapshot_stride": Key("0", _count),
     },
     "sweep": {
@@ -233,7 +234,12 @@ class RunConfig:
 
     @property
     def output_dir(self) -> Path:
-        return self.values["output"]["directory"]
+        return _under_output_root(self.values["output"]["directory"])
+
+
+def _under_output_root(directory: Path) -> Path:
+    """`directory` under `STEFANLAB_OUTPUT_ROOT` when that is set."""
+    return Path(os.environ.get(ENV_OUTPUT_ROOT) or "") / directory
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -287,8 +293,7 @@ def _config_of(raw: dict[str, dict[str, str]]) -> RunConfig:
         n=n, p=p, Lambda=scenario.certified_lambda(),
         alpha_choice_if_p_eq_n=mod["alpha_if_p_eq_n"] if p == n else None,
         **val["constants"]))
-    params = _named("modulus", studies.measurement_params, scenario, mod["r0"],
-                    mod["alpha_if_p_eq_n"])
+    params = _named("modulus", studies.measurement_params, ledger, mod["r0"])
     if mod["l_prefactor"] is not None:
         params = replace(params, L=mod["l_prefactor"])
 
@@ -569,7 +574,7 @@ def _config_error_dir(config_path) -> Path:
         text = _read_ini(config_path)[1].get("output", {}).get("directory", key.default)
     except ConfigError:
         text = key.default
-    return key.parse(text)
+    return _under_output_root(key.parse(text))
 
 
 def _emit_config_error(config_path, err: ConfigError, out_override) -> None:

@@ -40,13 +40,14 @@ time (linear on the second step, quadratic after that).  Its error is
 O(dt^3) instead of the O(dt) of the previous state, so a step needs about
 half the Newton iterations; the minimizer it converges to is the same.
 
-A step evaluates nothing twice.  A run builds one `_StepProblem` (cell
-volumes, faces, pins) and each step sets only e_old and dt.  e(u) of an
-accepted state is the lookup the step's last residual made there, handed
-to the next step as `e_old`; each Newton system reuses the face gradients
-and |g|^{p-2} of the residual at the same iterate.  Step energies F are
-evaluated only on line-search trials the residual did not accept.
-`StepDiag.energy_decreased` certifies F(u) <= F(u_start) + 1e-12
+A step evaluates nothing twice.  A scenario builds its cell volumes, faces
+and pins once (`Scenario._cells`; it is frozen, so they cannot go stale),
+and each step's `_StepProblem` adds only its e_old and dt.  `implicit_step`
+returns e(u) of the state it accepts, the lookup its last residual made
+there, which the next step takes as `e_old`; each Newton system reuses the
+face gradients and |g|^{p-2} of the residual at the same iterate.  Step
+energies F are evaluated only on line-search trials the residual did not
+accept.  `StepDiag.energy_decreased` certifies F(u) <= F(u_start) + 1e-12
 (1 + |F(u_start)|); by convexity it holds without evaluating F whenever
 r(u).(u_start - u) >= -1e-12 (see `_energy_decreased`).
 """
@@ -60,7 +61,6 @@ import json
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Literal, Sequence
 
@@ -228,9 +228,10 @@ class DtPolicy:
         return min(dt, remaining)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Full problem statement for one run."""
+    """Full problem statement for one run; `dataclasses.replace` makes a
+    changed copy."""
 
     grid: Grid
     p: float
@@ -255,10 +256,17 @@ class Scenario:
         if self.store_every < 1:
             raise ScenarioValueError("store_every", "must be >= 1")
         if self.field is None:
-            self.field = VectorField((1.0,) * self.grid.dim)
+            object.__setattr__(self, "field", VectorField((1.0,) * self.grid.dim))
         elif len(self.field.weights) != self.grid.dim:
             raise ScenarioValueError("field", f"has {len(self.field.weights)} weights for a "
                                               f"{self.grid.dim}D grid; need one per axis")
+
+    @functools.cached_property
+    def _cells(self) -> tuple:
+        """(cell volumes, `_Faces`, pin mask, pin values) of every step
+        problem on this scenario."""
+        return (self.grid.volume_weights(), _Faces(self.grid, self.p, self.field.weights),
+                *_dirichlet_arrays(self))
 
     def certified_lambda(self) -> float:
         """Structure constant covering both the flux law and the beta map."""
@@ -375,8 +383,7 @@ class Trajectory:
 
     def resolution_label(self) -> str:
         nodes = "x".join(str(n) for n in self.grid.nodes)
-        nsteps = len(self.times) - 1
-        return f"nodes={nodes},steps={nsteps}"
+        return f"nodes={nodes},steps={len(self.diagnostics)}"
 
 
 # ---------------------------------------------------------------------------
@@ -577,65 +584,40 @@ def _gtsv():
 
 
 class _StepProblem:
-    """Gradient/Hessian/energy of the step functional on one scenario.  Of
-    its data only `e_old` and `dt` change from step to step (`start_step`),
-    so a run builds one problem (`_step_problem`)."""
+    """Gradient/Hessian/energy of one step's functional: the scenario's
+    cells (`Scenario._cells`) with the step's e_old and dt."""
 
-    def __init__(self, scenario: Scenario, e_old: np.ndarray | None = None,
-                 dt: float | None = None):
+    def __init__(self, scenario: Scenario, e_old: np.ndarray, dt: float):
         self.sc = scenario
         self.grid = scenario.grid
-        self.p = scenario.p
-        self.key = _problem_key(scenario)
-        self.vol = self.grid.volume_weights()
-        self.faces = _Faces(self.grid, self.p, scenario.field.weights)
-        self.pin_mask, self.pin_values = _dirichlet_arrays(scenario)
-        self._last_e = (None, None)   # (u, e(u)) of the last `gradient` call
-        self.start_step(e_old, dt)
-
-    def start_step(self, e_old: np.ndarray | None, dt: float | None) -> None:
+        self.vol, self.faces, self.pin_mask, self.pin_values = scenario._cells
         self.e_old = e_old
         self.dt = dt
         self.linear_iterations = 0
-
-    def enthalpy(self, u: np.ndarray) -> np.ndarray:
-        """e(u): the array the last `gradient` call looked up when u is the
-        array it was called with (which must not have changed since), else
-        a new lookup."""
-        last_u, last_e = self._last_e
-        return last_e if u is last_u else self.sc.graph.enthalpy_of_temperature(u)
-
-    def apply_pins(self, u: np.ndarray) -> np.ndarray:
-        if self.pin_mask is None:
-            return u
-        out = u.copy()
-        out[self.pin_mask] = self.pin_values[self.pin_mask]
-        return out
 
     def energy(self, u: np.ndarray) -> float:
         g = self.sc.graph
         bulk = (self.vol * (g.enthalpy_primitive_of_temperature(u) - self.e_old * u)).sum()
         return float(bulk + self.dt * self.faces.energy(u))
 
-    def gradient(self, u: np.ndarray) -> tuple[np.ndarray, list]:
-        """The gradient r at u (zero at the pins) and the face powers
+    def gradient(self, u: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+        """The gradient r at u (zero at the pins), the face powers
         `_Faces.powers(u)` it was built from, which the Newton system at
-        the same u reuses."""
+        the same u reuses, and the e(u) it looked up."""
         powers = self.faces.powers(u)
         e = self.sc.graph.enthalpy_of_temperature(u)
-        self._last_e = (u, e)
         r = self.vol * (e - self.e_old)
         for ax, f in enumerate(self.faces.fluxes(powers)):
             r -= self.dt * self.faces.divergence(f, ax)
         if self.pin_mask is not None:
             r[self.pin_mask] = 0.0
-        return r, powers
+        return r, powers, e
 
-    def residual(self, u: np.ndarray) -> tuple[np.ndarray, float, list]:
+    def residual(self, u: np.ndarray) -> tuple[np.ndarray, float, list, np.ndarray]:
         """The gradient r at u, its max-norm per volume (the quantity every
-        step tolerance is stated in) and the face powers at u."""
-        r, powers = self.gradient(u)
-        return r, float(np.abs(r / self.vol).max()), powers
+        step tolerance is stated in), the face powers at u and e(u)."""
+        r, powers, e = self.gradient(u)
+        return r, float(np.abs(r / self.vol).max()), powers, e
 
     def solve_newton_system(
         self, u: np.ndarray, r: np.ndarray, powers, rtol: float
@@ -795,28 +777,23 @@ def _dirichlet_arrays(scenario: Scenario):
     return mask, values
 
 
-def _problem_key(scenario: Scenario) -> tuple:
-    """What a `_StepProblem` builds its volumes, faces and pins from."""
-    return scenario.grid, scenario.p, scenario.field, scenario.boundary
-
-
-_recent = threading.local()   # .problem: the thread's last step problem
-
-
-def _step_problem(scenario: Scenario) -> _StepProblem:
-    """The problem this thread's last step used if that step was on the
-    same `scenario` with the same `_problem_key`, else a new one: how the
-    steps of a run, each a public `implicit_step` call, share one problem."""
-    prob = getattr(_recent, "problem", None)
-    if prob is None or prob.sc is not scenario or prob.key != _problem_key(scenario):
-        prob = _recent.problem = _StepProblem(scenario)
-    return prob
+def _apply_pins(scenario: Scenario, u: np.ndarray) -> np.ndarray:
+    """A copy of u with the scenario's Dirichlet pins set, or u itself when
+    nothing is pinned."""
+    _, _, mask, values = scenario._cells
+    if mask is None:
+        return u
+    out = u.copy()
+    out[mask] = values[mask]
+    return out
 
 
 def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
                   start: np.ndarray | None = None, *,
-                  e_old: np.ndarray | None = None) -> tuple[np.ndarray, StepDiag]:
-    """One backward-Euler step solved to near machine precision.
+                  e_old: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, StepDiag, np.ndarray]:
+    """One backward-Euler step solved to near machine precision: the
+    accepted state u, its `StepDiag` and e(u).
 
     Newton starts from `start` (pins applied) or, when it is None or not
     finite, from `u_old`; the step is the same minimizer either way.  The
@@ -837,18 +814,17 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     g = scenario.graph
     if e_old is None:
         e_old = g.enthalpy_of_temperature(u_old)
-    prob = _step_problem(scenario)
-    prob.start_step(e_old, dt)
+    prob = _StepProblem(scenario, e_old, dt)
     if start is None or not np.isfinite(start).all():
         start = u_old
-    u = prob.apply_pins(np.array(start, dtype=float))
+    u = _apply_pins(scenario, np.array(start, dtype=float))
 
     scale = 1.0 + float(np.abs(e_old).max())
     accept_tol = scenario.step_rtol * scale
     polish_tol = _POLISH_RTOL * scale
 
     u_start = u
-    r, res, powers = prob.residual(u)
+    r, res, powers, e = prob.residual(u)
     # Step energies are evaluated only where a decision needs them: trials
     # the residual did not accept, and `_energy_decreased` when convexity
     # alone does not settle the flag.
@@ -887,9 +863,9 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         for _ in range(_MAX_BACKTRACKS):
             u_try = u - t * d
             if np.isfinite(u_try).all():
-                r_try, res_try, powers_try = prob.residual(u_try)
+                r_try, res_try, powers_try, e_try = prob.residual(u_try)
                 if res_try < best_res:
-                    u, r, res, powers, f_val = u_try, r_try, res_try, powers_try, None
+                    u, r, res, powers, e, f_val = u_try, r_try, res_try, powers_try, e_try, None
                     best_res = res
                     accepted = True
                     break
@@ -899,7 +875,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
                         f_start = f_val
                 f_try = prob.energy(u_try)
                 if f_try < f_val:
-                    u, r, res, powers, f_val = u_try, r_try, res_try, powers_try, f_try
+                    u, r, res, powers, e, f_val = u_try, r_try, res_try, powers_try, e_try, f_try
                     accepted = True
                     break
             t *= 0.5
@@ -922,7 +898,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         linear_iterations=prob.linear_iterations,
         backtracks=backtracks,
     )
-    return u, diag
+    return u, diag, e
 
 
 # Slack of the energy-decrease flag: F(u) may exceed F(u_start) by this much
@@ -977,15 +953,13 @@ def _extrapolate(u: np.ndarray, dt: float, past: Sequence[tuple[np.ndarray, floa
 def run_simulation(scenario: Scenario) -> Trajectory:
     """Drive implicit steps to t_end; deterministic for a fixed scenario."""
     grid = scenario.grid
-    prob = _step_problem(scenario)
-    u = prob.apply_pins(build_initial(grid, scenario.initial))
-    g = scenario.graph
+    u = _apply_pins(scenario, build_initial(grid, scenario.initial))
     times = [0.0]
     temps = [u.copy()]
-    # e(u) is looked up for the initial state only; at each accepted state
-    # the step's last residual has looked it up (`_StepProblem.enthalpy`).
-    # Each e is stored when its state is and is the next step's e_old.
-    e = np.asarray(g.enthalpy_of_temperature(u))
+    # e(u) is looked up for the initial state only; each step returns e of
+    # the state it accepts.  Each e is stored when its state is and is the
+    # next step's e_old.
+    e = np.asarray(scenario.graph.enthalpy_of_temperature(u))
     enths = [e]
     diags: list[StepDiag] = []
     past: list[tuple[np.ndarray, float]] = []   # earlier states for the Newton start
@@ -997,7 +971,7 @@ def run_simulation(scenario: Scenario) -> Trajectory:
         if dt <= 0.0:
             raise SolverError("time step collapsed to zero", time=t)
         try:
-            u_new, diag = implicit_step(u, dt, scenario, _extrapolate(u, dt, past), e_old=e)
+            u_new, diag, e = implicit_step(u, dt, scenario, _extrapolate(u, dt, past), e_old=e)
         except SolverError as err:
             raise type(err)(str(err), time=t + dt) from err
         past = [(u, dt)] + past[:1]
@@ -1005,7 +979,6 @@ def run_simulation(scenario: Scenario) -> Trajectory:
         t += dt
         step_index += 1
         diags.append(diag)
-        e = np.asarray(prob.enthalpy(u))
         if step_index % scenario.store_every == 0 or t >= t_final * (1.0 - 1e-12):
             times.append(t)
             temps.append(u.copy())

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import presets, verify
 from .constants import ConstantsLedger, fix_constants
-from .geometry import ModulusParams, alpha_kappa_of, cylinder, cylinder_samples, omega
+from .geometry import ModulusParams, cylinder, cylinder_samples, omega
 from .graphs import RegularizedGraph
 from .solver import (DtPolicy, Grid, InitialData, Scenario, SpaceTimeBump, Trajectory,
                      _dirichlet_arrays, conservation_defect, run_simulation,
@@ -21,22 +21,17 @@ from .solver import (DtPolicy, Grid, InitialData, Scenario, SpaceTimeBump, Traje
 from .verify import InequalityReport
 
 
-def measurement_params(scenario: Scenario, r0: float,
-                       alpha_choice_if_p_eq_n: float = 0.45) -> ModulusParams:
-    """Modulus parameters used for measurement on a solved scenario.
+def measurement_params(ledger: ConstantsLedger, r0: float) -> ModulusParams:
+    """Modulus parameters used for measurement on a run with this ledger:
+    its n, p, alpha, kappa and M.
 
     The prefactor is the smallest admissible one, L = Lambda * p^alpha, so
     omega(r0) = Lambda and the ladder starts right at r0; the multiplicative
     constant of the oscillation bound is what gets measured, so the gauge of
     L is immaterial.
     """
-    n = scenario.grid.dim
-    alpha, kappa = alpha_kappa_of(n, scenario.p, alpha_choice_if_p_eq_n)
-    lam = scenario.certified_lambda()
-    ledger = default_ledger(scenario)
-    L = lam * scenario.p**alpha
-    return ModulusParams(n=n, p=scenario.p, alpha=alpha, kappa=kappa,
-                         L=L, M=ledger.M, r0=r0)
+    return ModulusParams(n=ledger.n, p=ledger.p, alpha=ledger.alpha, kappa=ledger.kappa,
+                         L=ledger.Lambda * ledger.p**ledger.alpha, M=ledger.M, r0=r0)
 
 
 def default_ledger(scenario: Scenario) -> ConstantsLedger:
@@ -313,7 +308,8 @@ def run_family_checks(case: FamilyCase) -> dict:
     the weak Harnack and decay checks where `case.run_harnack` is set."""
     sc = case.scenario
     traj = run_simulation(sc)
-    site = check_site(traj, measurement_params(sc, r0=0.25), default_ledger(sc), (0.5,),
+    ledger = default_ledger(sc)
+    site = check_site(traj, measurement_params(ledger, r0=0.25), ledger, (0.5,),
                       R0=0.1, t_start=0.004, region=((0.15,), (0.85,)))
     out: dict = {"label": case.label, "resolution": traj.resolution_label()}
     harnack = ("weak-harnack", "decay") if case.run_harnack else ()
@@ -373,8 +369,8 @@ def run_headline_case(name: str) -> dict:
     rungs = None
     for sc in (sc_c, sc_f):
         traj = run_simulation(sc)
-        params = measurement_params(sc, r0=r0)
         ledger = default_ledger(sc)
+        params = measurement_params(ledger, r0=r0)
         center = ((0.5,) * sc.grid.dim, traj.times[-1])
         profile, verdict = verify.modulus_acceptance(
             traj, params, ledger, center, max_rungs=rungs)
@@ -402,7 +398,7 @@ def run_epsilon_study(eps_ladder=(0.2, 0.1, 0.05), nodes: int = 201) -> dict:
     scenarios = [presets.twophase_1d(p=2.0, nodes=nodes, dt=2.5e-4, eps=e)
                  for e in eps_ladder]
     sc0 = scenarios[0]
-    params = measurement_params(sc0, r0=0.4)
     ledger = default_ledger(sc0)
+    params = measurement_params(ledger, r0=0.4)
     center = ((0.5,), sc0.t_end)
     return verify.epsilon_convergence_study(scenarios, params, ledger, center)

@@ -281,19 +281,16 @@ def truncation_supersolution_check(
 # Harnack-type checks
 # ---------------------------------------------------------------------------
 
-def _truncated_supersolution(trajectory: Trajectory, k_truncation: float | None):
-    w_all = trajectory.w_fields
-    if k_truncation is None:
-        return w_all
+def _truncated_supersolution(trajectory: Trajectory, k_truncation: float):
     g = trajectory.graph
     if not k_truncation < g.a - g.eps:
         raise ValueError("k_truncation must sit below the jump band")
-    return [np.minimum(w, k_truncation) for w in w_all]
+    return [np.minimum(w, k_truncation) for w in trajectory.w_fields]
 
 
 def weak_harnack_check(
     trajectory: Trajectory,
-    k_truncation: float | None,
+    k_truncation: float,
     x0: Sequence[float],
     R0: float,
     t1: float,
@@ -373,7 +370,7 @@ def decay_of_positivity_check(
     t0: float,
     T: float,
     ledger: ConstantsLedger,
-    k_truncation: float | None = None,
+    k_truncation: float,
 ) -> InequalityReport:
     """Positivity floor: once inf over B_{2R0} at t0 reaches k, the infimum
     at later times must stay above the decay profile.  Reports the smallest

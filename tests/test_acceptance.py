@@ -6,6 +6,7 @@ lines alongside the pytest verdicts.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,11 +192,11 @@ def test_criterion_4c_comparison_principle():
         base = float(rng.uniform(-0.3, 0.3))
         amps = tuple(rng.normal(0.0, 0.2, size=2))
         gap = float(rng.uniform(0.02, 0.5))
-        lo = presets.twophase_1d(p=p, nodes=31, t_end=0.004, dt=5e-4)
-        lo.initial = InitialData.of("fourier", base=base, amps=amps, freqs=(1.0, 2.0))
-        hi = presets.twophase_1d(p=p, nodes=31, t_end=0.004, dt=5e-4)
-        hi.initial = InitialData.of("fourier", base=base + gap, amps=amps,
-                                    freqs=(1.0, 2.0))
+        lo = replace(presets.twophase_1d(p=p, nodes=31, t_end=0.004, dt=5e-4),
+                     initial=InitialData.of("fourier", base=base, amps=amps, freqs=(1.0, 2.0)))
+        hi = replace(presets.twophase_1d(p=p, nodes=31, t_end=0.004, dt=5e-4),
+                     initial=InitialData.of("fourier", base=base + gap, amps=amps,
+                                            freqs=(1.0, 2.0)))
         t_lo, t_hi = run_simulation(lo), run_simulation(hi)
         for ua, ub in zip(t_lo.temps, t_hi.temps):
             worst = max(worst, float(np.max(ua - ub)))

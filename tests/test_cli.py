@@ -171,6 +171,15 @@ directory = {out}
         for record in records:
             assert record["scenario_hash"] == summary["scenario_hash"]
             assert record["resolution"] == f"nodes=41,steps={summary['solver']['steps']}"
+        # With every second step stored, the stamp still counts time steps.
+        out3 = tmp_path / "c"
+        every2 = _write(tmp_path, BASE_CONFIG.format(outdir=out3).replace(
+            "t_end = 0.02\n", "t_end = 0.02\nstore_every = 2\n"), "every2.ini")
+        assert cli.main(["run", str(every2)]) in (0, 1)
+        steps = json.loads((out3 / "summary.json").read_text())["solver"]["steps"]
+        assert steps == summary["solver"]["steps"] == 80
+        for line in (out3 / "checks.jsonl").read_text().splitlines():
+            assert json.loads(line)["resolution"] == "nodes=41,steps=80"
         assert (out1 / "ledger.json").exists()
         assert (out1 / "oscillation.csv").exists()
         assert summary["artifact_hashes"]
@@ -717,10 +726,26 @@ directory = {out}
         assert record["code"] == 3
         assert record["time"] is not None
 
+    def test_modulus_ladder_takes_m_from_the_run_ledger(self, tmp_path):
+        # [constants] c0, c1 set the cylinder depth M in the ledger the run
+        # writes, and the measurement parameters take M from that ledger.
+        path = _write(tmp_path, "[scenario]\npreset = stefan-1d-p3-twophase\n"
+                                "[constants]\nc0 = 3\nc1 = 8\n")
+        cfg = cli.parse_config(path)
+        assert cfg.ledger.M == 2.5
+        assert cfg.params.M == cfg.ledger.M
+
     def test_output_root_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(tmp_path / "root"))
-        cfg = cli.parse_config(_write(tmp_path, BASE_CONFIG.format(outdir="rel/out")))
-        assert str(cfg.output_dir).startswith(str(tmp_path / "root"))
+        monkeypatch.chdir(tmp_path)
+        path = _write(tmp_path, BASE_CONFIG.format(outdir="rel/out"))
+        for root in (tmp_path / "root", Path("root")):
+            monkeypatch.setenv(cli.ENV_OUTPUT_ROOT, str(root))
+            cfg = cli.parse_config(path)
+            assert cfg.output_dir == root / "rel" / "out"
+            # The resolved config records the directory as written: parsed
+            # again under the same root, it names the same directory.
+            resolved = _write(tmp_path, cli._resolved_config_text(cfg), "resolved.ini")
+            assert cli.parse_config(resolved).output_dir == cfg.output_dir
 
     def test_resolved_config_records_ladder_depth_and_step_rtol(self, tmp_path):
         path = _write(tmp_path, "[scenario]\npreset = constant\nstep_rtol = 1e-11\n"
@@ -793,14 +818,14 @@ class TestConfigFuzz:
         assert code in (0, 2)
         if code == 0:
             # On an accepted config, the work `run` does before the solve
-            # raises nothing: the initial field, the measurement parameters,
-            # the ledger and the resolved config, which reads back as the
-            # same scenario.
+            # raises nothing: the initial field, the ledger, the measurement
+            # parameters taken from it and the resolved config, which reads
+            # back as the same scenario.
             cfg = cli.parse_config(path)
-            sc, mod = cfg.scenario, cfg.values["modulus"]
+            sc = cfg.scenario
             assert np.isfinite(solver.build_initial(sc.grid, sc.initial)).all()
-            studies.measurement_params(sc, mod["r0"], mod["alpha_if_p_eq_n"])
             assert cfg.ledger.Lambda == sc.certified_lambda()
+            assert cfg.params.M == cfg.ledger.M
             path.write_text(cli._resolved_config_text(cfg), encoding="utf-8")
             again = cli.parse_config(path).scenario
             assert again.scenario_hash() == sc.scenario_hash()

@@ -7,7 +7,9 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,14 +173,14 @@ class TestImplicitStep:
     def test_zero_fixed_point(self):
         sc = presets.twophase_1d(nodes=21)
         u0 = np.zeros(21)
-        u1, diag = implicit_step(u0, 1e-3, sc)
+        u1, diag, _ = implicit_step(u0, 1e-3, sc)
         assert np.array_equal(u1, u0)
         assert diag.residual <= diag.tolerance
 
     def test_constant_steady_state(self):
         sc = presets.constant_preset(nodes=21, value=0.4)
         u0 = build_initial(sc.grid, sc.initial)
-        u1, _ = implicit_step(u0, 5e-3, sc)
+        u1, _, _ = implicit_step(u0, 5e-3, sc)
         assert np.max(np.abs(u1 - u0)) < 1e-12
 
     def test_per_step_conservation(self):
@@ -187,7 +189,7 @@ class TestImplicitStep:
         vol = sc.grid.volume_weights()
         for _ in range(5):
             e_before = float(np.sum(sc.graph.enthalpy_of_temperature(u) * vol))
-            u, _ = implicit_step(u, 5e-4, sc)
+            u, _, _ = implicit_step(u, 5e-4, sc)
             e_after = float(np.sum(sc.graph.enthalpy_of_temperature(u) * vol))
             assert abs(e_after - e_before) <= 1e-10 * (1.0 + abs(e_before))
 
@@ -302,11 +304,11 @@ class TestRunSimulation:
         for p in (2.0, 3.0):
             base = rng.uniform(-0.2, 0.2)
             amps = tuple(rng.normal(0, 0.2, size=2))
-            scA = presets.twophase_1d(p=p, nodes=31, t_end=0.004, dt=4e-4)
-            scA.initial = InitialData.of("fourier", base=base, amps=amps, freqs=(1.0, 2.0))
-            scB = presets.twophase_1d(p=p, nodes=31, t_end=0.004, dt=4e-4)
-            scB.initial = InitialData.of("fourier", base=base + 0.15, amps=amps,
-                                         freqs=(1.0, 2.0))
+            sc = presets.twophase_1d(p=p, nodes=31, t_end=0.004, dt=4e-4)
+            scA = replace(sc, initial=InitialData.of("fourier", base=base, amps=amps,
+                                                     freqs=(1.0, 2.0)))
+            scB = replace(sc, initial=InitialData.of("fourier", base=base + 0.15, amps=amps,
+                                                     freqs=(1.0, 2.0)))
             ta, tb = run_simulation(scA), run_simulation(scB)
             worst = max(float(np.max(ua - ub)) for ua, ub in zip(ta.temps, tb.temps))
             assert worst <= 1e-9
@@ -325,8 +327,8 @@ class TestRunSimulation:
             assert u[-1] == pytest.approx(0.0, abs=1e-14)
 
     def test_intrinsic_dt_policy(self):
-        sc = presets.twophase_1d(nodes=21, t_end=0.002)
-        sc.dt = DtPolicy(kind="intrinsic", safety=0.5)
+        sc = replace(presets.twophase_1d(nodes=21, t_end=0.002),
+                     dt=DtPolicy(kind="intrinsic", safety=0.5))
         traj = run_simulation(sc)
         assert traj.times[-1] == pytest.approx(0.002, rel=1e-9)
         assert len(traj.times) > 2
@@ -348,8 +350,8 @@ class TestRunSimulation:
         assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
 
     def test_2d_dirichlet_pinning(self):
-        sc = presets.twophase_2d(p=3.0, nodes=17, dt=1e-3, t_end=0.01)
-        sc.boundary = Boundary(kind="dirichlet", values=((0.4, -0.3), (0.2, -0.1)))
+        sc = replace(presets.twophase_2d(p=3.0, nodes=17, dt=1e-3, t_end=0.01),
+                     boundary=Boundary(kind="dirichlet", values=((0.4, -0.3), (0.2, -0.1))))
         traj = run_simulation(sc)
         assert len(traj.temps) == 11
         for u in traj.temps:
@@ -476,12 +478,12 @@ class TestNewtonSolve1D:
 
         monkeypatch.setattr(solver, "_gtsv", lambda: recording_gtsv)
         monkeypatch.setattr(solver._StepProblem, "_solve_1d", zero_first_matrix)
-        u1, diag = implicit_step(u, 5e-4, sc)
+        u1, diag, _ = implicit_step(u, 5e-4, sc)
         assert infos[0] > 0 and all(info == 0 for info in infos[1:])
         assert diag.used_fallback
         assert diag.residual <= diag.tolerance
         monkeypatch.undo()
-        ref, ref_diag = implicit_step(u, 5e-4, sc)
+        ref, ref_diag, _ = implicit_step(u, 5e-4, sc)
         assert not ref_diag.used_fallback
         assert np.max(np.abs(u1 - ref)) <= 1e-12
 
@@ -549,12 +551,12 @@ def test_missing_lapack_extension_raises_import_error(monkeypatch):
 def newton_state_2d(p, boundary):
     """A 21x21 two-phase state, its step problem, its Newton residual and
     the face powers the residual was built from."""
-    sc = presets.twophase_2d(p=p, nodes=21)
-    sc.boundary = boundary
+    sc = replace(presets.twophase_2d(p=p, nodes=21), boundary=boundary)
     u = build_initial(sc.grid, sc.initial)
     prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u), sc.dt.value)
-    u = prob.apply_pins(u)
-    return (prob, u, *prob.gradient(u))
+    u = solver._apply_pins(sc, u)
+    r, powers, _ = prob.gradient(u)
+    return prob, u, r, powers
 
 
 def dense_newton_matrix(prob, u):
@@ -608,7 +610,7 @@ class TestNewtonDirection2D:
         assert np.all(np.isfinite(d))
         assert float(np.sum(r * d)) > 0.0
         # The step still converges on these directions and records them.
-        _, diag = implicit_step(u, prob.dt, prob.sc)
+        _, diag, _ = implicit_step(u, prob.dt, prob.sc)
         assert diag.used_fallback
         assert diag.residual <= diag.tolerance
 
@@ -618,8 +620,7 @@ class TestInexactNewton:
     @pytest.mark.parametrize("boundary", BOUNDARIES_2D, ids=lambda b: b.kind)
     def test_forcing_matches_exact_solves_with_fewer_cg_iterations(
             self, monkeypatch, p, boundary):
-        sc = presets.twophase_2d(p=p, nodes=21, t_end=0.01)
-        sc.boundary = boundary
+        sc = replace(presets.twophase_2d(p=p, nodes=21, t_end=0.01), boundary=boundary)
         traj = run_simulation(sc)
         monkeypatch.setattr(solver, "_forcing_term", lambda *args: solver._PCG_RTOL)
         ref = run_simulation(sc)
@@ -648,7 +649,7 @@ class TestInexactNewton:
         u = build_initial(sc.grid, sc.initial)
         for _ in range(3):
             calls.update(energy=0, gradient=0)
-            u, diag = implicit_step(u, 1e-3, sc)
+            u, diag, _ = implicit_step(u, 1e-3, sc)
             # One residual at the start plus one accepted trial per iteration;
             # convexity settles the energy-decrease flag without an energy.
             assert diag.iterations > 0 and calls["gradient"] == 1 + diag.iterations
@@ -658,14 +659,14 @@ class TestInexactNewton:
     def test_non_decreasing_residual_still_accepts_on_energy(self, monkeypatch):
         sc = presets.twophase_1d(nodes=41)
         u0 = build_initial(sc.grid, sc.initial)
-        ref, _ = implicit_step(u0, 5e-4, sc)
+        ref, _, _ = implicit_step(u0, 5e-4, sc)
         residual, energy = solver._StepProblem.residual, solver._StepProblem.energy
         seen = {"residual": 0, "energy": 0}
 
         def first_trial_not_lower(prob, u):
             seen["residual"] += 1
-            r, res, powers = residual(prob, u)
-            return r, (math.inf if seen["residual"] == 2 else res), powers
+            r, res, powers, e = residual(prob, u)
+            return r, (math.inf if seen["residual"] == 2 else res), powers, e
 
         def counted_energy(prob, u):
             seen["energy"] += 1
@@ -673,7 +674,7 @@ class TestInexactNewton:
 
         monkeypatch.setattr(solver._StepProblem, "residual", first_trial_not_lower)
         monkeypatch.setattr(solver._StepProblem, "energy", counted_energy)
-        u1, diag = implicit_step(u0, 5e-4, sc)
+        u1, diag, _ = implicit_step(u0, 5e-4, sc)
         # The first full step is taken on its energy decrease: the start and
         # the trial energy; convexity settles the final flag; no step is halved.
         assert seen["energy"] == 2
@@ -726,17 +727,17 @@ class TestStartIterate:
         traj = run_simulation(sc)
         u = traj.temps[0]
         for u_next in traj.temps[1:]:
-            u, _ = implicit_step(u, 1e-3, sc)
+            u, _, _ = implicit_step(u, 1e-3, sc)
             assert np.array_equal(u, u_next)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_start_falls_back_to_previous_state(self, bad):
         sc = presets.twophase_1d(nodes=41)
         u0 = build_initial(sc.grid, sc.initial)
-        ref, ref_diag = implicit_step(u0, 5e-4, sc)
+        ref, ref_diag, _ = implicit_step(u0, 5e-4, sc)
         start = u0 + 0.01
         start[7] = bad
-        u1, diag = implicit_step(u0, 5e-4, sc, start)
+        u1, diag, _ = implicit_step(u0, 5e-4, sc, start)
         assert np.array_equal(u1, ref)
         assert diag == ref_diag
 
@@ -749,8 +750,8 @@ class TestStartIterate:
     def test_pins_applied_to_start(self):
         sc = presets.melting_front_1d(nodes=51, dt=1e-3, eps=0.05)
         u0 = build_initial(sc.grid, sc.initial)
-        ref, _ = implicit_step(u0, 1e-3, sc)
-        u1, diag = implicit_step(u0, 1e-3, sc, ref + 0.05)
+        ref, _, _ = implicit_step(u0, 1e-3, sc)
+        u1, diag, _ = implicit_step(u0, 1e-3, sc, ref + 0.05)
         assert u1[0] == 1.0 and u1[-1] == 0.0
         assert diag.residual <= diag.tolerance
         assert np.max(np.abs(u1 - ref)) <= 1e-12
@@ -758,8 +759,8 @@ class TestStartIterate:
     def test_converged_start_takes_no_newton_step(self):
         sc = presets.twophase_1d(nodes=41)
         u0 = build_initial(sc.grid, sc.initial)
-        ref, ref_diag = implicit_step(u0, 5e-4, sc)
-        u1, diag = implicit_step(u0, 5e-4, sc, ref)
+        ref, ref_diag, _ = implicit_step(u0, 5e-4, sc)
+        u1, diag, _ = implicit_step(u0, 5e-4, sc, ref)
         assert ref_diag.iterations > 0 and diag.iterations == 0
         assert np.array_equal(u1, ref)
 
@@ -798,8 +799,8 @@ class TestLineSearch:
 
         def rejected_residual(prob, u):
             calls["residual"] += 1
-            r, res, powers = residual(prob, u)
-            return r, (math.inf if calls["residual"] in (2, 3) else res), powers
+            r, res, powers, e = residual(prob, u)
+            return r, (math.inf if calls["residual"] in (2, 3) else res), powers, e
 
         def rejected_energy(prob, u):
             calls["energy"] += 1
@@ -807,11 +808,11 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver._StepProblem, "residual", rejected_residual)
         monkeypatch.setattr(solver._StepProblem, "energy", rejected_energy)
-        u1, diag = implicit_step(u0, 5e-4, sc)
+        u1, diag, _ = implicit_step(u0, 5e-4, sc)
         assert diag.backtracks == 2
         assert diag.residual <= diag.tolerance
         monkeypatch.undo()
-        ref, ref_diag = implicit_step(u0, 5e-4, sc)
+        ref, ref_diag, _ = implicit_step(u0, 5e-4, sc)
         assert ref_diag.backtracks == 0
         assert np.max(np.abs(u1 - ref)) <= 1e-12
 
@@ -853,29 +854,31 @@ class TestEnergyFlag:
     def test_flag_matches_two_energies_and_e_old_is_reused(self, case):
         sc, dt = case
         u0 = build_initial(sc.grid, sc.initial)
-        u1, _ = implicit_step(u0, dt, sc)
+        u1, _, _ = implicit_step(u0, dt, sc)
         # From the previous state, then from a start close to the minimizer.
         for u_old, start in ((u0, None), (u1, solver._extrapolate(u1, dt, [(u0, dt)]))):
             e_old = sc.graph.enthalpy_of_temperature(u_old)
-            u, diag = implicit_step(u_old, dt, sc, start, e_old=e_old)
-            u_ref, diag_ref = implicit_step(u_old, dt, sc, start)
+            u, diag, e = implicit_step(u_old, dt, sc, start, e_old=e_old)
+            u_ref, diag_ref, _ = implicit_step(u_old, dt, sc, start)
             assert np.array_equal(u, u_ref) and diag == diag_ref
+            # The step returns e at the state it accepted.
+            assert np.array_equal(e, sc.graph.enthalpy_of_temperature(u))
             prob = solver._StepProblem(sc, e_old, dt)
-            u_start = prob.apply_pins(np.array(u_old if start is None else start))
+            u_start = solver._apply_pins(sc, np.array(u_old if start is None else start))
             expected = two_energy_flag(prob, u_start, u)
             assert diag.energy_decreased == expected
-            r, _ = prob.gradient(u)
+            r, _, _ = prob.gradient(u)
             assert solver._energy_decreased(prob, u_start, u, r, None, None) == expected
 
     def test_end_pushed_off_the_minimizer_evaluates_both_energies(self, monkeypatch):
         sc = presets.twophase_1d(nodes=41)
         dt = 5e-4
         u0 = build_initial(sc.grid, sc.initial)
-        u_min, _ = implicit_step(u0, dt, sc)
+        u_min, _, _ = implicit_step(u0, dt, sc)
         prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u0), dt)
         u_off = u_min + 0.05 * np.cos(3.0 * np.pi * sc.grid.axes()[0])
-        r_off, _ = prob.gradient(u_off)
-        r_min, _ = prob.gradient(u_min)
+        r_off, _, _ = prob.gradient(u_off)
+        r_min, _, _ = prob.gradient(u_min)
         # Started at the minimizer and ended off it: the convexity bound is
         # inconclusive, and F went up.
         assert float(np.sum(r_off * (u_min - u_off))) < -1e-12
@@ -962,22 +965,18 @@ class TestOneProblemPerRun:
            p=st.sampled_from([2.0, 3.0]), store_every=st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_run_is_a_loop_of_public_steps(self, dim, boundary, beta, p, store_every):
-        # run_simulation keeps one step problem and takes each e from the
-        # last residual.  Public steps with public lookups, each on its own
-        # copy of the scenario and so on a problem of its own, give the
-        # same bits.
+        # run_simulation takes each e from the step that accepted its state.
+        # Public steps with public lookups, each on its own copy of the
+        # scenario and so on cells of its own, give the same bits.
         sc = _small_scenario(dim, boundary, beta, p, store_every)
         traj = run_simulation(sc)
-        u = build_initial(sc.grid, sc.initial)
-        if boundary == "dirichlet":
-            mask, values = solver._dirichlet_arrays(sc)
-            u[mask] = values[mask]
+        u = solver._apply_pins(sc, build_initial(sc.grid, sc.initial))
         e = sc.graph.enthalpy_of_temperature(u)
         times, temps, enths, diags, past, t = [0.0], [u], [e], [], [], 0.0
         while t < sc.t_end * (1.0 - 1e-12):
             dt = sc.dt.step(sc.grid, p, u, sc.t_end - t)
-            u_new, diag = implicit_step(u, dt, replace(sc), solver._extrapolate(u, dt, past),
-                                        e_old=e)
+            u_new, diag, _ = implicit_step(u, dt, replace(sc),
+                                           solver._extrapolate(u, dt, past), e_old=e)
             past = [(u, dt)] + past[:1]
             u, t = u_new, t + dt
             e = sc.graph.enthalpy_of_temperature(u)
@@ -991,36 +990,35 @@ class TestOneProblemPerRun:
         assert _bits(traj.enthalpies) == _bits(enths)
         assert [repr(d) for d in traj.diagnostics] == [repr(d) for d in diags]
 
-    def test_problem_follows_the_scenario(self):
-        a = _small_scenario(1, "zero-flux", "identity", 2.0)
-        b = replace(a, graph=RegularizedGraph(a=0.1, latent_heat=0.5, eps=0.05))
-        other_grid = replace(b, grid=Grid(extents=(1.0,), nodes=(31,)))
-        prob = solver._step_problem(a)
-        assert solver._step_problem(a) is prob
-        assert solver._step_problem(b).sc is b
-        # A step problem built for a solves nothing of b: b after a runs as
-        # b after a scenario on another grid.
-        run_simulation(other_grid)
-        ref = run_simulation(b).trajectory_hash()
-        run_simulation(a)
-        assert run_simulation(b).trajectory_hash() == ref
-        prob = solver._step_problem(a)
-        a.boundary = Boundary("dirichlet", ((0.3, -0.2),))
-        assert solver._step_problem(a) is not prob and solver._step_problem(a).pin_mask is not None
+    def test_scenario_is_frozen_and_caches_its_cells(self):
+        sc = _small_scenario(1, "zero-flux", "identity", 2.0)
+        with pytest.raises(FrozenInstanceError):
+            sc.boundary = Boundary("dirichlet", ((0.3, -0.2),))
+        assert sc._cells is sc._cells
+        assert replace(sc)._cells is not sc._cells
+        pinned = replace(sc, boundary=Boundary("dirichlet", ((0.3, -0.2),)))
+        assert sc._cells[2] is None and pinned._cells[2] is not None
 
-    def test_enthalpy_of_the_last_residual_iterate(self, monkeypatch):
-        sc = _small_scenario(1, "zero-flux", "tanh", 3.0)
-        u = build_initial(sc.grid, sc.initial)
-        prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u), 1e-3)
-        lookups = []
-        lookup = RegularizedGraph.enthalpy_of_temperature
-        monkeypatch.setattr(RegularizedGraph, "enthalpy_of_temperature",
-                            lambda g, v: lookups.append(v) or lookup(g, v))
-        prob.gradient(u)
-        e = prob.enthalpy(u)
-        assert lookups == [u] and np.array_equal(e, lookup(sc.graph, u))
-        # An equal array that is not the iterate is looked up again.
-        assert np.array_equal(prob.enthalpy(u.copy()), e) and len(lookups) == 2
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_scenario_in_two_threads(self, dim):
+        # Steps share nothing but the scenario's frozen cells, so two threads
+        # running one scenario object at once give the sequential bits.
+        sc = _small_scenario(dim, "dirichlet", "tanh", 3.0, t_end=0.02)
+        ref = run_simulation(replace(sc)).trajectory_hash()
+        barrier = threading.Barrier(2)
+
+        def run(_):
+            barrier.wait(timeout=60)
+            return run_simulation(sc).trajectory_hash()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                hashes = list(pool.map(run, range(2), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert hashes == [ref, ref]
 
 
 class TestWeakFormGate:
@@ -1044,8 +1042,9 @@ class TestWeakFormGate:
             if loose:
                 mp.setattr(solver, "_POLISH_RTOL", 1e-6)
             traj = run_simulation(sc)
-        site = studies.check_site(traj, studies.measurement_params(sc, r0=0.25),
-                                  studies.default_ledger(sc), (0.5,) * dim)
+        ledger = studies.default_ledger(sc)
+        site = studies.check_site(traj, studies.measurement_params(ledger, r0=0.25), ledger,
+                                  (0.5,) * dim)
         entry, report = studies.CHECKS["weakform"].run(traj, site)
         assert report is None
         if store_every == 1:

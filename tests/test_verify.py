@@ -44,7 +44,7 @@ def _fitting_cylinder(traj, params, r, frac=0.8):
 class TestCaccioppoli:
     def test_degenerate_constant_solution(self, constant_run_p3):
         sc, traj = constant_run_p3
-        params = studies.measurement_params(sc, r0=0.3)
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.3)
         cyl = _fitting_cylinder(traj, params, 0.3)
         rep = verify.caccioppoli_check(traj, 1.0, cyl)
         assert rep.degenerate and rep.passed
@@ -52,7 +52,7 @@ class TestCaccioppoli:
 
     def test_level_above_maximum(self, bump_run):
         sc, traj = bump_run
-        params = studies.measurement_params(sc, r0=0.25)
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.25)
         cyl = _fitting_cylinder(traj, params, 0.25)
         rep = verify.caccioppoli_check(traj, 10.0, cyl)
         assert rep.degenerate
@@ -60,7 +60,7 @@ class TestCaccioppoli:
 
     def test_finite_constant_on_solved_run(self, bump_run):
         sc, traj = bump_run
-        params = studies.measurement_params(sc, r0=0.25)
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.25)
         cyl = _fitting_cylinder(traj, params, 0.25)
         rep = verify.caccioppoli_check(traj, 0.5, cyl)
         assert not rep.degenerate
@@ -76,7 +76,7 @@ class TestCaccioppoli:
         for lh in (1.0, 0.3):
             sc = presets.heat_smooth_1d(nodes=41, dt=1e-3, latent_heat=lh)
             traj = run_simulation(sc)
-            params = studies.measurement_params(sc, r0=0.25)
+            params = studies.measurement_params(studies.default_ledger(sc), r0=0.25)
             cyl = _fitting_cylinder(traj, params, 0.25)
             reps.append(verify.caccioppoli_check(traj, 0.55, cyl))
         assert reps[0].implied_constant == reps[1].implied_constant
@@ -216,7 +216,7 @@ def block_rows(request, monkeypatch):
 
 
 def _whole_run_cylinder(traj, r=0.3):
-    params = studies.measurement_params(traj.scenario, r0=r)
+    params = studies.measurement_params(studies.default_ledger(traj.scenario), r0=r)
     cyl = cylinder(params, ((0.5,) * traj.grid.dim, traj.times[-1]), r, "full")
     return replace(cyl, depth=traj.times[-1] - traj.times[0])
 
@@ -443,7 +443,8 @@ def _two_level_trajectory(low_nodes, high_value=2.0, low_value=0.0, nodes=41):
 
 class TestAlternativeClassifier:
     def _cylinders(self, center_time=0.4, r=0.4):
-        pr = studies.measurement_params(presets.twophase_1d(nodes=41), r0=0.4)
+        ledger = studies.default_ledger(presets.twophase_1d(nodes=41))
+        pr = studies.measurement_params(ledger, r0=0.4)
         center = ((0.5,), center_time)
         return (cylinder(pr, center, r, "tilde"), cylinder(pr, center, r, "full"),
                 float(omega(pr, r)), pr)
@@ -482,10 +483,10 @@ class TestAlternativeClassifier:
     def _solved_classification(self, nodes, initial=None):
         sc = presets.twophase_1d(nodes=nodes, amplitude=0.9)
         if initial is not None:
-            sc.initial = initial
+            sc = replace(sc, initial=initial)
         traj = run_simulation(sc)
-        pr = studies.measurement_params(sc, r0=0.4)
         led = studies.default_ledger(sc)
+        pr = studies.measurement_params(led, r0=0.4)
         center = ((0.5,), 0.32)  # window reaches the initial slice
         tilde = cylinder(pr, center, 0.4, "tilde")
         enc = cylinder(pr, center, 0.4, "full")
@@ -515,8 +516,8 @@ class TestAlternativeClassifier:
         def classify(nodes):
             sc = presets.twophase_1d(nodes=nodes, t_end=0.02, dt=4e-5, eps=0.04)
             traj = run_simulation(sc)
-            pr = studies.measurement_params(sc, r0=0.4)
             led = studies.default_ledger(sc)
+            pr = studies.measurement_params(led, r0=0.4)
             r = 0.4 / 32.0
             center = ((0.5,), traj.times[-1])
             tilde = cylinder(pr, center, r, "tilde")
@@ -535,7 +536,7 @@ class TestAlternativeClassifier:
 class TestForwardedLevelFraction:
     def test_fraction_in_range(self, bump_run):
         sc, traj = bump_run
-        params = studies.measurement_params(sc, r0=0.25)
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.25)
         cyl = _fitting_cylinder(traj, params, 0.25)
         res = forwarded_level_fraction(
             traj, params, ((0.5,), traj.times[-1]), 0.25,
@@ -550,7 +551,7 @@ class TestScaleCovariance:
         lam = 2.0
         p = traj.p
         led = studies.default_ledger(sc)
-        params = studies.measurement_params(sc, r0=0.25)
+        params = studies.measurement_params(led, r0=0.25)
         scaled = rescale_solution(traj, lam)
 
         cyl = _fitting_cylinder(traj, params, 0.2)
@@ -586,8 +587,8 @@ class TestModulusAcceptance:
     def test_constant_data_passes_with_zero_constant(self):
         sc = presets.constant_preset(nodes=81, value=0.4, t_end=0.03, dt=1e-3)
         traj = run_simulation(sc)
-        params = studies.measurement_params(sc, r0=0.1)
         ledger = studies.default_ledger(sc)
+        params = studies.measurement_params(ledger, r0=0.1)
         profile, verdict = verify.modulus_acceptance(
             traj, params, ledger, ((0.5,), traj.times[-1]))
         assert verdict["c_star"] == 0.0
@@ -597,8 +598,8 @@ class TestModulusAcceptance:
     def test_jump_free_passes_with_small_constant(self):
         sc = presets.heat_smooth_1d(nodes=81, dt=1e-3, t_end=0.1)
         traj = run_simulation(sc)
-        params = studies.measurement_params(sc, r0=0.2)
         ledger = studies.default_ledger(sc)
+        params = studies.measurement_params(ledger, r0=0.2)
         profile, verdict = verify.modulus_acceptance(
             traj, params, ledger, ((0.5,), traj.times[-1]))
         assert verdict["pass"]
@@ -608,8 +609,8 @@ class TestModulusAcceptance:
     def test_containment_precondition(self):
         sc = presets.twophase_1d(nodes=41, t_end=0.01, dt=1e-3)
         traj = run_simulation(sc)
-        params = studies.measurement_params(sc, r0=0.4)
         ledger = studies.default_ledger(sc)
+        params = studies.measurement_params(ledger, r0=0.4)
         with pytest.raises(ValueError):
             verify.modulus_acceptance(traj, params, ledger, ((0.5,), traj.times[-1]))
 
@@ -622,8 +623,8 @@ class TestModulusAcceptance:
         temps = [0.4 * x.copy() for _ in times]
         enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
         traj = Trajectory(scenario=sc, times=times, temps=temps, enthalpies=enths)
-        params = studies.measurement_params(sc, r0=0.2)
         ledger = studies.default_ledger(sc)
+        params = studies.measurement_params(ledger, r0=0.2)
         profile, verdict = verify.modulus_acceptance(
             traj, params, ledger, ((0.5,), times[-1]), ladder="dyadic32")
         assert verdict["rungs"] == 2
@@ -633,19 +634,18 @@ class TestModulusAcceptance:
 class TestEpsilonStudy:
     def test_single_eps_degenerate(self):
         sc = presets.twophase_1d(nodes=61, t_end=0.1, dt=5e-4, eps=0.1)
-        params = studies.measurement_params(sc, r0=0.2)
         ledger = studies.default_ledger(sc)
+        params = studies.measurement_params(ledger, r0=0.2)
         out = verify.epsilon_convergence_study([sc], params, ledger,
                                                ((0.5,), sc.t_end))
         assert out["degenerate"]
 
     def test_jump_free_eps_independent(self):
-        scenarios = [presets.heat_smooth_1d(nodes=41, dt=1e-3, t_end=0.1)
-                     for _ in range(3)]
-        for sc, eps in zip(scenarios, (0.2, 0.1, 0.05)):
-            sc.graph = RegularizedGraph(a=5.0, latent_heat=0.2, eps=eps)
-        params = studies.measurement_params(scenarios[0], r0=0.2)
+        scenarios = [replace(presets.heat_smooth_1d(nodes=41, dt=1e-3, t_end=0.1),
+                             graph=RegularizedGraph(a=5.0, latent_heat=0.2, eps=eps))
+                     for eps in (0.2, 0.1, 0.05)]
         ledger = studies.default_ledger(scenarios[0])
+        params = studies.measurement_params(ledger, r0=0.2)
         out = verify.epsilon_convergence_study(scenarios, params, ledger,
                                                ((0.5,), 0.1))
         assert all(g < 1e-8 for g in out["cauchy_gaps"])
@@ -653,8 +653,8 @@ class TestEpsilonStudy:
 
     def test_ladder_validation(self):
         mk = lambda e: presets.twophase_1d(nodes=61, t_end=0.02, dt=1e-3, eps=e)
-        params = studies.measurement_params(mk(0.1), r0=0.2)
         ledger = studies.default_ledger(mk(0.1))
+        params = studies.measurement_params(ledger, r0=0.2)
         with pytest.raises(ValueError):
             verify.epsilon_convergence_study([mk(0.05), mk(0.1)], params, ledger,
                                              ((0.5,), 0.02))
