@@ -22,7 +22,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import presets, studies, verify
 from .graphs import BetaMap, RegularizedGraph
-from .constants import ConstantsLedger, fix_constants
+from .constants import ConstantsLedger
 from .geometry import ModulusParams
 from .solver import (INITIAL_DATA, Boundary, DtPolicy, Grid, InitialData, Scenario,
                      ScenarioValueError, SolverError, Trajectory, VectorField,
@@ -217,7 +217,6 @@ KEYS: dict[str, dict[str, Key]] = {
                                      for vals in t.split(";") if vals.strip()]),
     },
 }
-KNOWN_KEYS = {section: set(keys) for section, keys in KEYS.items()}
 # Sweep axis -> the [scenario] key it varies.
 SWEEP_AXES = {k.axis: key for key, k in KEYS["scenario"].items() if k.axis}
 # Grids are evaluated when the config is parsed; this bounds their size.
@@ -288,11 +287,9 @@ def _config_of(raw: dict[str, dict[str, str]]) -> RunConfig:
     if not all(0.0 <= c <= e for c, e in zip(mod["center"], scenario.grid.extents)):
         raise ConfigError("modulus.center", f"{mod['center']} lies outside the domain, "
                                             f"[0, {scenario.grid.extents[0]:g}] on each axis")
-    n, p = scenario.grid.dim, scenario.p
-    ledger = _named("constants", lambda: fix_constants(
-        n=n, p=p, Lambda=scenario.certified_lambda(),
-        alpha_choice_if_p_eq_n=mod["alpha_if_p_eq_n"] if p == n else None,
-        **val["constants"]))
+    ledger = _named("constants", lambda: studies.default_ledger(
+        scenario, alpha_choice_if_p_eq_n=mod["alpha_if_p_eq_n"]
+        if scenario.p == scenario.grid.dim else None, **val["constants"]))
     params = _named("modulus", studies.measurement_params, ledger, mod["r0"])
     if mod["l_prefactor"] is not None:
         params = replace(params, L=mod["l_prefactor"])
@@ -322,8 +319,9 @@ def _scenario(v: dict) -> Scenario:
             raise ConfigError(f"scenario.{key}", "required key missing")
     dim = v["dim"]
     grid = _named("scenario.nodes", _grid, v["extent"], dim, v["nodes"])
-    graph = RegularizedGraph(a=v["jump_location"], latent_heat=v["latent_heat"],
-                             eps=v["mollify_eps"], beta=v["beta"])
+    # a band a +- eps that floating point cannot tabulate fails here
+    graph = _named("scenario.mollify_eps", RegularizedGraph, v["jump_location"],
+                   v["latent_heat"], v["mollify_eps"], v["beta"])
     initial = _named("scenario.initial_params", _initial, grid, v["initial"],
                      v["initial_params"])
     b = v["boundary"]
@@ -388,9 +386,10 @@ def _json_default(v):
 
 # A snapshot file name, of this layout (.bin) or of the older per-step sidecars.
 _STEP_FILE = re.compile(r"step_\d{6}\.(bin|json)")
-# Every other file a run writes, besides its outcome record.
+# Every other file a run writes.
 _ARTIFACTS = ("resolved_config.ini", "checks.jsonl", "oscillation.csv", "fit.json",
-              "ledger.json", "timings.json", "snapshots/index.json")
+              "ledger.json", "timings.json", "snapshots/index.json", "summary.json",
+              "error.json")
 
 
 def _remove_stale(outdir: Path, written) -> None:
@@ -496,7 +495,7 @@ def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict], dic
         except ValueError as err:  # a check that cannot be made here is a failed verdict
             entry, rep = {"pass": False, "error": f"{type(err).__name__}: {err}"}, None
         if rep is not None:
-            reports.append({**rep.to_json_dict(), **run_id})
+            reports.append({**asdict(rep), **run_id})
         summary[name] = {**entry, "label": check.label}
         seconds[name] = time.perf_counter() - start
     return summary, reports, seconds
@@ -520,9 +519,9 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
     try:
         traj = run_simulation(cfg.scenario)
     except SolverError as err:
-        _remove_stale(outdir, hashes)
-        _write_outcome(outdir, "error.json", {"code": 3, "kind": type(err).__name__,
-                                              "message": str(err), "time": err.time})
+        _json_dump(outdir / "error.json", {"code": 3, "kind": type(err).__name__,
+                                           "message": str(err), "time": err.time})
+        _remove_stale(outdir, {*hashes, "error.json"})
         return 3
     snapshots_start = time.perf_counter()
     hashes.update(_write_snapshots(outdir, traj, cfg.values["output"]["snapshot_stride"]))
@@ -531,15 +530,15 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
 
     hashes["checks.jsonl"] = _write(outdir / "checks.jsonl", "".join(
         json.dumps(rep, sort_keys=True, default=_json_default) + "\n" for rep in reports))
-    if "profile_csv" in summary.get("modulus", {}):
-        hashes["oscillation.csv"] = _write(outdir / "oscillation.csv",
-                                           summary["modulus"].pop("profile_csv"))
-        hashes["fit.json"] = _json_dump(outdir / "fit.json", summary["modulus"].pop("fit"))
+    if "profile" in summary.get("modulus", {}):
+        profile = summary["modulus"].pop("profile")
+        hashes["oscillation.csv"] = _write(outdir / "oscillation.csv", profile.to_csv())
+        hashes["fit.json"] = _json_dump(outdir / "fit.json", profile.fit_dict())
     hashes["ledger.json"] = _json_dump(outdir / "ledger.json", cfg.ledger.as_dict())
 
     all_pass = all(entry.get("pass", False) for entry in summary.values()
                    if entry.get("gate", True))
-    _write_outcome(outdir, "summary.json", {
+    _json_dump(outdir / "summary.json", {
         "checks": summary,
         "scenario_hash": traj.scenario.scenario_hash(),
         "trajectory_hash": traj.trajectory_hash(),
@@ -547,7 +546,6 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         "all_pass": all_pass,
         "solver": studies.solver_summary(traj),
     })
-    _remove_stale(outdir, {*hashes, "timings.json"})
     # Wall times differ between reruns, so they stay out of artifact_hashes.
     _json_dump(outdir / "timings.json", {
         "solve_s": snapshots_start - solve_start,
@@ -555,15 +553,8 @@ def run(config_path: str | Path, out_override: str | None = None) -> int:
         "checks_s": check_seconds,
         "total_s": time.perf_counter() - start,
     })
+    _remove_stale(outdir, {*hashes, "summary.json", "timings.json"})
     return 0 if all_pass else 1
-
-
-def _write_outcome(outdir: Path, name: str, record: dict) -> None:
-    """Write `name`, one of the two outcome records, and remove the other,
-    so that a rerun never leaves an earlier run's outcome beside its own."""
-    _json_dump(outdir / name, record)
-    other = "error.json" if name == "summary.json" else "summary.json"
-    (outdir / other).unlink(missing_ok=True)
 
 
 def _config_error_dir(config_path) -> Path:
@@ -585,8 +576,8 @@ def _emit_config_error(config_path, err: ConfigError, out_override) -> None:
     target = Path(out_override) if out_override else _config_error_dir(config_path)
     try:
         target.mkdir(parents=True, exist_ok=True)
-        _remove_stale(target, ())
-        _write_outcome(target, "error.json", record)
+        _json_dump(target / "error.json", record)
+        _remove_stale(target, {"error.json"})
     except OSError:
         pass
     print(json.dumps(record, sort_keys=True), file=sys.stderr)

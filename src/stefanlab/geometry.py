@@ -76,8 +76,7 @@ def omega(params: ModulusParams, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0) or np.any(r > params.r0 * (1.0 + 1e-12)):
         raise ValueError("radius out of range (0, r0]")
-    out = params.L * (params.p + np.log(params.r0 / r)) ** (-params.alpha)
-    return out if out.ndim else float(out)
+    return omega_from_depth(params, np.log(params.r0 / r))
 
 
 def omega_from_depth(params: ModulusParams, y):

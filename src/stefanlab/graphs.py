@@ -331,13 +331,14 @@ class BetaMap:
 # Regularized graph and enthalpy
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizedGraph:
     """Smoothed jump nonlinearity: location a, latent heat in (0, 1],
     mollification half-width eps, and a bi-Lipschitz temperature map.
 
     Precomputes the primitive of step(beta(.)) across the transition band so
-    the convex step energy has closed-form values everywhere.
+    the convex step energy has closed-form values everywhere.  Frozen, so
+    the table always belongs to the fields it was built from.
     """
 
     a: float
@@ -355,8 +356,9 @@ class RegularizedGraph:
         ss = np.linspace(s_lo, s_hi, 2049)
         data = _step_cdf((self.beta.apply(ss) - self.a) / self.eps)
         # Integral of step(beta(s)) ds from the lower band edge s_lo.
-        self._step_of_temperature_primitive = _primitive_table(ss, data)
-        self._k0 = self._step_of_temperature_primitive(0.0)
+        table = _primitive_table(ss, data)
+        object.__setattr__(self, "_step_of_temperature_primitive", table)
+        object.__setattr__(self, "_k0", table(0.0))
 
     # -- smoothed step in the transformed variable --------------------------
 

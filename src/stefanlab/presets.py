@@ -123,34 +123,30 @@ def positive_bump_1d(*, p: float = 3.0, nodes: int = 61, dt: float = 2.5e-4,
     )
 
 
+# name -> (factory, the one-line summary `stefanlab presets` prints)
 PRESETS = {
-    "constant": constant_preset,
-    "heat-smooth-1d": heat_smooth_1d,
-    "stefan-1d-p2-onephase": melting_front_1d,
-    "stefan-1d-p2-twophase": lambda **kw: twophase_1d(p=2.0, **kw),
-    "stefan-1d-p3-twophase": lambda **kw: twophase_1d(p=3.0, **kw),
-    "stefan-2d-p2-twophase": lambda **kw: twophase_2d(p=2.0, **kw),
-    "stefan-2d-p3-twophase": lambda **kw: twophase_2d(p=3.0, **kw),
-    "bump-1d-p3": positive_bump_1d,
-}
-
-PRESET_SUMMARIES = {
-    "constant": "spatially constant state; all checks trivial",
-    "heat-smooth-1d": "smooth positive data away from the jump (plain heat run)",
-    "stefan-1d-p2-onephase": "hot wall melting a cold slab; similarity-law front",
-    "stefan-1d-p2-twophase": "1D two-phase data oscillating through the jump, p=2",
-    "stefan-1d-p3-twophase": "1D two-phase data oscillating through the jump, p=3",
-    "stefan-2d-p2-twophase": "small 2D two-phase run, p=2",
-    "stefan-2d-p3-twophase": "small 2D two-phase run, p=3",
-    "bump-1d-p3": "positive bump for Harnack/positivity-decay measurements",
+    "constant": (constant_preset, "spatially constant state; all checks trivial"),
+    "heat-smooth-1d": (heat_smooth_1d,
+                       "smooth positive data away from the jump (plain heat run)"),
+    "stefan-1d-p2-onephase": (melting_front_1d,
+                              "hot wall melting a cold slab; similarity-law front"),
+    "stefan-1d-p2-twophase": (lambda **kw: twophase_1d(p=2.0, **kw),
+                              "1D two-phase data oscillating through the jump, p=2"),
+    "stefan-1d-p3-twophase": (lambda **kw: twophase_1d(p=3.0, **kw),
+                              "1D two-phase data oscillating through the jump, p=3"),
+    "stefan-2d-p2-twophase": (lambda **kw: twophase_2d(p=2.0, **kw),
+                              "small 2D two-phase run, p=2"),
+    "stefan-2d-p3-twophase": (lambda **kw: twophase_2d(p=3.0, **kw),
+                              "small 2D two-phase run, p=3"),
+    "bump-1d-p3": (positive_bump_1d, "positive bump for Harnack/positivity-decay measurements"),
 }
 
 
 def make_preset(name: str) -> Scenario:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return PRESETS[name]()
+    return PRESETS[name][0]()
 
 
 def list_presets() -> list[tuple[str, str]]:
-    return [(name, PRESET_SUMMARIES[name]) for name in sorted(PRESETS)]
+    return [(name, summary) for name, (_, summary) in sorted(PRESETS.items())]

@@ -34,12 +34,11 @@ def measurement_params(ledger: ConstantsLedger, r0: float) -> ModulusParams:
                          L=ledger.Lambda * ledger.p**ledger.alpha, M=ledger.M, r0=r0)
 
 
-def default_ledger(scenario: Scenario) -> ConstantsLedger:
-    return fix_constants(
-        n=scenario.grid.dim,
-        p=scenario.p,
-        Lambda=scenario.certified_lambda(),
-    )
+def default_ledger(scenario: Scenario, **choices) -> ConstantsLedger:
+    """The constants ledger of `scenario`'s n, p and certified Lambda, with
+    the free constants `choices` passed to `fix_constants`."""
+    return fix_constants(n=scenario.grid.dim, p=scenario.p,
+                         Lambda=scenario.certified_lambda(), **choices)
 
 
 def caccioppoli_at(traj: Trajectory, params: ModulusParams,
@@ -187,29 +186,12 @@ def _classifier(traj: Trajectory, site: CheckSite):
 
 
 def _modulus(traj: Trajectory, site: CheckSite):
+    # "profile": the measured ladder, which `stefanlab run` writes out
     profile, verdict = verify.modulus_acceptance(
-        traj, _fit_params_to_horizon(site.params, traj), site.ledger,
-        (site.center, traj.times[-1]), ladder=site.ladder, max_rungs=site.ladder_depth)
+        traj, site.params, site.ledger, (site.center, traj.times[-1]),
+        ladder=site.ladder, max_rungs=site.ladder_depth)
     return {"pass": bool(verdict["pass"]), **{k: verdict[k] for k in ("c_star", "alpha_hat")},
-            "profile_csv": profile.to_csv(), "fit": profile.fit_dict()}, None
-
-
-def _fit_params_to_horizon(params: ModulusParams, traj: Trajectory) -> ModulusParams:
-    """Shrink r0 until the outermost cylinder fits the computed horizon.
-
-    omega(r0) = L p^{-alpha} does not depend on r0, so the outermost depth
-    scales exactly like r0^p and the fit is closed-form.
-    """
-    horizon = traj.times[-1] - traj.times[0]
-    lam = max(max(float(u.max()) for u in traj.temps)
-              - min(float(u.min()) for u in traj.temps), 1.0)
-    p, alpha = params.p, params.alpha
-    w_r0 = params.L * p ** (-alpha)
-    depth0 = (lam ** (2.0 - p) * params.M
-              * w_r0 ** ((2.0 - p) * (1.0 + 1.0 / alpha)) * params.r0**p)
-    if depth0 <= horizon:
-        return params
-    return replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / p))
+            "profile": profile}, None
 
 
 def solver_summary(traj: Trajectory) -> dict:

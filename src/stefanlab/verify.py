@@ -10,7 +10,7 @@ reads of a trajectory and reproduce bit-for-bit for a fixed scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,19 +37,6 @@ class InequalityReport:
     degenerate: bool
     passed: bool | None
     details: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "details": {k: _jsonable(v) for k, v in self.details.items()}}
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return [float(x) for x in v.ravel()]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +507,10 @@ def modulus_acceptance(
     is the one whose refinement stability is meaningful.  That stability
     is judged across runs (`studies.run_headline_case`); a single run passes
     whenever c_star is finite.  The ladder stops at `max_rungs` rungs or at
-    the first cylinder too small to measure.
+    the first cylinder too small to measure.  Where the outermost cylinder
+    is deeper than the stored times behind t0, r0 shrinks until it fits:
+    omega(r0) = L p^{-alpha} does not depend on r0, so that depth scales
+    exactly like r0^p and the fit is closed-form.
     """
     if ladder not in LADDER_BASES:
         raise ValueError("ladder must be dyadic2 or dyadic32")
@@ -531,13 +521,13 @@ def modulus_acceptance(
         float(u.min()) for u in trajectory.temps)
     lam = max(osc_global, 1.0)
 
-    outer0 = cylinder(params, center, params.r0, "outer", lambda_scale=lam)
-    axes = trajectory.grid.axes()
-    for c, ax in zip(outer0.center_space, axes):
+    depth0 = cylinder_depth(params, params.r0, "outer", lam)
+    horizon = max(t0 - trajectory.times[0], 0.0)
+    if depth0 > horizon:
+        params = replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / params.p))
+    for c, ax in zip(np.atleast_1d(space), trajectory.grid.axes()):
         if c - params.r0 < ax[0] - 1e-9 or c + params.r0 > ax[-1] + 1e-9:
             raise ValueError("outermost cylinder must fit inside the domain")
-    if outer0.time_window[0] < trajectory.times[0] - 1e-9:
-        raise ValueError("outermost cylinder deeper than the computed horizon")
 
     Lambda = ledger.Lambda
     eps_term = 256.0 * Lambda * trajectory.graph.eps

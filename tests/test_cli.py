@@ -297,7 +297,7 @@ directory = {out}
                 # besides its outcome record and snapshot steps
                 hashes = json.loads((out / "summary.json").read_text())["artifact_hashes"]
                 assert ({n for n in hashes if not cli._STEP_FILE.fullmatch(Path(n).name)}
-                        | {"timings.json"}) == set(cli._ARTIFACTS)
+                        | {"timings.json", "summary.json", "error.json"}) == set(cli._ARTIFACTS)
                 for name in unrelated:
                     (out / name).write_text("keep")
         (out / "snapshots" / "notes.txt").unlink()
@@ -451,6 +451,15 @@ directory = {out}
         record = json.loads((out / "error.json").read_text())
         assert record["code"] == 2
         assert "scenario" in record["field"]
+
+    def test_graph_the_table_cannot_hold_exit_two(self, tmp_path, capsys):
+        # in the domain of its key, but the band a +- eps has no E table
+        path = _write(tmp_path, _EXPLICIT + "jump_location = 1e300\n")
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert (record["code"], record["field"]) == (2, "scenario.mollify_eps")
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "x"])
     def test_bad_store_every_exit_two(self, tmp_path, value):
@@ -787,7 +796,7 @@ _SPECS = {
     "run": st.lists(st.sampled_from(sorted(studies.CHECKS)), max_size=3).map(", ".join),
     "ladder": st.sampled_from(["dyadic2", "dyadic32", "dyadic3"]),
 }
-_KEYS = sorted((section, key) for section, keys in cli.KNOWN_KEYS.items() for key in keys)
+_KEYS = sorted((section, key) for section, keys in cli.KEYS.items() for key in keys)
 
 
 @st.composite
@@ -810,6 +819,10 @@ class TestConfigFuzz:
     @example(text="[scenario]\npreset = constant\nnodes = inf\n")
     @example(text="[scenario]\nbeta = piecewise:1\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n")
     @example(text="[scenario]\npreset = constant\nlabel = 5%% off\n")
+    # graph values the key domains admit but the E table cannot be built from
+    @example(text="[scenario]\njump_location = 1e300\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n")
+    @example(text="[scenario]\nmollify_eps = 5e-324\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n")
+    @example(text="[scenario]\nbeta = tanh:1e308 1\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n")
     @settings(max_examples=100, deadline=None)
     def test_validate_exits_zero_or_two(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("fuzz") / "config.ini"
@@ -834,7 +847,7 @@ class TestConfigFuzz:
 
 def test_readme_documents_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    missing = [f"{section}.{key}" for section, keys in cli.KNOWN_KEYS.items()
+    missing = [f"{section}.{key}" for section, keys in cli.KEYS.items()
                for key in sorted(keys) if f"`{section}.{key}`" not in readme]
     assert not missing
 

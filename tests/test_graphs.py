@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +274,19 @@ class TestGraphConstruction:
         u = np.linspace(-1.0, 1.5, 41)
         scaled = gr.enthalpy_of_temperature(u / lam)
         assert np.max(np.abs(scaled - g.enthalpy_of_temperature(u) / lam)) < 1e-13
+
+    @pytest.mark.parametrize("name", ["a", "latent_heat", "eps", "beta"])
+    def test_fields_are_frozen(self, name):
+        # the E table is built from the fields once: a later assignment
+        # would leave it describing another graph
+        g = RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.05)
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, getattr(g, name))
+        # a changed graph is a new object with its own table
+        h, u, d = replace(g, eps=0.2), 0.1, 1e-6
+        slope = (h.enthalpy_primitive_of_temperature(u + d)
+                 - h.enthalpy_primitive_of_temperature(u - d)) / (2 * d)
+        assert slope == pytest.approx(h.enthalpy_of_temperature(u), abs=1e-8)
 
     def test_rescale_below_one_rejected(self):
         g = RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1)

@@ -611,8 +611,25 @@ class TestModulusAcceptance:
         traj = run_simulation(sc)
         ledger = studies.default_ledger(sc)
         params = studies.measurement_params(ledger, r0=0.4)
-        with pytest.raises(ValueError):
-            verify.modulus_acceptance(traj, params, ledger, ((0.5,), traj.times[-1]))
+        # too deep for the stored times: the top radius shrinks to fit them
+        profile, _ = verify.modulus_acceptance(traj, params, ledger, ((0.5,), traj.times[-1]))
+        assert profile.radii[0] < 0.4
+        assert profile.depths[0] <= traj.times[-1] - traj.times[0]
+        # still wider than the room around the centre: no ladder
+        with pytest.raises(ValueError, match="inside the domain"):
+            verify.modulus_acceptance(traj, params, ledger, ((0.05,), traj.times[-1]))
+
+    def test_modulus_check_reports_the_c_star_of_the_measurement(self):
+        # `stefanlab run`, the headline study and the eps ladder all reach
+        # modulus_acceptance, so one horizon rule serves every c*
+        sc = presets.twophase_1d(nodes=41, t_end=0.01, dt=1e-3)
+        traj = run_simulation(sc)
+        ledger = studies.default_ledger(sc)
+        params = studies.measurement_params(ledger, r0=0.4)
+        _, verdict = verify.modulus_acceptance(traj, params, ledger, ((0.5,), traj.times[-1]))
+        entry, _ = studies.CHECKS["modulus"].run(
+            traj, studies.check_site(traj, params, ledger, (0.5,)))
+        assert entry["c_star"] == verdict["c_star"]
 
     def test_dyadic32_ladder(self):
         # frozen dense-in-time trajectory: the 32-ladder resolves two rungs
