@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import presets, studies, verify
-from .graphs import BetaMap, RegularizedGraph
+from .graphs import BetaMap, GraphValueError, RegularizedGraph
 from .constants import ConstantsLedger
 from .geometry import ModulusParams
 from .solver import (INITIAL_DATA, Boundary, DtPolicy, Grid, InitialData, Scenario,
@@ -171,7 +171,10 @@ KEYS: dict[str, dict[str, Key]] = {
         "dim": Key("1", lambda t: _one_of((1, 2), "dim")(int(t))),
         "nodes": Key(None, lambda t: tuple(map(_integer, t.split(","))),
                      preset=True, axis="resolution"),
-        "extent": Key("1.0", _positive),
+        # bounded so that a cell volume h^dim and a squared radius stay
+        # normal floats on every grid
+        "extent": Key("1.0", _number(float, lambda x: 1e-100 <= x <= 1e100,
+                                     "in [1e-100, 1e100]")),
         "p": Key(None, float, axis="p"),
         "latent_heat": Key("1.0", _number(float, lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
                            preset=True, axis="latent_heat"),
@@ -312,6 +315,10 @@ def _keys_of(sc: Scenario) -> dict:
             "store_every": sc.store_every, "label": sc.label}
 
 
+# The config key of each `RegularizedGraph` field whose name differs from it.
+_GRAPH_KEYS = {"a": "jump_location", "eps": "mollify_eps"}
+
+
 def _scenario(v: dict) -> Scenario:
     """The one Scenario of the parsed [scenario] values `v`."""
     for key in KEYS["scenario"]:
@@ -319,9 +326,11 @@ def _scenario(v: dict) -> Scenario:
             raise ConfigError(f"scenario.{key}", "required key missing")
     dim = v["dim"]
     grid = _named("scenario.nodes", _grid, v["extent"], dim, v["nodes"])
-    # a band a +- eps that floating point cannot tabulate fails here
-    graph = _named("scenario.mollify_eps", RegularizedGraph, v["jump_location"],
-                   v["latent_heat"], v["mollify_eps"], v["beta"])
+    try:
+        graph = RegularizedGraph(v["jump_location"], v["latent_heat"], v["mollify_eps"],
+                                 v["beta"])
+    except GraphValueError as err:
+        raise ConfigError(f"scenario.{_GRAPH_KEYS.get(err.key, err.key)}", str(err)) from err
     initial = _named("scenario.initial_params", _initial, grid, v["initial"],
                      v["initial_params"])
     b = v["boundary"]

@@ -331,6 +331,15 @@ class BetaMap:
 # Regularized graph and enthalpy
 # ---------------------------------------------------------------------------
 
+class GraphValueError(ValueError):
+    """A graph value outside its domain; `key` names the `RegularizedGraph`
+    field it belongs to."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key} {message}")
+        self.key = key
+
+
 @dataclass(frozen=True)
 class RegularizedGraph:
     """Smoothed jump nonlinearity: location a, latent heat in (0, 1],
@@ -348,15 +357,31 @@ class RegularizedGraph:
 
     def __post_init__(self):
         if not (0.0 < self.latent_heat <= 1.0):
-            raise ValueError("latent_heat must lie in (0, 1]")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        s_lo = float(self.beta.inverse(self.a - self.eps))
-        s_hi = float(self.beta.inverse(self.a + self.eps))
-        ss = np.linspace(s_lo, s_hi, 2049)
-        data = _step_cdf((self.beta.apply(ss) - self.a) / self.eps)
-        # Integral of step(beta(s)) ds from the lower band edge s_lo.
-        table = _primitive_table(ss, data)
+            raise GraphValueError("latent_heat", "must lie in (0, 1]")
+        if not 0.0 < self.eps < math.inf:
+            raise GraphValueError("eps", "must be positive and finite")
+        lo, hi = self.a - self.eps, self.a + self.eps
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise GraphValueError("eps", f"gives the band a +- eps = {self.a!r} +- {self.eps!r} "
+                                         f"no finite, nonzero width in floating point")
+        # beta maps the band to the temperatures [s_lo, s_hi]; where no table
+        # of finite coefficients on uniform knots spans them, beta is the
+        # cause, or eps when beta is the identity.
+        with np.errstate(all="ignore"):
+            s_lo = float(self.beta.inverse(lo))
+            s_hi = float(self.beta.inverse(hi))
+            ss = np.linspace(s_lo, s_hi, 2049)
+            data = _step_cdf((self.beta.apply(ss) - self.a) / self.eps)
+            try:
+                # Integral of step(beta(s)) ds from the lower band edge s_lo.
+                table = _primitive_table(ss, data)
+            except ValueError:   # knots not increasing, or not uniform
+                table = None
+        if table is None or not all(np.isfinite(c).all() for c in table._c):
+            raise GraphValueError(
+                "eps" if self.beta.kind == "identity" else "beta",
+                f"gives the band a +- eps = {self.a!r} +- {self.eps!r} the temperatures "
+                f"[{s_lo!r}, {s_hi!r}], which a table of {ss.size} uniform knots cannot hold")
         object.__setattr__(self, "_step_of_temperature_primitive", table)
         object.__setattr__(self, "_k0", table(0.0))
 

@@ -127,8 +127,11 @@ def _weakform(traj: Trajectory, site: CheckSite):
     the unit roundoff), so the bound adds (2M + 1) u scale.  The rounding
     inside each term and in r_m is of the size u times their summands, the
     level at which Newton stops and rho_m is measured.  With steps left
-    unstored R also holds their consistency defect: no verdict."""
+    unstored R also holds their consistency defect, and a run of no step
+    (t_end = 0) has no time interval to test: no verdict."""
     times, diags = traj.times, traj.diagnostics
+    if len(times) < 2:
+        return {"gate": False, "note": "no time interval"}, None
     bump = SpaceTimeBump(center=site.center, width=0.8 * site.params.r0,
                          t_center=0.5 * times[-1], t_width=0.6 * times[-1])
     space = bump.value(traj.grid.meshgrid(), bump.t_center)   # S: T(t_center) = 1

@@ -5,6 +5,7 @@ import configparser
 import hashlib
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -460,6 +461,34 @@ directory = {out}
         record = json.loads((out / "error.json").read_text())
         assert (record["code"], record["field"]) == (2, "scenario.mollify_eps")
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_beta_the_table_cannot_hold_is_named_without_warnings(self, tmp_path, capsys):
+        # tanh beta of slope 1e308 squeezes the band into subnormal temperatures
+        path = _write(tmp_path, _EXPLICIT + "beta = tanh:1e308 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["field"] == "scenario.beta"
+        assert "uniform knots cannot hold" in record["message"]
+
+    def test_weakform_without_a_time_interval_is_a_diagnostic(self, tmp_path):
+        # t_end = 0 stores one time and takes no step
+        path = _write(tmp_path, _EXPLICIT.replace("t_end = 0.002", "t_end = 0")
+                      + "[checks]\nrun = weakform\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        entry = json.loads((out / "summary.json").read_text())["checks"]["weakform"]
+        assert entry["gate"] is False and "pass" not in entry
+
+    @pytest.mark.parametrize("extent", ["1e300", "1e-300"])
+    def test_extent_out_of_range_exit_two(self, tmp_path, extent):
+        # the decay ball's squared radius overflows at extent = 1e300
+        path = _write(tmp_path, _EXPLICIT + f"extent = {extent}\n[checks]\nrun = decay\n")
+        out = tmp_path / "err"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert (record["code"], record["field"]) == (2, "scenario.extent")
 
     @pytest.mark.parametrize("value", ["0", "x"])
     def test_bad_store_every_exit_two(self, tmp_path, value):

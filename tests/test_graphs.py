@@ -251,6 +251,19 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             RegularizedGraph(a=0.0, latent_heat=0.5, eps=-0.1)
 
+    @pytest.mark.parametrize("a, eps, beta, key", [
+        (0.0, 0.05, BetaMap(kind="tanh", mu=1e308, tau=1.0), "beta"),   # subnormal band
+        (0.0, 5e-324, BetaMap(), "eps"),                                 # band of 3 floats
+        (0.0, 1e308, BetaMap(), "eps"),                                  # knot spacing overflows
+        (1e300, 0.05, BetaMap(), "eps"),                                 # a +- eps rounds to a
+    ])
+    def test_band_the_table_cannot_hold_is_named(self, a, eps, beta, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(graphs.GraphValueError) as err:
+                RegularizedGraph(a=a, latent_heat=1.0, eps=eps, beta=beta)
+        assert err.value.key == key
+
     def test_enthalpy_primitive_derivative(self):
         g = RegularizedGraph(a=0.3, latent_heat=0.7, eps=0.05,
                              beta=BetaMap(kind="tanh", mu=0.5, tau=0.4))

@@ -537,6 +537,27 @@ def test_scipy_is_imported_only_by_the_first_1d_solve(tmp_path):
     assert lazy["hash"] == eager["hash"]
 
 
+_THREADS_PROBE = """
+from stefanlab import presets, solver
+sc = presets.twophase_2d(p=3.0, nodes=161, dt=1.25e-4, t_end=3 * 1.25e-4)
+print(solver.run_simulation(sc).trajectory_hash())
+"""
+
+
+def test_2d_bits_do_not_depend_on_the_blas_thread_count():
+    # 161^2 puts 12,960 unknowns in each CG vector, past the length above
+    # which OpenBLAS splits one ddot over threads.
+    src = str(Path(solver.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        hashes.append(out.strip())
+    assert hashes[0] == hashes[1]
+
+
 def test_missing_lapack_extension_raises_import_error(monkeypatch):
     real = importlib.machinery.PathFinder.find_spec
 
@@ -548,10 +569,10 @@ def test_missing_lapack_extension_raises_import_error(monkeypatch):
         solver._gtsv.__wrapped__()
 
 
-def newton_state_2d(p, boundary):
-    """A 21x21 two-phase state, its step problem, its Newton residual and
-    the face powers the residual was built from."""
-    sc = replace(presets.twophase_2d(p=p, nodes=21), boundary=boundary)
+def newton_state_2d(p, boundary, nodes=21):
+    """A nodes x nodes two-phase state, its step problem, its Newton residual
+    and the face powers the residual was built from."""
+    sc = replace(presets.twophase_2d(p=p, nodes=nodes), boundary=boundary)
     u = build_initial(sc.grid, sc.initial)
     prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u), sc.dt.value)
     u = solver._apply_pins(sc, u)
@@ -589,21 +610,31 @@ class TestNewtonDirection2D:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("boundary", BOUNDARIES_2D, ids=lambda b: b.kind)
     def test_matches_dense_solve(self, p, boundary):
-        prob, u, r, powers = newton_state_2d(p, boundary)
-        d, solved = prob.solve_newton_system(u, r, powers, solver._PCG_RTOL)
-        rhs = r.ravel().copy()
-        if prob.pin_mask is not None:
-            rhs[prob.pin_mask.ravel()] = 0.0
-        ref = np.linalg.solve(dense_newton_matrix(prob, u), rhs).reshape(u.shape)
-        assert solved
-        assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
-        if prob.pin_mask is not None:
-            assert np.all(d[prob.pin_mask] == 0.0)
+        # An odd row length colours the nodes by flat-index parity; an even
+        # one is padded with a decoupled column first.
+        for nodes in (21, 20):
+            prob, u, r, powers = newton_state_2d(p, boundary, nodes)
+            d, solved = prob.solve_newton_system(u, r, powers, solver._PCG_RTOL)
+            rhs = r.ravel().copy()
+            if prob.pin_mask is not None:
+                rhs[prob.pin_mask.ravel()] = 0.0
+            ref = np.linalg.solve(dense_newton_matrix(prob, u), rhs).reshape(u.shape)
+            assert solved
+            assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+            if prob.pin_mask is not None:
+                assert np.all(d[prob.pin_mask] == 0.0)
+
+    def test_zero_right_hand_side_gives_zero_direction(self):
+        # b = 0, hence b_S = 0: CG stops before its first division
+        prob, u, r, powers = newton_state_2d(3.0, Boundary(), 20)
+        with np.errstate(divide="raise", invalid="raise"):
+            d, solved = prob.solve_newton_system(u, np.zeros_like(r), powers, solver._PCG_RTOL)
+        assert solved and not d.any() and prob.linear_iterations == 0
 
     def test_cg_cap_keeps_a_reported_descent_direction(self, monkeypatch):
         pcg = solver._pcg
-        monkeypatch.setattr(solver, "_pcg", lambda apply, b, inv_diag, rtol, max_iter:
-                            pcg(apply, b, inv_diag, rtol, 1))
+        monkeypatch.setattr(solver, "_pcg", lambda apply, b, inv_diag, tol, max_iter:
+                            pcg(apply, b, inv_diag, tol, 1))
         prob, u, r, powers = newton_state_2d(3.0, Boundary())
         d, solved = prob.solve_newton_system(u, r, powers, solver._PCG_RTOL)
         assert not solved
