@@ -9,8 +9,11 @@ cli-run INI.  Floats are written with repr and keys sorted, so equal
 files mean equal bits.  Run it in two checkouts and compare the files:
 
     python scripts/bitcheck.py /tmp/before.json   # in the first checkout
-    python scripts/bitcheck.py /tmp/after.json    # in the second one
-    diff /tmp/before.json /tmp/after.json
+    python scripts/bitcheck.py /tmp/after.json --against /tmp/before.json
+
+With `--against OLD.json` the script, after writing its dump, exits 1 and
+prints the first key path at which the dump differs from OLD.json, and
+exits 0 when the two files are byte-identical.
 
 `--size tiny` cuts every run to a few steps (c* then needs a longer horizon
 than it has and is left out); it takes a few seconds.
@@ -99,10 +102,38 @@ def cli_run_record(size: str) -> dict:
             "artifact_hashes": summary["artifact_hashes"]}
 
 
-def main(argv=None) -> None:
+def _dump(record) -> str:
+    return json.dumps(record, indent=1, sort_keys=True) + "\n"
+
+
+def first_difference(old, new, path: str = "") -> str | None:
+    """The key path (`["a"]["b"][0]`) of the first place, in sorted key
+    order, where the dumps of `old` and `new` differ; None when they do not."""
+    if _dump(old) == _dump(new):
+        return None
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                return f"{path}[{json.dumps(key)}]"
+            found = first_difference(old[key], new[key], f"{path}[{json.dumps(key)}]")
+            if found is not None:
+                return found
+    elif isinstance(old, list) and isinstance(new, list):
+        for i, (a, b) in enumerate(zip(old, new)):
+            found = first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return f"{path}[{min(len(old), len(new))}]"
+    return path or "(the whole dump)"
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to write")
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
+    ap.add_argument("--against", metavar="OLD.json",
+                    help="an earlier dump: exit 1 and print the first differing key path "
+                         "unless the new dump is byte-identical to it")
     args = ap.parse_args(argv)
     record = {
         "size": args.size,
@@ -110,8 +141,18 @@ def main(argv=None) -> None:
         "solve-2d": solve_2d_record(args.size),
         "cli-run": cli_run_record(args.size),
     }
-    Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    text = _dump(record)
+    Path(args.out).write_text(text)
+    if args.against is None:
+        return 0
+    old_text = Path(args.against).read_text()
+    if old_text == text:
+        print(f"identical to {args.against}")
+        return 0
+    path = first_difference(json.loads(old_text), record)
+    print(f"differs from {args.against} at {path or 'its formatting'}")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

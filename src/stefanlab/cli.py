@@ -224,6 +224,9 @@ KEYS: dict[str, dict[str, Key]] = {
 SWEEP_AXES = {k.axis: key for key, k in KEYS["scenario"].items() if k.axis}
 # Grids are evaluated when the config is parsed; this bounds their size.
 MAX_NODES = 10**6
+# A fixed dt may take at most this many steps to t_end, checked when the
+# config is parsed (an intrinsic dt depends on the solution and is not).
+MAX_STEPS = 10**7
 
 
 @dataclass
@@ -331,17 +334,23 @@ def _scenario(v: dict) -> Scenario:
                                  v["beta"])
     except GraphValueError as err:
         raise ConfigError(f"scenario.{_GRAPH_KEYS.get(err.key, err.key)}", str(err)) from err
-    initial = _named("scenario.initial_params", _initial, grid, v["initial"],
+    initial = _named("scenario.initial_params", _initial, grid, graph, v["initial"],
                      v["initial_params"])
     b = v["boundary"]
     boundary = Boundary() if b is None else Boundary(kind="dirichlet", values=b[:dim])
     try:
-        return Scenario(grid=grid, p=v["p"], graph=graph, field=v["field"],
-                        initial=initial, boundary=boundary, t_end=v["t_end"],
-                        dt=v["dt"], step_rtol=v["step_rtol"],
-                        store_every=v["store_every"], label=v["label"])
+        scenario = Scenario(grid=grid, p=v["p"], graph=graph, field=v["field"],
+                            initial=initial, boundary=boundary, t_end=v["t_end"],
+                            dt=v["dt"], step_rtol=v["step_rtol"],
+                            store_every=v["store_every"], label=v["label"])
     except ScenarioValueError as err:
         raise ConfigError(f"scenario.{err.key}", str(err)) from err
+    dt = scenario.dt
+    if dt.kind == "fixed" and scenario.t_end / dt.value > MAX_STEPS:
+        raise ConfigError("scenario.dt", f"{dt.value!r} takes {scenario.t_end / dt.value:.3g} "
+                                         f"steps to t_end = {scenario.t_end!r}; at most "
+                                         f"{MAX_STEPS} are allowed")
+    return scenario
 
 
 def _grid(extent: float, dim: int, nodes: tuple[int, ...]) -> Grid:
@@ -351,12 +360,18 @@ def _grid(extent: float, dim: int, nodes: tuple[int, ...]) -> Grid:
     return Grid(extents=(extent,) * dim, nodes=nodes)
 
 
-def _initial(grid: Grid, name: str, params: dict) -> InitialData:
+def _initial(grid: Grid, graph: RegularizedGraph, name: str, params: dict) -> InitialData:
+    """The initial data, which must be finite on the grid and have a finite
+    enthalpy primitive E(u) there, the bulk term of every step energy."""
     initial = InitialData.of(name, **params)
     with np.errstate(all="ignore"):
-        finite = np.isfinite(build_initial(grid, initial)).all()
-    if not finite:
+        u = build_initial(grid, initial)
+        energy = graph.enthalpy_primitive_of_temperature(u)
+    if not np.isfinite(u).all():
         raise ValueError(f"{name} data is not finite on the grid")
+    if not np.isfinite(energy).all():
+        raise ValueError(f"{name} data reaches |u| = {np.abs(u).max():.3g}, where the "
+                         f"enthalpy primitive E(u) is not finite")
     return initial
 
 

@@ -179,7 +179,8 @@ def caccioppoli_check(
             "rhs_time": rhs_time_num / span,
             "rhs_jump": rhs_jump_num / span,
             "cutoff_dphi_bound": 1.0 / ((1.0 - _PLATEAU_FRACTION) * cyl.ball_radius),
-            "cutoff_dtphi_bound": p / (_RAMP_FRACTION * cyl.depth),
+            # divided in turn: halving a subnormal depth would round it to 0
+            "cutoff_dtphi_bound": p / _RAMP_FRACTION / cyl.depth,
         },
     )
 

@@ -1,6 +1,7 @@
 """Test-only helpers: a uniform test function, the test bump with its
-gradient, the O(h^2) weak-form residual they feed, a Lyapunov sequence, the
-modulus log-slope, the forwarded level fraction and the rescaled graph and
+gradient, the O(h^2) weak-form residual they feed, the step residual and
+the net face flux written the plain way, a Lyapunov sequence, the modulus
+log-slope, the forwarded level fraction and the rescaled graph and
 solution.  Nothing in the package calls them, so they live beside the tests
 that do."""
 from __future__ import annotations
@@ -52,6 +53,43 @@ class SpaceTimeBump(solver.SpaceTimeBump):
                     g = g * part
             grads.append(g)
         return grads
+
+
+def net_face_flux(f: np.ndarray, axis: int) -> np.ndarray:
+    """Net flux per node from the face values f along `axis`: np.diff of f
+    zero-padded at both ends, so no flux crosses the boundary."""
+    pad = [(0, 0)] * f.ndim
+    pad[axis] = (1, 1)
+    return np.diff(np.pad(f, pad), axis=axis)
+
+
+def face_fluxes(grid: Grid, p: float, weights: Sequence[float], u: np.ndarray) -> list:
+    """Per-axis face fluxes w |g|^{p-2} g times the face's dual area, with
+    g = np.diff(u)/h: the flux law of `_Faces` written the plain way."""
+    h = grid.h
+    fluxes = []
+    for ax, w in enumerate(weights):
+        area = 1.0
+        if grid.dim == 2:
+            area = np.full(grid.nodes[1 - ax], h)
+            area[0] = area[-1] = 0.5 * h
+            area = area.reshape((1, -1) if ax == 0 else (-1, 1))
+        g = np.diff(u, axis=ax) / h
+        fluxes.append(w * area * (np.abs(g) ** (p - 2.0) * g))
+    return fluxes
+
+
+def step_gradient(prob, u: np.ndarray) -> np.ndarray:
+    """The gradient of a step problem's functional at u, written the plain
+    way: vol (e(u) - e_old) - dt sum_ax np.diff(zero-padded flux_ax), set to
+    zero at the pins.  `_StepProblem.gradient` must return these bits."""
+    sc = prob.sc
+    r = prob.vol * (sc.graph.enthalpy_of_temperature(u) - prob.e_old)
+    for ax, f in enumerate(face_fluxes(sc.grid, sc.p, sc.field.weights, u)):
+        r = r - prob.dt * net_face_flux(f, ax)
+    if prob.pin_mask is not None:
+        r[prob.pin_mask] = 0.0
+    return r
 
 
 def _centered_gradient(u: np.ndarray, grid: Grid) -> list[np.ndarray]:

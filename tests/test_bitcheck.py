@@ -24,3 +24,25 @@ def test_tiny_dump(tmp_path):
         assert res["diag_totals"]["steps"] > 0
         assert re.fullmatch(r"[0-9a-f]{16}", res["scenario_hash"])
     assert record["cli-run"]["exit_code"] == 0 and record["cli-run"]["artifact_hashes"]
+
+
+def test_against_an_earlier_dump(tmp_path):
+    def bitcheck(out, against):
+        return subprocess.run([sys.executable, str(SCRIPT), str(out), "--size", "tiny",
+                               "--against", str(against)],
+                              capture_output=True, text=True, timeout=300)
+
+    old = tmp_path / "old.json"
+    subprocess.run([sys.executable, str(SCRIPT), str(old), "--size", "tiny"], check=True,
+                   capture_output=True, timeout=300)
+    same = bitcheck(tmp_path / "same.json", old)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert (tmp_path / "same.json").read_bytes() == old.read_bytes()
+
+    record = json.loads(old.read_text())
+    record["headline"]["1d-p3"]["fine"]["diag_hash"] = "0" * 64
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    differs = bitcheck(tmp_path / "new.json", changed)
+    assert differs.returncode == 1
+    assert '["headline"]["1d-p3"]["fine"]["diag_hash"]' in differs.stdout

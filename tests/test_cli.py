@@ -37,6 +37,13 @@ directory = {outdir}
 
 # A small explicit 1D scenario; cases append keys to it.
 _EXPLICIT = "[scenario]\ndim = 1\nnodes = 11\np = 3.0\nt_end = 0.002\ndt = 1e-3\n"
+# Every check of `stefanlab run`.
+_ALL_CHECKS = "[checks]\nrun = " + ", ".join(studies.CHECKS) + "\n"
+# Two configs inside every key's own domain that cannot run: a fixed dt of
+# about 2e321 steps to t_end, and initial data whose E(u) overflows.
+_TINY_DT = "[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = 0.01\ndt = 5e-324\n"
+_HUGE_U = ("[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = 0.01\ndt = 0.002\n"
+           "initial = constant\ninitial_params = value=1e300\n" + _ALL_CHECKS)
 
 
 def _write(tmp_path, text, name="config.ini"):
@@ -490,6 +497,29 @@ directory = {out}
         record = json.loads((out / "error.json").read_text())
         assert (record["code"], record["field"]) == (2, "scenario.extent")
 
+    @pytest.mark.parametrize("config, field", [
+        # t_end/dt is about 2e321 steps: the run would never end
+        (_TINY_DT, "scenario.dt"),
+        # E(u) = u^2/2 + ... overflows at every node
+        (_HUGE_U, "scenario.initial_params"),
+    ], ids=["tiny-dt", "huge-u"])
+    def test_unrunnable_values_exit_two_without_warnings(self, tmp_path, config, field):
+        path = _write(tmp_path, config)
+        out = tmp_path / "err"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", str(path)]) == 2
+            assert cli.main(["run", str(path), "--output", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert (record["code"], record["field"]) == (2, field)
+
+    def test_step_cap_admits_its_bound(self, tmp_path):
+        path = _write(tmp_path, _EXPLICIT.replace("t_end = 0.002", f"t_end = {cli.MAX_STEPS}")
+                      .replace("dt = 1e-3", "dt = 1"))
+        assert cli.main(["validate", str(path)]) == 0
+        path.write_text(path.read_text().replace("dt = 1\n", "dt = 0.999999\n"))
+        assert cli.main(["validate", str(path)]) == 2
+
     @pytest.mark.parametrize("value", ["0", "x"])
     def test_bad_store_every_exit_two(self, tmp_path, value):
         text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
@@ -872,6 +902,47 @@ class TestConfigFuzz:
             again = cli.parse_config(path).scenario
             assert again.scenario_hash() == sc.scenario_hash()
             assert (again.step_rtol, again.label) == (sc.step_rtol, sc.label)
+
+
+# Edge values of the `cli.KEYS` domains a 1D run reads; t_end and dt keep
+# every accepted run to a few steps.
+_RUN_EDGES = {
+    "t_end": st.sampled_from(["0", "5e-324", "1e-300", "0.004"]),
+    "dt": st.sampled_from(["5e-324", "1e-300", "0.002", "1e300"]),
+    "extent": st.sampled_from(["1e-100", "1e-3", "1.0", "1e100"]),
+    "initial": st.sampled_from([
+        "initial = constant\ninitial_params = value=1e300",
+        "initial = constant\ninitial_params = value=1e76",
+        "initial = constant\ninitial_params = value=-1e150",
+        "initial = bump\ninitial_params = amplitude=1e300",
+        "initial = two-phase-sine\ninitial_params = amplitude=1e100, level=-1e100",
+        "initial = ramp\ninitial_params = lo=-1e-300, hi=1e-300",
+    ]),
+}
+
+
+class TestRunFuzz:
+    """`stefanlab run` end to end with every check on tiny 1D configs at the
+    edges of the key domains: each run ends with its record, no exception
+    escapes."""
+
+    @given(**_RUN_EDGES)
+    @example(t_end="0.01", dt="5e-324", extent="1.0", initial="")
+    @example(t_end="0.01", dt="0.002", extent="1.0",
+             initial="initial = constant\ninitial_params = value=1e300")
+    @settings(max_examples=12, deadline=None)
+    def test_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, initial):
+        tmp = tmp_path_factory.mktemp("run-fuzz")
+        path = _write(tmp, f"[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = {t_end}\n"
+                           f"dt = {dt}\nextent = {extent}\n{initial}\n" + _ALL_CHECKS)
+        out = tmp / "out"
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", str(path), "--output", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code < 2:
+            assert json.loads((out / "summary.json").read_text())["all_pass"] is (code == 0)
+        else:
+            assert json.loads((out / "error.json").read_text())["code"] == code
 
 
 def test_readme_documents_every_key():

@@ -25,7 +25,7 @@ from stefanlab.solver import (Boundary, DtPolicy, Grid, InitialData,
                               implicit_step, run_simulation)
 
 from helpers import (ConstantInSpace, SpaceTimeBump, centered_weak_form_residual,
-                     dissipation_profile, rescale_solution)
+                     dissipation_profile, net_face_flux, rescale_solution, step_gradient)
 
 
 class TestGrid:
@@ -87,7 +87,7 @@ class TestVectorField:
 def divergence_per_volume(u, p, grid):
     """Net face flux per unit volume, the operator the step residual uses."""
     faces = solver._Faces(grid, p, (1.0,) * grid.dim)
-    div = sum(faces.divergence(f, ax) for ax, f in enumerate(faces.fluxes(faces.powers(u))))
+    div = sum(net_face_flux(f, ax) for ax, f in enumerate(faces.fluxes(faces.powers(u))))
     return div / grid.volume_weights()
 
 
@@ -154,7 +154,7 @@ class TestPLaplacianApply:
         faces = solver._Faces(grid, p, weights[:grid.dim])
         u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=grid.shape)
         fluxes = faces.fluxes(faces.powers(u))
-        div = sum(faces.divergence(f, ax) for ax, f in enumerate(fluxes))
+        div = sum(net_face_flux(f, ax) for ax, f in enumerate(fluxes))
         # No flux leaves the domain: the volume sum of the divergence is 0.
         scale = max(1.0, sum(float(np.sum(np.abs(f))) for f in fluxes))
         assert abs(float(np.sum(div))) <= 1e-12 * scale
@@ -169,7 +169,52 @@ class TestPLaplacianApply:
         assert np.max(np.abs(numeric + div)) <= 1e-6 * max(1.0, float(np.max(np.abs(div))))
 
 
+class TestStepGradientOracle:
+    """`_StepProblem.gradient` and `_Faces.gradients` (of one field and of a
+    stack) against the same arithmetic written the plain way
+    (`helpers.step_gradient`), bit for bit.  Both sides run on one host, so
+    the comparison does not depend on it."""
+
+    @given(nodes=st.one_of(st.tuples(st.integers(3, 30)),
+                           st.tuples(st.integers(3, 12), st.integers(3, 12))),
+           p=st.one_of(st.sampled_from((2.0, 3.0, 4.0)), st.floats(2.0, 5.0)),
+           weights=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+           dirichlet=st.booleans(), tanh_beta=st.booleans(),
+           dt=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_is_the_plain_formula(self, nodes, p, weights, dirichlet, tanh_beta,
+                                           dt, seed):
+        h = 1.0 / 8
+        grid = Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes)
+        beta = BetaMap("tanh", mu=0.4, tau=0.1) if tanh_beta else BetaMap()
+        boundary = (Boundary("dirichlet", ((-0.3, 0.2),) * grid.dim) if dirichlet
+                    else Boundary())
+        sc = Scenario(grid=grid, p=p, field=VectorField(tuple(weights[:grid.dim])),
+                      graph=RegularizedGraph(a=0.05, latent_heat=0.8, eps=0.1, beta=beta),
+                      boundary=boundary)
+        rng = np.random.default_rng(seed)
+        u, u_old = rng.uniform(-0.4, 0.4, size=(2,) + grid.shape)
+        prob = solver._StepProblem(sc, sc.graph.enthalpy_of_temperature(u_old), dt)
+        r, powers, e = prob.gradient(u)
+        assert np.array_equal(r, step_gradient(prob, u))
+        assert np.array_equal(e, sc.graph.enthalpy_of_temperature(u))
+        assert all(np.array_equal(g, np.diff(u, axis=ax) / grid.h)
+                   for ax, (g, _) in enumerate(powers))
+        # a stack of fields gets each field's gradients
+        per_field = [prob.faces.gradients(v) for v in (u, u_old)]
+        assert all(np.array_equal(g[k], per_field[k][ax]) for k in range(2)
+                   for ax, g in enumerate(prob.faces.gradients(np.stack([u, u_old]))))
+
+
 class TestImplicitStep:
+    def test_nan_residual_is_not_accepted(self):
+        # |g|^{p-2} overflows at p = 8, so a net flux is inf - inf: the
+        # residual is NaN at every iterate and no step may be accepted
+        sc = replace(presets.twophase_1d(nodes=9), p=8.0)
+        u0 = 1e60 * np.linspace(0.0, 1.0, 9) ** 2
+        with np.errstate(all="ignore"), pytest.raises(solver.MaxIterationsError, match="nan"):
+            implicit_step(u0, 1e-3, sc)
+
     def test_zero_fixed_point(self):
         sc = presets.twophase_1d(nodes=21)
         u0 = np.zeros(21)
@@ -585,8 +630,7 @@ def dense_newton_matrix(prob, u):
     n = u.size
     idx = np.arange(n).reshape(u.shape)
     mat = np.diag((prob.vol * prob.sc.graph.enthalpy_prime_of_temperature(u)).ravel())
-    for ax, c in enumerate(prob.faces.newton_weights(prob.faces.powers(u))):
-        c = prob.dt * c
+    for ax, c in enumerate(prob.faces.newton_weights(prob.faces.powers(u), prob.dt)):
         lo = np.take(idx, range(u.shape[ax] - 1), axis=ax).ravel()
         hi = np.take(idx, range(1, u.shape[ax]), axis=ax).ravel()
         for i, j, cf in zip(lo, hi, c.ravel()):
