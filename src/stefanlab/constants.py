@@ -170,34 +170,18 @@ class StartingRadius:
 def r_tilde_0(params: ModulusParams, Lambda: float) -> StartingRadius:
     """Largest radius where the modulus first reaches the structure constant.
 
-    Monotone bisection on the log-depth y = ln(r0/r); omega(r0) >= Lambda is
-    required so the root exists in (0, r0].
+    omega = L (p + y)^(-alpha) at log-depth y = ln(r0/r) equals Lambda at
+    y = (L/Lambda)^(1/alpha) - p; omega(r0) >= Lambda is required so the
+    root exists in (0, r0], and y = 0 when omega(r0) <= Lambda.
     """
     if Lambda <= 0.0:
         raise ValueError("Lambda must be positive")
     w_r0 = omega_from_depth(params, 0.0)
     if w_r0 < Lambda * (1.0 - 1e-14):
         raise ValueError("omega(r0) < Lambda: no starting radius exists")
-
-    def shortfall(y):
-        return Lambda - omega_from_depth(params, y)  # increasing in y
-
-    lo = 0.0
-    if shortfall(0.0) >= 0.0:
-        y = 0.0
-    else:
-        hi = 1.0
-        while shortfall(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise ValueError("starting radius search did not bracket")
-        while hi - lo > 1e-14 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if shortfall(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        y = 0.5 * (lo + hi)
+    y = 0.0
+    if w_r0 > Lambda:
+        y = max(0.0, (params.L / Lambda) ** (1.0 / params.alpha) - params.p)
     r = params.r0 * math.exp(-y)
     c_tilde = math.exp(y) if y < 700.0 else math.inf
     return StartingRadius(r_tilde0=r, log_depth=y, c_tilde=c_tilde)

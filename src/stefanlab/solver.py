@@ -68,8 +68,7 @@ weights and the tridiagonal bands are formed in place.  Sums and products
 that commute are formed in place, the scalar constants of these lookups
 are 0-d arrays (`graphs._scalar`), whole-array reductions call numpy's
 ufunc reductions without their Python wrappers (`_all`, `_max`, `_sum`),
-and a full Newton step is u - d.  On the 161-node 1D p = 2 headline a step
-makes 38.7 Python-level calls, down from 71.6.
+and a full Newton step is u - d.
 """
 from __future__ import annotations
 
@@ -121,6 +120,21 @@ _sum = np.add.reduce
 # Grid and scenario data
 # ---------------------------------------------------------------------------
 
+class ScenarioValueError(ValueError):
+    """A scenario value outside its domain; `key` names the `Scenario`
+    field (and config key) it belongs to."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key} {message}")
+        self.key = key
+
+
+# A grid has at most this many nodes, and a run at most this many steps to
+# t_end (see `Scenario`).
+MAX_NODES = 10**6
+MAX_STEPS = 10**7
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform vertex-centred grid in 1 or 2 dimensions.
@@ -134,14 +148,19 @@ class Grid:
 
     def __post_init__(self):
         if len(self.extents) != len(self.nodes) or len(self.nodes) not in (1, 2):
-            raise ValueError("grid must be 1D or 2D with matching extents/nodes")
+            raise ScenarioValueError("nodes", f"{self.nodes!r} do not make a 1D or 2D grid "
+                                              f"of extents {self.extents!r}")
         if any(n < 3 for n in self.nodes):
-            raise ValueError("need at least 3 nodes per axis")
-        if any(e <= 0 for e in self.extents):
-            raise ValueError("extents must be positive")
+            raise ScenarioValueError("nodes", "need at least 3 nodes per axis")
+        if math.prod(self.nodes) > MAX_NODES:
+            raise ScenarioValueError("nodes", f"more than {MAX_NODES} nodes")
+        # bounded so that a cell volume h^dim and a squared radius stay
+        # normal floats on every grid
+        if not all(1e-100 <= e <= 1e100 for e in self.extents):
+            raise ScenarioValueError("extent", f"must be in [1e-100, 1e100], got {self.extents!r}")
         hs = [e / (n - 1) for e, n in zip(self.extents, self.nodes)]
         if max(hs) - min(hs) > 1e-12 * max(hs):
-            raise ValueError("spacing must be uniform across axes")
+            raise ScenarioValueError("nodes", "spacing must be uniform across axes")
 
     @property
     def dim(self) -> int:
@@ -224,15 +243,6 @@ def _freeze(v):
     return float(v) if isinstance(v, (int, float, np.floating)) else v
 
 
-class ScenarioValueError(ValueError):
-    """A scenario value outside its domain; `key` names the `Scenario`
-    field (and config key) it belongs to."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key} {message}")
-        self.key = key
-
-
 @dataclass(frozen=True)
 class DtPolicy:
     """Fixed steps, or intrinsic steps safety * h^p * osc(u)^{2-p}."""
@@ -251,15 +261,28 @@ class DtPolicy:
         if self.kind == "fixed":
             dt = self.value
         else:
-            osc = float(u.max() - u.min())
-            dt = self.safety * grid.h**p * max(osc, 1e-12) ** (2.0 - p)
+            osc = max(float(u.max() - u.min()), 1e-12)
+            try:
+                dt = self.safety * grid.h**p * osc ** (2.0 - p)
+            except OverflowError:   # osc^(2-p) beyond the floats: the product in logs
+                log_dt = math.log(self.safety) + p * math.log(grid.h) + (2.0 - p) * math.log(osc)
+                dt = math.exp(log_dt) if log_dt < 709.0 else math.inf
         return min(dt, remaining)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Full problem statement for one run; `dataclasses.replace` makes a
-    changed copy."""
+    changed copy.
+
+    A scenario that builds can run: each value outside its domain raises
+    `ScenarioValueError` naming its field.  The initial field, with the
+    Dirichlet pins set (`_initial_state`), must be finite and have a finite
+    step energy, sum V E(u) plus the face energy sum |du/h|^p; and t_end
+    takes at most `MAX_STEPS` steps of the first dt.  That bounds an
+    intrinsic dt too: for p >= 2 it grows as osc(u) shrinks, and osc(u)
+    never exceeds osc(u0) (max principle), so the first step is the
+    shortest."""
 
     grid: Grid
     p: float
@@ -269,7 +292,6 @@ class Scenario:
     boundary: Boundary = dc_field(default_factory=Boundary)
     t_end: float = 0.1
     dt: DtPolicy = dc_field(default_factory=DtPolicy)
-    step_rtol: float = 1e-12   # the step's residual target, relative to 1 + max|e_old|
     store_every: int = 1
     label: str = ""
 
@@ -278,9 +300,6 @@ class Scenario:
             raise ScenarioValueError("p", f"must be finite and >= 2, got {self.p!r}")
         if not 0.0 <= self.t_end < math.inf:
             raise ScenarioValueError("t_end", f"must be finite and nonnegative, got {self.t_end!r}")
-        if not 0.0 < self.step_rtol < math.inf:
-            raise ScenarioValueError("step_rtol", f"must be positive and finite, "
-                                                  f"got {self.step_rtol!r}")
         if self.store_every < 1:
             raise ScenarioValueError("store_every", "must be >= 1")
         if self.field is None:
@@ -288,6 +307,13 @@ class Scenario:
         elif len(self.field.weights) != self.grid.dim:
             raise ScenarioValueError("field", f"has {len(self.field.weights)} weights for a "
                                               f"{self.grid.dim}D grid; need one per axis")
+        if self.boundary.kind == "dirichlet" and len(self.boundary.values) < self.grid.dim:
+            raise ScenarioValueError("boundary", f"has {len(self.boundary.values)} (low, high) "
+                                                 f"pairs for a {self.grid.dim}D grid")
+        first = self.dt.step(self.grid, self.p, self._initial_state, math.inf)
+        if self.t_end > 0.0 and not self.t_end <= MAX_STEPS * first:
+            raise ScenarioValueError("dt", f"gives a first step of {first!r}, so t_end = "
+                                           f"{self.t_end!r} takes more than {MAX_STEPS} steps")
 
     @functools.cached_property
     def _cells(self) -> tuple:
@@ -295,6 +321,32 @@ class Scenario:
         problem on this scenario."""
         return (self.grid.volume_weights(), _Faces(self.grid, self.p, self.field.weights),
                 *_dirichlet_arrays(self))
+
+    @functools.cached_property
+    def _initial_state(self) -> np.ndarray:
+        """The initial field with the Dirichlet pins set (read-only), checked
+        for a finite step energy."""
+        with np.errstate(all="ignore"):
+            try:
+                u = build_initial(self.grid, self.initial)
+            except (ValueError, TypeError, ArithmeticError) as err:
+                raise ScenarioValueError("initial" if self.initial.name not in INITIAL_DATA
+                                         else "initial_params", str(err)) from err
+            pinned = _apply_pins(self, u)
+            if not self._energy_is_finite(pinned):
+                key = ("initial_params" if pinned is u or not self._energy_is_finite(u)
+                       else "boundary")
+                raise ScenarioValueError(key, f"gives an initial field (max |u| = "
+                                              f"{float(np.abs(pinned).max()):.3g}) whose step "
+                                              f"energy, E(u) or |du/h|^p, is not finite")
+        pinned.flags.writeable = False
+        return pinned
+
+    def _energy_is_finite(self, u: np.ndarray) -> bool:
+        """Whether u and its step energy sum V E(u) + sum |du/h|^p are finite."""
+        vol, faces = self._cells[:2]
+        return bool(_all(np.isfinite(u), None)) and math.isfinite(
+            _sum(vol * self.graph.enthalpy_primitive_of_temperature(u), None) + faces.energy(u))
 
     def certified_lambda(self) -> float:
         """Structure constant covering both the flux law and the beta map."""
@@ -498,7 +550,7 @@ INITIAL_DATA: dict[str, tuple[Callable[[Grid, dict], np.ndarray], tuple[str, ...
 def build_initial(grid: Grid, spec: InitialData) -> np.ndarray:
     """Evaluate a named initial-data preset on the grid."""
     if spec.name not in INITIAL_DATA:
-        raise ValueError(f"unknown initial data preset {spec.name!r}")
+        raise ValueError(f"unknown initial data {spec.name!r}; known: {', '.join(INITIAL_DATA)}")
     builder, names = INITIAL_DATA[spec.name]
     unknown = sorted(set(spec.as_dict()) - set(names))
     if unknown:
@@ -801,10 +853,12 @@ class _StepProblem:
 # The tightest CG tolerance: the relative residual a Newton system is ever
 # solved to.
 _PCG_RTOL = 1e-14
-# A step keeps polishing until its per-volume residual is at most
+# A step is accepted once its per-volume residual is at most
+# _STEP_RTOL * (1 + max|e_old|), and keeps polishing until it is at most
 # _POLISH_RTOL * (1 + max|e_old|) or stops improving; it takes at most
 # _MAX_NEWTON Newton iterations of at most _MAX_BACKTRACKS line-search
 # halvings each.  _NEWTON_SIGMA floors |g|^{p-2} in the Newton matrix only.
+_STEP_RTOL = 1e-12
 _POLISH_RTOL = 2e-15
 _MAX_NEWTON = 120
 _MAX_BACKTRACKS = 45
@@ -907,7 +961,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     Newton starts from `start` (pins applied) or, when it is None or not
     finite, from `u_old`; the step is the same minimizer either way.  The
     iteration first meets the scale-free tolerance
-    step_rtol * (1 + max|e_old|) on the per-volume residual, then keeps
+    `_STEP_RTOL` * (1 + max|e_old|) on the per-volume residual, then keeps
     polishing while progress continues; the tiny extra cost buys exact-level
     enthalpy conservation over whole runs.  `e_old` is e(u_old) when the
     caller already holds it; it is looked up when None.
@@ -933,7 +987,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     u = _apply_pins(scenario, np.array(start, dtype=float))
 
     scale = 1.0 + float(_max(np.abs(e_old), None))
-    accept_tol = scenario.step_rtol * scale
+    accept_tol = _STEP_RTOL * scale
     polish_tol = _POLISH_RTOL * scale
 
     u_start = u
@@ -1068,7 +1122,7 @@ def _extrapolate(u: np.ndarray, dt: float, past: Sequence[tuple[np.ndarray, floa
 def run_simulation(scenario: Scenario) -> Trajectory:
     """Drive implicit steps to t_end; deterministic for a fixed scenario."""
     grid = scenario.grid
-    u = _apply_pins(scenario, build_initial(grid, scenario.initial))
+    u = scenario._initial_state
     times = [0.0]
     temps = [u.copy()]
     # e(u) is looked up for the initial state only; each step returns e of
@@ -1204,8 +1258,7 @@ def weak_form_residual(
     """
     grid = trajectory.grid
     h = grid.h
-    faces = _Faces(grid, trajectory.p, trajectory.field.weights)
-    vol = grid.volume_weights()
+    vol, faces = trajectory.scenario._cells[:2]
     xs = grid.meshgrid()
     times = np.asarray(trajectory.times)
     last = len(times) - 1
@@ -1263,7 +1316,7 @@ def enthalpy_totals(trajectory: Trajectory) -> np.ndarray:
     """The enthalpy integral at each stored time, summed over bounded blocks
     of times: per time, bit for bit np.sum(e * vol)."""
     grid = trajectory.grid
-    vol = grid.volume_weights()
+    vol = trajectory.scenario._cells[0]
     e_fields = trajectory.enthalpies
     return np.concatenate([_row_sums(np.stack(e_fields[lo:hi]) * vol)
                            for lo, hi in _time_blocks(0, len(e_fields), grid)])

@@ -20,7 +20,7 @@ from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
                        OscillationProfile, cylinder, cylinder_depth, cylinder_samples, extrema,
                        fit_modulus, kappa_ratio, omega, oscillation)
 from .graphs import enthalpy_jump_primitive
-from .solver import (Scenario, SpaceTimeBump, Trajectory, _Faces, _row_sums, _time_blocks,
+from .solver import (Scenario, SpaceTimeBump, Trajectory, _row_sums, _time_blocks,
                      _time_column, run_simulation, weak_form_residual)
 
 
@@ -100,11 +100,10 @@ def caccioppoli_check(
     """
     grid, graph = trajectory.grid, trajectory.graph
     p = trajectory.p
-    faces = _Faces(grid, p, trajectory.field.weights)
+    vol, faces = trajectory.scenario._cells[:2]
     lh = graph.latent_heat
     mask, t_idx = cylinder_samples(trajectory, cyl)
 
-    vol = grid.volume_weights()
     ball_vol = float(np.sum(vol[mask]))
     slab = cyl.depth
 
@@ -307,7 +306,7 @@ def weak_harnack_check(
     if min(float(v.min()) for v in v_all) < -1e-12:
         raise ValueError("supersolution must be nonnegative")
 
-    vol = grid.volume_weights()
+    vol = trajectory.scenario._cells[0]
     m1 = trajectory.nearest_time_index(t1)
     mask_avg = trajectory.ball_mask(x0, R0)
     avg = float(np.sum((v_all[m1] * vol)[mask_avg]) / np.sum(vol[mask_avg]))

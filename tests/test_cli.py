@@ -4,6 +4,7 @@ byte-identical re-execution, error exit codes, sweeps and preset listing."""
 import configparser
 import hashlib
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stefanlab import cli, presets, solver, studies
 from stefanlab.solver import run_simulation
@@ -39,11 +40,19 @@ directory = {outdir}
 _EXPLICIT = "[scenario]\ndim = 1\nnodes = 11\np = 3.0\nt_end = 0.002\ndt = 1e-3\n"
 # Every check of `stefanlab run`.
 _ALL_CHECKS = "[checks]\nrun = " + ", ".join(studies.CHECKS) + "\n"
-# Two configs inside every key's own domain that cannot run: a fixed dt of
-# about 2e321 steps to t_end, and initial data whose E(u) overflows.
+# Configs inside every key's own domain that cannot run: a fixed dt of
+# about 2e321 steps to t_end, initial data whose E(u) overflows, Dirichlet
+# values whose E(u) overflows, initial data whose face energy |du/h|^p
+# overflows, and an intrinsic dt of about 6e8 steps.
 _TINY_DT = "[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = 0.01\ndt = 5e-324\n"
 _HUGE_U = ("[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = 0.01\ndt = 0.002\n"
            "initial = constant\ninitial_params = value=1e300\n" + _ALL_CHECKS)
+_HUGE_PIN = ("[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = 0.01\ndt = 0.002\n"
+             "boundary = dirichlet:left=1e300,right=0\n" + _ALL_CHECKS)
+_STEEP_U = ("[scenario]\ndim = 1\nnodes = 9\np = 8\nt_end = 0.01\ndt = 0.002\n"
+            "initial = bump\ninitial_params = amplitude=1e60\n" + _ALL_CHECKS)
+_TINY_SAFETY = ("[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = 0.01\n"
+                "dt = intrinsic:safety=1e-9\n" + _ALL_CHECKS)
 
 
 def _write(tmp_path, text, name="config.ini"):
@@ -89,7 +98,7 @@ class TestValidate:
         sc = cli.parse_config(_write(tmp_path, f"[scenario]\npreset = {name}\n")).scenario
         base = presets.make_preset(name)
         assert sc.canonical_dict() == base.canonical_dict()
-        assert (sc.label, sc.step_rtol) == (base.label, base.step_rtol)
+        assert sc.label == base.label
 
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_preset_keys_replace_the_preset_values(self, tmp_path, name):
@@ -97,15 +106,14 @@ class TestValidate:
         # mollify_eps and an intrinsic dt, and a single node count per axis.
         path = _write(tmp_path, f"[scenario]\npreset = {name}\nnodes = 21\nmollify_eps = 0.07\n"
                                 "latent_heat = 0.6\nt_end = 0.01\ndt = intrinsic:safety=0.3\n"
-                                "store_every = 2\nstep_rtol = 1e-11\nlabel = mine\n")
+                                "store_every = 2\nlabel = mine\n")
         assert cli.main(["validate", str(path)]) == 0
         sc, base = cli.parse_config(path).scenario, presets.make_preset(name)
         assert sc.grid == solver.Grid(extents=base.grid.extents, nodes=(21,) * base.grid.dim)
         assert (sc.graph.a, sc.graph.beta) == (base.graph.a, base.graph.beta)
         assert (sc.graph.eps, sc.graph.latent_heat) == (0.07, 0.6)
         assert sc.dt == solver.DtPolicy(kind="intrinsic", safety=0.3)
-        assert (sc.t_end, sc.store_every, sc.step_rtol, sc.label) == (
-            0.01, 2, 1e-11, "mine")
+        assert (sc.t_end, sc.store_every, sc.label) == (0.01, 2, "mine")
         assert (sc.p, sc.field, sc.initial, sc.boundary) == (
             base.p, base.field, base.initial, base.boundary)
 
@@ -279,22 +287,28 @@ directory = {out}
         assert {rel for rel in hashes if rel.startswith("snapshots/")} == {
             f"snapshots/{name}" for name in expected}
 
-    def test_rerun_leaves_only_its_own_outcome_record(self, tmp_path):
+    def test_rerun_leaves_only_its_own_outcome_record(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         text = BASE_CONFIG.format(outdir=out)
         good = _write(tmp_path, text, "good.ini")
-        # no step meets this tolerance: a solver failure
-        bad = _write(tmp_path, text.replace("t_end", "step_rtol = 1e-300\nt_end"), "bad.ini")
-        broken = _write(tmp_path, text.replace("t_end", "step_rtol = x\nt_end"), "broken.ini")
+        # run with a step tolerance no step meets: a solver failure
+        bad = _write(tmp_path, text, "bad.ini")
+        broken = _write(tmp_path, text.replace("t_end", "wibble = x\nt_end"), "broken.ini")
         # files stefanlab does not name, which no run removes
         unrelated = {"notes.txt", "snapshots/notes.txt"}
+        step_rtol = solver._STEP_RTOL
+
+        def run(path):
+            monkeypatch.setattr(solver, "_STEP_RTOL", 1e-300 if path == bad else step_rtol)
+            return cli.main(["run", str(path), "--output", str(out)])
+
         # a failed run leaves its outcome record and what it wrote itself
         # (exit 3: the resolved config) and removes the earlier run's files
         for path, code, record, own in ((good, 0, "summary.json", None),
                                         (bad, 3, "error.json", {"resolved_config.ini"}),
                                         (good, 0, "summary.json", None),
                                         (broken, 2, "error.json", set())):
-            assert cli.main(["run", str(path), "--output", str(out)]) == code
+            assert run(path) == code
             assert {"summary.json", "error.json"} & {p.name for p in out.iterdir()} == {record}
             if record == "error.json":
                 assert json.loads((out / record).read_text())["code"] == code
@@ -309,7 +323,7 @@ directory = {out}
                 for name in unrelated:
                     (out / name).write_text("keep")
         (out / "snapshots" / "notes.txt").unlink()
-        assert cli.main(["run", str(bad), "--output", str(out)]) == 3
+        assert run(bad) == 3
         assert {p.name for p in out.iterdir()} == {"error.json", "resolved_config.ini",
                                                    "notes.txt"}
 
@@ -502,7 +516,13 @@ directory = {out}
         (_TINY_DT, "scenario.dt"),
         # E(u) = u^2/2 + ... overflows at every node
         (_HUGE_U, "scenario.initial_params"),
-    ], ids=["tiny-dt", "huge-u"])
+        # E(u) overflows at the pinned node only
+        (_HUGE_PIN, "scenario.boundary"),
+        # E(u) is finite but |du/h|^8 overflows
+        (_STEEP_U, "scenario.initial_params"),
+        # the first intrinsic step is the shortest: 1.6e-11, 6.4e8 steps
+        (_TINY_SAFETY, "scenario.dt"),
+    ], ids=["tiny-dt", "huge-u", "huge-pin", "steep-u", "tiny-safety"])
     def test_unrunnable_values_exit_two_without_warnings(self, tmp_path, config, field):
         path = _write(tmp_path, config)
         out = tmp_path / "err"
@@ -514,7 +534,7 @@ directory = {out}
         assert (record["code"], record["field"]) == (2, field)
 
     def test_step_cap_admits_its_bound(self, tmp_path):
-        path = _write(tmp_path, _EXPLICIT.replace("t_end = 0.002", f"t_end = {cli.MAX_STEPS}")
+        path = _write(tmp_path, _EXPLICIT.replace("t_end = 0.002", f"t_end = {solver.MAX_STEPS}")
                       .replace("dt = 1e-3", "dt = 1"))
         assert cli.main(["validate", str(path)]) == 0
         path.write_text(path.read_text().replace("dt = 1\n", "dt = 0.999999\n"))
@@ -679,6 +699,8 @@ directory = {out}
         "dim = 1\nnodes = 21\np = 3.0\nt_end = 0.004\ndt = 1e-3\n",
     ], ids=["preset", "explicit"])
     def test_step_rtol_not_positive_finite_exit_two(self, tmp_path, capsys, value, scenario):
+        # The step tolerance is a solver constant, not a key: every value of
+        # step_rtol, these included, is an unknown key.
         path = _write(tmp_path, f"[scenario]\n{scenario}step_rtol = {value}\n")
         assert cli.main(["validate", str(path)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["field"] == "scenario.step_rtol"
@@ -687,7 +709,7 @@ directory = {out}
         record = json.loads((out / "error.json").read_text())
         assert record["code"] == 2
         assert record["field"] == "scenario.step_rtol"
-        assert "positive and finite" in record["message"]
+        assert "unknown key" in record["message"]
 
     @pytest.mark.parametrize("line", [
         "p = nan", "p = inf", "t_end = nan", "t_end = inf", "dt = nan", "dt = inf",
@@ -773,13 +795,14 @@ run = conservation
         assert block["linear_iterations"] > 0
         assert 0.0 < block["worst_residual_ratio"] <= 1.0
 
-    def test_solver_failure_exit_three(self, tmp_path):
+    def test_solver_failure_exit_three(self, tmp_path, monkeypatch):
+        # no step meets this tolerance
+        monkeypatch.setattr(solver, "_STEP_RTOL", 1e-300)
         text = """\
 [scenario]
 preset = stefan-1d-p2-twophase
 nodes = 31
 t_end = 0.004
-step_rtol = 1e-300
 
 [checks]
 run = conservation
@@ -815,20 +838,16 @@ directory = {out}
             resolved = _write(tmp_path, cli._resolved_config_text(cfg), "resolved.ini")
             assert cli.parse_config(resolved).output_dir == cfg.output_dir
 
-    def test_resolved_config_records_ladder_depth_and_step_rtol(self, tmp_path):
-        path = _write(tmp_path, "[scenario]\npreset = constant\nstep_rtol = 1e-11\n"
+    def test_resolved_config_records_ladder_depth(self, tmp_path):
+        path = _write(tmp_path, "[scenario]\npreset = constant\n"
                                 "[modulus]\nladder_depth = 3\n[checks]\nrun = conservation\n")
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--output", str(out)]) == 0
         resolved = configparser.ConfigParser()
         resolved.read(out / "resolved_config.ini")
-        assert resolved["scenario"]["step_rtol"] == "1e-11"
         assert resolved["modulus"]["ladder_depth"] == "3"
         for key, text in resolved["modulus"].items():
             cli.KEYS["modulus"][key].parse(text)
-        # The tolerance is not part of the scenario hash.
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["scenario_hash"] == presets.make_preset("constant").scenario_hash()
 
 
 # Values for the INI fuzz test: numbers, words, empty and comma lists, and
@@ -901,48 +920,76 @@ class TestConfigFuzz:
             path.write_text(cli._resolved_config_text(cfg), encoding="utf-8")
             again = cli.parse_config(path).scenario
             assert again.scenario_hash() == sc.scenario_hash()
-            assert (again.step_rtol, again.label) == (sc.step_rtol, sc.label)
+            assert again.label == sc.label
 
 
 # Edge values of the `cli.KEYS` domains a 1D run reads; t_end and dt keep
 # every accepted run to a few steps.
+_PIN_VALUES = ["0", "1", "-1", "1e300", "-1e300"]
 _RUN_EDGES = {
     "t_end": st.sampled_from(["0", "5e-324", "1e-300", "0.004"]),
-    "dt": st.sampled_from(["5e-324", "1e-300", "0.002", "1e300"]),
+    "dt": st.sampled_from(["5e-324", "1e-300", "0.002", "1e300",
+                           "intrinsic:safety=1e-9", "intrinsic:safety=0.5"]),
     "extent": st.sampled_from(["1e-100", "1e-3", "1.0", "1e100"]),
+    "p": st.sampled_from(["2", "8"]),
     "initial": st.sampled_from([
         "initial = constant\ninitial_params = value=1e300",
         "initial = constant\ninitial_params = value=1e76",
         "initial = constant\ninitial_params = value=-1e150",
         "initial = bump\ninitial_params = amplitude=1e300",
+        "initial = bump\ninitial_params = amplitude=1e60",
+        "initial = bump\ninitial_params = amplitude=1e30",
+        "initial = bump\ninitial_params = amplitude=1",
         "initial = two-phase-sine\ninitial_params = amplitude=1e100, level=-1e100",
         "initial = ramp\ninitial_params = lo=-1e-300, hi=1e-300",
     ]),
+    "boundary": st.one_of(st.just("zero-flux"), st.builds(
+        "dirichlet:left={},right={}".format, st.sampled_from(_PIN_VALUES),
+        st.sampled_from(_PIN_VALUES))),
 }
 
 
 class TestRunFuzz:
     """`stefanlab run` end to end with every check on tiny 1D configs at the
     edges of the key domains: each run ends with its record, no exception
-    escapes."""
+    escapes, and a config that cannot run exits 2 before it computes."""
 
     @given(**_RUN_EDGES)
-    @example(t_end="0.01", dt="5e-324", extent="1.0", initial="")
-    @example(t_end="0.01", dt="0.002", extent="1.0",
-             initial="initial = constant\ninitial_params = value=1e300")
-    @settings(max_examples=12, deadline=None)
-    def test_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, initial):
+    @example(t_end="0.01", dt="5e-324", extent="1.0", p="2", initial="", boundary="zero-flux")
+    @example(t_end="0.01", dt="0.002", extent="1.0", p="2",
+             initial="initial = constant\ninitial_params = value=1e300", boundary="zero-flux")
+    @example(t_end="0.01", dt="0.002", extent="1.0", p="2", initial="",
+             boundary="dirichlet:left=1e300,right=0")
+    @example(t_end="0.01", dt="0.002", extent="1.0", p="8",
+             initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
+    @example(t_end="0.01", dt="intrinsic:safety=1e-9", extent="1.0", p="2", initial="",
+             boundary="zero-flux")
+    @settings(max_examples=30, deadline=None)
+    def test_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, p, initial,
+                                      boundary):
         tmp = tmp_path_factory.mktemp("run-fuzz")
-        path = _write(tmp, f"[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = {t_end}\n"
-                           f"dt = {dt}\nextent = {extent}\n{initial}\n" + _ALL_CHECKS)
+        path = _write(tmp, f"[scenario]\ndim = 1\nnodes = 9\np = {p}\nt_end = {t_end}\n"
+                           f"dt = {dt}\nextent = {extent}\nboundary = {boundary}\n{initial}\n"
+                           + _ALL_CHECKS)
         out = tmp / "out"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                sc = cli.parse_config(path).scenario
+            except cli.ConfigError:
+                sc = None
+            # Runs of more than 100 steps (a small intrinsic dt) are out of
+            # this test's time; the first intrinsic step is the shortest.
+            assume(sc is None or sc.t_end <= 100 * sc.dt.step(sc.grid, sc.p, sc._initial_state,
+                                                              math.inf))
             code = cli.main(["run", str(path), "--output", str(out)])
         assert code in (0, 1, 2, 3)
         if code < 2:
             assert json.loads((out / "summary.json").read_text())["all_pass"] is (code == 0)
         else:
             assert json.loads((out / "error.json").read_text())["code"] == code
+        if code == 2:
+            assert not caught
 
 
 def test_readme_documents_every_key():
