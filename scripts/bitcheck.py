@@ -65,8 +65,8 @@ def headline_records(name: str, size: str) -> dict:
     """Both resolutions of one headline case; c* only at full size."""
     if size == "tiny":
         out = {}
-        for label, refine in (("coarse", False), ("fine", True)):
-            sc = studies.headline_case(name, refine)
+        for label, level in (("coarse", 0), ("fine", 1)):
+            sc = studies.headline_case(name, level)
             sc = dataclasses.replace(sc, t_end=TINY_STEPS * sc.dt.value)
             out[label] = trajectory_record(run_simulation(sc))
         return out

@@ -10,7 +10,7 @@ dyadic-32 ladder leaves floating-point range almost immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,11 +43,9 @@ class ConstantsLedger:
     provenance: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        keys = ["n", "p", "Lambda", "alpha", "kappa", "c0", "c1", "c2", "c3",
-                "eps1", "M", "theta1", "theta2", "theta", "varsigma",
-                "nu_star", "L"]
         return {
-            "values": {k: getattr(self, k) for k in keys},
+            "values": {f.name: getattr(self, f.name) for f in fields(self)
+                       if f.name != "provenance"},
             "provenance": dict(self.provenance),
         }
 
@@ -154,160 +152,74 @@ def decay_profile(k: float, t: float, t0: float, R0: float, c3: float, p: float)
 # The largest radius with omega = Lambda, and the dyadic-32 ladder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StartingRadius:
-    """r with omega(r) = Lambda, kept in log form because it underflows."""
+def starting_log_depth(params: ModulusParams, Lambda: float) -> float:
+    """Log-depth y = ln(r0 / r~0) of the largest radius r~0 where the modulus
+    first reaches the structure constant.
 
-    r_tilde0: float
-    log_depth: float      # ln(r0 / r_tilde0) >= 0
-    c_tilde: float        # r0 / r_tilde0, may overflow to inf
-
-    @property
-    def resolvable(self) -> bool:
-        return self.r_tilde0 > 0.0
-
-
-def r_tilde_0(params: ModulusParams, Lambda: float) -> StartingRadius:
-    """Largest radius where the modulus first reaches the structure constant.
-
-    omega = L (p + y)^(-alpha) at log-depth y = ln(r0/r) equals Lambda at
-    y = (L/Lambda)^(1/alpha) - p; omega(r0) >= Lambda is required so the
-    root exists in (0, r0], and y = 0 when omega(r0) <= Lambda.
+    omega = L (p + y)^(-alpha) equals Lambda at y = (L/Lambda)^(1/alpha) - p;
+    omega(r0) >= Lambda is required so the root exists in (0, r0], and y = 0
+    when omega(r0) <= Lambda.  The radius r0 e^{-y} itself underflows once
+    y passes about 745, so the ladder works with y alone.
     """
     if Lambda <= 0.0:
         raise ValueError("Lambda must be positive")
     w_r0 = omega_from_depth(params, 0.0)
     if w_r0 < Lambda * (1.0 - 1e-14):
         raise ValueError("omega(r0) < Lambda: no starting radius exists")
-    y = 0.0
-    if w_r0 > Lambda:
-        y = max(0.0, (params.L / Lambda) ** (1.0 / params.alpha) - params.p)
-    r = params.r0 * math.exp(-y)
-    c_tilde = math.exp(y) if y < 700.0 else math.inf
-    return StartingRadius(r_tilde0=r, log_depth=y, c_tilde=c_tilde)
+    if w_r0 <= Lambda:
+        return 0.0
+    return max(0.0, (params.L / Lambda) ** (1.0 / params.alpha) - params.p)
 
 
-@dataclass
-class InductionReport:
-    """Slack accounting for one (i_star, j) pair of the oscillation induction."""
+def certify_all_pairs(params: ModulusParams, ledger: ConstantsLedger,
+                      j_max: int) -> dict:
+    """Check the arithmetic that contracts oscillation along the 32-ladder,
+    for every pair 0 <= i_star < j <= j_max.
 
-    i_star: int
-    j: int
-    factors_below_one: bool
-    product_bound_holds: bool
-    doubling_holds: bool
-    combined_holds: bool
-    worst_factor_slack: float
-    product_slack: float
-    worst_doubling_slack: float
-    combined_slack: float
-    product_slack_unshifted: float
-    log_bound_check: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.factors_below_one and self.product_bound_holds
-                and self.doubling_holds and self.combined_holds)
-
-
-def _ladder_omegas(params: ModulusParams, Lambda: float, count: int) -> np.ndarray:
-    start = r_tilde_0(params, Lambda)
-    depths = start.log_depth + LN32 * np.arange(count)
-    return omega_from_depth(params, depths)
-
-
-def certify_induction(params: ModulusParams, ledger: ConstantsLedger,
-                      i_star: int, j: int) -> InductionReport:
-    """Check the arithmetic that contracts oscillation along the 32-ladder.
-
-    With q_i = (theta/32) * omega(r_i)^{1/alpha} the certified chain is
+    With r_i at log-depth starting_log_depth + i ln 32 and
+    q_i = (theta/32) * omega(r_i)^{1/alpha}, the certified chain is
 
         prod_{i=i_star+1}^{j} (1 - q_i)  <=  omega(r_{j+1}) / omega(r_{i_star+1}),
 
     each factor below 1, together with the doubling step
     omega(r_i) <= 32 omega(r_{i+1}) and the combined consequence
-    prod * omega(r_{i_star}) <= 32 omega(r_{j+1}).  The one-index-tighter
-    pairing omega(r_j)/omega(r_{i_star}) fails by a hair whenever the
-    theta-branch of the prefactor is active, so its slack is reported for
-    transparency but does not gate the verdict.
+    prod * omega(r_{i_star}) <= 32 omega(r_{j+1}).  Returns the worst slack
+    of each over all pairs, in O(j_max^2) scalar work by prefix-summed logs.
+    The one-index-tighter pairing omega(r_j)/omega(r_{i_star}) fails by a
+    hair whenever the theta-branch of the prefactor is active, so its worst
+    slack is reported but does not gate `passed`; nor does
+    `log_bound_check`, ln(1 - q) <= -q on every factor multiplied.
     """
-    if not (0 <= i_star < j):
-        raise ValueError("need 0 <= i_star < j")
+    if j_max < 1:
+        raise ValueError("need j_max >= 1")
     if ledger.provenance.get("L") != "formula":
         raise ValueError("ledger L must be formula-derived for certification")
-    theta = ledger.theta
-    omegas = _ladder_omegas(params, ledger.Lambda, j + 2)
-
-    q = (theta / 32.0) * omegas ** (1.0 / params.alpha)
-    factors_ok = bool(np.all(q < 1.0))
-    worst_factor_slack = float(np.min(1.0 - q))
-
-    qs = q[i_star + 1: j + 1]
-    log_terms = np.log1p(-np.clip(qs, None, 1.0 - 1e-300))
-    prod = float(np.exp(np.sum(log_terms)))
-    ratio = float(omegas[j + 1] / omegas[i_star + 1])
-    product_slack = ratio - prod
-    ratio_unshifted = float(omegas[j] / omegas[i_star])
-    product_slack_unshifted = ratio_unshifted - prod
-
-    doubling = omegas[:-1] / omegas[1:]
-    worst_doubling_slack = float(np.min(32.0 - doubling[: j + 1]))
-    doubling_ok = worst_doubling_slack >= 0.0
-
-    combined_slack = float(32.0 * omegas[j + 1] - prod * omegas[i_star])
-    combined_ok = combined_slack >= 0.0
-
-    # ln(1 - x) <= -x on every factor actually multiplied
-    log_bound_ok = bool(np.all(log_terms <= -qs + 1e-15))
-
-    return InductionReport(
-        i_star=i_star,
-        j=j,
-        factors_below_one=factors_ok,
-        product_bound_holds=product_slack >= 0.0,
-        doubling_holds=doubling_ok,
-        combined_holds=combined_ok,
-        worst_factor_slack=worst_factor_slack,
-        product_slack=product_slack,
-        worst_doubling_slack=worst_doubling_slack,
-        combined_slack=combined_slack,
-        product_slack_unshifted=product_slack_unshifted,
-        log_bound_check=log_bound_ok,
-    )
-
-
-def certify_all_pairs(params: ModulusParams, ledger: ConstantsLedger,
-                      j_max: int) -> dict:
-    """Vectorized sweep of certify_induction over every 0 <= i_star < j <= j_max.
-
-    Returns the worst slacks across all pairs; prefix-summed logs make the
-    sweep O(j_max^2) scalar work.
-    """
-    if ledger.provenance.get("L") != "formula":
-        raise ValueError("ledger L must be formula-derived for certification")
-    omegas = _ladder_omegas(params, ledger.Lambda, j_max + 2)
+    depths = starting_log_depth(params, ledger.Lambda) + LN32 * np.arange(j_max + 2)
+    omegas = omega_from_depth(params, depths)
     q = (ledger.theta / 32.0) * omegas ** (1.0 / params.alpha)
-    factors_ok = bool(np.all(q[: j_max + 2] < 1.0))
+    factors_ok = bool(np.all(q < 1.0))
     logs = np.log1p(-np.clip(q, None, 1.0 - 1e-300))
     prefix = np.concatenate([[0.0], np.cumsum(logs)])  # prefix[i] = sum logs[0..i-1]
 
-    worst_product = math.inf
-    worst_combined = math.inf
+    worst_product = worst_unshifted = worst_combined = math.inf
     for j in range(1, j_max + 1):
         i_star = np.arange(0, j)
-        log_prod = prefix[j + 1] - prefix[i_star + 1]
-        prod = np.exp(log_prod)
-        slack = omegas[j + 1] / omegas[i_star + 1] - prod
-        worst_product = min(worst_product, float(np.min(slack)))
-        cslack = 32.0 * omegas[j + 1] - prod * omegas[i_star]
-        worst_combined = min(worst_combined, float(np.min(cslack)))
+        prod = np.exp(prefix[j + 1] - prefix[i_star + 1])
+        worst_product = min(worst_product,
+                            float(np.min(omegas[j + 1] / omegas[i_star + 1] - prod)))
+        worst_unshifted = min(worst_unshifted, float(np.min(omegas[j] / omegas[i_star] - prod)))
+        worst_combined = min(worst_combined,
+                             float(np.min(32.0 * omegas[j + 1] - prod * omegas[i_star])))
     doubling_slack = float(np.min(32.0 - omegas[:-1] / omegas[1:]))
+    multiplied = slice(1, j_max + 1)  # the factors some pair multiplies
     return {
         "factors_below_one": factors_ok,
         "worst_factor_slack": float(np.min(1.0 - q)),
         "worst_product_slack": worst_product,
+        "worst_unshifted_product_slack": worst_unshifted,
         "worst_doubling_slack": doubling_slack,
         "worst_combined_slack": worst_combined,
+        "log_bound_check": bool(np.all(logs[multiplied] <= -q[multiplied] + 1e-15)),
         "passed": bool(factors_ok and worst_product >= 0.0
                        and doubling_slack >= 0.0 and worst_combined >= 0.0),
     }

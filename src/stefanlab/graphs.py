@@ -240,13 +240,22 @@ class BetaMap:
 
     def __post_init__(self):
         if self.kind == "piecewise":
-            xs, ys = np.asarray(self.knots), np.asarray(self.values)
+            xs, ys = np.asarray(self.knots, dtype=float), np.asarray(self.values, dtype=float)
             if xs.size < 2 or xs.size != ys.size:
                 raise ValueError("piecewise beta needs matching knots/values, >= 2 points")
             if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
                 raise ValueError("piecewise beta table must be strictly increasing")
             if 0.0 not in xs or ys[list(xs).index(0.0)] != 0.0:
                 raise ValueError("piecewise beta table must contain the origin (0, 0)")
+            slopes = np.diff(ys) / np.diff(xs)
+            # The integral of beta from the first knot to each knot, and to
+            # the origin by the formula `primitive` evaluates there, so that
+            # primitive(0) is exactly 0 whichever knot the origin is.
+            knot_int = np.concatenate([[0.0], np.cumsum(0.5 * (ys[:-1] + ys[1:]) * np.diff(xs))])
+            i = int(_piece(xs, 0.0))
+            d = 0.0 - xs[i]
+            origin_int = knot_int[i] + ys[i] * d + 0.5 * slopes[i] * d * d
+            object.__setattr__(self, "_table", (xs, ys, slopes, knot_int, origin_int))
         elif self.kind == "tanh":
             if self.tau <= 0.0:
                 raise ValueError("tanh beta needs tau > 0")
@@ -257,12 +266,6 @@ class BetaMap:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _segments(self):
-        xs = np.asarray(self.knots, dtype=float)
-        ys = np.asarray(self.values, dtype=float)
-        slopes = np.diff(ys) / np.diff(xs)
-        return xs, ys, slopes
-
     def apply(self, u):
         u = np.asarray(u, dtype=float)
         if self.kind == "identity":
@@ -270,8 +273,8 @@ class BetaMap:
         elif self.kind == "tanh":
             out = u + self.mu * self.tau * np.tanh(u / self.tau)
         else:
-            xs, ys, slopes = self._segments()
-            idx = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, xs.size - 2)
+            xs, ys, slopes, _, _ = self._table
+            idx = _piece(xs, u)
             out = ys[idx] + slopes[idx] * (u - xs[idx])
         return out if out.ndim else float(out)
 
@@ -282,9 +285,8 @@ class BetaMap:
         elif self.kind == "tanh":
             out = 1.0 + self.mu * (1.0 - np.tanh(u / self.tau) ** 2)
         else:
-            xs, _, slopes = self._segments()
-            idx = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, xs.size - 2)
-            out = slopes[idx]
+            xs, _, slopes, _, _ = self._table
+            out = slopes[_piece(xs, u)]
         return out if out.ndim else float(out)
 
     def inverse(self, w):
@@ -292,8 +294,8 @@ class BetaMap:
         if self.kind == "identity":
             out = w.copy()
         elif self.kind == "piecewise":
-            xs, ys, slopes = self._segments()
-            idx = np.clip(np.searchsorted(ys, w, side="right") - 1, 0, ys.size - 2)
+            xs, ys, slopes, _, _ = self._table
+            idx = _piece(ys, w)
             out = xs[idx] + (w - ys[idx]) / slopes[idx]
         else:
             # Damped Newton; beta is smooth, increasing, with slope in
@@ -319,15 +321,10 @@ class BetaMap:
             out = 0.5 * u * u + self.mu * self.tau**2 * (
                 x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0))
         else:
-            xs, ys, slopes = self._segments()
-            knot_int = np.concatenate(
-                [[0.0], np.cumsum(0.5 * (ys[:-1] + ys[1:]) * np.diff(xs))]
-            )
-            anchor_idx = int(np.clip(np.searchsorted(xs, 0.0, side="right") - 1, 0, xs.size - 2))
-            anchor = knot_int[anchor_idx]  # knot at the origin, primitive there is exact
-            idx = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, xs.size - 2)
+            xs, ys, slopes, knot_int, origin_int = self._table
+            idx = _piece(xs, u)
             d = u - xs[idx]
-            out = knot_int[idx] + ys[idx] * d + 0.5 * slopes[idx] * d * d - anchor
+            out = knot_int[idx] + ys[idx] * d + 0.5 * slopes[idx] * d * d - origin_int
         return out if out.ndim else float(out)
 
     @property
@@ -339,8 +336,13 @@ class BetaMap:
             hi = 1.0 + max(self.mu, 0.0)
             lo = 1.0 + min(self.mu, 0.0)
             return max(hi, 1.0 / lo)
-        _, _, slopes = self._segments()
+        slopes = self._table[2]
         return float(max(np.max(slopes), 1.0 / np.min(slopes)))
+
+
+def _piece(grid: np.ndarray, x) -> np.ndarray:
+    """The piece of a piecewise-linear table on `grid` holding each x, end pieces extended."""
+    return np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -429,10 +429,6 @@ class Trajectory:
     def p(self) -> float:
         return self.scenario.p
 
-    @property
-    def field(self) -> VectorField:
-        return self.scenario.field
-
     def ball_mask(self, center: Sequence[float], radius: float) -> np.ndarray:
         """Closed-ball membership of grid nodes (Euclidean)."""
         xs = self.grid.meshgrid()

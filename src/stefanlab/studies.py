@@ -258,15 +258,18 @@ class FamilyCase:
     label: str
 
 
-def inequality_family(refine: bool = False) -> list[FamilyCase]:
-    """Twenty mixed 1D scenarios (p in {2,3}, varied data and latent heat).
+def refined(nodes: int, dt: float, level: int) -> tuple[int, float]:
+    """Nodes per axis and step at `level` of the resolution ladder whose
+    level 0 is (nodes, dt): each level halves h and dt."""
+    return (nodes - 1) * 2**level + 1, dt / 2**level
 
-    With refine=True every scenario is re-posed at doubled spatial and halved
-    temporal resolution so implied constants can be compared across one
-    refinement.
+
+def inequality_family(level: int = 0) -> list[FamilyCase]:
+    """Twenty mixed 1D scenarios (p in {2,3}, varied data and latent heat)
+    at `level` of the ladder from 61 nodes and dt 2.5e-4, so implied
+    constants can be compared across refinements.
     """
-    nodes = 121 if refine else 61
-    dt = 1.25e-4 if refine else 2.5e-4
+    nodes, dt = refined(61, 2.5e-4, level)
     cases: list[FamilyCase] = []
     for p in (2.0, 3.0):
         for lh in (0.4, 1.0):
@@ -307,7 +310,7 @@ def run_family_checks(case: FamilyCase) -> dict:
 def family_stability_table() -> list[dict]:
     """Run the family at two resolutions and tabulate implied constants."""
     rows = []
-    for case_c, case_f in zip(inequality_family(refine=False), inequality_family(refine=True)):
+    for case_c, case_f in zip(inequality_family(0), inequality_family(1)):
         res_c, res_f = run_family_checks(case_c), run_family_checks(case_f)
         row = {"label": case_c.label}
         for name in ("caccioppoli", "weak-harnack", "decay"):
@@ -322,36 +325,38 @@ def family_stability_table() -> list[dict]:
 # Headline modulus study
 # ---------------------------------------------------------------------------
 
-def headline_case(name: str, refine: bool = False) -> Scenario:
-    if name == "1d-p2":
-        return presets.twophase_1d(p=2.0, nodes=161 if refine else 81,
-                                   dt=1.25e-4 if refine else 2.5e-4)
-    if name == "1d-p3":
-        return presets.twophase_1d(p=3.0, nodes=161 if refine else 81,
-                                   dt=1.25e-4 if refine else 2.5e-4,
-                                   t_end=0.22)
-    if name == "2d-p2":
-        return presets.twophase_2d(p=2.0, nodes=57 if refine else 29,
-                                   dt=5e-4 if refine else 1e-3)
-    if name == "2d-p3":
-        return presets.twophase_2d(p=3.0, nodes=57 if refine else 29,
-                                   dt=2.5e-4 if refine else 5e-4, t_end=0.2)
-    raise ValueError(f"unknown headline case {name!r}")
+class HeadlineCase(NamedTuple):
+    preset: Callable[..., Scenario]
+    params: dict        # the preset's keywords besides nodes and dt
+    nodes: int          # per axis, at level 0
+    dt: float           # at level 0
+    r0: float           # the ladder's top radius
 
 
-def headline_r0(name: str) -> float:
-    return 0.4 if name.startswith("1d") else 0.35
+HEADLINE_CASES: dict[str, HeadlineCase] = {
+    "1d-p2": HeadlineCase(presets.twophase_1d, {"p": 2.0}, 81, 2.5e-4, 0.4),
+    "1d-p3": HeadlineCase(presets.twophase_1d, {"p": 3.0, "t_end": 0.22}, 81, 2.5e-4, 0.4),
+    "2d-p2": HeadlineCase(presets.twophase_2d, {"p": 2.0}, 29, 1e-3, 0.35),
+    "2d-p3": HeadlineCase(presets.twophase_2d, {"p": 3.0, "t_end": 0.2}, 29, 5e-4, 0.35),
+}
+
+
+def headline_case(name: str, level: int = 0) -> Scenario:
+    """The scenario of headline case `name` at `level` of its ladder."""
+    if name not in HEADLINE_CASES:
+        raise ValueError(f"unknown headline case {name!r}")
+    case = HEADLINE_CASES[name]
+    nodes, dt = refined(case.nodes, case.dt, level)
+    return case.preset(**case.params, nodes=nodes, dt=dt)
 
 
 def run_headline_case(name: str) -> dict:
-    """Measure the modulus constant at base and refined resolution."""
-    sc_c = headline_case(name, refine=False)
-    sc_f = headline_case(name, refine=True)
-    r0 = headline_r0(name)
-    out = {"name": name}
+    """Measure the modulus constant at levels 0 and 1 (coarse and fine)."""
+    scenarios = [headline_case(name, level) for level in (0, 1)]
+    r0 = HEADLINE_CASES[name].r0
     results = []
     rungs = None
-    for sc in (sc_c, sc_f):
+    for sc in scenarios:
         traj = run_simulation(sc)
         ledger = default_ledger(sc)
         params = measurement_params(ledger, r0=r0)
@@ -363,7 +368,8 @@ def run_headline_case(name: str) -> dict:
         results.append((profile, verdict))
     (prof_c, verd_c), (prof_f, verd_f) = results
     ratio = verd_f["c_star"] / verd_c["c_star"] if verd_c["c_star"] > 0 else math.nan
-    out.update({
+    return {
+        "name": name,
         "c_star_coarse": verd_c["c_star"],
         "c_star_fine": verd_f["c_star"],
         "stability_ratio": ratio,
@@ -373,8 +379,7 @@ def run_headline_case(name: str) -> dict:
         "alpha_target": verd_c["alpha_target"],
         "profile_coarse": prof_c,
         "profile_fine": prof_f,
-    })
-    return out
+    }
 
 
 def run_epsilon_study(eps_ladder=(0.2, 0.1, 0.05), nodes: int = 201) -> dict:

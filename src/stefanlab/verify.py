@@ -63,7 +63,10 @@ def _cutoff_space(trajectory: Trajectory, cyl: IntrinsicCylinder) -> np.ndarray:
 def _cutoff_time(times: np.ndarray, cyl: IntrinsicCylinder) -> np.ndarray:
     t_lo, t_hi = cyl.time_window
     ramp = _RAMP_FRACTION * (t_hi - t_lo)
-    return np.clip((np.asarray(times) - t_lo) / ramp, 0.0, 1.0)
+    times = np.asarray(times)
+    if ramp == 0.0:  # a depth too small to halve: the ramp's limit, a unit step
+        return (times > t_lo).astype(float)
+    return np.clip((times - t_lo) / ramp, 0.0, 1.0)
 
 
 def _cell_average_of_faces(face_vals: list[np.ndarray]) -> np.ndarray:
@@ -143,16 +146,19 @@ def caccioppoli_check(
         gsq = _cell_average_of_faces([f**2 for f in faces.gradients(vk * phi)])
         # cutoff gradient on faces
         dphi_sq = _cell_average_of_faces([f**2 for f in faces.gradients(phi)])
-        dphip = np.maximum((phi_p[1:] - phi_p[:-1]) / _time_column(dts, grid.dim), 0.0)
-        for dt_m, grad, rhs_grad, rhs_time, rhs_jump in zip(
-                dts.tolist(), ball_means(gsq ** (p / 2.0)),
+        # (d_t phi^p)_+ times dt: a subnormal step, whose rate may overflow,
+        # enters by its increment instead
+        rate_dts = np.where(dts < np.finfo(float).tiny, 1.0, dts)
+        dphip = np.maximum((phi_p[1:] - phi_p[:-1]) / _time_column(rate_dts, grid.dim), 0.0)
+        for dt_m, rate_dt, grad, rhs_grad, rhs_time, rhs_jump in zip(
+                dts.tolist(), rate_dts.tolist(), ball_means(gsq ** (p / 2.0)),
                 ball_means(vk**p * dphi_sq ** (p / 2.0)),
                 ball_means(vk**2 * dphip), ball_means(jump * dphip)):
             weight_total += dt_m
             grad_term_num += dt_m * grad
             rhs_grad_num += dt_m * rhs_grad
-            rhs_time_num += dt_m * rhs_time
-            rhs_jump_num += dt_m * lh * rhs_jump
+            rhs_time_num += rate_dt * rhs_time
+            rhs_jump_num += rate_dt * lh * rhs_jump
 
     span = max(weight_total, 1e-300)
     lhs = sup_jump / slab + sup_sq / slab + grad_term_num / span

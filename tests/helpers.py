@@ -179,7 +179,7 @@ def centered_weak_form_residual(
         if worst > 1e-12:
             raise ValueError("test function must vanish on the lateral boundary of the region")
 
-    weights = trajectory.field.weights
+    weights = trajectory.scenario.field.weights
 
     def masked_sums(a):
         """Per row of a, the volume-weighted sum over the region."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stefanlab import presets, solver, studies, verify
-from stefanlab.constants import certify_all_pairs, certify_induction, fix_constants
+from stefanlab.constants import certify_all_pairs, fix_constants
 from stefanlab.geometry import ModulusParams, alpha_kappa_of, cylinder_depth, kappa_ratio
 from stefanlab.solver import InitialData, run_simulation
 from tests.test_solver import front_position, neumann_front_factor
@@ -138,10 +138,10 @@ def test_criterion_3_induction_certifier():
             failures.append((n, p, Lambda, theta))
     ok_grid = not failures
 
-    # spot check one pair report in full
+    # spot check one point in full
     led = fix_constants(n=3, p=2.0, Lambda=1.0, theta1=0.01, theta2=0.01)
-    rep = certify_induction(led.modulus_params(r0=1.0), led, 0, 20)
-    ok_spot = rep.passed and rep.log_bound_check
+    rep = certify_all_pairs(led.modulus_params(r0=1.0), led, j_max=20)
+    ok_spot = rep["passed"] and rep["log_bound_check"]
 
     # counterexample: L halved below its formula value must fail somewhere
     broken = 0

@@ -964,6 +964,8 @@ class TestRunFuzz:
              initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
     @example(t_end="0.01", dt="intrinsic:safety=1e-9", extent="1.0", p="2", initial="",
              boundary="zero-flux")
+    @example(t_end="5e-324", dt="0.002", extent="1.0", p="2", initial="",
+             boundary="dirichlet:left=1,right=-1")
     @settings(max_examples=30, deadline=None)
     def test_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, p, initial,
                                       boundary):
@@ -990,6 +992,18 @@ class TestRunFuzz:
             assert json.loads((out / "error.json").read_text())["code"] == code
         if code == 2:
             assert not caught
+
+    def test_subnormal_horizon_energy_check_warns_nothing(self, tmp_path):
+        # t_end = 5e-324: the cutoff's time ramp rounds to 0, and 1/dt of the
+        # one step overflows
+        path = _write(tmp_path, "[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = 5e-324\n"
+                                "dt = 0.002\nboundary = dirichlet:left=1,right=-1\n"
+                                "[checks]\nrun = caccioppoli\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", str(path), "--output", str(tmp_path / "out")])
+        assert [str(w.message) for w in caught] == []
+        assert code == 0
 
 
 def test_readme_documents_every_key():

@@ -1,5 +1,5 @@
 """Constant-chain tests: the derived quantities, the decay profile, the
-starting radius for the dyadic ladder, and the induction certifier."""
+starting log-depth of the dyadic ladder, and the induction certifier."""
 
 import dataclasses
 import math
@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from stefanlab.constants import (LN32, certify_all_pairs, certify_induction,
-                                 decay_profile, fix_constants, r_tilde_0)
-from stefanlab.geometry import ModulusParams, omega
+from stefanlab.constants import (LN32, certify_all_pairs, decay_profile, fix_constants,
+                                 starting_log_depth)
+from stefanlab.geometry import ModulusParams, omega, omega_from_depth
 
 
 class TestFixConstants:
@@ -115,31 +115,27 @@ class TestStartingRadius:
     def test_closed_form_crosscheck(self):
         L = 2.0 * 2.0**0.4
         pr = ModulusParams(n=3, p=2.0, alpha=0.4, kappa=3.0, L=L, M=2.0, r0=1.0)
-        start = r_tilde_0(pr, 1.0)
+        y = starting_log_depth(pr, 1.0)
         y_exact = L**2.5 - 2.0
-        assert start.log_depth == pytest.approx(y_exact, rel=1e-12)
-        assert start.r_tilde0 == pytest.approx(math.exp(-y_exact), rel=1e-10)
-        assert start.c_tilde == pytest.approx(math.exp(y_exact), rel=1e-10)
-        assert omega(pr, start.r_tilde0) == pytest.approx(1.0, rel=1e-10)
+        assert y == pytest.approx(y_exact, rel=1e-12)
+        assert omega(pr, math.exp(-y)) == pytest.approx(1.0, rel=1e-10)
 
     def test_boundary_root(self):
         pr = ModulusParams(n=3, p=2.0, alpha=0.4, kappa=3.0, L=2.0**0.4, M=2.0, r0=1.0)
-        start = r_tilde_0(pr, 1.0)
-        assert start.log_depth == 0.0
-        assert start.r_tilde0 == 1.0
+        assert starting_log_depth(pr, 1.0) == 0.0
 
     def test_underflowing_radius_keeps_log_form(self):
         led = fix_constants(n=3, p=2.0, Lambda=1.0, theta1=0.01, theta2=0.01)
         pr = led.modulus_params(r0=1.0)
-        start = r_tilde_0(pr, 1.0)
-        assert start.log_depth > 700.0
-        assert start.r_tilde0 == 0.0
-        assert not start.resolvable
+        y = starting_log_depth(pr, 1.0)
+        assert y > 750.0
+        assert math.exp(-y) == 0.0
+        assert omega_from_depth(pr, y) == pytest.approx(1.0, rel=1e-12)
 
     def test_no_root_rejected(self):
         pr = ModulusParams(n=3, p=2.0, alpha=0.4, kappa=3.0, L=1.0, M=2.0, r0=1.0)
         with pytest.raises(ValueError):
-            r_tilde_0(pr, 2.0)
+            starting_log_depth(pr, 2.0)
 
 
 def _grid_point(n=3, p=2.0, Lambda=1.0, theta=0.01):
@@ -147,38 +143,54 @@ def _grid_point(n=3, p=2.0, Lambda=1.0, theta=0.01):
     return led.modulus_params(r0=1.0), led
 
 
+def _oracle_slacks(params, led, j_max):
+    """Worst (shifted, unshifted) product slack over every pair, in plain
+    Python from the closed-form ladder omega_i = L (p + y0 + i ln 32)^-alpha."""
+    a, y0 = params.alpha, (params.L / led.Lambda) ** (1.0 / params.alpha) - params.p
+    w = [params.L * (params.p + y0 + i * math.log(32.0)) ** -a for i in range(j_max + 2)]
+    prods = {(i, j): math.prod(1.0 - led.theta / 32.0 * w[m] ** (1.0 / a)
+                               for m in range(i + 1, j + 1))
+             for j in range(1, j_max + 1) for i in range(j)}
+    return (min(w[j + 1] / w[i + 1] - pr for (i, j), pr in prods.items()),
+            min(w[j] / w[i] - pr for (i, j), pr in prods.items()))
+
+
+def _assert_matches_oracle(theta, j_max):
+    params, led = _grid_point(theta=theta)
+    rep = certify_all_pairs(params, led, j_max)
+    shifted, unshifted = _oracle_slacks(params, led, j_max)
+    assert rep["worst_product_slack"] == pytest.approx(shifted, rel=1e-12, abs=1e-15)
+    assert rep["worst_unshifted_product_slack"] == pytest.approx(unshifted, rel=1e-12, abs=1e-15)
+    assert rep["passed"]
+
+
 class TestCertifyInduction:
+    def test_single_factor_reduction(self):
+        # j_max = 1: the one pair (0, 1) and its one factor 1 - q_1
+        _assert_matches_oracle(0.2, 1)
+
+    def test_all_pairs_matches_per_pair(self):
+        _assert_matches_oracle(0.2, 12)
+        _assert_matches_oracle(0.01, 20)
+
     def test_acceptance_style_point(self):
         params, led = _grid_point()
-        rep = certify_induction(params, led, 0, 20)
-        assert rep.passed
-        assert rep.worst_factor_slack > 0.0
-        assert rep.product_slack > 0.0
-        assert rep.worst_doubling_slack > 0.0
-        assert rep.combined_slack > 0.0
-        assert rep.log_bound_check
-
-    def test_single_factor_reduction(self):
-        params, led = _grid_point(theta=0.2)
-        j = 5
-        rep = certify_induction(params, led, j - 1, j)
-        # one factor: 1 - q_j against the one-step modulus ratio
-        start = r_tilde_0(params, led.Lambda)
-        x = params.p + start.log_depth + j * LN32
-        q = (led.theta / 32.0) * (led.L ** (1.0 / params.alpha)) / x
-        lhs = 1.0 - q
-        rhs = ((params.p + start.log_depth + j * LN32)
-               / (params.p + start.log_depth + (j + 1) * LN32)) ** params.alpha
-        assert rep.product_slack == pytest.approx(rhs - lhs, rel=1e-9)
-        assert rep.passed
+        rep = certify_all_pairs(params, led, 20)
+        assert rep["passed"]
+        assert rep["worst_factor_slack"] > 0.0
+        assert rep["worst_product_slack"] > 0.0
+        assert rep["worst_doubling_slack"] > 0.0
+        assert rep["worst_combined_slack"] > 0.0
+        assert rep["log_bound_check"]
 
     def test_tighter_pairing_fails_on_theta_branch(self):
         # with the theta branch of L active the one-index-tighter product
         # bound loses by a hair; the certified (shifted) pairing keeps slack
         params, led = _grid_point()
-        rep = certify_induction(params, led, 0, 20)
-        assert rep.product_slack_unshifted < 0.0
-        assert rep.product_slack > 0.0
+        rep = certify_all_pairs(params, led, 20)
+        assert rep["worst_unshifted_product_slack"] < 0.0
+        assert rep["worst_product_slack"] > 0.0
+        assert rep["passed"]
 
     def test_halved_prefactor_detected(self):
         params, led = _grid_point()
@@ -190,17 +202,7 @@ class TestCertifyInduction:
     def test_pair_validation(self):
         params, led = _grid_point()
         with pytest.raises(ValueError):
-            certify_induction(params, led, 3, 3)
+            certify_all_pairs(params, led, 0)
         led_cfg = dataclasses.replace(led, provenance={**led.provenance, "L": "configured"})
         with pytest.raises(ValueError):
-            certify_induction(params, led_cfg, 0, 5)
-
-    def test_all_pairs_matches_per_pair(self):
-        params, led = _grid_point(theta=0.2)
-        agg = certify_all_pairs(params, led, 12)
-        worst = math.inf
-        for j in range(1, 13):
-            for i_star in range(j):
-                worst = min(worst, certify_induction(params, led, i_star, j).product_slack)
-        assert agg["worst_product_slack"] == pytest.approx(worst, rel=1e-12)
-        assert agg["passed"]
+            certify_all_pairs(params, led_cfg, 5)

@@ -153,11 +153,14 @@ class TestJumpPrimitive:
 
 @st.composite
 def piecewise_tables(draw):
-    n_lo = draw(st.integers(1, 3))
-    n_hi = draw(st.integers(1, 3))
+    """A strictly increasing table through (0, 0) on [-2, 2] or a half of
+    it, so the origin is the first, the last or an interior knot."""
+    n_lo = draw(st.integers(0, 3))
+    n_hi = draw(st.integers(0 if n_lo else 1, 3))
     slopes = draw(st.lists(st.floats(0.25, 4.0), min_size=n_lo + n_hi,
                            max_size=n_lo + n_hi))
-    xs = np.concatenate([np.linspace(-2.0, 0.0, n_lo + 1), np.linspace(0.0, 2.0, n_hi + 1)[1:]])
+    xs = np.concatenate([np.linspace(-2.0, 0.0, n_lo + 1)[:-1], [0.0],
+                         np.linspace(0.0, 2.0, n_hi + 1)[1:]])
     ys = [0.0]
     for x0, x1, s in zip(xs[:-1], xs[1:], slopes):
         ys.append(ys[-1] + s * (x1 - x0))
@@ -192,6 +195,26 @@ class TestBetaMaps:
         u = np.asarray(us)
         back = b.inverse(b.apply(u))
         assert np.max(np.abs(back - u)) < 1e-12 * (1.0 + np.max(np.abs(u)))
+
+    @given(piecewise_tables())
+    @settings(max_examples=120, deadline=None)
+    def test_piecewise_primitive_vanishes_at_the_origin(self, table):
+        knots, values = table
+        b = BetaMap(kind="piecewise", knots=knots, values=values)
+        assert b.primitive(0.0) == 0.0
+        # off the knots the primitive is quadratic, so its central
+        # difference is beta up to rounding
+        u = np.linspace(-2.5, 2.5, 41) + 1.234e-3
+        h = 1e-5
+        diff = (b.primitive(u + h) - b.primitive(u - h)) / (2 * h)
+        assert np.max(np.abs(diff - b.apply(u))) < 1e-8
+
+    def test_piecewise_primitive_with_the_origin_as_last_knot(self):
+        b = BetaMap(kind="piecewise", knots=(-1.0, 0.0), values=(-0.5, 0.0))
+        assert b.primitive(0.0) == 0.0
+        assert b.primitive(-1.0) == 0.25
+        g = RegularizedGraph(a=0.5, latent_heat=0.5, eps=0.05, beta=b)
+        assert g.enthalpy_primitive_of_temperature(0.0) == 0.0
 
     @given(st.floats(-0.8, 3.0), st.floats(0.05, 2.0),
            st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30))

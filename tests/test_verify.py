@@ -224,7 +224,7 @@ def _whole_run_cylinder(traj, r=0.3):
 def per_time_caccioppoli(traj, k, cyl):
     """The terms of `caccioppoli_check`, one stored time at a time."""
     grid, p, graph = traj.grid, traj.p, traj.graph
-    faces = solver._Faces(grid, p, traj.field.weights)
+    faces = solver._Faces(grid, p, traj.scenario.field.weights)
     lh = graph.latent_heat
     mask = traj.ball_mask(cyl.center_space, cyl.ball_radius)
     t_idx = traj.time_indices(*cyl.time_window)
@@ -284,10 +284,11 @@ def per_time_weak_form(traj, bump):
     for m in range(len(times) - 1):
         r_val -= float(np.sum(e[m] * (phis[m + 1] - phis[m]) * vol))
     flux = 0.0
+    weights = traj.scenario.field.weights
     for m in range(1, len(times)):
         u = traj.temps[m]
         dot = 0
-        for ax, (w, gp) in enumerate(zip(traj.field.weights, bump.gradient(xs, times[m]))):
+        for ax, (w, gp) in enumerate(zip(weights, bump.gradient(xs, times[m]))):
             padded = np.concatenate([np.take(u, [1], axis=ax), u, np.take(u, [-2], axis=ax)],
                                     axis=ax)
             g = (np.take(padded, range(2, u.shape[ax] + 2), axis=ax)
@@ -678,3 +679,27 @@ class TestEpsilonStudy:
         with pytest.raises(ValueError):
             verify.epsilon_convergence_study([mk(0.1), mk(0.01)], params, ledger,
                                              ((0.5,), 0.02))
+
+
+class TestResolutionLadders:
+    def test_each_level_halves_h_and_dt(self):
+        assert [studies.refined(29, 1e-3, k) for k in range(3)] == [
+            (29, 1e-3), (57, 5e-4), (113, 2.5e-4)]
+
+    def test_headline_levels(self):
+        # the levels the two-level stability gate runs, and a third from the same rule
+        for name, nodes, dt in (("1d-p2", (81, 161, 321), (2.5e-4, 1.25e-4, 6.25e-5)),
+                                ("2d-p3", (29, 57, 113), (5e-4, 2.5e-4, 1.25e-4))):
+            for level in range(3):
+                sc = studies.headline_case(name, level)
+                assert sc.grid.nodes == (nodes[level],) * sc.grid.dim
+                assert sc.dt.value == dt[level]
+        assert studies.headline_case("1d-p3", 1).t_end == 0.22
+        with pytest.raises(ValueError):
+            studies.headline_case("3d-p2")
+
+    def test_family_levels(self):
+        coarse, fine = studies.inequality_family(0), studies.inequality_family(1)
+        assert [c.label for c in coarse] == [c.label for c in fine]
+        assert {(c.scenario.grid.nodes, c.scenario.dt.value) for c in coarse} == {((61,), 2.5e-4)}
+        assert {(c.scenario.grid.nodes, c.scenario.dt.value) for c in fine} == {((121,), 1.25e-4)}
