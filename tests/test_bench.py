@@ -3,8 +3,6 @@ alternating pairs, with no benchmark run."""
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
 _spec = importlib.util.spec_from_file_location("bench", SCRIPT)
 bench = importlib.util.module_from_spec(_spec)
@@ -47,8 +45,16 @@ def test_parse_skips_traced_operations_and_failure_lines():
             + RECORDED.replace("0.223 0.282", "0.223 0.282(traced)"))
     run = bench.parse_run(text)
     assert run["operation_s"] == [0.223, 0.221, 0.228, 0.240, 0.304]
-    with pytest.raises(ValueError):
-        bench.parse_run("")
+
+
+def test_parse_run_without_result():
+    # perfbench/run.py prints nothing to standard output when a run stops on
+    # an error, and FAIL lines but no summary when the worker dies mid-run.
+    assert bench.parse_run("")["result"] is None
+    run = bench.parse_run("FAIL op 3: worker exited with code -9\n"
+                          + RECORDED.split("\n", 1)[0] + "\n")
+    assert run["result"] is None
+    assert run["provenance"]["workload"] == "solve-2d"
 
 
 def _run(wall, failed=0):
@@ -65,5 +71,16 @@ def test_summarize_pairs():
     assert wall["winners"] == ["change", "parent", "tie"]
     assert wall["parent"] == {"samples": [1.0, 1.2, 0.8], "median": 1.0, "q1": 0.9, "q3": 1.1}
     assert wall["change"]["median"] == 0.9
-    assert out["change"] == {"failed": 1, "attempted": 12}
-    assert out["parent"] == {"failed": 0, "attempted": 12}
+    assert out["change"] == {"failed": 1, "attempted": 12, "runs_failed": 0}
+    assert out["parent"] == {"failed": 0, "attempted": 12, "runs_failed": 0}
+
+
+def test_summarize_keeps_failed_runs():
+    pairs = [{"parent": _run(1.0), "change": {"result": None}},
+             {"parent": _run(1.2), "change": _run(1.1)}]
+    out = bench.summarize(pairs, {"wall_s": "lower"})
+    wall = out["metrics"]["wall_s"]
+    assert wall["winners"] == [None, "change"]
+    assert wall["parent"]["samples"] == [1.0, 1.2]
+    assert wall["change"] == {"samples": [1.1], "median": 1.1, "q1": 1.1, "q3": 1.1}
+    assert out["change"] == {"failed": 0, "attempted": 4, "runs_failed": 1}
