@@ -4,9 +4,12 @@
 For the four headline cases at both resolutions: the trajectory and
 scenario hashes, c*, a hash of every StepDiag field with their totals, and
 a hash of the stored enthalpies; the same hashes of the solve-2d benchmark
-scenario; and the `artifact_hashes` of `stefanlab run` on the benchmark's
-cli-run INI.  Floats are written with repr and keys sorted, so equal
-files mean equal bits.  Run it in two checkouts and compare the files:
+scenario; the `artifact_hashes` of `stefanlab run` on the benchmark's
+cli-run INI; and those of `stefanlab run` with every check on the
+`bump-1d-p3` preset, where the weak Harnack and decay checks measure a
+constant (the cli-run INI runs neither).  Floats are written with repr
+and keys sorted, so equal files mean equal bits.  Run it in two checkouts
+and compare the files:
 
     python scripts/bitcheck.py /tmp/before.json   # in the first checkout
     python scripts/bitcheck.py /tmp/after.json --against /tmp/before.json
@@ -15,8 +18,9 @@ With `--against OLD.json` the script, after writing its dump, exits 1 and
 prints the first key path at which the dump differs from OLD.json, and
 exits 0 when the two files are byte-identical.
 
-`--size tiny` cuts every run to a few steps (c* then needs a longer horizon
-than it has and is left out); it takes a few seconds.
+`--size tiny` cuts every run but the every-check one, which takes under a
+second, to a few steps (c* then needs a longer horizon than it has and is
+left out); it takes a few seconds.
 """
 import argparse
 import dataclasses
@@ -38,6 +42,17 @@ TINY_STEPS = 6
 # StepDiag fields totalled over a run (flags count the steps that set them)
 COUNTS = ("iterations", "linear_iterations", "backtracks", "used_fallback",
           "energy_decreased")
+EVERY_CHECK_INI = f"""\
+[scenario]
+preset = bump-1d-p3
+
+[modulus]
+r0 = 0.2
+center = 0.5
+
+[checks]
+run = {", ".join(studies.CHECKS)}
+"""
 
 
 def _sha(chunks) -> str:
@@ -92,10 +107,11 @@ def solve_2d_record(size: str) -> dict:
         presets.twophase_2d(p=3.0, nodes=nodes, dt=2.5e-4, t_end=t_end)))
 
 
-def cli_run_record(size: str) -> dict:
+def cli_run_record(ini_text: str) -> dict:
+    """`stefanlab run` on the config `ini_text`: exit code and hashes."""
     with tempfile.TemporaryDirectory() as tmp:
-        ini = Path(tmp) / "cli-run.ini"
-        ini.write_text(CLI_INI.format(seed=1, extra="" if size == "full" else "t_end = 0.02\n"))
+        ini = Path(tmp) / "run.ini"
+        ini.write_text(ini_text)
         code = cli.main(["run", str(ini), "--output", str(Path(tmp) / "out")])
         summary = json.loads((Path(tmp) / "out" / "summary.json").read_text())
     return {"exit_code": code, "trajectory_hash": summary["trajectory_hash"],
@@ -139,7 +155,9 @@ def main(argv=None) -> int:
         "size": args.size,
         "headline": {name: headline_records(name, args.size) for name in CASES},
         "solve-2d": solve_2d_record(args.size),
-        "cli-run": cli_run_record(args.size),
+        "cli-run": cli_run_record(
+            CLI_INI.format(seed=1, extra="" if args.size == "full" else "t_end = 0.02\n")),
+        "every-check": cli_run_record(EVERY_CHECK_INI),
     }
     text = _dump(record)
     Path(args.out).write_text(text)

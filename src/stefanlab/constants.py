@@ -50,8 +50,7 @@ class ConstantsLedger:
         }
 
     def modulus_params(self, r0: float) -> ModulusParams:
-        return ModulusParams(n=self.n, p=self.p, alpha=self.alpha,
-                             kappa=self.kappa, L=self.L, M=self.M, r0=r0)
+        return ModulusParams(p=self.p, alpha=self.alpha, L=self.L, M=self.M, r0=r0)
 
 
 def fix_constants(

@@ -51,12 +51,11 @@ def kappa_ratio(kappa: float) -> float:
 
 @dataclass(frozen=True)
 class ModulusParams:
-    """Parameters of the log-power modulus and its cylinders."""
+    """Parameters of the log-power modulus and its cylinders: what omega and
+    the cylinder depths read."""
 
-    n: int
     p: float
     alpha: float
-    kappa: float
     L: float
     M: float
     r0: float
@@ -66,9 +65,6 @@ class ModulusParams:
             raise ValueError("alpha must lie in (0, 1/2]")
         if self.L < 1.0 or self.M < 1.0 or self.r0 <= 0.0:
             raise ValueError("need L >= 1, M >= 1, r0 > 0")
-        rel = 1.0 + kappa_ratio(self.kappa)
-        if abs(rel - 1.0 / self.alpha) > 1e-9 * rel:
-            raise ValueError("alpha and kappa are inconsistent")
 
 
 def omega(params: ModulusParams, r):
@@ -184,13 +180,17 @@ def oscillation(trajectory: Trajectory, cyl: IntrinsicCylinder) -> float:
 
 @dataclass
 class OscillationProfile:
-    """Measured oscillation ladder with the fitted log-power exponent."""
+    """Measured oscillation ladder with the fitted log-power exponent.
+
+    Each ratio is osc / (omega * lambda_scale), lambda_scale = max{global
+    oscillation, 1} the size factor of the outer cylinders."""
 
     radii: list[float]
     depths: list[float]
     oscillations: list[float]
     omegas: list[float]
     ratios: list[float]
+    lambda_scale: float
     alpha_hat: float | None = None
     c_hat: float | None = None
     fit_residual: float | None = None
@@ -205,6 +205,11 @@ class OscillationProfile:
             raise ValueError("oscillations must be nonnegative")
         if np.any(np.diff(osc) > 1e-12 * (1.0 + osc[:-1])):
             raise ValueError("oscillation must not increase as radii shrink")
+
+    @property
+    def c_star(self) -> float:
+        """The smallest c with osc <= c * omega * lambda_scale on every rung."""
+        return max(self.ratios)
 
     def rows(self):
         return list(zip(self.radii, self.depths, self.oscillations, self.omegas, self.ratios))

@@ -9,8 +9,7 @@ stepper calls them millions of times, so the tables are built here in numpy
 (`_pchip`, `_antiderivative`) and `_HermiteTable` evaluates them with an
 arithmetic interval index on the uniform knots and one fixed-order
 polynomial sum, bit for bit what scipy's `PchipInterpolator` and its
-antiderivative return.  Adaptive quadrature of the mollifier is kept for
-the test oracles only.
+antiderivative return.
 """
 from __future__ import annotations
 
@@ -145,8 +144,10 @@ class _HermiteTable:
     c_j * s^j from j = 0 up, with the powers built as s, s*s, (s*s)*s, ...:
     the order of scipy's `PPoly` evaluation, so inside [x0, x1] a lookup is
     bit-identical to scipy's.  NaN maps to NaN.  The zero high-order terms
-    of the extra row overflow to NaN once t - x1 exceeds about 1e77, far
-    beyond any temperature a run produces.
+    of the extra row overflow to NaN once t - x1 exceeds about 1e77 (a
+    quartic) or 1e102 (a cubic), so a caller whose arguments can lie that
+    far out looks up at most x1 and adds the continuation itself, as
+    `enthalpy_jump_primitive` does.
     """
 
     def __init__(self, x, coeffs, right_value: float, right_slope: float):
@@ -473,8 +474,15 @@ def enthalpy_jump_primitive(g: RegularizedGraph, b: float, k, v):
     v = np.asarray(v, dtype=float)
     tv = (v - b) / g.eps
     tk = (k - b) / g.eps
-    step_v = _step_cdf(tv)
-    integral = g.eps * (_step_cdf_primitive(tv) - _step_cdf_primitive(tk))
+
+    def primitive(t):
+        # Looked up at most at the band edge t = 1, then continued with unit
+        # slope: the table's own continuation, bit for bit, without its
+        # zero high powers, which overflow far out.
+        return _step_cdf_primitive(np.minimum(t, 1.0)) + np.maximum(t - 1.0, 0.0)
+
+    step_v = _step_cdf(np.minimum(tv, 1.0))
+    integral = g.eps * (primitive(tv) - primitive(tk))
     out = np.where(v > k, step_v * (v - k) - integral, 0.0)
     out = np.maximum(out, 0.0)
     return out if out.ndim else float(out)

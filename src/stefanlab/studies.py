@@ -22,14 +22,18 @@ from .verify import InequalityReport
 
 def measurement_params(ledger: ConstantsLedger, r0: float) -> ModulusParams:
     """Modulus parameters used for measurement on a run with this ledger:
-    its n, p, alpha, kappa and M.
+    its p, alpha and M.
 
     The prefactor is the smallest admissible one, L = Lambda * p^alpha, so
-    omega(r0) = Lambda and the ladder starts right at r0; the multiplicative
-    constant of the oscillation bound is what gets measured, so the gauge of
-    L is immaterial.
+    omega(r0) = Lambda and the ladder starts right at r0.  What gets measured
+    is the multiplicative constant c* of the oscillation bound.  At p = 2,
+    c* L does not depend on L.  For p > 2 it does: L enters the cylinder
+    depths through omega^{2-p}, so a larger L gives shallower cylinders and
+    another ladder.  On the coarse 1d-p3 headline case, L times 1, 2 and 4
+    gave c* times that factor of 0.1035, 0.0763 and 0.0751, over 4, 3 and 2
+    rungs.
     """
-    return ModulusParams(n=ledger.n, p=ledger.p, alpha=ledger.alpha, kappa=ledger.kappa,
+    return ModulusParams(p=ledger.p, alpha=ledger.alpha,
                          L=ledger.Lambda * ledger.p**ledger.alpha, M=ledger.M, r0=r0)
 
 
@@ -173,7 +177,7 @@ def _decay(traj: Trajectory, site: CheckSite):
         return {"gate": False, "degenerate": True, "note": "no positive starting level"}, None
     return _entry(verify.decay_of_positivity_check(
         traj, k_start, site.center, site.R0, t0=site.t_start,
-        T=traj.times[-1] - site.t_start, ledger=site.ledger, k_truncation=k_trunc),
+        T=traj.times[-1] - site.t_start, c3=site.ledger.c3, k_truncation=k_trunc),
         "implied_constant")
 
 
@@ -182,18 +186,17 @@ def _classifier(traj: Trajectory, site: CheckSite):
     params, r, center = site.params, site.params.r0, (site.center, traj.times[-1])
     res = verify.alternative_classifier(
         traj, cylinder(params, center, r, "tilde"), cylinder(params, center, r, "full"),
-        float(omega(params, r)), site.ledger.eps1, params.kappa)
+        float(omega(params, r)), site.ledger.eps1, site.ledger.kappa)
     return {"gate": False, **{k: res[k] for k in ("classification", "oscillation", "fraction")
                               if k in res}}, None
 
 
 def _modulus(traj: Trajectory, site: CheckSite):
     # "profile": the measured ladder, which `stefanlab run` writes out
-    profile, verdict = verify.modulus_acceptance(
-        traj, site.params, site.ledger, (site.center, traj.times[-1]),
-        ladder=site.ladder, max_rungs=site.ladder_depth)
-    return {"pass": bool(verdict["pass"]), **{k: verdict[k] for k in ("c_star", "alpha_hat")},
-            "profile": profile}, None
+    profile = verify.modulus_acceptance(traj, site.params, (site.center, traj.times[-1]),
+                                        ladder=site.ladder, max_rungs=site.ladder_depth)
+    return {"pass": math.isfinite(profile.c_star), "c_star": profile.c_star,
+            "alpha_hat": profile.alpha_hat, "profile": profile}, None
 
 
 def solver_summary(traj: Trajectory) -> dict:
@@ -354,29 +357,25 @@ def run_headline_case(name: str) -> dict:
     """Measure the modulus constant at levels 0 and 1 (coarse and fine)."""
     scenarios = [headline_case(name, level) for level in (0, 1)]
     r0 = HEADLINE_CASES[name].r0
-    results = []
-    rungs = None
+    profiles = []
     for sc in scenarios:
         traj = run_simulation(sc)
-        ledger = default_ledger(sc)
-        params = measurement_params(ledger, r0=r0)
+        params = measurement_params(default_ledger(sc), r0=r0)
         center = ((0.5,) * sc.grid.dim, traj.times[-1])
-        profile, verdict = verify.modulus_acceptance(
-            traj, params, ledger, center, max_rungs=rungs)
-        if rungs is None:
-            rungs = verdict["rungs"]
-        results.append((profile, verdict))
-    (prof_c, verd_c), (prof_f, verd_f) = results
-    ratio = verd_f["c_star"] / verd_c["c_star"] if verd_c["c_star"] > 0 else math.nan
+        # the fine run measures as many rungs as the coarse one
+        profiles.append(verify.modulus_acceptance(
+            traj, params, center, max_rungs=len(profiles[0].radii) if profiles else None))
+    prof_c, prof_f = profiles
+    ratio = prof_f.c_star / prof_c.c_star if prof_c.c_star > 0 else math.nan
     return {
         "name": name,
-        "c_star_coarse": verd_c["c_star"],
-        "c_star_fine": verd_f["c_star"],
+        "c_star_coarse": prof_c.c_star,
+        "c_star_fine": prof_f.c_star,
         "stability_ratio": ratio,
         "stable": 0.5 <= ratio <= 2.0 if math.isfinite(ratio) else False,
-        "alpha_hat_coarse": verd_c["alpha_hat"],
-        "alpha_hat_fine": verd_f["alpha_hat"],
-        "alpha_target": verd_c["alpha_target"],
+        "alpha_hat_coarse": prof_c.alpha_hat,
+        "alpha_hat_fine": prof_f.alpha_hat,
+        "alpha_target": params.alpha,
         "profile_coarse": prof_c,
         "profile_fine": prof_f,
     }
@@ -386,8 +385,5 @@ def run_epsilon_study(eps_ladder=(0.2, 0.1, 0.05), nodes: int = 201) -> dict:
     """Mollification-width ladder for the 1D p=2 two-phase preset."""
     scenarios = [presets.twophase_1d(p=2.0, nodes=nodes, dt=2.5e-4, eps=e)
                  for e in eps_ladder]
-    sc0 = scenarios[0]
-    ledger = default_ledger(sc0)
-    params = measurement_params(ledger, r0=0.4)
-    center = ((0.5,), sc0.t_end)
-    return verify.epsilon_convergence_study(scenarios, params, ledger, center)
+    params = measurement_params(default_ledger(scenarios[0]), r0=0.4)
+    return verify.epsilon_convergence_study(scenarios, params, ((0.5,), scenarios[0].t_end))

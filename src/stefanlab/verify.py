@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import ConstantsLedger, decay_profile
+from .constants import decay_profile
 from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
                        OscillationProfile, cylinder, cylinder_depth, cylinder_samples, extrema,
                        fit_modulus, kappa_ratio, omega, oscillation)
@@ -146,19 +146,18 @@ def caccioppoli_check(
         gsq = _cell_average_of_faces([f**2 for f in faces.gradients(vk * phi)])
         # cutoff gradient on faces
         dphi_sq = _cell_average_of_faces([f**2 for f in faces.gradients(phi)])
-        # (d_t phi^p)_+ times dt: a subnormal step, whose rate may overflow,
-        # enters by its increment instead
-        rate_dts = np.where(dts < np.finfo(float).tiny, 1.0, dts)
-        dphip = np.maximum((phi_p[1:] - phi_p[:-1]) / _time_column(rate_dts, grid.dim), 0.0)
-        for dt_m, rate_dt, grad, rhs_grad, rhs_time, rhs_jump in zip(
-                dts.tolist(), rate_dts.tolist(), ball_means(gsq ** (p / 2.0)),
+        # dt (d_t phi^p)_+ is the increment (phi^p_m - phi^p_{m-1})_+; no
+        # rate is formed, so no step is too short for it
+        dphip = np.maximum(phi_p[1:] - phi_p[:-1], 0.0)
+        for dt_m, grad, rhs_grad, rhs_time, rhs_jump in zip(
+                dts.tolist(), ball_means(gsq ** (p / 2.0)),
                 ball_means(vk**p * dphi_sq ** (p / 2.0)),
                 ball_means(vk**2 * dphip), ball_means(jump * dphip)):
             weight_total += dt_m
             grad_term_num += dt_m * grad
             rhs_grad_num += dt_m * rhs_grad
-            rhs_time_num += rate_dt * rhs_time
-            rhs_jump_num += rate_dt * lh * rhs_jump
+            rhs_time_num += rhs_time
+            rhs_jump_num += lh * rhs_jump
 
     span = max(weight_total, 1e-300)
     lhs = sup_jump / slab + sup_sq / slab + grad_term_num / span
@@ -362,12 +361,13 @@ def decay_of_positivity_check(
     R0: float,
     t0: float,
     T: float,
-    ledger: ConstantsLedger,
+    c3: float,
     k_truncation: float,
 ) -> InequalityReport:
     """Positivity floor: once inf over B_{2R0} at t0 reaches k, the infimum
     at later times must stay above the decay profile.  Reports the smallest
-    c3 validating the whole window and compares it with the ledger value.
+    c3 validating the whole window and compares it with the given `c3`
+    (the ledger's).
     """
     if k <= 0.0:
         raise ValueError("starting level k must be positive")
@@ -418,12 +418,12 @@ def decay_of_positivity_check(
         c3_star = hi
     return InequalityReport(
         name="decay-of-positivity", lhs=float(infs.min()), rhs_core=k,
-        implied_constant=c3_star, margin=ledger.c3 - c3_star, degenerate=False,
+        implied_constant=c3_star, margin=c3 - c3_star, degenerate=False,
         passed=math.isfinite(c3_star),
         details={
             "smallest_c3": c3_star,
-            "ledger_c3": ledger.c3,
-            "validates_with_ledger_c3": validates(ledger.c3),
+            "ledger_c3": c3,
+            "validates_with_ledger_c3": validates(c3),
             "window_samples": int(t_list.size),
             "truncation": k_truncation,
         },
@@ -498,34 +498,29 @@ LADDER_BASES = {"dyadic2": 2.0, "dyadic32": 32.0}
 def modulus_acceptance(
     trajectory: Trajectory,
     params: ModulusParams,
-    ledger: ConstantsLedger,
     center: tuple[Sequence[float], float],
     ladder: str = "dyadic2",
     max_rungs: int | None = None,
-) -> tuple[OscillationProfile, dict]:
-    """Measure oscillation over the shrinking outer cylinders and report the
-    smallest multiplicative constant against the modulus.
+) -> OscillationProfile:
+    """Measure oscillation over the shrinking outer cylinders against the
+    modulus; the profile's c_star is the smallest c with
+    osc <= c * omega * lam (lam = max{global osc, 1}) on every rung.
 
-    The headline constant c_star uses the bare bound osc <= c * omega * lam
-    (lam = max{global osc, 1}); the variant with the additive mollification
-    allowance 256 * Lambda * eps subtracted is also reported, but at desk
-    widths that term exceeds every measured oscillation, so the bare constant
-    is the one whose refinement stability is meaningful.  That stability
-    is judged across runs (`studies.run_headline_case`); a single run passes
-    whenever c_star is finite.  The ladder stops at `max_rungs` rungs or at
-    the first cylinder too small to measure.  Where the outermost cylinder
-    is deeper than the stored times behind t0, r0 shrinks until it fits:
-    omega(r0) = L p^{-alpha} does not depend on r0, so that depth scales
-    exactly like r0^p and the fit is closed-form.
+    That constant's refinement stability is judged across runs
+    (`studies.run_headline_case`); a single run passes whenever c_star is
+    finite.  The ladder stops at `max_rungs` rungs or at the first cylinder
+    too small to measure.  Where the outermost cylinder is deeper than the
+    stored times behind t0, r0 shrinks until it fits: omega(r0) = L p^{-alpha}
+    does not depend on r0, so that depth scales exactly like r0^p and the fit
+    is closed-form.
     """
     if ladder not in LADDER_BASES:
         raise ValueError("ladder must be dyadic2 or dyadic32")
     base = LADDER_BASES[ladder]
     space, t0 = center
 
-    osc_global = max(float(u.max()) for u in trajectory.temps) - min(
-        float(u.min()) for u in trajectory.temps)
-    lam = max(osc_global, 1.0)
+    lam = max(max(float(u.max()) for u in trajectory.temps)
+              - min(float(u.min()) for u in trajectory.temps), 1.0)
 
     depth0 = cylinder_depth(params, params.r0, "outer", lam)
     horizon = max(t0 - trajectory.times[0], 0.0)
@@ -534,9 +529,6 @@ def modulus_acceptance(
     for c, ax in zip(np.atleast_1d(space), trajectory.grid.axes()):
         if c - params.r0 < ax[0] - 1e-9 or c + params.r0 > ax[-1] + 1e-9:
             raise ValueError("outermost cylinder must fit inside the domain")
-
-    Lambda = ledger.Lambda
-    eps_term = 256.0 * Lambda * trajectory.graph.eps
 
     radii, depths, oscs, omegas, ratios = [], [], [], [], []
     i = 0
@@ -560,11 +552,6 @@ def modulus_acceptance(
     if len(radii) < 2:
         raise EmptyCylinderError("fewer than two resolvable ladder rungs")
 
-    c_star = max(ratios)
-    c_star_with_eps = max(max(0.0, o - eps_term) / (w * lam)
-                          for o, w in zip(oscs, omegas))
-    induction_ok = all(o <= 32.0 * w * lam + eps_term + 1e-12 for o, w in zip(oscs, omegas))
-
     alpha_hat = c_hat = residual = None
     flags: tuple[str, ...] = ()
     if len(radii) >= 4 and all(o > 0 for o in oscs):
@@ -574,30 +561,16 @@ def modulus_acceptance(
         except ValueError:
             pass
 
-    profile = OscillationProfile(
+    return OscillationProfile(
         radii=radii, depths=depths, oscillations=oscs, omegas=omegas,
-        ratios=ratios, alpha_hat=alpha_hat, c_hat=c_hat,
+        ratios=ratios, lambda_scale=lam, alpha_hat=alpha_hat, c_hat=c_hat,
         fit_residual=residual, flags=flags,
     )
-    verdict = {
-        "c_star": c_star,
-        "c_star_with_eps_term": c_star_with_eps,
-        "eps_term": eps_term,
-        "lambda_scale": lam,
-        "global_oscillation": osc_global,
-        "alpha_hat": alpha_hat,
-        "alpha_target": params.alpha,
-        "rungs": len(radii),
-        "induction_bound_ok": induction_ok,
-        "pass": math.isfinite(c_star),
-    }
-    return profile, verdict
 
 
 def epsilon_convergence_study(
     scenarios: Sequence[Scenario],
     params: ModulusParams,
-    ledger: ConstantsLedger,
     center: tuple[Sequence[float], float],
 ) -> dict:
     """Run the modulus measurement along a decreasing mollification ladder.
@@ -621,17 +594,12 @@ def epsilon_convergence_study(
             raise ValueError("eps below the grid-resolvable width 2*h*Lambda")
 
     runs = [run_simulation(sc) for sc in scenarios]
-    profiles = []
-    verdicts = []
-    for tr in runs:
-        prof, verd = modulus_acceptance(tr, params, ledger, center)
-        profiles.append(prof)
-        verdicts.append(verd)
+    profiles = [modulus_acceptance(tr, params, center) for tr in runs]
 
     out: dict = {
         "eps": eps_ladder,
-        "c_star": [v["c_star"] for v in verdicts],
-        "alpha_hat": [v["alpha_hat"] for v in verdicts],
+        "c_star": [prof.c_star for prof in profiles],
+        "alpha_hat": [prof.alpha_hat for prof in profiles],
     }
     if len(runs) == 1:
         out["degenerate"] = True
@@ -667,8 +635,8 @@ def epsilon_convergence_study(
     out["eps_slopes"] = slopes
     out["eps_intercepts"] = intercepts
     out["mean_eps_slope"] = float(np.mean(slopes))
-    lam = max(max(v["lambda_scale"] for v in verdicts), 1.0)
-    finest = verdicts[-1]["c_star"]
+    lam = max(prof.lambda_scale for prof in profiles)
+    finest = profiles[-1].c_star
     out["intercepts_consistent"] = all(
         b <= 1.5 * finest * om * lam + 1e-9
         for b, om in zip(intercepts, profiles[0].omegas[:n_rungs])

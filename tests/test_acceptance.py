@@ -89,8 +89,7 @@ def test_criterion_2_modulus_properties():
 
     # cylinder nestedness and 32-fold depth contraction per draw
     def depth(kind, rr, i):
-        pr = ModulusParams(n=3, p=float(p[i]), alpha=float(alpha[i]),
-                           kappa=_kappa_of_alpha(float(alpha[i])), L=float(L[i]),
+        pr = ModulusParams(p=float(p[i]), alpha=float(alpha[i]), L=float(L[i]),
                            M=float(M[i]), r0=float(r0[i]))
         return cylinder_depth(pr, rr, kind)
 
@@ -106,10 +105,6 @@ def test_criterion_2_modulus_properties():
 
     _report("criterion 2 (modulus properties, 10^4 draws)", violations == 0,
             f"{violations} violations")
-
-
-def _kappa_of_alpha(alpha: float) -> float:
-    return math.inf if alpha == 0.5 else (1.0 - alpha) / (1.0 - 2.0 * alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ def test_tiny_dump(tmp_path):
     for res in runs:
         assert res["diag_totals"]["steps"] > 0
         assert re.fullmatch(r"[0-9a-f]{16}", res["scenario_hash"])
-    assert record["cli-run"]["exit_code"] == 0 and record["cli-run"]["artifact_hashes"]
+    for run in ("cli-run", "every-check"):
+        assert record[run]["exit_code"] == 0 and record[run]["artifact_hashes"]
 
 
 def test_against_an_earlier_dump(tmp_path):

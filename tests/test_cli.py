@@ -966,6 +966,10 @@ class TestRunFuzz:
              boundary="zero-flux")
     @example(t_end="5e-324", dt="0.002", extent="1.0", p="2", initial="",
              boundary="dirichlet:left=1,right=-1")
+    @example(t_end="0.01", dt="0.002", extent="1.0", p="2",
+             initial="initial = constant\ninitial_params = value=1e76", boundary="zero-flux")
+    @example(t_end="1e-300", dt="1e-300", extent="1e-3", p="2",
+             initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
     @settings(max_examples=30, deadline=None)
     def test_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, p, initial,
                                       boundary):
@@ -993,17 +997,26 @@ class TestRunFuzz:
         if code == 2:
             assert not caught
 
-    def test_subnormal_horizon_energy_check_warns_nothing(self, tmp_path):
+    @pytest.mark.parametrize("scenario, expected", [
         # t_end = 5e-324: the cutoff's time ramp rounds to 0, and 1/dt of the
         # one step overflows
-        path = _write(tmp_path, "[scenario]\ndim = 1\nnodes = 9\np = 2\nt_end = 5e-324\n"
-                                "dt = 0.002\nboundary = dirichlet:left=1,right=-1\n"
-                                "[checks]\nrun = caccioppoli\n")
+        ("t_end = 5e-324\ndt = 0.002\nboundary = dirichlet:left=1,right=-1\n", 0),
+        # temperatures far beyond the jump band, where the tables' zero high
+        # powers overflow
+        ("t_end = 0.01\ndt = 0.002\ninitial = constant\ninitial_params = value=1e76\n", 0),
+        # a tiny normal step, over which the rate of phi^p overflows; the
+        # estimate's own terms overflow too, an honest failed verdict
+        ("t_end = 1e-300\ndt = 1e-300\nextent = 1e-3\ninitial = bump\n"
+         "initial_params = amplitude=1e60\n", 1),
+    ], ids=["subnormal-horizon", "far-field", "tiny-step"])
+    def test_energy_check_warns_nothing(self, tmp_path, scenario, expected):
+        path = _write(tmp_path, "[scenario]\ndim = 1\nnodes = 9\np = 2\n" + scenario
+                                + "[checks]\nrun = caccioppoli\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main(["run", str(path), "--output", str(tmp_path / "out")])
         assert [str(w.message) for w in caught] == []
-        assert code == 0
+        assert code == expected
 
 
 def test_readme_documents_every_key():

@@ -114,14 +114,14 @@ class TestDecayProfile:
 class TestStartingRadius:
     def test_closed_form_crosscheck(self):
         L = 2.0 * 2.0**0.4
-        pr = ModulusParams(n=3, p=2.0, alpha=0.4, kappa=3.0, L=L, M=2.0, r0=1.0)
+        pr = ModulusParams(p=2.0, alpha=0.4, L=L, M=2.0, r0=1.0)
         y = starting_log_depth(pr, 1.0)
         y_exact = L**2.5 - 2.0
         assert y == pytest.approx(y_exact, rel=1e-12)
         assert omega(pr, math.exp(-y)) == pytest.approx(1.0, rel=1e-10)
 
     def test_boundary_root(self):
-        pr = ModulusParams(n=3, p=2.0, alpha=0.4, kappa=3.0, L=2.0**0.4, M=2.0, r0=1.0)
+        pr = ModulusParams(p=2.0, alpha=0.4, L=2.0**0.4, M=2.0, r0=1.0)
         assert starting_log_depth(pr, 1.0) == 0.0
 
     def test_underflowing_radius_keeps_log_form(self):
@@ -133,7 +133,7 @@ class TestStartingRadius:
         assert omega_from_depth(pr, y) == pytest.approx(1.0, rel=1e-12)
 
     def test_no_root_rejected(self):
-        pr = ModulusParams(n=3, p=2.0, alpha=0.4, kappa=3.0, L=1.0, M=2.0, r0=1.0)
+        pr = ModulusParams(p=2.0, alpha=0.4, L=1.0, M=2.0, r0=1.0)
         with pytest.raises(ValueError):
             starting_log_depth(pr, 2.0)
 

@@ -49,13 +49,13 @@ class TestAlphaKappa:
             alpha_kappa_of(3, 1.5)
 
 
-def _params(alpha=0.4, kappa=3.0, p=2.0, L=1.0, M=2.0, r0=1.0, n=3):
-    return ModulusParams(n=n, p=p, alpha=alpha, kappa=kappa, L=L, M=M, r0=r0)
+def _params(alpha=0.4, p=2.0, L=1.0, M=2.0, r0=1.0):
+    return ModulusParams(p=p, alpha=alpha, L=L, M=M, r0=r0)
 
 
 class TestOmega:
     def test_at_r0(self):
-        pr = _params(L=2.0, p=3.0, alpha=0.5, kappa=math.inf)
+        pr = _params(L=2.0, p=3.0, alpha=0.5)
         assert omega(pr, 1.0) == pytest.approx(2.0 * 3.0**-0.5, rel=1e-14)
 
     def test_example_value(self):
@@ -72,7 +72,7 @@ class TestOmega:
             omega(pr, 0.0)
 
     def test_increasing_and_concave(self):
-        pr = _params(alpha=0.45, p=2.0, kappa=(1 - 0.45) / (1 - 0.9))
+        pr = _params(alpha=0.45, p=2.0)
         r = np.linspace(1e-4, 1.0, 400)
         w = omega(pr, r)
         assert np.all(np.diff(w) > 0)
@@ -105,13 +105,13 @@ class TestCylinders:
         assert c.ball_radius == pytest.approx(0.125)
 
     def test_outer_scaling(self):
-        pr = _params(p=3.0, alpha=0.5, kappa=math.inf)
+        pr = _params(p=3.0, alpha=0.5)
         full = cylinder(pr, ((0.0,), 0.0), 0.5, "full")
         outer = cylinder(pr, ((0.0,), 0.0), 0.5, "outer", lambda_scale=2.0)
         assert outer.depth == pytest.approx(2.0 ** (2 - 3) * full.depth, rel=1e-14)
 
     def test_nestedness_example(self):
-        pr = _params(p=3.0, alpha=0.5, kappa=math.inf, M=4.0)
+        pr = _params(p=3.0, alpha=0.5, M=4.0)
         t_half = cylinder_depth(pr, 0.25, "full")
         t_full = cylinder_depth(pr, 0.5, "full")
         assert t_half <= t_full
@@ -122,8 +122,7 @@ class TestCylinders:
     def test_nestedness_property(self, alpha, p, Lambda, theta, r0, frac):
         L = max((32.0 * alpha * math.log(32.0) / theta) ** alpha,
                 2.0 * p**alpha * Lambda)
-        kappa = math.inf if alpha == 0.5 else (1 - alpha) / (1 - 2 * alpha)
-        pr = ModulusParams(n=3, p=p, alpha=alpha, kappa=kappa, L=L, M=2.0, r0=r0)
+        pr = ModulusParams(p=p, alpha=alpha, L=L, M=2.0, r0=r0)
         r2 = r0 * max(frac, 1e-3)
         r1 = 0.37 * r2
         for flavor in ("tilde", "full"):
@@ -135,8 +134,7 @@ class TestCylinders:
     def test_depth_contraction_by_32(self, alpha, p, Lambda, theta, frac):
         L = max((32.0 * alpha * math.log(32.0) / theta) ** alpha,
                 2.0 * p**alpha * Lambda)
-        kappa = math.inf if alpha == 0.5 else (1 - alpha) / (1 - 2 * alpha)
-        pr = ModulusParams(n=3, p=p, alpha=alpha, kappa=kappa, L=L, M=2.0, r0=1.0)
+        pr = ModulusParams(p=p, alpha=alpha, L=L, M=2.0, r0=1.0)
         r = max(frac, 1e-3)
         assert cylinder_depth(pr, r / 32.0, "full") <= cylinder_depth(pr, r, "full") / 4.0
 
@@ -256,16 +254,16 @@ class TestFitModulus:
 class TestOscillationProfile:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            OscillationProfile(radii=[0.5, 0.5], depths=[1, 1],
-                               oscillations=[1, 1], omegas=[1, 1], ratios=[1, 1])
+            OscillationProfile(radii=[0.5, 0.5], depths=[1, 1], oscillations=[1, 1],
+                               omegas=[1, 1], ratios=[1, 1], lambda_scale=1.0)
         with pytest.raises(ValueError):
-            OscillationProfile(radii=[0.5, 0.25], depths=[1, 1],
-                               oscillations=[0.1, 0.5], omegas=[1, 1], ratios=[1, 1])
+            OscillationProfile(radii=[0.5, 0.25], depths=[1, 1], oscillations=[0.1, 0.5],
+                               omegas=[1, 1], ratios=[1, 1], lambda_scale=1.0)
 
     def test_csv_round_shape(self):
         prof = OscillationProfile(radii=[0.5, 0.25], depths=[0.5, 0.12],
                                   oscillations=[0.4, 0.3], omegas=[1.0, 0.9],
-                                  ratios=[0.4, 1.0 / 3.0])
+                                  ratios=[0.4, 1.0 / 3.0], lambda_scale=1.0)
         lines = prof.to_csv().strip().split("\n")
         assert lines[0] == "r,T_r,osc,omega_r,ratio"
         assert len(lines) == 3

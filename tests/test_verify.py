@@ -263,9 +263,9 @@ def per_time_caccioppoli(traj, k, cyl):
             grad += dt_m * ball_mean(gsq ** (p / 2.0))
             dphi_sq = node_average([f**2 for f in faces.gradients(phi)])
             rhs_grad += dt_m * ball_mean(vk**p * dphi_sq ** (p / 2.0))
-            dphip = np.maximum((phi**p - phi_p_prev) / dt_m, 0.0)
-            rhs_time += dt_m * ball_mean(vk**2 * dphip)
-            rhs_jump += dt_m * lh * ball_mean(jump * dphip)
+            dphip = np.maximum(phi**p - phi_p_prev, 0.0)  # dt (d_t phi^p)_+
+            rhs_time += ball_mean(vk**2 * dphip)
+            rhs_jump += lh * ball_mean(jump * dphip)
         phi_p_prev = phi**p
     return {"sup_jump_term": sup_jump / cyl.depth, "sup_square_term": sup_sq / cyl.depth,
             "gradient_term": grad / total, "rhs_gradient": rhs_grad / total,
@@ -394,14 +394,14 @@ class TestDecayOfPositivity:
         sc, traj = constant_run_p3
         rep = verify.decay_of_positivity_check(
             traj, 1.0 - 1e-12, (0.5,), 0.1, t0=0.0, T=traj.times[-1],
-            ledger=fix_constants(n=1, p=3.0, Lambda=1.0), k_truncation=1.2)
+            c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3, k_truncation=1.2)
         assert rep.implied_constant <= 1.0 + 1e-9
 
     def test_window_without_samples_degenerate(self, constant_run_p3):
         sc, traj = constant_run_p3
         rep = verify.decay_of_positivity_check(
             traj, 1.0 - 1e-12, (0.5,), 0.1, t0=traj.times[-1], T=1e-9,
-            ledger=fix_constants(n=1, p=3.0, Lambda=1.0), k_truncation=1.2)
+            c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3, k_truncation=1.2)
         assert rep.degenerate and rep.passed
 
     def test_unattained_level_rejected(self, constant_run_p3):
@@ -409,7 +409,7 @@ class TestDecayOfPositivity:
         with pytest.raises(ValueError):
             verify.decay_of_positivity_check(
                 traj, 2.0, (0.5,), 0.1, t0=0.0, T=traj.times[-1],
-                ledger=fix_constants(n=1, p=3.0, Lambda=1.0), k_truncation=1.2)
+                c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3, k_truncation=1.2)
 
     def test_collapsing_bump_constant_stable(self):
         consts = []
@@ -424,7 +424,7 @@ class TestDecayOfPositivity:
             k = float(np.minimum(traj.w_fields[m0], ktr)[mask].min()) * (1 - 1e-12)
             rep = verify.decay_of_positivity_check(
                 traj, k, (0.5,), 0.1, traj.times[m0],
-                traj.times[-1] - traj.times[m0], ledger, k_truncation=ktr)
+                traj.times[-1] - traj.times[m0], ledger.c3, k_truncation=ktr)
             assert math.isfinite(rep.implied_constant)
             consts.append(rep.implied_constant)
         assert 0.5 <= consts[1] / consts[0] <= 2.0
@@ -448,38 +448,38 @@ class TestAlternativeClassifier:
         pr = studies.measurement_params(ledger, r0=0.4)
         center = ((0.5,), center_time)
         return (cylinder(pr, center, r, "tilde"), cylinder(pr, center, r, "full"),
-                float(omega(pr, r)), pr)
+                float(omega(pr, r)), ledger)
 
     # node 8 sits at x = 0.2: inside the enclosing ball B_{0.4}(0.5) so it
     # sets the oscillation, outside the short ball B_{0.1}(0.5) so it does
     # not touch the counted fraction
     def test_everything_high_is_first_alternative(self):
         traj = _two_level_trajectory(low_nodes=(8,))
-        tilde, enc, w_r, pr = self._cylinders()
-        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, pr.kappa)
+        tilde, enc, w_r, led = self._cylinders()
+        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, led.kappa)
         assert res["classification"] == "Alt1"
         assert res["fraction"] == 1.0
         assert res["time_slice_exists"]
 
     def test_everything_low_is_second_alternative(self):
         traj = _two_level_trajectory(low_nodes=[i for i in range(41) if i != 8])
-        tilde, enc, w_r, pr = self._cylinders()
-        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, pr.kappa)
+        tilde, enc, w_r, led = self._cylinders()
+        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, led.kappa)
         assert res["classification"] == "Alt2"
         assert res["fraction"] == 0.0
 
     def test_small_oscillation_is_trivial(self):
         traj = _two_level_trajectory(low_nodes=(8,), high_value=0.3, low_value=0.0)
-        tilde, enc, w_r, pr = self._cylinders()
-        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, pr.kappa)
+        tilde, enc, w_r, led = self._cylinders()
+        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, led.kappa)
         assert res["trivial"]
         assert res["classification"] == "trivial"
 
     def test_threshold_formula(self):
         traj = _two_level_trajectory(low_nodes=(8,))
-        tilde, enc, w_r, pr = self._cylinders()
-        res = verify.alternative_classifier(traj, tilde, enc, 0.8, 0.25, pr.kappa)
-        assert res["threshold"] == pytest.approx(0.25 * 0.8 ** (1.0 / pr.alpha))
+        tilde, enc, w_r, led = self._cylinders()
+        res = verify.alternative_classifier(traj, tilde, enc, 0.8, 0.25, led.kappa)
+        assert res["threshold"] == pytest.approx(0.25 * 0.8 ** (1.0 / led.alpha))
 
     def _solved_classification(self, nodes, initial=None):
         sc = presets.twophase_1d(nodes=nodes, amplitude=0.9)
@@ -493,7 +493,7 @@ class TestAlternativeClassifier:
         enc = cylinder(pr, center, 0.4, "full")
         return verify.alternative_classifier(traj, tilde, enc,
                                              float(omega(pr, 0.4)),
-                                             led.eps1, pr.kappa)
+                                             led.eps1, led.kappa)
 
     def test_solved_run_with_recount_oracle(self):
         base = self._solved_classification(81)
@@ -525,7 +525,7 @@ class TestAlternativeClassifier:
             enc = cylinder(pr, center, r, "full")
             return verify.alternative_classifier(traj, tilde, enc,
                                                  float(omega(pr, r)),
-                                                 led.eps1, pr.kappa)
+                                                 led.eps1, led.kappa)
 
         base = classify(641)
         recount = classify(1281)
@@ -577,10 +577,10 @@ class TestScaleCovariance:
         k = float(np.minimum(traj.w_fields[m0], ktr)[mask].min()) * (1 - 1e-12)
         d1 = verify.decay_of_positivity_check(
             traj, k, (0.5,), 0.1, traj.times[m0], traj.times[-1] - traj.times[m0],
-            led, k_truncation=ktr)
+            led.c3, k_truncation=ktr)
         d2 = verify.decay_of_positivity_check(
             scaled, k / lam, (0.5,), 0.1, scaled.times[m0],
-            scaled.times[-1] - scaled.times[m0], led, k_truncation=ktr / lam)
+            scaled.times[-1] - scaled.times[m0], led.c3, k_truncation=ktr / lam)
         assert d2.implied_constant == pytest.approx(d1.implied_constant, rel=1e-8)
 
 
@@ -588,37 +588,29 @@ class TestModulusAcceptance:
     def test_constant_data_passes_with_zero_constant(self):
         sc = presets.constant_preset(nodes=81, value=0.4, t_end=0.03, dt=1e-3)
         traj = run_simulation(sc)
-        ledger = studies.default_ledger(sc)
-        params = studies.measurement_params(ledger, r0=0.1)
-        profile, verdict = verify.modulus_acceptance(
-            traj, params, ledger, ((0.5,), traj.times[-1]))
-        assert verdict["c_star"] == 0.0
-        assert verdict["pass"]
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.1)
+        profile = verify.modulus_acceptance(traj, params, ((0.5,), traj.times[-1]))
+        assert profile.c_star == 0.0
         assert all(o == 0.0 for o in profile.oscillations)
 
     def test_jump_free_passes_with_small_constant(self):
         sc = presets.heat_smooth_1d(nodes=81, dt=1e-3, t_end=0.1)
         traj = run_simulation(sc)
-        ledger = studies.default_ledger(sc)
-        params = studies.measurement_params(ledger, r0=0.2)
-        profile, verdict = verify.modulus_acceptance(
-            traj, params, ledger, ((0.5,), traj.times[-1]))
-        assert verdict["pass"]
-        assert 0.0 < verdict["c_star"] < 1.0
-        assert verdict["induction_bound_ok"]
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.2)
+        profile = verify.modulus_acceptance(traj, params, ((0.5,), traj.times[-1]))
+        assert 0.0 < profile.c_star < 1.0
 
     def test_containment_precondition(self):
         sc = presets.twophase_1d(nodes=41, t_end=0.01, dt=1e-3)
         traj = run_simulation(sc)
-        ledger = studies.default_ledger(sc)
-        params = studies.measurement_params(ledger, r0=0.4)
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.4)
         # too deep for the stored times: the top radius shrinks to fit them
-        profile, _ = verify.modulus_acceptance(traj, params, ledger, ((0.5,), traj.times[-1]))
+        profile = verify.modulus_acceptance(traj, params, ((0.5,), traj.times[-1]))
         assert profile.radii[0] < 0.4
         assert profile.depths[0] <= traj.times[-1] - traj.times[0]
         # still wider than the room around the centre: no ladder
         with pytest.raises(ValueError, match="inside the domain"):
-            verify.modulus_acceptance(traj, params, ledger, ((0.05,), traj.times[-1]))
+            verify.modulus_acceptance(traj, params, ((0.05,), traj.times[-1]))
 
     def test_modulus_check_reports_the_c_star_of_the_measurement(self):
         # `stefanlab run`, the headline study and the eps ladder all reach
@@ -627,10 +619,10 @@ class TestModulusAcceptance:
         traj = run_simulation(sc)
         ledger = studies.default_ledger(sc)
         params = studies.measurement_params(ledger, r0=0.4)
-        _, verdict = verify.modulus_acceptance(traj, params, ledger, ((0.5,), traj.times[-1]))
+        profile = verify.modulus_acceptance(traj, params, ((0.5,), traj.times[-1]))
         entry, _ = studies.CHECKS["modulus"].run(
             traj, studies.check_site(traj, params, ledger, (0.5,)))
-        assert entry["c_star"] == verdict["c_star"]
+        assert entry["c_star"] == profile.c_star
 
     def test_dyadic32_ladder(self):
         # frozen dense-in-time trajectory: the 32-ladder resolves two rungs
@@ -641,44 +633,36 @@ class TestModulusAcceptance:
         temps = [0.4 * x.copy() for _ in times]
         enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
         traj = Trajectory(scenario=sc, times=times, temps=temps, enthalpies=enths)
-        ledger = studies.default_ledger(sc)
-        params = studies.measurement_params(ledger, r0=0.2)
-        profile, verdict = verify.modulus_acceptance(
-            traj, params, ledger, ((0.5,), times[-1]), ladder="dyadic32")
-        assert verdict["rungs"] == 2
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.2)
+        profile = verify.modulus_acceptance(traj, params, ((0.5,), times[-1]),
+                                            ladder="dyadic32")
+        assert len(profile.radii) == 2
         assert profile.radii[0] / profile.radii[1] == pytest.approx(32.0)
 
 
 class TestEpsilonStudy:
     def test_single_eps_degenerate(self):
         sc = presets.twophase_1d(nodes=61, t_end=0.1, dt=5e-4, eps=0.1)
-        ledger = studies.default_ledger(sc)
-        params = studies.measurement_params(ledger, r0=0.2)
-        out = verify.epsilon_convergence_study([sc], params, ledger,
-                                               ((0.5,), sc.t_end))
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.2)
+        out = verify.epsilon_convergence_study([sc], params, ((0.5,), sc.t_end))
         assert out["degenerate"]
 
     def test_jump_free_eps_independent(self):
         scenarios = [replace(presets.heat_smooth_1d(nodes=41, dt=1e-3, t_end=0.1),
                              graph=RegularizedGraph(a=5.0, latent_heat=0.2, eps=eps))
                      for eps in (0.2, 0.1, 0.05)]
-        ledger = studies.default_ledger(scenarios[0])
-        params = studies.measurement_params(ledger, r0=0.2)
-        out = verify.epsilon_convergence_study(scenarios, params, ledger,
-                                               ((0.5,), 0.1))
+        params = studies.measurement_params(studies.default_ledger(scenarios[0]), r0=0.2)
+        out = verify.epsilon_convergence_study(scenarios, params, ((0.5,), 0.1))
         assert all(g < 1e-8 for g in out["cauchy_gaps"])
         assert out["cauchy_decreasing"]
 
     def test_ladder_validation(self):
         mk = lambda e: presets.twophase_1d(nodes=61, t_end=0.02, dt=1e-3, eps=e)
-        ledger = studies.default_ledger(mk(0.1))
-        params = studies.measurement_params(ledger, r0=0.2)
+        params = studies.measurement_params(studies.default_ledger(mk(0.1)), r0=0.2)
         with pytest.raises(ValueError):
-            verify.epsilon_convergence_study([mk(0.05), mk(0.1)], params, ledger,
-                                             ((0.5,), 0.02))
+            verify.epsilon_convergence_study([mk(0.05), mk(0.1)], params, ((0.5,), 0.02))
         with pytest.raises(ValueError):
-            verify.epsilon_convergence_study([mk(0.1), mk(0.01)], params, ledger,
-                                             ((0.5,), 0.02))
+            verify.epsilon_convergence_study([mk(0.1), mk(0.01)], params, ((0.5,), 0.02))
 
 
 class TestResolutionLadders:
