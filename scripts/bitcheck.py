@@ -4,10 +4,10 @@
 For the four headline cases at both resolutions: the trajectory and
 scenario hashes, c*, a hash of every StepDiag field with their totals, and
 a hash of the stored enthalpies; the same hashes of the solve-2d benchmark
-scenario; the `artifact_hashes` of `stefanlab run` on the benchmark's
-cli-run INI; and those of `stefanlab run` with every check on the
-`bump-1d-p3` preset, where the weak Harnack and decay checks measure a
-constant (the cli-run INI runs neither).  Floats are written with repr
+scenario; the `artifact_hashes` and the `summary.json` check entries of
+`stefanlab run` on the benchmark's cli-run INI; and those of `stefanlab
+run` with every check on the `bump-1d-p3` preset, where the weak Harnack
+and decay checks measure a constant (the cli-run INI runs neither).  Floats are written with repr
 and keys sorted, so equal files mean equal bits.  Run it in two checkouts
 and compare the files:
 
@@ -108,14 +108,15 @@ def solve_2d_record(size: str) -> dict:
 
 
 def cli_run_record(ini_text: str) -> dict:
-    """`stefanlab run` on the config `ini_text`: exit code and hashes."""
+    """`stefanlab run` on the config `ini_text`: exit code, hashes and the
+    `summary.json` entry of every check, which no artifact hash covers."""
     with tempfile.TemporaryDirectory() as tmp:
         ini = Path(tmp) / "run.ini"
         ini.write_text(ini_text)
         code = cli.main(["run", str(ini), "--output", str(Path(tmp) / "out")])
         summary = json.loads((Path(tmp) / "out" / "summary.json").read_text())
     return {"exit_code": code, "trajectory_hash": summary["trajectory_hash"],
-            "artifact_hashes": summary["artifact_hashes"]}
+            "artifact_hashes": summary["artifact_hashes"], "checks": summary["checks"]}
 
 
 def _dump(record) -> str:

@@ -119,6 +119,8 @@ def _beta(text: str) -> BetaMap:
     if text.startswith("piecewise:"):
         # format: piecewise:-1/-0.5,0/0,1/2 - knot/value pairs
         pairs = [q.split("/") for q in text.split(":", 1)[1].split(",") if q.strip()]
+        if any(len(q) != 2 for q in pairs):
+            raise ValueError(f"expected knot/value pairs, got {text!r}")
         return BetaMap(kind="piecewise", knots=tuple(_finite(q[0]) for q in pairs),
                        values=tuple(_finite(q[1]) for q in pairs))
     raise ValueError(f"unknown beta spec {text!r}")
@@ -146,7 +148,7 @@ def _boundary(text: str) -> tuple[tuple[float, float], ...] | None:
 
 
 def _dt(text: str) -> DtPolicy:
-    if not text.startswith("intrinsic"):
+    if text != "intrinsic" and not text.startswith("intrinsic:"):
         return DtPolicy(value=float(text))
     kv = _parse_kv(text.split(":", 1)[1]) if ":" in text else {}
     for name in kv:

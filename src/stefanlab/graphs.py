@@ -248,11 +248,15 @@ class BetaMap:
                 raise ValueError("piecewise beta table must be strictly increasing")
             if 0.0 not in xs or ys[list(xs).index(0.0)] != 0.0:
                 raise ValueError("piecewise beta table must contain the origin (0, 0)")
-            slopes = np.diff(ys) / np.diff(xs)
             # The integral of beta from the first knot to each knot, and to
             # the origin by the formula `primitive` evaluates there, so that
             # primitive(0) is exactly 0 whichever knot the origin is.
-            knot_int = np.concatenate([[0.0], np.cumsum(0.5 * (ys[:-1] + ys[1:]) * np.diff(xs))])
+            with np.errstate(over="ignore"):
+                dx = np.diff(xs)
+                slopes = np.diff(ys) / dx
+                knot_int = np.concatenate([[0.0], np.cumsum(0.5 * (ys[:-1] + ys[1:]) * dx)])
+            if not (np.all(slopes > 0) and np.isfinite([*slopes, *knot_int]).all()):
+                raise ValueError("piecewise beta needs positive finite slopes and integral")
             i = int(_piece(xs, 0.0))
             d = 0.0 - xs[i]
             origin_int = knot_int[i] + ys[i] * d + 0.5 * slopes[i] * d * d

@@ -1131,23 +1131,26 @@ def run_simulation(scenario: Scenario) -> Trajectory:
     t = 0.0
     step_index = 0
     t_final = scenario.t_end
-    while t < t_final * (1.0 - 1e-12) and t_final > 0.0:
-        dt = scenario.dt.step(grid, scenario.p, u, t_final - t)
-        if dt <= 0.0:
-            raise SolverError("time step collapsed to zero", time=t)
-        try:
-            u_new, diag, e = implicit_step(u, dt, scenario, _extrapolate(u, dt, past), e_old=e)
-        except SolverError as err:
-            raise type(err)(str(err), time=t + dt) from err
-        past = [(u, dt)] + past[:1]
-        u = u_new
-        t += dt
-        step_index += 1
-        diags.append(diag)
-        if step_index % scenario.store_every == 0 or t >= t_final * (1.0 - 1e-12):
-            times.append(t)
-            temps.append(u.copy())
-            enths.append(e)
+    # implicit_step rejects non-finite trials and raises on a non-finite or
+    # unconverged state, so a trial's overflow warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_final * (1.0 - 1e-12) and t_final > 0.0:
+            dt = scenario.dt.step(grid, scenario.p, u, t_final - t)
+            if dt <= 0.0:
+                raise SolverError("time step collapsed to zero", time=t)
+            try:
+                u_new, diag, e = implicit_step(u, dt, scenario, _extrapolate(u, dt, past), e_old=e)
+            except SolverError as err:
+                raise type(err)(str(err), time=t + dt) from err
+            past = [(u, dt)] + past[:1]
+            u = u_new
+            t += dt
+            step_index += 1
+            diags.append(diag)
+            if step_index % scenario.store_every == 0 or t >= t_final * (1.0 - 1e-12):
+                times.append(t)
+                temps.append(u.copy())
+                enths.append(e)
     return Trajectory(scenario=scenario, times=times, temps=temps, enthalpies=enths,
                       diagnostics=diags)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import presets, verify
 from .constants import ConstantsLedger, fix_constants
-from .geometry import ModulusParams, cylinder, cylinder_samples, omega
+from .geometry import ModulusParams, cylinder, cylinder_samples
 from .graphs import RegularizedGraph
 from .solver import (DtPolicy, Grid, InitialData, Scenario, SpaceTimeBump, Trajectory,
                      conservation_defect, run_simulation, weak_form_residual)
@@ -42,22 +42,6 @@ def default_ledger(scenario: Scenario, **choices) -> ConstantsLedger:
     the free constants `choices` passed to `fix_constants`."""
     return fix_constants(n=scenario.grid.dim, p=scenario.p,
                          Lambda=scenario.certified_lambda(), **choices)
-
-
-def caccioppoli_at(traj: Trajectory, params: ModulusParams,
-                   center_space: tuple[float, ...]) -> verify.InequalityReport:
-    """The energy estimate on the full intrinsic cylinder of radius params.r0
-    ending at the last computed time, at the 30% quantile of w inside it.
-
-    The estimate holds on any space-time cylinder, so a cylinder deeper than
-    0.8 of the computed horizon is clamped to that depth rather than given a
-    re-derived radius.
-    """
-    cyl = cylinder(params, (center_space, traj.times[-1]), params.r0, "full")
-    cyl = replace(cyl, depth=min(cyl.depth, 0.8 * (traj.times[-1] - traj.times[0])))
-    mask, t_idx = cylinder_samples(traj, cyl)
-    ws = np.concatenate([traj.w_fields[m][mask] for m in t_idx])
-    return verify.caccioppoli_check(traj, float(np.quantile(ws, 0.3)), cyl)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +137,17 @@ def _weakform(traj: Trajectory, site: CheckSite):
 
 
 def _caccioppoli(traj: Trajectory, site: CheckSite):
-    return _entry(caccioppoli_at(traj, site.params, site.center),
+    """The energy estimate on the full intrinsic cylinder of radius r0
+    ending at the last computed time, at the 30% quantile of w inside it.
+
+    The estimate holds on any space-time cylinder, so a cylinder deeper than
+    0.8 of the computed horizon is clamped to that depth rather than given a
+    re-derived radius."""
+    cyl = cylinder(site.params, (site.center, traj.times[-1]), site.params.r0, "full")
+    cyl = replace(cyl, depth=min(cyl.depth, 0.8 * (traj.times[-1] - traj.times[0])))
+    mask, t_idx = cylinder_samples(traj, cyl)
+    ws = np.concatenate([traj.w_fields[m][mask] for m in t_idx])
+    return _entry(verify.caccioppoli_check(traj, float(np.quantile(ws, 0.3)), cyl),
                   "degenerate", "implied_constant")
 
 
@@ -165,28 +159,19 @@ def _truncation(traj: Trajectory, site: CheckSite):
 def _weak_harnack(traj: Trajectory, site: CheckSite):
     return _entry(verify.weak_harnack_check(
         traj, _truncation_level(traj), site.center, site.R0, t1=site.t_start,
-        T=traj.times[-1], c1=site.ledger.c1), "degenerate", "implied_constant")
+        c1=site.ledger.c1), "degenerate", "implied_constant")
 
 
 def _decay(traj: Trajectory, site: CheckSite):
-    # From the infimum of the truncated w over the 2 R0 ball at t_start.
-    k_trunc = _truncation_level(traj)
-    v0 = np.minimum(traj.w_fields[traj.nearest_time_index(site.t_start)], k_trunc)
-    k_start = float(v0[traj.ball_mask(site.center, 2 * site.R0)].min()) * (1 - 1e-12)
-    if k_start <= 0:  # nothing positive to decay: no verdict
-        return {"gate": False, "degenerate": True, "note": "no positive starting level"}, None
     return _entry(verify.decay_of_positivity_check(
-        traj, k_start, site.center, site.R0, t0=site.t_start,
-        T=traj.times[-1] - site.t_start, c3=site.ledger.c3, k_truncation=k_trunc),
-        "implied_constant")
+        traj, site.center, site.R0, t0=site.t_start, c3=site.ledger.c3,
+        k_truncation=_truncation_level(traj)), "degenerate", "implied_constant")
 
 
 def _classifier(traj: Trajectory, site: CheckSite):
     # Which measure alternative holds is a finding, not a verdict.
-    params, r, center = site.params, site.params.r0, (site.center, traj.times[-1])
-    res = verify.alternative_classifier(
-        traj, cylinder(params, center, r, "tilde"), cylinder(params, center, r, "full"),
-        float(omega(params, r)), site.ledger.eps1, site.ledger.kappa)
+    res = verify.alternative_classifier(traj, site.params, (site.center, traj.times[-1]),
+                                        site.params.r0, site.ledger.eps1, site.ledger.kappa)
     return {"gate": False, **{k: res[k] for k in ("classification", "oscillation", "fraction")
                               if k in res}}, None
 
@@ -383,7 +368,7 @@ def run_headline_case(name: str) -> dict:
 
 def run_epsilon_study(eps_ladder=(0.2, 0.1, 0.05), nodes: int = 201) -> dict:
     """Mollification-width ladder for the 1D p=2 two-phase preset."""
-    scenarios = [presets.twophase_1d(p=2.0, nodes=nodes, dt=2.5e-4, eps=e)
-                 for e in eps_ladder]
-    params = measurement_params(default_ledger(scenarios[0]), r0=0.4)
-    return verify.epsilon_convergence_study(scenarios, params, ((0.5,), scenarios[0].t_end))
+    runs = [run_simulation(presets.twophase_1d(p=2.0, nodes=nodes, dt=2.5e-4, eps=e))
+            for e in eps_ladder]
+    params = measurement_params(default_ledger(runs[0].scenario), r0=0.4)
+    return verify.epsilon_convergence_study(runs, params, ((0.5,), runs[0].scenario.t_end))

@@ -5,7 +5,10 @@ None of the estimates comes with usable numeric constants, so the harness
 never asserts magic numbers: it reports the smallest constant making each
 inequality hold and the acceptance layer checks that those constants stay
 stable (within a factor of two) under grid refinement.  All checks are pure
-reads of a trajectory and reproduce bit-for-bit for a fixed scenario.
+reads of solved trajectories and reproduce bit-for-bit for a fixed
+scenario.  The weak Harnack, decay and classifier checks take the site
+they measure (centre, radius, start time and constants) and work out every
+level, cylinder and window they read from the trajectory.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
                        OscillationProfile, cylinder, cylinder_depth, cylinder_samples, extrema,
                        fit_modulus, kappa_ratio, omega, oscillation)
 from .graphs import enthalpy_jump_primitive
-from .solver import (Scenario, SpaceTimeBump, Trajectory, _row_sums, _time_blocks,
-                     _time_column, run_simulation, weak_form_residual)
+from .solver import (SpaceTimeBump, Trajectory, _row_sums, _time_blocks, _time_column,
+                     weak_form_residual)
 
 
 @dataclass
@@ -224,6 +227,14 @@ def _test_function_family(region_lo, region_hi, rng_seed=None):
     return fams
 
 
+def _below_band(trajectory: Trajectory, k: float) -> None:
+    """Reject a truncation level k that is not below the jump band: only
+    then is min(w, k) a weak supersolution."""
+    g = trajectory.graph
+    if not k < g.a - g.eps:
+        raise ValueError("truncation level must sit below the jump band (k < a - eps)")
+
+
 def truncation_supersolution_check(
     trajectory: Trajectory,
     k: float,
@@ -237,9 +248,7 @@ def truncation_supersolution_check(
     test functions; supersolution residuals must be >= -_TRUNCATION_TOL *
     scale and subsolution residuals <= _TRUNCATION_TOL * scale.
     """
-    b, eps = trajectory.graph.a, trajectory.graph.eps
-    if not k < b - eps:
-        raise ValueError("truncation level must satisfy k < b - eps")
+    _below_band(trajectory, k)
     fams = _test_function_family(region[0], region[1], rng_seed=rng_seed)
 
     w_all = trajectory.w_fields
@@ -260,8 +269,8 @@ def truncation_supersolution_check(
         passed=passed,
         details={
             "level": k,
-            "jump": b,
-            "eps": eps,
+            "jump": trajectory.graph.a,
+            "eps": trajectory.graph.eps,
             "worst_supersolution_residual": worst_super,
             "worst_subsolution_residual": worst_sub,
             "test_functions": len(fams),
@@ -273,11 +282,9 @@ def truncation_supersolution_check(
 # Harnack-type checks
 # ---------------------------------------------------------------------------
 
-def _truncated_supersolution(trajectory: Trajectory, k_truncation: float):
-    g = trajectory.graph
-    if not k_truncation < g.a - g.eps:
-        raise ValueError("k_truncation must sit below the jump band")
-    return [np.minimum(w, k_truncation) for w in trajectory.w_fields]
+def _ball_infimum(trajectory: Trajectory, m: int, mask: np.ndarray, k: float) -> float:
+    """Infimum of the truncation min(w, k) at stored time m over the masked nodes."""
+    return float(np.minimum(trajectory.w_fields[m][mask], k).min())
 
 
 def weak_harnack_check(
@@ -286,10 +293,10 @@ def weak_harnack_check(
     x0: Sequence[float],
     R0: float,
     t1: float,
-    T: float,
     c1: float,
 ) -> InequalityReport:
-    """Average at one time against the waiting-time infimum on a larger ball.
+    """Average of v = min(w, k_truncation) at t1 against its waiting-time
+    infimum on a larger ball, with T the last stored time.
 
     With tau = min{T - t1, c1 R0^p avg^{2-p}} the estimate reads
     avg <= (1/2)(c1 R0^p / (T - t1))^{1/(p-2)} + c2 inf over
@@ -299,22 +306,21 @@ def weak_harnack_check(
     p = trajectory.p
     if p <= 2.0:
         raise ValueError("waiting-time estimate needs p > 2")
-    grid = trajectory.grid
-    axes = grid.axes()
-    for c, ax in zip(x0, axes):
+    for c, ax in zip(x0, trajectory.grid.axes()):
         if c - 4.0 * R0 < ax[0] - 1e-12 or c + 4.0 * R0 > ax[-1] + 1e-12:
             raise ValueError("ball of radius 4*R0 must fit inside the grid")
-    if not trajectory.times[0] <= t1 < T <= trajectory.times[-1] + 1e-12:
-        raise ValueError("need t1 < T within the computed horizon")
-
-    v_all = _truncated_supersolution(trajectory, k_truncation)
-    if min(float(v.min()) for v in v_all) < -1e-12:
+    T = trajectory.times[-1]
+    if not trajectory.times[0] <= t1 < T:
+        raise ValueError("need t1 before the last stored time")
+    _below_band(trajectory, k_truncation)
+    if min(min(float(w.min()) for w in trajectory.w_fields), k_truncation) < -1e-12:
         raise ValueError("supersolution must be nonnegative")
 
     vol = trajectory.scenario._cells[0]
     m1 = trajectory.nearest_time_index(t1)
     mask_avg = trajectory.ball_mask(x0, R0)
-    avg = float(np.sum((v_all[m1] * vol)[mask_avg]) / np.sum(vol[mask_avg]))
+    v1 = np.minimum(trajectory.w_fields[m1], k_truncation)
+    avg = float(np.sum((v1 * vol)[mask_avg]) / np.sum(vol[mask_avg]))
 
     if avg <= 0.0:
         return InequalityReport(
@@ -328,10 +334,10 @@ def weak_harnack_check(
     t_lo = trajectory.times[m1] + tau / 2.0
     t_hi = trajectory.times[m1] + tau
     window = trajectory.time_indices(t_lo, t_hi)
-    if window.size == 0 or t_hi > trajectory.times[-1] + 1e-12:
+    if window.size == 0 or t_hi > T + 1e-12:
         raise ValueError("waiting-time window exceeds the stored horizon")
     mask_inf = trajectory.ball_mask(x0, 2.0 * R0)
-    inf_q = min(float(v_all[m][mask_inf].min()) for m in window)
+    inf_q = min(_ball_infimum(trajectory, m, mask_inf, k_truncation) for m in window)
 
     if inf_q <= 0.0:
         degenerate = avg <= first_term
@@ -356,42 +362,43 @@ def weak_harnack_check(
 
 def decay_of_positivity_check(
     trajectory: Trajectory,
-    k: float,
     x0: Sequence[float],
     R0: float,
     t0: float,
-    T: float,
     c3: float,
     k_truncation: float,
 ) -> InequalityReport:
-    """Positivity floor: once inf over B_{2R0} at t0 reaches k, the infimum
-    at later times must stay above the decay profile.  Reports the smallest
-    c3 validating the whole window and compares it with the given `c3`
-    (the ledger's).
+    """Positivity floor for v = min(w, k_truncation) on B_{2R0}: from the
+    starting level k, just under the infimum of v at the stored time
+    nearest t0, the infimum at every later stored time must stay above the
+    decay profile.  Reports the smallest c3 validating the whole window and
+    compares it with the given `c3` (the ledger's).  No positive starting
+    level: no verdict.
     """
-    if k <= 0.0:
-        raise ValueError("starting level k must be positive")
-    p = trajectory.p
-    v_all = _truncated_supersolution(trajectory, k_truncation)
+    _below_band(trajectory, k_truncation)
     mask = trajectory.ball_mask(x0, 2.0 * R0)
     m0 = trajectory.nearest_time_index(t0)
-    inf0 = float(v_all[m0][mask].min())
-    if inf0 < k * (1.0 - 1e-12):
-        raise ValueError("starting level not attained on the initial ball")
+    inf0 = _ball_infimum(trajectory, m0, mask, k_truncation)
+    k = inf0 * (1.0 - 1e-12)
+    if k <= 0.0:
+        return InequalityReport(
+            name="decay-of-positivity", lhs=inf0, rhs_core=0.0,
+            implied_constant=None, margin=None, degenerate=True, passed=None,
+            details={"note": "no positive starting level"},
+        )
 
-    t_list = trajectory.time_indices(trajectory.times[m0], t0 + T)
-    t_list = t_list[t_list > m0]
+    t_list = np.arange(m0 + 1, len(trajectory.times))
     if t_list.size == 0:
         return InequalityReport(
             name="decay-of-positivity", lhs=inf0, rhs_core=k,
             implied_constant=None, margin=None, degenerate=True, passed=True,
             details={"note": "window holds no later samples"},
         )
-    infs = np.array([float(v_all[m][mask].min()) for m in t_list])
+    infs = np.array([_ball_infimum(trajectory, m, mask, k_truncation) for m in t_list])
     times = np.asarray(trajectory.times)[t_list]
 
     def validates(c3):
-        lam = decay_profile(k, times, trajectory.times[m0], R0, c3, p)
+        lam = decay_profile(k, times, trajectory.times[m0], R0, c3, trajectory.p)
         return bool(np.all(lam <= infs + 1e-15))
 
     lo, hi = 1e-6, 1.0
@@ -436,55 +443,36 @@ def decay_of_positivity_check(
 
 def alternative_classifier(
     trajectory: Trajectory,
-    cylinder_tilde: IntrinsicCylinder,
-    enclosing: IntrinsicCylinder,
-    omega_r: float,
+    params: ModulusParams,
+    center: tuple[Sequence[float], float],
+    r: float,
     eps1: float,
     kappa: float,
 ) -> dict:
-    """Which measure alternative holds on the short cylinder.
+    """Which measure alternative holds on the short cylinder of radius r
+    ending at `center`.
 
-    Shifts w to v = w - inf over the enclosing cylinder, then counts the
-    fraction of nodes with v >= osc/4 inside the quarter-radius slab and
-    compares with eps1 * omega(r)^{1 + kappa/(kappa-1)}.  Oscillation below
-    omega(r) short-circuits to the trivial verdict.
+    Shifts w to v = w - inf over the full cylinder, then counts the fraction
+    of samples with v >= osc/4 in the tilde cylinder (the quarter-radius
+    ball) and compares it with eps1 * omega(r)^{1 + kappa/(kappa-1)}.
+    Oscillation below omega(r) short-circuits to the trivial verdict, which
+    carries no fraction.
     """
+    tilde = cylinder(params, center, r, "tilde")
+    full = cylinder(params, center, r, "full")
+    omega_r = float(omega(params, r))
     w_all = trajectory.w_fields
-    w_lo, w_hi = extrema(w_all, *cylinder_samples(trajectory, enclosing))
+    w_lo, w_hi = extrema(w_all, *cylinder_samples(trajectory, full))
     osc = w_hi - w_lo
-
-    out = {
-        "oscillation": osc,
-        "omega_r": omega_r,
-        "threshold": eps1 * omega_r ** (1.0 + kappa_ratio(kappa)),
-        "trivial": False,
-    }
+    out = {"oscillation": osc, "threshold": eps1 * omega_r ** (1.0 + kappa_ratio(kappa))}
     if osc < omega_r:
-        out["trivial"] = True
-        out["classification"] = "trivial"
-        return out
+        return {**out, "classification": "trivial"}
 
-    mask_t, t_idx = cylinder_samples(trajectory, cylinder_tilde)
-    level = osc / 4.0
-    total = 0
-    above = 0
-    best_slice = 0.0
-    n_ball = int(mask_t.sum())
-    for m in t_idx:
-        v = w_all[m][mask_t] - w_lo
-        cnt = int(np.count_nonzero(v >= level))
-        above += cnt
-        total += n_ball
-        best_slice = max(best_slice, cnt / n_ball)
-    fraction = above / total
-    out.update({
-        "fraction": fraction,
-        "classification": "Alt1" if fraction > out["threshold"] else "Alt2",
-        "best_time_slice_fraction": best_slice,
-        "time_slice_exists": best_slice > out["threshold"],
-        "samples": total,
-    })
-    return out
+    mask_t, t_idx = cylinder_samples(trajectory, tilde)
+    above = sum(int(np.count_nonzero(w_all[m][mask_t] - w_lo >= osc / 4.0)) for m in t_idx)
+    fraction = above / (int(mask_t.sum()) * t_idx.size)
+    return {**out, "fraction": fraction,
+            "classification": "Alt1" if fraction > out["threshold"] else "Alt2"}
 
 
 # ---------------------------------------------------------------------------
@@ -569,31 +557,30 @@ def modulus_acceptance(
 
 
 def epsilon_convergence_study(
-    scenarios: Sequence[Scenario],
+    runs: Sequence[Trajectory],
     params: ModulusParams,
     center: tuple[Sequence[float], float],
 ) -> dict:
-    """Run the modulus measurement along a decreasing mollification ladder.
+    """The modulus measurement along solved runs of a decreasing
+    mollification ladder.
 
-    Checks the ladder is admissible (eps >= 2 h Lambda), measures max-norm
-    Cauchy gaps between consecutive solutions on a fixed interior cylinder
-    (radius r0/2, the full-flavor depth clipped to half the horizon), and
-    fits the per-rung oscillation linearly in eps.
+    Checks the ladder of the runs' scenarios is admissible (eps >= 2 h
+    Lambda), measures max-norm Cauchy gaps between consecutive solutions on
+    a fixed interior cylinder (radius r0/2, the full-flavor depth clipped to
+    half the horizon), and fits the per-rung oscillation linearly in eps.
     """
-    if len(scenarios) == 0:
-        raise ValueError("need at least one scenario")
+    if len(runs) == 0:
+        raise ValueError("need at least one run")
+    scenarios = [run.scenario for run in runs]
     eps_ladder = [sc.graph.eps for sc in scenarios]
     if any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    g0 = scenarios[0].grid
     for sc in scenarios:
-        if sc.grid != g0:
+        if sc.grid != scenarios[0].grid:
             raise ValueError("eps study requires a common grid")
-        lam_struct = sc.certified_lambda()
-        if sc.graph.eps < 2.0 * sc.grid.h * lam_struct:
+        if sc.graph.eps < 2.0 * sc.grid.h * sc.certified_lambda():
             raise ValueError("eps below the grid-resolvable width 2*h*Lambda")
 
-    runs = [run_simulation(sc) for sc in scenarios]
     profiles = [modulus_acceptance(tr, params, center) for tr in runs]
 
     out: dict = {
@@ -601,23 +588,18 @@ def epsilon_convergence_study(
         "c_star": [prof.c_star for prof in profiles],
         "alpha_hat": [prof.alpha_hat for prof in profiles],
     }
-    if len(runs) == 1:
-        out["degenerate"] = True
+    out["degenerate"] = len(runs) == 1
+    if out["degenerate"]:
         return out
-    out["degenerate"] = False
 
     r_c = params.r0 / 2.0
     mask = runs[0].ball_mask(center[0], r_c)
     span = runs[0].times[-1] - runs[0].times[0]
     t_lo = center[1] - min(cylinder_depth(params, r_c, "full"), 0.5 * span)
-    gaps = []
-    for a, b in zip(runs, runs[1:]):
-        t_idx = a.time_indices(t_lo, center[1])
-        gap = max(
-            float(np.max(np.abs(a.temps[m][mask] - b.temps[b.nearest_time_index(a.times[m])][mask])))
-            for m in t_idx
-        )
-        gaps.append(gap)
+    gaps = [max(float(np.max(np.abs(a.temps[m][mask]
+                                    - b.temps[b.nearest_time_index(a.times[m])][mask])))
+                for m in a.time_indices(t_lo, center[1]))
+            for a, b in zip(runs, runs[1:])]
     out["cauchy_gaps"] = gaps
     out["cauchy_decreasing"] = all(g2 <= g1 * (1.0 + 1e-9) for g1, g2 in zip(gaps, gaps[1:]))
 

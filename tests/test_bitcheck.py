@@ -1,5 +1,7 @@
 """scripts/bitcheck.py: the dump of every output that a speed-only change
 must leave bit for bit unchanged."""
+import configparser
+import importlib.util
 import json
 import re
 import subprocess
@@ -7,6 +9,15 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bitcheck.py"
+_spec = importlib.util.spec_from_file_location("bitcheck", SCRIPT)
+bitcheck = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bitcheck)
+
+
+def _requested_checks(ini_text: str) -> set[str]:
+    config = configparser.ConfigParser()
+    config.read_string(ini_text)
+    return {name.strip() for name in config["checks"]["run"].split(",")}
 
 
 def test_tiny_dump(tmp_path):
@@ -23,8 +34,11 @@ def test_tiny_dump(tmp_path):
     for res in runs:
         assert res["diag_totals"]["steps"] > 0
         assert re.fullmatch(r"[0-9a-f]{16}", res["scenario_hash"])
-    for run in ("cli-run", "every-check"):
+    for run, ini in (("cli-run", bitcheck.CLI_INI.format(seed=1, extra="")),
+                     ("every-check", bitcheck.EVERY_CHECK_INI)):
         assert record[run]["exit_code"] == 0 and record[run]["artifact_hashes"]
+        # the verdict entries, which no artifact hash covers
+        assert set(record[run]["checks"]) == _requested_checks(ini)
 
 
 def test_against_an_earlier_dump(tmp_path):

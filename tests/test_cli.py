@@ -635,6 +635,9 @@ directory = {out}
         # A preset's nodes list is checked like an explicit one.
         ("[scenario]\npreset = constant\nnodes = 41, 31\n", "scenario.nodes"),
         ("[scenario]\npreset = constant\n[sweep]\naxis = bogus\nvalues = 1\n", "sweep.axis"),
+        # Text that only begins like an intrinsic dt, and a pair with a third field.
+        (_EXPLICIT.replace("dt = 1e-3", "dt = intrinsically"), "scenario.dt"),
+        (_EXPLICIT + "beta = piecewise:-1/-0.5/99,0/0,1/2\n", "scenario.beta"),
     ], ids=["no-section", "duplicate-section", "duplicate-key", "interpolation",
             "nodes", "r0", "center", "l_prefactor", "alpha", "ladder_depth", "c0",
             "seed", "snapshot_stride", "ladder", "nodes-inf", "dim", "beta-pair",
@@ -644,7 +647,7 @@ directory = {out}
             "beta-tau", "dirichlet-list", "dirichlet-end", "ramp-axis", "ramp-lo-nan",
             "bump-width-zero", "ramp-unknown-param", "nodes-fraction", "ramp-axis-fraction",
             "ramp-axis-negative", "bump-center-count", "fourier-lengths", "preset-nodes-list",
-            "sweep-axis"])
+            "sweep-axis", "dt-intrinsic-prefix", "beta-three-fields"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, text, field):
         if isinstance(text, bytes):
             path = tmp_path / "config.ini"
@@ -949,34 +952,41 @@ _RUN_EDGES = {
 }
 
 
-class TestRunFuzz:
-    """`stefanlab run` end to end with every check on tiny 1D configs at the
-    edges of the key domains: each run ends with its record, no exception
-    escapes, and a config that cannot run exits 2 before it computes."""
+# The same for a 2D run at 5 nodes per axis, with the keys only it reads:
+# per-axis Dirichlet values, anisotropic weights, and beta at the edges of
+# its tanh and piecewise domains (the last table's slopes overflow).
+_RUN_EDGES_2D = {
+    "t_end": st.sampled_from(["0", "1e-300", "0.004"]),
+    "dt": st.sampled_from(["1e-300", "0.002", "intrinsic:safety=0.5"]),
+    "extent": st.sampled_from(["1e-3", "1.0", "1e100"]),
+    "p": st.sampled_from(["2", "3", "8"]),
+    "initial": st.sampled_from([
+        "initial = constant\ninitial_params = value=1e76",
+        "initial = bump\ninitial_params = amplitude=1e30",
+        "initial = bump\ninitial_params = amplitude=1",
+        "initial = two-phase-sine\ninitial_params = amplitude=1e100, level=-1e100",
+        "initial = ramp\ninitial_params = lo=-1e-300, hi=1e-300",
+    ]),
+    "boundary": st.one_of(st.just("zero-flux"), st.builds(
+        "dirichlet:lo0={},hi0={},lo1={},hi1={}".format,
+        *[st.sampled_from(_PIN_VALUES)] * 4)),
+    "field": st.sampled_from(["p-laplacian", "anisotropic:1,1e-6", "anisotropic:1e6,1",
+                              "anisotropic:0.5,2"]),
+    "beta": st.sampled_from(["identity", "tanh:0.5,0.1", "tanh:-0.89,1e-6", "tanh:1e6,1e6",
+                             "piecewise:-1/-0.5,0/0,1/2",
+                             "piecewise:-1e300/-1,0/0,1e-300/1e300"]),
+}
 
-    @given(**_RUN_EDGES)
-    @example(t_end="0.01", dt="5e-324", extent="1.0", p="2", initial="", boundary="zero-flux")
-    @example(t_end="0.01", dt="0.002", extent="1.0", p="2",
-             initial="initial = constant\ninitial_params = value=1e300", boundary="zero-flux")
-    @example(t_end="0.01", dt="0.002", extent="1.0", p="2", initial="",
-             boundary="dirichlet:left=1e300,right=0")
-    @example(t_end="0.01", dt="0.002", extent="1.0", p="8",
-             initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
-    @example(t_end="0.01", dt="intrinsic:safety=1e-9", extent="1.0", p="2", initial="",
-             boundary="zero-flux")
-    @example(t_end="5e-324", dt="0.002", extent="1.0", p="2", initial="",
-             boundary="dirichlet:left=1,right=-1")
-    @example(t_end="0.01", dt="0.002", extent="1.0", p="2",
-             initial="initial = constant\ninitial_params = value=1e76", boundary="zero-flux")
-    @example(t_end="1e-300", dt="1e-300", extent="1e-3", p="2",
-             initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
-    @settings(max_examples=30, deadline=None)
-    def test_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, p, initial,
-                                      boundary):
-        tmp = tmp_path_factory.mktemp("run-fuzz")
-        path = _write(tmp, f"[scenario]\ndim = 1\nnodes = 9\np = {p}\nt_end = {t_end}\n"
-                           f"dt = {dt}\nextent = {extent}\nboundary = {boundary}\n{initial}\n"
-                           + _ALL_CHECKS)
+
+class TestRunFuzz:
+    """`stefanlab run` end to end with every check on tiny 1D and 2D configs
+    at the edges of the key domains: each run ends with its record, no
+    exception escapes, no warning is printed, and a config that cannot run
+    exits 2 before it computes."""
+
+    @staticmethod
+    def _run_ends_with_its_record(tmp, scenario: str):
+        path = _write(tmp, scenario + _ALL_CHECKS)
         out = tmp / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -994,8 +1004,53 @@ class TestRunFuzz:
             assert json.loads((out / "summary.json").read_text())["all_pass"] is (code == 0)
         else:
             assert json.loads((out / "error.json").read_text())["code"] == code
-        if code == 2:
-            assert not caught
+        assert [str(w.message) for w in caught] == []
+
+    @given(**_RUN_EDGES)
+    @example(t_end="0.01", dt="5e-324", extent="1.0", p="2", initial="", boundary="zero-flux")
+    @example(t_end="0.01", dt="0.002", extent="1.0", p="2",
+             initial="initial = constant\ninitial_params = value=1e300", boundary="zero-flux")
+    @example(t_end="0.01", dt="0.002", extent="1.0", p="2", initial="",
+             boundary="dirichlet:left=1e300,right=0")
+    @example(t_end="0.01", dt="0.002", extent="1.0", p="8",
+             initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
+    @example(t_end="0.01", dt="intrinsic:safety=1e-9", extent="1.0", p="2", initial="",
+             boundary="zero-flux")
+    @example(t_end="5e-324", dt="0.002", extent="1.0", p="2", initial="",
+             boundary="dirichlet:left=1,right=-1")
+    @example(t_end="0.01", dt="0.002", extent="1.0", p="2",
+             initial="initial = constant\ninitial_params = value=1e76", boundary="zero-flux")
+    @example(t_end="1e-300", dt="1e-300", extent="1e-3", p="2",
+             initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
+    # a trial step overflows on the way to an unconverged step (exit 3)
+    @example(t_end="0.01", dt="0.002", extent="1e-3", p="8",
+             initial="initial = bump\ninitial_params = amplitude=1e30", boundary="zero-flux")
+    @settings(max_examples=30, deadline=None)
+    def test_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, p, initial,
+                                      boundary):
+        self._run_ends_with_its_record(
+            tmp_path_factory.mktemp("run-fuzz"),
+            f"[scenario]\ndim = 1\nnodes = 9\np = {p}\nt_end = {t_end}\ndt = {dt}\n"
+            f"extent = {extent}\nboundary = {boundary}\n{initial}\n")
+
+    @given(**_RUN_EDGES_2D)
+    # a trial step's dot product overflows on the way to exit 3
+    @example(t_end="0.004", dt="0.002", extent="1.0", p="8",
+             initial="initial = bump\ninitial_params = amplitude=1e30",
+             boundary="dirichlet:lo0=-1,hi0=-1,lo1=1,hi1=-1", field="anisotropic:1,1e-6",
+             beta="piecewise:-1/-0.5,0/0,1/2")
+    # a beta table whose slopes overflow is refused (exit 2) without a warning
+    @example(t_end="0.004", dt="0.002", extent="1.0", p="2",
+             initial="initial = bump\ninitial_params = amplitude=1", boundary="zero-flux",
+             field="p-laplacian", beta="piecewise:-1e300/-1,0/0,1e-300/1e300")
+    @settings(max_examples=20, deadline=None)
+    def test_2d_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, p, initial,
+                                         boundary, field, beta):
+        self._run_ends_with_its_record(
+            tmp_path_factory.mktemp("run-fuzz-2d"),
+            f"[scenario]\ndim = 2\nnodes = 5\np = {p}\nt_end = {t_end}\ndt = {dt}\n"
+            f"extent = {extent}\nboundary = {boundary}\nfield = {field}\nbeta = {beta}\n"
+            f"{initial}\n")
 
     @pytest.mark.parametrize("scenario, expected", [
         # t_end = 5e-324: the cutoff's time ramp rounds to 0, and 1/dt of the

@@ -184,18 +184,27 @@ class TestOscillation:
     def test_empty_cylinder(self):
         # Every check that samples a cylinder needs >= 2 nodes and >= 2 times.
         traj = _frozen_linear_trajectory(nodes=11)
-        ok = IntrinsicCylinder((0.5,), 0.1, 0.3, 0.1, "full")
         for empty in (IntrinsicCylinder((0.5,), 0.1, 0.01, 0.1, "full"),   # one node
                       IntrinsicCylinder((0.5,), 0.1, 0.3, 1e-4, "full")):  # one time
             for sample in (lambda: oscillation(traj, empty),
-                           lambda: verify.caccioppoli_check(traj, 0.5, empty),
-                           # the enclosing cylinder, then the short one
-                           lambda: verify.alternative_classifier(traj, ok, empty, 0.0, 0.1,
-                                                                 math.inf),
-                           lambda: verify.alternative_classifier(traj, empty, ok, 0.0, 0.1,
-                                                                 math.inf)):
+                           lambda: verify.caccioppoli_check(traj, 0.5, empty)):
                 with pytest.raises(EmptyCylinderError, match="need >= 2 of each"):
                     sample()
+
+    @pytest.mark.parametrize("end_time, r", [
+        (1.0, 0.01),   # the full (enclosing) cylinder holds one node
+        (0.0, 0.48),   # ... one time
+        (1.0, 0.35),   # the short (tilde) cylinder holds one node
+        (1.0, 0.48),   # ... one time
+    ], ids=["full-node", "full-time", "tilde-node", "tilde-time"])
+    def test_classifier_empty_cylinder(self, end_time, r):
+        # p = 2: the tilde depth is r^2 and the full depth M r^2; the
+        # oscillation over the full ball exceeds omega(r) in the tilde cases,
+        # so the classifier goes on to sample the tilde cylinder
+        traj = _frozen_linear_trajectory(nodes=11, times=(0.0, 0.5, 1.0))
+        params = _params(alpha=0.5, p=2.0, L=1.0, M=10.0, r0=1.0)
+        with pytest.raises(EmptyCylinderError, match="need >= 2 of each"):
+            verify.alternative_classifier(traj, params, ((0.5,), end_time), r, 0.1, math.inf)
 
 
 class TestRescale:

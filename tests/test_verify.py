@@ -349,8 +349,7 @@ class TestTimeBlocks:
 class TestWeakHarnack:
     def test_constant_one(self, constant_run_p3):
         sc, traj = constant_run_p3
-        rep = verify.weak_harnack_check(traj, 1.2, (0.5,), 0.1, t1=0.005,
-                                        T=traj.times[-1], c1=2.0)
+        rep = verify.weak_harnack_check(traj, 1.2, (0.5,), 0.1, t1=0.005, c1=2.0)
         assert rep.details["avg"] == pytest.approx(1.0)
         assert rep.details["inf"] == pytest.approx(1.0)
         assert rep.implied_constant <= 1.0
@@ -358,8 +357,7 @@ class TestWeakHarnack:
     def test_constant_zero_degenerate(self):
         sc = presets.constant_preset(nodes=21, value=0.0, p=3.0, t_end=0.02, dt=1e-3)
         traj = run_simulation(sc)
-        rep = verify.weak_harnack_check(traj, 1.2, (0.5,), 0.1, t1=0.005,
-                                        T=traj.times[-1], c1=2.0)
+        rep = verify.weak_harnack_check(traj, 1.2, (0.5,), 0.1, t1=0.005, c1=2.0)
         # A zero average bounds nothing: degenerate, and no verdict.
         assert rep.degenerate and rep.passed is None
 
@@ -367,14 +365,12 @@ class TestWeakHarnack:
         sc = presets.twophase_1d(nodes=21, t_end=0.002, dt=5e-4)
         traj = run_simulation(sc)
         with pytest.raises(ValueError):
-            verify.weak_harnack_check(traj, -0.2, (0.5,), 0.1, t1=0.001,
-                                      T=traj.times[-1], c1=2.0)
+            verify.weak_harnack_check(traj, -0.2, (0.5,), 0.1, t1=0.001, c1=2.0)
 
     def test_ball_containment(self, constant_run_p3):
         sc, traj = constant_run_p3
         with pytest.raises(ValueError):
-            verify.weak_harnack_check(traj, 1.2, (0.5,), 0.2, t1=0.005,
-                                      T=traj.times[-1], c1=2.0)
+            verify.weak_harnack_check(traj, 1.2, (0.5,), 0.2, t1=0.005, c1=2.0)
 
     def test_measured_constant_stable(self):
         consts = []
@@ -383,7 +379,7 @@ class TestWeakHarnack:
             traj = run_simulation(sc)
             g = traj.graph
             rep = verify.weak_harnack_check(traj, g.a - 1.5 * g.eps, (0.5,),
-                                            0.1, t1=0.004, T=traj.times[-1], c1=2.0)
+                                            0.1, t1=0.004, c1=2.0)
             assert not rep.degenerate
             consts.append(rep.implied_constant)
         assert 0.5 <= consts[1] / consts[0] <= 2.0
@@ -393,23 +389,33 @@ class TestDecayOfPositivity:
     def test_steady_state_needs_no_headroom(self, constant_run_p3):
         sc, traj = constant_run_p3
         rep = verify.decay_of_positivity_check(
-            traj, 1.0 - 1e-12, (0.5,), 0.1, t0=0.0, T=traj.times[-1],
-            c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3, k_truncation=1.2)
+            traj, (0.5,), 0.1, t0=0.0, c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3,
+            k_truncation=1.2)
+        assert rep.rhs_core == 1.0 - 1e-12  # the starting level, just under the infimum
         assert rep.implied_constant <= 1.0 + 1e-9
 
     def test_window_without_samples_degenerate(self, constant_run_p3):
         sc, traj = constant_run_p3
         rep = verify.decay_of_positivity_check(
-            traj, 1.0 - 1e-12, (0.5,), 0.1, t0=traj.times[-1], T=1e-9,
+            traj, (0.5,), 0.1, t0=traj.times[-1],
             c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3, k_truncation=1.2)
         assert rep.degenerate and rep.passed
 
-    def test_unattained_level_rejected(self, constant_run_p3):
+    def test_no_positive_start_is_no_verdict(self):
+        sc = presets.constant_preset(nodes=21, value=0.0, p=3.0, t_end=0.02, dt=1e-3)
+        traj = run_simulation(sc)
+        rep = verify.decay_of_positivity_check(
+            traj, (0.5,), 0.1, t0=0.005, c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3,
+            k_truncation=1.2)
+        assert rep.degenerate and rep.passed is None
+        assert rep.implied_constant is None
+        assert rep.details == {"note": "no positive starting level"}
+
+    def test_level_in_the_band_rejected(self, constant_run_p3):
         sc, traj = constant_run_p3
-        with pytest.raises(ValueError):
-            verify.decay_of_positivity_check(
-                traj, 2.0, (0.5,), 0.1, t0=0.0, T=traj.times[-1],
-                c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3, k_truncation=1.2)
+        with pytest.raises(ValueError, match="below the jump band"):
+            verify.decay_of_positivity_check(traj, (0.5,), 0.1, t0=0.0, c3=1.0,
+                                             k_truncation=traj.graph.a)
 
     def test_collapsing_bump_constant_stable(self):
         consts = []
@@ -418,13 +424,8 @@ class TestDecayOfPositivity:
             traj = run_simulation(sc)
             g = traj.graph
             ledger = fix_constants(n=1, p=3.0, Lambda=1.0)
-            ktr = g.a - 1.5 * g.eps
-            mask = traj.ball_mask((0.5,), 0.2)
-            m0 = traj.nearest_time_index(0.004)
-            k = float(np.minimum(traj.w_fields[m0], ktr)[mask].min()) * (1 - 1e-12)
             rep = verify.decay_of_positivity_check(
-                traj, k, (0.5,), 0.1, traj.times[m0],
-                traj.times[-1] - traj.times[m0], ledger.c3, k_truncation=ktr)
+                traj, (0.5,), 0.1, 0.004, ledger.c3, k_truncation=g.a - 1.5 * g.eps)
             assert math.isfinite(rep.implied_constant)
             consts.append(rep.implied_constant)
         assert 0.5 <= consts[1] / consts[0] <= 2.0
@@ -443,43 +444,35 @@ def _two_level_trajectory(low_nodes, high_value=2.0, low_value=0.0, nodes=41):
 
 
 class TestAlternativeClassifier:
-    def _cylinders(self, center_time=0.4, r=0.4):
+    def _classify(self, traj, center_time=0.4, eps1=0.5):
         ledger = studies.default_ledger(presets.twophase_1d(nodes=41))
         pr = studies.measurement_params(ledger, r0=0.4)
-        center = ((0.5,), center_time)
-        return (cylinder(pr, center, r, "tilde"), cylinder(pr, center, r, "full"),
-                float(omega(pr, r)), ledger)
+        return (verify.alternative_classifier(traj, pr, ((0.5,), center_time), 0.4, eps1,
+                                              ledger.kappa), pr, ledger)
 
     # node 8 sits at x = 0.2: inside the enclosing ball B_{0.4}(0.5) so it
     # sets the oscillation, outside the short ball B_{0.1}(0.5) so it does
     # not touch the counted fraction
     def test_everything_high_is_first_alternative(self):
-        traj = _two_level_trajectory(low_nodes=(8,))
-        tilde, enc, w_r, led = self._cylinders()
-        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, led.kappa)
+        res, _, _ = self._classify(_two_level_trajectory(low_nodes=(8,)))
         assert res["classification"] == "Alt1"
         assert res["fraction"] == 1.0
-        assert res["time_slice_exists"]
 
     def test_everything_low_is_second_alternative(self):
-        traj = _two_level_trajectory(low_nodes=[i for i in range(41) if i != 8])
-        tilde, enc, w_r, led = self._cylinders()
-        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, led.kappa)
+        res, _, _ = self._classify(
+            _two_level_trajectory(low_nodes=[i for i in range(41) if i != 8]))
         assert res["classification"] == "Alt2"
         assert res["fraction"] == 0.0
 
     def test_small_oscillation_is_trivial(self):
-        traj = _two_level_trajectory(low_nodes=(8,), high_value=0.3, low_value=0.0)
-        tilde, enc, w_r, led = self._cylinders()
-        res = verify.alternative_classifier(traj, tilde, enc, w_r, 0.5, led.kappa)
-        assert res["trivial"]
+        res, _, _ = self._classify(
+            _two_level_trajectory(low_nodes=(8,), high_value=0.3, low_value=0.0))
         assert res["classification"] == "trivial"
+        assert "fraction" not in res
 
     def test_threshold_formula(self):
-        traj = _two_level_trajectory(low_nodes=(8,))
-        tilde, enc, w_r, led = self._cylinders()
-        res = verify.alternative_classifier(traj, tilde, enc, 0.8, 0.25, led.kappa)
-        assert res["threshold"] == pytest.approx(0.25 * 0.8 ** (1.0 / led.alpha))
+        res, pr, led = self._classify(_two_level_trajectory(low_nodes=(8,)), eps1=0.25)
+        assert res["threshold"] == pytest.approx(0.25 * omega(pr, 0.4) ** (1.0 / led.alpha))
 
     def _solved_classification(self, nodes, initial=None):
         sc = presets.twophase_1d(nodes=nodes, amplitude=0.9)
@@ -488,12 +481,9 @@ class TestAlternativeClassifier:
         traj = run_simulation(sc)
         led = studies.default_ledger(sc)
         pr = studies.measurement_params(led, r0=0.4)
-        center = ((0.5,), 0.32)  # window reaches the initial slice
-        tilde = cylinder(pr, center, 0.4, "tilde")
-        enc = cylinder(pr, center, 0.4, "full")
-        return verify.alternative_classifier(traj, tilde, enc,
-                                             float(omega(pr, 0.4)),
-                                             led.eps1, led.kappa)
+        # window reaches the initial slice
+        return verify.alternative_classifier(traj, pr, ((0.5,), 0.32), 0.4, led.eps1,
+                                             led.kappa)
 
     def test_solved_run_with_recount_oracle(self):
         base = self._solved_classification(81)
@@ -514,24 +504,21 @@ class TestAlternativeClassifier:
     def test_next_ladder_rung_is_trivial_at_desk_scale(self):
         # one dyadic-32 rung down the local oscillation sits far below the
         # modulus, so the dichotomy short-circuits; the recount must agree
+        r = 0.4 / 32.0
+
         def classify(nodes):
             sc = presets.twophase_1d(nodes=nodes, t_end=0.02, dt=4e-5, eps=0.04)
             traj = run_simulation(sc)
             led = studies.default_ledger(sc)
             pr = studies.measurement_params(led, r0=0.4)
-            r = 0.4 / 32.0
-            center = ((0.5,), traj.times[-1])
-            tilde = cylinder(pr, center, r, "tilde")
-            enc = cylinder(pr, center, r, "full")
-            return verify.alternative_classifier(traj, tilde, enc,
-                                                 float(omega(pr, r)),
-                                                 led.eps1, led.kappa)
+            res = verify.alternative_classifier(traj, pr, ((0.5,), traj.times[-1]), r,
+                                                led.eps1, led.kappa)
+            return res, omega(pr, r)
 
-        base = classify(641)
-        recount = classify(1281)
+        (base, omega_r), (recount, _) = classify(641), classify(1281)
         assert base["classification"] == "trivial"
         assert recount["classification"] == "trivial"
-        assert base["oscillation"] < base["omega_r"]
+        assert base["oscillation"] < omega_r
 
 
 class TestForwardedLevelFraction:
@@ -565,22 +552,16 @@ class TestScaleCovariance:
 
         g = traj.graph
         ktr = g.a - 1.5 * g.eps
-        h1 = verify.weak_harnack_check(traj, ktr, (0.5,), 0.1, t1=0.004,
-                                       T=traj.times[-1], c1=led.c1)
+        h1 = verify.weak_harnack_check(traj, ktr, (0.5,), 0.1, t1=0.004, c1=led.c1)
         h2 = verify.weak_harnack_check(scaled, ktr / lam, (0.5,), 0.1,
-                                       t1=0.004 * lam ** (p - 2.0),
-                                       T=scaled.times[-1], c1=led.c1)
+                                       t1=0.004 * lam ** (p - 2.0), c1=led.c1)
         assert h2.implied_constant == pytest.approx(h1.implied_constant, rel=1e-8)
 
-        mask = traj.ball_mask((0.5,), 0.2)
-        m0 = traj.nearest_time_index(0.004)
-        k = float(np.minimum(traj.w_fields[m0], ktr)[mask].min()) * (1 - 1e-12)
-        d1 = verify.decay_of_positivity_check(
-            traj, k, (0.5,), 0.1, traj.times[m0], traj.times[-1] - traj.times[m0],
-            led.c3, k_truncation=ktr)
-        d2 = verify.decay_of_positivity_check(
-            scaled, k / lam, (0.5,), 0.1, scaled.times[m0],
-            scaled.times[-1] - scaled.times[m0], led.c3, k_truncation=ktr / lam)
+        d1 = verify.decay_of_positivity_check(traj, (0.5,), 0.1, 0.004, led.c3,
+                                              k_truncation=ktr)
+        d2 = verify.decay_of_positivity_check(scaled, (0.5,), 0.1, 0.004 * lam ** (p - 2.0),
+                                              led.c3, k_truncation=ktr / lam)
+        assert d2.rhs_core == pytest.approx(d1.rhs_core / lam, rel=1e-12)
         assert d2.implied_constant == pytest.approx(d1.implied_constant, rel=1e-8)
 
 
@@ -644,7 +625,8 @@ class TestEpsilonStudy:
     def test_single_eps_degenerate(self):
         sc = presets.twophase_1d(nodes=61, t_end=0.1, dt=5e-4, eps=0.1)
         params = studies.measurement_params(studies.default_ledger(sc), r0=0.2)
-        out = verify.epsilon_convergence_study([sc], params, ((0.5,), sc.t_end))
+        out = verify.epsilon_convergence_study([run_simulation(sc)], params,
+                                               ((0.5,), sc.t_end))
         assert out["degenerate"]
 
     def test_jump_free_eps_independent(self):
@@ -652,16 +634,18 @@ class TestEpsilonStudy:
                              graph=RegularizedGraph(a=5.0, latent_heat=0.2, eps=eps))
                      for eps in (0.2, 0.1, 0.05)]
         params = studies.measurement_params(studies.default_ledger(scenarios[0]), r0=0.2)
-        out = verify.epsilon_convergence_study(scenarios, params, ((0.5,), 0.1))
+        out = verify.epsilon_convergence_study([run_simulation(sc) for sc in scenarios],
+                                               params, ((0.5,), 0.1))
         assert all(g < 1e-8 for g in out["cauchy_gaps"])
         assert out["cauchy_decreasing"]
 
     def test_ladder_validation(self):
-        mk = lambda e: presets.twophase_1d(nodes=61, t_end=0.02, dt=1e-3, eps=e)
-        params = studies.measurement_params(studies.default_ledger(mk(0.1)), r0=0.2)
-        with pytest.raises(ValueError):
+        # the ladder is read from the runs' scenarios; runs of no step suffice
+        mk = lambda e: run_simulation(presets.twophase_1d(nodes=61, t_end=0.0, eps=e))
+        params = studies.measurement_params(studies.default_ledger(mk(0.1).scenario), r0=0.2)
+        with pytest.raises(ValueError, match="strictly decreasing"):
             verify.epsilon_convergence_study([mk(0.05), mk(0.1)], params, ((0.5,), 0.02))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid-resolvable"):
             verify.epsilon_convergence_study([mk(0.1), mk(0.01)], params, ((0.5,), 0.02))
 
 
