@@ -15,8 +15,8 @@ and compare the files:
     python scripts/bitcheck.py /tmp/after.json --against /tmp/before.json
 
 With `--against OLD.json` the script, after writing its dump, exits 1 and
-prints the first key path at which the dump differs from OLD.json, and
-exits 0 when the two files are byte-identical.
+prints every key path at which the dump differs from OLD.json, one a line
+in sorted key order, and exits 0 when the two files are byte-identical.
 
 `--size tiny` cuts every run but the every-check one, which takes under a
 second, to a few steps (c* then needs a longer horizon than it has and is
@@ -123,25 +123,24 @@ def _dump(record) -> str:
     return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
 
-def first_difference(old, new, path: str = "") -> str | None:
-    """The key path (`["a"]["b"][0]`) of the first place, in sorted key
-    order, where the dumps of `old` and `new` differ; None when they do not."""
+def differences(old, new, path: str = "") -> list[str]:
+    """The key path (`["a"]["b"][0]`) of every place, in sorted key order,
+    where the dumps of `old` and `new` differ: a key or list item in one only,
+    or a differing leaf."""
     if _dump(old) == _dump(new):
-        return None
+        return []
     if isinstance(old, dict) and isinstance(new, dict):
+        found = []
         for key in sorted(old.keys() | new.keys()):
-            if key not in old or key not in new:
-                return f"{path}[{json.dumps(key)}]"
-            found = first_difference(old[key], new[key], f"{path}[{json.dumps(key)}]")
-            if found is not None:
-                return found
-    elif isinstance(old, list) and isinstance(new, list):
-        for i, (a, b) in enumerate(zip(old, new)):
-            found = first_difference(a, b, f"{path}[{i}]")
-            if found is not None:
-                return found
-        return f"{path}[{min(len(old), len(new))}]"
-    return path or "(the whole dump)"
+            at = f"{path}[{json.dumps(key)}]"
+            found += differences(old[key], new[key], at) if key in old and key in new else [at]
+        return found
+    if isinstance(old, list) and isinstance(new, list):
+        found = [f for i, (a, b) in enumerate(zip(old, new))
+                 for f in differences(a, b, f"{path}[{i}]")]
+        return found + [f"{path}[{i}]" for i in range(min(len(old), len(new)),
+                                                     max(len(old), len(new)))]
+    return [path or "(the whole dump)"]
 
 
 def main(argv=None) -> int:
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
     ap.add_argument("out", help="JSON file to write")
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
     ap.add_argument("--against", metavar="OLD.json",
-                    help="an earlier dump: exit 1 and print the first differing key path "
+                    help="an earlier dump: exit 1 and print every differing key path "
                          "unless the new dump is byte-identical to it")
     args = ap.parse_args(argv)
     record = {
@@ -168,8 +167,8 @@ def main(argv=None) -> int:
     if old_text == text:
         print(f"identical to {args.against}")
         return 0
-    path = first_difference(json.loads(old_text), record)
-    print(f"differs from {args.against} at {path or 'its formatting'}")
+    paths = differences(json.loads(old_text), record) or ["its formatting"]
+    print(f"differs from {args.against} at:", *paths, sep="\n")
     return 1
 
 

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import presets, studies, verify
+from . import presets, studies
 from .graphs import BetaMap, GraphValueError, RegularizedGraph
 from .constants import ConstantsLedger
 from .geometry import ModulusParams
@@ -81,7 +81,6 @@ def _list_of(choices, what: str):
 
 _finite = _number(float, math.isfinite, "finite")
 _positive = _number(float, lambda x: 0.0 < x < math.inf, "positive and finite")
-_count = _number(int, lambda n: n >= 0, "a nonnegative integer")
 
 
 def _integer(text: str) -> int:
@@ -90,6 +89,10 @@ def _integer(text: str) -> int:
     if not x.is_integer():
         raise ValueError(f"must be an integer, got {text!r}")
     return int(x)
+
+
+def _at_least(least: int):
+    return _number(_integer, lambda n: n >= least, f"an integer >= {least}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -159,7 +162,6 @@ def _dt(text: str) -> DtPolicy:
 class Key(NamedTuple):
     default: str | None             # text used when the key is absent; None: no default
     parse: Callable[[str], object]
-    preset: bool = False            # also applies next to a preset
     axis: str | None = None         # the [sweep] axis that varies the key
 
 
@@ -168,25 +170,24 @@ class Key(NamedTuple):
 # there is no preset.
 KEYS: dict[str, dict[str, Key]] = {
     "scenario": {
-        "preset": Key(None, presets.make_preset, preset=True, axis="preset"),
-        "dim": Key("1", lambda t: _one_of((1, 2), "dim")(int(t))),
-        "nodes": Key(None, lambda t: tuple(map(_integer, t.split(","))),
-                     preset=True, axis="resolution"),
+        "preset": Key(None, presets.make_preset, axis="preset"),
+        "dim": Key("1", lambda t: _one_of((1, 2), "dim")(_integer(t))),
+        "nodes": Key(None, lambda t: tuple(map(_integer, t.split(","))), axis="resolution"),
         "extent": Key("1.0", float),
         "p": Key(None, float, axis="p"),
-        "latent_heat": Key("1.0", float, preset=True, axis="latent_heat"),
+        "latent_heat": Key("1.0", float, axis="latent_heat"),
         # the graph would name a NaN jump location by the band it spoils, eps
         "jump_location": Key("0.0", _finite),
-        "mollify_eps": Key("0.05", float, preset=True, axis="eps"),
+        "mollify_eps": Key("0.05", float, axis="eps"),
         "beta": Key("identity", _beta),
         "field": Key("p-laplacian", _field),
         "initial": Key("constant", str),
         "initial_params": Key("", _parse_kv),
         "boundary": Key("zero-flux", _boundary),
-        "t_end": Key(None, float, preset=True),
-        "dt": Key(None, _dt, preset=True),
-        "store_every": Key("1", int, preset=True),
-        "label": Key("", str, preset=True),
+        "t_end": Key(None, float),
+        "dt": Key(None, _dt),
+        "store_every": Key("1", _integer),
+        "label": Key("", str),
     },
     "modulus": {
         "r0": Key("0.25", _positive),
@@ -194,22 +195,20 @@ KEYS: dict[str, dict[str, Key]] = {
         "l_prefactor": Key("auto", lambda t: None if t == "auto" else _number(
             float, lambda x: 1.0 <= x < math.inf, "finite and >= 1")(t)),
         "alpha_if_p_eq_n": Key("0.45", _number(float, lambda x: 0.0 < x < 0.5, "in (0, 1/2)")),
-        "ladder": Key("dyadic2", _one_of(tuple(verify.LADDER_BASES), "ladder")),
-        # a fit needs two rungs
-        "ladder_depth": Key("", lambda t: _number(int, lambda n: n >= 2, "an integer >= 2")(t)
-                            if t else None),
+        # c* needs two rungs (the alpha fit four)
+        "ladder_depth": Key("", lambda t: _at_least(2)(t) if t else None),
     },
     # fix_constants checks the ranges beyond positivity
     "constants": {key: Key(None, _positive) for key in
-                  ("c0", "c1", "c2", "c3", "nu_star", "theta1", "theta2", "varsigma")},
+                  ("c0", "c1", "c2", "c3", "theta1", "theta2")},
     "checks": {
         "run": Key("conservation", _list_of(tuple(studies.CHECKS), "check")),
-        "seed": Key("1234", _count),
+        "seed": Key("1234", _at_least(0)),
     },
     "output": {
         # joined to the output root where it is used (`_under_output_root`)
         "directory": Key("out/run", Path),
-        "snapshot_stride": Key("0", _count),
+        "snapshot_stride": Key("0", _at_least(0)),
     },
     "sweep": {
         "axis": Key("", lambda t: _list_of(tuple(SWEEP_AXES), "axis")(t)),
@@ -264,8 +263,6 @@ def _config_of(raw: dict[str, dict[str, str]]) -> RunConfig:
         for key in keys:
             if key not in KEYS[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
-            if section == "scenario" and "preset" in keys and not KEYS[section][key].preset:
-                raise ConfigError(f"scenario.{key}", "not applied with a preset")
     given = raw.get("scenario", {})
     val = {section: {key: _named(f"{section}.{key}", k.parse, text)
                      for key, k in keys.items()
@@ -299,11 +296,12 @@ def _config_of(raw: dict[str, dict[str, str]]) -> RunConfig:
 
 
 def _keys_of(sc: Scenario) -> dict:
-    """The parsed [scenario] values that rebuild `sc`."""
+    """The parsed [scenario] values that rebuild `sc`: unit weights as no
+    field, which gives them on as many axes as `dim` asks for."""
     g, b = sc.graph, sc.boundary
     return {"dim": sc.grid.dim, "nodes": sc.grid.nodes, "extent": sc.grid.extents[0],
-            "p": sc.p, "latent_heat": g.latent_heat, "jump_location": g.a,
-            "mollify_eps": g.eps, "beta": g.beta, "field": sc.field,
+            "p": sc.p, "latent_heat": g.latent_heat, "jump_location": g.a, "mollify_eps": g.eps,
+            "beta": g.beta, "field": None if set(sc.field.weights) == {1.0} else sc.field,
             "initial": sc.initial.name, "initial_params": sc.initial.as_dict(),
             "boundary": None if b.kind == "zero-flux" else b.values,
             "t_end": sc.t_end, "dt": sc.dt, "store_every": sc.store_every, "label": sc.label}
@@ -468,7 +466,7 @@ def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict], dic
     run_id = {"scenario_hash": traj.scenario.scenario_hash(),
               "resolution": traj.resolution_label()}
     site = studies.check_site(traj, cfg.params, cfg.ledger, mod["center"], seed=checks["seed"],
-                              ladder=mod["ladder"], ladder_depth=mod["ladder_depth"])
+                              ladder_depth=mod["ladder_depth"])
     reports, summary, seconds = [], {}, {}
     for name in checks["run"]:
         start = time.perf_counter()

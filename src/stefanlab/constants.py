@@ -1,11 +1,12 @@
 """Explicit constant chains of the oscillation-reduction argument.
 
-The ledger records every constant with its provenance: "formula" entries are
-derived here from the structural inputs, and "configured" entries are user
-choices standing in for constants the analysis only names.  The induction
-certifier checks the arithmetic that turns per-scale oscillation reduction
-into the log-power modulus, working in log-radius coordinates since the
-dyadic-32 ladder leaves floating-point range almost immediately.
+The ledger records each constant a formula here or a check reads, with its
+provenance: "formula" entries are derived here from the structural inputs,
+and "configured" entries are user choices standing in for constants the
+analysis only names.  The induction certifier checks the arithmetic that
+turns per-scale oscillation reduction into the log-power modulus, working
+in log-radius coordinates since the dyadic-32 ladder leaves floating-point
+range almost immediately.
 """
 from __future__ import annotations
 
@@ -37,8 +38,6 @@ class ConstantsLedger:
     theta1: float
     theta2: float
     theta: float
-    varsigma: float
-    nu_star: float
     L: float
     provenance: dict = field(default_factory=dict)
 
@@ -65,8 +64,6 @@ def fix_constants(
     c3: float | None = None,
     theta1: float = 0.05,
     theta2: float = 0.05,
-    varsigma: float = 0.25,
-    nu_star: float = 0.5,
 ) -> ConstantsLedger:
     """Derive the formula-fixed constants from the configured inputs.
 
@@ -79,10 +76,6 @@ def fix_constants(
         raise ValueError("c0, c1, c2 must be positive")
     if not (0.0 < theta1 < 1.0 and 0.0 < theta2 < 1.0):
         raise ValueError("theta1, theta2 must lie in (0, 1)")
-    if not (0.0 < varsigma < 0.5):
-        raise ValueError("varsigma must lie in (0, 1/2)")
-    if not (0.0 < nu_star < 1.0):
-        raise ValueError("nu_star must lie in (0, 1)")
     if Lambda < 1.0:
         raise ValueError("Lambda must be >= 1")
     if p < 2.0:
@@ -90,7 +83,7 @@ def fix_constants(
 
     alpha, kappa = alpha_kappa_of(n, p, alpha_choice_if_p_eq_n)
     prov: dict[str, str] = {k: "configured" for k in
-                            ("c0", "c1", "c2", "theta1", "theta2", "varsigma", "nu_star")}
+                            ("c0", "c1", "c2", "theta1", "theta2")}
 
     kr = 0.0 if math.isinf(kappa) else 1.0 / kappa
     first_branch = c0 ** (-((1.0 - kr) ** -2))
@@ -119,8 +112,7 @@ def fix_constants(
     return ConstantsLedger(
         n=n, p=p, Lambda=Lambda, alpha=alpha, kappa=kappa,
         c0=c0, c1=c1, c2=c2, c3=c3, eps1=eps1, M=M,
-        theta1=theta1, theta2=theta2, theta=theta,
-        varsigma=varsigma, nu_star=nu_star, L=L,
+        theta1=theta1, theta2=theta2, theta=theta, L=L,
         provenance=prov,
     )
 

@@ -87,8 +87,8 @@ class IntrinsicCylinder:
     """Backward space-time cylinder B x (t0 - depth, t0].
 
     Flavors: "tilde" has depth omega^{2-p} r^p and a quarter-radius ball,
-    "full" has depth M omega^{(2-p)(1+1/alpha)} r^p on the full ball, and
-    "outer" scales the full depth by lambda^{2-p} for the global-size factor.
+    and "full" has depth lambda^{2-p} M omega^{(2-p)(1+1/alpha)} r^p on the
+    full ball, lambda >= 1 the global-size factor (1 unless given).
     """
 
     center_space: tuple[float, ...]
@@ -115,12 +115,10 @@ def cylinder_depth(params: ModulusParams, r: float, flavor: str,
     w = omega(params, r)
     if flavor == "tilde":
         return w ** (2.0 - params.p) * r**params.p
+    if flavor != "full":
+        raise ValueError(f"unknown cylinder flavor {flavor!r}")
     full = params.M * w ** ((2.0 - params.p) * (1.0 + 1.0 / params.alpha)) * r**params.p
-    if flavor == "full":
-        return full
-    if flavor == "outer":
-        return lambda_scale ** (2.0 - params.p) * full
-    raise ValueError(f"unknown cylinder flavor {flavor!r}")
+    return lambda_scale ** (2.0 - params.p) * full
 
 
 def cylinder(params: ModulusParams, center: tuple[Sequence[float], float], r: float,
@@ -183,7 +181,7 @@ class OscillationProfile:
     """Measured oscillation ladder with the fitted log-power exponent.
 
     Each ratio is osc / (omega * lambda_scale), lambda_scale = max{global
-    oscillation, 1} the size factor of the outer cylinders."""
+    oscillation, 1} the size factor of the ladder's full cylinders."""
 
     radii: list[float]
     depths: list[float]

@@ -59,8 +59,7 @@ class CheckSite:
     t_start: float          # and their start time
     region: tuple[tuple[float, ...], tuple[float, ...]]  # holds the truncation test functions
     seed: int | None = None  # draws them; None: a fixed evenly spaced family
-    ladder: str = "dyadic2"
-    ladder_depth: int | None = None
+    ladder_depth: int | None = None  # the most modulus rungs; None: no cap
 
 
 def check_site(traj: Trajectory, params: ModulusParams, ledger: ConstantsLedger, center, *,
@@ -179,7 +178,7 @@ def _classifier(traj: Trajectory, site: CheckSite):
 def _modulus(traj: Trajectory, site: CheckSite):
     # "profile": the measured ladder, which `stefanlab run` writes out
     profile = verify.modulus_acceptance(traj, site.params, (site.center, traj.times[-1]),
-                                        ladder=site.ladder, max_rungs=site.ladder_depth)
+                                        max_rungs=site.ladder_depth)
     return {"pass": math.isfinite(profile.c_star), "c_star": profile.c_star,
             "alpha_hat": profile.alpha_hat, "profile": profile}, None
 

@@ -8,7 +8,9 @@ stable (within a factor of two) under grid refinement.  All checks are pure
 reads of solved trajectories and reproduce bit-for-bit for a fixed
 scenario.  The weak Harnack, decay and classifier checks take the site
 they measure (centre, radius, start time and constants) and work out every
-level, cylinder and window they read from the trajectory.
+level, cylinder and window they read from the trajectory.  The modulus
+ladder is dyadic, r_i = r0 2^{-i}: radii stepped down by 32, as in the
+proof, leave a computed run within two rungs.
 """
 from __future__ import annotations
 
@@ -479,20 +481,16 @@ def alternative_classifier(
 # Headline modulus measurement
 # ---------------------------------------------------------------------------
 
-# Radius ratio between consecutive rungs of each named cylinder ladder.
-LADDER_BASES = {"dyadic2": 2.0, "dyadic32": 32.0}
-
-
 def modulus_acceptance(
     trajectory: Trajectory,
     params: ModulusParams,
     center: tuple[Sequence[float], float],
-    ladder: str = "dyadic2",
     max_rungs: int | None = None,
 ) -> OscillationProfile:
-    """Measure oscillation over the shrinking outer cylinders against the
-    modulus; the profile's c_star is the smallest c with
-    osc <= c * omega * lam (lam = max{global osc, 1}) on every rung.
+    """Measure oscillation over the dyadic ladder r_i = r0 2^{-i} of full
+    cylinders scaled by lam = max{global osc, 1} against the modulus; the
+    profile's c_star is the smallest c with osc <= c * omega * lam on every
+    rung.
 
     That constant's refinement stability is judged across runs
     (`studies.run_headline_case`); a single run passes whenever c_star is
@@ -502,15 +500,12 @@ def modulus_acceptance(
     does not depend on r0, so that depth scales exactly like r0^p and the fit
     is closed-form.
     """
-    if ladder not in LADDER_BASES:
-        raise ValueError("ladder must be dyadic2 or dyadic32")
-    base = LADDER_BASES[ladder]
     space, t0 = center
 
     lam = max(max(float(u.max()) for u in trajectory.temps)
               - min(float(u.min()) for u in trajectory.temps), 1.0)
 
-    depth0 = cylinder_depth(params, params.r0, "outer", lam)
+    depth0 = cylinder_depth(params, params.r0, "full", lam)
     horizon = max(t0 - trajectory.times[0], 0.0)
     if depth0 > horizon:
         params = replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / params.p))
@@ -520,12 +515,10 @@ def modulus_acceptance(
 
     radii, depths, oscs, omegas, ratios = [], [], [], [], []
     i = 0
-    while True:
-        r_i = params.r0 * base**(-i)
-        if max_rungs is not None and i >= max_rungs:
-            break
+    while max_rungs is None or i < max_rungs:
+        r_i = params.r0 * 2.0**(-i)
         try:
-            cyl_i = cylinder(params, center, r_i, "outer", lambda_scale=lam)
+            cyl_i = cylinder(params, center, r_i, "full", lambda_scale=lam)
             osc_i = oscillation(trajectory, cyl_i)
         except ValueError:
             break

@@ -56,8 +56,11 @@ def test_against_an_earlier_dump(tmp_path):
 
     record = json.loads(old.read_text())
     record["headline"]["1d-p3"]["fine"]["diag_hash"] = "0" * 64
+    record["cli-run"]["artifact_hashes"]["ledger.json"] = "0" * 64
     changed = tmp_path / "changed.json"
     changed.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     differs = bitcheck(tmp_path / "new.json", changed)
     assert differs.returncode == 1
-    assert '["headline"]["1d-p3"]["fine"]["diag_hash"]' in differs.stdout
+    # every differing path, one a line, in sorted key order
+    assert differs.stdout.splitlines()[1:] == ['["cli-run"]["artifact_hashes"]["ledger.json"]',
+                                               '["headline"]["1d-p3"]["fine"]["diag_hash"]']

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from stefanlab import cli, presets, solver, studies
+from stefanlab.graphs import BetaMap
 from stefanlab.solver import run_simulation
 
 
@@ -117,11 +118,19 @@ class TestValidate:
         assert (sc.p, sc.field, sc.initial, sc.boundary) == (
             base.p, base.field, base.initial, base.boundary)
 
-    @pytest.mark.parametrize("ladder", ["dyadic2", "dyadic32"])
-    def test_known_ladders_accepted(self, tmp_path, ladder):
-        path = _write(tmp_path, f"[scenario]\npreset = constant\n\n[modulus]\nladder = {ladder}\n")
+    @pytest.mark.parametrize("key, text, value", [
+        ("scenario.nodes", "41.0", (41,)), ("scenario.nodes", "1e1", (10,)),
+        ("scenario.store_every", "2.0", 2), ("scenario.dim", "1.0", 1),
+        ("checks.seed", "5.0", 5), ("output.snapshot_stride", "2.0", 2),
+        ("modulus.ladder_depth", "3.0", 3)],
+        ids=["nodes", "nodes-exponent", "store_every", "dim", "seed", "snapshot_stride",
+             "ladder_depth"])
+    def test_integer_keys_take_integral_floats(self, tmp_path, key, text, value):
+        section, name = key.split(".")
+        header = "" if section == "scenario" else f"[{section}]\n"
+        path = _write(tmp_path, f"[scenario]\npreset = constant\n{header}{name} = {text}\n")
         assert cli.main(["validate", str(path)]) == 0
-        assert cli.parse_config(path).values["modulus"]["ladder"] == ladder
+        assert cli.parse_config(path).values[section][name] == value
 
     def test_unknown_check_rejected(self, tmp_path):
         path = _write(tmp_path,
@@ -593,7 +602,11 @@ directory = {out}
         ("[scenario]\npreset = constant\n[checks]\nseed = x\n", "checks.seed"),
         ("[scenario]\npreset = constant\n[output]\nsnapshot_stride = x\n",
          "output.snapshot_stride"),
-        ("[scenario]\npreset = constant\n[modulus]\nladder = dyadic7\n", "modulus.ladder"),
+        # Unknown keys: the modulus ladder is dyadic, and no formula or check
+        # reads varsigma or nu_star.
+        ("[scenario]\npreset = constant\n[modulus]\nladder = dyadic2\n", "modulus.ladder"),
+        ("[scenario]\npreset = constant\n[constants]\nvarsigma = 0.25\n", "constants.varsigma"),
+        ("[scenario]\npreset = constant\n[constants]\nnu_star = 0.5\n", "constants.nu_star"),
         ("[scenario]\npreset = constant\nnodes = inf\n", "scenario.nodes"),
         ("[scenario]\ndim = 100000000000\nnodes = 5\np = 2\nt_end = 1\ndt = 1\n",
          "scenario.dim"),
@@ -640,7 +653,7 @@ directory = {out}
         (_EXPLICIT + "beta = piecewise:-1/-0.5/99,0/0,1/2\n", "scenario.beta"),
     ], ids=["no-section", "duplicate-section", "duplicate-key", "interpolation",
             "nodes", "r0", "center", "l_prefactor", "alpha", "ladder_depth", "c0",
-            "seed", "snapshot_stride", "ladder", "nodes-inf", "dim", "beta-pair",
+            "seed", "snapshot_stride", "ladder", "varsigma", "nu_star", "nodes-inf", "dim", "beta-pair",
             "not-utf8", "r0-negative", "c0-negative", "c0-nan", "theta1-range",
             "seed-negative", "extent-nan", "extent-inf", "dirichlet-nan", "extent-zero",
             "latent-heat", "jump-nan", "eps-zero", "nodes-too-few", "nodes-count",
@@ -753,18 +766,35 @@ directory = {out}
         assert record["code"] == 2
         assert record["field"] == "scenario.initial"
 
-    @pytest.mark.parametrize("line", [
-        "p = 3.0", "field = anisotropic:5.0", "beta = tanh:0.4,0.5",
-        "boundary = dirichlet:left=1,right=0", "initial = bump",
-        "initial_params = base=0.2", "dim = 2", "extent = 2.0", "jump_location = 0.3"])
-    def test_preset_rejects_keys_it_does_not_apply(self, tmp_path, capsys, line):
-        text = BASE_CONFIG.format(outdir=tmp_path / "out").replace(
-            "t_end = 0.02\n", f"t_end = 0.02\n{line}\n")
-        path = _write(tmp_path, text)
-        assert cli.main(["validate", str(path)]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["field"] == "scenario." + line.split(" = ")[0]
-        assert "not applied with a preset" in record["message"]
+    @pytest.mark.parametrize("line, expected", [
+        ("p = 3.0", lambda sc: replace(sc, p=3.0)),
+        ("field = anisotropic:5.0", lambda sc: replace(sc, field=solver.VectorField((5.0,)))),
+        ("beta = tanh:0.4,0.5", lambda sc: replace(sc, graph=replace(
+            sc.graph, beta=BetaMap(kind="tanh", mu=0.4, tau=0.5)))),
+        ("boundary = dirichlet:left=1,right=0", lambda sc: replace(
+            sc, boundary=solver.Boundary(kind="dirichlet", values=((1.0, 0.0),)))),
+        # the preset's initial_params are for two-phase-sine
+        ("initial = bump\ninitial_params = base=0.2", lambda sc: replace(
+            sc, initial=solver.InitialData.of("bump", base=0.2))),
+        ("initial_params = amplitude=0.3", lambda sc: replace(
+            sc, initial=solver.InitialData.of("two-phase-sine", amplitude=0.3))),
+        # the preset's unit weights on both axes
+        ("dim = 2", lambda sc: replace(sc, grid=solver.Grid(extents=(1.0, 1.0), nodes=(41, 41)),
+                                       field=None)),
+        ("extent = 2.0", lambda sc: replace(sc, grid=solver.Grid(extents=(2.0,), nodes=(41,)))),
+        ("jump_location = 0.3", lambda sc: replace(sc, graph=replace(sc.graph, a=0.3)))],
+        ids=["p", "field", "beta", "boundary", "initial", "initial_params", "dim", "extent",
+             "jump_location"])
+    def test_preset_applies_every_key(self, tmp_path, line, expected):
+        # A preset's values are the defaults of every scenario key; the
+        # centre is the domain centre on every axis.
+        base = BASE_CONFIG.format(outdir=tmp_path / "out").replace("center = 0.5\n", "")
+        preset = cli.parse_config(_write(tmp_path, base, "preset.ini")).scenario
+        path = _write(tmp_path, base.replace("t_end = 0.02\n", f"t_end = 0.02\n{line}\n"))
+        assert cli.main(["validate", str(path)]) == 0
+        sc, want = cli.parse_config(path).scenario, expected(preset)
+        assert sc.scenario_hash() == want.scenario_hash() != preset.scenario_hash()
+        assert sc.label == preset.label
 
     def test_solver_summary_matches_diagnostics(self, tmp_path):
         text = """\
@@ -875,7 +905,6 @@ _SPECS = {
     "initial": st.sampled_from(["constant", "bump", "two-phase-sine", "ramp", "fourier"]),
     "initial_params": st.builds("{}={}, {}={}".format, _WORDS, _NUMBERS, _WORDS, _LISTS),
     "run": st.lists(st.sampled_from(sorted(studies.CHECKS)), max_size=3).map(", ".join),
-    "ladder": st.sampled_from(["dyadic2", "dyadic32", "dyadic3"]),
 }
 _KEYS = sorted((section, key) for section, keys in cli.KEYS.items() for key in keys)
 
@@ -1147,29 +1176,38 @@ directory = {out}
         header = (out / "aggregated.csv").read_text().split("\n")[0].split(",")
         assert "conservation.pass" in header and "weakform.pass" not in header
 
-    def test_p_sweep_over_preset_exits_two(self, tmp_path):
+    def test_p_sweep_over_preset_aggregates(self, tmp_path):
         text = BASE_CONFIG.format(outdir=tmp_path / "out") + "\n[sweep]\naxis = p\nvalues = 2, 3\n"
         path = _write(tmp_path, text)
         out = tmp_path / "out"
-        assert cli.main(["sweep", str(path), "--output", str(out)]) == 2
-        for sub in ("run_000_p-2", "run_001_p-3"):
-            record = json.loads((out / sub / "error.json").read_text())
-            assert record["field"] == "scenario.p"
+        assert cli.main(["sweep", str(path), "--output", str(out)]) == 0
+        header, *rows = (out / "aggregated.csv").read_text().strip().split("\n")
+        assert [dict(zip(header.split(","), row.split(",")))["run"] for row in rows] == [
+            "'p-2'", "'p-3'"]
+        for sub, p in (("run_000_p-2", 2.0), ("run_001_p-3", 3.0)):
+            resolved = configparser.ConfigParser()
+            resolved.read(out / sub / "resolved_config.ini")
+            assert float(resolved["scenario"]["p"]) == p
+            assert json.loads((out / sub / "summary.json").read_text())["all_pass"]
 
 
     def test_failed_run_contributes_no_verdicts(self, tmp_path):
-        text = BASE_CONFIG.format(outdir=tmp_path / "out") + "\n[sweep]\naxis = p\nvalues = 2\n"
+        # two nodes per axis are too few: the sub-run exits 2
+        text = (BASE_CONFIG.format(outdir=tmp_path / "out")
+                + "\n[sweep]\naxis = resolution\nvalues = 2\n")
         path = _write(tmp_path, text)
         out = tmp_path / "out"
+        sub = out / "run_000_resolution-2"
         # an earlier run's outcome, left where the failing run writes
-        (out / "run_000_p-2").mkdir(parents=True)
-        (out / "run_000_p-2" / "summary.json").write_text(
+        sub.mkdir(parents=True)
+        (sub / "summary.json").write_text(
             json.dumps({"checks": {"modulus": {"pass": True, "c_star": 1.0}}}))
         assert cli.main(["sweep", str(path), "--output", str(out)]) == 2
+        assert json.loads((sub / "error.json").read_text())["field"] == "scenario.nodes"
         header, row = (out / "aggregated.csv").read_text().strip().split("\n")
         assert header == "exit,run"
-        assert row == "2,'p-2'"
-        assert not (out / "run_000_p-2" / "summary.json").exists()
+        assert row == "2,'resolution-2'"
+        assert not (sub / "summary.json").exists()
 
     def test_verdicts_only_from_runs_that_checked(self, tmp_path, monkeypatch):
         # a failing run that leaves the directory as it found it

@@ -73,8 +73,6 @@ class TestFixConstants:
             fix_constants(n=3, p=2.0, Lambda=1.0, theta1=1.5)
         with pytest.raises(ValueError):
             fix_constants(n=3, p=2.0, Lambda=0.5)
-        with pytest.raises(ValueError):
-            fix_constants(n=3, p=2.0, Lambda=1.0, varsigma=0.7)
 
     def test_provenance_tags(self):
         led = fix_constants(n=3, p=3.0, Lambda=1.0)

@@ -105,9 +105,10 @@ class TestCylinders:
         assert c.ball_radius == pytest.approx(0.125)
 
     def test_outer_scaling(self):
+        # the global-size factor scales the full depth by lambda^(2-p)
         pr = _params(p=3.0, alpha=0.5)
         full = cylinder(pr, ((0.0,), 0.0), 0.5, "full")
-        outer = cylinder(pr, ((0.0,), 0.0), 0.5, "outer", lambda_scale=2.0)
+        outer = cylinder(pr, ((0.0,), 0.0), 0.5, "full", lambda_scale=2.0)
         assert outer.depth == pytest.approx(2.0 ** (2 - 3) * full.depth, rel=1e-14)
 
     def test_nestedness_example(self):
@@ -143,7 +144,7 @@ class TestCylinders:
         with pytest.raises(ValueError):
             cylinder(pr, ((0.0,), 0.0), 2.0, "full")
         with pytest.raises(ValueError):
-            cylinder(pr, ((0.0,), 0.0), 0.5, "outer", lambda_scale=0.5)
+            cylinder(pr, ((0.0,), 0.0), 0.5, "full", lambda_scale=0.5)
         with pytest.raises(ValueError):
             cylinder(pr, ((0.0,), 0.0), 0.5, "sideways")
 

@@ -605,21 +605,6 @@ class TestModulusAcceptance:
             traj, studies.check_site(traj, params, ledger, (0.5,)))
         assert entry["c_star"] == profile.c_star
 
-    def test_dyadic32_ladder(self):
-        # frozen dense-in-time trajectory: the 32-ladder resolves two rungs
-        sc = presets.twophase_1d(nodes=641, t_end=0.0)
-        grid = sc.grid
-        x = grid.axes()[0]
-        times = list(np.linspace(0.0, 0.1, 2601))
-        temps = [0.4 * x.copy() for _ in times]
-        enths = [np.asarray(sc.graph.enthalpy_of_temperature(u)) for u in temps]
-        traj = Trajectory(scenario=sc, times=times, temps=temps, enthalpies=enths)
-        params = studies.measurement_params(studies.default_ledger(sc), r0=0.2)
-        profile = verify.modulus_acceptance(traj, params, ((0.5,), times[-1]),
-                                            ladder="dyadic32")
-        assert len(profile.radii) == 2
-        assert profile.radii[0] / profile.radii[1] == pytest.approx(32.0)
-
 
 class TestEpsilonStudy:
     def test_single_eps_degenerate(self):
