@@ -7,9 +7,11 @@ a hash of the stored enthalpies; the same hashes of the solve-2d benchmark
 scenario; the `artifact_hashes` and the `summary.json` check entries of
 `stefanlab run` on the benchmark's cli-run INI; and those of `stefanlab
 run` with every check on the `bump-1d-p3` preset, where the weak Harnack
-and decay checks measure a constant (the cli-run INI runs neither).  Floats are written with repr
-and keys sorted, so equal files mean equal bits.  Run it in two checkouts
-and compare the files:
+and decay checks measure a constant (the cli-run INI runs neither); and
+those of a short 2D `stefanlab run` (`stefan-2d-p2-twophase`), whose
+resolved config and snapshot index are the only 2D ones in the dump.
+Floats are written with repr and keys sorted, so equal files mean equal
+bits.  Run it in two checkouts and compare the files:
 
     python scripts/bitcheck.py /tmp/before.json   # in the first checkout
     python scripts/bitcheck.py /tmp/after.json --against /tmp/before.json
@@ -18,9 +20,9 @@ With `--against OLD.json` the script, after writing its dump, exits 1 and
 prints every key path at which the dump differs from OLD.json, one a line
 in sorted key order, and exits 0 when the two files are byte-identical.
 
-`--size tiny` cuts every run but the every-check one, which takes under a
-second, to a few steps (c* then needs a longer horizon than it has and is
-left out); it takes a few seconds.
+`--size tiny` cuts every run but the every-check and 2D ones, which take
+under a second, to a few steps (c* then needs a longer horizon than it has
+and is left out); it takes a few seconds.
 """
 import argparse
 import dataclasses
@@ -52,6 +54,14 @@ center = 0.5
 
 [checks]
 run = {", ".join(studies.CHECKS)}
+"""
+TWO_D_INI = """\
+[scenario]
+preset = stefan-2d-p2-twophase
+t_end = 0.05
+
+[checks]
+run = conservation, weakform, modulus
 """
 
 
@@ -158,6 +168,7 @@ def main(argv=None) -> int:
         "cli-run": cli_run_record(
             CLI_INI.format(seed=1, extra="" if args.size == "full" else "t_end = 0.02\n")),
         "every-check": cli_run_record(EVERY_CHECK_INI),
+        "two-d": cli_run_record(TWO_D_INI),
     }
     text = _dump(record)
     Path(args.out).write_text(text)

@@ -33,8 +33,7 @@ def induction_grid(j_max=30):
         for p in (2.0, 2.5, 3.0, 4.0, 5.0):
             for Lambda in (1.0, 2.0):
                 for theta in (0.02, 0.2, 0.8):
-                    led = fix_constants(n=n, p=p, Lambda=Lambda,
-                                        theta1=theta, theta2=theta)
+                    led = fix_constants(n=n, p=p, Lambda=Lambda, theta=theta)
                     params = led.modulus_params(r0=1.0)
                     agg = certify_all_pairs(params, led, j_max)
                     count += 1

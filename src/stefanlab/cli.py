@@ -171,8 +171,8 @@ class Key(NamedTuple):
 KEYS: dict[str, dict[str, Key]] = {
     "scenario": {
         "preset": Key(None, presets.make_preset, axis="preset"),
-        "dim": Key("1", lambda t: _one_of((1, 2), "dim")(_integer(t))),
-        "nodes": Key(None, lambda t: tuple(map(_integer, t.split(","))), axis="resolution"),
+        "dim": Key("1", _integer),
+        "nodes": Key(None, _integer, axis="resolution"),
         "extent": Key("1.0", float),
         "p": Key(None, float, axis="p"),
         "latent_heat": Key("1.0", float, axis="latent_heat"),
@@ -200,7 +200,7 @@ KEYS: dict[str, dict[str, Key]] = {
     },
     # fix_constants checks the ranges beyond positivity
     "constants": {key: Key(None, _positive) for key in
-                  ("c0", "c1", "c2", "c3", "theta1", "theta2")},
+                  ("c0", "c1", "c2", "c3", "theta")},
     "checks": {
         "run": Key("conservation", _list_of(tuple(studies.CHECKS), "check")),
         "seed": Key("1234", _at_least(0)),
@@ -275,13 +275,14 @@ def _config_of(raw: dict[str, dict[str, str]]) -> RunConfig:
     scenario = _scenario(sc)
 
     mod = val["modulus"] = {key: val["modulus"].get(key) for key in KEYS["modulus"]}
-    mod["center"] = mod["center"] or tuple(e / 2 for e in scenario.grid.extents)
-    if len(mod["center"]) != scenario.grid.dim:
+    grid = scenario.grid
+    mod["center"] = mod["center"] or (grid.extent / 2,) * grid.dim
+    if len(mod["center"]) != grid.dim:
         raise ConfigError("modulus.center", f"{len(mod['center'])} coordinates for a "
-                                            f"{scenario.grid.dim}D grid")
-    if not all(0.0 <= c <= e for c, e in zip(mod["center"], scenario.grid.extents)):
+                                            f"{grid.dim}D grid")
+    if not all(0.0 <= c <= grid.extent for c in mod["center"]):
         raise ConfigError("modulus.center", f"{mod['center']} lies outside the domain, "
-                                            f"[0, {scenario.grid.extents[0]:g}] on each axis")
+                                            f"[0, {grid.extent:g}] on each axis")
     ledger = _named("constants", lambda: studies.default_ledger(
         scenario, alpha_choice_if_p_eq_n=mod["alpha_if_p_eq_n"]
         if scenario.p == scenario.grid.dim else None, **val["constants"]))
@@ -297,13 +298,14 @@ def _config_of(raw: dict[str, dict[str, str]]) -> RunConfig:
 
 def _keys_of(sc: Scenario) -> dict:
     """The parsed [scenario] values that rebuild `sc`: unit weights as no
-    field, which gives them on as many axes as `dim` asks for."""
+    field, which gives them on as many axes as `dim` asks for, and Dirichlet
+    values 0 on an axis `sc` has none for, as for a config's missing end."""
     g, b = sc.graph, sc.boundary
-    return {"dim": sc.grid.dim, "nodes": sc.grid.nodes, "extent": sc.grid.extents[0],
+    return {"dim": sc.grid.dim, "nodes": sc.grid.nodes, "extent": sc.grid.extent,
             "p": sc.p, "latent_heat": g.latent_heat, "jump_location": g.a, "mollify_eps": g.eps,
             "beta": g.beta, "field": None if set(sc.field.weights) == {1.0} else sc.field,
             "initial": sc.initial.name, "initial_params": sc.initial.as_dict(),
-            "boundary": None if b.kind == "zero-flux" else b.values,
+            "boundary": None if b.kind == "zero-flux" else (*b.values, (0.0, 0.0)),
             "t_end": sc.t_end, "dt": sc.dt, "store_every": sc.store_every, "label": sc.label}
 
 
@@ -317,11 +319,10 @@ def _scenario(v: dict) -> Scenario:
     for key in KEYS["scenario"]:
         if key not in v and key != "preset":
             raise ConfigError(f"scenario.{key}", "required key missing")
-    dim, nodes, b = v["dim"], v["nodes"], v["boundary"]
+    dim, b = v["dim"], v["boundary"]
     try:
         return Scenario(
-            grid=Grid(extents=(v["extent"],) * dim, nodes=nodes * dim if len(nodes) == 1
-                      else nodes),
+            grid=Grid(dim, v["nodes"], v["extent"]),
             p=v["p"],
             graph=RegularizedGraph(v["jump_location"], v["latent_heat"], v["mollify_eps"],
                                    v["beta"]),
@@ -405,7 +406,7 @@ def _write_snapshots(outdir: Path, traj: Trajectory, stride: int) -> dict[str, s
         "shape": list(traj.grid.shape),
         "dtype": "<f8",
         "order": "row-major",
-        "grid": {"extents": list(traj.grid.extents), "nodes": list(traj.grid.nodes)},
+        "grid": traj.scenario.canonical_dict()["grid"],
         "scenario_hash": traj.scenario.scenario_hash(),
         "times": [traj.times[m] for m in kept],
         "indices": kept,

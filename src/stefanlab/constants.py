@@ -35,8 +35,6 @@ class ConstantsLedger:
     c3: float
     eps1: float
     M: float
-    theta1: float
-    theta2: float
     theta: float
     L: float
     provenance: dict = field(default_factory=dict)
@@ -62,28 +60,26 @@ def fix_constants(
     c1: float = 2.0,
     c2: float = 2.0,
     c3: float | None = None,
-    theta1: float = 0.05,
-    theta2: float = 0.05,
+    theta: float = 0.05,
 ) -> ConstantsLedger:
     """Derive the formula-fixed constants from the configured inputs.
 
     eps1 caps the level-set fraction separating the two measure alternatives;
     M sets the cylinder depth so the waiting time fits below the top slab
-    (floored at 2 so the short slab stays in the lower half); theta is the
-    per-scale oscillation drop and L the resulting modulus prefactor.
+    (floored at 2 so the short slab stays in the lower half); L is the
+    modulus prefactor of the configured per-scale oscillation drop theta.
     """
     if min(c0, c1, c2) <= 0.0:
         raise ValueError("c0, c1, c2 must be positive")
-    if not (0.0 < theta1 < 1.0 and 0.0 < theta2 < 1.0):
-        raise ValueError("theta1, theta2 must lie in (0, 1)")
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
     if Lambda < 1.0:
         raise ValueError("Lambda must be >= 1")
     if p < 2.0:
         raise ValueError("p must be >= 2")
 
     alpha, kappa = alpha_kappa_of(n, p, alpha_choice_if_p_eq_n)
-    prov: dict[str, str] = {k: "configured" for k in
-                            ("c0", "c1", "c2", "theta1", "theta2")}
+    prov: dict[str, str] = {k: "configured" for k in ("c0", "c1", "c2", "theta")}
 
     kr = 0.0 if math.isinf(kappa) else 1.0 / kappa
     first_branch = c0 ** (-((1.0 - kr) ** -2))
@@ -96,8 +92,6 @@ def fix_constants(
     M = max(2.0, 1.0 + eps1 ** (2.0 - p) * c1 / 16.0)
     prov["M"] = "formula"
 
-    theta = min(theta1, theta2)
-    prov["theta"] = "formula"
     L = max((32.0 * alpha * LN32 / theta) ** alpha, 2.0 * p**alpha * Lambda)
     prov["L"] = "formula"
 
@@ -112,7 +106,7 @@ def fix_constants(
     return ConstantsLedger(
         n=n, p=p, Lambda=Lambda, alpha=alpha, kappa=kappa,
         c0=c0, c1=c1, c2=c2, c3=c3, eps1=eps1, M=M,
-        theta1=theta1, theta2=theta2, theta=theta, L=L,
+        theta=theta, L=L,
         provenance=prov,
     )
 

@@ -11,20 +11,12 @@ from .graphs import RegularizedGraph
 from .solver import Boundary, DtPolicy, Grid, InitialData, Scenario
 
 
-def _grid_1d(nodes: int, extent: float = 1.0) -> Grid:
-    return Grid(extents=(extent,), nodes=(nodes,))
-
-
-def _grid_2d(nodes: int, extent: float = 1.0) -> Grid:
-    return Grid(extents=(extent, extent), nodes=(nodes, nodes))
-
-
 def constant_preset(*, nodes: int = 21, value: float = 0.3, p: float = 2.0,
                     latent_heat: float = 1.0, eps: float = 0.05,
                     t_end: float = 0.02, dt: float = 1e-3) -> Scenario:
     """Spatially constant state: every check is trivially satisfied."""
     return Scenario(
-        grid=_grid_1d(nodes),
+        grid=Grid(1, nodes),
         p=p,
         graph=RegularizedGraph(a=1.5, latent_heat=latent_heat, eps=eps),
         initial=InitialData.of("constant", value=value),
@@ -39,7 +31,7 @@ def heat_smooth_1d(*, nodes: int = 41, dt: float = 1e-3, t_end: float = 0.05,
     """p = 2, identity beta, smooth positive data far from the jump: the run
     is plain heat diffusion and can be checked against a refined reference."""
     return Scenario(
-        grid=_grid_1d(nodes),
+        grid=Grid(1, nodes),
         p=2.0,
         graph=RegularizedGraph(a=5.0, latent_heat=latent_heat, eps=0.05),
         # scalars: a config's initial_params reads a one-element list back as one
@@ -59,7 +51,7 @@ def melting_front_1d(*, nodes: int = 400, dt: float = 5e-4, t_end: float = 0.2,
     Keep t_end small enough that the thermal layer stays clear of the far
     wall, where the half-space similarity solution stops applying."""
     return Scenario(
-        grid=_grid_1d(nodes, extent),
+        grid=Grid(1, nodes, extent),
         p=2.0,
         graph=RegularizedGraph(a=jump, latent_heat=latent_heat, eps=eps),
         initial=InitialData.of("constant", value=cold),
@@ -76,7 +68,7 @@ def twophase_1d(*, p: float = 2.0, nodes: int = 81, dt: float = 2.5e-4,
                 tilt: float = 0.12) -> Scenario:
     """Adversarial two-phase data oscillating through the jump level."""
     return Scenario(
-        grid=_grid_1d(nodes),
+        grid=Grid(1, nodes),
         p=p,
         graph=RegularizedGraph(a=0.0, latent_heat=latent_heat, eps=eps),
         initial=InitialData.of("two-phase-sine", level=0.0, amplitude=amplitude,
@@ -92,7 +84,7 @@ def twophase_2d(*, p: float = 2.0, nodes: int = 29, dt: float = 1e-3,
                 amplitude: float = 0.5, periods: float = 1.0) -> Scenario:
     """Small 2D variant of the adversarial two-phase run."""
     return Scenario(
-        grid=_grid_2d(nodes),
+        grid=Grid(2, nodes),
         p=p,
         graph=RegularizedGraph(a=0.0, latent_heat=latent_heat, eps=eps),
         initial=InitialData.of("two-phase-sine", level=0.0, amplitude=amplitude,
@@ -112,7 +104,7 @@ def positive_bump_1d(*, p: float = 3.0, nodes: int = 61, dt: float = 2.5e-4,
     jump band is a nonnegative supersolution, feeding the Harnack and
     positivity-decay checks."""
     return Scenario(
-        grid=_grid_1d(nodes),
+        grid=Grid(1, nodes),
         p=p,
         graph=RegularizedGraph(a=jump, latent_heat=latent_heat, eps=eps),
         initial=InitialData.of("bump", base=base, amplitude=amplitude,

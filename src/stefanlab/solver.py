@@ -137,57 +137,48 @@ MAX_STEPS = 10**7
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform vertex-centred grid in 1 or 2 dimensions.
+    """Uniform vertex-centred grid on [0, extent]^dim, dim 1 or 2, with
+    `nodes` nodes on every axis.
 
     Node j on an axis sits at j*h with h = extent/(nodes-1); boundary nodes
     carry half cells so that face fluxes telescope exactly.
     """
 
-    extents: tuple[float, ...]
-    nodes: tuple[int, ...]
+    dim: int
+    nodes: int
+    extent: float = 1.0
 
     def __post_init__(self):
-        if len(self.extents) != len(self.nodes) or len(self.nodes) not in (1, 2):
-            raise ScenarioValueError("nodes", f"{self.nodes!r} do not make a 1D or 2D grid "
-                                              f"of extents {self.extents!r}")
-        if any(n < 3 for n in self.nodes):
+        if self.dim not in (1, 2):
+            raise ScenarioValueError("dim", f"must be 1 or 2, got {self.dim!r}")
+        if self.nodes < 3:
             raise ScenarioValueError("nodes", "need at least 3 nodes per axis")
-        if math.prod(self.nodes) > MAX_NODES:
+        if self.nodes**self.dim > MAX_NODES:
             raise ScenarioValueError("nodes", f"more than {MAX_NODES} nodes")
         # bounded so that a cell volume h^dim and a squared radius stay
         # normal floats on every grid
-        if not all(1e-100 <= e <= 1e100 for e in self.extents):
-            raise ScenarioValueError("extent", f"must be in [1e-100, 1e100], got {self.extents!r}")
-        hs = [e / (n - 1) for e, n in zip(self.extents, self.nodes)]
-        if max(hs) - min(hs) > 1e-12 * max(hs):
-            raise ScenarioValueError("nodes", "spacing must be uniform across axes")
-
-    @property
-    def dim(self) -> int:
-        return len(self.nodes)
+        if not 1e-100 <= self.extent <= 1e100:
+            raise ScenarioValueError("extent", f"must be in [1e-100, 1e100], got {self.extent!r}")
 
     @property
     def h(self) -> float:
-        return self.extents[0] / (self.nodes[0] - 1)
+        return self.extent / (self.nodes - 1)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.nodes
+        return (self.nodes,) * self.dim
 
     def axes(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.linspace(0.0, e, n) for e, n in zip(self.extents, self.nodes))
+        return (np.linspace(0.0, self.extent, self.nodes),) * self.dim
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.axes(), indexing="ij"))
 
     def volume_weights(self) -> np.ndarray:
         """Per-node cell volumes (half cells on boundaries, quarters at corners)."""
-        w = 1.0
-        for n in self.nodes:
-            wa = np.ones(n)
-            wa[0] = wa[-1] = 0.5
-            w = np.multiply.outer(w, wa) if np.ndim(w) else wa
-        return np.asarray(w) * self.h**self.dim
+        w = np.ones(self.nodes)
+        w[0] = w[-1] = 0.5
+        return (w if self.dim == 1 else np.multiply.outer(w, w)) * self.h**self.dim
 
 
 @dataclass(frozen=True)
@@ -357,7 +348,9 @@ class Scenario:
 
     def canonical_dict(self) -> dict:
         return {
-            "grid": {"extents": list(self.grid.extents), "nodes": list(self.grid.nodes)},
+            # per axis, the format every stored scenario hash was taken of
+            "grid": {"extents": [self.grid.extent] * self.grid.dim,
+                     "nodes": list(self.grid.shape)},
             "p": self.p,
             "graph": self.graph.params_dict(),
             "field": {"weights": list(self.field.weights)},
@@ -460,7 +453,7 @@ class Trajectory:
         return hsh.hexdigest()
 
     def resolution_label(self) -> str:
-        nodes = "x".join(str(n) for n in self.grid.nodes)
+        nodes = "x".join(str(n) for n in self.grid.shape)
         return f"nodes={nodes},steps={len(self.diagnostics)}"
 
 
@@ -480,7 +473,7 @@ def _ramp(grid: Grid, params: dict) -> np.ndarray:
     if axis not in range(grid.dim):
         raise ValueError(f"ramp axis must be an integer in [0, {grid.dim}), got {axis!r}")
     axis = int(axis)
-    return lo + (hi - lo) * xs[axis] / grid.extents[axis]
+    return lo + (hi - lo) * xs[axis] / grid.extent
 
 
 def _bump(grid: Grid, params: dict) -> np.ndarray:
@@ -488,7 +481,7 @@ def _bump(grid: Grid, params: dict) -> np.ndarray:
     base = float(params.get("base", 0.0))
     amp = float(params.get("amplitude", 1.0))
     width = float(params.get("width", 0.2))
-    center = params.get("center", tuple(e / 2 for e in grid.extents))
+    center = params.get("center", (grid.extent / 2,) * grid.dim)
     if np.ndim(center) == 0:
         center = (float(center),) * grid.dim
     if len(center) != grid.dim:
@@ -512,8 +505,8 @@ def _fourier(grid: Grid, params: dict) -> np.ndarray:
     out = np.full(grid.shape, base)
     for amp, freq in zip(amps, freqs):
         term = amp
-        for x, e in zip(xs, grid.extents):
-            term = term * np.cos(np.pi * freq * x / e)
+        for x in xs:
+            term = term * np.cos(np.pi * freq * x / grid.extent)
         out = out + term
     return out
 
@@ -526,9 +519,9 @@ def _two_phase_sine(grid: Grid, params: dict) -> np.ndarray:
     tilt = float(params.get("tilt", 0.0))
     out = np.full(grid.shape, level)
     wave = amp
-    for x, e in zip(xs, grid.extents):
-        wave = wave * np.cos(np.pi * periods * x / e)
-    out = out + wave + tilt * (xs[0] / grid.extents[0] - 0.5)
+    for x in xs:
+        wave = wave * np.cos(np.pi * periods * x / grid.extent)
+    out = out + wave + tilt * (xs[0] / grid.extent - 0.5)
     return out
 
 
@@ -585,7 +578,7 @@ class _Faces:
         for ax, w in enumerate(weights):
             area = 1.0
             if grid.dim == 2:
-                area = np.full(grid.nodes[1 - ax], grid.h)
+                area = np.full(grid.nodes, grid.h)
                 area[0] = area[-1] = 0.5 * grid.h
                 area = area.reshape((1, -1) if ax == 0 else (-1, 1))
             self.coef.append(np.asarray(w * area, dtype=float))

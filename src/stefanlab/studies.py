@@ -13,7 +13,7 @@ import numpy as np
 
 from . import presets, verify
 from .constants import ConstantsLedger, fix_constants
-from .geometry import ModulusParams, cylinder, cylinder_samples
+from .geometry import EmptyCylinderError, ModulusParams, cylinder, cylinder_samples
 from .graphs import RegularizedGraph
 from .solver import (DtPolicy, Grid, InitialData, Scenario, SpaceTimeBump, Trajectory,
                      conservation_defect, run_simulation, weak_form_residual)
@@ -66,17 +66,17 @@ def check_site(traj: Trajectory, params: ModulusParams, ledger: ConstantsLedger,
                R0: float | None = None, t_start: float | None = None, region=None,
                **rest) -> CheckSite:
     """The site of the checks on `traj`.  By default R0 is 0.9/8 of the
-    smallest extent, so that the weak Harnack check's ball of radius 4 R0 fits
+    extent, so that the weak Harnack check's ball of radius 4 R0 fits
     around the domain centre; `t_start` is the stored time a tenth of the
     way in, not the first unless it is the only one; `region` keeps 0.15 of
-    the smallest extent from every side."""
-    extents, n = traj.grid.extents, len(traj.times)
-    margin = 0.15 * min(extents)
+    the extent from every side."""
+    grid, n = traj.grid, len(traj.times)
+    margin = 0.15 * grid.extent
     return CheckSite(
         params, ledger, tuple(center),
-        R0=min(extents) / 8.0 * 0.9 if R0 is None else R0,
+        R0=grid.extent / 8.0 * 0.9 if R0 is None else R0,
         t_start=traj.times[min(max(1, n // 10), n - 1)] if t_start is None else t_start,
-        region=(tuple(margin for _ in extents), tuple(e - margin for e in extents))
+        region=((margin,) * grid.dim, (grid.extent - margin,) * grid.dim)
         if region is None else region, **rest)
 
 
@@ -177,8 +177,11 @@ def _classifier(traj: Trajectory, site: CheckSite):
 
 def _modulus(traj: Trajectory, site: CheckSite):
     # "profile": the measured ladder, which `stefanlab run` writes out
-    profile = verify.modulus_acceptance(traj, site.params, (site.center, traj.times[-1]),
-                                        max_rungs=site.ladder_depth)
+    try:
+        profile = verify.modulus_acceptance(traj, site.params, (site.center, traj.times[-1]),
+                                            max_rungs=site.ladder_depth)
+    except EmptyCylinderError as err:  # a horizon or grid too short for two rungs
+        return {"gate": False, "degenerate": True, "note": str(err)}, None
     return {"pass": math.isfinite(profile.c_star), "c_star": profile.c_star,
             "alpha_hat": profile.alpha_hat, "profile": profile}, None
 
@@ -261,7 +264,7 @@ def inequality_family(level: int = 0) -> list[FamilyCase]:
     for p in (2.0, 3.0):
         for lh in (0.4, 1.0):
             common = dict(p=p, nodes=nodes, dt=dt, latent_heat=lh, t_end=0.05)
-            ramp = Scenario(grid=Grid(extents=(1.0,), nodes=(nodes,)), p=p,
+            ramp = Scenario(grid=Grid(1, nodes), p=p,
                             graph=RegularizedGraph(a=0.5, latent_heat=lh, eps=0.05),
                             initial=InitialData.of("ramp", lo=0.05, hi=0.95), t_end=0.05,
                             dt=DtPolicy(value=dt), label=f"ramp-p{p:g}")

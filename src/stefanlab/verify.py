@@ -308,9 +308,9 @@ def weak_harnack_check(
     p = trajectory.p
     if p <= 2.0:
         raise ValueError("waiting-time estimate needs p > 2")
-    for c, ax in zip(x0, trajectory.grid.axes()):
-        if c - 4.0 * R0 < ax[0] - 1e-12 or c + 4.0 * R0 > ax[-1] + 1e-12:
-            raise ValueError("ball of radius 4*R0 must fit inside the grid")
+    extent = trajectory.grid.extent
+    if any(c - 4.0 * R0 < -1e-12 or c + 4.0 * R0 > extent + 1e-12 for c in x0):
+        raise ValueError("ball of radius 4*R0 must fit inside the grid")
     T = trajectory.times[-1]
     if not trajectory.times[0] <= t1 < T:
         raise ValueError("need t1 before the last stored time")
@@ -495,10 +495,11 @@ def modulus_acceptance(
     That constant's refinement stability is judged across runs
     (`studies.run_headline_case`); a single run passes whenever c_star is
     finite.  The ladder stops at `max_rungs` rungs or at the first cylinder
-    too small to measure.  Where the outermost cylinder is deeper than the
-    stored times behind t0, r0 shrinks until it fits: omega(r0) = L p^{-alpha}
-    does not depend on r0, so that depth scales exactly like r0^p and the fit
-    is closed-form.
+    too small to measure; with fewer than two rungs an EmptyCylinderError
+    names the rung that stopped it.  Where the outermost cylinder is deeper
+    than the stored times behind t0, r0 shrinks until it fits: omega(r0) =
+    L p^{-alpha} does not depend on r0, so that depth scales exactly like
+    r0^p and the fit is closed-form.
     """
     space, t0 = center
 
@@ -509,18 +510,19 @@ def modulus_acceptance(
     horizon = max(t0 - trajectory.times[0], 0.0)
     if depth0 > horizon:
         params = replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / params.p))
-    for c, ax in zip(np.atleast_1d(space), trajectory.grid.axes()):
-        if c - params.r0 < ax[0] - 1e-9 or c + params.r0 > ax[-1] + 1e-9:
-            raise ValueError("outermost cylinder must fit inside the domain")
+    if any(c - params.r0 < -1e-9 or c + params.r0 > trajectory.grid.extent + 1e-9
+           for c in np.atleast_1d(space)):
+        raise ValueError("outermost cylinder must fit inside the domain")
 
     radii, depths, oscs, omegas, ratios = [], [], [], [], []
-    i = 0
+    i, stop = 0, ""
     while max_rungs is None or i < max_rungs:
         r_i = params.r0 * 2.0**(-i)
         try:
             cyl_i = cylinder(params, center, r_i, "full", lambda_scale=lam)
             osc_i = oscillation(trajectory, cyl_i)
-        except ValueError:
+        except ValueError as err:
+            stop = f"; rung {i} (r = {r_i:.4g}): {err}"
             break
         radii.append(r_i)
         depths.append(cyl_i.depth)
@@ -531,7 +533,7 @@ def modulus_acceptance(
         i += 1
 
     if len(radii) < 2:
-        raise EmptyCylinderError("fewer than two resolvable ladder rungs")
+        raise EmptyCylinderError(f"fewer than two resolvable ladder rungs{stop}")
 
     alpha_hat = c_hat = residual = None
     flags: tuple[str, ...] = ()

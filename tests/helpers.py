@@ -71,7 +71,7 @@ def face_fluxes(grid: Grid, p: float, weights: Sequence[float], u: np.ndarray) -
     for ax, w in enumerate(weights):
         area = 1.0
         if grid.dim == 2:
-            area = np.full(grid.nodes[1 - ax], h)
+            area = np.full(grid.nodes, h)
             area[0] = area[-1] = 0.5 * h
             area = area.reshape((1, -1) if ax == 0 else (-1, 1))
         g = np.diff(u, axis=ax) / h

@@ -125,7 +125,7 @@ def test_criterion_3_induction_certifier():
     failures = []
     worst_slack = math.inf
     for n, p, Lambda, theta in grid_points:
-        led = fix_constants(n=n, p=p, Lambda=Lambda, theta1=theta, theta2=theta)
+        led = fix_constants(n=n, p=p, Lambda=Lambda, theta=theta)
         params = led.modulus_params(r0=1.0)
         agg = certify_all_pairs(params, led, j_max=30)
         worst_slack = min(worst_slack, agg["worst_product_slack"])
@@ -134,14 +134,14 @@ def test_criterion_3_induction_certifier():
     ok_grid = not failures
 
     # spot check one point in full
-    led = fix_constants(n=3, p=2.0, Lambda=1.0, theta1=0.01, theta2=0.01)
+    led = fix_constants(n=3, p=2.0, Lambda=1.0, theta=0.01)
     rep = certify_all_pairs(led.modulus_params(r0=1.0), led, j_max=20)
     ok_spot = rep["passed"] and rep["log_bound_check"]
 
     # counterexample: L halved below its formula value must fail somewhere
     broken = 0
     for n, p, Lambda, theta in grid_points:
-        led = fix_constants(n=n, p=p, Lambda=Lambda, theta1=theta, theta2=theta)
+        led = fix_constants(n=n, p=p, Lambda=Lambda, theta=theta)
         params = dataclasses.replace(led.modulus_params(r0=1.0), L=led.L / 2.0)
         if not certify_all_pairs(params, led, j_max=30)["passed"]:
             broken += 1

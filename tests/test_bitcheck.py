@@ -35,10 +35,16 @@ def test_tiny_dump(tmp_path):
         assert res["diag_totals"]["steps"] > 0
         assert re.fullmatch(r"[0-9a-f]{16}", res["scenario_hash"])
     for run, ini in (("cli-run", bitcheck.CLI_INI.format(seed=1, extra="")),
-                     ("every-check", bitcheck.EVERY_CHECK_INI)):
+                     ("every-check", bitcheck.EVERY_CHECK_INI),
+                     ("two-d", bitcheck.TWO_D_INI)):
         assert record[run]["exit_code"] == 0 and record[run]["artifact_hashes"]
         # the verdict entries, which no artifact hash covers
         assert set(record[run]["checks"]) == _requested_checks(ini)
+    # the 2D run's resolved config and snapshot index are in the dump, and
+    # its modulus check measures a c*
+    assert {"resolved_config.ini", "snapshots/index.json"} <= set(
+        record["two-d"]["artifact_hashes"])
+    assert record["two-d"]["checks"]["modulus"]["pass"] is True
 
 
 def test_against_an_earlier_dump(tmp_path):

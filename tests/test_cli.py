@@ -104,13 +104,13 @@ class TestValidate:
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_preset_keys_replace_the_preset_values(self, tmp_path, name):
         # A key means the same with or without a preset: every preset takes
-        # mollify_eps and an intrinsic dt, and a single node count per axis.
+        # mollify_eps, an intrinsic dt and a node count.
         path = _write(tmp_path, f"[scenario]\npreset = {name}\nnodes = 21\nmollify_eps = 0.07\n"
                                 "latent_heat = 0.6\nt_end = 0.01\ndt = intrinsic:safety=0.3\n"
                                 "store_every = 2\nlabel = mine\n")
         assert cli.main(["validate", str(path)]) == 0
         sc, base = cli.parse_config(path).scenario, presets.make_preset(name)
-        assert sc.grid == solver.Grid(extents=base.grid.extents, nodes=(21,) * base.grid.dim)
+        assert sc.grid == solver.Grid(base.grid.dim, 21, base.grid.extent)
         assert (sc.graph.a, sc.graph.beta) == (base.graph.a, base.graph.beta)
         assert (sc.graph.eps, sc.graph.latent_heat) == (0.07, 0.6)
         assert sc.dt == solver.DtPolicy(kind="intrinsic", safety=0.3)
@@ -118,8 +118,22 @@ class TestValidate:
         assert (sc.p, sc.field, sc.initial, sc.boundary) == (
             base.p, base.field, base.initial, base.boundary)
 
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_preset_takes_the_other_dim(self, tmp_path, name):
+        # The preset's node count and extent hold on every axis; a 1D
+        # preset's Dirichlet values hold on axis 0 and 0 on axis 1.
+        base = presets.make_preset(name)
+        dim = 3 - base.grid.dim
+        path = _write(tmp_path, f"[scenario]\npreset = {name}\ndim = {dim}\n")
+        assert cli.main(["validate", str(path)]) == 0
+        sc = cli.parse_config(path).scenario
+        assert sc.grid == solver.Grid(dim, base.grid.nodes, base.grid.extent)
+        assert sc.field.weights == (1.0,) * dim
+        if base.boundary.kind == "dirichlet":
+            assert sc.boundary.values == (*base.boundary.values, (0.0, 0.0))[:dim]
+
     @pytest.mark.parametrize("key, text, value", [
-        ("scenario.nodes", "41.0", (41,)), ("scenario.nodes", "1e1", (10,)),
+        ("scenario.nodes", "41.0", 41), ("scenario.nodes", "1e1", 10),
         ("scenario.store_every", "2.0", 2), ("scenario.dim", "1.0", 1),
         ("checks.seed", "5.0", 5), ("output.snapshot_stride", "2.0", 2),
         ("modulus.ladder_depth", "3.0", 3)],
@@ -381,6 +395,31 @@ directory = {out}
         files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
         assert set(summary["artifact_hashes"]) == files - {"summary.json", "timings.json"}
 
+    def test_short_modulus_ladder_is_no_verdict(self, tmp_path):
+        # The constant preset's horizon shrinks r0 to about 0.1, so the second
+        # rung's ball holds one node: no ladder to measure, and no failed run.
+        text = "[scenario]\npreset = constant\n[checks]\nrun = modulus\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+        entry = json.loads((out / "summary.json").read_text())["checks"]["modulus"]
+        assert entry["gate"] is False and entry["degenerate"] is True and "pass" not in entry
+        assert "rung 1" in entry["note"] and "holds 1 nodes" in entry["note"]
+        assert not (out / "fit.json").exists() and not (out / "oscillation.csv").exists()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_2d_preset_resolves_one_node_count(self, tmp_path, dim):
+        text = f"[scenario]\npreset = stefan-2d-p2-twophase\ndim = {dim}\nt_end = 0.01\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+        resolved = configparser.ConfigParser()
+        resolved.read(out / "resolved_config.ini")
+        assert (resolved["scenario"]["dim"], resolved["scenario"]["nodes"]) == (str(dim), "29")
+        index = json.loads((out / "snapshots" / "index.json").read_text())
+        assert index["shape"] == [29] * dim
+        assert index["grid"] == {"extents": [1.0] * dim, "nodes": [29] * dim}
+        again = cli.parse_config(out / "resolved_config.ini").scenario
+        assert again.scenario_hash() == index["scenario_hash"]
+
     def test_diagnostics_carry_no_verdict(self, tmp_path):
         # Dirichlet data move the enthalpy total, so conservation is no gate
         # here; with steps left unstored neither is weakform; classifier
@@ -617,7 +656,10 @@ directory = {out}
         ("[scenario]\npreset = constant\n[modulus]\nr0 = -1\n", "modulus.r0"),
         ("[scenario]\npreset = constant\n[constants]\nc0 = -1\n", "constants.c0"),
         ("[scenario]\npreset = constant\n[constants]\nc0 = nan\n", "constants.c0"),
-        ("[scenario]\npreset = constant\n[constants]\ntheta1 = 2\n", "constants"),
+        ("[scenario]\npreset = constant\n[constants]\ntheta = 2\n", "constants"),
+        # one theta: the ledger read only min(theta1, theta2)
+        ("[scenario]\npreset = constant\n[constants]\ntheta1 = 0.1\n", "constants.theta1"),
+        ("[scenario]\npreset = constant\n[constants]\ntheta2 = 0.1\n", "constants.theta2"),
         ("[scenario]\npreset = constant\n[checks]\nseed = -1\n", "checks.seed"),
         (_EXPLICIT + "extent = nan\n", "scenario.extent"),
         (_EXPLICIT + "extent = inf\n", "scenario.extent"),
@@ -645,8 +687,9 @@ directory = {out}
          "scenario.initial_params"),
         (_EXPLICIT + "initial = fourier\ninitial_params = amps=0.1 0.2 0.3, freqs=1\n",
          "scenario.initial_params"),
-        # A preset's nodes list is checked like an explicit one.
+        # One count serves every axis: a list is an error, next to a preset too.
         ("[scenario]\npreset = constant\nnodes = 41, 31\n", "scenario.nodes"),
+        ("[scenario]\npreset = stefan-2d-p2-twophase\nnodes = 29, 29\n", "scenario.nodes"),
         ("[scenario]\npreset = constant\n[sweep]\naxis = bogus\nvalues = 1\n", "sweep.axis"),
         # Text that only begins like an intrinsic dt, and a pair with a third field.
         (_EXPLICIT.replace("dt = 1e-3", "dt = intrinsically"), "scenario.dt"),
@@ -654,12 +697,13 @@ directory = {out}
     ], ids=["no-section", "duplicate-section", "duplicate-key", "interpolation",
             "nodes", "r0", "center", "l_prefactor", "alpha", "ladder_depth", "c0",
             "seed", "snapshot_stride", "ladder", "varsigma", "nu_star", "nodes-inf", "dim", "beta-pair",
-            "not-utf8", "r0-negative", "c0-negative", "c0-nan", "theta1-range",
+            "not-utf8", "r0-negative", "c0-negative", "c0-nan", "theta-range", "theta1", "theta2",
             "seed-negative", "extent-nan", "extent-inf", "dirichlet-nan", "extent-zero",
             "latent-heat", "jump-nan", "eps-zero", "nodes-too-few", "nodes-count",
             "beta-tau", "dirichlet-list", "dirichlet-end", "ramp-axis", "ramp-lo-nan",
             "bump-width-zero", "ramp-unknown-param", "nodes-fraction", "ramp-axis-fraction",
             "ramp-axis-negative", "bump-center-count", "fourier-lengths", "preset-nodes-list",
+            "preset-2d-nodes-list",
             "sweep-axis", "dt-intrinsic-prefix", "beta-three-fields"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, text, field):
         if isinstance(text, bytes):
@@ -779,9 +823,8 @@ directory = {out}
         ("initial_params = amplitude=0.3", lambda sc: replace(
             sc, initial=solver.InitialData.of("two-phase-sine", amplitude=0.3))),
         # the preset's unit weights on both axes
-        ("dim = 2", lambda sc: replace(sc, grid=solver.Grid(extents=(1.0, 1.0), nodes=(41, 41)),
-                                       field=None)),
-        ("extent = 2.0", lambda sc: replace(sc, grid=solver.Grid(extents=(2.0,), nodes=(41,)))),
+        ("dim = 2", lambda sc: replace(sc, grid=solver.Grid(2, 41), field=None)),
+        ("extent = 2.0", lambda sc: replace(sc, grid=solver.Grid(1, 41, 2.0))),
         ("jump_location = 0.3", lambda sc: replace(sc, graph=replace(sc.graph, a=0.3)))],
         ids=["p", "field", "beta", "boundary", "initial", "initial_params", "dim", "extent",
              "jump_location"])
@@ -955,10 +998,11 @@ class TestConfigFuzz:
             assert again.label == sc.label
 
 
-# Edge values of the `cli.KEYS` domains a 1D run reads; t_end and dt keep
-# every accepted run to a few steps.
+# Edge values of the `cli.KEYS` domains a 1D run reads, at the fewest nodes
+# and a few more; t_end and dt keep every accepted run to a few steps.
 _PIN_VALUES = ["0", "1", "-1", "1e300", "-1e300"]
 _RUN_EDGES = {
+    "nodes": st.sampled_from(["3", "9"]),
     "t_end": st.sampled_from(["0", "5e-324", "1e-300", "0.004"]),
     "dt": st.sampled_from(["5e-324", "1e-300", "0.002", "1e300",
                            "intrinsic:safety=1e-9", "intrinsic:safety=0.5"]),
@@ -981,10 +1025,11 @@ _RUN_EDGES = {
 }
 
 
-# The same for a 2D run at 5 nodes per axis, with the keys only it reads:
+# The same for a 2D run at 3 or 5 nodes per axis, with the keys only it reads:
 # per-axis Dirichlet values, anisotropic weights, and beta at the edges of
 # its tanh and piecewise domains (the last table's slopes overflow).
 _RUN_EDGES_2D = {
+    "nodes": st.sampled_from(["3", "5"]),
     "t_end": st.sampled_from(["0", "1e-300", "0.004"]),
     "dt": st.sampled_from(["1e-300", "0.002", "intrinsic:safety=0.5"]),
     "extent": st.sampled_from(["1e-3", "1.0", "1e100"]),
@@ -1036,48 +1081,49 @@ class TestRunFuzz:
         assert [str(w.message) for w in caught] == []
 
     @given(**_RUN_EDGES)
-    @example(t_end="0.01", dt="5e-324", extent="1.0", p="2", initial="", boundary="zero-flux")
-    @example(t_end="0.01", dt="0.002", extent="1.0", p="2",
-             initial="initial = constant\ninitial_params = value=1e300", boundary="zero-flux")
-    @example(t_end="0.01", dt="0.002", extent="1.0", p="2", initial="",
-             boundary="dirichlet:left=1e300,right=0")
-    @example(t_end="0.01", dt="0.002", extent="1.0", p="8",
-             initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
-    @example(t_end="0.01", dt="intrinsic:safety=1e-9", extent="1.0", p="2", initial="",
+    @example(nodes="9", t_end="0.01", dt="5e-324", extent="1.0", p="2", initial="",
              boundary="zero-flux")
-    @example(t_end="5e-324", dt="0.002", extent="1.0", p="2", initial="",
+    @example(nodes="9", t_end="0.01", dt="0.002", extent="1.0", p="2",
+             initial="initial = constant\ninitial_params = value=1e300", boundary="zero-flux")
+    @example(nodes="9", t_end="0.01", dt="0.002", extent="1.0", p="2", initial="",
+             boundary="dirichlet:left=1e300,right=0")
+    @example(nodes="9", t_end="0.01", dt="0.002", extent="1.0", p="8",
+             initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
+    @example(nodes="9", t_end="0.01", dt="intrinsic:safety=1e-9", extent="1.0", p="2", initial="",
+             boundary="zero-flux")
+    @example(nodes="9", t_end="5e-324", dt="0.002", extent="1.0", p="2", initial="",
              boundary="dirichlet:left=1,right=-1")
-    @example(t_end="0.01", dt="0.002", extent="1.0", p="2",
+    @example(nodes="9", t_end="0.01", dt="0.002", extent="1.0", p="2",
              initial="initial = constant\ninitial_params = value=1e76", boundary="zero-flux")
-    @example(t_end="1e-300", dt="1e-300", extent="1e-3", p="2",
+    @example(nodes="9", t_end="1e-300", dt="1e-300", extent="1e-3", p="2",
              initial="initial = bump\ninitial_params = amplitude=1e60", boundary="zero-flux")
     # a trial step overflows on the way to an unconverged step (exit 3)
-    @example(t_end="0.01", dt="0.002", extent="1e-3", p="8",
+    @example(nodes="9", t_end="0.01", dt="0.002", extent="1e-3", p="8",
              initial="initial = bump\ninitial_params = amplitude=1e30", boundary="zero-flux")
     @settings(max_examples=30, deadline=None)
-    def test_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, p, initial,
-                                      boundary):
+    def test_run_ends_with_its_record(self, tmp_path_factory, nodes, t_end, dt, extent, p,
+                                      initial, boundary):
         self._run_ends_with_its_record(
             tmp_path_factory.mktemp("run-fuzz"),
-            f"[scenario]\ndim = 1\nnodes = 9\np = {p}\nt_end = {t_end}\ndt = {dt}\n"
+            f"[scenario]\ndim = 1\nnodes = {nodes}\np = {p}\nt_end = {t_end}\ndt = {dt}\n"
             f"extent = {extent}\nboundary = {boundary}\n{initial}\n")
 
     @given(**_RUN_EDGES_2D)
     # a trial step's dot product overflows on the way to exit 3
-    @example(t_end="0.004", dt="0.002", extent="1.0", p="8",
+    @example(nodes="5", t_end="0.004", dt="0.002", extent="1.0", p="8",
              initial="initial = bump\ninitial_params = amplitude=1e30",
              boundary="dirichlet:lo0=-1,hi0=-1,lo1=1,hi1=-1", field="anisotropic:1,1e-6",
              beta="piecewise:-1/-0.5,0/0,1/2")
     # a beta table whose slopes overflow is refused (exit 2) without a warning
-    @example(t_end="0.004", dt="0.002", extent="1.0", p="2",
+    @example(nodes="5", t_end="0.004", dt="0.002", extent="1.0", p="2",
              initial="initial = bump\ninitial_params = amplitude=1", boundary="zero-flux",
              field="p-laplacian", beta="piecewise:-1e300/-1,0/0,1e-300/1e300")
     @settings(max_examples=20, deadline=None)
-    def test_2d_run_ends_with_its_record(self, tmp_path_factory, t_end, dt, extent, p, initial,
-                                         boundary, field, beta):
+    def test_2d_run_ends_with_its_record(self, tmp_path_factory, nodes, t_end, dt, extent, p,
+                                         initial, boundary, field, beta):
         self._run_ends_with_its_record(
             tmp_path_factory.mktemp("run-fuzz-2d"),
-            f"[scenario]\ndim = 2\nnodes = 5\np = {p}\nt_end = {t_end}\ndt = {dt}\n"
+            f"[scenario]\ndim = 2\nnodes = {nodes}\np = {p}\nt_end = {t_end}\ndt = {dt}\n"
             f"extent = {extent}\nboundary = {boundary}\nfield = {field}\nbeta = {beta}\n"
             f"{initial}\n")
 
@@ -1190,6 +1236,18 @@ directory = {out}
             assert float(resolved["scenario"]["p"]) == p
             assert json.loads((out / sub / "summary.json").read_text())["all_pass"]
 
+
+    def test_resolution_sweep_over_2d_preset_aggregates(self, tmp_path):
+        text = ("[scenario]\npreset = stefan-2d-p2-twophase\nt_end = 0.005\n"
+                "[sweep]\naxis = resolution\nvalues = 9, 17\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(_write(tmp_path, text)), "--output", str(out)]) == 0
+        header, *rows = (out / "aggregated.csv").read_text().strip().split("\n")
+        assert [dict(zip(header.split(","), row.split(",")))["run"] for row in rows] == [
+            "'resolution-9'", "'resolution-17'"]
+        for sub, n in (("run_000_resolution-9", 9), ("run_001_resolution-17", 17)):
+            index = json.loads((out / sub / "snapshots" / "index.json").read_text())
+            assert index["shape"] == [n, n]
 
     def test_failed_run_contributes_no_verdicts(self, tmp_path):
         # two nodes per axis are too few: the sub-run exits 2

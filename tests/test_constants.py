@@ -41,7 +41,7 @@ class TestFixConstants:
                 assert led.M >= 2.0
 
     def test_prefactor_example(self):
-        led = fix_constants(n=3, p=2.0, Lambda=1.0, theta1=0.01, theta2=0.01)
+        led = fix_constants(n=3, p=2.0, Lambda=1.0, theta=0.01)
         assert led.alpha == pytest.approx(0.4)
         expected = (32.0 * 0.4 * LN32 / 0.01) ** 0.4
         assert led.L == pytest.approx(expected, rel=1e-13)
@@ -49,7 +49,7 @@ class TestFixConstants:
         assert led.L >= 2.0 * 2.0**0.4
 
     def test_prefactor_floor_gives_omega_headroom(self):
-        led = fix_constants(n=4, p=3.0, Lambda=2.5, theta1=0.9, theta2=0.9)
+        led = fix_constants(n=4, p=3.0, Lambda=2.5, theta=0.9)
         params = led.modulus_params(r0=1.0)
         assert omega(params, 1.0) >= 2.0 * led.Lambda - 1e-12
 
@@ -62,15 +62,11 @@ class TestFixConstants:
         assert led2.c3 == 7.0
         assert led2.provenance["c3"] == "configured"
 
-    def test_theta_is_min(self):
-        led = fix_constants(n=3, p=2.0, Lambda=1.0, theta1=0.3, theta2=0.07)
-        assert led.theta == pytest.approx(0.07)
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fix_constants(n=3, p=2.0, Lambda=1.0, c0=-1.0)
         with pytest.raises(ValueError):
-            fix_constants(n=3, p=2.0, Lambda=1.0, theta1=1.5)
+            fix_constants(n=3, p=2.0, Lambda=1.0, theta=1.5)
         with pytest.raises(ValueError):
             fix_constants(n=3, p=2.0, Lambda=0.5)
 
@@ -80,6 +76,7 @@ class TestFixConstants:
         assert led.provenance["M"] == "formula"
         assert led.provenance["L"] == "formula"
         assert led.provenance["c0"] == "configured"
+        assert led.provenance["theta"] == "configured"
 
 
 class TestDecayProfile:
@@ -123,7 +120,7 @@ class TestStartingRadius:
         assert starting_log_depth(pr, 1.0) == 0.0
 
     def test_underflowing_radius_keeps_log_form(self):
-        led = fix_constants(n=3, p=2.0, Lambda=1.0, theta1=0.01, theta2=0.01)
+        led = fix_constants(n=3, p=2.0, Lambda=1.0, theta=0.01)
         pr = led.modulus_params(r0=1.0)
         y = starting_log_depth(pr, 1.0)
         assert y > 750.0
@@ -137,7 +134,7 @@ class TestStartingRadius:
 
 
 def _grid_point(n=3, p=2.0, Lambda=1.0, theta=0.01):
-    led = fix_constants(n=n, p=p, Lambda=Lambda, theta1=theta, theta2=theta)
+    led = fix_constants(n=n, p=p, Lambda=Lambda, theta=theta)
     return led.modulus_params(r0=1.0), led
 
 

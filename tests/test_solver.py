@@ -32,30 +32,30 @@ from helpers import (ConstantInSpace, SpaceTimeBump, centered_weak_form_residual
 class TestGrid:
     def test_validation(self):
         # each error names the config key it belongs to
-        for extents, nodes, key in [
-            ((1.0,), (2,), "nodes"),
-            ((1.0, 2.0), (11, 11), "nodes"),   # non-uniform spacing
-            ((1.0, 1.0, 1.0), (5, 5, 5), "nodes"),
-            ((1.0,), (5, 5), "nodes"),
-            ((1.0, 1.0), (1001, 1001), "nodes"),   # more than MAX_NODES
-            ((1e-101,), (5,), "extent"),
-            ((1e101,), (5,), "extent"),
-            ((math.nan,), (5,), "extent"),
-            ((0.0,), (5,), "extent"),
+        for dim, nodes, extent, key in [
+            (1, 2, 1.0, "nodes"),
+            (3, 5, 1.0, "dim"),
+            (0, 5, 1.0, "dim"),
+            (2, 1001, 1.0, "nodes"),   # more than MAX_NODES
+            (1, 5, 1e-101, "extent"),
+            (1, 5, 1e101, "extent"),
+            (1, 5, math.nan, "extent"),
+            (1, 5, 0.0, "extent"),
         ]:
             with pytest.raises(solver.ScenarioValueError) as err:
-                Grid(extents=extents, nodes=nodes)
+                Grid(dim, nodes, extent)
             assert err.value.key == key
-        assert Grid(extents=(1e100, 1e100), nodes=(1000, 1000)).shape == (1000, 1000)
+        assert Grid(2, 1000, 1e100).shape == (1000, 1000)
+        assert Grid(1, 10**6).shape == (10**6,)
 
     def test_volumes_sum_to_domain(self):
-        g1 = Grid(extents=(2.0,), nodes=(41,))
+        g1 = Grid(1, 41, 2.0)
         assert np.sum(g1.volume_weights()) == pytest.approx(2.0, rel=1e-13)
-        g2 = Grid(extents=(1.0, 1.0), nodes=(17, 17))
+        g2 = Grid(2, 17)
         assert np.sum(g2.volume_weights()) == pytest.approx(1.0, rel=1e-13)
 
     def test_ball_mask_counts(self):
-        g = Grid(extents=(1.0,), nodes=(11,))
+        g = Grid(1, 11)
         sc = Scenario(grid=g, p=2.0, graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1))
         u = np.zeros(11)
         traj = Trajectory(scenario=sc, times=[0.0], temps=[u], enthalpies=[u])
@@ -83,8 +83,8 @@ class TestVectorField:
         assert np.all(np.sum(a_val * xi, axis=1) >= norm_xi**p / lam * (1 - 1e-12))
 
     def test_scenario_fills_and_checks_weights(self):
-        g1 = Grid(extents=(1.0,), nodes=(11,))
-        g2 = Grid(extents=(1.0, 1.0), nodes=(11, 11))
+        g1 = Grid(1, 11)
+        g2 = Grid(2, 11)
         graph = RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1)
         assert Scenario(grid=g1, p=3.0, graph=graph).field.weights == (1.0,)
         assert Scenario(grid=g2, p=3.0, graph=graph).field.weights == (1.0, 1.0)
@@ -97,7 +97,7 @@ class TestVectorField:
 
 def _nine_node_scenario(**changes) -> Scenario:
     """A 9-node 1D p = 2 scenario of five fixed steps, with `changes`."""
-    base = dict(grid=Grid(extents=(1.0,), nodes=(9,)), p=2.0,
+    base = dict(grid=Grid(1, 9), p=2.0,
                 graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.05), t_end=0.01,
                 dt=DtPolicy(value=0.002))
     return Scenario(**{**base, **changes})
@@ -111,7 +111,7 @@ class TestScenarioDomain:
         # E(u) overflows at the pinned node only
         (dict(boundary=Boundary("dirichlet", ((1e300, 0.0),))), "boundary"),
         (dict(boundary=Boundary("dirichlet", ((math.nan, 0.0),))), "boundary"),
-        (dict(grid=Grid(extents=(1.0, 1.0), nodes=(9, 9)),
+        (dict(grid=Grid(2, 9),
               boundary=Boundary("dirichlet", ((0.0, 0.0),))), "boundary"),
         # E(u) is finite, |du/h|^8 is not
         (dict(p=8.0, initial=InitialData.of("bump", amplitude=1e60)), "initial_params"),
@@ -126,7 +126,7 @@ class TestScenarioDomain:
         (dict(dt=DtPolicy(kind="intrinsic", safety=1e-9)), "dt"),
         (dict(dt=DtPolicy(value=5e-324)), "dt"),
         # h^8 underflows: the first intrinsic step is 0
-        (dict(grid=Grid(extents=(1e-60,), nodes=(9,)), p=8.0,
+        (dict(grid=Grid(1, 9, 1e-60), p=8.0,
               dt=DtPolicy(kind="intrinsic")), "dt"),
     ], ids=["huge-pin", "nan-pin", "pin-pairs", "steep-u", "huge-u", "ramp-axis",
             "bump-width-list", "ramp-nan", "unknown-initial", "tiny-safety", "tiny-dt",
@@ -157,7 +157,7 @@ class TestScenarioDomain:
 
     def test_intrinsic_step_beyond_the_floats_is_finite_or_inf(self):
         # (1e-12)^(2-p) overflows a float at p = 300: the step is taken in logs
-        grid = Grid(extents=(1.0,), nodes=(9,))
+        grid = Grid(1, 9)
         u = np.zeros(9)
         assert DtPolicy(kind="intrinsic").step(grid, 300.0, u, math.inf) == math.inf
         dt = DtPolicy(kind="intrinsic").step(grid, 300.0, u, 0.25)
@@ -186,13 +186,13 @@ class TestPLaplacianApply:
     """The face operator of the scheme: fluxes and their divergence."""
 
     def test_linear_gives_zero(self):
-        g = Grid(extents=(1.0,), nodes=(11,))
+        g = Grid(1, 11)
         x = g.axes()[0]
         div = divergence_per_volume(x, 3.0, g)
         assert np.max(np.abs(div[1:-1])) < 1e-13
 
     def test_p2_quadratic_exact(self):
-        g = Grid(extents=(1.0,), nodes=(11,))
+        g = Grid(1, 11)
         x = g.axes()[0]
         div = divergence_per_volume(x**2, 2.0, g)
         assert div[1:-1] == pytest.approx(np.full(9, 2.0), abs=1e-12)
@@ -200,7 +200,7 @@ class TestPLaplacianApply:
     def test_p4_refinement_order(self):
         errs = []
         for n in (21, 41, 81):
-            g = Grid(extents=(1.0,), nodes=(n,))
+            g = Grid(1, n)
             x = g.axes()[0]
             div = divergence_per_volume(x**2, 4.0, g)
             errs.append(np.max(np.abs(div[1:-1] - 24.0 * x[1:-1] ** 2)))
@@ -209,39 +209,39 @@ class TestPLaplacianApply:
         assert errs[2] < errs[1] < errs[0]
 
     def test_conservation_identity_zero_flux(self):
-        g = Grid(extents=(1.0,), nodes=(13,))
+        g = Grid(1, 13)
         rng = np.random.default_rng(0)
         u = rng.normal(size=13)
         div = divergence_per_volume(u, 3.0, g)
         assert abs(np.sum(div * g.volume_weights())) < 1e-12
 
     def test_conservation_identity_2d(self):
-        g = Grid(extents=(1.0, 1.0), nodes=(9, 9))
+        g = Grid(2, 9)
         rng = np.random.default_rng(1)
         u = rng.normal(size=(9, 9))
         div = divergence_per_volume(u, 2.5, g)
         assert abs(np.sum(div * g.volume_weights())) < 1e-12
 
     def test_2d_p2_quadratic(self):
-        g = Grid(extents=(1.0, 1.0), nodes=(9, 9))
+        g = Grid(2, 9)
         X, Y = g.meshgrid()
         div = divergence_per_volume(X**2 + Y**2, 2.0, g)
         assert div[2:-2, 2:-2] == pytest.approx(np.full((5, 5), 4.0), abs=1e-12)
 
     def test_shape_mismatch(self):
-        g = Grid(extents=(1.0,), nodes=(11,))
+        g = Grid(1, 11)
         with pytest.raises(ShapeMismatchError):
             divergence_per_volume(np.zeros(7), 2.0, g)
 
     @given(p=st.floats(2.0, 4.0),
-           nodes=st.one_of(st.tuples(st.integers(3, 30)),
-                           st.tuples(st.integers(3, 12), st.integers(3, 12))),
+           dim_nodes=st.one_of(st.tuples(st.just(1), st.integers(3, 30)),
+                               st.tuples(st.just(2), st.integers(3, 12))),
            weights=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_random_faces_conserve_and_energy_gradient(self, p, nodes, weights, seed):
-        h = 1.0 / 8
-        grid = Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes)
+    def test_random_faces_conserve_and_energy_gradient(self, p, dim_nodes, weights, seed):
+        (dim, nodes), h = dim_nodes, 1.0 / 8
+        grid = Grid(dim, nodes, (nodes - 1) * h)
         faces = solver._Faces(grid, p, weights[:grid.dim])
         u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=grid.shape)
         fluxes = faces.fluxes(faces.powers(u))
@@ -266,19 +266,20 @@ class TestStepGradientOracle:
     (`helpers.step_gradient`), bit for bit.  Both sides run on one host, so
     the comparison does not depend on it."""
 
-    @given(nodes=st.one_of(st.tuples(st.integers(3, 30)),
-                           st.tuples(st.integers(3, 12), st.integers(3, 12))),
+    @given(dim_nodes=st.one_of(st.tuples(st.just(1), st.integers(3, 30)),
+                               st.tuples(st.just(2), st.integers(3, 12))),
            p=st.one_of(st.sampled_from((2.0, 3.0, 4.0)), st.floats(2.0, 5.0)),
            weights=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
            dirichlet=st.booleans(), tanh_beta=st.booleans(),
            dt=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_gradient_is_the_plain_formula(self, nodes, p, weights, dirichlet, tanh_beta,
+    def test_gradient_is_the_plain_formula(self, dim_nodes, p, weights, dirichlet, tanh_beta,
                                            dt, seed):
-        h = 1.0 / 8
-        grid = Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes)
+        (dim, nodes), h = dim_nodes, 1.0 / 8
+        grid = Grid(dim, nodes, (nodes - 1) * h)
         beta = BetaMap("tanh", mu=0.4, tau=0.1) if tanh_beta else BetaMap()
-        boundary = (Boundary("dirichlet", ((-0.3, 0.2),) * grid.dim) if dirichlet
+        # unequal per axis, like the weights, so that an axis mix-up shows
+        boundary = (Boundary("dirichlet", ((-0.3, 0.2), (0.25, -0.15))[:dim]) if dirichlet
                     else Boundary())
         sc = Scenario(grid=grid, p=p, field=VectorField(tuple(weights[:grid.dim])),
                       graph=RegularizedGraph(a=0.05, latent_heat=0.8, eps=0.1, beta=beta),
@@ -492,7 +493,7 @@ class TestRunSimulation:
         assert run_simulation(sc).trajectory_hash() == traj.trajectory_hash()
 
     @given(p=st.floats(2.0, 4.0),
-           nodes=st.tuples(st.integers(9, 15), st.integers(9, 15)),
+           nodes=st.integers(9, 15),
            base=st.floats(-0.3, 0.3),
            modes=st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 3)),
                           min_size=1, max_size=3),
@@ -502,7 +503,7 @@ class TestRunSimulation:
         h = 1.0 / 14
         amps, freqs = zip(*modes)
         sc = Scenario(
-            grid=Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes),
+            grid=Grid(2, nodes, (nodes - 1) * h),
             p=p,
             graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1, beta=beta),
             field=VectorField(weights),
@@ -539,7 +540,7 @@ class TestRunSimulation:
                                  periods=4.0, tilt=0.0), beta=BetaMap(), boundary=Boundary())
     def test_random_1d_scenarios(self, p, nodes, latent_heat, eps, data, beta, boundary):
         sc = Scenario(
-            grid=Grid(extents=(1.0,), nodes=(nodes,)),
+            grid=Grid(1, nodes),
             p=p,
             graph=RegularizedGraph(a=0.0, latent_heat=latent_heat, eps=eps, beta=beta),
             initial=data,
@@ -559,12 +560,12 @@ class TestRunSimulation:
     def test_random_comparison(self, dim, p, base, modes, beta, weights, boundary, gap):
         # Initial and Dirichlet data raised by a gap keep the solution above.
         amps, freqs = zip(*modes)
-        nodes = (21,) if dim == 1 else (11, 11)
+        nodes = 21 if dim == 1 else 11
 
         def solve(shift):
             dirichlet = tuple((lo + shift, hi + shift) for lo, hi in boundary.values[:dim])
             return run_simulation(Scenario(
-                grid=Grid(extents=(1.0,) * dim, nodes=nodes), p=p,
+                grid=Grid(dim, nodes), p=p,
                 graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1, beta=beta),
                 field=VectorField(weights[:dim]),
                 initial=InitialData.of("fourier", base=base + shift, amps=amps, freqs=freqs),
@@ -978,7 +979,7 @@ class TestLineSearch:
 def step_cases(draw):
     """A small random 1D or 2D scenario, zero-flux or Dirichlet, and a step."""
     dim = draw(st.sampled_from([1, 2]))
-    nodes = tuple(draw(st.integers(5, 31 if dim == 1 else 11)) for _ in range(dim))
+    nodes = draw(st.integers(5, 31 if dim == 1 else 11))
     h = 1.0 / 10
     boundary = Boundary()
     if draw(st.booleans()):
@@ -987,7 +988,7 @@ def step_cases(draw):
     modes = draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.integers(1, 3)),
                           min_size=1, max_size=3))
     sc = Scenario(
-        grid=Grid(extents=tuple((n - 1) * h for n in nodes), nodes=nodes),
+        grid=Grid(dim, nodes, (nodes - 1) * h),
         p=draw(st.floats(2.0, 4.0)),
         graph=RegularizedGraph(a=0.0, latent_heat=draw(st.floats(0.1, 1.0)),
                                eps=draw(st.floats(0.02, 0.2))),
@@ -1104,7 +1105,7 @@ def _small_scenario(dim, boundary, beta, p, store_every=1, t_end=4.5e-3):
              "tanh": BetaMap(kind="tanh", mu=0.5, tau=0.2)}
     nodes = 21 if dim == 1 else 9
     values = ((0.3, -0.2), (0.1, -0.1))[:dim]
-    return Scenario(grid=Grid(extents=(1.0,) * dim, nodes=(nodes,) * dim), p=p,
+    return Scenario(grid=Grid(dim, nodes), p=p,
                     graph=RegularizedGraph(a=0.0, latent_heat=1.0, eps=0.1, beta=betas[beta]),
                     initial=InitialData.of("two-phase-sine", amplitude=0.5, tilt=0.1),
                     boundary=Boundary("dirichlet", values) if boundary == "dirichlet"

@@ -11,7 +11,7 @@ import pytest
 from stefanlab import presets, solver, studies, verify
 from stefanlab.constants import fix_constants
 from stefanlab.graphs import RegularizedGraph
-from stefanlab.geometry import IntrinsicCylinder, cylinder, omega
+from stefanlab.geometry import EmptyCylinderError, IntrinsicCylinder, cylinder, omega
 from stefanlab.solver import InitialData, Trajectory, run_simulation
 
 from helpers import (SpaceTimeBump, centered_weak_form_residual, forwarded_level_fraction,
@@ -177,7 +177,7 @@ def per_pair_weak_residual(traj, fields, phi_fn):
             d = np.diff(fields[j], axis=ax) / h
             cell = np.abs(d) ** (p - 2.0) * d * (np.diff(phis[j], axis=ax) / h) * h
             if grid.dim == 2:
-                area = np.full(grid.nodes[1 - ax], h)
+                area = np.full(grid.nodes, h)
                 area[0] = area[-1] = 0.5 * h
                 cell = cell * (area[None, :] if ax == 0 else area[:, None])
             term += float(np.sum(cell))
@@ -605,6 +605,16 @@ class TestModulusAcceptance:
             traj, studies.check_site(traj, params, ledger, (0.5,)))
         assert entry["c_star"] == profile.c_star
 
+    def test_short_ladder_names_the_rung_that_stopped_it(self):
+        # t_end 0.02 shrinks r0 to about 0.1, so the second rung's ball holds
+        # one node (`stefanlab run` reports this as no verdict)
+        sc = presets.constant_preset()
+        traj = run_simulation(sc)
+        params = studies.measurement_params(studies.default_ledger(sc), r0=0.25)
+        with pytest.raises(EmptyCylinderError, match=r"ladder rungs; rung 1 \(r = 0\.0499\d\): "
+                                                     r"cylinder holds 1 nodes"):
+            verify.modulus_acceptance(traj, params, ((0.5,), traj.times[-1]))
+
 
 class TestEpsilonStudy:
     def test_single_eps_degenerate(self):
@@ -645,7 +655,7 @@ class TestResolutionLadders:
                                 ("2d-p3", (29, 57, 113), (5e-4, 2.5e-4, 1.25e-4))):
             for level in range(3):
                 sc = studies.headline_case(name, level)
-                assert sc.grid.nodes == (nodes[level],) * sc.grid.dim
+                assert sc.grid.shape == (nodes[level],) * sc.grid.dim
                 assert sc.dt.value == dt[level]
         assert studies.headline_case("1d-p3", 1).t_end == 0.22
         with pytest.raises(ValueError):
@@ -654,5 +664,5 @@ class TestResolutionLadders:
     def test_family_levels(self):
         coarse, fine = studies.inequality_family(0), studies.inequality_family(1)
         assert [c.label for c in coarse] == [c.label for c in fine]
-        assert {(c.scenario.grid.nodes, c.scenario.dt.value) for c in coarse} == {((61,), 2.5e-4)}
-        assert {(c.scenario.grid.nodes, c.scenario.dt.value) for c in fine} == {((121,), 1.25e-4)}
+        assert {(c.scenario.grid.shape, c.scenario.dt.value) for c in coarse} == {((61,), 2.5e-4)}
+        assert {(c.scenario.grid.shape, c.scenario.dt.value) for c in fine} == {((121,), 1.25e-4)}
