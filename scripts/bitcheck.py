@@ -9,7 +9,10 @@ scenario; the `artifact_hashes` and the `summary.json` check entries of
 run` with every check on the `bump-1d-p3` preset, where the weak Harnack
 and decay checks measure a constant (the cli-run INI runs neither); and
 those of a short 2D `stefanlab run` (`stefan-2d-p2-twophase`), whose
-resolved config and snapshot index are the only 2D ones in the dump.
+resolved config and snapshot index are the only 2D ones in the dump; and
+those of a short `stefanlab run` with every check on
+`stefan-1d-p3-twophase`, where the weak Harnack and decay checks cannot
+measure and give no verdict, each with its note.
 Floats are written with repr and keys sorted, so equal files mean equal
 bits.  Run it in two checkouts and compare the files:
 
@@ -20,8 +23,8 @@ With `--against OLD.json` the script, after writing its dump, exits 1 and
 prints every key path at which the dump differs from OLD.json, one a line
 in sorted key order, and exits 0 when the two files are byte-identical.
 
-`--size tiny` cuts every run but the every-check and 2D ones, which take
-under a second, to a few steps (c* then needs a longer horizon than it has
+`--size tiny` cuts every run but the every-check, 2D and no-verdict
+ones, which take under a second, to a few steps (c* then needs a longer horizon than it has
 and is left out); it takes a few seconds.
 """
 import argparse
@@ -62,6 +65,14 @@ t_end = 0.05
 
 [checks]
 run = conservation, weakform, modulus
+"""
+NO_VERDICT_INI = f"""\
+[scenario]
+preset = stefan-1d-p3-twophase
+t_end = 0.02
+
+[checks]
+run = {", ".join(studies.CHECKS)}
 """
 
 
@@ -169,6 +180,7 @@ def main(argv=None) -> int:
             CLI_INI.format(seed=1, extra="" if args.size == "full" else "t_end = 0.02\n")),
         "every-check": cli_run_record(EVERY_CHECK_INI),
         "two-d": cli_run_record(TWO_D_INI),
+        "no-verdict": cli_run_record(NO_VERDICT_INI),
     }
     text = _dump(record)
     Path(args.out).write_text(text)

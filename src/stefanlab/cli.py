@@ -31,7 +31,7 @@ import numpy as np
 from . import presets, studies
 from .graphs import BetaMap, GraphValueError, RegularizedGraph
 from .constants import ConstantsLedger
-from .geometry import ModulusParams
+from .geometry import ModulusParams, NotMeasurable
 from .solver import (Boundary, DtPolicy, Grid, InitialData, Scenario, ScenarioValueError,
                      SolverError, Trajectory, VectorField, run_simulation)
 
@@ -474,7 +474,9 @@ def _run_checks(cfg: RunConfig, traj: Trajectory) -> tuple[dict, list[dict], dic
         check = studies.CHECKS[name]
         try:
             entry, rep = check.run(traj, site)
-        except ValueError as err:  # a check that cannot be made here is a failed verdict
+        except NotMeasurable as err:  # the run or the site lacks what the check needs
+            entry, rep = {"gate": False, "degenerate": True, "note": str(err)}, None
+        except ValueError as err:  # any other refusal is a failed verdict
             entry, rep = {"pass": False, "error": f"{type(err).__name__}: {err}"}, None
         if rep is not None:
             reports.append({**asdict(rep), **run_id})

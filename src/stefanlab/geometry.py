@@ -15,8 +15,9 @@ import numpy as np
 from .solver import Trajectory
 
 
-class EmptyCylinderError(ValueError):
-    """Cylinder holds too few grid samples to measure anything."""
+class NotMeasurable(ValueError):
+    """The run or the site does not give a check what it needs (a hypothesis
+    of its estimate, a cylinder with samples): no verdict, not a failure."""
 
 
 def alpha_kappa_of(n: int, p: float, alpha_choice_if_p_eq_n: float | None = None):
@@ -146,13 +147,13 @@ def cylinder(params: ModulusParams, center: tuple[Sequence[float], float], r: fl
 def cylinder_samples(trajectory: Trajectory,
                      cyl: IntrinsicCylinder) -> tuple[np.ndarray, np.ndarray]:
     """The grid nodes (a mask) and stored times (indices) in the cylinder:
-    closed ball, inclusive time slab.  Raises EmptyCylinderError unless it
+    closed ball, inclusive time slab.  Raises NotMeasurable unless it
     holds at least 2 of each."""
     mask = trajectory.ball_mask(cyl.center_space, cyl.ball_radius)
     t_idx = trajectory.time_indices(*cyl.time_window)
     n_nodes = int(np.count_nonzero(mask))
     if n_nodes < 2 or t_idx.size < 2:
-        raise EmptyCylinderError(
+        raise NotMeasurable(
             f"cylinder holds {n_nodes} nodes x {t_idx.size} times; need >= 2 of each"
         )
     return mask, t_idx

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import presets, verify
 from .constants import ConstantsLedger, fix_constants
-from .geometry import EmptyCylinderError, ModulusParams, cylinder, cylinder_samples
+from .geometry import ModulusParams, NotMeasurable, cylinder, cylinder_samples
 from .graphs import RegularizedGraph
 from .solver import (DtPolicy, Grid, InitialData, Scenario, SpaceTimeBump, Trajectory,
                      conservation_defect, run_simulation, weak_form_residual)
@@ -86,10 +86,8 @@ def _truncation_level(traj: Trajectory) -> float:
 
 
 def _entry(rep: InequalityReport, *fields: str) -> tuple[dict, InequalityReport]:
-    """The summary entry of a report: a verdict, or a diagnostic when the
-    report has none (`passed` is None: the estimate bounds nothing)."""
-    verdict = {"pass": bool(rep.passed)} if rep.passed is not None else {"gate": False}
-    return {**verdict, **{f: getattr(rep, f) for f in fields}}, rep
+    """The summary entry of a report: its verdict and `fields`."""
+    return {"pass": bool(rep.passed), **{f: getattr(rep, f) for f in fields}}, rep
 
 
 def _conservation(traj: Trajectory, site: CheckSite):
@@ -113,18 +111,19 @@ def _weakform(traj: Trajectory, site: CheckSite):
     the unit roundoff), so the bound adds (2M + 1) u scale.  The rounding
     inside each term and in r_m is of the size u times their summands, the
     level at which Newton stops and rho_m is measured.  With steps left
-    unstored R also holds their consistency defect, and a run of no step
-    (t_end = 0) has no time interval to test: no verdict."""
+    unstored R also holds their consistency defect: a diagnostic, no
+    verdict.  NotMeasurable when the run has no time interval (t_end = 0)
+    or the bump is nonzero on a Dirichlet node."""
     times, diags = traj.times, traj.diagnostics
     if len(times) < 2:
-        return {"gate": False, "note": "no time interval"}, None
+        raise NotMeasurable("no time interval")
     bump = SpaceTimeBump(center=site.center, width=0.8 * site.params.r0,
                          t_center=0.5 * times[-1], t_width=0.6 * times[-1])
     space = bump.value(traj.grid.meshgrid(), bump.t_center)   # S: T(t_center) = 1
     ramp = np.abs(bump._time_part(np.asarray(times[1:])))   # |T(t_m)|, m >= 1
     vol, _, pins, _ = traj.scenario._cells
     if pins is not None and np.any(space[pins]) and np.any(ramp):
-        raise ValueError("test function must vanish at the Dirichlet nodes")
+        raise NotMeasurable("test function must vanish at the Dirichlet nodes")
     space_mass = float(np.sum(np.abs(space) * vol))
     [[(res, scale)]] = weak_form_residual(traj, traj.enthalpies, traj.temps,
                                           [lambda f: f], [bump.value])
@@ -141,9 +140,12 @@ def _caccioppoli(traj: Trajectory, site: CheckSite):
 
     The estimate holds on any space-time cylinder, so a cylinder deeper than
     0.8 of the computed horizon is clamped to that depth rather than given a
-    re-derived radius."""
+    re-derived radius.  A run of no step has no depth to clamp to."""
+    horizon = traj.times[-1] - traj.times[0]
+    if horizon <= 0.0:
+        raise NotMeasurable("no time interval")
     cyl = cylinder(site.params, (site.center, traj.times[-1]), site.params.r0, "full")
-    cyl = replace(cyl, depth=min(cyl.depth, 0.8 * (traj.times[-1] - traj.times[0])))
+    cyl = replace(cyl, depth=min(cyl.depth, 0.8 * horizon))
     mask, t_idx = cylinder_samples(traj, cyl)
     ws = np.concatenate([traj.w_fields[m][mask] for m in t_idx])
     return _entry(verify.caccioppoli_check(traj, float(np.quantile(ws, 0.3)), cyl),
@@ -177,11 +179,8 @@ def _classifier(traj: Trajectory, site: CheckSite):
 
 def _modulus(traj: Trajectory, site: CheckSite):
     # "profile": the measured ladder, which `stefanlab run` writes out
-    try:
-        profile = verify.modulus_acceptance(traj, site.params, (site.center, traj.times[-1]),
-                                            max_rungs=site.ladder_depth)
-    except EmptyCylinderError as err:  # a horizon or grid too short for two rungs
-        return {"gate": False, "degenerate": True, "note": str(err)}, None
+    profile = verify.modulus_acceptance(traj, site.params, (site.center, traj.times[-1]),
+                                        max_rungs=site.ladder_depth)
     return {"pass": math.isfinite(profile.c_star), "c_star": profile.c_star,
             "alpha_hat": profile.alpha_hat, "profile": profile}, None
 
@@ -216,8 +215,8 @@ def _solver(traj: Trajectory, site: CheckSite):
 
 class Check(NamedTuple):
     label: str
-    # (trajectory, site) -> (summary entry, report or None); an entry with
-    # "gate": False has no "pass" and is no verdict
+    # (trajectory, site) -> (summary entry, report or None), or NotMeasurable;
+    # an entry with "gate": False has no "pass" and is no verdict
     run: Callable[[Trajectory, CheckSite], tuple[dict, InequalityReport | None]]
 
 
@@ -282,7 +281,8 @@ def inequality_family(level: int = 0) -> list[FamilyCase]:
 
 def run_family_checks(case: FamilyCase) -> dict:
     """Solve one family case and run the energy and truncation checks, and
-    the weak Harnack and decay checks where `case.run_harnack` is set."""
+    the weak Harnack and decay checks where `case.run_harnack` is set; a
+    check that cannot measure has no entry."""
     sc = case.scenario
     traj = run_simulation(sc)
     ledger = default_ledger(sc)
@@ -291,9 +291,10 @@ def run_family_checks(case: FamilyCase) -> dict:
     out: dict = {"label": case.label, "resolution": traj.resolution_label()}
     harnack = ("weak-harnack", "decay") if case.run_harnack else ()
     for name in ("caccioppoli", "truncation", *harnack):
-        rep = CHECKS[name].run(traj, site)[1]
-        if rep is not None:
-            out[name] = rep
+        try:
+            out[name] = CHECKS[name].run(traj, site)[1]
+        except NotMeasurable:
+            pass
     return out
 
 

@@ -8,7 +8,9 @@ stable (within a factor of two) under grid refinement.  All checks are pure
 reads of solved trajectories and reproduce bit-for-bit for a fixed
 scenario.  The weak Harnack, decay and classifier checks take the site
 they measure (centre, radius, start time and constants) and work out every
-level, cylinder and window they read from the trajectory.  The modulus
+level, cylinder and window they read from the trajectory.  A check whose
+hypotheses the run or the site does not meet (p > 2 for the waiting-time
+estimate, samples in every cylinder) raises NotMeasurable.  The modulus
 ladder is dyadic, r_i = r0 2^{-i}: radii stepped down by 32, as in the
 proof, leave a computed run within two rungs.
 """
@@ -21,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .constants import decay_profile
-from .geometry import (EmptyCylinderError, IntrinsicCylinder, ModulusParams,
-                       OscillationProfile, cylinder, cylinder_depth, cylinder_samples, extrema,
-                       fit_modulus, kappa_ratio, omega, oscillation)
+from .geometry import (IntrinsicCylinder, ModulusParams, NotMeasurable, OscillationProfile,
+                       cylinder, cylinder_depth, cylinder_samples, extrema, fit_modulus,
+                       kappa_ratio, omega, oscillation)
 from .graphs import enthalpy_jump_primitive
 from .solver import (SpaceTimeBump, Trajectory, _row_sums, _time_blocks, _time_column,
                      weak_form_residual)
@@ -31,8 +33,9 @@ from .solver import (SpaceTimeBump, Trajectory, _row_sums, _time_blocks, _time_c
 
 @dataclass
 class InequalityReport:
-    """One measured estimate: both sides, the implied constant, and margin;
-    `passed` is None when the estimate bounds nothing (no verdict)."""
+    """One measured estimate: both sides, the implied constant, margin and
+    verdict.  A check with nothing to measure raises NotMeasurable instead
+    of making a report."""
 
     name: str
     lhs: float
@@ -40,7 +43,7 @@ class InequalityReport:
     implied_constant: float | None
     margin: float | None
     degenerate: bool
-    passed: bool | None
+    passed: bool
     details: dict = field(default_factory=dict)
 
 
@@ -303,20 +306,21 @@ def weak_harnack_check(
     With tau = min{T - t1, c1 R0^p avg^{2-p}} the estimate reads
     avg <= (1/2)(c1 R0^p / (T - t1))^{1/(p-2)} + c2 inf over
     B_{2R0} x (t1 + tau/2, t1 + tau); the report carries the smallest
-    admissible c2.  Only meaningful for p > 2.
+    admissible c2.  NotMeasurable unless p > 2, the 4 R0 ball fits the grid,
+    t1 < T, v >= 0 has a positive average and the window ends by T.
     """
     p = trajectory.p
     if p <= 2.0:
-        raise ValueError("waiting-time estimate needs p > 2")
+        raise NotMeasurable("waiting-time estimate needs p > 2")
     extent = trajectory.grid.extent
     if any(c - 4.0 * R0 < -1e-12 or c + 4.0 * R0 > extent + 1e-12 for c in x0):
-        raise ValueError("ball of radius 4*R0 must fit inside the grid")
+        raise NotMeasurable("ball of radius 4*R0 must fit inside the grid")
     T = trajectory.times[-1]
     if not trajectory.times[0] <= t1 < T:
-        raise ValueError("need t1 before the last stored time")
+        raise NotMeasurable("need t1 before the last stored time")
     _below_band(trajectory, k_truncation)
     if min(min(float(w.min()) for w in trajectory.w_fields), k_truncation) < -1e-12:
-        raise ValueError("supersolution must be nonnegative")
+        raise NotMeasurable("supersolution must be nonnegative")
 
     vol = trajectory.scenario._cells[0]
     m1 = trajectory.nearest_time_index(t1)
@@ -325,11 +329,7 @@ def weak_harnack_check(
     avg = float(np.sum((v1 * vol)[mask_avg]) / np.sum(vol[mask_avg]))
 
     if avg <= 0.0:
-        return InequalityReport(
-            name="weak-harnack", lhs=avg, rhs_core=0.0, implied_constant=None,
-            margin=None, degenerate=True, passed=None,
-            details={"note": "zero average: the estimate bounds nothing"},
-        )
+        raise NotMeasurable("zero average: the estimate bounds nothing")
 
     tau = min(T - t1, c1 * R0**p * avg ** (2.0 - p))
     first_term = 0.5 * (c1 * R0**p / (T - t1)) ** (1.0 / (p - 2.0))
@@ -337,7 +337,7 @@ def weak_harnack_check(
     t_hi = trajectory.times[m1] + tau
     window = trajectory.time_indices(t_lo, t_hi)
     if window.size == 0 or t_hi > T + 1e-12:
-        raise ValueError("waiting-time window exceeds the stored horizon")
+        raise NotMeasurable("waiting-time window exceeds the stored horizon")
     mask_inf = trajectory.ball_mask(x0, 2.0 * R0)
     inf_q = min(_ball_infimum(trajectory, m, mask_inf, k_truncation) for m in window)
 
@@ -375,7 +375,7 @@ def decay_of_positivity_check(
     nearest t0, the infimum at every later stored time must stay above the
     decay profile.  Reports the smallest c3 validating the whole window and
     compares it with the given `c3` (the ledger's).  No positive starting
-    level: no verdict.
+    level or no later stored time: NotMeasurable.
     """
     _below_band(trajectory, k_truncation)
     mask = trajectory.ball_mask(x0, 2.0 * R0)
@@ -383,19 +383,10 @@ def decay_of_positivity_check(
     inf0 = _ball_infimum(trajectory, m0, mask, k_truncation)
     k = inf0 * (1.0 - 1e-12)
     if k <= 0.0:
-        return InequalityReport(
-            name="decay-of-positivity", lhs=inf0, rhs_core=0.0,
-            implied_constant=None, margin=None, degenerate=True, passed=None,
-            details={"note": "no positive starting level"},
-        )
-
+        raise NotMeasurable("no positive starting level")
     t_list = np.arange(m0 + 1, len(trajectory.times))
     if t_list.size == 0:
-        return InequalityReport(
-            name="decay-of-positivity", lhs=inf0, rhs_core=k,
-            implied_constant=None, margin=None, degenerate=True, passed=True,
-            details={"note": "window holds no later samples"},
-        )
+        raise NotMeasurable("window holds no later samples")
     infs = np.array([_ball_infimum(trajectory, m, mask, k_truncation) for m in t_list])
     times = np.asarray(trajectory.times)[t_list]
 
@@ -495,11 +486,12 @@ def modulus_acceptance(
     That constant's refinement stability is judged across runs
     (`studies.run_headline_case`); a single run passes whenever c_star is
     finite.  The ladder stops at `max_rungs` rungs or at the first cylinder
-    too small to measure; with fewer than two rungs an EmptyCylinderError
-    names the rung that stopped it.  Where the outermost cylinder is deeper
-    than the stored times behind t0, r0 shrinks until it fits: omega(r0) =
-    L p^{-alpha} does not depend on r0, so that depth scales exactly like
-    r0^p and the fit is closed-form.
+    too small to measure.  Where the outermost cylinder is deeper than the
+    stored times behind t0, r0 shrinks until it fits: omega(r0) = L
+    p^{-alpha} does not depend on r0, so that depth scales exactly like r0^p
+    and the fit is closed-form.  NotMeasurable when no stored time lies
+    behind t0, when the outermost cylinder leaves the domain, or with fewer
+    than two rungs (naming the rung that stopped the ladder).
     """
     space, t0 = center
 
@@ -507,12 +499,14 @@ def modulus_acceptance(
               - min(float(u.min()) for u in trajectory.temps), 1.0)
 
     depth0 = cylinder_depth(params, params.r0, "full", lam)
-    horizon = max(t0 - trajectory.times[0], 0.0)
+    horizon = t0 - trajectory.times[0]
+    if horizon <= 0.0:
+        raise NotMeasurable("no stored time before t0")
     if depth0 > horizon:
         params = replace(params, r0=params.r0 * (0.999 * horizon / depth0) ** (1.0 / params.p))
     if any(c - params.r0 < -1e-9 or c + params.r0 > trajectory.grid.extent + 1e-9
            for c in np.atleast_1d(space)):
-        raise ValueError("outermost cylinder must fit inside the domain")
+        raise NotMeasurable("outermost cylinder must fit inside the domain")
 
     radii, depths, oscs, omegas, ratios = [], [], [], [], []
     i, stop = 0, ""
@@ -533,7 +527,7 @@ def modulus_acceptance(
         i += 1
 
     if len(radii) < 2:
-        raise EmptyCylinderError(f"fewer than two resolvable ladder rungs{stop}")
+        raise NotMeasurable(f"fewer than two resolvable ladder rungs{stop}")
 
     alpha_hat = c_hat = residual = None
     flags: tuple[str, ...] = ()

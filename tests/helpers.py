@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from stefanlab.geometry import (EmptyCylinderError, ModulusParams, cylinder, cylinder_samples,
+from stefanlab.geometry import (ModulusParams, NotMeasurable, cylinder, cylinder_samples,
                                extrema, omega)
 from stefanlab.graphs import BetaMap, RegularizedGraph
 from stefanlab import solver
@@ -264,7 +264,7 @@ def forwarded_level_fraction(
     mask = trajectory.ball_mask(space, r / 16.0)
     t_idx = trajectory.time_indices(t_bar, full.time_window[1])
     if int(mask.sum()) < 1 or t_idx.size < 1:
-        raise EmptyCylinderError("forwarded slab too small")
+        raise NotMeasurable("forwarded slab too small")
     total = int(mask.sum()) * t_idx.size
     above = sum(int(np.count_nonzero(w_all[m][mask] - w_lo >= level)) for m in t_idx)
     return {"fraction": above / total, "level": level, "oscillation": osc,

@@ -36,7 +36,8 @@ def test_tiny_dump(tmp_path):
         assert re.fullmatch(r"[0-9a-f]{16}", res["scenario_hash"])
     for run, ini in (("cli-run", bitcheck.CLI_INI.format(seed=1, extra="")),
                      ("every-check", bitcheck.EVERY_CHECK_INI),
-                     ("two-d", bitcheck.TWO_D_INI)):
+                     ("two-d", bitcheck.TWO_D_INI),
+                     ("no-verdict", bitcheck.NO_VERDICT_INI)):
         assert record[run]["exit_code"] == 0 and record[run]["artifact_hashes"]
         # the verdict entries, which no artifact hash covers
         assert set(record[run]["checks"]) == _requested_checks(ini)
@@ -45,6 +46,12 @@ def test_tiny_dump(tmp_path):
     assert {"resolved_config.ini", "snapshots/index.json"} <= set(
         record["two-d"]["artifact_hashes"])
     assert record["two-d"]["checks"]["modulus"]["pass"] is True
+    # the no-verdict run's weak Harnack and decay checks cannot measure, and
+    # say why
+    notes = {name: entry.get("note") for name, entry in record["no-verdict"]["checks"].items()
+             if entry.get("degenerate") and "pass" not in entry}
+    assert notes == {"weak-harnack": "supersolution must be nonnegative",
+                     "decay": "no positive starting level"}
 
 
 def test_against_an_earlier_dump(tmp_path):

@@ -451,27 +451,85 @@ directory = {out}
         assert entry["gate"] is False and "pass" not in entry and entry["degenerate"] is True
         assert summary["checks"]["conservation"]["pass"] and summary["all_pass"]
 
-    def test_check_outside_its_hypotheses_is_a_failed_verdict(self, tmp_path):
+    def test_check_outside_its_hypotheses_is_no_verdict(self, tmp_path):
         text = "[scenario]\npreset = constant\n[checks]\nrun = weak-harnack, conservation\n"
         out = tmp_path / "out"
-        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 1
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         entry = summary["checks"]["weak-harnack"]
-        assert entry == {"pass": False, "label": studies.CHECKS["weak-harnack"].label,
-                         "error": "ValueError: waiting-time estimate needs p > 2"}
-        assert summary["checks"]["conservation"]["pass"] and not summary["all_pass"]
+        assert entry == {"gate": False, "degenerate": True,
+                         "label": studies.CHECKS["weak-harnack"].label,
+                         "note": "waiting-time estimate needs p > 2"}
+        assert summary["checks"]["conservation"]["pass"] and summary["all_pass"]
+        # no report, so no record
+        assert (out / "checks.jsonl").read_text() == ""
 
-    def test_weakform_bump_on_the_dirichlet_nodes_is_a_failed_verdict(self, tmp_path):
+    def test_weakform_bump_on_the_dirichlet_nodes_is_no_verdict(self, tmp_path):
         # A bump of width 0.8 r0 = 0.56 about 0.5 reaches both pinned ends.
         text = ("[scenario]\npreset = stefan-1d-p2-onephase\nnodes = 41\nt_end = 0.01\n"
                 "[modulus]\nr0 = 0.7\n[checks]\nrun = weakform\n")
         out = tmp_path / "out"
-        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 1
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["weakform"] == {
-            "pass": False, "label": studies.CHECKS["weakform"].label,
-            "error": "ValueError: test function must vanish at the Dirichlet nodes"}
-        assert summary["all_pass"] is False
+            "gate": False, "degenerate": True, "label": studies.CHECKS["weakform"].label,
+            "note": "test function must vanish at the Dirichlet nodes"}
+        assert summary["all_pass"] is True
+
+    def test_any_other_refusal_is_a_failed_verdict(self, tmp_path, monkeypatch):
+        # No check raises a plain ValueError on a valid run; should one do so,
+        # the run fails rather than passing silently.
+        def refuse(traj, site):
+            raise ValueError("refused")
+        monkeypatch.setitem(studies.CHECKS, "conservation",
+                            studies.Check(studies.CHECKS["conservation"].label, refuse))
+        text = "[scenario]\npreset = constant\n[checks]\nrun = conservation, solver\n"
+        out = tmp_path / "out"
+        assert cli.main(["run", str(_write(tmp_path, text)), "--output", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["checks"]["conservation"] == {
+            "pass": False, "label": studies.CHECKS["conservation"].label,
+            "error": "ValueError: refused"}
+        assert summary["checks"]["solver"]["pass"] and summary["all_pass"] is False
+
+    @pytest.mark.parametrize("preset", sorted(presets.PRESETS))
+    def test_every_check_on_a_preset_passes_or_gives_no_verdict(self, tmp_path, preset):
+        out = tmp_path / "out"
+        path = _write(tmp_path, f"[scenario]\npreset = {preset}\n" + _ALL_CHECKS)
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        for entry in json.loads((out / "summary.json").read_text())["checks"].values():
+            assert "error" not in entry
+            if "note" in entry:
+                assert entry["gate"] is False and entry["degenerate"] is True
+
+    @pytest.mark.parametrize("scenario, notes", [
+        ("preset = bump-1d-p3\nt_end = 0\n", {
+            "weakform": "no time interval", "caccioppoli": "no time interval",
+            "weak-harnack": "need t1 before the last stored time",
+            "decay": "window holds no later samples",
+            "classifier": "cylinder holds 31 nodes x 1 times; need >= 2 of each",
+            "modulus": "no stored time before t0"}),
+        ("preset = bump-1d-p3\nt_end = 2.5e-4\n", {
+            "caccioppoli": "cylinder holds 31 nodes x 1 times; need >= 2 of each",
+            "weak-harnack": "need t1 before the last stored time",
+            "decay": "window holds no later samples",
+            "modulus": "fewer than two resolvable ladder rungs; rung 0 (r = 0.04998): "
+                       "cylinder holds 5 nodes x 1 times; need >= 2 of each"}),
+        ("preset = bump-1d-p3\n[modulus]\ncenter = 0.05\n", {
+            "weak-harnack": "ball of radius 4*R0 must fit inside the grid",
+            "modulus": "outermost cylinder must fit inside the domain"}),
+        ("preset = stefan-1d-p2-onephase\nnodes = 41\nt_end = 0.01\n[modulus]\nr0 = 0.7\n", {
+            "weakform": "test function must vanish at the Dirichlet nodes",
+            "weak-harnack": "waiting-time estimate needs p > 2"}),
+    ], ids=["no-step", "one-step", "off-centre", "wide-r0"])
+    def test_edge_run_says_which_checks_cannot_measure(self, tmp_path, scenario, notes):
+        out = tmp_path / "out"
+        path = _write(tmp_path, f"[scenario]\n{scenario}" + _ALL_CHECKS)
+        assert cli.main(["run", str(path), "--output", str(out)]) == 0
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        assert {name: e["note"] for name, e in checks.items() if "note" in e} == notes
+        for name in notes:
+            assert checks[name]["gate"] is False and checks[name]["degenerate"] is True
 
     @pytest.mark.parametrize("preset", ["stefan-1d-p3-twophase", "stefan-2d-p2-twophase"])
     def test_solver_check_passes_on_a_headline_preset(self, tmp_path, preset):
@@ -1055,8 +1113,9 @@ _RUN_EDGES_2D = {
 class TestRunFuzz:
     """`stefanlab run` end to end with every check on tiny 1D and 2D configs
     at the edges of the key domains: each run ends with its record, no
-    exception escapes, no warning is printed, and a config that cannot run
-    exits 2 before it computes."""
+    exception escapes, no warning is printed, a config that cannot run
+    exits 2 before it computes, and no check of a run that computes ends in
+    an error (it measures, or says why it cannot)."""
 
     @staticmethod
     def _run_ends_with_its_record(tmp, scenario: str):
@@ -1075,7 +1134,10 @@ class TestRunFuzz:
             code = cli.main(["run", str(path), "--output", str(out)])
         assert code in (0, 1, 2, 3)
         if code < 2:
-            assert json.loads((out / "summary.json").read_text())["all_pass"] is (code == 0)
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["all_pass"] is (code == 0)
+            assert {name: e["error"] for name, e in summary["checks"].items()
+                    if "error" in e} == {}
         else:
             assert json.loads((out / "error.json").read_text())["code"] == code
         assert [str(w.message) for w in caught] == []

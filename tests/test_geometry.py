@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stefanlab import presets, verify
-from stefanlab.geometry import (EmptyCylinderError, IntrinsicCylinder,
-                                ModulusParams, OscillationProfile,
+from stefanlab.geometry import (IntrinsicCylinder, ModulusParams,
+                                NotMeasurable, OscillationProfile,
                                 alpha_kappa_of, cylinder, cylinder_depth,
                                 fit_modulus, kappa_ratio, omega,
                                 oscillation)
@@ -189,7 +189,7 @@ class TestOscillation:
                       IntrinsicCylinder((0.5,), 0.1, 0.3, 1e-4, "full")):  # one time
             for sample in (lambda: oscillation(traj, empty),
                            lambda: verify.caccioppoli_check(traj, 0.5, empty)):
-                with pytest.raises(EmptyCylinderError, match="need >= 2 of each"):
+                with pytest.raises(NotMeasurable, match="need >= 2 of each"):
                     sample()
 
     @pytest.mark.parametrize("end_time, r", [
@@ -204,7 +204,7 @@ class TestOscillation:
         # so the classifier goes on to sample the tilde cylinder
         traj = _frozen_linear_trajectory(nodes=11, times=(0.0, 0.5, 1.0))
         params = _params(alpha=0.5, p=2.0, L=1.0, M=10.0, r0=1.0)
-        with pytest.raises(EmptyCylinderError, match="need >= 2 of each"):
+        with pytest.raises(NotMeasurable, match="need >= 2 of each"):
             verify.alternative_classifier(traj, params, ((0.5,), end_time), r, 0.1, math.inf)
 
 

@@ -11,7 +11,7 @@ import pytest
 from stefanlab import presets, solver, studies, verify
 from stefanlab.constants import fix_constants
 from stefanlab.graphs import RegularizedGraph
-from stefanlab.geometry import EmptyCylinderError, IntrinsicCylinder, cylinder, omega
+from stefanlab.geometry import IntrinsicCylinder, NotMeasurable, cylinder, omega
 from stefanlab.solver import InitialData, Trajectory, run_simulation
 
 from helpers import (SpaceTimeBump, centered_weak_form_residual, forwarded_level_fraction,
@@ -357,20 +357,34 @@ class TestWeakHarnack:
     def test_constant_zero_degenerate(self):
         sc = presets.constant_preset(nodes=21, value=0.0, p=3.0, t_end=0.02, dt=1e-3)
         traj = run_simulation(sc)
-        rep = verify.weak_harnack_check(traj, 1.2, (0.5,), 0.1, t1=0.005, c1=2.0)
-        # A zero average bounds nothing: degenerate, and no verdict.
-        assert rep.degenerate and rep.passed is None
+        # A zero average bounds nothing: no verdict.
+        with pytest.raises(NotMeasurable, match="zero average"):
+            verify.weak_harnack_check(traj, 1.2, (0.5,), 0.1, t1=0.005, c1=2.0)
 
     def test_p2_rejected(self):
         sc = presets.twophase_1d(nodes=21, t_end=0.002, dt=5e-4)
         traj = run_simulation(sc)
-        with pytest.raises(ValueError):
+        with pytest.raises(NotMeasurable, match="needs p > 2"):
             verify.weak_harnack_check(traj, -0.2, (0.5,), 0.1, t1=0.001, c1=2.0)
 
     def test_ball_containment(self, constant_run_p3):
         sc, traj = constant_run_p3
-        with pytest.raises(ValueError):
+        with pytest.raises(NotMeasurable, match="must fit inside the grid"):
             verify.weak_harnack_check(traj, 1.2, (0.5,), 0.2, t1=0.005, c1=2.0)
+
+    def test_start_and_window_within_the_stored_times(self, constant_run_p3):
+        sc, traj = constant_run_p3
+        T = traj.times[-1]
+        with pytest.raises(NotMeasurable, match="need t1 before the last stored time"):
+            verify.weak_harnack_check(traj, 1.2, (0.5,), 0.1, t1=T, c1=2.0)
+        # t1 rounds to the last stored time, so the window ends past it
+        with pytest.raises(NotMeasurable, match="window exceeds the stored horizon"):
+            verify.weak_harnack_check(traj, 1.2, (0.5,), 0.1, t1=T - 1e-4, c1=2.0)
+
+    def test_negative_supersolution_rejected(self):
+        sc = presets.constant_preset(nodes=21, value=-0.5, p=3.0, t_end=0.02, dt=1e-3)
+        with pytest.raises(NotMeasurable, match="supersolution must be nonnegative"):
+            verify.weak_harnack_check(run_simulation(sc), 1.2, (0.5,), 0.1, t1=0.005, c1=2.0)
 
     def test_measured_constant_stable(self):
         consts = []
@@ -396,26 +410,25 @@ class TestDecayOfPositivity:
 
     def test_window_without_samples_degenerate(self, constant_run_p3):
         sc, traj = constant_run_p3
-        rep = verify.decay_of_positivity_check(
-            traj, (0.5,), 0.1, t0=traj.times[-1],
-            c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3, k_truncation=1.2)
-        assert rep.degenerate and rep.passed
+        with pytest.raises(NotMeasurable, match="window holds no later samples"):
+            verify.decay_of_positivity_check(
+                traj, (0.5,), 0.1, t0=traj.times[-1],
+                c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3, k_truncation=1.2)
 
     def test_no_positive_start_is_no_verdict(self):
         sc = presets.constant_preset(nodes=21, value=0.0, p=3.0, t_end=0.02, dt=1e-3)
         traj = run_simulation(sc)
-        rep = verify.decay_of_positivity_check(
-            traj, (0.5,), 0.1, t0=0.005, c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3,
-            k_truncation=1.2)
-        assert rep.degenerate and rep.passed is None
-        assert rep.implied_constant is None
-        assert rep.details == {"note": "no positive starting level"}
+        with pytest.raises(NotMeasurable, match="^no positive starting level$"):
+            verify.decay_of_positivity_check(
+                traj, (0.5,), 0.1, t0=0.005, c3=fix_constants(n=1, p=3.0, Lambda=1.0).c3,
+                k_truncation=1.2)
 
     def test_level_in_the_band_rejected(self, constant_run_p3):
         sc, traj = constant_run_p3
-        with pytest.raises(ValueError, match="below the jump band"):
+        with pytest.raises(ValueError, match="below the jump band") as err:
             verify.decay_of_positivity_check(traj, (0.5,), 0.1, t0=0.0, c3=1.0,
                                              k_truncation=traj.graph.a)
+        assert type(err.value) is ValueError  # a caller's error, not a run without a verdict
 
     def test_collapsing_bump_constant_stable(self):
         consts = []
@@ -590,8 +603,11 @@ class TestModulusAcceptance:
         assert profile.radii[0] < 0.4
         assert profile.depths[0] <= traj.times[-1] - traj.times[0]
         # still wider than the room around the centre: no ladder
-        with pytest.raises(ValueError, match="inside the domain"):
+        with pytest.raises(NotMeasurable, match="inside the domain"):
             verify.modulus_acceptance(traj, params, ((0.05,), traj.times[-1]))
+        # no stored time behind t0: no horizon to fit r0 into
+        with pytest.raises(NotMeasurable, match="no stored time before t0"):
+            verify.modulus_acceptance(traj, params, ((0.5,), traj.times[0]))
 
     def test_modulus_check_reports_the_c_star_of_the_measurement(self):
         # `stefanlab run`, the headline study and the eps ladder all reach
@@ -611,7 +627,7 @@ class TestModulusAcceptance:
         sc = presets.constant_preset()
         traj = run_simulation(sc)
         params = studies.measurement_params(studies.default_ledger(sc), r0=0.25)
-        with pytest.raises(EmptyCylinderError, match=r"ladder rungs; rung 1 \(r = 0\.0499\d\): "
+        with pytest.raises(NotMeasurable, match=r"ladder rungs; rung 1 \(r = 0\.0499\d\): "
                                                      r"cylinder holds 1 nodes"):
             verify.modulus_acceptance(traj, params, ((0.5,), traj.times[-1]))
 
