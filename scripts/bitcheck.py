@@ -12,7 +12,10 @@ those of a short 2D `stefanlab run` (`stefan-2d-p2-twophase`), whose
 resolved config and snapshot index are the only 2D ones in the dump; and
 those of a short `stefanlab run` with every check on
 `stefan-1d-p3-twophase`, where the weak Harnack and decay checks cannot
-measure and give no verdict, each with its note.
+measure and give no verdict, each with its note; and the trajectory hashes
+and StepDiag totals of the first 40 steps of `stefan-1d-p2-onephase`, the
+one preset with Dirichlet pins and line-search halvings, whose
+`backtracks` total pins the rule that a rejected full step ends a polish.
 Floats are written with repr and keys sorted, so equal files mean equal
 bits.  Run it in two checkouts and compare the files:
 
@@ -23,9 +26,9 @@ With `--against OLD.json` the script, after writing its dump, exits 1 and
 prints every key path at which the dump differs from OLD.json, one a line
 in sorted key order, and exits 0 when the two files are byte-identical.
 
-`--size tiny` cuts every run but the every-check, 2D and no-verdict
-ones, which take under a second, to a few steps (c* then needs a longer horizon than it has
-and is left out); it takes a few seconds.
+`--size tiny` cuts every run but the every-check, 2D, no-verdict and
+Dirichlet ones, which take under a second, to a few steps (c* then needs a
+longer horizon than it has and is left out); it takes a few seconds.
 """
 import argparse
 import dataclasses
@@ -66,6 +69,7 @@ t_end = 0.05
 [checks]
 run = conservation, weakform, modulus
 """
+DIRICHLET_STEPS = 40
 NO_VERDICT_INI = f"""\
 [scenario]
 preset = stefan-1d-p3-twophase
@@ -128,6 +132,12 @@ def solve_2d_record(size: str) -> dict:
         presets.twophase_2d(p=3.0, nodes=nodes, dt=2.5e-4, t_end=t_end)))
 
 
+def dirichlet_record() -> dict:
+    sc = presets.make_preset("stefan-1d-p2-onephase")
+    return trajectory_record(run_simulation(
+        dataclasses.replace(sc, t_end=DIRICHLET_STEPS * sc.dt.value)))
+
+
 def cli_run_record(ini_text: str) -> dict:
     """`stefanlab run` on the config `ini_text`: exit code, hashes and the
     `summary.json` entry of every check, which no artifact hash covers."""
@@ -181,6 +191,7 @@ def main(argv=None) -> int:
         "every-check": cli_run_record(EVERY_CHECK_INI),
         "two-d": cli_run_record(TWO_D_INI),
         "no-verdict": cli_run_record(NO_VERDICT_INI),
+        "dirichlet": dirichlet_record(),
     }
     text = _dump(record)
     Path(args.out).write_text(text)

@@ -133,21 +133,22 @@ class _HermiteTable:
     Holds coefficients in the layout of `_pchip` (a cubic PCHIP interpolant
     or its quartic antiderivative) plus one extra row at the last knot x1
     that continues it as `right_value + right_slope * (t - x1)`; inputs
-    below the first knot x0 take the value there.  A lookup finds its row i
-    without a search: the knots are uniform, so the integer part of
-    (t - x0)/h - 1/2, capped at the last row, is the row or the one before
-    it, and one comparison with the next knot (NaN after the last row)
-    settles which.  That is `searchsorted(x, t, "right") - 1` exactly, NaN
-    and infinities included, as long as no knot lies more than h/4 from its
-    uniform position, which the constructor checks.  It then sets
-    s = t - x[i] and sums the terms
-    c_j * s^j from j = 0 up, with the powers built as s, s*s, (s*s)*s, ...:
-    the order of scipy's `PPoly` evaluation, so inside [x0, x1] a lookup is
-    bit-identical to scipy's.  NaN maps to NaN.  The zero high-order terms
-    of the extra row overflow to NaN once t - x1 exceeds about 1e77 (a
-    quartic) or 1e102 (a cubic), so a caller whose arguments can lie that
-    far out looks up at most x1 and adds the continuation itself, as
-    `enthalpy_jump_primitive` does.
+    below the first knot x0 take the value there.  A lookup is `locate`
+    then `evaluate`.  `locate` finds the row i without a search: the knots
+    are uniform, so the integer part of (t - x0)/h - 1/2, capped at the
+    last row, is the row or the one before it, and one comparison with the
+    next knot (NaN after the last row) settles which.  That is
+    `searchsorted(x, t, "right") - 1` exactly, NaN and infinities included,
+    as long as no knot lies more than h/4 from its uniform position, which
+    the constructor checks; the offset is s = t - x[i].  `evaluate` sums the
+    terms c_j * s^j from j = 0 up, with the powers built as s, s*s,
+    (s*s)*s, ...: the order of scipy's `PPoly` evaluation, so inside
+    [x0, x1] a lookup is bit-identical to scipy's.  NaN maps to NaN.  The
+    zero high-order terms of the extra row overflow to NaN once t - x1
+    exceeds about 1e77 (a quartic) or 1e102 (a cubic), so a caller whose
+    arguments can lie that far out looks up at most x1 and adds the
+    continuation itself, as `enthalpy_jump_primitive` does.  `slope` gives
+    the derivative at the same (i, s), with no second search.
     """
 
     def __init__(self, x, coeffs, right_value: float, right_slope: float):
@@ -168,8 +169,11 @@ class _HermiteTable:
         self._last = _scalar(n - 1)
         self._next = np.append(x[1:], np.nan)
         # One contiguous array per power: a lookup gathers each with take(),
-        # so its temporaries are all the size of the input.
+        # so its temporaries are all the size of the input.  _dc holds the
+        # derivative's coefficients j c[j] of s^(j-1).
         self._c = tuple(c)
+        self._dc = tuple(j * cj for j, cj in enumerate(self._c) if j)
+        self._widest = _scalar(np.diff(x).max())
 
     def _interval(self, t):
         """Row of each t >= x0: `searchsorted(x, t, "right") - 1`."""
@@ -177,23 +181,44 @@ class _HermiteTable:
         i += self._next.take(i) <= t
         return i
 
-    def __call__(self, t):
+    def locate(self, t):
+        """The row i of each t and its offset s = t - x[i], t below x0 taken
+        at x0: all that `evaluate` and `slope` need of t."""
         t = np.maximum(t, self._x0)
         i = self._interval(t)
-        s = t - self._x.take(i)
-        c0, c1, *higher = self._c
-        # c0 + c1 s + c2 s^2 + ..., each sum and product formed in place
-        # (both commute bit for bit)
-        out = c1.take(i)
-        out *= s
-        out += c0.take(i)
-        z = s
-        for cj in higher:
-            z = z * s
-            term = cj.take(i)
-            term *= z
-            out += term
+        return i, t - self._x.take(i)
+
+    def evaluate(self, i, s):
+        """The table's value at the points `locate` gave (i, s), as an array."""
+        return _power_sum(self._c, i, s)
+
+    def slope(self, i, s):
+        """The table's derivative c1 + 2 c2 s + 3 c3 s^2 + ... at the points
+        `locate` gave (i, s), as an array.  s is capped at the widest
+        interval, which moves no s inside [x0, x1] and keeps the extra row,
+        whose higher terms are zero, at its finite slope however far out t
+        lies (inf included)."""
+        return _power_sum(self._dc, i, np.minimum(s, self._widest))
+
+    def __call__(self, t):
+        out = self.evaluate(*self.locate(t))
         return out if out.ndim else float(out)
+
+
+def _power_sum(coeffs, i, s):
+    """c0 + c1 s + c2 s^2 + ... with cj = coeffs[j] at rows i, each sum and
+    product formed in place (both commute bit for bit)."""
+    c0, c1, *higher = coeffs
+    out = c1.take(i)
+    out *= s
+    out += c0.take(i)
+    z = s
+    for cj in higher:
+        z = z * s
+        term = cj.take(i)
+        term *= z
+        out += term
+    return out
 
 
 def _primitive_table(x, y) -> _HermiteTable:
@@ -422,27 +447,41 @@ class RegularizedGraph:
 
     # -- enthalpy as a function of temperature -------------------------------
     # The identity beta is applied as u itself (no copy) and its unit slope
-    # is not multiplied in.  The step and its derivative are `step` and
-    # `step_prime` written out on the table and the bump, with each later
-    # sum and product formed in place (they commute bit for bit): the same
-    # values as the formulas, without the wrapper calls and temporaries.
+    # is not multiplied in.  The step and the table's slope are looked up
+    # on the table directly, with each later sum and product formed in
+    # place (they commute bit for bit): the same values as `step` and the
+    # formulas, without the wrapper calls and temporaries.
 
-    def enthalpy_of_temperature(self, u):
+    def enthalpy_of_temperature(self, u, located: bool = False):
+        """e(u) = beta(u) + latent_heat step(beta(u)).  With `located`, also
+        the table row and offset of each point, from which
+        `enthalpy_prime_of_temperature` takes e'(u) without a second
+        search."""
         w = u if self.beta.kind == "identity" else self.beta.apply(u)
-        e = _step_cdf((np.asarray(w, dtype=float) - self._a) / self._eps)
+        where = _step_cdf.locate((np.asarray(w, dtype=float) - self._a) / self._eps)
+        e = _step_cdf.evaluate(*where)
         e *= self.latent_heat
         e += w
-        return e
+        e = e if e.ndim else float(e)
+        return (e, where) if located else e
 
-    def enthalpy_prime_of_temperature(self, u):
+    def enthalpy_prime_of_temperature(self, u, where=None):
+        """e'(u) = beta'(u) (1 + latent_heat step'(beta(u))), step' the slope
+        of the step's own table: the exact derivative of
+        `enthalpy_of_temperature`, finite wherever u is not NaN.  `where`
+        is the location that `enthalpy_of_temperature(u, located=True)`
+        returned; it is looked up when None."""
         identity = self.beta.kind == "identity"
-        w = u if identity else self.beta.apply(u)
-        de = bump_shape((np.asarray(w, dtype=float) - self._a) / self._eps)
-        de /= _BUMP_MASS
-        de /= self.eps
+        if where is None:
+            w = u if identity else self.beta.apply(u)
+            where = _step_cdf.locate((np.asarray(w, dtype=float) - self._a) / self._eps)
+        de = _step_cdf.slope(*where)
+        de /= self._eps
         de *= self.latent_heat
         de += 1.0
-        return de if identity else self.beta.prime(u) * de
+        if not identity:
+            de = self.beta.prime(u) * de
+        return de if de.ndim else float(de)
 
     def enthalpy_primitive_of_temperature(self, u):
         """Strictly convex primitive E with E' = enthalpy_of_temperature, E(0) = 0."""

@@ -22,37 +22,52 @@ Newton with a line search solves each step; the flux Jacobian is floored at
 sigma inside Newton only, the residual is always evaluated unregularized.
 
 Each Newton system (volume-weighted e'(u) plus dt times the two-point
-stiffness) is symmetric positive definite.  In 1D it is solved directly by
-LAPACK's tridiagonal `gtsv`.  In 2D the 5-point system is red-black
-ordered, the red nodes are eliminated, and diagonally preconditioned
-conjugate gradients solve the SPD Schur complement on the black nodes, half
-the unknowns and a smaller condition number (Saad, Iterative Methods for
-Sparse Linear Systems, 2nd ed., SIAM 2003, sec. 4.3); the red values follow
-in one pass.  Dirichlet pins are decoupled, so d = 0 there.  The 2D solves
-are inexact Newton-Krylov: each CG stops at the forcing tolerance of
-`_forcing_term`, loose while the step residual is large and tight only
-where the final polish needs it (Eisenstat & Walker, SIAM J. Sci. Comput.
-17, 1996).  CG reduces with `_dot`, whose bits do not depend on the BLAS
-thread count.  The step's own acceptance test is always made on the exact
-nonlinear residual.  `gtsv` is loaded on the
-first 1D solve (`_gtsv`) from scipy's LAPACK extension alone, without the
+stiffness) is the exact Jacobian of the residual, up to that floor: e' is
+the slope of the enthalpy's own PCHIP table, not the analytic mollifier
+the table approximates.  It is symmetric positive definite.  In 1D it is
+solved directly by LAPACK's tridiagonal `gtsv`.  In 2D the 5-point system
+is red-black ordered, the red nodes are eliminated, and diagonally
+preconditioned conjugate gradients solve the SPD Schur complement on the
+black nodes, half the unknowns and a smaller condition number (Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, sec.
+4.3); the red values follow in one pass.  Dirichlet pins are decoupled,
+so d = 0 there.  The 2D solves are inexact Newton-Krylov: each CG stops at
+the forcing tolerance of `_forcing_term`, loose while the step residual is
+large and tight only where the final polish needs it (Eisenstat & Walker,
+SIAM J. Sci. Comput. 17, 1996).  CG reduces with `_dot`, whose bits do not
+depend on the BLAS thread count.  The step's own acceptance test is always
+made on the exact nonlinear residual.  `gtsv` is loaded on the first 1D
+solve (`_gtsv`) from scipy's LAPACK extension alone, without the
 `scipy.linalg` package; importing stefanlab, a 2D run and the commands
 that solve nothing load no scipy at all.
 
 Newton starts each step from `_extrapolate`: the polynomial through the
-current state and up to two earlier accepted states, evaluated at the new
-time (linear on the second step, quadratic after that).  Its error is
-O(dt^3) instead of the O(dt) of the previous state, so a step needs about
-half the Newton iterations; the minimizer it converges to is the same.
+current state and up to `_PREDICTOR_ORDER` = 3 earlier accepted states,
+evaluated at the new time (linear on the second step, quadratic on the
+third, cubic after that).  `run_simulation` carries its divided
+differences from step to step (`_differences`), so a new state costs two
+array operations per order.  The start's error is O(dt^4) instead of the
+O(dt) of the previous state, so a step needs about half the Newton
+iterations; the minimizer it converges to is the same.
+
+A step is accepted once its residual is at most `_STEP_RTOL` (1 +
+max|e_old|) and then polished.  Once accepted, a full Newton step that
+lowers neither the residual nor the energy ends the polish at once;
+halving it would only polish less.  Where the accept tolerance cannot be
+met because rounding alone leaves more in the flux terms, which grows with
+dt/h^2, the step is accepted within `_rounding_allowance` instead, and
+`StepDiag.tolerance` reports the tolerance applied.
 
 A step evaluates nothing twice.  A scenario builds its cell volumes, faces
 and pins once (`Scenario._cells`; it is frozen, so they cannot go stale),
 and each step's `_StepProblem` adds only its e_old and dt.  `implicit_step`
 returns e(u) of the state it accepts, the lookup its last residual made
 there, which the next step takes as `e_old`; each Newton system reuses the
-face gradients and |g|^{p-2} of the residual at the same iterate.  Step
-energies F are evaluated only on line-search trials the residual did not
-accept.  `StepDiag.energy_decreased` certifies F(u) <= F(u_start) + 1e-12
+face gradients and |g|^{p-2} of the residual at the same iterate, and the
+row and offset its e lookup found in the table, from which e' is one
+polynomial sum with no second search.  Step energies F are evaluated only
+on line-search trials the residual did not accept.
+`StepDiag.energy_decreased` certifies F(u) <= F(u_start) + 1e-12
 (1 + |F(u_start)|); by convexity it holds without evaluating F whenever
 r(u).(u_start - u) >= -1e-12 (see `_energy_decreased`).
 
@@ -62,9 +77,9 @@ kept in the order that fixes its bits.  Its residual calls
 calls its table directly; it indexes the faces with tuples `_Faces` builds
 once and subtracts each node's net flux from r in place, so per axis it
 allocates only the face gradients, |g|^{p-2}, the fluxes and the inner net
-flux, and no divergence array.  Its Newton system calls the e' lookup,
-which calls `bump_shape` directly, and `_Faces.newton_weights`; the
-weights and the tridiagonal bands are formed in place.  Sums and products
+flux, and no divergence array.  Its Newton system calls the e' lookup on
+the residual's table location and `_Faces.newton_weights`; the weights
+and the tridiagonal bands are formed in place.  Sums and products
 that commute are formed in place, the scalar constants of these lookups
 are 0-d arrays (`graphs._scalar`), whole-array reductions call numpy's
 ufunc reductions without their Python wrappers (`_all`, `_max`, `_sum`),
@@ -672,10 +687,10 @@ class _StepProblem:
         bulk = _sum(self.vol * (g.enthalpy_primitive_of_temperature(u) - self.e_old * u), None)
         return float(bulk + self.dt * self.faces.energy(u))
 
-    def gradient(self, u: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
-        """The gradient r at u (zero at the pins), the face powers
-        `_Faces.powers(u)` it was built from, which the Newton system at
-        the same u reuses, and the e(u) it looked up.
+    def gradient(self, u: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """The gradient r at u (zero at the pins), what the Newton system at
+        the same u reuses of it, and the e(u) it looked up.  The reused part
+        is the pair (face powers `_Faces.powers(u)`, table location of e(u)).
 
         r = vol (e(u) - e_old) - dt sum_ax np.diff(f_ax zero-padded at both
         ends), f_ax the face fluxes: each node loses dt times its net flux,
@@ -684,7 +699,7 @@ class _StepProblem:
         in place, one end at a time, without the padded copy."""
         faces = self.faces
         powers = faces.powers(u)
-        e = self.sc.graph.enthalpy_of_temperature(u)
+        e, where = self.sc.graph.enthalpy_of_temperature(u, located=True)
         r = e - self.e_old
         r *= self.vol
         dt = self.dt
@@ -697,27 +712,32 @@ class _StepProblem:
             r[last] -= dt * (0.0 - f[last])
         if self.pin_mask is not None:
             r[self.pin_mask] = 0.0
-        return r, powers, e
+        return r, (powers, where), e
 
-    def residual(self, u: np.ndarray) -> tuple[np.ndarray, float, list, np.ndarray]:
+    def residual(self, u: np.ndarray) -> tuple[np.ndarray, float, tuple, np.ndarray]:
         """The gradient r at u, its max-norm per volume (the quantity every
-        step tolerance is stated in), the face powers at u and e(u)."""
-        r, powers, e = self.gradient(u)
+        step tolerance is stated in), what the Newton system at u reuses
+        and e(u)."""
+        r, lin, e = self.gradient(u)
         q = r / self.vol
-        return r, float(_max(np.abs(q, out=q), None)), powers, e
+        return r, float(_max(np.abs(q, out=q), None)), lin, e
 
     def solve_newton_system(
-        self, u: np.ndarray, r: np.ndarray, powers, rtol: float
+        self, u: np.ndarray, r: np.ndarray, lin, rtol: float
     ) -> tuple[np.ndarray, bool]:
         """Newton direction d and whether the linear solve met its tolerance.
 
-        `powers` are the face powers at u that `gradient(u)` returned.  The
-        2D CG stops at relative residual `rtol`; the direct 1D solve
-        ignores it.  An unconverged 2D direction is still a descent
-        direction (see `_solve_2d`); the flag lets the caller report it.  CG
-        iterations accumulate in `self.linear_iterations`.
+        The matrix is the exact Jacobian of the residual (its flux part
+        floored at `_NEWTON_SIGMA`): `lin` is what `gradient(u)` returned to
+        be reused, the face powers and the table location of e(u), from
+        which e'(u) is the table's own slope.  The 2D CG stops at relative
+        residual `rtol`; the direct 1D solve ignores it.  An unconverged 2D
+        direction is still a descent direction (see `_solve_2d`); the flag
+        lets the caller report it.  CG iterations accumulate in
+        `self.linear_iterations`.
         """
-        diag = self.sc.graph.enthalpy_prime_of_temperature(u)
+        powers, where = lin
+        diag = self.sc.graph.enthalpy_prime_of_temperature(u, where)
         diag *= self.vol
         coeffs = self.faces.newton_weights(powers, self.dt)
         if len(coeffs) == 1:
@@ -980,7 +1000,7 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
     polish_tol = _POLISH_RTOL * scale
 
     u_start = u
-    r, res, powers, e = prob.residual(u)
+    r, res, lin, e = prob.residual(u)
     # Step energies are evaluated only where a decision needs them: trials
     # the residual did not accept, and `_energy_decreased` when convexity
     # alone does not settle the flag.
@@ -1003,25 +1023,26 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
         it += 1
         prev_res = res
         try:
-            d, solved = prob.solve_newton_system(u, r, powers,
+            d, solved = prob.solve_newton_system(u, r, lin,
                                                  _forcing_term(res, scale, polish_tol))
         except (np.linalg.LinAlgError, ValueError):
             d, solved = None, False
         used_fallback |= not solved
         if d is None or not _all(np.isfinite(d), None) or float(_sum(r * d, None)) <= 0.0:
-            d = r / (prob.vol * g.enthalpy_prime_of_temperature(u))
+            d = r / (prob.vol * g.enthalpy_prime_of_temperature(u, lin[1]))
             used_fallback = True
         # Try the full step on a residual-decrease criterion first; near the
         # minimum energy differences drown in rounding while the residual is
-        # still informative.
+        # still informative.  Once the step is accepted, a full step that
+        # lowers neither ends the polish: halving it would only polish less.
         accepted = False
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             u_try = u - d if t == 1.0 else u - t * d
             if _all(np.isfinite(u_try), None):
-                r_try, res_try, powers_try, e_try = prob.residual(u_try)
+                r_try, res_try, lin_try, e_try = prob.residual(u_try)
                 if res_try < best_res:
-                    u, r, res, powers, e, f_val = u_try, r_try, res_try, powers_try, e_try, None
+                    u, r, res, lin, e, f_val = u_try, r_try, res_try, lin_try, e_try, None
                     best_res = res
                     accepted = True
                     break
@@ -1031,30 +1052,63 @@ def implicit_step(u_old: np.ndarray, dt: float, scenario: Scenario,
                         f_start = f_val
                 f_try = prob.energy(u_try)
                 if f_try < f_val:
-                    u, r, res, powers, e, f_val = u_try, r_try, res_try, powers_try, e_try, f_try
+                    u, r, res, lin, e, f_val = u_try, r_try, res_try, lin_try, e_try, f_try
                     accepted = True
                     break
+            if res <= accept_tol:
+                break
             t *= 0.5
             backtracks += 1
         if not accepted:
             break
 
-    if not _all(np.isfinite(u), None):
-        raise NonfiniteValueError("non-finite state produced by implicit step")
-    if not res <= accept_tol:   # a NaN residual fails too
-        raise MaxIterationsError(
-            f"implicit step failed to reach tolerance ({res:.3e} > {accept_tol:.3e})"
-        )
+    # u is the start, checked finite, or a trial that passed the same check.
+    tol = accept_tol
+    if not res <= tol:
+        tol += _rounding_allowance(prob, u, lin[0])
+        if not res <= tol < math.inf:   # a NaN residual or allowance fails too
+            raise MaxIterationsError(
+                f"implicit step failed to reach tolerance ({res:.3e} > {tol:.3e})")
     diag = StepDiag(
         iterations=it,
         residual=res,
-        tolerance=accept_tol,
+        tolerance=tol,
         energy_decreased=_energy_decreased(prob, u_start, u, r, f_start, f_val),
         used_fallback=used_fallback,
         linear_iterations=prob.linear_iterations,
         backtracks=backtracks,
     )
     return u, diag, e
+
+
+# A step that misses `accept_tol` is still accepted within two unit
+# roundoffs of the magnitudes its flux terms sum (see `_rounding_allowance`).
+_FLUX_ROUNDING = 2 * 2.0**-53
+
+
+def _rounding_allowance(prob: _StepProblem, u: np.ndarray, powers) -> float:
+    """What rounding alone can leave in the per-volume residual at u:
+    `_FLUX_ROUNDING` (two unit roundoffs) times the largest, over the free
+    nodes, of sum over the node's faces of w (|u_hi| + |u_lo|) / vol, with
+    w the face's Newton weight (dt times the flux Jacobian) from `powers`.
+
+    A face flux moves by w times any change of its two end values, and u
+    itself is only known to a unit roundoff, so a residual that is exact
+    arithmetic's zero reads up to about this much.  It grows with the
+    stiffness dt/h^2, which the tolerance `_STEP_RTOL` (1 + max|e_old|)
+    does not: on a 9-node grid of extent 1e-3 with dt = 0.002 (dt/h^2 =
+    1.3e5) the flux terms alone leave 6e-12 against a tolerance of 3e-12."""
+    a = np.abs(u)
+    total = np.zeros(u.shape)
+    for w, (hi, lo) in zip(prob.faces.newton_weights(powers, prob.dt), prob.faces.ends):
+        m = a[hi] + a[lo]
+        m *= w
+        total[hi] += m
+        total[lo] += m
+    total /= prob.vol
+    if prob.pin_mask is not None:
+        total[prob.pin_mask] = 0.0
+    return _FLUX_ROUNDING * float(_max(total, None))
 
 
 # Slack of the energy-decrease flag: F(u) may exceed F(u_start) by this much
@@ -1088,24 +1142,51 @@ def _energy_decreased(prob: _StepProblem, u_start: np.ndarray, u: np.ndarray,
     return f_val <= f_start + _ENERGY_SLACK * (1.0 + abs(f_start))
 
 
+# The Newton start is the polynomial through the current state and up to
+# this many earlier accepted states.
+_PREDICTOR_ORDER = 3
+
+
 def _extrapolate(u: np.ndarray, dt: float, past: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
     """Newton start for the step of length dt from the current state u.
 
-    `past` holds up to two earlier accepted states, most recent first, each
-    with the step length that led from it to its successor.  The polynomial
-    through them and u (divided differences d1, d2) is evaluated dt ahead:
-    linear with one earlier state, quadratic with two.  This form returns a
-    constant state bit for bit.
+    `past` holds the divided differences D1, D2, ... of the states up to u,
+    order 1 first, each with its span s_k, the time from the earliest state
+    it spans to u (see `_differences`).  The polynomial through those
+    states is evaluated dt ahead in Horner's form,
+    u + dt (D1 + (dt + s1) (D2 + (dt + s2) D3)): linear on the second step,
+    quadratic on the third and cubic after that.  A constant state has zero
+    differences and comes back bit for bit.
     """
     if not past:
         return u
-    u1, dt1 = past[0]
-    d1 = (u - u1) / dt1
-    if len(past) == 1:
-        return u + dt * d1
-    u2, dt2 = past[1]
-    d2 = (d1 - (u1 - u2) / dt2) / (dt1 + dt2)
-    return u + dt * (d1 + (dt + dt1) * d2)
+    out = past[-1][0]
+    for d, span in reversed(past[:-1]):
+        out = out * (dt + span)
+        out += d
+    out = out * dt
+    out += u
+    return out
+
+
+def _differences(past: Sequence[tuple[np.ndarray, float]], u_new: np.ndarray, u: np.ndarray,
+                 dt: float) -> list[tuple[np.ndarray, float]]:
+    """The divided differences and spans of `_extrapolate` at u_new, the
+    state a step of dt took from u, given those at u (`past`).
+
+    Order 1 is (u_new - u) / dt over the span dt; order k is the new order
+    k - 1 minus the old one, over the old span of order k - 1 plus dt.  Each
+    order costs two array operations, and orders above `_PREDICTOR_ORDER`
+    are dropped."""
+    d = u_new - u
+    d /= dt
+    out = [(d, dt)]
+    for old, old_span in past[:_PREDICTOR_ORDER - 1]:
+        span = dt + old_span
+        d = d - old
+        d /= span
+        out.append((d, span))
+    return out
 
 
 def run_simulation(scenario: Scenario) -> Trajectory:
@@ -1120,7 +1201,7 @@ def run_simulation(scenario: Scenario) -> Trajectory:
     e = np.asarray(scenario.graph.enthalpy_of_temperature(u))
     enths = [e]
     diags: list[StepDiag] = []
-    past: list[tuple[np.ndarray, float]] = []   # earlier states for the Newton start
+    past: list[tuple[np.ndarray, float]] = []   # divided differences for the Newton start
     t = 0.0
     step_index = 0
     t_final = scenario.t_end
@@ -1135,14 +1216,15 @@ def run_simulation(scenario: Scenario) -> Trajectory:
                 u_new, diag, e = implicit_step(u, dt, scenario, _extrapolate(u, dt, past), e_old=e)
             except SolverError as err:
                 raise type(err)(str(err), time=t + dt) from err
-            past = [(u, dt)] + past[:1]
+            past = _differences(past, u_new, u, dt)
             u = u_new
             t += dt
             step_index += 1
             diags.append(diag)
+            # every accepted state is an array of its own
             if step_index % scenario.store_every == 0 or t >= t_final * (1.0 - 1e-12):
                 times.append(t)
-                temps.append(u.copy())
+                temps.append(u)
                 enths.append(e)
     return Trajectory(scenario=scenario, times=times, temps=temps, enthalpies=enths,
                       diagnostics=diags)

@@ -27,7 +27,8 @@ def test_tiny_dump(tmp_path):
     assert run.returncode == 0, run.stderr
     record = json.loads(out.read_text())
     assert set(record["headline"]) == {"1d-p2", "1d-p3", "2d-p2", "2d-p3"}
-    runs = [record["solve-2d"]]
+    runs = [record["solve-2d"], record["dirichlet"]]
+    assert record["dirichlet"]["diag_totals"]["steps"] == bitcheck.DIRICHLET_STEPS
     for case in record["headline"].values():
         assert set(case) == {"coarse", "fine"}
         runs += case.values()

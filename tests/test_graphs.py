@@ -450,18 +450,89 @@ class TestTableLookups:
             assert_same_bits(got_E, E_ref(x))
 
     @given(beta=beta_maps(), us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+    @example(beta=BetaMap(), us=[0.1, 0.07, 0.13, 0.5, -0.5])
     @settings(max_examples=40, deadline=None)
     def test_enthalpy_and_slope_through_beta(self, beta, us):
         # The identity beta skips apply's copy and prime's unit factor; every
         # kind gives the bits of e = w + L step(w) and
-        # e' = beta'(u) (1 + L step'(w)) with w = beta(u).
+        # e' = beta'(u) (1 + L slope(t) / eps) with w = beta(u), t = (w - a)/eps
+        # and slope the derivative of the step's table at t.  The location
+        # e returns gives e' the same bits.
         g = RegularizedGraph(a=0.1, latent_heat=0.7, eps=0.05, beta=beta)
+        table = graphs._step_cdf
         for u in (np.asarray(us), float(us[0])):
             w = beta.apply(u)
+            where = table.locate((np.asarray(w) - g.a) / g.eps)
             assert_same_bits(g.enthalpy_of_temperature(u), w + g.latent_heat * g.step(w))
-            assert_same_bits(g.enthalpy_prime_of_temperature(u),
-                             beta.prime(u) * (1.0 + g.latent_heat * g.step_prime(w)))
+            de = beta.prime(u) * (1.0 + g.latent_heat * (table.slope(*where) / g.eps))
+            assert_same_bits(g.enthalpy_prime_of_temperature(u), de)
+            e, located = g.enthalpy_of_temperature(u, located=True)
+            assert_same_bits(e, g.enthalpy_of_temperature(u))
+            assert all(np.array_equal(a, b) for a, b in zip(located, where))
+            assert_same_bits(g.enthalpy_prime_of_temperature(u, located), de)
             assert type(g.enthalpy_prime_of_temperature(u)) is type(w)
+            assert type(e) is type(w)
+
+    @given(beta=beta_maps(), eps=st.floats(0.01, 0.2), latent_heat=st.floats(0.05, 1.0),
+           ts=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_slope_is_the_derivative_of_the_enthalpy(self, beta, eps, latent_heat, ts):
+        # e' against a central difference of e, across the band (|t| < 1 in
+        # t = (beta(u) - a)/eps) and outside it, away from the kinks of a
+        # piecewise beta.  Richardson's step halving cancels the difference's
+        # h^2 term.  What is left is the rounding of e over the step, of e
+        # itself and of beta(u), which a piecewise beta forms from its table
+        # values and e' amplifies; past it, 1e-8 of e''s scale separates the
+        # table's slope from the mollifier's, which misses by about 1e-6.
+        g = RegularizedGraph(a=0.1, latent_heat=latent_heat, eps=eps, beta=beta)
+        t = np.concatenate([ts, np.linspace(-1.0, 1.0, 41), [-30.0, -3.0, 3.0, 30.0]])
+        u = np.asarray(g.beta.inverse(g.a + eps * t))
+        delta = 3e-6 * eps / g.beta.lipschitz
+        if beta.kind == "piecewise":
+            u = u[np.min(np.abs(u[:, None] - np.asarray(beta.knots)), axis=1) > 4.0 * delta]
+
+        def difference(h):
+            up, down = u + h, u - h
+            return (g.enthalpy_of_temperature(up) - g.enthalpy_of_temperature(down)) / (up - down)
+
+        numeric = (4.0 * difference(delta / 2) - difference(delta)) / 3.0
+        table = np.max(np.abs([0.0, *beta.knots, *beta.values]))
+        w_error = 1.0 + table + g.beta.lipschitz * (np.abs(u) + table)
+        rounding = 4.0 * np.finfo(float).eps * (
+            1.0 + np.abs(g.enthalpy_of_temperature(u)) + (1.0 + 3.0 * latent_heat / eps) * w_error
+        ) / delta
+        scale = g.beta.lipschitz * (1.0 + latent_heat / eps)
+        assert np.all(np.abs(g.enthalpy_prime_of_temperature(u) - numeric)
+                      <= 1e-8 * scale + rounding)
+
+    @pytest.mark.parametrize("beta", [BetaMap(), BetaMap(kind="tanh", mu=0.5, tau=0.4),
+                                      BetaMap(kind="piecewise", knots=(-1.0, 0.0, 2.0),
+                                              values=(-0.5, 0.0, 6.0))],
+                             ids=["identity", "tanh", "piecewise"])
+    def test_slope_is_finite_far_out(self, beta):
+        # The table's extra row has zero high terms; its slope must not read
+        # 0 * inf far out, and outside the band e' is beta'(u) exactly.
+        g = RegularizedGraph(a=0.1, latent_heat=0.6, eps=0.05, beta=beta)
+        u = np.array([np.inf, -np.inf, 1e300, -1e300, 1e200, -1e154, 1e20])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            de = g.enthalpy_prime_of_temperature(u)
+            for x in u:
+                assert g.enthalpy_prime_of_temperature(float(x)) == beta.prime(x)
+        assert np.array_equal(de, beta.prime(u))
+        assert math.isnan(g.enthalpy_prime_of_temperature(math.nan))
+
+    @given(ts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60))
+    @settings(max_examples=30, deadline=None)
+    def test_unit_step_slope_matches_scipy(self, ts):
+        # On [-1, 1) the slope is the derivative scipy's PCHIP object
+        # returns, bit for bit; from 1 on and below -1 the table is flat.
+        t = probe_points(graphs._TS, ts, np.array([]))
+        t = t[(t >= -1.0) & (t < 1.0)]
+        table = graphs._step_cdf
+        assert_same_bits(table.slope(*table.locate(t)), _UNIT_CDF.derivative()(t))
+        far = np.array([-np.inf, -1e300, -1.5, 1.0, 1.5, 1e300, np.inf])
+        assert np.array_equal(table.slope(*table.locate(far)), np.zeros(far.size))
 
     @given(ts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=60))
     @settings(max_examples=30, deadline=None)
