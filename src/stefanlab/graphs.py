@@ -13,6 +13,7 @@ antiderivative return.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -169,10 +170,8 @@ class _HermiteTable:
         self._last = _scalar(n - 1)
         self._next = np.append(x[1:], np.nan)
         # One contiguous array per power: a lookup gathers each with take(),
-        # so its temporaries are all the size of the input.  _dc holds the
-        # derivative's coefficients j c[j] of s^(j-1).
+        # so its temporaries are all the size of the input.
         self._c = tuple(c)
-        self._dc = tuple(j * cj for j, cj in enumerate(self._c) if j)
         self._widest = _scalar(np.diff(x).max())
 
     def _interval(self, t):
@@ -199,6 +198,12 @@ class _HermiteTable:
         whose higher terms are zero, at its finite slope however far out t
         lies (inf included)."""
         return _power_sum(self._dc, i, np.minimum(s, self._widest))
+
+    @functools.cached_property
+    def _dc(self) -> tuple:
+        """The derivative's coefficients j c[j] of s^(j-1), built on the
+        first `slope`: only the step's table is ever differentiated."""
+        return tuple(j * cj for j, cj in enumerate(self._c) if j)
 
     def __call__(self, t):
         out = self.evaluate(*self.locate(t))

@@ -389,7 +389,9 @@ class StepDiag:
     replaced by the diagonal step.  `linear_iterations` sums the CG
     iterations over the step's Newton solves, each an iteration on the
     black-node Schur complement (0 in 1D); `backtracks` counts the
-    line-search halvings.
+    line-search halvings.  `tolerance` is the accept tolerance applied,
+    `_STEP_RTOL` (1 + max|e_old|), plus `_rounding_allowance` on a step that
+    could not meet it otherwise.
 
     `energy_decreased` certifies that the step functional did not rise from
     the Newton start to the accepted state, to within 1e-12 (1 + |F|).
