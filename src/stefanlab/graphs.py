@@ -447,8 +447,11 @@ class RegularizedGraph:
         return _step_cdf((np.asarray(s, dtype=float) - self.a) / self.eps)
 
     def step_prime(self, s):
-        """Derivative of the smoothed step: the mollifier at s - a."""
-        return mollifier_density((np.asarray(s, dtype=float) - self.a) / self.eps) / self.eps
+        """Derivative of `step`: the slope of the step's table, the step'
+        that `enthalpy_prime_of_temperature` takes."""
+        out = _step_cdf.slope(*_step_cdf.locate((np.asarray(s, dtype=float) - self._a) / self._eps))
+        out /= self._eps
+        return out if out.ndim else float(out)
 
     # -- enthalpy as a function of temperature -------------------------------
     # The identity beta is applied as u itself (no copy) and its unit slope

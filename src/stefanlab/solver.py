@@ -48,7 +48,11 @@ third, cubic after that).  `run_simulation` carries its divided
 differences from step to step (`_differences`), so a new state costs two
 array operations per order.  The start's error is O(dt^4) instead of the
 O(dt) of the previous state, so a step needs about half the Newton
-iterations; the minimizer it converges to is the same.
+iterations; the minimizer it converges to is the same.  That holds on
+runs whose data is smooth in time from the start.  Dirichlet pins that
+jump the data at t = 0 start a transient the polynomial extrapolates, and
+there the cubic takes a few percent more iterations than a quadratic (233
+against 226 over the first 40 steps of the one-phase preset).
 
 A step is accepted once its residual is at most `_STEP_RTOL` (1 +
 max|e_old|) and then polished.  Once accepted, a full Newton step that

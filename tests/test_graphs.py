@@ -56,9 +56,18 @@ class TestMollifiedStep:
             assert s == pytest.approx(1.0, abs=1e-12)
 
     def test_derivative_normalization(self, unit_graph):
+        # step' is the slope of the step's table, a quadratic between its
+        # knots, which Simpson's rule on each knot interval integrates exactly
         g = unit_graph
-        total, _ = quad(g.step_prime, -g.eps, g.eps, limit=200)
+        x = g.a + g.eps * graphs._TS
+        mid = 0.5 * (x[1:] + x[:-1])
+        total = np.sum(np.diff(x) / 6.0 * (g.step_prime(x[:-1]) + 4.0 * g.step_prime(mid)
+                                           + g.step_prime(x[1:])))
         assert total == pytest.approx(1.0, abs=1e-10)
+        # the step' of e' (identity beta, unit latent heat)
+        s = np.linspace(-0.12, 0.12, 97)
+        assert np.allclose(g.step_prime(s) + 1.0, g.enthalpy_prime_of_temperature(s),
+                           rtol=1e-15, atol=0.0)
 
     def test_derivative_support(self, unit_graph):
         g = unit_graph
